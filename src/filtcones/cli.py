@@ -87,11 +87,19 @@ class Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if sc.space is not None and \
+                line.startswith(("object ", "family ", "move ")):
+            raise FragError(f"line {lineno}: {line!r} cannot extend a "
+                            "canned scenario")
         if line.startswith("scenario "):
+            if sc.space is not None or sc.curves or sc.objects or \
+                    sc.families or sc.moves:
+                raise FragError(f"line {lineno}: {line!r} must precede "
+                                "every other definition and appear once")
             parts = dict(p.split("=") for p in line.split()[2:])
             name = line.split()[1]
             eps = rat(parts.get("eps", "1/8"))
@@ -398,14 +406,15 @@ def cmd_repro_lemma_ex1(args) -> int:
     rep.check("l_2delta(L',L)", l2d.upper, 4, l2d.witness)
     rep.check("l_2delta certified below", l2d.lower, 4, l2d.certificate)
     n, lp, l = space.curves["N"], space.curves["L'"], space.curves["L"]
-    rep.check("#(N cap L')", len(intersections(n, lp)), 4)
+    count = len(intersections(n, lp))
+    rep.check("#(N cap L')", count, 4)
     ranks = sum(hf_rank(n, space.curves[f"S{i}"]) for i in range(1, 5))
     rep.check("sum rk HF(N,S_i)", ranks, 4)
-    rep.check("rk HF(N,L)", hf_rank(n, l), 0)
-    status = "pass" if len(intersections(n, lp)) >= ranks + hf_rank(n, l) \
-        else "FAIL"
-    rep.emit("intersection inequality", f"{len(intersections(n, lp))} >= "
-             f"{ranks + hf_rank(n, l)}", "", status)
+    rank_l = hf_rank(n, l)
+    rep.check("rk HF(N,L)", rank_l, 0)
+    status = "pass" if count >= ranks + rank_l else "FAIL"
+    rep.emit("intersection inequality", f"{count} >= {ranks + rank_l}", "",
+             status)
     tspace = canned.trace_surgery_space(eps, delta)
     r1 = tspace.d_k("L''", "L", "F", 1)
     rep.check("d_1(L'',L) lower", r1.lower, delta, r1.certificate)

@@ -10,7 +10,6 @@ from typing import Dict, Tuple
 from .novikov import rat
 from .surface.curves import TorusCurve, surgery
 from .surface.shadow import PlanarDiagram
-from .surface.widths import Box
 from .fragmetric import (
     FragError, LagObject, MetricSpace, Move, ProbeFamily, suspension_move,
     trace_move,
@@ -81,13 +80,6 @@ def lem_ex1_space(eps, delta) -> MetricSpace:
     families = {"F": ["S1", "S2", "S3", "S4"],
                 "Fleft": ["S1", "S2"], "Fright": ["S3", "S4"]}
     return MetricSpace(curves, objects, families, moves)
-
-
-def k_boxes(eps):
-    eps = rat(eps)
-    half = F(1, 2)
-    return [Box(-half - 2 * eps, -half + 2 * eps, -eps, eps),
-            Box(half - 2 * eps, half + 2 * eps, -eps, eps)]
 
 
 def trace_surgery_space(eps, delta) -> MetricSpace:

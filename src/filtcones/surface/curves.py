@@ -3,6 +3,11 @@
 A curve is stored as its lift: a vertex path in the plane whose final
 point differs from the first by (2p, 2q); (p, q) is the homology class.
 Edges are straight segments in the universal cover.
+
+Pairs of segments are tested only as ``segment_pairs`` yields them: the
+pairs whose closed axis-aligned bounding boxes meet.  It never decides
+contact itself; ``_seg_common`` is the one exact contact predicate.  The
+pairs it skips share no point, as their closed boxes are disjoint.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ def _seg_common(p1, p2, q1, q2):
         lo, hi = min(t0, t1), max(t0, t1)
         if hi < 0 or lo > 1:
             return None
-        if hi == lo:
-            pass
         if hi == 0:
             return ("point", p1, "touch")
         if lo == 1:
@@ -67,25 +70,30 @@ def _seg_common(p1, p2, q1, q2):
     return ("point", (p1[0] + t * r[0], p1[1] + t * r[1]), kind)
 
 
-def _seg_intersection(p1, p2, q1, q2, proper=True):
-    """Exact transverse intersection point of two segments, or None.
+def segment_pairs(segs, others=None) -> List[Tuple[int, int]]:
+    """Index pairs of segments whose closed bounding boxes meet.
 
-    Endpoint touches and collinear overlaps raise GeometryError unless
-    ``proper`` is set, in which case they are ignored.
+    With one list: pairs (i, j), i < j, within ``segs``.  With ``others``:
+    cross pairs (i, j) of ``segs[i]`` and ``others[j]``.  A sweep over
+    the boxes sorted by left edge; all comparisons are exact and closed,
+    so zero-width boxes of axis-parallel segments pair with anything
+    touching them.
     """
-    hit = _seg_common(p1, p2, q1, q2)
-    if hit is None:
-        return None
-    if hit[0] == "overlap":
-        if proper:
-            return None
-        raise GeometryError("segments overlap along a sub-segment")
-    _, p, kind = hit
-    if kind == "touch":
-        if proper:
-            return None
-        raise GeometryError("segments meet at a vertex")
-    return p
+    lists = [segs] if others is None else [segs, others]
+    entries = sorted(((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]),
+                       max(a[1], b[1]), side, i)
+                      for side, lst in enumerate(lists)
+                      for i, (a, b) in enumerate(lst)), key=lambda e: e[0])
+    active = [[] for _ in lists]  # per side: (right edge, y lo, y hi, index)
+    pairs = []
+    for x0, x1, y0, y1, side, i in entries:
+        partner = active[0] if others is None else active[1 - side]
+        live = [e for e in partner if e[0] >= x0]  # the rest end left of x0
+        pairs.extend((j, i) if side or (others is None and j < i) else (i, j)
+                     for _, lo, hi, j in live if lo <= y1 and y0 <= hi)
+        partner[:] = live
+        active[side].append((x1, y0, y1, i))
+    return pairs
 
 
 class TorusCurve:
@@ -116,12 +124,6 @@ class TorusCurve:
         pts = self.vertices + [self.closure]
         return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
-    def length_bound(self) -> Fraction:
-        tot = Fraction(0)
-        for a, b in self.edges():
-            tot += abs(b[0] - a[0]) + abs(b[1] - a[1])
-        return tot
-
     def translates_hitting(self, lo: Point, hi: Point):
         """Deck translates t with edge bounding boxes meeting [lo, hi]."""
         xs = [p[0] for p in self.vertices + [self.closure]]
@@ -141,35 +143,28 @@ class TorusCurve:
         edges = self.edges()
         n = len(edges)
         cls = (SIDE * self.hclass[0], SIDE * self.hclass[1])
-        xs = [p[0] for e in edges for p in e]
-        ys = [p[1] for e in edges for p in e]
-        lo, hi = (min(xs), min(ys)), (max(xs), max(ys))
-        for t in self.translates_hitting(lo, hi):
-            for i, (a, b) in enumerate(edges):
-                for j, (c, d) in enumerate(edges):
-                    if t == (0, 0) and j <= i:
-                        continue
-                    c2 = (c[0] + t[0], c[1] + t[1])
-                    d2 = (d[0] + t[0], d[1] + t[1])
-                    hit = _seg_common(a, b, c2, d2)
-                    if hit is None:
-                        continue
-                    # the only allowed contact is the shared vertex of
-                    # consecutive edges (wrap-aware)
-                    allowed = None
-                    if t == (0, 0) and j == i + 1:
-                        allowed = b
-                    elif i == n - 1 and j == 0 and (t[0], t[1]) == cls:
-                        allowed = b
-                    elif t == (0, 0) and i == 0 and j == n - 1:
-                        allowed = a
-                    elif i == 0 and j == n - 1 and \
-                            (t[0], t[1]) == (-cls[0], -cls[1]):
-                        allowed = a
-                    if hit[0] == "point" and allowed is not None \
-                            and hit[1] == allowed:
-                        continue
-                    return False
+        shifts, shifted = _translated_edges(self, edges)
+        for i, k in segment_pairs(edges, shifted):
+            t, j = shifts[k // n], k % n
+            if t == (0, 0) and j <= i:
+                continue
+            a, b = edges[i]
+            hit = _seg_common(a, b, *shifted[k])
+            if hit is None:
+                continue
+            # the only allowed contact is the shared vertex of
+            # consecutive edges (wrap-aware)
+            if t == (0, 0) and j == i + 1 or i == n - 1 and j == 0 \
+                    and t == cls:
+                allowed = b
+            elif i == 0 and j == n - 1 and t in ((0, 0), (-cls[0], -cls[1])):
+                allowed = a
+            else:
+                allowed = None
+            if hit[0] == "point" and allowed is not None \
+                    and hit[1] == allowed:
+                continue
+            return False
         return True
 
     def axis_parallel(self) -> bool:
@@ -222,26 +217,46 @@ class TorusCurve:
         return f"TorusCurve({self.name or self.hclass})"
 
 
+def _translated_edges(curve: TorusCurve, near):
+    """The deck translates of ``curve`` whose edges can meet the edges
+    ``near``, and the curve's edges moved by each, translate-major."""
+    xs = [p[0] for e in near for p in e]
+    ys = [p[1] for e in near for p in e]
+    shifts = curve.translates_hitting((min(xs), min(ys)), (max(xs), max(ys)))
+    return shifts, [((c[0] + t[0], c[1] + t[1]), (d[0] + t[0], d[1] + t[1]))
+                    for t in shifts for c, d in curve.edges()]
+
+
+def _crossing_points(c1: TorusCurve, c2: TorusCurve, proper: bool):
+    """Wrapped transverse crossing points.  Endpoint touches and collinear
+    overlaps are skipped if ``proper`` is set and raise GeometryError
+    otherwise."""
+    edges1 = c1.edges()
+    n2 = len(c2.edges())
+    _, shifted = _translated_edges(c2, edges1)
+    pts = set()
+    # scan in (translate, edge of c1, edge of c2) order, which fixes the
+    # first degenerate contact found and hence the error raised
+    for i, k in sorted(segment_pairs(edges1, shifted),
+                       key=lambda ik: (ik[1] // n2, ik[0], ik[1])):
+        hit = _seg_common(*edges1[i], *shifted[k])
+        if hit is None:
+            continue
+        if hit[0] == "point" and hit[2] == "proper":
+            pts.add(wrap_point(hit[1]))
+        elif not proper:
+            raise GeometryError("segments overlap along a sub-segment"
+                                if hit[0] == "overlap"
+                                else "segments meet at a vertex")
+    return pts
+
+
 def intersections(c1: TorusCurve, c2: TorusCurve) -> List[Point]:
     """Transverse intersection points on the torus, sorted.
 
     Raises GeometryError on shared segments or vertex touches.
     """
-    pts = set()
-    edges1 = c1.edges()
-    edges2 = c2.edges()
-    xs = [p[0] for e in edges1 for p in e]
-    ys = [p[1] for e in edges1 for p in e]
-    lo, hi = (min(xs), min(ys)), (max(xs), max(ys))
-    for t in c2.translates_hitting(lo, hi):
-        for (a, b) in edges1:
-            for (c, d) in edges2:
-                c2p = (c[0] + t[0], c[1] + t[1])
-                d2p = (d[0] + t[0], d[1] + t[1])
-                hit = _seg_intersection(a, b, c2p, d2p, proper=False)
-                if hit is not None:
-                    pts.add(wrap_point(hit))
-    return sorted(pts)
+    return sorted(_crossing_points(c1, c2, proper=False))
 
 
 def count_transverse_crossings(c1: TorusCurve, c2: TorusCurve) -> int:
@@ -249,23 +264,7 @@ def count_transverse_crossings(c1: TorusCurve, c2: TorusCurve) -> int:
 
     Used for surgered curves that ride along their surgery partners.
     """
-    pts = set()
-    edges1 = c1.edges()
-    xs = [p[0] for e in edges1 for p in e]
-    ys = [p[1] for e in edges1 for p in e]
-    lo, hi = (min(xs), min(ys)), (max(xs), max(ys))
-    for t in c2.translates_hitting(lo, hi):
-        for (a, b) in edges1:
-            for (c, d) in c2.edges():
-                c2p = (c[0] + t[0], c[1] + t[1])
-                d2p = (d[0] + t[0], d[1] + t[1])
-                try:
-                    hit = _seg_intersection(a, b, c2p, d2p, proper=True)
-                except GeometryError:
-                    continue
-                if hit is not None:
-                    pts.add(wrap_point(hit))
-    return len(pts)
+    return len(_crossing_points(c1, c2, proper=True))
 
 
 # ---------------------------------------------------------------------------

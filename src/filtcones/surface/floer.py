@@ -16,9 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ..novikov import NovikovScalar
 from ..filtcx import Chain, FilteredComplex, homology_rank
 from .curves import GeometryError, Point, SIDE, TorusCurve, intersections, \
-    _rotate_path_through, _seg_common
-
-WINDINGS = range(-2, 3)
+    _rotate_path_through, _seg_common, segment_pairs
 
 
 def _arc_options(curve: TorusCurve, p: Point, q: Point, max_wind: int = 1):
@@ -114,20 +112,19 @@ def _polygon_simple(path: List[Point]) -> bool:
     n = len(path) - 1
     if n < 2:
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = path[i], path[i + 1]
-            c, d = path[j], path[j + 1]
-            hit = _seg_common(a, b, c, d)
-            if hit is None:
-                continue
-            if hit[0] == "overlap":
-                return False
-            p = hit[1]
-            consecutive = (j == i + 1 and p == b) or \
-                (i == 0 and j == n - 1 and p == a)
-            if not consecutive:
-                return False
+    segs = list(zip(path, path[1:]))
+    for i, j in segment_pairs(segs):
+        a, b = segs[i]
+        hit = _seg_common(a, b, *segs[j])
+        if hit is None:
+            continue
+        if hit[0] == "overlap":
+            return False
+        p = hit[1]
+        consecutive = (j == i + 1 and p == b) or \
+            (i == 0 and j == n - 1 and p == a)
+        if not consecutive:
+            return False
     return True
 
 
@@ -145,15 +142,16 @@ def _corner_convex(incoming: Point, outgoing: Point, ccw: bool) -> bool:
     return cr > 0 if ccw else cr < 0
 
 
-def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve):
+def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, pts=None):
     """Embedded bigons between the two curves in the universal cover.
 
     Yields (p, q, area, loop) where the loop runs along the N-arc from
     p to q and back along the L-arc, is simple, and has convex corners.
     Each bigon on the torus is reported once (lift-translation classes
-    are deduplicated by their vertex sets modulo translation).
+    are deduplicated by their vertex sets modulo translation).  ``pts``
+    are the intersection points, if the caller has them already.
     """
-    pts = intersections(n_curve, l_curve)
+    pts = intersections(n_curve, l_curve) if pts is None else pts
     seen = set()
     out = []
     for p in pts:
@@ -204,13 +202,13 @@ def _gen_name(i: int, p: Point) -> str:
 
 
 def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
-                  cutoff=64) -> FilteredComplex:
+                  cutoff=64, pts=None) -> FilteredComplex:
     """CF(N, L): generators at action 0, differential from embedded
-    bigons, d^2 = 0 verified at construction."""
-    pts = intersections(n_curve, l_curve)
+    bigons, d^2 = 0 verified at construction; ``pts`` as for bigons."""
+    pts = intersections(n_curve, l_curve) if pts is None else pts
     names = {p: _gen_name(i, p) for i, p in enumerate(pts)}
     diff: Dict[str, Chain] = {names[p]: {} for p in pts}
-    for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve):
+    for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, pts):
         # direction fixed by the wedge handedness at the starting corner
         src, tgt = _bigon_direction(p, q, loop, n_curve, l_curve)
         mono = NovikovScalar.monomial(area, cutoff)
@@ -257,9 +255,10 @@ def _bigon_direction(p: Point, q: Point, loop: List[Point],
 
 def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve, cutoff=64) -> int:
     """Lambda-dimension of the homology of the Floer complex."""
-    if not intersections(n_curve, l_curve):
+    pts = intersections(n_curve, l_curve)
+    if not pts:
         return 0
-    return homology_rank(floer_complex(n_curve, l_curve, cutoff))
+    return homology_rank(floer_complex(n_curve, l_curve, cutoff, pts))
 
 
 # ---------------------------------------------------------------------------

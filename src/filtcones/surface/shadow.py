@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..novikov import rat
-from .curves import GeometryError, _seg_common
+from .curves import GeometryError, _seg_common, segment_pairs
 
 Point = Tuple[Fraction, Fraction]
 
@@ -92,6 +92,8 @@ def _atomic_segments(segments: List[Tuple[Point, Point]]):
     collinear pieces; returns a set of interior-disjoint edges."""
     # group by supporting line: (a, b, c) with a*x + b*y = c normalized
     lines: Dict[Tuple, List[Tuple[Point, Point]]] = {}
+    cuts: Dict[Tuple, set] = {}
+    line_cuts = []  # the cut set of each segment's supporting line
     for (p, q) in segments:
         a = q[1] - p[1]
         b = p[0] - q[0]
@@ -102,19 +104,17 @@ def _atomic_segments(segments: List[Tuple[Point, Point]]):
             scale = b
         key = (a / scale, b / scale, c / scale)
         lines.setdefault(key, []).append((p, q))
-    cuts: Dict[Tuple, set] = {k: set() for k in lines}
-    keys = list(lines)
-    for i, k1 in enumerate(keys):
-        for p, q in lines[k1]:
-            cuts[k1].add(p)
-            cuts[k1].add(q)
-        for k2 in keys[i + 1:]:
-            for (p, q) in lines[k1]:
-                for (r, s) in lines[k2]:
-                    hit = _seg_common(p, q, r, s)
-                    if hit is not None and hit[0] == "point":
-                        cuts[k1].add(hit[1])
-                        cuts[k2].add(hit[1])
+        cut = cuts.setdefault(key, set())
+        cut.update((p, q))
+        line_cuts.append(cut)
+    for i, j in segment_pairs(segments):
+        cut1, cut2 = line_cuts[i], line_cuts[j]
+        if cut1 is cut2:
+            continue  # same line: overlaps are merged by the cuts below
+        hit = _seg_common(*segments[i], *segments[j])
+        if hit is not None and hit[0] == "point":
+            cut1.add(hit[1])
+            cut2.add(hit[1])
     edges = set()
     for k, segs in lines.items():
         pts = sorted(cuts[k])

@@ -15,6 +15,9 @@ from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     Chain, FilteredComplex, NEG_INF, action_level, chain_add, chain_scale,
 )
+from filtcones.surface.curves import (
+    SIDE, GeometryError, _seg_common, wrap_point,
+)
 
 Rat = Fraction
 
@@ -492,3 +495,99 @@ def strict_right_mult_hom(cat, m_src, m_tgt, c):
     meas = [s for s in f.measured_shifts() if s > -(10**9)]
     f.shift = max(meas, default=Fraction(0))
     return f
+
+
+# ---------------------------------------------------------------------------
+# all-pairs geometry scans: every segment pair goes to the exact predicate,
+# with no bounding-box pruning
+# ---------------------------------------------------------------------------
+
+def _translate(seg, t):
+    return tuple((p[0] + t[0], p[1] + t[1]) for p in seg)
+
+
+def _edge_bounds(edges):
+    xs = [p[0] for e in edges for p in e]
+    ys = [p[1] for e in edges for p in e]
+    return (min(xs), min(ys)), (max(xs), max(ys))
+
+
+def ref_is_embedded(curve) -> bool:
+    """``TorusCurve.is_embedded`` over every edge pair of every nearby
+    deck translate."""
+    edges = curve.edges()
+    n = len(edges)
+    cls = (SIDE * curve.hclass[0], SIDE * curve.hclass[1])
+    for t in curve.translates_hitting(*_edge_bounds(edges)):
+        for i, (a, b) in enumerate(edges):
+            for j, seg in enumerate(edges):
+                if t == (0, 0) and j <= i:
+                    continue
+                hit = _seg_common(a, b, *_translate(seg, t))
+                if hit is None:
+                    continue
+                allowed = None
+                if t == (0, 0) and j == i + 1:
+                    allowed = b
+                elif i == n - 1 and j == 0 and t == cls:
+                    allowed = b
+                elif t == (0, 0) and i == 0 and j == n - 1:
+                    allowed = a
+                elif i == 0 and j == n - 1 and t == (-cls[0], -cls[1]):
+                    allowed = a
+                if hit[0] == "point" and allowed is not None \
+                        and hit[1] == allowed:
+                    continue
+                return False
+    return True
+
+
+def ref_crossings(c1, c2, proper: bool):
+    """Sorted wrapped crossing points; touches and overlaps are skipped if
+    ``proper`` is set and raise like ``intersections`` otherwise."""
+    edges1 = c1.edges()
+    pts = set()
+    for t in c2.translates_hitting(*_edge_bounds(edges1)):
+        for a, b in edges1:
+            for seg in c2.edges():
+                hit = _seg_common(a, b, *_translate(seg, t))
+                if hit is None:
+                    continue
+                if hit[0] == "overlap":
+                    if proper:
+                        continue
+                    raise GeometryError("segments overlap along a sub-segment")
+                if hit[2] == "touch":
+                    if proper:
+                        continue
+                    raise GeometryError("segments meet at a vertex")
+                pts.add(wrap_point(hit[1]))
+    return sorted(pts)
+
+
+def ref_atomic_segments(segments):
+    """Segments split at every mutual contact point, overlaps merged."""
+    lines = {}
+    for p, q in segments:
+        a, b = q[1] - p[1], p[0] - q[0]
+        scale = a if a != 0 else b
+        key = (a / scale, b / scale, (a * p[0] + b * p[1]) / scale)
+        lines.setdefault(key, []).append((p, q))
+    cuts = {k: {p for seg in segs for p in seg} for k, segs in lines.items()}
+    keys = list(lines)
+    for i, k1 in enumerate(keys):
+        for k2 in keys[i + 1:]:
+            for p, q in lines[k1]:
+                for r, s in lines[k2]:
+                    hit = _seg_common(p, q, r, s)
+                    if hit is not None and hit[0] == "point":
+                        cuts[k1].add(hit[1])
+                        cuts[k2].add(hit[1])
+    edges = set()
+    for k, segs in lines.items():
+        pts = sorted(cuts[k])
+        for p, q in segs:
+            lo, hi = sorted((p, q))
+            inside = [x for x in pts if lo <= x <= hi]
+            edges.update((u, v) for u, v in zip(inside, inside[1:]) if u != v)
+    return edges

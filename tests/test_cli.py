@@ -4,6 +4,7 @@ import os
 import pytest
 
 from filtcones.cli import main, parse_scenario
+from filtcones.fragmetric import FragError
 
 
 SCENARIO = """
@@ -92,6 +93,20 @@ def test_cli_metric_failing_assert(tmp_path, capsys):
     code, out = run_cli(["metric", "--scenario", str(f)], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("scenario lem-ex1 eps=1/8 delta=1/256\n"
+     "move suspension s12: S1 -> S2 length=1/2\n"
+     "query d_k S1 S2 k=0\n", "line 2: 'move suspension s12"),
+    ("scenario lem-ex1\nobject X carrier=S1\n", "line 2: 'object X"),
+    ("scenario lem-ex1\nfamily G = S1 S2\n", "line 2: 'family G"),
+    ("family G = S1\nscenario lem-ex1\n", "line 2: 'scenario lem-ex1"),
+    ("scenario lem-ex1\nscenario trace-surgery\n", "line 2: 'scenario"),
+])
+def test_canned_scenario_refuses_lines_it_would_drop(text, bad):
+    with pytest.raises(FragError, match=bad):
+        parse_scenario(text)
 
 
 def test_cli_floer(tmp_path, capsys):
