@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .novikov import INF, rat
+from .novikov import INF, on_line, rat
 from .filtcx import (
     FiltError, action_level, boundary_depth_elem, boundary_level,
     delta_d, parse_complex,
@@ -91,64 +91,65 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if sc.space is not None and \
-                line.startswith(("object ", "family ", "move ")):
-            raise FragError(f"line {lineno}: {line!r} cannot extend a "
-                            "canned scenario")
-        if line.startswith("scenario "):
-            if sc.space is not None or sc.curves or sc.objects or \
-                    sc.families or sc.moves:
-                raise FragError(f"line {lineno}: {line!r} must precede "
-                                "every other definition and appear once")
-            parts = dict(p.split("=") for p in line.split()[2:])
-            name = line.split()[1]
-            eps = rat(parts.get("eps", "1/8"))
-            delta = rat(parts.get("delta", "1/256"))
-            if name == "lem-ex1":
-                sc.space = canned.lem_ex1_space(eps, delta)
-            elif name == "trace-surgery":
-                sc.space = canned.trace_surgery_space(eps, delta)
-            elif name == "disjoint-union":
-                sc.space = canned.disjoint_union_space(eps)
+        with on_line(lineno, FragError):
+            if sc.space is not None and \
+                    line.startswith(("object ", "family ", "move ")):
+                raise FragError(f"{line!r} cannot extend a canned scenario")
+            if line.startswith("scenario "):
+                if sc.space is not None or sc.curves or sc.objects or \
+                        sc.families or sc.moves:
+                    raise FragError(f"{line!r} must precede every other "
+                                    "definition and appear once")
+                parts = dict(p.split("=") for p in line.split()[2:])
+                name = line.split()[1]
+                eps = rat(parts.get("eps", "1/8"))
+                delta = rat(parts.get("delta", "1/256"))
+                if name == "lem-ex1":
+                    sc.space = canned.lem_ex1_space(eps, delta)
+                elif name == "trace-surgery":
+                    sc.space = canned.trace_surgery_space(eps, delta)
+                elif name == "disjoint-union":
+                    sc.space = canned.disjoint_union_space(eps)
+                else:
+                    raise FragError(f"unknown canned scenario {name}")
+                sc.curves = sc.space.curves
+            elif line.startswith("curve "):
+                c = parse_curve(line)
+                sc.curves[c.name] = c
+            elif line.startswith("object "):
+                parts = line.split()
+                name = parts[1]
+                kw = dict(p.split("=") for p in parts[2:])
+                sc.objects.append(LagObject(
+                    name,
+                    kw.get("carrier", name).split(","),
+                    kw.get("cover", "").split(",") if kw.get("cover") else None,
+                    kw.get("geometry")))
+            elif line.startswith("family "):
+                head, rest = line[7:].split("=", 1)
+                sc.families[head.strip()] = rest.split()
+            elif line.startswith("move suspension "):
+                head, rest = line[len("move suspension "):].split(":", 1)
+                arrow, kw = rest.rsplit("length=", 1)
+                a, b = [s.strip() for s in arrow.split("->")]
+                sc.moves.append(suspension_move(head.strip(), a, b, rat(kw)))
+            elif line.startswith("move trace "):
+                head, rest = line[len("move trace "):].split(":", 1)
+                src, remainder = rest.split("->", 1)
+                ends_part, kw_part = remainder.split(")", 1)
+                ends = [e.strip() for e in
+                        ends_part.strip().lstrip("(").split(",")]
+                kws = dict(p.split("=") for p in kw_part.split())
+                handles = [rat(v) for v in kws["handles"].split(",")]
+                groups = [int(v) for v in kws["groups"].split(",")]
+                sc.moves.append(trace_move(head.strip(), src.strip(), ends,
+                                           handles, groups))
+            elif line.startswith("query "):
+                sc.queries.append(line[6:].strip())
+            elif line.startswith("assert "):
+                sc.asserts.append(line[7:].strip())
             else:
-                raise FragError(f"unknown canned scenario {name}")
-            sc.curves = sc.space.curves
-        elif line.startswith("curve "):
-            c = parse_curve(line)
-            sc.curves[c.name] = c
-        elif line.startswith("object "):
-            parts = line.split()
-            name = parts[1]
-            kw = dict(p.split("=") for p in parts[2:])
-            sc.objects.append(LagObject(
-                name,
-                kw.get("carrier", name).split(","),
-                kw.get("cover", "").split(",") if kw.get("cover") else None,
-                kw.get("geometry")))
-        elif line.startswith("family "):
-            head, rest = line[7:].split("=", 1)
-            sc.families[head.strip()] = rest.split()
-        elif line.startswith("move suspension "):
-            head, rest = line[len("move suspension "):].split(":", 1)
-            arrow, kw = rest.rsplit("length=", 1)
-            a, b = [s.strip() for s in arrow.split("->")]
-            sc.moves.append(suspension_move(head.strip(), a, b, rat(kw)))
-        elif line.startswith("move trace "):
-            head, rest = line[len("move trace "):].split(":", 1)
-            src, remainder = rest.split("->", 1)
-            ends_part, kw_part = remainder.split(")", 1)
-            ends = [e.strip() for e in ends_part.strip().lstrip("(").split(",")]
-            kws = dict(p.split("=") for p in kw_part.split())
-            handles = [rat(v) for v in kws["handles"].split(",")]
-            groups = [int(v) for v in kws["groups"].split(",")]
-            sc.moves.append(trace_move(head.strip(), src.strip(), ends,
-                                       handles, groups))
-        elif line.startswith("query "):
-            sc.queries.append(line[6:].strip())
-        elif line.startswith("assert "):
-            sc.asserts.append(line[7:].strip())
-        else:
-            raise FragError(f"unrecognized scenario line {line!r}")
+                raise FragError(f"unrecognized scenario line {line!r}")
     return sc
 
 
@@ -225,9 +226,22 @@ def run_query(space: MetricSpace, q: str, rep: Report,
 # commands
 # ---------------------------------------------------------------------------
 
+class InputError(Exception):
+    """A malformed input file; ``main`` reports it on one line, exit 2."""
+
+
+def _parse_file(path: str, parse, **kw):
+    with open(path) as f:
+        text = f.read()
+    try:
+        return parse(text, **kw)
+    except (ValueError, ArithmeticError, LookupError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def cmd_metric(args) -> int:
     rep = Report()
-    sc = parse_scenario(open(args.scenario).read())
+    sc = _parse_file(args.scenario, parse_scenario)
     space = sc.metric_space()
     queries = list(sc.queries)
     if args.query:
@@ -248,7 +262,7 @@ def cmd_metric(args) -> int:
 
 def cmd_floer(args) -> int:
     rep = Report()
-    sc = parse_scenario(open(args.scenario).read())
+    sc = _parse_file(args.scenario, parse_scenario)
     space = sc.metric_space()
     if args.pair:
         a, b = args.pair
@@ -268,7 +282,7 @@ def cmd_floer(args) -> int:
 
 def cmd_depth(args) -> int:
     rep = Report()
-    cx = parse_complex(open(args.complex).read(), cutoff=args.cutoff)
+    cx = _parse_file(args.complex, parse_complex, cutoff=args.cutoff)
     for q in args.query or []:
         parts = q.split()
         kind, gen = parts[0], parts[1]
@@ -290,7 +304,7 @@ def cmd_depth(args) -> int:
 
 def cmd_shadow(args) -> int:
     rep = Report()
-    d = parse_diagram(open(args.diagram).read())
+    d = _parse_file(args.diagram, parse_diagram)
     rep.emit("shadow", planar_shadow(d))
     if args.svg:
         os.makedirs(args.svg, exist_ok=True)
@@ -303,7 +317,7 @@ def cmd_shadow(args) -> int:
 
 def cmd_width(args) -> int:
     rep = Report()
-    sc = parse_scenario(open(args.scenario).read())
+    sc = _parse_file(args.scenario, parse_scenario)
     space = sc.metric_space()
     for q in args.query or []:
         run_query(space, q, rep)
@@ -314,40 +328,38 @@ def cmd_twisted_check(args) -> int:
     from .wfainf import Discrepancy, PreModHom, parse_category, yoneda_module
     from .twisted import IteratedConeSpec, TwistedData, \
         assemble_twisted_mu1, build_iterated_cone, check_twisted_square_zero
-    from .novikov import parse_scalar
-    from .filtcx import chain_add
+    from .filtcx import parse_chain
+    from .novikov import on_line
     rep = Report()
-    text = open(args.spec).read()
-
-    def parse_chain(rhs):
-        ch = {}
-        for term in rhs.split("+"):
-            scal, tgt = term.strip().rsplit("*", 1)
-            ch = chain_add(ch, {tgt.strip():
-                                parse_scalar(scal.strip(), args.cutoff)})
-        return ch
-
     cat_lines, obj_list, cycles = [], [], {}
     phi_tables: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("objects "):
-            obj_list = line.split()[1:]
-        elif line.startswith("c "):
-            head, rhs = line.split("->", 1)
-            _, qs, ps = head.split()
-            cycles[(int(qs), int(ps))] = parse_chain(rhs)
-        elif line.startswith("phi "):
-            head, rhs = line.split("->", 1)
-            parts = head.split(None, 2)
-            i = int(parts[1])
-            gens = tuple(g.strip() for g in
-                         parts[2].strip().strip("()").split(","))
-            phi_tables.setdefault(i, {})[gens] = parse_chain(rhs)
-        elif line:
-            cat_lines.append(raw)
-    cat = parse_category("\n".join(cat_lines), cutoff=args.cutoff,
-                         cap=args.arity_cap)
+
+    def parse_spec(text):
+        # lines read here are blanked for parse_category, which then
+        # numbers its errors by the lines of the whole file
+        for n, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            cat_lines.append("")
+            with on_line(n):
+                if line.startswith("objects "):
+                    obj_list[:] = line.split()[1:]
+                elif line.startswith("c "):
+                    head, rhs = line.split("->", 1)
+                    _, qs, ps = head.split()
+                    cycles[(int(qs), int(ps))] = parse_chain(rhs, args.cutoff)
+                elif line.startswith("phi "):
+                    head, rhs = line.split("->", 1)
+                    parts = head.split(None, 2)
+                    gens = tuple(g.strip() for g in
+                                 parts[2].strip().strip("()").split(","))
+                    phi_tables.setdefault(int(parts[1]), {})[gens] = \
+                        parse_chain(rhs, args.cutoff)
+                else:
+                    cat_lines[-1] = raw
+        return parse_category("\n".join(cat_lines), cutoff=args.cutoff,
+                              cap=args.arity_cap)
+
+    cat = _parse_file(args.spec, parse_spec)
     data = TwistedData(cat, obj_list, cycles)
     sym, _ = assemble_twisted_mu1(cat, obj_list, data)
     for key in sorted(sym):
@@ -491,7 +503,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_repro_lemma_ex1)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,14 +8,27 @@ The quantitative invariants (boundary level/depth, homotopical variants,
 delta-robust subspaces) are computed exactly by a persistence-style
 column reduction over the exponent grid, and independently checkable by
 the brute-force oracles in the test suite.
+
+The elimination layer has one implementation per ring:
+
+* ``F2Basis`` -- F2 rows as int bitmasks in echelon form by top bit,
+  each with an XOR-accumulated tag.  The grid reduction, the two passes
+  of ``min_beta_over_span``, the peak-slice expressions of ``peel_off``
+  and the retract-energy window solves all run on it.
+* ``Echelon`` -- fraction-free column echelon over the Novikov field
+  with coefficient bookkeeping; ``field_rank``, ``field_kernel``,
+  ``field_in_span``, ``image_basis`` and ``_quotient_kernel`` read it.
+  ``_field_solve`` stays apart: it divides, so its witnesses truncate.
+* ``peel_off`` -- peak-slice reduction of a chain against an
+  action-orthogonal family; ``orthogonalize`` extends such a family.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .novikov import INF, NovikovScalar, rat, parse_scalar
+from .novikov import INF, NovikovScalar, on_line, parse_scalar, rat
 
 NEG_INF = -INF
 
@@ -191,9 +204,6 @@ class FilteredMap:
                            - self.domain.action[g])
         return best
 
-    def is_strictly_filtered(self) -> bool:
-        return self.measured_shift() <= 0
-
     def is_chain_map(self) -> bool:
         for g in self.domain.generators:
             lhs = self.apply(self.domain.diff[g])
@@ -254,81 +264,110 @@ def _chain_vec(x: Chain, gens: Sequence[str]) -> List[NovikovScalar]:
     return [_big(x[g]) if g in x else z for g in gens]
 
 
-def _vec_chain(v: Sequence[NovikovScalar], gens: Sequence[str], cutoff) -> Chain:
-    out = {}
-    for g, s in zip(gens, v):
-        if not s.is_zero():
-            out[g] = s.rebase(cutoff)
-    return out
+class Echelon:
+    """Fraction-free column echelon over the Novikov field.
+
+    Columns are added one at a time.  Each is reduced against the pivots
+    kept so far by c <- p*c + e*q (characteristic 2, no division, hence
+    no truncation) and carries bookkeeping: its coefficients in the added
+    columns, so a column that reduces to zero yields a kernel relation.
+    """
+
+    def __init__(self, columns: Sequence[Sequence[NovikovScalar]] = ()):
+        # (reduced column, pivot row, bookkeeping {column index: scalar})
+        self.pivots: List[Tuple[List[NovikovScalar], int,
+                                Dict[int, NovikovScalar]]] = []
+        self.added = 0
+        for col in columns:
+            self.add(col)
+
+    def add(self, column: Sequence[NovikovScalar]
+            ) -> Optional[Dict[int, NovikovScalar]]:
+        """Reduce and keep a column; None if it is independent of the
+        previous columns, else the relation it satisfies with them."""
+        col = list(column)
+        book = {self.added: NovikovScalar.one(_FIELD_CUTOFF)}
+        self.added += 1
+        zero = NovikovScalar.zero(_FIELD_CUTOFF)
+        for pcol, pri, pbook in self.pivots:
+            e = col[pri]
+            if e:
+                pval = pcol[pri]
+                col = [pval * x + e * y for x, y in zip(col, pcol)]
+                book = {k: s for k in book.keys() | pbook.keys()
+                        if (s := pval * book.get(k, zero)
+                            + e * pbook.get(k, zero))}
+        ri = next((i for i, x in enumerate(col) if x), None)
+        if ri is None:
+            return book
+        self.pivots.append((col, ri, book))
+        return None
 
 
 def field_rank(columns: List[List[NovikovScalar]]) -> int:
-    """Rank over the Novikov field via fraction-free elimination."""
-    cols = [list(c) for c in columns if any(c)]
-    rank = 0
-    used_rows: set = set()
-    for _ in range(len(cols)):
-        pivot = None
-        for ci, col in enumerate(cols):
-            for ri, entry in enumerate(col):
-                if ri not in used_rows and not entry.is_zero():
-                    pivot = (ci, ri)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        ci, ri = pivot
-        pcol = cols.pop(ci)
-        pval = pcol[ri]
-        for col in cols:
-            e = col[ri]
-            if not e.is_zero():
-                for k in range(len(col)):
-                    col[k] = pval * col[k] + e * pcol[k]
-        used_rows.add(ri)
-        rank += 1
-    return rank
+    """Rank over the Novikov field."""
+    return len(Echelon(columns).pivots)
 
 
 def field_in_span(columns: List[List[NovikovScalar]],
                   target: List[NovikovScalar]) -> bool:
-    if not any(target):
-        return True
-    r = field_rank(columns)
-    return field_rank(columns + [target]) == r
+    return Echelon(columns).add(target) is not None
 
 
 def field_kernel(columns: List[List[NovikovScalar]]) -> List[List[NovikovScalar]]:
     """Kernel basis of the column family, as coefficient vectors."""
-    ncols = len(columns)
-    nrows = len(columns[0]) if columns else 0
-    one = NovikovScalar.one(_FIELD_CUTOFF)
     zero = NovikovScalar.zero(_FIELD_CUTOFF)
-    # augment each column with its coefficient bookkeeping
-    work = [list(col) + [one if i == j else zero for j in range(ncols)]
-            for i, col in enumerate(columns)]
-    used_rows: set = set()
-    reduced: List[List[NovikovScalar]] = []
-    kernel: List[List[NovikovScalar]] = []
-    for col in work:
-        # eliminate against previous pivots
-        for pcol, pri in reduced:
-            e = col[pri]
-            if not e.is_zero():
-                pval = pcol[pri]
-                for k in range(len(col)):
-                    col[k] = pval * col[k] + e * pcol[k]
-        ri = next((i for i in range(nrows)
-                   if i not in used_rows and not col[i].is_zero()), None)
-        if ri is None:
-            if any(not col[i].is_zero() for i in range(nrows)):
-                raise FiltError("elimination failed to clear column")
-            kernel.append(col[nrows:])
-        else:
-            used_rows.add(ri)
-            reduced.append((col, ri))
-    return kernel
+    ech = Echelon()
+    relations = [ech.add(col) for col in columns]
+    return [[rel.get(i, zero) for i in range(len(columns))]
+            for rel in relations if rel is not None]
+
+
+# ---------------------------------------------------------------------------
+# F2 pivot basis
+# ---------------------------------------------------------------------------
+
+class F2Basis:
+    """F2 row space with rows as int bitmasks, kept in echelon form by top bit.
+
+    Every row carries a tag (an int) that is XOR-accumulated along each
+    reduction.  Tagging input i with 1 << i records which inputs a row
+    combines; tagging an equation with its right-hand side bit turns the
+    basis into a linear-system solver.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: Dict[int, Tuple[int, int]] = {}  # top bit -> (row, tag)
+
+    def reduce(self, v: int, tag: int = 0) -> Tuple[int, int]:
+        """Cancel top bits of v against the rows; returns (residual, tag)."""
+        rows = self.rows
+        while v:
+            hit = rows.get(v.bit_length() - 1)
+            if hit is None:
+                break
+            v ^= hit[0]
+            tag ^= hit[1]
+        return v, tag
+
+    def add(self, v: int, tag: int = 0) -> Tuple[int, int]:
+        """Reduce v and keep the residual as a row if it is nonzero."""
+        v, tag = self.reduce(v, tag)
+        if v:
+            self.rows[v.bit_length() - 1] = (v, tag)
+        return v, tag
+
+    def solve(self) -> int:
+        """x (a bitmask) with parity(row & x) = tag for every row; the
+        variables that are no row's top bit are 0."""
+        x = 0
+        for top in sorted(self.rows):
+            v, b = self.rows[top]
+            if (b ^ (v & x).bit_count()) & 1:
+                x |= 1 << top
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +390,18 @@ class _GridReduction:
 
     Monomials T^s e_j with action A_j - s inside a finite window form an
     F2 basis; columns d(T^s e_j) are reduced in order of increasing
-    action ("birth").  Boundary levels are read off by greedy reduction
-    against the reduced columns.
+    action ("birth") into one ``F2Basis``, the i-th column kept tagged
+    1 << i.  A kept column's tag then has the column itself as its top
+    bit, and the boundary level of a vector is the birth of the top bit
+    of the tag it reduces with.
     """
 
     def __init__(self, cx: FilteredComplex, q: Optional[int] = None,
                  hi_need=None, lo_need=None):
-        self.cx = cx
+        # no reference to cx itself: cx caches its grid, and the cycle
+        # would keep a large grid alive until a cyclic collection
+        self.generators, self.action = cx.generators, cx.action
+        self.cutoff = cx.cutoff
         if q is None:
             q = _denominators(cx)
         self.step = Fraction(1, q)
@@ -387,7 +431,7 @@ class _GridReduction:
                 self.monomials.append((a - (s + k * self.step), gi))
         self.monomials.sort(key=lambda t: (t[0], t[1]))
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self._reduce()
+        self._reduce(cx)
 
     def _vec_of_chain(self, x: Chain, strict: bool = False) -> Optional[int]:
         """Bit-vector of a chain in the monomial basis.
@@ -398,7 +442,7 @@ class _GridReduction:
         v = 0
         for g, s in x.items():
             gi = self.gen_index[g]
-            a = self.cx.action[g]
+            a = self.action[g]
             for e in s.exps:
                 act = a - e
                 if act < self.lo:
@@ -411,8 +455,7 @@ class _GridReduction:
                 v |= 1 << self.index[key]
         return v
 
-    def _reduce(self):
-        cx = self.cx
+    def _reduce(self, cx: FilteredComplex):
         cols = []  # (birth_action, bitvec of d(monomial))
         for act, gi in self.monomials:
             g = cx.generators[gi]
@@ -422,32 +465,14 @@ class _GridReduction:
             if v:
                 cols.append((act, v))
         cols.sort(key=lambda t: t[0])
-        self.low_to_col: Dict[int, Tuple[int, Fraction]] = {}
-        self.rcols: List[Tuple[Fraction, int]] = []
+        self.births: List[Fraction] = []  # of the kept columns, ascending
+        self.basis = F2Basis()
         for birth, v in cols:
-            while v:
-                low = v.bit_length() - 1
-                hit = self.low_to_col.get(low)
-                if hit is None:
-                    break
-                v ^= self.rcols[hit[0]][1]
-            if v:
-                idx = len(self.rcols)
-                self.rcols.append((birth, v))
-                self.low_to_col[v.bit_length() - 1] = (idx, birth)
+            if self.basis.add(v, 1 << len(self.births))[0]:
+                self.births.append(birth)
 
-    def reduce_vector(self, v: int):
-        """Reduce v against the R-columns; return (residual, used column set)."""
-        used = 0
-        while v:
-            low = v.bit_length() - 1
-            hit = self.low_to_col.get(low)
-            if hit is None:
-                return v, used
-            idx, _ = hit
-            v ^= self.rcols[idx][1]
-            used |= 1 << idx
-        return 0, used
+    def _level(self, tag: int) -> Fraction:
+        return self.births[tag.bit_length() - 1] if tag else NEG_INF
 
     def boundary_level(self, x: Chain) -> Fraction:
         if not x:
@@ -455,15 +480,8 @@ class _GridReduction:
         v = self._vec_of_chain(x)
         if v is None:
             raise FiltError("chain exceeds grid window")
-        res, used = self.reduce_vector(v)
-        if res:
-            return INF
-        best = NEG_INF
-        while used:
-            low = used.bit_length() - 1
-            best = max(best, self.rcols[low][0])
-            used ^= 1 << low
-        return best
+        res, tag = self.basis.reduce(v)
+        return INF if res else self._level(tag)
 
     def min_beta_over_span(self, vectors: List[Chain]) -> Fraction:
         """min over nonzero u in the Lambda-span of ``vectors`` of B(u)-A(u).
@@ -474,13 +492,11 @@ class _GridReduction:
         distinct top births; the minimum is attained on the resulting
         double-orthogonal family.
         """
-        fam: List[Tuple[int, int]] = []  # (monomial bitvec, expression bitvec)
-        peak_owner: Dict[int, int] = {}
-        raw = []
+        raw = []  # (monomial bitvec, boundary expression tag)
         for u in vectors:
             if not u:
                 continue
-            a = action_level(u, self.cx)
+            a = max(self.action[g] - s.valuation() for g, s in u.items())
             top = self.hi - 1
             s = a - top  # scale so the peak sits near the top
             hits = 0
@@ -489,52 +505,32 @@ class _GridReduction:
                 v = self._vec_of_chain(shifted, strict=True)
                 if v is None or v == 0:
                     break
-                res, _ = self.reduce_vector(v)
+                res, tag = self.basis.reduce(v)
                 if not res:
-                    raw.append(v)  # copies too close to the top cannot reach
-                    hits += 1      # their primitives and are dropped
+                    raw.append((v, tag))  # copies too close to the top cannot
+                    hits += 1             # reach their primitives: dropped
                 s += self.step
             if hits == 0:
                 raise FiltError("min_beta_over_span: vector is not a boundary "
                                 "within the grid window")
-        # distinct action peaks
-        for v in sorted(raw, key=lambda v: v.bit_length(), reverse=True):
-            while v:
-                peak = v.bit_length() - 1
-                j = peak_owner.get(peak)
-                if j is None:
-                    break
-                v ^= fam[j][0]
-            if v:
-                res, used = self.reduce_vector(v)
-                if res:
-                    continue
-                peak_owner[v.bit_length() - 1] = len(fam)
-                fam.append((v, used))
-        if not fam:
+        # distinct action peaks (expressions of boundaries are unique, so
+        # the accumulated tag is the expression of the reduced vector)
+        peaks = F2Basis()
+        for v, tag in sorted(raw, key=lambda t: t[0].bit_length(),
+                             reverse=True):
+            peaks.add(v, tag)
+        if not peaks.rows:
             return INF
         # distinct top births in the expressions, processing by peak ascending
-        fam.sort(key=lambda t: t[0].bit_length())
-        top_owner: Dict[int, int] = {}
-        final: List[Tuple[int, int]] = []
-        for v, expr in fam:
-            while expr:
-                top = expr.bit_length() - 1
-                j = top_owner.get(top)
-                if j is None:
-                    break
-                pv, pe = final[j]
-                v ^= pv
-                expr ^= pe
-            if not expr:
-                continue  # boundary expression vanished: element of lower span
-            top_owner[expr.bit_length() - 1] = len(final)
-            final.append((v, expr))
+        births = F2Basis()
+        for peak in sorted(peaks.rows):
+            v, expr = peaks.rows[peak]
+            births.add(expr, v)  # a vanished expression: element of lower span
         best = INF
         best_vec = None
-        for v, expr in final:
+        for expr, v in births.rows.values():
             act = self.monomials[v.bit_length() - 1][0]
-            b = self.rcols[expr.bit_length() - 1][0]
+            b = self._level(expr)
             if b - act < best:
                 best = b - act
                 best_vec = v
@@ -546,8 +542,8 @@ class _GridReduction:
                 i = v.bit_length() - 1
                 v ^= 1 << i
                 act, gi = self.monomials[i]
-                g = self.cx.generators[gi]
-                mono = NovikovScalar.monomial(self.cx.action[g] - act, self.cx.cutoff)
+                g = self.generators[gi]
+                mono = NovikovScalar.monomial(self.action[g] - act, self.cutoff)
                 ch = chain_add(ch, {g: mono})
             self.last_witness = ch
         return best
@@ -578,32 +574,15 @@ def boundary_depth_elem(c: Chain, cx: FilteredComplex) -> Fraction:
 
 def cycle_basis(cx: FilteredComplex) -> List[Chain]:
     cols = [_chain_vec(cx.diff[g], cx.generators) for g in cx.generators]
-    coeffs = field_kernel(cols)
-    out = []
-    for v in coeffs:
-        ch: Chain = {}
-        for g, s in zip(cx.generators, v):
-            if not s.is_zero():
-                ch[g] = s.rebase(cx.cutoff)
-        if ch:
-            out.append(ch)
-    return out
+    return _combinations(field_kernel(cols),
+                         [cx.basis_chain(g) for g in cx.generators], cx.cutoff)
 
 
 def image_basis(cx: FilteredComplex) -> List[Chain]:
-    cols = []
-    for g in cx.generators:
-        if cx.diff[g]:
-            cols.append(cx.diff[g])
-    # prune to an independent family over the field
-    out: List[Chain] = []
-    vecs: List[List[NovikovScalar]] = []
-    for ch in cols:
-        v = _chain_vec(ch, cx.generators)
-        if not field_in_span(vecs, v):
-            out.append(ch)
-            vecs.append(v)
-    return out
+    """The columns of d that are independent of the earlier ones."""
+    ech = Echelon()
+    return [cx.diff[g] for g in cx.generators if cx.diff[g]
+            and ech.add(_chain_vec(cx.diff[g], cx.generators)) is None]
 
 
 def homology_rank(cx: FilteredComplex) -> int:
@@ -625,25 +604,16 @@ def boundary_depth_map(phi: FilteredMap) -> Fraction:
         return Fraction(0)
     img_cols = [_chain_vec(D.diff[g], D.generators) for g in D.generators]
     # subspace of cycles landing in the boundaries of D
-    sub: List[Chain] = []
     phi_vecs = [_chain_vec(phi.apply(z), D.generators) for z in zs]
-    ok = [field_in_span(img_cols, v) for v in phi_vecs]
-    if all(ok):
+    if all(field_in_span(img_cols, v) for v in phi_vecs):
         sub = zs
     else:
         # combinations of cycle basis elements whose image is a boundary
         red_cols = [_chain_vec(ch, D.generators) for ch in image_basis(D)]
-        quot = _quotient_kernel(phi_vecs, red_cols)
-        for coeff in quot:
-            ch: Chain = {}
-            for t, z in zip(coeff, zs):
-                if not t.is_zero():
-                    ch = chain_add(ch, chain_scale(t.rebase(C.cutoff), z))
-            if ch:
-                sub.append(ch)
+        sub = _combinations(_quotient_kernel(phi_vecs, red_cols), zs, C.cutoff)
     best = Fraction(0)
     # orthogonalize the subspace and bound via basis elements
-    for z in _orthogonalize(sub, C):
+    for z in orthogonalize(sub, C):
         b = boundary_level(phi.apply(z), D)
         if b == NEG_INF:
             continue
@@ -651,97 +621,79 @@ def boundary_depth_map(phi: FilteredMap) -> Fraction:
     return best
 
 
+def _combinations(coeffs: List[List[NovikovScalar]], chains: Sequence[Chain],
+                  cutoff) -> List[Chain]:
+    """The nonzero chains sum_i t_i chains_i, one per coefficient vector t."""
+    out = []
+    for coeff in coeffs:
+        ch: Chain = {}
+        for t, z in zip(coeff, chains):
+            if t:
+                ch = chain_add(ch, chain_scale(t.rebase(cutoff), z))
+        if ch:
+            out.append(ch)
+    return out
+
+
 def _quotient_kernel(cols: List[List[NovikovScalar]],
                      modulo: List[List[NovikovScalar]]):
-    """Coefficient vectors t with sum t_i cols_i in span(modulo)."""
+    """Independent coefficient vectors t with sum t_i cols_i in span(modulo)."""
     n = len(cols)
-    m = len(modulo)
-    big = [list(c) for c in cols] + [list(c) for c in modulo]
-    ker = field_kernel(big)
-    # project kernel coefficients to the first block
-    out = []
-    vecs: List[List[NovikovScalar]] = []
-    for k in ker:
-        head = k[:n]
-        if any(not s.is_zero() for s in head) and not field_in_span(vecs, head):
-            out.append(head)
-            vecs.append(head)
-    return out
+    heads = Echelon()
+    return [k[:n] for k in field_kernel(list(cols) + list(modulo))
+            if heads.add(k[:n]) is None]
 
 
-def _orthogonalize(vectors: List[Chain], cx: FilteredComplex) -> List[Chain]:
-    """Action-orthogonal family spanning the same subspace.
+def peel_off(x: Chain, family: Sequence[Chain], cx: FilteredComplex
+             ) -> Tuple[Chain, List[NovikovScalar]]:
+    """Peel x against an action-orthogonal family.
 
-    Greedy peak-slice reduction: repeatedly cancel the top slice of each
-    vector against the kept ones; survivors have independent peak slices,
-    so the action of any combination is the max of the component actions.
+    At the peak action a of x, the peak slice of x (the generators whose
+    coefficient has a term at action a) is written over F2 in the peak
+    slices of the family, each member shifted so that its own peak sits
+    at a, and that combination is added to x.  The action drops every
+    round, and terms past the cutoff are truncated, so the peel ends:
+    when x vanishes, or when its peak slice is not in the span.  Returns
+    the residual and the coefficients used, x = residual + sum c_j f_j
+    up to the cutoff.
     """
-    kept: List[Chain] = []
+    index = {g: i for i, g in enumerate(cx.generators)}
+
+    def peak_slice(v: Chain, a) -> int:
+        return sum(1 << index[g] for g, s in v.items()
+                   if cx.action[g] - a in s.exps)
+
+    acts = [action_level(f, cx) for f in family]
+    slices = F2Basis()
+    for j, (f, a) in enumerate(zip(family, acts)):
+        slices.add(peak_slice(f, a), 1 << j)
+    coeffs = [NovikovScalar.zero(cx.cutoff) for _ in family]
+    v = dict(x)
+    while v:
+        a = action_level(v, cx)
+        res, combo = slices.reduce(peak_slice(v, a))
+        if res:
+            break
+        for j, f in enumerate(family):
+            if combo >> j & 1:
+                s = acts[j] - a
+                coeffs[j] = coeffs[j] + NovikovScalar.monomial(s, cx.cutoff)
+                v = chain_add(v, chain_shift(s, f))
+    return v, coeffs
+
+
+def orthogonalize(vectors: Sequence[Chain], cx: FilteredComplex,
+                  family: Sequence[Chain] = ()) -> List[Chain]:
+    """Extend an action-orthogonal family by the vectors: each is peeled
+    against the members kept so far and kept if a residual remains.  The
+    kept peak slices are independent, so the action of a combination is
+    the max of the actions of its terms."""
+    kept = list(family)
     for v in vectors:
-        v = dict(v)
-        guard = 0
-        while v:
-            a = action_level(v, cx)
-            if a <= cx.action_floor() - (cx.cutoff / 2):
-                v = {}
-                break
-            slice_v = _peak_slice(v, a, cx)
-            basis = [_peak_slice(chain_shift(a2 - a, k), a2, cx)
-                     for k, a2 in ((k, action_level(k, cx)) for k in kept)]
-            combo = _f2_express(slice_v, basis)
-            if combo is None:
-                break
-            for j in combo:
-                k = kept[j]
-                v = chain_add(v, chain_shift(action_level(k, cx) - a, k))
-            guard += 1
-            if guard > 10000:
-                raise FiltError("orthogonalization failed to terminate")
-        if v:
-            kept.append(v)
+        rest = peel_off(v, kept, cx)[0]
+        if rest:
+            kept.append(rest)
     return kept
-
-
-def _peak_slice(v: Chain, a, cx: FilteredComplex):
-    out = set()
-    for g, s in v.items():
-        e = cx.action[g] - a
-        if e in s.exps:
-            out.add(g)
-    return out
-
-
-def _f2_express(target: set, basis: List[set]) -> Optional[List[int]]:
-    """Express a set (F2 vector over generator names) in terms of basis sets."""
-    piv: Dict[str, int] = {}
-    reduced: List[Tuple[set, List[int]]] = []
-    for i, b in enumerate(basis):
-        cur, expr = set(b), [i]
-        while cur:
-            top = max(cur)
-            j = piv.get(top)
-            if j is None:
-                break
-            cur = cur ^ reduced[j][0]
-            expr = expr + reduced[j][1]
-        if cur:
-            piv[max(cur)] = len(reduced)
-            reduced.append((cur, expr))
-    cur, expr = set(target), []
-    while cur:
-        top = max(cur)
-        j = piv.get(top)
-        if j is None:
-            return None
-        cur = cur ^ reduced[j][0]
-        expr = expr + reduced[j][1]
-    out = []
-    for i in expr:
-        if i in out:
-            out.remove(i)
-        else:
-            out.append(i)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +731,6 @@ def map_to_chain(f: FilteredMap) -> Chain:
         for i, s in col.items():
             out[f"E[{i}<-{j}]"] = s
     return out
-
-
-def chain_to_map(ch: Chain, C: FilteredComplex, D: FilteredComplex,
-                 shift=0) -> FilteredMap:
-    mat: Dict[str, Chain] = {}
-    for g, s in ch.items():
-        body = g[2:-1]
-        i, j = body.split("<-")
-        mat.setdefault(j, {})[i] = s
-    return FilteredMap(C, D, mat, shift)
 
 
 def homotopical_boundary_level(psi: FilteredMap) -> Fraction:
@@ -830,35 +772,15 @@ def is_delta_robust(V: List[Chain], delta, cx: FilteredComplex) -> bool:
     img = image_basis(cx)
     img_vecs = [_chain_vec(ch, cx.generators) for ch in img]
     v_vecs = [_chain_vec(v, cx.generators) for v in span]
-    inside: List[Chain] = []
     if all(field_in_span(img_vecs, v) for v in v_vecs):
         inside = span
     else:
-        coeffs = _quotient_kernel_complement(v_vecs, img_vecs)
-        for coeff in coeffs:
-            ch: Chain = {}
-            for t, v in zip(coeff, span):
-                if not t.is_zero():
-                    ch = chain_add(ch, chain_scale(t.rebase(cx.cutoff), v))
-            if ch:
-                inside.append(ch)
+        inside = _combinations(_quotient_kernel(v_vecs, img_vecs), span,
+                               cx.cutoff)
     if not inside:
         return True
     m = cx.grid(inside).min_beta_over_span(inside)
     return m >= delta
-
-
-def _quotient_kernel_complement(v_vecs, img_vecs):
-    """Coefficients t with sum t_i v_i inside span(img)."""
-    n = len(v_vecs)
-    ker = field_kernel([list(c) for c in v_vecs] + [list(c) for c in img_vecs])
-    out, vecs = [], []
-    for k in ker:
-        head = k[:n]
-        if any(not s.is_zero() for s in head) and not field_in_span(vecs, head):
-            out.append(head)
-            vecs.append(head)
-    return out
 
 
 def min_beta_subspace(V: List[Chain], cx: FilteredComplex) -> Fraction:
@@ -893,85 +815,28 @@ def find_robust_subspace(cx: FilteredComplex, d0: Dict[str, Chain],
         raise FiltError("homology dimension defect must be even")
     k = (h0 - h) // 2
     # projection onto im(d0) along an action-orthogonal completion
-    im0 = _orthogonalize(image_basis(C0), cx)
-    completion = list(im0)
-    for g in sorted(cx.generators, key=lambda g: cx.action[g]):
-        cand = _reduce_mod(cx.basis_chain(g), completion, cx)
-        if cand:
-            completion.append(cand)
-    basis_im = completion[:len(im0)]
+    im0 = orthogonalize(image_basis(C0), cx)
+    by_action = sorted(cx.generators, key=lambda g: cx.action[g])
+    completion = orthogonalize([cx.basis_chain(g) for g in by_action], cx, im0)
 
     def pi(x: Chain) -> Chain:
-        coeffs = _expand(x, completion, cx)
+        rest, coeffs = peel_off(x, completion, cx)
+        if rest:
+            raise FiltError("vector not in the span of the basis")
         out: Chain = {}
-        for lam, b in zip(coeffs[:len(im0)], basis_im):
+        for lam, b in zip(coeffs, im0):
             out = chain_add(out, chain_scale(lam, b))
         return out
 
     imd = image_basis(cx)
     pi_vecs = [_chain_vec(pi(ch), cx.generators) for ch in imd]
-    coeffs = field_kernel(pi_vecs)
-    V: List[Chain] = []
-    for coeff in coeffs:
-        ch: Chain = {}
-        for t, b in zip(coeff, imd):
-            if not t.is_zero():
-                ch = chain_add(ch, chain_scale(t.rebase(cx.cutoff), b))
-        if ch:
-            V.append(ch)
+    V = _combinations(field_kernel(pi_vecs), imd, cx.cutoff)
     if len(V) < k:
         raise FiltError("projection kernel smaller than predicted")
     dd1 = action_drop(d1map) if any(d1.get(g) for g in cx.generators) else INF
     if dd1 < INF and not is_delta_robust(V, dd1, cx):
         raise FiltError("constructed subspace fails robustness check")
     return V, k
-
-
-def _reduce_mod(v: Chain, kept: List[Chain], cx: FilteredComplex) -> Chain:
-    v = dict(v)
-    guard = 0
-    while v:
-        a = action_level(v, cx)
-        slice_v = _peak_slice(v, a, cx)
-        basis = [_peak_slice(chain_shift(action_level(k, cx) - a, k), a, cx)
-                 for k in kept]
-        combo = _f2_express(slice_v, basis)
-        if combo is None:
-            return v
-        for j in combo:
-            k = kept[j]
-            v = chain_add(v, chain_shift(action_level(k, cx) - a, k))
-        guard += 1
-        if guard > 10000:
-            raise FiltError("reduction failed to terminate")
-    return v
-
-
-def _expand(x: Chain, basis: List[Chain], cx: FilteredComplex) -> List[NovikovScalar]:
-    """Coefficients of x in an action-orthogonal basis (greedy peel-off)."""
-    coeffs = [NovikovScalar.zero(cx.cutoff) for _ in basis]
-    v = dict(x)
-    floor = cx.action_floor() - cx.cutoff
-    guard = 0
-    while v:
-        a = action_level(v, cx)
-        if a < floor:
-            break
-        slice_v = _peak_slice(v, a, cx)
-        sl_basis = [_peak_slice(chain_shift(action_level(k, cx) - a, k), a, cx)
-                    for k in basis]
-        combo = _f2_express(slice_v, sl_basis)
-        if combo is None:
-            raise FiltError("vector not in the span of the basis")
-        for j in combo:
-            k = basis[j]
-            s = action_level(k, cx) - a
-            coeffs[j] = coeffs[j] + NovikovScalar.monomial(s, cx.cutoff)
-            v = chain_add(v, chain_shift(s, k))
-        guard += 1
-        if guard > 100000:
-            raise FiltError("expansion failed to terminate")
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +866,7 @@ def verify_rig_cplx2(cx: FilteredComplex, d0: Dict[str, Chain],
     dd1 = action_drop(d1map) if nonzero_d1 else INF
     report["delta_d1"] = dd1
     ident = FilteredMap.identity(cx)
-    diffm = f.add(_negate(ident))
+    diffm = f.add(ident)  # f - id in characteristic 2
     bh = homotopical_boundary_level(diffm) if diffm.matrix else NEG_INF
     if not any(diffm.matrix.values()):
         bh = NEG_INF
@@ -1014,10 +879,6 @@ def verify_rig_cplx2(cx: FilteredComplex, d0: Dict[str, Chain],
     report["checked"] = True
     report["inequality_holds"] = rank_f >= h0
     return report
-
-
-def _negate(f: FilteredMap) -> FilteredMap:
-    return f  # characteristic 2
 
 
 def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
@@ -1161,41 +1022,53 @@ def filtered_inverse(f: FilteredMap, g: FilteredMap) -> FilteredMap:
 # text format
 # ---------------------------------------------------------------------------
 
+def parse_chain(text: str, cutoff) -> Chain:
+    """Parse "T^e*gen + T^f*gen2 + ..." (or "0"); terms on one generator add."""
+    ch: Chain = {}
+    if text.strip() == "0":
+        return ch
+    for term in text.split("+"):
+        scal, star, gen = term.rpartition("*")
+        if not (star and scal.strip() and gen.strip()):
+            raise FiltError(f"bad chain term {term.strip()!r}")
+        ch = chain_add(ch, {gen.strip(): parse_scalar(scal, cutoff)})
+    return ch
+
+
 def parse_complex(text: str, cutoff=64) -> FilteredComplex:
+    return complex_from_lines(enumerate(text.splitlines(), 1), cutoff)
+
+
+def complex_from_lines(lines: Iterable[Tuple[int, str]], cutoff=64
+                       ) -> FilteredComplex:
+    """A complex from numbered ``cutoff``, ``gen`` and ``d`` lines; a
+    malformed line raises FiltError naming its number."""
     gens: List[str] = []
     action: Dict[str, Fraction] = {}
-    diff: Dict[str, Chain] = {}
+    rhs_of: Dict[str, Tuple[int, str]] = {}
     cutoff = rat(cutoff)
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    for n, raw in lines:
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("cutoff "):
-            cutoff = rat(line.split()[1])
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line or line.startswith("cutoff"):
-            continue
-        if line.startswith("gen "):
+        with on_line(n, FiltError):
             parts = line.split()
-            if len(parts) != 4 or parts[2] != "action":
-                raise FiltError(f"bad generator line: {line!r}")
-            gens.append(parts[1])
-            action[parts[1]] = rat(parts[3])
-        elif line.startswith("d "):
-            head, rhs = line[2:].split("=", 1)
-            src = head.strip()
-            col: Chain = {}
-            rhs = rhs.strip()
-            if rhs != "0":
-                for term in rhs.split("+"):
-                    term = term.strip()
-                    scal, tgt = term.rsplit("*", 1)
-                    s = parse_scalar(scal.strip(), cutoff)
-                    col = chain_add(col, {tgt.strip(): s})
-            diff[src] = col
-        else:
-            raise FiltError(f"unrecognized line: {line!r}")
+            if parts[0] == "cutoff" and len(parts) == 2:
+                cutoff = rat(parts[1])
+            elif parts[0] == "gen":
+                if len(parts) != 4 or parts[2] != "action":
+                    raise FiltError(f"bad generator line: {line!r}")
+                gens.append(parts[1])
+                action[parts[1]] = rat(parts[3])
+            elif parts[0] == "d":
+                head, rhs = line[2:].split("=", 1)
+                rhs_of[head.strip()] = (n, rhs)
+            else:
+                raise FiltError(f"unrecognized line: {line!r}")
+    diff: Dict[str, Chain] = {}
+    for src, (n, rhs) in rhs_of.items():
+        with on_line(n, FiltError):
+            diff[src] = parse_chain(rhs, cutoff)
     return FilteredComplex(gens, action, diff, cutoff)
 
 

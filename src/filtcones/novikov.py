@@ -10,6 +10,7 @@ inversion is only ever defined up to the cutoff.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -180,10 +181,14 @@ class NovikovScalar:
 
 
 def parse_scalar(text: str, cutoff: RatLike) -> NovikovScalar:
-    """Parse "T^{p/q} + T^{r/s} + ..." (or "0"); unsorted input is fine."""
+    """Parse "T^{p/q} + T^{r/s} + ..." (or "0"); unsorted input is fine.
+
+    An exponent at or above the cutoff is refused, not dropped.
+    """
     text = text.strip()
     if text == "0":
         return NovikovScalar.zero(cutoff)
+    cutoff = rat(cutoff)
     exps = []
     for term in text.split("+"):
         term = term.strip()
@@ -198,7 +203,20 @@ def parse_scalar(text: str, cutoff: RatLike) -> NovikovScalar:
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
         exps.append(rat(body))
+        if exps[-1] >= cutoff:
+            raise NovikovError(f"exponent {exps[-1]} is at or above the "
+                               f"cutoff {cutoff}")
     return NovikovScalar(exps, cutoff)
+
+
+@contextlib.contextmanager
+def on_line(lineno: int, error=ValueError):
+    """Re-raise what goes wrong while one input line is parsed as
+    ``error("line N: ...")``."""
+    try:
+        yield
+    except (ValueError, ArithmeticError, LookupError) as exc:
+        raise error(f"line {lineno}: {exc}") from exc
 
 
 def nov_add(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:

@@ -12,7 +12,7 @@ import functools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..novikov import rat
+from ..novikov import on_line, rat
 from .curves import GeometryError, _seg_common, segment_pairs
 
 Point = Tuple[Fraction, Fraction]
@@ -260,34 +260,35 @@ def parse_diagram(text: str) -> PlanarDiagram:
     "rect x0 y0 x1 y1", "strip <a-> <a+>"."""
     d = PlanarDiagram()
     strip = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("poly"):
-            pts = []
-            for chunk in line[4:].replace(")", ") ").split():
-                chunk = chunk.strip().strip(",")
-                if not chunk:
-                    continue
-                x, y = chunk.strip("()").split(",")
-                pts.append((rat(x), rat(y)))
-            d.add_polyline(pts)
-        elif line.startswith("rect"):
-            vals = line.split()[1:]
-            d.add_rect(*vals)
-        elif line.startswith("end"):
-            parts = line.split()
-            side = parts[1]
-            kv = {p.split("=")[0]: p.split("=")[1] for p in parts[2:]}
-            y = rat(kv["y"])
-            x = rat(kv.get("x", 0))
-            d.rays.append(((x, y), 1 if side == "right" else -1))
-        elif line.startswith("strip"):
-            _, a, b = line.split()
-            strip = (rat(a), rat(b))
-        else:
-            raise GeometryError(f"unrecognized diagram line {line!r}")
+        with on_line(lineno, GeometryError):
+            if line.startswith("poly"):
+                pts = []
+                for chunk in line[4:].replace(")", ") ").split():
+                    chunk = chunk.strip().strip(",")
+                    if not chunk:
+                        continue
+                    x, y = chunk.strip("()").split(",")
+                    pts.append((rat(x), rat(y)))
+                d.add_polyline(pts)
+            elif line.startswith("rect"):
+                vals = line.split()[1:]
+                d.add_rect(*vals)
+            elif line.startswith("end"):
+                parts = line.split()
+                side = parts[1]
+                kv = {p.split("=")[0]: p.split("=")[1] for p in parts[2:]}
+                y = rat(kv["y"])
+                x = rat(kv.get("x", 0))
+                d.rays.append(((x, y), 1 if side == "right" else -1))
+            elif line.startswith("strip"):
+                _, a, b = line.split()
+                strip = (rat(a), rat(b))
+            else:
+                raise GeometryError(f"unrecognized diagram line {line!r}")
     if strip is not None:
         return PlanarDiagram(d.segments, d.rays, strip)
     return d

@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .novikov import INF, NovikovScalar, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
-    chain_scale, field_rank, _chain_vec, hom_complex,
-    homotopical_boundary_level,
+    chain_scale, F2Basis, field_rank, _chain_vec, homotopical_boundary_level,
 )
 from .wfainf import (
     Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max, mu1_mod,
@@ -354,7 +353,6 @@ def _left_inverse_min_action(f: FilteredMap):
         return None, None
     # unknown g is an n x m matrix with g f = id; minimize its hom action:
     # search over the level grid of the hom complex hom(D, C)
-    H = hom_complex(D, C)
     from math import lcm
     q = 1
     for g in C.generators:
@@ -372,23 +370,22 @@ def _left_inverse_min_action(f: FilteredMap):
     lo = -(max(acts) - min(acts)) - spread * (n + 2)
     hi = (max(acts) - min(acts)) + spread * (n + 2)
 
-    def feasible(alpha) -> Optional[FilteredMap]:
-        sol = _solve_left_inverse(f, alpha)
-        return sol
-
-    if feasible(lo) is not None:
-        return lo, feasible(lo)
-    if feasible(hi) is None:
+    best = _solve_left_inverse(f, lo)
+    if best is not None:
+        return lo, best
+    best = _solve_left_inverse(f, hi)
+    if best is None:
         return None, None
     while hi - lo > step:
         mid = lo + ((hi - lo) / step // 2) * step
         if mid in (lo, hi):
             mid = lo + step
-        if feasible(mid) is not None:
-            hi = mid
+        sol = _solve_left_inverse(f, mid)
+        if sol is not None:
+            hi, best = mid, sol
         else:
             lo = mid
-    return hi, feasible(hi)
+    return hi, best
 
 
 def _solve_left_inverse(f: FilteredMap, alpha) -> Optional[FilteredMap]:
@@ -420,12 +417,9 @@ def _solve_left_inverse(f: FilteredMap, alpha) -> Optional[FilteredMap]:
             while s < top:
                 var_index[(c, d, s)] = len(var_index)
                 s += step
-    # equations: coefficient of T^t in (g f - id)[c' <- c] = 0
-    eqs: Dict[Tuple[str, str, Fraction], Tuple[set, int]] = {}
-
-    def tap(cp, c, t, var):
-        eqs.setdefault((cp, c, t), (set(), 0))[0].add(var)
-
+    # equations: coefficient of T^t in (g f - id)[c' <- c] = 0, each an
+    # F2 bitmask over the unknowns
+    eqs: Dict[Tuple[str, str, Fraction], int] = {}
     for c in C.generators:
         for d, s_fd in f.matrix.get(c, {}).items():
             for e in s_fd.exps:
@@ -434,62 +428,26 @@ def _solve_left_inverse(f: FilteredMap, alpha) -> Optional[FilteredMap]:
                     top = C.action[cp] - D.action[d] + width
                     s = smin
                     while s < top:
-                        tap(cp, c, s + e, var_index[(cp, d, s)])
+                        key = (cp, c, s + e)
+                        eqs[key] = eqs.get(key, 0) ^ 1 << var_index[(cp, d, s)]
                         s += step
-    rows, rhs = [], []
-    seen_id = set()
-    for key, (vars_, _) in eqs.items():
-        cp, c, t = key
+    if any((c, c, 0) not in eqs for c in C.generators):
+        return None  # the identity entry is unreachable
+    basis = F2Basis()
+    for (cp, c, t), row in eqs.items():
         want = 1 if (cp == c and t == 0) else 0
-        if want:
-            seen_id.add((cp, c))
-        rows.append(sorted(vars_))
-        rhs.append(want)
-    for c in C.generators:
-        if (c, c) not in seen_id:
-            return None  # the identity entry is unreachable
-    sol = _f2_solve_with_witness(rows, rhs, len(var_index))
-    if sol is None:
-        return None
+        if basis.add(row, want) == (0, 1):
+            return None
+    sol = basis.solve()
     mat: Dict[str, Chain] = {}
     for (c, d, s), vi in var_index.items():
-        if sol[vi]:
+        if sol >> vi & 1:
             mat.setdefault(d, {})
             cur = mat[d].get(c, NovikovScalar.zero(C.cutoff))
             mat[d][c] = cur + NovikovScalar.monomial(s, C.cutoff)
     mat = {d: {c: v for c, v in col.items() if not v.is_zero()}
            for d, col in mat.items()}
     return FilteredMap(D, C, mat, alpha)
-
-
-def _f2_solve_with_witness(rows, rhs, nvars):
-    pivots = {}
-    for row, b in zip(rows, rhs):
-        v = 0
-        for j in row:
-            v ^= 1 << j
-        while v:
-            top = v.bit_length() - 1
-            if top in pivots:
-                pv, pb = pivots[top]
-                v ^= pv
-                b ^= pb
-            else:
-                pivots[top] = (v, b)
-                v, b = 0, 0
-        if b:
-            return None
-    out = [0] * nvars
-    for top in sorted(pivots, reverse=True):
-        v, b = pivots[top]
-        acc = b
-        vv = v ^ (1 << top)
-        while vv:
-            j = vv.bit_length() - 1
-            acc ^= out[j]
-            vv ^= 1 << j
-        out[top] = acc
-    return out
 
 
 def retract_energy(f, with_witness: bool = False):
@@ -546,7 +504,6 @@ def _homotopy_left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
     """A left inverse up to homotopy when f_* is injective on homology,
     found by solving g f ~ id over the field."""
     C, D = f.domain, f.codomain
-    H = hom_complex(D, C)
     # search g with g f - id null-homotopic: solve in the quotient
     # H(hom(D,C)) -> H(hom(C,C)); pragmatically, try the Moore-Penrose
     # style solve g f = id over the field first
@@ -559,18 +516,14 @@ def _homotopy_left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
     mat: Dict[str, Chain] = {}
     rows_of_f = {d: {c: f.matrix.get(c, {}).get(d) for c in C.generators
                      if f.matrix.get(c, {}).get(d)} for d in D.generators}
+    cols2 = [_chain_vec(rows_of_f[d], C.generators) for d in D.generators]
     for c in C.generators:
         # solve sum_d lambda_d f[d-row] = e_c over the field
-        cols2 = []
-        keys = list(D.generators)
-        for d in keys:
-            row = rows_of_f[d]
-            cols2.append(_chain_vec(row, C.generators))
         tgt = _chain_vec(C.basis_chain(c), C.generators)
         sol = _field_solve(cols2, tgt, C.cutoff)
         if sol is None:
             return None
-        for d, lam in zip(keys, sol):
+        for d, lam in zip(D.generators, sol):
             if not lam.is_zero():
                 mat.setdefault(d, {})[c] = lam
     return FilteredMap(D, C, mat, 0)

@@ -19,7 +19,7 @@ from .novikov import INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level,
     boundary_level, chain_add, chain_scale, cycle_basis,
-    homotopical_boundary_level, _orthogonalize,
+    homotopical_boundary_level, orthogonalize,
 )
 
 
@@ -1052,7 +1052,7 @@ def check_Uw(m: WFModule, kappa=None):
     for x in m.values:
         cx = m.value(x)
         v = _unit_action_map(m, x)
-        for z in _orthogonalize(cycle_basis(cx), cx):
+        for z in orthogonalize(cycle_basis(cx), cx):
             w = chain_add(v.apply(z), z)
             if not w:
                 continue
@@ -1148,72 +1148,58 @@ def parse_category(text: str, cutoff=64, cap: int = 6) -> WFCategory:
         disc 0 1/2 1/2 ...
         unit X = T^0*e bound 0
     """
-    from .novikov import parse_scalar
-    from .filtcx import parse_complex
+    from .novikov import on_line
+    from .filtcx import complex_from_lines, parse_chain
     objects: List[str] = []
-    hom_lines: Dict[Tuple[str, str], List[str]] = {}
+    hom_lines: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
     mu: MuTable = {}
     disc_vals = None
     units: Dict[str, Chain] = {}
     unit_bound = Fraction(0)
     gen_home: Dict[str, Tuple[str, str]] = {}
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("object "):
-            objects.append(line.split()[1])
-        elif line.startswith("hom "):
-            head, rest = line[4:].split(":", 1)
-            x, y = head.split()
-            body = []
-            for piece in rest.split(";"):
-                piece = piece.strip()
-                if piece:
-                    body.append(piece)
-                    if piece.startswith("gen "):
-                        gen_home[piece.split()[1]] = (x, y)
-            hom_lines[(x, y)] = hom_lines.get((x, y), []) + body
-        elif line.startswith("d "):
-            src = line[2:].split("=", 1)[0].strip()
-            if src not in gen_home:
-                raise WfError(f"differential for unknown generator {src}")
-            hom_lines[gen_home[src]].append(line)
-        elif line.startswith("mu "):
-            head, rhs = line[3:].split("->", 1)
-            parts = head.strip().split(None, 1)
-            d = int(parts[0])
-            gens = tuple(g.strip() for g in
-                         parts[1].strip().strip("()").split(","))
-            ch: Chain = {}
-            for term in rhs.split("+"):
-                term = term.strip()
-                scal, tgt = term.rsplit("*", 1)
-                s = parse_scalar(scal.strip(), cutoff)
-                ch = chain_add(ch, {tgt.strip(): s})
-            mu.setdefault(d, {})[gens] = ch
-        elif line.startswith("disc"):
-            disc_vals = [rat(v) for v in line.split()[1:]]
-        elif line.startswith("unit "):
-            head, rest = line[5:].split("=", 1)
-            x = head.strip()
-            body = rest
-            bound = Fraction(0)
-            if " bound " in rest:
-                body, btxt = rest.rsplit(" bound ", 1)
-                bound = rat(btxt.strip())
-            ch = {}
-            for term in body.split("+"):
-                scal, tgt = term.strip().rsplit("*", 1)
-                ch = chain_add(ch, {tgt.strip():
-                                    parse_scalar(scal.strip(), cutoff)})
-            units[x] = ch
-            unit_bound = max(unit_bound, bound)
-        else:
-            raise WfError(f"unrecognized category line {line!r}")
-    homs = {}
-    for key, body in hom_lines.items():
-        homs[key] = parse_complex("\n".join(body), cutoff)
+        with on_line(n, WfError):
+            if line.startswith("object "):
+                objects.append(line.split()[1])
+            elif line.startswith("hom "):
+                head, rest = line[4:].split(":", 1)
+                x, y = head.split()
+                body = hom_lines.setdefault((x, y), [])
+                for piece in rest.split(";"):
+                    piece = piece.strip()
+                    if piece:
+                        body.append((n, piece))
+                        if piece.startswith("gen "):
+                            gen_home[piece.split()[1]] = (x, y)
+            elif line.startswith("d "):
+                src = line[2:].split("=", 1)[0].strip()
+                if src not in gen_home:
+                    raise WfError(f"differential for unknown generator {src}")
+                hom_lines[gen_home[src]].append((n, line))
+            elif line.startswith("mu "):
+                head, rhs = line[3:].split("->", 1)
+                parts = head.strip().split(None, 1)
+                d = int(parts[0])
+                gens = tuple(g.strip() for g in
+                             parts[1].strip().strip("()").split(","))
+                mu.setdefault(d, {})[gens] = parse_chain(rhs, cutoff)
+            elif line.startswith("disc"):
+                disc_vals = [rat(v) for v in line.split()[1:]]
+            elif line.startswith("unit "):
+                head, rest = line[5:].split("=", 1)
+                bound = Fraction(0)
+                if " bound " in rest:
+                    rest, btxt = rest.rsplit(" bound ", 1)
+                    bound = rat(btxt.strip())
+                units[head.strip()] = parse_chain(rest, cutoff)
+                unit_bound = max(unit_bound, bound)
+            else:
+                raise WfError(f"unrecognized category line {line!r}")
+    homs = {key: complex_from_lines(body, cutoff)
+            for key, body in hom_lines.items()}
     if disc_vals is None:
         disc_vals = [0] * cap
     while len(disc_vals) < cap:

@@ -132,6 +132,50 @@ def test_cli_depth(tmp_path, capsys):
     assert "error" in out2
 
 
+def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
+    # a term at or above the cutoff is refused, never dropped
+    f = tmp_path / "cx.txt"
+    f.write_text("gen a action 1\ngen b action 0\nd a = T^1*b\n")
+    code = main(["--cutoff", "1/2", "depth", "--complex", str(f),
+                 "--query", "B b"])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == (f"error: {f}: line 3: exponent 1 is at or above "
+                       "the cutoff 1/2\n")
+    code, out = run_cli(["depth", "--complex", str(f), "--query", "B b"],
+                        capsys)
+    assert code == 0 and "B b | 2 (~2) | - | ok" in out
+
+
+@pytest.mark.parametrize("cmd, text, where", [
+    ("depth", "gen a action 1/0\n", "line 1: "),
+    ("depth", "gen a action 0\ngen b action 0\nd a = T^64*b\n",
+     "line 3: exponent 64 is at or above the cutoff 64\n"),
+    ("depth", "gen a action 0\ngen b action 0\nd a = T^0 b\n",
+     "line 3: bad chain term 'T^0 b'"),
+    ("twisted-check", TWISTED.replace("c 2 0 -> T^1*e20", "c 2 0 -> e20"),
+     "line 22: bad chain term 'e20'"),
+    ("twisted-check", TWISTED.replace("mu 2 (x2,m21) -> T^0*x1",
+                                      "mu 2 (x2,m21) -> T^x*x1"),
+     "line 16: "),
+    ("twisted-check", TWISTED.replace("d e20 = T^1*m20", "d e20 = T^1*"),
+     "line 14: bad chain term 'T^1*'"),
+    ("shadow", "poly (0,0) (2,0)\nend left y=3 x=0 z\n", "line 2: "),
+    ("metric", "curve L: (-1,0) (1,0)\nmove suspension s: L -> M\n",
+     "line 2: "),
+])
+def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
+                                            where):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    flag = {"depth": "--complex", "twisted-check": "--spec",
+            "shadow": "--diagram", "metric": "--scenario"}[cmd]
+    code = main([cmd, flag, str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {f}: {where}") and err.count("\n") == 1
+
+
 def test_cli_shadow(tmp_path, capsys):
     f = tmp_path / "d.txt"
     f.write_text(DIAGRAM)

@@ -10,8 +10,8 @@ from filtcones.filtcx import (
     chain_add, chain_eq, check_injectivity_lemma, cycle_basis, delta_d,
     filtered_inverse, find_robust_subspace, hom_complex,
     homotopical_boundary_depth, homotopical_boundary_level, homology_rank,
-    is_delta_robust, map_to_chain, min_beta_subspace, parse_complex,
-    serialize_complex, verify_rig_cplx2,
+    image_basis, is_delta_robust, map_to_chain, min_beta_subspace,
+    orthogonalize, parse_complex, serialize_complex, verify_rig_cplx2,
 )
 
 from support import oracle_boundary_level, random_boundary, random_chain, random_complex
@@ -260,6 +260,36 @@ def test_find_robust_subspace_random():
         assert k == (h0 - h) // 2
         assert len(V) >= k
     assert found >= 20
+
+
+def test_find_robust_subspace_split_complex_regression():
+    """A split complex of the kind acceptance 7 uses: its constructed
+    subspace passes the robustness check only if peak slices are compared
+    with each family member aligned to the current action."""
+    h = Fraction(1, 2)
+    act = {"g0": 0, "g1": h, "g2": 0, "g3": 3 * h, "g4": 3 * h, "g5": 0}
+    d0 = {"g0": {"g4": nov(5 * h)},
+          "g2": {"g0": nov(h), "g3": nov(3), "g4": nov(3 * h)},
+          "g3": {"g4": nov(0)},
+          "g5": {"g0": nov(0), "g3": nov(5 * h)}}
+    d1 = {"g1": {"g2": nov(1), "g3": nov(5 * h), "g5": nov(3 * h)}}
+    gens = sorted(act)
+    diff = {g: chain_add(d0.get(g, {}), d1.get(g, {})) for g in gens}
+    cx = FilteredComplex(gens, act, diff, CUT)
+    V, k = find_robust_subspace(cx, d0, d1)
+    assert k == 1 and len(V) >= k
+    assert is_delta_robust(V, action_drop(FilteredMap(cx, cx, d1, 0)), cx)
+    # the peeled image of d0 is action-orthogonal: aligning the peaks of
+    # any two members and adding them loses no action
+    C0 = FilteredComplex(gens, act, d0, CUT)
+    fam = orthogonalize(image_basis(C0), cx)
+    assert len(fam) == len(image_basis(C0))
+    for i, x in enumerate(fam):
+        ax = action_level(x, cx)
+        for y in fam[i + 1:]:
+            ay = action_level(y, cx)
+            aligned = {g: s.shift(ay - ax) for g, s in y.items()}
+            assert action_level(chain_add(x, aligned), cx) == ax
 
 
 def test_verify_rig_cplx2():
