@@ -153,13 +153,39 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
+def _options(parts: List[str]) -> Dict[str, str]:
+    """The ``key=value`` options of a query."""
+    kw = {}
+    for p in parts:
+        key, sep, val = p.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {p!r}")
+        kw[key] = val
+    return kw
+
+
 def run_query(space: MetricSpace, q: str, rep: Report,
               expected=None):
+    """Answer one query; a malformed one, or one naming an unknown object,
+    curve, family or option, gets an ``error:`` report line."""
+    try:
+        return _answer_query(space, q, rep, expected)
+    except KeyError as exc:
+        rep.emit(q, None, "", f"error: unknown or missing {exc}")
+    except ValueError as exc:
+        rep.emit(q, None, "", f"error: {exc}")
+    return None
+
+
+def _answer_query(space: MetricSpace, q: str, rep: Report, expected):
     parts = q.split()
-    kind = parts[0]
+    kind = parts[0] if parts else ""
+    if kind in ("d_k", "l_a", "d_F", "floer", "intersections") \
+            and len(parts) < 3:
+        raise ValueError(f"{kind} needs two names")
     if kind == "d_k":
         lp, l = parts[1], parts[2]
-        kw = dict(p.split("=") for p in parts[3:])
+        kw = _options(parts[3:])
         r = space.d_k(lp, l, kw.get("family", "F"), int(kw["k"]))
         val = (r.lower, r.upper)
         if expected is not None:
@@ -171,7 +197,7 @@ def run_query(space: MetricSpace, q: str, rep: Report,
         return val
     if kind == "l_a":
         lp, l = parts[1], parts[2]
-        kw = dict(p.split("=") for p in parts[3:])
+        kw = _options(parts[3:])
         a = None if kw.get("a", "inf") == "inf" else rat(kw["a"])
         r = space.cone_length(lp, l, kw.get("family", "F"), a)
         if expected is not None:
@@ -181,7 +207,7 @@ def run_query(space: MetricSpace, q: str, rep: Report,
         return r.upper
     if kind == "d_F":
         lp, l = parts[1], parts[2]
-        kw = dict(p.split("=") for p in parts[3:])
+        kw = _options(parts[3:])
         r = space.d_f(lp, l, kw.get("family", "F"))
         if expected is not None:
             rep.check(q, r.upper, expected, r.witness)
@@ -209,7 +235,7 @@ def run_query(space: MetricSpace, q: str, rep: Report,
             rep.emit(q, n)
         return n
     if kind == "width":
-        kw = dict(p.split("=") for p in parts[1:])
+        kw = _options(parts[1:])
         carrier = [space.curves[c] for c in kw["carrier"].split(",")]
         qset = [space.curves[c] for c in kw.get("q", "").split(",") if c]
         val = gromov_width_rel(carrier, qset)
@@ -285,7 +311,11 @@ def cmd_depth(args) -> int:
     cx = _parse_file(args.complex, parse_complex, cutoff=args.cutoff)
     for q in args.query or []:
         parts = q.split()
-        kind, gen = parts[0], parts[1]
+        if len(parts) != 2 or parts[1] not in cx.action:
+            rep.emit(q, None, "", "error: a depth query is <B|beta|A> "
+                     "<generator of the complex>")
+            continue
+        kind, gen = parts
         c = cx.basis_chain(gen)
         try:
             if kind == "B":
@@ -461,8 +491,6 @@ def main(argv=None) -> int:
                         default=rat(os.environ.get("FILTCONES_CUTOFF", "64")))
     parser.add_argument("--arity-cap", type=int,
                         default=int(os.environ.get("FILTCONES_ARITY_CAP", "6")))
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("FILTCONES_SEED", "0")))
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("metric", help="run scenario metric queries")

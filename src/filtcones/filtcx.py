@@ -67,7 +67,12 @@ def chain_scale(s: NovikovScalar, x: Chain) -> Chain:
 
 
 def chain_shift(e, x: Chain) -> Chain:
-    return {g: s.shift(e) for g, s in x.items() if not s.shift(e).is_zero()}
+    out = {}
+    for g, s in x.items():
+        u = s.shift(e)
+        if not u.is_zero():
+            out[g] = u
+    return out
 
 
 def chain_eq(x: Chain, y: Chain) -> bool:

@@ -5,6 +5,11 @@ whose footprints are re-measured exactly; lower bounds come only from
 the declared fission inequalities, evaluated through the axis-parallel
 widths (and verified probe families for the double-point variant).
 Results are intervals, never point estimates.
+
+A ``MetricSpace`` computes each expression shadow, relative width and
+probe verification at most once: the values live in dicts on the space,
+keyed by the move, curve and probe objects themselves, so they stay
+right when moves are added after a query.
 """
 
 from __future__ import annotations
@@ -267,7 +272,9 @@ class MetricSpace:
         self.probes = list(probes)
         self.monotone_min_area = None if monotone_min_area is None \
             else rat(monotone_min_area)
-        self._verified_probes = None
+        self._shadows: Dict[tuple, Fraction] = {}
+        self._widths: Dict[tuple, Fraction] = {}
+        self._probe_ok: Dict[ProbeFamily, bool] = {}
 
     def geometry(self, name: str) -> TorusCurve:
         obj = self.objects[name]
@@ -291,15 +298,18 @@ class MetricSpace:
         """(1/2) delta(source; union of ends), or its monotone variant."""
         carrier = self.carrier_curves(source)
         q = self.cover_curves(end_names)
-        val = gromov_width_rel(carrier, q) / 2
+        key = (tuple(carrier), frozenset(q))
+        if key not in self._widths:
+            self._widths[key] = gromov_width_rel(carrier, q)
+        val = self._widths[key] / 2
         if mode == "monotone" and self.monotone_min_area is not None:
             val = min(val, self.monotone_min_area)
         return val
 
-    def verified_probes(self) -> List[ProbeFamily]:
-        if self._verified_probes is None:
-            self._verified_probes = [p for p in self.probes if p.verify(self)]
-        return self._verified_probes
+    def _probe_verified(self, probe: ProbeFamily) -> bool:
+        if probe not in self._probe_ok:
+            self._probe_ok[probe] = probe.verify(self)
+        return self._probe_ok[probe]
 
     def _bound_for_ends(self, lp: str, l: str, ends: Tuple[str, ...],
                         mode: str) -> Tuple[Fraction, str]:
@@ -314,9 +324,9 @@ class MetricSpace:
         # probes certify the whole end multiset; bending makes the choice
         # of positive end irrelevant
         query_ms = tuple(sorted((lp, l, *ends)))
-        for p in self.verified_probes():
+        for p in self.probes:
             if tuple(sorted((p.source, *p.ends))) == query_ms \
-                    and p.claimed_sup > best:
+                    and p.claimed_sup > best and self._probe_verified(p):
                 best, cert = p.claimed_sup, f"probe {p.name}"
         return best, cert
 
@@ -404,10 +414,18 @@ class MetricSpace:
         return best
 
     def _expression_shadow(self, used) -> Fraction:
+        # keyed by the moves in index order, which fixes the suspension
+        # offsets; indices alone go stale when the move list changes
+        moves = tuple(self.moves[i] for i in sorted(used))
+        if moves not in self._shadows:
+            self._shadows[moves] = self._measure_expression(moves)
+        return self._shadows[moves]
+
+    @staticmethod
+    def _measure_expression(moves: Sequence[Move]) -> Fraction:
         diag = PlanarDiagram()
         offset = 0
-        for i in sorted(used):
-            mv = self.moves[i]
+        for mv in moves:
             if mv.kind == "suspension":
                 diag = diag.union(mv.footprint.translated(offset, 0))
                 offset += 100

@@ -111,6 +111,7 @@ class TorusCurve:
             raise GeometryError("lift path must close up to a deck translate")
         self.vertices = vs[:-1]
         self.closure = vs[-1]
+        self._strands: Optional[Tuple[tuple, ...]] = None
         self.hclass = (int(dx / SIDE), int(dy / SIDE))
         if self.hclass == (0, 0):
             raise GeometryError("curve must be homologically essential")
@@ -170,14 +171,21 @@ class TorusCurve:
     def axis_parallel(self) -> bool:
         return all(a[0] == b[0] or a[1] == b[1] for a, b in self.edges())
 
-    def strands(self):
+    def strands(self) -> List[tuple]:
         """Maximal collinear runs, as (axis, coordinate, length) triples.
 
         axis "v": vertical strand at x = coordinate (wrapped); axis "h":
         horizontal strand at y = coordinate.  Consecutive edges of the
         same axis share a vertex, hence a line, so the runs are the
         cyclic maximal same-axis blocks.  Only for axis-parallel curves.
+        The runs are found on the first call and kept as a tuple; each
+        call returns a fresh list of them.
         """
+        if self._strands is None:
+            self._strands = tuple(self._strand_runs())
+        return list(self._strands)
+
+    def _strand_runs(self) -> List[tuple]:
         if not self.axis_parallel():
             raise GeometryError("strands need an axis-parallel curve")
         edges = self.edges()

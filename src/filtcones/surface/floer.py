@@ -19,16 +19,21 @@ from .curves import GeometryError, Point, SIDE, TorusCurve, intersections, \
     _rotate_path_through, _seg_common, segment_pairs
 
 
-def _arc_options(curve: TorusCurve, p: Point, q: Point, max_wind: int = 1):
-    """Lift arcs of the curve from the canonical lift of p to lifts of q.
+def _loop_at(curve: TorusCurve, p: Point) -> List[Point]:
+    """The curve's closed lift path from p itself to p plus its class."""
+    loop = _rotate_path_through(curve, p)
+    d0 = (p[0] - loop[0][0], p[1] - loop[0][1])
+    return [(v[0] + d0[0], v[1] + d0[1]) for v in loop]
+
+
+def _arc_options(loop: List[Point], q: Point, max_wind: int = 1):
+    """Lift arcs along ``loop`` (from ``_loop_at``) from its start p to
+    lifts of q.
 
     Produces the forward and backward simple arcs plus their variants
     winding up to ``max_wind`` extra times around the curve; every arc
     is a simple path in the universal cover starting at p itself.
     """
-    loop = _rotate_path_through(curve, p)
-    d0 = (p[0] - loop[0][0], p[1] - loop[0][1])
-    loop = [(v[0] + d0[0], v[1] + d0[1]) for v in loop]
     cls = (loop[-1][0] - loop[0][0], loop[-1][1] - loop[0][1])
     hits = []
     for i in range(len(loop) - 1):
@@ -155,9 +160,10 @@ def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, pts=None):
     seen = set()
     out = []
     for p in pts:
+        loop_n, loop_l = _loop_at(n_curve, p), _loop_at(l_curve, p)
         for q in pts:
-            arcs_n = _arc_options(n_curve, p, q)
-            arcs_l = _arc_options(l_curve, p, q)
+            arcs_n = _arc_options(loop_n, q)
+            arcs_l = _arc_options(loop_l, q)
             for an in arcs_n:
                 for al in arcs_l:
                     if an[-1] != al[-1]:
@@ -208,9 +214,12 @@ def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
     pts = intersections(n_curve, l_curve) if pts is None else pts
     names = {p: _gen_name(i, p) for i, p in enumerate(pts)}
     diff: Dict[str, Chain] = {names[p]: {} for p in pts}
+    signs: Dict[Point, int] = {}
     for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, pts):
-        # direction fixed by the wedge handedness at the starting corner
-        src, tgt = _bigon_direction(p, q, loop, n_curve, l_curve)
+        for c in (p, q):
+            if c not in signs:
+                signs[c] = _crossing_sign(n_curve, l_curve, c)
+        src, tgt = _bigon_direction(p, q, signs[p], signs[q])
         mono = NovikovScalar.monomial(area, cutoff)
         col = diff[names[src]]
         cur = col.get(names[tgt])
@@ -237,16 +246,14 @@ def _crossing_sign(n_curve: TorusCurve, l_curve: TorusCurve, p: Point):
     return 1 if det > 0 else -1
 
 
-def _bigon_direction(p: Point, q: Point, loop: List[Point],
-                     n_curve: TorusCurve, l_curve: TorusCurve):
-    """Direct each bigon from its positive corner to its negative one.
+def _bigon_direction(p: Point, q: Point, sp: int, sq: int):
+    """Direct each bigon from its positive corner to its negative one,
+    given the crossing signs ``sp`` and ``sq`` of its corners.
 
     The two corners of an embedded bigon carry opposite crossing signs,
     so with this convention the differential maps positive generators to
     negative ones and squares to zero for structural reasons.
     """
-    sp = _crossing_sign(n_curve, l_curve, p)
-    sq = _crossing_sign(n_curve, l_curve, q)
     if sp == sq:
         raise GeometryError(
             f"bigon corners {p}, {q} carry equal crossing signs")
@@ -279,14 +286,17 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve,
         if a in pts12 or a in pts02:
             raise GeometryError("triple point in mu_2 configuration")
     out: Dict[Tuple[Point, Point], Dict[Point, NovikovScalar]] = {}
+    loops1 = {x: _loop_at(c1, x) for x in pts01}
+    loops2 = {y: _loop_at(c2, y) for y in pts12}
+    loops0 = {z: _loop_at(c0, z) for z in pts02}
     for x in pts01:
         for y in pts12:
             for z in pts02:
-                for arc01 in _arc_options(c1, x, y):
-                    for arc12 in _arc_options(c2, y, z):
+                for arc01 in _arc_options(loops1[x], y):
+                    for arc12 in _arc_options(loops2[y], z):
                         start = arc01[0]
                         a12 = _translate_to(arc12, arc01[-1])
-                        for arc20 in _arc_options(c0, z, x):
+                        for arc20 in _arc_options(loops0[z], x):
                             a20 = _translate_to(arc20, a12[-1])
                             if a20[-1] != start:
                                 continue

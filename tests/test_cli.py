@@ -229,3 +229,42 @@ def test_reports_deterministic(tmp_path, capsys):
     _, out1 = run_cli(["metric", "--scenario", str(f)], capsys)
     _, out2 = run_cli(["metric", "--scenario", str(f)], capsys)
     assert out1 == out2
+
+
+MALFORMED_QUERIES = [
+    ("metric", SCENARIO, "d_k L' L k=x",
+     "error: invalid literal for int() with base 10: 'x'"),
+    ("metric", SCENARIO, "d_k L' L", "error: unknown or missing 'k'"),
+    ("metric", SCENARIO, "d_k L' zz k=0", "error: unknown or missing 'zz'"),
+    ("metric", SCENARIO, "d_k L' L k=0 family=G",
+     "error: unknown or missing 'G'"),
+    ("metric", SCENARIO, "d_k L' L k", "error: expected key=value, got 'k'"),
+    ("metric", SCENARIO, "l_a L' L a=x", "error: "),
+    ("metric", SCENARIO, "d_F L'", "error: d_F needs two names"),
+    ("width", SCENARIO, "width carrier=S1 q=zz",
+     "error: unknown or missing 'zz'"),
+    ("depth", COMPLEX, "B zz", "error: a depth query is"),
+    ("depth", COMPLEX, "B", "error: a depth query is"),
+]
+
+
+@pytest.mark.parametrize("cmd, text, query, reason", MALFORMED_QUERIES,
+                         ids=[f"{c} {q}" for c, _, q, _ in MALFORMED_QUERIES])
+def test_cli_reports_malformed_queries(tmp_path, capsys, cmd, text, query,
+                                       reason):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    flag = "--complex" if cmd == "depth" else "--scenario"
+    code = main([cmd, flag, str(f), "--query", query])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.err == ""
+    errors = [line for line in cap.out.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"{query} | - | - | {reason}")
+
+
+def test_cli_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "--cutoff" in out and "--seed" not in out

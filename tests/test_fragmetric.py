@@ -216,3 +216,111 @@ def test_dhat_basics(space):
     assert r.upper == r_single.upper
     same = space.d_hat("L", "L", "F", "F")
     assert same.lower == same.upper == 0
+
+
+# -- per-space memoization -------------------------------------------------------
+
+def _outcome(r):
+    return (r.lower, r.upper, r.witness, r.certificate)
+
+
+LEM_QUERIES = [("d_k", ("L'", "L", "F", k)) for k in range(7)] + [
+    ("cone_length", ("L'", "L", "F", None)),
+    ("cone_length", ("L'", "L", "F", 2 * DELTA)),
+    ("d_f", ("L'", "L", "F")),
+    ("d_hat", ("L'", "L", "Fleft", "Fright")),
+]
+TRACE_QUERIES = [("d_k", ("L''", "L", "F", k)) for k in range(7)] + [
+    ("cone_length", ("L''", "L", "F", None)),
+    ("cone_length", ("L''", "L", "F", DELTA)),
+    ("d_f", ("L''", "L", "F")),
+    ("d_hat", ("L''", "L", "F", "F")),
+]
+
+
+@pytest.mark.parametrize("build, queries", [
+    (lem_ex1_space, LEM_QUERIES), (trace_surgery_space, TRACE_QUERIES)])
+def test_warm_space_answers_like_fresh_space(build, queries):
+    import copy
+    pristine = build(EPS, DELTA)
+    warm = copy.deepcopy(pristine)
+    for method, args in queries:
+        fresh = copy.deepcopy(pristine)
+        assert _outcome(getattr(warm, method)(*args)) == \
+            _outcome(getattr(fresh, method)(*args)), (method, args)
+
+
+@pytest.mark.parametrize("build, lp", [
+    (lem_ex1_space, "L'"), (trace_surgery_space, "L''")])
+@pytest.mark.parametrize("where", ["append", "insert"])
+def test_moves_added_after_a_query(build, lp, where):
+    # memoized shadows follow the moves themselves, not their indices
+    import copy
+    pristine = build(EPS, DELTA)
+    warm = copy.deepcopy(pristine)
+    queries = [("S1", "S2", 0), (lp, "L", 0), (lp, "L", 2)]
+    for a, b, k in queries:
+        warm.d_k(a, b, "F", k)
+    fresh = copy.deepcopy(pristine)
+    for sp in (warm, fresh):
+        mv = suspension_move("s12", "S1", "S2", 4 * EPS)
+        if where == "append":
+            sp.moves.append(mv)
+        else:
+            sp.moves.insert(0, mv)
+    assert fresh.d_k("S1", "S2", "F", 0).upper == 4 * EPS
+    for a, b, k in queries + [("S2", "S1", 1), ("L", lp, 2)]:
+        assert _outcome(warm.d_k(a, b, "F", k)) == \
+            _outcome(fresh.d_k(a, b, "F", k)), (a, b, k)
+
+
+def _counted_probe(probe, **changes):
+    """A copy of ``probe`` with ``changes`` applied that counts its builds."""
+    import copy
+    p = copy.copy(probe)
+    for attr, val in changes.items():
+        setattr(p, attr, val)
+    p.builds = 0
+
+    def build(t):
+        p.builds += 1
+        return probe.build(t)
+
+    p.build = build
+    return p
+
+
+def test_probes_verified_only_for_matching_queries():
+    sp = trace_surgery_space(EPS, DELTA)
+    corner = sp.probes[0]
+    good = _counted_probe(corner)
+    elsewhere = _counted_probe(corner, name="elsewhere", ends=("S3", "S4"))
+    # a matching end multiset and a large claim, but a wrong profile
+    failing = _counted_probe(corner, name="failing", claimed_sup=2 * DELTA,
+                             profile=lambda t: 2 * corner.profile(t))
+    sp.probes = [failing, elsewhere, good]
+    assert good.builds == failing.builds == 0
+    for _ in range(2):
+        for k in range(3):
+            sp.d_k("S1", "S2", "F", k)
+            r = sp.d_k("L''", "L", "F", k)
+            assert "failing" not in r.certificate
+        assert sp.d_k("L''", "L", "F", 1).certificate == "probe corner"
+        assert elsewhere.builds == 0
+        assert good.builds == len(good.samples)
+        assert 1 <= failing.builds <= len(failing.samples)
+    assert failing.verify(sp) is False
+
+
+def test_strands_kept_and_copied():
+    from filtcones.surface.curves import GeometryError, TorusCurve
+    sp = lem_ex1_space(EPS, DELTA)
+    for c in sp.curves.values():
+        runs = c.strands()
+        runs.append(("v", 0, 0))
+        again = TorusCurve(c.vertices + [c.closure], check_embedded=False)
+        assert c.strands() == again.strands()
+    diagonal = TorusCurve([(-1, -1), (1, 1)])
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            diagonal.strands()
