@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .novikov import INF, on_line, rat
 from .filtcx import (
@@ -70,7 +70,7 @@ class Scenario:
         self.families: Dict[str, List[str]] = {}
         self.moves: List[Move] = []
         self.queries: List[str] = []
-        self.asserts: List[str] = []
+        self.asserts: List[Tuple[str, Fraction]] = []  # (query, value)
         self.space: Optional[MetricSpace] = None
 
     def metric_space(self) -> MetricSpace:
@@ -147,7 +147,11 @@ def parse_scenario(text: str) -> Scenario:
             elif line.startswith("query "):
                 sc.queries.append(line[6:].strip())
             elif line.startswith("assert "):
-                sc.asserts.append(line[7:].strip())
+                q, sep, value = line[7:].rpartition("==")
+                if not sep:
+                    raise FragError(f"expected '<query> == <value>', got "
+                                    f"{line!r}")
+                sc.asserts.append((q.strip(), rat(value.strip())))
             else:
                 raise FragError(f"unrecognized scenario line {line!r}")
     return sc
@@ -274,9 +278,8 @@ def cmd_metric(args) -> int:
         queries += args.query
     for q in queries:
         run_query(space, q, rep)
-    for a in sc.asserts:
-        q, expected = a.rsplit("==", 1)
-        run_query(space, q.strip(), rep, expected=rat(expected.strip()))
+    for q, expected in sc.asserts:
+        run_query(space, q, rep, expected=expected)
     if args.svg:
         os.makedirs(args.svg, exist_ok=True)
         path = os.path.join(args.svg, "curves.svg")

@@ -29,103 +29,6 @@ class FragError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# T^S-category bookkeeping
-# ---------------------------------------------------------------------------
-
-class TSObject:
-    """Ordered family of object labels."""
-
-    def __init__(self, labels: Sequence[str]):
-        self.labels = tuple(labels)
-
-    def __eq__(self, other):
-        return isinstance(other, TSObject) and self.labels == other.labels
-
-    def __repr__(self):
-        return f"({', '.join(self.labels)})"
-
-
-class DecompNode:
-    """Cone-decomposition tree node: a source label with ordered children."""
-
-    def __init__(self, label: str, children: Sequence["DecompNode"] = (),
-                 weight=0):
-        self.label = label
-        self.children = list(children)
-        self.weight = rat(weight)
-
-    def leaves(self) -> List[str]:
-        if not self.children:
-            return [self.label]
-        out: List[str] = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
-
-    def total_weight(self) -> Fraction:
-        return self.weight + sum((c.total_weight() for c in self.children),
-                                 Fraction(0))
-
-    def copy(self) -> "DecompNode":
-        return DecompNode(self.label, [c.copy() for c in self.children],
-                          self.weight)
-
-
-class DecompMorphism:
-    """Morphism of the decomposition category: source -> linearization."""
-
-    def __init__(self, tree: DecompNode):
-        self.tree = tree
-
-    @property
-    def source(self) -> str:
-        return self.tree.label
-
-    def linearization(self) -> TSObject:
-        return TSObject(self.tree.leaves())
-
-    def weight(self) -> Fraction:
-        return self.tree.total_weight()
-
-    @staticmethod
-    def identity(label: str) -> "DecompMorphism":
-        return DecompMorphism(DecompNode(label))
-
-
-def compose_decomp(phi: DecompMorphism, psi: DecompMorphism) -> DecompMorphism:
-    """Refine phi by substituting psi's tree at the matching leaf."""
-    tree = phi.tree.copy()
-    target = psi.source
-
-    def sub(node: DecompNode) -> bool:
-        if not node.children:
-            if node.label == target:
-                repl = psi.tree.copy()
-                node.children = repl.children
-                node.weight = node.weight + repl.weight
-                return True
-            return False
-        return any(sub(c) for c in node.children)
-
-    if not sub(tree):
-        raise FragError(f"no leaf {target} to refine")
-    return DecompMorphism(tree)
-
-
-def check_weight_axioms(morphisms: Sequence[DecompMorphism]) -> bool:
-    """w(phi o psi) <= w(phi) + w(psi) and w(id) = 0 on the samples."""
-    for phi in morphisms:
-        if DecompMorphism.identity(phi.source).weight() != 0:
-            return False
-        for psi in morphisms:
-            if psi.source in phi.tree.leaves():
-                comp = compose_decomp(phi, psi)
-                if comp.weight() > phi.weight() + psi.weight():
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # scenario objects and moves
 # ---------------------------------------------------------------------------
 

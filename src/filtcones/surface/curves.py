@@ -13,7 +13,7 @@ pairs it skips share no point, as their closed boxes are disjoint.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..novikov import rat
 
@@ -32,10 +32,6 @@ def _pt(p) -> Point:
 def wrap_point(p: Point) -> Point:
     """Representative in the fundamental square [-1, 1) x [-1, 1)."""
     return (Fraction((p[0] + 1) % SIDE) - 1, Fraction((p[1] + 1) % SIDE) - 1)
-
-
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _seg_common(p1, p2, q1, q2):
@@ -235,36 +231,63 @@ def _translated_edges(curve: TorusCurve, near):
                     for t in shifts for c, d in curve.edges()]
 
 
-def _crossing_points(c1: TorusCurve, c2: TorusCurve, proper: bool):
-    """Wrapped transverse crossing points.  Endpoint touches and collinear
-    overlaps are skipped if ``proper`` is set and raise GeometryError
-    otherwise."""
+class Crossing(NamedTuple):
+    """One transverse crossing of two curves c1 and c2.
+
+    ``point`` is the wrapped crossing point.  ``ends[s]`` is (edge index,
+    lift) on curve s: the edge of that curve through the point, and the
+    point's lift strictly inside that edge of the curve's own lift path.
+    ``sign`` is the sign of det(t1, t2) of the two edge tangents.
+    """
+    point: Point
+    ends: Tuple[Tuple[int, Point], Tuple[int, Point]]
+    sign: int
+
+
+def _crossing_points(c1: TorusCurve, c2: TorusCurve,
+                     proper: bool) -> Dict[Point, Crossing]:
+    """The transverse crossings, keyed by wrapped point.  Endpoint
+    touches and collinear overlaps are skipped if ``proper`` is set and
+    raise GeometryError otherwise."""
     edges1 = c1.edges()
     n2 = len(c2.edges())
-    _, shifted = _translated_edges(c2, edges1)
-    pts = set()
+    shifts, shifted = _translated_edges(c2, edges1)
+    found: Dict[Point, Crossing] = {}
     # scan in (translate, edge of c1, edge of c2) order, which fixes the
     # first degenerate contact found and hence the error raised
     for i, k in sorted(segment_pairs(edges1, shifted),
                        key=lambda ik: (ik[1] // n2, ik[0], ik[1])):
-        hit = _seg_common(*edges1[i], *shifted[k])
+        (a, b), (c, d) = edges1[i], shifted[k]
+        hit = _seg_common(a, b, c, d)
         if hit is None:
             continue
         if hit[0] == "point" and hit[2] == "proper":
-            pts.add(wrap_point(hit[1]))
+            p, t, w = hit[1], shifts[k // n2], wrap_point(hit[1])
+            # nonzero for a proper crossing: it is _seg_common's denom
+            det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+            found[w] = Crossing(w, ((i, p), (k % n2, (p[0] - t[0],
+                                                      p[1] - t[1]))),
+                                1 if det > 0 else -1)
         elif not proper:
             raise GeometryError("segments overlap along a sub-segment"
                                 if hit[0] == "overlap"
                                 else "segments meet at a vertex")
-    return pts
+    return found
 
 
-def intersections(c1: TorusCurve, c2: TorusCurve) -> List[Point]:
-    """Transverse intersection points on the torus, sorted.
+def crossings(c1: TorusCurve, c2: TorusCurve) -> List[Crossing]:
+    """The crossing records of the two curves, sorted by point.
 
     Raises GeometryError on shared segments or vertex touches.
     """
-    return sorted(_crossing_points(c1, c2, proper=False))
+    found = _crossing_points(c1, c2, proper=False)
+    return [found[p] for p in sorted(found)]
+
+
+def intersections(c1: TorusCurve, c2: TorusCurve) -> List[Point]:
+    """Transverse intersection points on the torus, sorted; raises as
+    ``crossings`` does."""
+    return [r.point for r in crossings(c1, c2)]
 
 
 def count_transverse_crossings(c1: TorusCurve, c2: TorusCurve) -> int:
@@ -279,41 +302,14 @@ def count_transverse_crossings(c1: TorusCurve, c2: TorusCurve) -> int:
 # surgery
 # ---------------------------------------------------------------------------
 
-def _edge_through(curve: TorusCurve, pt: Point):
-    """Index of the edge whose interior or start vertex passes through pt
-    (up to deck translates); returns (index, translate)."""
-    for i, (a, b) in enumerate(curve.edges()):
-        for t in curve.translates_hitting(
-                (min(a[0], b[0]) - SIDE, min(a[1], b[1]) - SIDE),
-                (max(a[0], b[0]) + SIDE, max(a[1], b[1]) + SIDE)):
-            p = (pt[0] + t[0], pt[1] + t[1])
-            if _on_segment(a, b, p):
-                return i, t, p
-    raise GeometryError(f"point {pt} is not on curve {curve.name}")
-
-
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
-    lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
-    lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
-    return lo_x <= p[0] <= hi_x and lo_y <= p[1] <= hi_y
-
-
-def _rotate_path_through(curve: TorusCurve, pt: Point) -> List[Point]:
-    """Closed lift path of the curve starting and ending at (a lift of) pt."""
-    i, t, p = _edge_through(curve, pt)
+def path_from(curve: TorusCurve, i: int, lift: Point) -> List[Point]:
+    """Closed lift path of the curve from ``lift``, a point strictly inside
+    its edge i, to ``lift`` plus the curve's class."""
     pts = curve.vertices + [curve.closure]
     cls = (SIDE * curve.hclass[0], SIDE * curve.hclass[1])
-    path = [p]
-    path.extend(pts[i + 1:])  # runs through the closure = pts[0] + cls
-    path.extend((v[0] + cls[0], v[1] + cls[1]) for v in pts[1:i + 1])
-    path.append((p[0] + cls[0], p[1] + cls[1]))
-    out = [path[0]]
-    for q in path[1:]:
-        if q != out[-1]:
-            out.append(q)
-    return out
+    return [lift, *pts[i + 1:],  # runs through the closure = pts[0] + cls
+            *((v[0] + cls[0], v[1] + cls[1]) for v in pts[1:i + 1]),
+            (lift[0] + cls[0], lift[1] + cls[1])]
 
 
 def _direction(a: Point, b: Point) -> Point:
@@ -341,8 +337,12 @@ def surgery(l_curve: TorusCurve, s_curve: TorusCurve, at, handle_area,
     handle_area = rat(handle_area)
     if handle_area <= 0:
         raise GeometryError("handle area must be positive")
-    pts_l = _rotate_path_through(l_curve, at)
-    pts_s = _rotate_path_through(s_curve, at)
+    rec = _crossing_points(l_curve, s_curve, proper=True).get(wrap_point(at))
+    if rec is None:
+        raise GeometryError(f"point ({at[0]}, {at[1]}) is not a transverse "
+                            f"crossing of {l_curve.name} and {s_curve.name}")
+    pts_l = path_from(l_curve, *rec.ends[0])
+    pts_s = path_from(s_curve, *rec.ends[1])
     # directions at the crossing
     u_l = _direction(pts_l[0], pts_l[1])
     u_s = _direction(pts_s[0], pts_s[1])

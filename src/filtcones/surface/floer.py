@@ -3,66 +3,66 @@
 Generators are the intersection points at action zero; the differential
 counts embedded bigons in the universal cover bounded by one arc of each
 curve with convex corners, weighted by T^area, mod 2.  Boundary arcs may
-wind at most one extra time around their curve (lifts beyond that window
-cannot close up for the configurations handled here, and d^2 = 0 is
-verified at construction in any case).
+wind at most one extra time around their curve.  That window is not
+proven to hold every bigon; d^2 = 0, verified at construction, is the
+guard.
+
+Every crossing is read from its ``curves.Crossing`` record (edge, lift
+and sign on each curve), so no routine here searches lattice translates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..novikov import NovikovScalar
 from ..filtcx import Chain, FilteredComplex, homology_rank
-from .curves import GeometryError, Point, SIDE, TorusCurve, intersections, \
-    _rotate_path_through, _seg_common, segment_pairs
+from .curves import Crossing, GeometryError, Point, TorusCurve, crossings, \
+    path_from, _seg_common, segment_pairs
 
 
-def _loop_at(curve: TorusCurve, p: Point) -> List[Point]:
-    """The curve's closed lift path from p itself to p plus its class."""
-    loop = _rotate_path_through(curve, p)
-    d0 = (p[0] - loop[0][0], p[1] - loop[0][1])
-    return [(v[0] + d0[0], v[1] + d0[1]) for v in loop]
+def _loop_at(curve: TorusCurve, rec: Crossing, side: int) -> List[Point]:
+    """The closed lift path of ``curve``, which is side ``side`` of the
+    crossing ``rec``, from the wrapped crossing point itself to it plus
+    the curve's class."""
+    i, lift = rec.ends[side]
+    d0 = (rec.point[0] - lift[0], rec.point[1] - lift[1])
+    return [(v[0] + d0[0], v[1] + d0[1]) for v in path_from(curve, i, lift)]
 
 
-def _arc_options(loop: List[Point], q: Point, max_wind: int = 1):
+def _arc_options(loop: List[Point], at_p, at_q):
     """Lift arcs along ``loop`` (from ``_loop_at``) from its start p to
-    lifts of q.
+    lifts of q, where ``at_p`` and ``at_q`` are the (edge index, lift)
+    ends of p and q on the loop's curve.
 
     Produces the forward and backward simple arcs plus their variants
-    winding up to ``max_wind`` extra times around the curve; every arc
-    is a simple path in the universal cover starting at p itself.
+    winding one extra time around the curve; every arc is a simple path
+    in the universal cover starting at p itself.
     """
+    (ip, lp), (iq, lq) = at_p, at_q
     cls = (loop[-1][0] - loop[0][0], loop[-1][1] - loop[0][1])
-    hits = []
-    for i in range(len(loop) - 1):
-        t = _param_on_segment(loop[i], loop[i + 1], q)
-        if t is not None:
-            hits.append((i, _eval(loop, i, t)))
-    arcs = []
-    body = loop[:-1]
-    for i, q_lift in hits:
-        fwd = _dedupe([loop[0], *loop[1:i + 1], q_lift])
-        bwd = _dedupe([loop[0]]
-                      + [(v[0] - cls[0], v[1] - cls[1])
-                         for v in reversed(loop[i + 1:-1])]
-                      + [(q_lift[0] - cls[0], q_lift[1] - cls[1])])
-        arcs.append(fwd)
-        arcs.append(bwd)
-        for w in range(1, max_wind + 1):
-            wound = []
-            for k in range(w):
-                wound += [(v[0] + k * cls[0], v[1] + k * cls[1]) for v in body]
-            wound += [(v[0] + w * cls[0], v[1] + w * cls[1]) for v in fwd]
-            arcs.append(_dedupe(wound))
-            woundb = []
-            for k in range(w):
-                woundb += [(v[0] - k * cls[0], v[1] - k * cls[1])
-                           for v in _reverse_body(loop)]
-            woundb += [(v[0] - w * cls[0], v[1] - w * cls[1]) for v in bwd]
-            arcs.append(_dedupe(woundb))
-    return arcs
+    # the loop runs from p along the rest of edge ip, then edges
+    # ip+1, ..., 0 + cls, ..., ip + cls up to p + cls; q lies ahead of p
+    # on edge ip iff its lift is no further back along the edge
+    dx, dy = loop[1][0] - loop[0][0], loop[1][1] - loop[0][1]
+    if iq > ip or iq == ip and \
+            (lq[0] - lp[0]) * dx + (lq[1] - lp[1]) * dy >= 0:
+        i, shift = iq - ip, (loop[0][0] - lp[0], loop[0][1] - lp[1])
+    else:
+        i = len(loop) - 2 - ip + iq
+        shift = (loop[0][0] - lp[0] + cls[0], loop[0][1] - lp[1] + cls[1])
+    q_lift = (lq[0] + shift[0], lq[1] + shift[1])
+    fwd = _dedupe([*loop[:i + 1], q_lift])
+    bwd = _dedupe([loop[0]]
+                  + [(v[0] - cls[0], v[1] - cls[1])
+                     for v in reversed(loop[i + 1:-1])]
+                  + [(q_lift[0] - cls[0], q_lift[1] - cls[1])])
+    wound = _dedupe(loop[:-1] + [(v[0] + cls[0], v[1] + cls[1])
+                                 for v in fwd])
+    woundb = _dedupe(_reverse_body(loop) + [(v[0] - cls[0], v[1] - cls[1])
+                                            for v in bwd])
+    return [fwd, bwd, wound, woundb]
 
 
 def _reverse_body(loop):
@@ -73,35 +73,6 @@ def _reverse_body(loop):
     for v in reversed(loop[1:-1]):
         out.append((v[0] - cls[0], v[1] - cls[1]))
     return out
-
-
-def _param_on_segment(a: Point, b: Point, q: Point) -> Optional[Fraction]:
-    """Parameter t with a + t(b-a) ~ q mod the lattice, 0 <= t < 1."""
-    # try all translates of q near the segment
-    for kx in _k_range(a[0], b[0], q[0]):
-        for ky in _k_range(a[1], b[1], q[1]):
-            p = (q[0] + SIDE * kx, q[1] + SIDE * ky)
-            r = (b[0] - a[0], b[1] - a[1])
-            d = (p[0] - a[0], p[1] - a[1])
-            if d[0] * r[1] - d[1] * r[0] != 0:
-                continue
-            rr = r[0] * r[0] + r[1] * r[1]
-            t = (d[0] * r[0] + d[1] * r[1]) / rr
-            if 0 <= t < 1:
-                return t
-    return None
-
-
-def _k_range(a, b, q):
-    lo, hi = min(a, b), max(a, b)
-    k_lo = int(((lo - q) / SIDE).__floor__()) - 1
-    k_hi = int(((hi - q) / SIDE).__ceil__()) + 1
-    return range(k_lo, k_hi + 1)
-
-
-def _eval(loop, i, t):
-    a, b = loop[i], loop[i + 1]
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def _dedupe(path):
@@ -147,23 +118,25 @@ def _corner_convex(incoming: Point, outgoing: Point, ccw: bool) -> bool:
     return cr > 0 if ccw else cr < 0
 
 
-def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, pts=None):
+def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, recs=None):
     """Embedded bigons between the two curves in the universal cover.
 
     Yields (p, q, area, loop) where the loop runs along the N-arc from
     p to q and back along the L-arc, is simple, and has convex corners.
     Each bigon on the torus is reported once (lift-translation classes
-    are deduplicated by their vertex sets modulo translation).  ``pts``
-    are the intersection points, if the caller has them already.
+    are deduplicated by their vertex sets modulo translation).  ``recs``
+    are the sorted crossing records, if the caller has them already.
     """
-    pts = intersections(n_curve, l_curve) if pts is None else pts
+    recs = crossings(n_curve, l_curve) if recs is None else recs
     seen = set()
     out = []
-    for p in pts:
-        loop_n, loop_l = _loop_at(n_curve, p), _loop_at(l_curve, p)
-        for q in pts:
-            arcs_n = _arc_options(loop_n, q)
-            arcs_l = _arc_options(loop_l, q)
+    for rp in recs:
+        p = rp.point
+        loop_n, loop_l = _loop_at(n_curve, rp, 0), _loop_at(l_curve, rp, 1)
+        for rq in recs:
+            q = rq.point
+            arcs_n = _arc_options(loop_n, rp.ends[0], rq.ends[0])
+            arcs_l = _arc_options(loop_l, rp.ends[1], rq.ends[1])
             for an in arcs_n:
                 for al in arcs_l:
                     if an[-1] != al[-1]:
@@ -208,42 +181,24 @@ def _gen_name(i: int, p: Point) -> str:
 
 
 def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
-                  cutoff=64, pts=None) -> FilteredComplex:
+                  cutoff=64) -> FilteredComplex:
     """CF(N, L): generators at action 0, differential from embedded
-    bigons, d^2 = 0 verified at construction; ``pts`` as for bigons."""
-    pts = intersections(n_curve, l_curve) if pts is None else pts
-    names = {p: _gen_name(i, p) for i, p in enumerate(pts)}
-    diff: Dict[str, Chain] = {names[p]: {} for p in pts}
-    signs: Dict[Point, int] = {}
-    for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, pts):
-        for c in (p, q):
-            if c not in signs:
-                signs[c] = _crossing_sign(n_curve, l_curve, c)
+    bigons directed by the corners' crossing signs, d^2 = 0 verified at
+    construction."""
+    recs = crossings(n_curve, l_curve)
+    names = {r.point: _gen_name(i, r.point) for i, r in enumerate(recs)}
+    signs = {r.point: r.sign for r in recs}
+    diff: Dict[str, Chain] = {name: {} for name in names.values()}
+    for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, recs):
         src, tgt = _bigon_direction(p, q, signs[p], signs[q])
         mono = NovikovScalar.monomial(area, cutoff)
         col = diff[names[src]]
         cur = col.get(names[tgt])
         col[names[tgt]] = mono if cur is None else cur + mono
         diff[names[src]] = {g: s for g, s in col.items() if not s.is_zero()}
-    cx = FilteredComplex([names[p] for p in pts],
-                         {names[p]: Fraction(0) for p in pts},
-                         diff, cutoff)
-    return cx
-
-
-def _crossing_sign(n_curve: TorusCurve, l_curve: TorusCurve, p: Point):
-    """Sign of det(t_N, t_L) of the oriented tangents at the crossing."""
-    from .curves import _edge_through
-    i, _, lift = _edge_through(n_curve, p)
-    a, b = n_curve.edges()[i]
-    t_n = (b[0] - a[0], b[1] - a[1])
-    j, _, _ = _edge_through(l_curve, p)
-    c, d = l_curve.edges()[j]
-    t_l = (d[0] - c[0], d[1] - c[1])
-    det = t_n[0] * t_l[1] - t_n[1] * t_l[0]
-    if det == 0:
-        raise GeometryError(f"crossing at {p} is not transverse")
-    return 1 if det > 0 else -1
+    return FilteredComplex(list(names.values()),
+                           {name: Fraction(0) for name in names.values()},
+                           diff, cutoff)
 
 
 def _bigon_direction(p: Point, q: Point, sp: int, sq: int):
@@ -262,10 +217,7 @@ def _bigon_direction(p: Point, q: Point, sp: int, sq: int):
 
 def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve, cutoff=64) -> int:
     """Lambda-dimension of the homology of the Floer complex."""
-    pts = intersections(n_curve, l_curve)
-    if not pts:
-        return 0
-    return homology_rank(floer_complex(n_curve, l_curve, cutoff, pts))
+    return homology_rank(floer_complex(n_curve, l_curve, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +231,26 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve,
     Returns a dict mapping (y, x) generator-point pairs to chains over
     the CF(c0, c2) intersection points, weighted by T^area.
     """
-    pts01 = intersections(c0, c1)
-    pts12 = intersections(c1, c2)
-    pts02 = intersections(c0, c2)
-    for a in pts01:
-        if a in pts12 or a in pts02:
-            raise GeometryError("triple point in mu_2 configuration")
+    recs01, recs12, recs02 = crossings(c0, c1), crossings(c1, c2), \
+        crossings(c0, c2)
+    others = {r.point for r in recs12 + recs02}
+    if any(r.point in others for r in recs01):
+        raise GeometryError("triple point in mu_2 configuration")
     out: Dict[Tuple[Point, Point], Dict[Point, NovikovScalar]] = {}
-    loops1 = {x: _loop_at(c1, x) for x in pts01}
-    loops2 = {y: _loop_at(c2, y) for y in pts12}
-    loops0 = {z: _loop_at(c0, z) for z in pts02}
-    for x in pts01:
-        for y in pts12:
-            for z in pts02:
-                for arc01 in _arc_options(loops1[x], y):
-                    for arc12 in _arc_options(loops2[y], z):
+    loops1 = {x.point: _loop_at(c1, x, 1) for x in recs01}
+    loops2 = {y.point: _loop_at(c2, y, 1) for y in recs12}
+    loops0 = {z.point: _loop_at(c0, z, 0) for z in recs02}
+    for x in recs01:
+        for y in recs12:
+            for z in recs02:
+                for arc01 in _arc_options(loops1[x.point], x.ends[1],
+                                          y.ends[0]):
+                    for arc12 in _arc_options(loops2[y.point], y.ends[1],
+                                              z.ends[1]):
                         start = arc01[0]
                         a12 = _translate_to(arc12, arc01[-1])
-                        for arc20 in _arc_options(loops0[z], x):
+                        for arc20 in _arc_options(loops0[z.point], z.ends[0],
+                                                  x.ends[0]):
                             a20 = _translate_to(arc20, a12[-1])
                             if a20[-1] != start:
                                 continue
@@ -314,9 +268,10 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve,
                                     area > 0):
                                 continue
                             mono = NovikovScalar.monomial(abs(area), cutoff)
-                            cur = out.setdefault((y, x), {})
-                            prev = cur.get(z)
-                            cur[z] = mono if prev is None else prev + mono
+                            cur = out.setdefault((y.point, x.point), {})
+                            prev = cur.get(z.point)
+                            cur[z.point] = mono if prev is None \
+                                else prev + mono
     for k in list(out):
         out[k] = {z: s for z, s in out[k].items() if not s.is_zero()}
         if not out[k]:

@@ -163,6 +163,11 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
     ("shadow", "poly (0,0) (2,0)\nend left y=3 x=0 z\n", "line 2: "),
     ("metric", "curve L: (-1,0) (1,0)\nmove suspension s: L -> M\n",
      "line 2: "),
+    ("metric", "curve L: (-1,0) (1,0)\nassert intersections L L = 4\n",
+     "line 2: expected '<query> == <value>', got "
+     "'assert intersections L L = 4'\n"),
+    ("metric", "curve L: (-1,0) (1,0)\nassert intersections L L == four\n",
+     "line 2: Invalid literal for Fraction: 'four'\n"),
 ])
 def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
                                             where):

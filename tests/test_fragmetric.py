@@ -1,12 +1,10 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from filtcones.novikov import INF
 from filtcones.fragmetric import (
-    DecompMorphism, DecompNode, FragError, LagObject, MetricSpace,
-    check_triangle, check_weight_axioms, compose_decomp, quasi_isometry_check,
+    FragError, LagObject, MetricSpace, check_triangle, quasi_isometry_check,
     suspension_move, trace_move,
 )
 from filtcones.scenarios import (
@@ -25,48 +23,6 @@ def space():
 @pytest.fixture(scope="module")
 def tspace():
     return trace_surgery_space(EPS, DELTA)
-
-
-# -- decomposition trees -------------------------------------------------------
-
-def test_compose_decomp_refinement():
-    phi = DecompMorphism(DecompNode("L'", [DecompNode("L"), DecompNode("S1")],
-                                    weight=F(1, 2)))
-    psi = DecompMorphism(DecompNode("S1", [DecompNode("S2"), DecompNode("S3")],
-                                    weight=F(1, 4)))
-    comp = compose_decomp(phi, psi)
-    assert comp.linearization().labels == ("L", "S2", "S3")
-    assert comp.weight() == F(3, 4)
-    ident = DecompMorphism.identity("L'")
-    assert ident.weight() == 0
-    # composing with id at the root leaf leaves the linearization alone
-    two = compose_decomp(DecompMorphism(DecompNode("X", [DecompNode("L'")])),
-                         phi)
-    assert two.linearization().labels == ("L", "S1")
-
-
-def test_compose_decomp_associativity_random():
-    rng = random.Random(5)
-    labels = [f"K{i}" for i in range(8)]
-    for _ in range(20):
-        a = DecompMorphism(DecompNode("A", [DecompNode("B"), DecompNode("C")],
-                                      weight=F(rng.randint(0, 4), 2)))
-        b = DecompMorphism(DecompNode("B", [DecompNode("D"), DecompNode("E")],
-                                      weight=F(rng.randint(0, 4), 2)))
-        c = DecompMorphism(DecompNode("D", [DecompNode("F"), DecompNode("G")],
-                                      weight=F(rng.randint(0, 4), 2)))
-        lhs = compose_decomp(compose_decomp(a, b), c)
-        rhs = compose_decomp(a, compose_decomp(b, c))
-        assert lhs.linearization().labels == rhs.linearization().labels
-        assert lhs.weight() == rhs.weight()
-
-
-def test_check_weight_axioms():
-    ms = [DecompMorphism(DecompNode("A", [DecompNode("B"), DecompNode("C")],
-                                    weight=1)),
-          DecompMorphism(DecompNode("B", [DecompNode("C"), DecompNode("C")],
-                                    weight=2))]
-    assert check_weight_axioms(ms)
 
 
 # -- metric queries ------------------------------------------------------------

@@ -15,7 +15,7 @@ from filtcones.surface import (
     intersections, planar_shadow, shear_diagram,
 )
 from filtcones.surface import shadow
-from filtcones.surface.curves import _seg_common, segment_pairs
+from filtcones.surface.curves import _seg_common, crossings, segment_pairs
 
 from support import (
     ref_atomic_segments, ref_crossings, ref_is_embedded,
@@ -174,3 +174,48 @@ def test_planar_shadow_matches_all_pairs_scan(monkeypatch):
     monkeypatch.setattr(shadow, "_atomic_segments", ref_atomic_segments)
     assert got == [planar_shadow(d, return_faces=True) for d in diagrams]
     assert any(total > 0 for total, _ in got)
+
+
+def _wrap(p):
+    return tuple((c + 1) % 2 - 1 for c in p)
+
+
+def _strictly_inside(a, b, p):
+    """p lies on the open segment (a, b): exactly collinear, inside the
+    closed box of the segment, and neither endpoint."""
+    collinear = (b[0] - a[0]) * (p[1] - a[1]) == (b[1] - a[1]) * (p[0] - a[0])
+    in_box = (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+              and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    return collinear and in_box and p not in (a, b)
+
+
+@pytest.mark.parametrize("suite", ["floer-sanity", "lem-ex1", "trace"])
+def test_crossing_records_match_their_curves(suite):
+    if suite == "floer-sanity":
+        pool = _floer_sanity_pool()
+    else:
+        space = (lem_ex1_space if suite == "lem-ex1"
+                 else trace_surgery_space)(F(1, 8), F(1, 256))
+        pool = list(space.curves.values())
+    records = 0
+    for c1 in pool:
+        for c2 in pool:
+            if c1 is c2:
+                continue
+            got = _outcome(crossings, c1, c2)
+            if not isinstance(got, list):
+                assert got == _outcome(intersections, c1, c2)
+                continue
+            assert [r.point for r in got] == intersections(c1, c2)
+            for r in got:
+                tangents = []
+                for curve, (i, lift) in zip((c1, c2), r.ends):
+                    a, b = curve.edges()[i]
+                    assert _strictly_inside(a, b, lift)
+                    assert _wrap(lift) == r.point
+                    tangents.append((b[0] - a[0], b[1] - a[1]))
+                (x1, y1), (x2, y2) = tangents
+                det = x1 * y2 - y1 * x2
+                assert r.sign == (1 if det > 0 else -1) and det != 0
+            records += len(got)
+    assert records > 0

@@ -10,6 +10,7 @@ from filtcones.surface import (
     gromov_width_rel, hf_rank, intersections, mu2_triangles, parse_curve,
     parse_diagram, planar_shadow, shear_diagram, surgery,
 )
+from filtcones.surface.curves import Crossing, crossings
 from filtcones.surface.widths import Box
 from filtcones.surface.floer import enumerate_bigons
 
@@ -196,6 +197,35 @@ def test_surgery_embeds_composites():
     c2, _ = surgery(c1, s2, (-F(1, 2) + eps, 0), delta, width=eps / 2)
     assert c2.is_embedded()
     assert c2.hclass == (1, 2)
+
+
+def test_surgery_refuses_a_point_on_only_one_curve():
+    l = horizontal(0, "L")
+    s1 = vertical(F(-5, 8), "S1")
+    for at in [(F(1, 3), 0), (F(-5, 8), F(1, 2)), (F(11, 8), F(1, 2))]:
+        for a, b in ((l, s1), (s1, l)):
+            with pytest.raises(GeometryError, match=(
+                    rf"point \({at[0]}, {at[1]}\) is not a transverse "
+                    rf"crossing of {a.name} and {b.name}")):
+                surgery(a, b, at, F(1, 256))
+    # a deck translate of the crossing is the crossing itself
+    cur, _ = surgery(l, s1, (F(11, 8), 2), F(1, 256))
+    assert cur.vertices == surgery(l, s1, (F(-5, 8), 0), F(1, 256))[0].vertices
+
+
+def test_crossing_records_carry_edges_lifts_and_sign():
+    l = horizontal(0, "L")
+    # the same circle as vertical(-1/2), lifted one period to the right
+    # and run downward: its lift is (3/2, 0) and the sign flips
+    s = TorusCurve([(F(3, 2), 1), (F(3, 2), F(1, 2)), (F(3, 2), -1)],
+                   name="S")
+    assert crossings(l, s) == [
+        Crossing((F(-1, 2), 0), ((0, (F(-1, 2), 0)), (1, (F(3, 2), 0))), -1)]
+    assert crossings(s, l) == [
+        Crossing((F(-1, 2), 0), ((1, (F(3, 2), 0)), (0, (F(-1, 2), 0))), 1)]
+    m = jogged_horizontal(F(1, 4), F(-1, 4), F(1, 4), F(1, 2))
+    assert [(r.ends[0][0], r.sign) for r in crossings(m, l)] == \
+        [(1, 1), (3, -1)]
 
 
 # -- widths --------------------------------------------------------------------
