@@ -9,7 +9,6 @@ Regenerate the files (only when a reported value is meant to change) with
 import contextlib
 import io
 import os
-import sys
 from fractions import Fraction as F
 
 from filtcones.cli import main
@@ -18,8 +17,7 @@ from filtcones.scenarios import lem_ex1_space
 from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
 from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
 
-sys.path.insert(0, os.path.dirname(__file__))
-from test_segment_pairs import _floer_sanity_pool  # noqa: E402
+from test_segment_pairs import _floer_sanity_pool
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 REPRO = {("1/8", "1/256"): "repro-lemma-ex1-eps1_8-delta1_256.txt",
