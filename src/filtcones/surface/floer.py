@@ -22,13 +22,17 @@ from .curves import Crossing, GeometryError, Point, TorusCurve, crossings, \
     path_from, _seg_common, segment_pairs
 
 
+def _shift(path: List[Point], d: Point) -> List[Point]:
+    return [(v[0] + d[0], v[1] + d[1]) for v in path]
+
+
 def _loop_at(curve: TorusCurve, rec: Crossing, side: int) -> List[Point]:
     """The closed lift path of ``curve``, which is side ``side`` of the
     crossing ``rec``, from the wrapped crossing point itself to it plus
     the curve's class."""
     i, lift = rec.ends[side]
-    d0 = (rec.point[0] - lift[0], rec.point[1] - lift[1])
-    return [(v[0] + d0[0], v[1] + d0[1]) for v in path_from(curve, i, lift)]
+    return _shift(path_from(curve, i, lift),
+                  (rec.point[0] - lift[0], rec.point[1] - lift[1]))
 
 
 def _arc_options(loop: List[Point], at_p, at_q):
@@ -41,38 +45,21 @@ def _arc_options(loop: List[Point], at_p, at_q):
     in the universal cover starting at p itself.
     """
     (ip, lp), (iq, lq) = at_p, at_q
-    cls = (loop[-1][0] - loop[0][0], loop[-1][1] - loop[0][1])
-    # the loop runs from p along the rest of edge ip, then edges
-    # ip+1, ..., 0 + cls, ..., ip + cls up to p + cls; q lies ahead of p
-    # on edge ip iff its lift is no further back along the edge
-    dx, dy = loop[1][0] - loop[0][0], loop[1][1] - loop[0][1]
-    if iq > ip or iq == ip and \
-            (lq[0] - lp[0]) * dx + (lq[1] - lp[1]) * dy >= 0:
-        i, shift = iq - ip, (loop[0][0] - lp[0], loop[0][1] - lp[1])
-    else:
-        i = len(loop) - 2 - ip + iq
-        shift = (loop[0][0] - lp[0] + cls[0], loop[0][1] - lp[1] + cls[1])
-    q_lift = (lq[0] + shift[0], lq[1] + shift[1])
-    fwd = _dedupe([*loop[:i + 1], q_lift])
-    bwd = _dedupe([loop[0]]
-                  + [(v[0] - cls[0], v[1] - cls[1])
-                     for v in reversed(loop[i + 1:-1])]
-                  + [(q_lift[0] - cls[0], q_lift[1] - cls[1])])
-    wound = _dedupe(loop[:-1] + [(v[0] + cls[0], v[1] + cls[1])
-                                 for v in fwd])
-    woundb = _dedupe(_reverse_body(loop) + [(v[0] - cls[0], v[1] - cls[1])
-                                            for v in bwd])
-    return [fwd, bwd, wound, woundb]
-
-
-def _reverse_body(loop):
-    # walk backward from the start: loop[0], loop[-2]-cls, ... down to
-    # loop[0]-cls exclusive
-    cls = (loop[-1][0] - loop[0][0], loop[-1][1] - loop[0][1])
-    out = [loop[0]]
-    for v in reversed(loop[1:-1]):
-        out.append((v[0] - cls[0], v[1] - cls[1]))
-    return out
+    p, cls = loop[0], (loop[-1][0] - loop[0][0], loop[-1][1] - loop[0][1])
+    back = (-cls[0], -cls[1])
+    q = (lq[0] + p[0] - lp[0], lq[1] + p[1] - lp[1])
+    # loop segment k is the rest of edge ip for k = 0, then edges ip+1,
+    # ..., edges 0..ip-1 plus cls, and edge ip plus cls up to p + cls;
+    # q lies ahead of p on edge ip iff its lift is no further back
+    i = iq - ip
+    if i < 0 or i == 0 and ((lq[0] - lp[0]) * (loop[1][0] - p[0])
+                            + (lq[1] - lp[1]) * (loop[1][1] - p[1])) < 0:
+        i += len(loop) - 2
+        q = (q[0] + cls[0], q[1] + cls[1])
+    rev = [p] + _shift(loop[-2:0:-1], back)  # loop backward, one class down
+    fwd = _dedupe(loop[:i + 1] + [q])  # just [p] when q is p
+    bwd = rev[:len(loop) - 1 - i] + _shift([q], back)
+    return [fwd, bwd, loop[:-1] + _shift(fwd, cls), rev + _shift(bwd, back)]
 
 
 def _dedupe(path):
@@ -280,8 +267,7 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve,
 
 
 def _translate_to(arc, start):
-    d = (start[0] - arc[0][0], start[1] - arc[0][1])
-    return [(v[0] + d[0], v[1] + d[1]) for v in arc]
+    return _shift(arc, (start[0] - arc[0][0], start[1] - arc[0][1]))
 
 
 def _triangle_corners_convex(loop, corner_indices, ccw):
