@@ -6,8 +6,13 @@ filtration is the mixed one: A(sum l_j e_j) = max(-v(l_j) + A(e_j)).
 
 The quantitative invariants (boundary level/depth, homotopical variants,
 delta-robust subspaces) are computed exactly by a persistence-style
-column reduction over the exponent grid, and independently checkable by
-the brute-force oracles in the test suite.
+column reduction on the lattice t = T^(1/q), and independently checkable
+by the brute-force oracles in the test suite.  With L = lo*q for the
+window floor lo, monomial T^s e_j at action act = A_j - s is bit
+(act*q - L)*dim + j of an int, the order of (action, generator).  The
+column d(T^s e_j) is the bit pattern of d(e_j) shifted by (act*q - L)*dim
+bits, a right shift dropping what falls below the window; a column in
+which ``chain_shift`` cuts a term off at the cutoff is built through it.
 
 The elimination layer has one implementation per ring:
 
@@ -26,6 +31,7 @@ The elimination layer has one implementation per ring:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .novikov import INF, NovikovScalar, on_line, parse_scalar, rat
@@ -116,12 +122,6 @@ class FilteredComplex:
     def dim(self) -> int:
         return len(self.generators)
 
-    def zero(self) -> NovikovScalar:
-        return NovikovScalar.zero(self.cutoff)
-
-    def unit(self) -> NovikovScalar:
-        return NovikovScalar.one(self.cutoff)
-
     def basis_chain(self, g: str, exp=0) -> Chain:
         s = NovikovScalar.monomial(exp, self.cutoff)
         return {g: s}
@@ -137,7 +137,6 @@ class FilteredComplex:
 
     def grid(self, chains: Sequence[Chain] = ()) -> "_GridReduction":
         """Grid reduction able to express the given query chains."""
-        from math import lcm
         q = _denominators(self)
         hi_need = None
         lo_need = None
@@ -162,9 +161,6 @@ class FilteredComplex:
             self.generators,
             {g: a + nu for g, a in self.action.items()},
             self.diff, self.cutoff, check=False)
-
-    def action_floor(self) -> Fraction:
-        return min(self.action.values()) if self.action else Fraction(0)
 
     def __repr__(self):
         return f"FilteredComplex({len(self.generators)} generators)"
@@ -380,7 +376,6 @@ class F2Basis:
 # ---------------------------------------------------------------------------
 
 def _denominators(cx: FilteredComplex) -> int:
-    from math import lcm
     q = 1
     for g in cx.generators:
         q = lcm(q, cx.action[g].denominator)
@@ -393,12 +388,13 @@ def _denominators(cx: FilteredComplex) -> int:
 class _GridReduction:
     """Persistence-style reduction of a complex over the exponent grid.
 
-    Monomials T^s e_j with action A_j - s inside a finite window form an
-    F2 basis; columns d(T^s e_j) are reduced in order of increasing
-    action ("birth") into one ``F2Basis``, the i-th column kept tagged
-    1 << i.  A kept column's tag then has the column itself as its top
-    bit, and the boundary level of a vector is the birth of the top bit
-    of the tag it reduces with.
+    The window [lo, hi] is rows 0 .. rows-1 of the lattice (1/q)Z, row k
+    at action (k + L)/q.  Monomial T^s e_j at action act is bit
+    (act*q - L)*dim + j, so bit order is birth order; the column of row k
+    is the pattern of d(e_j) shifted by k*dim bits (see the module notes).
+    Columns are reduced in bit order into one ``F2Basis``, the i-th kept
+    column tagged 1 << i, so the boundary level of a vector is the birth
+    of the top bit of the tag it reduces with.
     """
 
     def __init__(self, cx: FilteredComplex, q: Optional[int] = None,
@@ -407,74 +403,74 @@ class _GridReduction:
         # would keep a large grid alive until a cyclic collection
         self.generators, self.action = cx.generators, cx.action
         self.cutoff = cx.cutoff
-        if q is None:
-            q = _denominators(cx)
-        self.step = Fraction(1, q)
-        exps = [e for g in cx.generators for s in cx.diff[g].values()
-                for e in s.exps]
-        span = max(exps) if exps else Fraction(0)
+        q = lcm(q or 1, _denominators(cx))  # a lattice holding every exponent
+        self.q, self.dim, self.step = q, cx.dim, Fraction(1, q)
+        span = max((e for g in cx.generators for s in cx.diff[g].values()
+                    for e in s.exps), default=Fraction(0))
         acts = [cx.action[g] for g in cx.generators] or [Fraction(0)]
         pad = (span + 1) * (cx.dim + 2)
-        self.lo = min(acts) - pad
-        self.hi = max(acts) + span + 1
-        if hi_need is not None:
-            self.hi = max(self.hi, hi_need + 1)
-        if lo_need is not None:
-            self.lo = min(self.lo, lo_need - pad)
-        # align the window to the step lattice
-        self.lo = (self.lo / self.step).__floor__() * self.step
-        self.hi = -((-self.hi / self.step).__floor__()) * self.step
-        # monomial basis, sorted by action then by generator
-        self.monomials: List[Tuple[Fraction, int]] = []
+        lo = min(acts + ([] if lo_need is None else [lo_need])) - pad
+        hi = max(acts) + span + 1
+        hi = hi if hi_need is None else max(hi, hi_need + 1)
+        # the window on the lattice
+        self.L = (lo * q).__floor__()
+        self.rows = (hi * q).__ceil__() - self.L + 1
+        self.lo, self.hi = Fraction(self.L, q), Fraction(self.L + self.rows - 1, q)
+        self.monomials = range(self.rows * self.dim)  # bit i is monomial i
         self.gen_index = {g: i for i, g in enumerate(cx.generators)}
+        self._row = [cx.action[g].numerator * q // cx.action[g].denominator
+                     - self.L for g in cx.generators]  # row of T^0 e_j
+        dim, rows = self.dim, self.rows
+        cols = []
         for gi, g in enumerate(cx.generators):
-            a = cx.action[g]
-            s = a - self.hi
-            # want action a - s in [lo, hi]; s in [a - hi, a - lo]
-            nsteps = int((self.hi - self.lo) / self.step)
-            for k in range(nsteps + 1):
-                self.monomials.append((a - (s + k * self.step), gi))
-        self.monomials.sort(key=lambda t: (t[0], t[1]))
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        self._reduce(cx)
+            # (action drop in rows, target, s*q from which it is cut off)
+            terms = [(self._row[gi] - self._row[self.gen_index[h]] + n,
+                      self.gen_index[h], (s.cutoff * q).__ceil__() - n)
+                     for h, s in cx.diff[g].items() for e in s.exps
+                     for n in (e.numerator * q // e.denominator,)]
+            if terms:
+                top = max(t[0] for t in terms)
+                pat = sum(1 << (top - d) * dim + h for d, h, _ in terms)
+                shifted = range(self._row[gi] - min(t[2] for t in terms) + 1,
+                                rows + min(t[0] for t in terms))
+                cols.append((g, pat, top, shifted))
+        self.births: List[Fraction] = []  # of the kept columns, ascending
+        self.basis = F2Basis()
+        for k in range(rows):
+            for g, pat, top, shifted in cols:
+                if k not in shifted:
+                    v = self._vec_of_chain(chain_shift(
+                        self.action[g] - Fraction(k + self.L, q), cx.diff[g]))
+                elif k >= top:
+                    v = pat << (k - top) * dim
+                else:
+                    v = pat >> (top - k) * dim
+                if v and self.basis.add(v, 1 << len(self.births))[0]:
+                    self.births.append(Fraction(k + self.L, q))
+
+    def _act(self, i: int) -> Fraction:
+        return Fraction(i // self.dim + self.L, self.q)
 
     def _vec_of_chain(self, x: Chain, strict: bool = False) -> Optional[int]:
         """Bit-vector of a chain in the monomial basis.
 
         Monomials below the window are truncated unless ``strict``; above
-        the window the result is None.
+        the window or off the lattice the result is None.
         """
-        v = 0
+        q, dim, v = self.q, self.dim, 0
         for g, s in x.items():
             gi = self.gen_index[g]
-            a = self.action[g]
             for e in s.exps:
-                act = a - e
-                if act < self.lo:
+                n, off = divmod(e.numerator * q, e.denominator)
+                r = self._row[gi] - n  # an off-lattice term lies just below r
+                if r < (1 if off else 0):
                     if strict:
                         return None
                     continue
-                key = (act, gi)
-                if key not in self.index:
+                if off or r >= self.rows:
                     return None
-                v |= 1 << self.index[key]
+                v |= 1 << r * dim + gi
         return v
-
-    def _reduce(self, cx: FilteredComplex):
-        cols = []  # (birth_action, bitvec of d(monomial))
-        for act, gi in self.monomials:
-            g = cx.generators[gi]
-            s = cx.action[g] - act
-            dg = chain_shift(s, cx.diff[g])
-            v = self._vec_of_chain(dg)
-            if v:
-                cols.append((act, v))
-        cols.sort(key=lambda t: t[0])
-        self.births: List[Fraction] = []  # of the kept columns, ascending
-        self.basis = F2Basis()
-        for birth, v in cols:
-            if self.basis.add(v, 1 << len(self.births))[0]:
-                self.births.append(birth)
 
     def _level(self, tag: int) -> Fraction:
         return self.births[tag.bit_length() - 1] if tag else NEG_INF
@@ -497,24 +493,30 @@ class _GridReduction:
         distinct top births; the minimum is attained on the resulting
         double-orthogonal family.
         """
+        dim, low = self.dim, (1 << self.dim) - 1
         raw = []  # (monomial bitvec, boundary expression tag)
         for u in vectors:
             if not u:
                 continue
             a = max(self.action[g] - s.valuation() for g, s in u.items())
-            top = self.hi - 1
-            s = a - top  # scale so the peak sits near the top
-            hits = 0
-            while True:
-                shifted = chain_shift(s, u)
-                v = self._vec_of_chain(shifted, strict=True)
-                if v is None or v == 0:
-                    break
+            s0 = a - (self.hi - 1)  # scale so the peak sits near the top
+            # copy j is u * T^(s0 + j/q): one row down per copy, except at
+            # the copies where a term reaches the cutoff and is dropped
+            cuts = {((s.cutoff - e - s0) * self.q).__ceil__()
+                    for s in u.values() for e in s.exps}
+            hits = j = 0
+            v = self._vec_of_chain(chain_shift(s0, u), strict=True)
+            while v:
                 res, tag = self.basis.reduce(v)
                 if not res:
                     raw.append((v, tag))  # copies too close to the top cannot
                     hits += 1             # reach their primitives: dropped
-                s += self.step
+                j += 1
+                if j in cuts:
+                    v = self._vec_of_chain(
+                        chain_shift(s0 + j * self.step, u), strict=True)
+                else:  # a term leaving the window makes the copy None
+                    v = None if v & low else v >> dim
             if hits == 0:
                 raise FiltError("min_beta_over_span: vector is not a boundary "
                                 "within the grid window")
@@ -534,7 +536,7 @@ class _GridReduction:
         best = INF
         best_vec = None
         for expr, v in births.rows.values():
-            act = self.monomials[v.bit_length() - 1][0]
+            act = self._act(v.bit_length() - 1)
             b = self._level(expr)
             if b - act < best:
                 best = b - act
@@ -542,13 +544,12 @@ class _GridReduction:
         self.last_witness = None
         if best_vec is not None:
             ch: Chain = {}
-            v = best_vec
-            while v:
-                i = v.bit_length() - 1
-                v ^= 1 << i
-                act, gi = self.monomials[i]
-                g = self.generators[gi]
-                mono = NovikovScalar.monomial(self.action[g] - act, self.cutoff)
+            for i in reversed(range(best_vec.bit_length())):
+                if not best_vec >> i & 1:
+                    continue
+                g = self.generators[i % dim]
+                mono = NovikovScalar.monomial(self.action[g] - self._act(i),
+                                              self.cutoff)
                 ch = chain_add(ch, {g: mono})
             self.last_witness = ch
         return best
@@ -872,9 +873,8 @@ def verify_rig_cplx2(cx: FilteredComplex, d0: Dict[str, Chain],
     report["delta_d1"] = dd1
     ident = FilteredMap.identity(cx)
     diffm = f.add(ident)  # f - id in characteristic 2
-    bh = homotopical_boundary_level(diffm) if diffm.matrix else NEG_INF
-    if not any(diffm.matrix.values()):
-        bh = NEG_INF
+    bh = (homotopical_boundary_level(diffm) if any(diffm.matrix.values())
+          else NEG_INF)
     report["Bh_f_minus_id"] = bh
     rank_f = field_rank([_chain_vec(f.matrix.get(g, {}), cx.generators)
                          for g in cx.generators])

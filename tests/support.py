@@ -13,7 +13,8 @@ from math import lcm
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
-    Chain, FilteredComplex, NEG_INF, action_level, chain_add, chain_scale,
+    Chain, F2Basis, FiltError, FilteredComplex, NEG_INF, _denominators,
+    action_level, chain_add, chain_scale, chain_shift,
 )
 from filtcones.surface.curves import (
     SIDE, GeometryError, _seg_common, wrap_point,
@@ -230,6 +231,137 @@ def random_chain(rng: random.Random, cx: FilteredComplex, density=0.7,
 def random_boundary(rng: random.Random, cx: FilteredComplex, qden=2):
     b = random_chain(rng, cx, qden=qden)
     return cx.d(b), b
+
+
+# ---------------------------------------------------------------------------
+# reference grid: Fraction monomials, sorted, columns via chain_shift
+# ---------------------------------------------------------------------------
+
+class RefGridReduction:
+    """The grid reduction with a sorted list of (action, generator)
+    monomials, an index dict, and each column d(T^s e_j) built by
+    ``chain_shift`` and looked up term by term.  The library's lattice
+    grid must agree with it bit for bit."""
+
+    def __init__(self, cx: FilteredComplex, q=None, hi_need=None, lo_need=None):
+        self.generators, self.action = cx.generators, cx.action
+        self.cutoff = cx.cutoff
+        if q is None:
+            q = _denominators(cx)
+        self.step = Fraction(1, q)
+        exps = [e for g in cx.generators for s in cx.diff[g].values()
+                for e in s.exps]
+        span = max(exps) if exps else Fraction(0)
+        acts = [cx.action[g] for g in cx.generators] or [Fraction(0)]
+        pad = (span + 1) * (cx.dim + 2)
+        self.lo = min(acts) - pad
+        self.hi = max(acts) + span + 1
+        if hi_need is not None:
+            self.hi = max(self.hi, hi_need + 1)
+        if lo_need is not None:
+            self.lo = min(self.lo, lo_need - pad)
+        self.lo = (self.lo / self.step).__floor__() * self.step
+        self.hi = -((-self.hi / self.step).__floor__()) * self.step
+        self.monomials = []
+        self.gen_index = {g: i for i, g in enumerate(cx.generators)}
+        nsteps = int((self.hi - self.lo) / self.step)
+        for gi, g in enumerate(cx.generators):
+            a = cx.action[g]
+            s = a - self.hi
+            for k in range(nsteps + 1):
+                self.monomials.append((a - (s + k * self.step), gi))
+        self.monomials.sort(key=lambda t: (t[0], t[1]))
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        cols = []
+        for act, gi in self.monomials:
+            g = cx.generators[gi]
+            v = self._vec_of_chain(chain_shift(cx.action[g] - act, cx.diff[g]))
+            if v:
+                cols.append((act, v))
+        cols.sort(key=lambda t: t[0])
+        self.births = []
+        self.basis = F2Basis()
+        for birth, v in cols:
+            if self.basis.add(v, 1 << len(self.births))[0]:
+                self.births.append(birth)
+
+    def _vec_of_chain(self, x: Chain, strict=False):
+        v = 0
+        for g, s in x.items():
+            gi = self.gen_index[g]
+            for e in s.exps:
+                act = self.action[g] - e
+                if act < self.lo:
+                    if strict:
+                        return None
+                    continue
+                key = (act, gi)
+                if key not in self.index:
+                    return None
+                v |= 1 << self.index[key]
+        return v
+
+    def _level(self, tag):
+        return self.births[tag.bit_length() - 1] if tag else NEG_INF
+
+    def boundary_level(self, x: Chain):
+        if not x:
+            return NEG_INF
+        v = self._vec_of_chain(x)
+        if v is None:
+            raise FiltError("chain exceeds grid window")
+        res, tag = self.basis.reduce(v)
+        return INF if res else self._level(tag)
+
+    def min_beta_over_span(self, vectors):
+        raw = []
+        for u in vectors:
+            if not u:
+                continue
+            a = max(self.action[g] - s.valuation() for g, s in u.items())
+            s = a - (self.hi - 1)
+            hits = 0
+            while True:
+                v = self._vec_of_chain(chain_shift(s, u), strict=True)
+                if v is None or v == 0:
+                    break
+                res, tag = self.basis.reduce(v)
+                if not res:
+                    raw.append((v, tag))
+                    hits += 1
+                s += self.step
+            if hits == 0:
+                raise FiltError("min_beta_over_span: vector is not a boundary "
+                                "within the grid window")
+        peaks = F2Basis()
+        for v, tag in sorted(raw, key=lambda t: t[0].bit_length(),
+                             reverse=True):
+            peaks.add(v, tag)
+        if not peaks.rows:
+            return INF
+        births = F2Basis()
+        for peak in sorted(peaks.rows):
+            v, expr = peaks.rows[peak]
+            births.add(expr, v)
+        best, best_vec = INF, None
+        for expr, v in births.rows.values():
+            act = self.monomials[v.bit_length() - 1][0]
+            b = self._level(expr)
+            if b - act < best:
+                best, best_vec = b - act, v
+        self.last_witness = None
+        if best_vec is not None:
+            ch = {}
+            v = best_vec
+            while v:
+                i = v.bit_length() - 1
+                v ^= 1 << i
+                act, gi = self.monomials[i]
+                g = self.generators[gi]
+                mono = NovikovScalar.monomial(self.action[g] - act, self.cutoff)
+                ch = chain_add(ch, {g: mono})
+            self.last_witness = ch
+        return best
 
 
 # ---------------------------------------------------------------------------
