@@ -14,18 +14,23 @@ column d(T^s e_j) is the bit pattern of d(e_j) shifted by (act*q - L)*dim
 bits, a right shift dropping what falls below the window; a column in
 which ``chain_shift`` cuts a term off at the cutoff is built through it.
 
-The elimination layer has one implementation per ring:
+The elimination layer has one implementation per ring, and none of it
+solves by truncated division:
 
 * ``F2Basis`` -- F2 rows as int bitmasks in echelon form by top bit,
   each with an XOR-accumulated tag.  The grid reduction, the two passes
-  of ``min_beta_over_span``, the peak-slice expressions of ``peel_off``
-  and the retract-energy window solves all run on it.
+  of ``min_beta_over_span`` and the peak-slice expressions of
+  ``peel_off`` run on it.
 * ``Echelon`` -- fraction-free column echelon over the Novikov field
   with coefficient bookkeeping; ``field_rank``, ``field_kernel``,
   ``field_in_span``, ``image_basis`` and ``_quotient_kernel`` read it.
-  ``_field_solve`` stays apart: it divides, so its witnesses truncate.
 * ``peel_off`` -- peak-slice reduction of a chain against an
   action-orthogonal family; ``orthogonalize`` extends such a family.
+
+``left_inverse`` is built from the last two: the least action of a left
+inverse comes exactly from ``Echelon`` relations peeled by ``peel_off``,
+and only its witness divides (below the cutoff), for ``invert_map`` and
+the callers in ``twisted`` that need a map.
 """
 
 from __future__ import annotations
@@ -917,92 +922,70 @@ def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
     return True
 
 
+def left_inverse(f: FilteredMap):
+    """The least hom-action of a left inverse of f; None if f is not
+    injective.
+
+    The rows of g decouple: row c is a vector x over D's generators with
+    sum_d x_d f_d = e_c, f_d the row of f at d (a vector over C's
+    generators), and A(g) = max_c [A_C(c) + A*(x)], A* the action on
+    ``dual``: D's generators at actions -A_D(d).  In one ``Echelon`` of
+    the f_d, the dependent rows give relations spanning K = {x : sum x_d
+    f_d = 0}, and each e_c, being dependent, gives a relation delta_c e_c
+    = sum_d p_{c,d} f_d.  Row c of every left inverse is (p_c + k)/delta_c
+    with k in K.  Peeling p_c against an A*-orthogonal basis of K leaves
+    a residual r_c whose peak slice is outside theirs, so r_c has the
+    least A* on its coset, and the least action is max_c (A_C(c) +
+    A*(r_c) + v(delta_c)): polynomials only, no division.
+
+    Returns (action, witness); ``witness()`` divides, building the left
+    inverse with rows r_c/delta_c below the cutoff of C.
+    """
+    C, D = f.domain, f.codomain
+    ech, kernel = Echelon(), []
+    for d in D.generators:
+        row = {c: col[d] for c, col in f.matrix.items() if d in col}
+        rel = ech.add(_chain_vec(row, C.generators))
+        if rel is not None:
+            kernel.append(rel)
+    if len(ech.pivots) < C.dim:
+        return None
+    dual = FilteredComplex(D.generators, {d: -a for d, a in D.action.items()},
+                           {}, _FIELD_CUTOFF, check=False)
+
+    def over_d(rel: Dict[int, NovikovScalar]) -> Chain:
+        return {D.generators[k]: s for k, s in rel.items()}
+
+    basis = orthogonalize([over_d(rel) for rel in kernel], dual)
+    best, rows = NEG_INF, []
+    for c in C.generators:
+        rel = ech.add(_chain_vec(C.basis_chain(c), C.generators))
+        delta = rel.pop(ech.added - 1)
+        r = peel_off(over_d(rel), basis, dual)[0]
+        best = max(best, C.action[c] + action_level(r, dual)
+                   + delta.valuation())
+        rows.append((c, r, delta))
+
+    def witness() -> FilteredMap:
+        mat: Dict[str, Chain] = {}
+        for c, r, delta in rows:
+            v = delta.valuation()  # scale first: the unit divides exactly
+            inv = delta.shift(-v).rebase(C.cutoff).invert()
+            for d, s in r.items():
+                mat.setdefault(d, {})[c] = s.shift(-v).rebase(C.cutoff) * inv
+        return FilteredMap(D, C, mat, best)
+
+    return best, witness
+
+
 def invert_map(g: FilteredMap) -> FilteredMap:
     """Inverse of a linear iso over the Novikov field (below cutoff)."""
-    C, D = g.domain, g.codomain
-    n = C.dim
-    cols = [[_big(g.matrix.get(x, {}).get(y, NovikovScalar.zero(C.cutoff)))
-             for y in D.generators] for x in C.generators]
-    inv_cols = []
-    for i, target_gen in enumerate(D.generators):
-        t = [NovikovScalar.one(_FIELD_CUTOFF) if k == i
-             else NovikovScalar.zero(_FIELD_CUTOFF) for k in range(n)]
-        sol = _field_solve(cols, t, C.cutoff)
-        if sol is None:
-            raise FiltError("map is not invertible")
-        inv_cols.append(sol)
-    mat: Dict[str, Chain] = {}
-    for i, src in enumerate(D.generators):
-        col: Chain = {}
-        for k, s in enumerate(inv_cols[i]):
-            if not s.is_zero():
-                col[C.generators[k]] = s
-        mat[src] = col
-    return FilteredMap(D, C, mat, -g.declared_shift)
-
-
-def _field_solve(cols, target, cutoff):
-    """Solve sum x_i cols_i = target over the field (truncated witnesses).
-
-    Columns are augmented with coefficient bookkeeping so the answer is
-    expressed in the original variables after elimination.
-    """
-    n = len(cols)
-    m = len(target)
-    zero = NovikovScalar.zero(cutoff)
-    one = NovikovScalar.one(cutoff)
-    work = []
-    for i, col in enumerate(cols):
-        vec = [NovikovScalar(e.exps, cutoff, e.truncated) for e in col]
-        vec += [one if j == i else zero for j in range(n)]
-        work.append(vec)
-    tgt = [NovikovScalar(e.exps, cutoff, e.truncated) for e in target]
-    used_rows = []
-    avail = list(range(n))
-    order = []
-    for _ in range(n):
-        pivot = None
-        best = None
-        for ci in avail:
-            for ri in range(m):
-                if ri in used_rows:
-                    continue
-                e = work[ci][ri]
-                if not e.is_zero():
-                    v = e.valuation()
-                    if best is None or v < best:
-                        best = v
-                        pivot = (ci, ri)
-        if pivot is None:
-            break
-        ci, ri = pivot
-        avail.remove(ci)
-        used_rows.append(ri)
-        order.append((ci, ri))
-        pval = work[ci][ri]
-        for cj in avail:
-            e = work[cj][ri]
-            if not e.is_zero():
-                lam = e.divide(pval)
-                for k in range(m + n):
-                    work[cj][k] = work[cj][k] + lam * work[ci][k]
-    xs = [zero] * n
-    # the pivot rows/columns form a lower-triangular system in pivot
-    # order (elimination clears each pivot row from all later columns)
-    for ci, ri in order:
-        num = tgt[ri]
-        if num.is_zero():
-            continue
-        lam = num.divide(work[ci][ri])
-        for j in range(n):
-            coeff = work[ci][m + j]
-            if not coeff.is_zero():
-                xs[j] = xs[j] + lam * coeff
-        for k in range(m):
-            tgt[k] = tgt[k] + lam * work[ci][k]
-    if any(not t.is_zero() for t in tgt):
-        return None
-    return xs
+    inv = left_inverse(g) if g.domain.dim == g.codomain.dim else None
+    if inv is None:
+        raise FiltError("map is not invertible")
+    h = inv[1]()
+    h.declared_shift = -g.declared_shift
+    return h
 
 
 def filtered_inverse(f: FilteredMap, g: FilteredMap) -> FilteredMap:

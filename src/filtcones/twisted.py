@@ -4,8 +4,11 @@ The structure theorem for iterated cones is consumed as an output
 contract: ``assemble_twisted_mu1`` produces the upper-triangular matrix
 whose off-diagonal entries insert connecting cycles into the higher
 category operations, ``audit_structure_theorem`` verifies a supplied
-model against the contract, and the retract-energy measurement rho
-provides the algebraic weight used by the fragmentation metrics.
+model against the contract, and the retract energy rho(f), the least
+A(g) + A(f) over g with g f ~ id, gives the weight of ``weight_wp``.  On
+zero-differential maps rho is exact, read off ``filtcx.left_inverse``
+with no window or bisection; otherwise it is an interval certified by a
+chain-map left inverse.  The fragmentation metrics do not read it yet.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .novikov import INF, NovikovScalar, rat
+from .novikov import INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
-    chain_scale, F2Basis, field_rank, _chain_vec, homotopical_boundary_level,
+    chain_scale, field_rank, _chain_vec, homotopical_boundary_level,
+    invert_map, left_inverse,
 )
 from .wfainf import (
     Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max, mu1_mod,
@@ -312,7 +316,6 @@ def audit_structure_theorem(cat: WFCategory, objects: Sequence[str],
     if field_rank(cols) != k_complex.dim:
         report["error"] = "sigma_1 not invertible"
         return report
-    from .filtcx import invert_map
     inv = invert_map(sigma1)
     report["sigma1_inverse_shift"] = inv.measured_shift()
     if inv.measured_shift() > 0:
@@ -339,126 +342,18 @@ def audit_structure_theorem(cat: WFCategory, objects: Sequence[str],
 # retract energy
 # ---------------------------------------------------------------------------
 
-def _left_inverse_min_action(f: FilteredMap):
-    """Minimal hom-action of an exact left inverse over the field.
-
-    Requires zero differentials (checked by the caller).  Returns
-    (min_action, witness) or (None, None) when no left inverse exists.
-    """
-    C, D = f.domain, f.codomain
-    n, m = C.dim, D.dim
-    cols = [_chain_vec(f.matrix.get(g, {}), D.generators)
-            for g in C.generators]
-    if field_rank(cols) != n:
-        return None, None
-    # unknown g is an n x m matrix with g f = id; minimize its hom action:
-    # search over the level grid of the hom complex hom(D, C)
-    from math import lcm
-    q = 1
-    for g in C.generators:
-        q = lcm(q, C.action[g].denominator)
-        for s in f.matrix.get(g, {}).values():
-            for e in s.exps:
-                q = lcm(q, e.denominator)
-    for g in D.generators:
-        q = lcm(q, D.action[g].denominator)
-    step = Fraction(1, q)
-    spans = [abs(e) for col in f.matrix.values() for s in col.values()
-             for e in s.exps]
-    spread = max(spans, default=Fraction(0)) + 1
-    acts = list(C.action.values()) + list(D.action.values())
-    lo = -(max(acts) - min(acts)) - spread * (n + 2)
-    hi = (max(acts) - min(acts)) + spread * (n + 2)
-
-    best = _solve_left_inverse(f, lo)
-    if best is not None:
-        return lo, best
-    best = _solve_left_inverse(f, hi)
-    if best is None:
-        return None, None
-    while hi - lo > step:
-        mid = lo + ((hi - lo) / step // 2) * step
-        if mid in (lo, hi):
-            mid = lo + step
-        sol = _solve_left_inverse(f, mid)
-        if sol is not None:
-            hi, best = mid, sol
-        else:
-            lo = mid
-    return hi, best
-
-
-def _solve_left_inverse(f: FilteredMap, alpha) -> Optional[FilteredMap]:
-    """Left inverse with hom-action <= alpha, as an F2 window solve."""
-    C, D = f.domain, f.codomain
-    alpha = rat(alpha)
-    from math import lcm
-    q = 1
-    entries = [(g, h, e) for g, col in f.matrix.items()
-               for h, s in col.items() for e in s.exps]
-    for g in C.generators:
-        q = lcm(q, C.action[g].denominator)
-    for g in D.generators:
-        q = lcm(q, D.action[g].denominator)
-    for _, _, e in entries:
-        q = lcm(q, e.denominator)
-    q = lcm(q, alpha.denominator)
-    step = Fraction(1, q)
-    spread = max([abs(e) for _, _, e in entries], default=Fraction(0)) + 1
-    width = spread * (C.dim + D.dim + 2)
-    # unknowns: coefficient of T^s in g[c <- d]; action constraint:
-    # A_C(c) - s - A_D(d) <= alpha  =>  s >= A_C(c) - A_D(d) - alpha
-    var_index = {}
-    for c in C.generators:
-        for d in D.generators:
-            smin = C.action[c] - D.action[d] - alpha
-            top = C.action[c] - D.action[d] + width
-            s = smin
-            while s < top:
-                var_index[(c, d, s)] = len(var_index)
-                s += step
-    # equations: coefficient of T^t in (g f - id)[c' <- c] = 0, each an
-    # F2 bitmask over the unknowns
-    eqs: Dict[Tuple[str, str, Fraction], int] = {}
-    for c in C.generators:
-        for d, s_fd in f.matrix.get(c, {}).items():
-            for e in s_fd.exps:
-                for cp in C.generators:
-                    smin = C.action[cp] - D.action[d] - alpha
-                    top = C.action[cp] - D.action[d] + width
-                    s = smin
-                    while s < top:
-                        key = (cp, c, s + e)
-                        eqs[key] = eqs.get(key, 0) ^ 1 << var_index[(cp, d, s)]
-                        s += step
-    if any((c, c, 0) not in eqs for c in C.generators):
-        return None  # the identity entry is unreachable
-    basis = F2Basis()
-    for (cp, c, t), row in eqs.items():
-        want = 1 if (cp == c and t == 0) else 0
-        if basis.add(row, want) == (0, 1):
-            return None
-    sol = basis.solve()
-    mat: Dict[str, Chain] = {}
-    for (c, d, s), vi in var_index.items():
-        if sol >> vi & 1:
-            mat.setdefault(d, {})
-            cur = mat[d].get(c, NovikovScalar.zero(C.cutoff))
-            mat[d][c] = cur + NovikovScalar.monomial(s, C.cutoff)
-    mat = {d: {c: v for c, v in col.items() if not v.is_zero()}
-           for d, col in mat.items()}
-    return FilteredMap(D, C, mat, alpha)
-
-
 def retract_energy(f, with_witness: bool = False):
     """rho(f) as a certified interval (lower, upper).
 
-    For maps of complexes with zero differentials the two bounds agree
-    (an exact left-inverse action minimization); otherwise the upper
-    bound comes from a constructed homotopy left inverse and the lower
-    bound is max(0, ...) only.  Module homomorphisms are measured through
-    their first-order parts objectwise (valid when the modules carry no
-    higher operations).
+    For maps of complexes with zero differentials the two bounds agree:
+    rho = max(0, A(g) + A(f)) for the least action A(g) of a left inverse
+    (``filtcx.left_inverse``, exact), and (INF, INF) when f is not
+    injective; ``with_witness`` appends that g, divided out below the
+    cutoff.  Otherwise the upper bound comes from ``_homotopy_left_inverse``
+    and B_h(g f - id), (0, INF) when it finds no chain map, and the lower
+    bound is 0 only.  Module homomorphisms are measured through their
+    first-order parts objectwise (valid when the modules carry no higher
+    operations).
     """
     if isinstance(f, PreModHom):
         for d, t in f.source.mu_tables.items():
@@ -475,15 +370,12 @@ def retract_energy(f, with_witness: bool = False):
     zero_diff = all(not C.diff[g] for g in C.generators) and \
         all(not D.diff[g] for g in D.generators)
     if zero_diff:
-        if not any(f.matrix.values()) and C.generators:
+        inv = left_inverse(f)
+        if inv is None:
             return INF, INF
-        a_f = f.measured_shift()
-        best, witness = _left_inverse_min_action(f)
-        if best is None:
-            return INF, INF
-        val = max(Fraction(0), best + a_f)
+        val = max(Fraction(0), inv[0] + f.measured_shift())
         if with_witness:
-            return val, val, witness
+            return val, val, inv[1]()
         return val, val
     # general case: certified upper bound from a constructed g, trivial lower
     g = _homotopy_left_inverse(f)
@@ -501,32 +393,18 @@ def retract_energy(f, with_witness: bool = False):
 
 
 def _homotopy_left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
-    """A left inverse up to homotopy when f_* is injective on homology,
-    found by solving g f ~ id over the field."""
-    C, D = f.domain, f.codomain
-    # search g with g f - id null-homotopic: solve in the quotient
-    # H(hom(D,C)) -> H(hom(C,C)); pragmatically, try the Moore-Penrose
-    # style solve g f = id over the field first
-    cols = [_chain_vec(f.matrix.get(g, {}), D.generators)
-            for g in C.generators]
-    if field_rank(cols) != C.dim:
+    """The least-action field left inverse of f (``left_inverse``'s
+    witness) when it is a chain map, else None.
+
+    A g with g f = id that is not a chain map certifies nothing: with
+    f: x -> b into a -> b (d a = b), g(b) = x inverts f over the field,
+    yet f is zero on H(C) and no g with g f ~ id exists.
+    """
+    inv = left_inverse(f)
+    if inv is None:
         return None
-    from .filtcx import _field_solve
-    # assemble g by solving f^T g^T = id^T over the field, row by row
-    mat: Dict[str, Chain] = {}
-    rows_of_f = {d: {c: f.matrix.get(c, {}).get(d) for c in C.generators
-                     if f.matrix.get(c, {}).get(d)} for d in D.generators}
-    cols2 = [_chain_vec(rows_of_f[d], C.generators) for d in D.generators]
-    for c in C.generators:
-        # solve sum_d lambda_d f[d-row] = e_c over the field
-        tgt = _chain_vec(C.basis_chain(c), C.generators)
-        sol = _field_solve(cols2, tgt, C.cutoff)
-        if sol is None:
-            return None
-        for d, lam in zip(D.generators, sol):
-            if not lam.is_zero():
-                mat.setdefault(d, {})[c] = lam
-    return FilteredMap(D, C, mat, 0)
+    g = inv[1]()
+    return g if g.is_chain_map() else None
 
 
 def rho_upper_from_witness(f: PreModHom, g: PreModHom,

@@ -7,6 +7,7 @@ enumeration) so that agreement is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -362,6 +363,66 @@ class RefGridReduction:
                 ch = chain_add(ch, {g: mono})
             self.last_witness = ch
         return best
+
+
+# ---------------------------------------------------------------------------
+# least action of a left inverse, by basic solutions
+# ---------------------------------------------------------------------------
+
+def _poly_mul(a: frozenset, b: frozenset) -> frozenset:
+    """Product of two F2 polynomials in T, each a set of exponents."""
+    out = set()
+    for x in a:
+        for y in b:
+            out ^= {x + y}
+    return frozenset(out)
+
+
+def _det(rows) -> frozenset:
+    """Determinant by permutation expansion (no signs in characteristic 2)."""
+    out = set()
+    for perm in itertools.permutations(range(len(rows))):
+        term = frozenset([Fraction(0)])
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, rows[i][j])
+        out ^= term
+    return frozenset(out)
+
+
+def ref_left_inverse_action(f):
+    """Least hom-action of a left inverse of f: C -> D, None if none exists.
+
+    Row c of a left inverse is a vector x over D with x F = e_c, where
+    F[d][c'] = f_{c',d}.  For an n-subset S of D with det F_S != 0 the
+    basic solution adj(F_S)/det F_S is a left inverse; its row c has
+    action max_{d in S} (A_C(c) - A_D(d) - v(adj_{c,d}) + v(det)).  Rows
+    decouple, so each row takes its least action over S, and the result
+    is the largest row.  Scaled to the unit ball of an optimum, n rows of
+    F whose residues span generate the row lattice (Nakayama over the
+    valuation ring), so some basic solution attains the optimum.
+    """
+    C, D = f.domain, f.codomain
+    xs, n = C.generators, C.dim
+    entry = {(c, d): frozenset(s.exps) for c, col in f.matrix.items()
+             for d, s in col.items()}
+    best = {}
+    for S in itertools.combinations(D.generators, n):
+        F_S = [[entry.get((c, d), frozenset()) for c in xs] for d in S]
+        det = _det(F_S)
+        if not det:
+            continue
+        for ci, c in enumerate(xs):
+            acts = []
+            for di, d in enumerate(S):
+                # adj(F_S)[c][d] is the minor without row d and column c
+                adj = _det([[row[j] for j in range(n) if j != ci]
+                            for i, row in enumerate(F_S) if i != di])
+                if adj:
+                    acts.append(C.action[c] - D.action[d] - min(adj) + min(det))
+            best[c] = min(best.get(c, INF), max(acts))
+    if len(best) < n:
+        return None
+    return max(best.values(), default=NEG_INF)
 
 
 # ---------------------------------------------------------------------------
