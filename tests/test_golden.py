@@ -1,6 +1,8 @@
-"""Golden outputs of the torus geometry: ``repro-lemma-ex1`` reports and a
-Floer table (bigons, ranks, differentials and refusals) over fixed curve
-pools, compared byte for byte with the files in ``tests/golden/``.
+"""Golden outputs of the torus geometry and the metric search:
+``repro-lemma-ex1`` reports, a Floer table (bigons, ranks, differentials
+and refusals) over fixed curve pools, a metric table (lower, upper,
+witness and certificate of fixed metric queries) and a ``metric`` report,
+compared byte for byte with the files in ``tests/golden/``.
 
 Regenerate the files (only when a reported value is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -13,16 +15,25 @@ from fractions import Fraction as F
 
 from filtcones.cli import main
 from filtcones.filtcx import serialize_complex
-from filtcones.scenarios import lem_ex1_space
+from filtcones.fragmetric import suspension_move, trace_move
+from filtcones.novikov import INF
+from filtcones.scenarios import (
+    disjoint_union_space, lem_ex1_space, trace_surgery_space,
+)
 from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
 from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
 
+from test_fragmetric import LEM_QUERIES, TRACE_QUERIES
 from test_segment_pairs import _floer_sanity_pool
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 REPRO = {("1/8", "1/256"): "repro-lemma-ex1-eps1_8-delta1_256.txt",
          ("1/10", "1/1000"): "repro-lemma-ex1-eps1_10-delta1_1000.txt"}
 TABLE = "floer-table.txt"
+METRIC_TABLE = "metric-table.txt"
+METRIC_SCENARIO = "metric-lem-ex1.scenario"
+METRIC_REPORT = "metric-lem-ex1.txt"
+EPS, DELTA = F(1, 8), F(1, 256)
 
 
 def repro_stdout(eps, delta):
@@ -80,6 +91,100 @@ def floer_table():
     return "\n".join(lines) + "\n"
 
 
+def metric_report():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["metric", "--scenario",
+                     os.path.join(GOLDEN, METRIC_SCENARIO)])
+    assert code == 0, out.getvalue()
+    return out.getvalue()
+
+
+# Extra suspensions between the vertical lines S1..S4, one set per space,
+# as the metric-search benchmark adds them; each leaves two lines unjoined.
+LEM_PATTERNS = [(("S1", "S2"),), (("S1", "S2"), ("S3", "S4")),
+                (("S2", "S3"),), (("S1", "S3"), ("S2", "S4"))]
+TRACE_PATTERNS = [(("S1", "S2"),), (("S2", "S3"),), (("S3", "S4"),)]
+LINE_X = {"S1": -F(1, 2) - EPS, "S2": -F(1, 2) + EPS,
+          "S3": F(1, 2) - EPS, "S4": F(1, 2) + EPS}
+LINES = sorted(LINE_X)
+
+
+def _val(x):
+    return "inf" if x >= INF else str(x)
+
+
+def _apart(pattern):
+    """The first two lines that no suspension of ``pattern`` joins."""
+    comp = {s: {s} for s in LINES}
+    for a, b in pattern:
+        joined = comp[a] | comp[b]
+        for s in joined:
+            comp[s] = joined
+    return next((a, b) for i, a in enumerate(LINES) for b in LINES[i + 1:]
+                if b not in comp[a])
+
+
+def _pattern_queries(kind, pattern):
+    lp = "L'" if kind == "lem" else "L''"
+    a, b = pattern[0]
+    apart = _apart(pattern)
+    out = [("d_k", (lp, "L", "F", k)) for k in range(5)]
+    out += [("d_k", (a, b, "F", k)) for k in (0, 1)]
+    out += [("d_k", (*apart, "F", 1))]
+    out += [("cone_length", (lp, "L", "F", x))
+            for x in (None, 2 * DELTA, DELTA, 4 * EPS)]
+    out += [("d_f", (lp, "L", "F"))]
+    if kind == "lem":
+        out += [("d_hat", (lp, "L", "Fleft", "Fright"))]
+    return out
+
+
+def _pattern_space(kind, pattern):
+    if kind == "lem":
+        space = lem_ex1_space(EPS, DELTA)
+    else:
+        space = trace_surgery_space(EPS, DELTA)
+        space.moves.append(trace_move("T1b", "L''", ("L", "S1"),
+                                      [DELTA], [0]))
+    for a, b in pattern:
+        length = 2 * abs(LINE_X[a] - LINE_X[b])
+        space.moves.append(suspension_move(f"s{a[1]}{b[1]}", a, b, length))
+    return space
+
+
+def metric_table():
+    """(lower, upper, witness, certificate) of fixed metric queries."""
+    groups = [("lem", lem_ex1_space(EPS, DELTA), LEM_QUERIES),
+              ("trace", trace_surgery_space(EPS, DELTA), TRACE_QUERIES)]
+    for kind, build, lp in (("lem", lem_ex1_space, "L'"),
+                            ("trace", trace_surgery_space, "L''")):
+        groups.append((f"{kind} top_end", build(EPS, DELTA),
+                       [("d_k", (lp, "L", "F", k, "weakly-exact", True))
+                        for k in range(7)]
+                       + [("d_k", ("L", lp, "F", k, "weakly-exact", True))
+                          for k in range(7)]))
+    for kind, patterns in (("lem", LEM_PATTERNS), ("trace", TRACE_PATTERNS)):
+        for pattern in patterns:
+            label = f"{kind}+" + ",".join(a + b for a, b in pattern)
+            groups.append((label, _pattern_space(kind, pattern),
+                           _pattern_queries(kind, pattern)))
+    groups.append(("disjoint", disjoint_union_space(EPS),
+                   [("d_k", ("S1", "S2", "F", k)) for k in range(4)]
+                   + [("d_k", ("S2", "S1", "F", k)) for k in range(4)]
+                   + [("cone_length", ("S1", "S2", "F", None)),
+                      ("d_f", ("S1", "S2", "F"))]))
+    lines = []
+    for label, space, queries in groups:
+        for method, args in queries:
+            r = getattr(space, method)(*args)
+            shown = ", ".join("None" if x is None else str(x) for x in args)
+            lines.append(f"{label} {method}({shown}): "
+                         f"[{_val(r.lower)}, {_val(r.upper)}] "
+                         f"via {r.witness} | {r.certificate}")
+    return "\n".join(lines) + "\n"
+
+
 def _read(name):
     with open(os.path.join(GOLDEN, name)) as f:
         return f.read()
@@ -91,10 +196,17 @@ def test_geometry_outputs_match_golden_files():
     assert floer_table() == _read(TABLE)
 
 
+def test_metric_outputs_match_golden_files():
+    assert metric_table() == _read(METRIC_TABLE)
+    assert metric_report() == _read(METRIC_REPORT)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     files = {name: repro_stdout(*key) for key, name in REPRO.items()}
     files[TABLE] = floer_table()
+    files[METRIC_TABLE] = metric_table()
+    files[METRIC_REPORT] = metric_report()
     for name, text in files.items():
         with open(os.path.join(GOLDEN, name), "w") as f:
             f.write(text)
