@@ -1,19 +1,23 @@
 """Fragmentation pseudo-metrics: decomposition search with certified bounds.
 
-Upper bounds come from a breadth-first search over move expressions
-whose footprints are re-measured exactly; lower bounds come only from
-the declared fission inequalities, evaluated through the axis-parallel
-widths (and verified probe families for the double-point variant).
-Results are intervals, never point estimates.
+Upper bounds come from one exhaustive best-first search over move
+expressions per query.  An expression's shadow is the sum of its moves'
+shadows, each measured exactly once from its footprint; shadows are
+subadditive under gluing, so the sum bounds the glued cobordism's.
+Lower bounds come only from the declared fission inequalities, evaluated
+through the axis-parallel widths (and verified probe families for the
+double-point variant).  Results are intervals, never point estimates.
 
-A ``MetricSpace`` computes each expression shadow, relative width and
-probe verification at most once: the values live in dicts on the space,
-keyed by the move, curve and probe objects themselves, so they stay
-right when moves are added after a query.
+A ``MetricSpace`` computes each relative width and probe verification at
+most once: the values live in dicts on the space, keyed by the curve and
+probe objects themselves, so they stay right when moves are added after
+a query.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,16 +56,15 @@ class LagObject:
 
 class Move:
     """Cobordism generator: source object -> ordered tuple of end objects,
-    with an exact planar footprint whose shadow is re-measured."""
+    with an exact planar footprint whose shadow is measured once, here;
+    an expression's shadow is the sum of its moves' shadows."""
 
     def __init__(self, name: str, source: str, ends: Sequence[str],
-                 footprint: PlanarDiagram, declared_shadow=None,
-                 kind: str = "trace"):
+                 footprint: PlanarDiagram, declared_shadow=None):
         self.name = name
         self.source = source
         self.ends = tuple(ends)
         self.footprint = footprint
-        self.kind = kind
         self.shadow = planar_shadow(footprint)
         if declared_shadow is not None and self.shadow != rat(declared_shadow):
             raise FragError(
@@ -69,18 +72,16 @@ class Move:
                 f"measured {self.shadow}")
 
 
-def suspension_move(name: str, a: str, b: str, length,
-                    column: int = 0) -> Move:
+def suspension_move(name: str, a: str, b: str, length) -> Move:
     """Hamiltonian suspension a -> b with shadow = declared Hofer length,
-    realized as a rectangle footprint of exactly that area."""
+    realized as a unit-wide rectangle footprint of exactly that area."""
     length = rat(length)
     d = PlanarDiagram()
-    x0 = Fraction(10 * column)
     if length > 0:
-        d.add_rect(x0, 0, x0 + 1, length)
-    d.rays.append(((x0, -1), -1))
-    d.rays.append(((x0 + 1, -1), 1))
-    return Move(name, a, (b,), d, length, kind="suspension")
+        d.add_rect(0, 0, 1, length)
+    d.rays.append(((0, -1), -1))
+    d.rays.append(((1, -1), 1))
+    return Move(name, a, (b,), d, length)
 
 
 def trace_move(name: str, source: str, ends: Sequence[str], handle_areas,
@@ -95,7 +96,7 @@ def trace_move(name: str, source: str, ends: Sequence[str], handle_areas,
     for i in range(len(ends)):
         d.rays.append(((0, -2 - i), -1))
     d.rays.append(((1, -1), 1))
-    return Move(name, source, tuple(ends), d, None, kind="trace")
+    return Move(name, source, tuple(ends), d)
 
 
 class ProbeFamily:
@@ -175,7 +176,6 @@ class MetricSpace:
         self.probes = list(probes)
         self.monotone_min_area = None if monotone_min_area is None \
             else rat(monotone_min_area)
-        self._shadows: Dict[tuple, Fraction] = {}
         self._widths: Dict[tuple, Fraction] = {}
         self._probe_ok: Dict[ProbeFamily, bool] = {}
 
@@ -233,160 +233,117 @@ class MetricSpace:
                 best, cert = p.claimed_sup, f"probe {p.name}"
         return best, cert
 
-    def _end_multisets(self, family: Sequence[str], k: int):
-        """All multisets of at most k family members."""
-        fam = sorted(set(family))
-        out = [()]
-        for _ in range(k):
-            nxt = set(out)
-            for e in out:
-                for f in fam:
-                    nxt.add(tuple(sorted(e + (f,))))
-            out = list(nxt)
-        return sorted(set(out))
-
     # -- upper bounds (search) ----------------------------------------------
 
-    def _search_upper(self, lp: str, l: str, family: Sequence[str], k: int,
-                      depth: int = 6, top_end: bool = False):
-        """Breadth-first search over move expressions with pruning.
+    def _search(self, lp: str, l: str, family: Sequence[str],
+                top_end: bool) -> Dict[int, Tuple[Fraction, str]]:
+        """Best-first search over move expressions from ``lp`` to ``l``.
 
-        Each declared move is used at most once per expression (declare
-        copies to model repeated cobordism pieces); expressions whose
-        accumulated footprint already exceeds the incumbent are cut.
+        A state is the tuple of ends plus the set of moves used, each at
+        most once (declare copies to repeat a piece), forward or reversed
+        on one end (bending the positive end is shadow neutral).  A goal
+        holds ``l`` (first, with ``top_end``) plus ``c`` extra ends in
+        ``family``.  States leave the heap by (shadow, #moves, sorted
+        names); shadows are nonnegative and add up, so the first goal
+        popped with ``c`` extra ends is least.  Goals are expanded too,
+        and recorded as {c: (shadow, witness)} only if ``c`` is below
+        every recorded count.  The search ends at ``c = 0`` or an empty
+        heap: it is exhaustive, with no cap.
         """
         fam = set(family)
-        start = (lp,)
-        best = (INF, None)
-        seen = {}
-        frontier = [(start, frozenset(), Fraction(0))]
-        if lp == l:
-            return Fraction(0), "identity"
-
-        def goal(state) -> bool:
-            if l not in state:
-                return False
-            rest = list(state)
-            rest.remove(l)
-            if len(rest) > k or any(r not in fam for r in rest):
-                return False
-            if top_end and state[0] != l:
-                return False
-            return True
-
-        for _ in range(depth):
-            nxt = []
-            for state, used, shadow in frontier:
-                if goal(state):
-                    total = self._expression_shadow(used)
-                    if total < best[0]:
-                        best = (total, "+".join(sorted(
-                            self.moves[i].name for i in used)) or "identity")
+        swaps = []  # per move: (end consumed, ends emitted), forward first
+        for mv in self.moves:
+            swaps.append([(mv.source, mv.ends)])
+            for e in set(mv.ends):
+                rest = list(mv.ends)
+                rest.remove(e)
+                swaps[-1].append((e, (mv.source, *rest)))
+        heap = [(Fraction(0), 0, (), (lp,), 0)]
+        seen = {((lp,), 0)}
+        goals: Dict[int, Tuple[Fraction, str]] = {}
+        while heap:
+            shadow, n, names, state, used = heapq.heappop(heap)
+            if l in state and (not top_end or state[0] == l):
+                rest = list(state)
+                rest.remove(l)
+                c = len(rest)
+                if all(r in fam for r in rest) and \
+                        c < min(goals, default=c + 1):
+                    goals[c] = (shadow, "+".join(names) or "identity")
+                    if c == 0:
+                        break
+            for i, mv in enumerate(self.moves):
+                if used >> i & 1:
                     continue
-                for i, mv in enumerate(self.moves):
-                    if i in used:
-                        continue
-                    applications = []
-                    if mv.source in state:
-                        idx = state.index(mv.source)
-                        applications.append(
-                            state[:idx] + mv.ends + state[idx + 1:])
-                    # end reversal (bending the positive end is shadow
-                    # neutral): consume one end, emit source + the rest
-                    for e in set(mv.ends):
-                        if e in state:
-                            idx = state.index(e)
-                            rest = list(mv.ends)
-                            rest.remove(e)
-                            applications.append(
-                                state[:idx] + (mv.source, *rest)
-                                + state[idx + 1:])
-                    for new_state in applications:
-                        new_used = used | {i}
-                        total = self._expression_shadow(new_used)
-                        if total >= best[0]:
-                            continue
-                        key = (new_state, new_used)
-                        if key in seen:
-                            continue
-                        seen[key] = total
-                        nxt.append((new_state, new_used, total))
-            frontier = nxt
-            if not frontier:
-                break
-        return best
+                for old, new in swaps[i]:
+                    if old in state:
+                        idx = state.index(old)
+                        key = (state[:idx] + new + state[idx + 1:],
+                               used | 1 << i)
+                        if key not in seen:
+                            seen.add(key)
+                            heapq.heappush(heap, (
+                                shadow + mv.shadow, n + 1,
+                                tuple(sorted(names + (mv.name,))), *key))
+        return goals
 
-    def _expression_shadow(self, used) -> Fraction:
-        # keyed by the moves in index order, which fixes the suspension
-        # offsets; indices alone go stale when the move list changes
-        moves = tuple(self.moves[i] for i in sorted(used))
-        if moves not in self._shadows:
-            self._shadows[moves] = self._measure_expression(moves)
-        return self._shadows[moves]
+    def _results(self, lp: str, l: str, family_name: str,
+                 mode: str = "weakly-exact", top_end: bool = False):
+        """Yield d_k(lp, l) for k = 0, 1, ... from one search.
 
-    @staticmethod
-    def _measure_expression(moves: Sequence[Move]) -> Fraction:
-        diag = PlanarDiagram()
-        offset = 0
-        for mv in moves:
-            if mv.kind == "suspension":
-                diag = diag.union(mv.footprint.translated(offset, 0))
-                offset += 100
-            else:
-                diag = diag.union(mv.footprint)
-        if not diag.segments and not diag.rays:
-            return Fraction(0)
-        return planar_shadow(diag)
+        The upper bound is the least recorded goal with at most k extra
+        ends: the one with the most, as it was found first.  The lower
+        bound is the least certified bound over the end multisets of at
+        most k family members, each bounded once, and only as far as the
+        caller reads.
+        """
+        family = self.families[family_name]
+        goals = self._search(lp, l, family, top_end)
+        lower, cert = INF, "no ends"
+        for k in itertools.count():
+            c = max((c for c in goals if c <= k), default=None)
+            upper, witness = (INF, None) if c is None else goals[c]
+            for ends in itertools.combinations_with_replacement(
+                    sorted(set(family)), k):
+                val, why = self._bound_for_ends(lp, l, ends, mode)
+                if val < lower:
+                    lower, cert = val, why
+            if lp == l:
+                lower = Fraction(0)
+            if lower > upper:
+                raise FragError(
+                    f"certified lower bound {lower} exceeds witnessed upper "
+                    f"{upper}: inconsistent declarations")
+            yield MetricResult(lower, upper, witness, cert)
 
     # -- public metric queries -----------------------------------------------
 
     def d_k(self, lp: str, l: str, family_name: str, k: int,
             mode: str = "weakly-exact", top_end: bool = False) -> MetricResult:
-        family = self.families[family_name]
-        upper, witness = self._search_upper(lp, l, family, k, top_end=top_end)
-        best_lower = INF
-        best_cert = "no ends"
-        for ends in self._end_multisets(family, k):
-            val, cert = self._bound_for_ends(lp, l, ends, mode)
-            if val < best_lower:
-                best_lower, best_cert = val, cert
-        if lp == l:
-            best_lower = Fraction(0)
-        if best_lower > upper:
-            raise FragError(
-                f"certified lower bound {best_lower} exceeds witnessed upper "
-                f"{upper}: inconsistent declarations")
-        return MetricResult(best_lower, upper, witness, best_cert)
+        return next(itertools.islice(
+            self._results(lp, l, family_name, mode, top_end), k, None))
 
     def cone_length(self, lp: str, l: str, family_name: str, a,
                     kmax: int = 8) -> MetricResult:
         """l_a: minimal number of extra ends admitting shadow <= a."""
         a = rat(a) if a is not None else INF
-        found = None
         lower_k = 0
-        for k in range(kmax + 1):
-            r = self.d_k(lp, l, family_name, k)
+        for k, r in enumerate(itertools.islice(
+                self._results(lp, l, family_name), kmax + 1)):
             if r.upper <= a:
-                found = (k, r)
-                break
+                return MetricResult(
+                    lower_k, k, r.witness,
+                    "pruned below" if lower_k == k else "upper only")
             if r.lower > a:
                 lower_k = k + 1
-        if found is None:
-            return MetricResult(lower_k, INF, None, "budget exhausted")
-        k, r = found
-        certified = lower_k == k
-        return MetricResult(
-            lower_k, k, r.witness,
-            "pruned below" if certified else "upper only")
+        return MetricResult(lower_k, INF, None, "budget exhausted")
 
     def d_f(self, lp: str, l: str, family_name: str, kmax: int = 6,
             mode: str = "weakly-exact") -> MetricResult:
-        best = None
-        for k in range(kmax + 1):
-            r = self.d_k(lp, l, family_name, k, mode)
-            if best is None or (r.upper, r.lower) < (best.upper, best.lower):
-                best = r
-        return best
+        """min over k <= kmax of d_k, the first k on ties."""
+        return min(itertools.islice(
+            self._results(lp, l, family_name, mode), kmax + 1),
+            key=lambda r: (r.upper, r.lower))
 
     def d_hat(self, lp: str, l: str, fam1: str, fam2: str,
               kmax: int = 6) -> MetricResult:

@@ -144,7 +144,7 @@ def disjoint_union_space(eps) -> MetricSpace:
     d = PlanarDiagram(rays=[((0, 1), -1), ((0, 1), 1),
                             ((0, 2), -1), ((0, 3), -1)])
     d.add_polyline([(0, 2), (1, 2), (1, 3), (0, 3)])
-    union = Move("U", "S1", ("S1", "S2", "S2"), d, 0, kind="trace")
+    union = Move("U", "S1", ("S1", "S2", "S2"), d, 0)
     families = {"F": ["S1", "S2", "S3", "S4"]}
     return MetricSpace(curves, objects, families, [union])
 

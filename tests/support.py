@@ -784,3 +784,42 @@ def ref_atomic_segments(segments):
             inside = [x for x in pts if lo <= x <= hi]
             edges.update((u, v) for u, v in zip(inside, inside[1:]) if u != v)
     return edges
+
+
+# ---------------------------------------------------------------------------
+# metric search: every sequence of distinct moves
+# ---------------------------------------------------------------------------
+
+def ref_metric_uppers(moves, lp, l, family, top_end=False):
+    """(sum of shadows, extra-end count) at every goal that some sequence
+    of distinct moves reaches from ``(lp,)``.
+
+    Plain recursion over all such sequences, with no heap, visited set or
+    pruning.  A move replaces the first occurrence of its source by its
+    ends (forward), or the first occurrence of one of its ends by its
+    source followed by its other ends (end reversal), tried at every end
+    position.  A goal holds ``l`` (first, with ``top_end``) plus extra
+    ends that all lie in ``family``.
+    """
+    fam = set(family)
+    found = set()
+
+    def walk(state, left, shadow):
+        if l in state and (not top_end or state[0] == l):
+            rest = list(state)
+            rest.remove(l)
+            if all(r in fam for r in rest):
+                found.add((shadow, len(rest)))
+        for mv in left:
+            others = [m for m in left if m is not mv]
+            swaps = [(mv.source, mv.ends)] + [
+                (e, (mv.source,) + mv.ends[:j] + mv.ends[j + 1:])
+                for j, e in enumerate(mv.ends)]
+            for old, new in swaps:
+                if old in state:
+                    i = state.index(old)
+                    walk(state[:i] + new + state[i + 1:], others,
+                         shadow + mv.shadow)
+
+    walk((lp,), list(moves), Fraction(0))
+    return found

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import INF
 from filtcones.fragmetric import (
@@ -11,6 +13,10 @@ from filtcones.scenarios import (
     base_curves, disjoint_union_space, four_surgery_curve, lem_ex1_space,
     trace_surgery_space,
 )
+from filtcones.surface.curves import TorusCurve
+from filtcones.surface.shadow import PlanarDiagram, planar_shadow
+
+from support import ref_metric_uppers
 
 EPS, DELTA = F(1, 8), F(1, 256)
 
@@ -210,7 +216,7 @@ def test_warm_space_answers_like_fresh_space(build, queries):
     (lem_ex1_space, "L'"), (trace_surgery_space, "L''")])
 @pytest.mark.parametrize("where", ["append", "insert"])
 def test_moves_added_after_a_query(build, lp, where):
-    # memoized shadows follow the moves themselves, not their indices
+    # memoized widths and probe results do not depend on move indices
     import copy
     pristine = build(EPS, DELTA)
     warm = copy.deepcopy(pristine)
@@ -280,3 +286,111 @@ def test_strands_kept_and_copied():
     for _ in range(2):
         with pytest.raises(GeometryError):
             diagonal.strands()
+
+
+# -- additive expression shadows and the exhaustive search ----------------------
+
+def test_expression_shadow_is_the_sum_of_its_moves():
+    # phi and T4 used to be measured as one union in which phi's rectangle
+    # overlapped T4's first handles, by an amount set by the move order
+    sp = lem_ex1_space(EPS, DELTA)
+    sp.families["G"] = ["S2", "S3", "S4", "L"]
+    r = sp.d_k("L", "S1", "G", 4)
+    assert (r.lower, r.upper) == (F(1, 2), 4 * EPS + 2 * DELTA)
+    assert r.upper == F(65, 128)
+    assert r.witness == "T4+phi"
+
+
+def test_search_has_no_depth_cap():
+    # seven unit suspensions beat one long move, however deep the chain
+    names = [f"A{i}" for i in range(8)]
+    moves = [suspension_move(f"s{i}", names[i], names[i + 1], 1)
+             for i in range(7)]
+    moves.append(suspension_move("far", "A0", "A7", 100))
+    sp = MetricSpace(base_curves(EPS), [LagObject(n, ["L"]) for n in names],
+                     {"F": []}, moves)
+    r = sp.d_k("A0", "A7", "F", 0)
+    assert (r.lower, r.upper) == (0, 7)
+    assert r.witness == "+".join(f"s{i}" for i in range(7))
+    assert sp.d_f("A0", "A7", "F").upper == 7
+
+
+def _spaces_with_their_moves():
+    tspace = trace_surgery_space(EPS, DELTA)
+    tspace.moves.append(trace_move("T1b", "L''", ("L", "S1"), [DELTA], [0]))
+    return [lem_ex1_space(EPS, DELTA), tspace, disjoint_union_space(EPS)]
+
+
+def test_move_shadows_add_up_like_the_union_of_their_footprints():
+    # planar_shadow of all footprints side by side, each in its own
+    # column, is the oracle for the sum rule of the search
+    for sp in _spaces_with_their_moves():
+        for r in range(len(sp.moves) + 1):
+            for moves in itertools.combinations(sp.moves, r):
+                union = PlanarDiagram()
+                for j, mv in enumerate(moves):
+                    union = union.union(mv.footprint.translated(100 * j, 0))
+                assert planar_shadow(union) == sum(
+                    (mv.shadow for mv in moves), F(0)), \
+                    [mv.name for mv in moves]
+
+
+SEARCH_OBJECTS = ["A", "B", "C", "D", "E"]
+QUARTERS = st.integers(0, 8).map(lambda n: F(n, 4))
+LINE = {"L": TorusCurve([(-1, 0), (1, 0)], name="L")}
+
+
+@st.composite
+def search_cases(draw):
+    """At most 5 moves among at most 5 objects, with 1-3 ends each, a
+    random family and two distinct objects, half the time with a direct
+    move between them that longer expressions may undercut.  Every object
+    rides on one curve, so every lower bound is 0 and only the search
+    decides the upper bounds."""
+    objects = SEARCH_OBJECTS[:draw(st.integers(3, 5))]
+    lp, l = draw(st.permutations(objects))[:2]
+    name = st.sampled_from(objects)
+    moves = []
+    if draw(st.booleans()):
+        moves.append(suspension_move("m0", lp, l, 2 * draw(QUARTERS)))
+    for i in range(len(moves), draw(st.integers(3, 5))):
+        if draw(st.integers(0, 2)):
+            a, b = draw(st.permutations(objects))[:2]
+            moves.append(suspension_move(f"m{i}", a, b, draw(QUARTERS)))
+        else:
+            areas = draw(st.lists(QUARTERS.filter(bool), min_size=1,
+                                  max_size=2))
+            groups = draw(st.lists(st.integers(0, 1), min_size=len(areas),
+                                   max_size=len(areas)))
+            moves.append(trace_move(
+                f"m{i}", draw(name),
+                draw(st.lists(name, min_size=1, max_size=3)), areas, groups))
+    family = draw(st.lists(name, unique=True))
+    space = MetricSpace(LINE, [LagObject(o, ["L"]) for o in objects],
+                        {"F": family}, moves)
+    return space, lp, l
+
+
+def _least(found, k):
+    return min((s for s, c in found if c <= k), default=INF)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(search_cases())
+def test_search_agrees_with_every_sequence_of_moves(case):
+    space, lp, l = case
+    shadows = {mv.name: mv.shadow for mv in space.moves}
+    family = space.families["F"]
+    for top_end in (False, True):
+        found = ref_metric_uppers(space.moves, lp, l, family, top_end)
+        for k in range(5):
+            r = space.d_k(lp, l, "F", k, top_end=top_end)
+            assert r.upper == _least(found, k), (top_end, k)
+            if r.upper < INF:
+                used = [] if r.witness == "identity" else r.witness.split("+")
+                assert sum((shadows[n] for n in used), F(0)) == r.upper
+    found = ref_metric_uppers(space.moves, lp, l, family)
+    assert space.d_f(lp, l, "F").upper == _least(found, 6)
+    for a in (F(0), F(1, 2), F(2), F(5)):
+        want = next((k for k in range(9) if _least(found, k) <= a), INF)
+        assert space.cone_length(lp, l, "F", a).upper == want, a
