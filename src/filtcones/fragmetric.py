@@ -301,8 +301,8 @@ class MetricSpace:
         goals = self._search(lp, l, family, top_end)
         lower, cert = INF, "no ends"
         for k in itertools.count():
-            c = max((c for c in goals if c <= k), default=None)
-            upper, witness = (INF, None) if c is None else goals[c]
+            fits = [c for c in goals if c <= k]
+            upper, witness = goals[max(fits)] if fits else (INF, None)
             for ends in itertools.combinations_with_replacement(
                     sorted(set(family)), k):
                 val, why = self._bound_for_ends(lp, l, ends, mode)
