@@ -28,7 +28,8 @@ from test_segment_pairs import _floer_sanity_pool
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 REPRO = {("1/8", "1/256"): "repro-lemma-ex1-eps1_8-delta1_256.txt",
-         ("1/10", "1/1000"): "repro-lemma-ex1-eps1_10-delta1_1000.txt"}
+         ("1/10", "1/1000"): "repro-lemma-ex1-eps1_10-delta1_1000.txt",
+         ("3/29", "1/8999"): "repro-lemma-ex1-eps3_29-delta1_8999.txt"}
 TABLE = "floer-table.txt"
 METRIC_TABLE = "metric-table.txt"
 METRIC_SCENARIO = "metric-lem-ex1.scenario"
