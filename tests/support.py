@@ -8,6 +8,7 @@ enumeration) so that agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -17,9 +18,7 @@ from filtcones.filtcx import (
     Chain, F2Basis, FiltError, FilteredComplex, NEG_INF, _denominators,
     action_level, chain_add, chain_scale, chain_shift,
 )
-from filtcones.surface.curves import (
-    SIDE, GeometryError, _seg_common, wrap_point,
-)
+from filtcones.surface.curves import SIDE, GeometryError, wrap_point
 
 Rat = Fraction
 
@@ -695,6 +694,39 @@ def strict_right_mult_hom(cat, m_src, m_tgt, c):
 # with no bounding-box pruning
 # ---------------------------------------------------------------------------
 
+def ref_seg_common(p1, p2, q1, q2):
+    """Exact contact between two closed segments with rational endpoints,
+    by the division form: the hit parameters t and u are Fractions.
+
+    Returns None, ("point", p, kind) with kind "proper" (both interiors)
+    or "touch", or ("overlap",) for a collinear sub-segment.
+    """
+    r = (p2[0] - p1[0], p2[1] - p1[1])
+    s = (q2[0] - q1[0], q2[1] - q1[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    qp = (q1[0] - p1[0], q1[1] - p1[1])
+    if denom == 0:
+        if qp[0] * r[1] - qp[1] * r[0] != 0:
+            return None  # parallel, disjoint lines
+        rr = r[0] * r[0] + r[1] * r[1]
+        t0 = Fraction(qp[0] * r[0] + qp[1] * r[1]) / rr
+        t1 = t0 + Fraction(s[0] * r[0] + s[1] * r[1]) / rr
+        lo, hi = min(t0, t1), max(t0, t1)
+        if hi < 0 or lo > 1:
+            return None
+        if hi == 0:
+            return ("point", p1, "touch")
+        if lo == 1:
+            return ("point", p2, "touch")
+        return ("overlap",)
+    t = Fraction(qp[0] * s[1] - qp[1] * s[0]) / denom
+    u = Fraction(qp[0] * r[1] - qp[1] * r[0]) / denom
+    if t < 0 or t > 1 or u < 0 or u > 1:
+        return None
+    kind = "proper" if (0 < t < 1 and 0 < u < 1) else "touch"
+    return ("point", (p1[0] + t * r[0], p1[1] + t * r[1]), kind)
+
+
 def _translate(seg, t):
     return tuple((p[0] + t[0], p[1] + t[1]) for p in seg)
 
@@ -705,18 +737,30 @@ def _edge_bounds(edges):
     return (min(xs), min(ys)), (max(xs), max(ys))
 
 
+def _ref_translates(curve, lo, hi):
+    """Deck translates (multiples of SIDE) of ``curve`` whose vertex box,
+    widened by one square on each side, meets the box [lo, hi]."""
+    pts = curve.vertices + [curve.closure]
+    ranges = []
+    for c in (0, 1):
+        vals = [p[c] for p in pts]
+        ranges.append(range(math.floor((lo[c] - max(vals)) / SIDE) - 1,
+                            math.ceil((hi[c] - min(vals)) / SIDE) + 2))
+    return [(SIDE * kx, SIDE * ky) for kx in ranges[0] for ky in ranges[1]]
+
+
 def ref_is_embedded(curve) -> bool:
     """``TorusCurve.is_embedded`` over every edge pair of every nearby
     deck translate."""
     edges = curve.edges()
     n = len(edges)
     cls = (SIDE * curve.hclass[0], SIDE * curve.hclass[1])
-    for t in curve.translates_hitting(*_edge_bounds(edges)):
+    for t in _ref_translates(curve, *_edge_bounds(edges)):
         for i, (a, b) in enumerate(edges):
             for j, seg in enumerate(edges):
                 if t == (0, 0) and j <= i:
                     continue
-                hit = _seg_common(a, b, *_translate(seg, t))
+                hit = ref_seg_common(a, b, *_translate(seg, t))
                 if hit is None:
                     continue
                 allowed = None
@@ -740,10 +784,10 @@ def ref_crossings(c1, c2, proper: bool):
     ``proper`` is set and raise like ``intersections`` otherwise."""
     edges1 = c1.edges()
     pts = set()
-    for t in c2.translates_hitting(*_edge_bounds(edges1)):
+    for t in _ref_translates(c2, *_edge_bounds(edges1)):
         for a, b in edges1:
             for seg in c2.edges():
-                hit = _seg_common(a, b, *_translate(seg, t))
+                hit = ref_seg_common(a, b, *_translate(seg, t))
                 if hit is None:
                     continue
                 if hit[0] == "overlap":
@@ -772,7 +816,7 @@ def ref_atomic_segments(segments):
         for k2 in keys[i + 1:]:
             for p, q in lines[k1]:
                 for r, s in lines[k2]:
-                    hit = _seg_common(p, q, r, s)
+                    hit = ref_seg_common(p, q, r, s)
                     if hit is not None and hit[0] == "point":
                         cuts[k1].add(hit[1])
                         cuts[k2].add(hit[1])

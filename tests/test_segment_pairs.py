@@ -15,10 +15,10 @@ from filtcones.surface import (
     intersections, planar_shadow, shear_diagram,
 )
 from filtcones.surface import shadow
-from filtcones.surface.curves import _seg_common, crossings, segment_pairs
+from filtcones.surface.curves import crossings, segment_pairs
 
 from support import (
-    ref_atomic_segments, ref_crossings, ref_is_embedded,
+    ref_atomic_segments, ref_crossings, ref_is_embedded, ref_seg_common,
 )
 
 # -- the enumerator on random segments ------------------------------------------
@@ -88,7 +88,7 @@ def test_segment_pairs_yields_every_contact(segs, others):
         assert sorted(got) == [(i, j) for i, j in candidates
                                if _boxes_meet(segs[i], second[j])]
         contacts = {(i, j) for i, j in candidates
-                    if _seg_common(*segs[i], *second[j]) is not None}
+                    if ref_seg_common(*segs[i], *second[j]) is not None}
         assert contacts <= set(got)
 
 

@@ -310,6 +310,20 @@ def test_shadow_nested_and_crossing():
     assert planar_shadow(d2) == 7
 
 
+@pytest.mark.parametrize("lo, hi, shadow", [
+    (F(1, 3), F(2, 3), 8),       # inside the triangle: a hole, subtracted
+    (F(7, 3), F(8, 3), F(73, 9)),  # beside the hypotenuse: its own face
+    (F(5, 3), F(7, 3), F(74, 9)),  # across the hypotenuse
+])
+def test_shadow_hole_against_a_slanted_edge(lo, hi, shadow):
+    # the hole's probe is tested against the triangle, whose hypotenuse
+    # is the one edge that is neither horizontal nor vertical
+    d = PlanarDiagram()
+    d.add_polyline([(0, 0), (4, 0), (0, 4), (0, 0)])
+    d.add_rect(lo, lo, hi, hi)
+    assert planar_shadow(d) == shadow
+
+
 def test_shadow_with_rays_and_pocket():
     # a claw: two rays plus a rectangle pocket touching them
     d = PlanarDiagram(rays=[((0, 0), -1), ((0, 2), -1), ((3, 1), 1)])
