@@ -4,6 +4,13 @@ A curve is stored as its lift: a vertex path in the plane whose final
 point differs from the first by (2p, 2q); (p, q) is the homology class.
 Edges are straight segments in the universal cover.
 
+The exact predicates run on integers: each call multiplies the points
+it works on by their common scale q (``common_scale``, the lcm of the
+coordinate denominators; ``scaled``), so deck translates become
+multiples of 2q and the contact predicate ``_seg_common`` compares
+integer numerators without dividing.  Points, crossing records and areas
+are returned as Fractions in the torus coordinates.
+
 Pairs of segments are tested only as ``segment_pairs`` yields them: the
 pairs whose closed axis-aligned bounding boxes meet.  It never decides
 contact itself; ``_seg_common`` is the one exact contact predicate.  The
@@ -13,6 +20,7 @@ pairs it skips share no point, as their closed boxes are disjoint.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..novikov import rat
@@ -34,36 +42,63 @@ def wrap_point(p: Point) -> Point:
     return (Fraction((p[0] + 1) % SIDE) - 1, Fraction((p[1] + 1) % SIDE) - 1)
 
 
+def common_scale(points) -> int:
+    """The lcm of the coordinate denominators of ``points``: the least
+    q > 0 that makes every coordinate times q an integer."""
+    return lcm(*{c.denominator for p in points for c in p})
+
+
+def scaled(points, q: int) -> List[Tuple[int, int]]:
+    """The points times ``q``, as integer pairs (q from ``common_scale``)."""
+    return [(x.numerator * (q // x.denominator),
+             y.numerator * (q // y.denominator)) for x, y in points]
+
+
 def _seg_common(p1, p2, q1, q2):
-    """Exact contact between two closed segments.
+    """Exact contact between two closed segments with integer endpoints.
 
     Returns None, ("point", p, kind) with kind "proper" (both interiors)
-    or "touch", or ("overlap",) for a collinear sub-segment.
+    or "touch", or ("overlap",) for a collinear sub-segment.  The hit
+    parameters t/denom on p1p2 and u/denom on q1q2 are compared as
+    integer numerators against denom > 0.  A touch point is the endpoint
+    itself; only a proper hit point is divided out, as a pair of
+    Fractions in the same frame.
     """
-    r = (p2[0] - p1[0], p2[1] - p1[1])
-    s = (q2[0] - q1[0], q2[1] - q1[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    qp = (q1[0] - p1[0], q1[1] - p1[1])
+    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
+    sx, sy = q2[0] - q1[0], q2[1] - q1[1]
+    qx, qy = q1[0] - p1[0], q1[1] - p1[1]
+    denom = rx * sy - ry * sx
+    u = qx * ry - qy * rx
     if denom == 0:
-        if qp[0] * r[1] - qp[1] * r[0] != 0:
+        if u != 0:
             return None  # parallel, disjoint lines
-        rr = r[0] * r[0] + r[1] * r[1]
-        t0 = (qp[0] * r[0] + qp[1] * r[1]) / rr
-        t1 = t0 + (s[0] * r[0] + s[1] * r[1]) / rr
-        lo, hi = min(t0, t1), max(t0, t1)
-        if hi < 0 or lo > 1:
+        # positions of q1 and q2 along p1p2, times |r|^2
+        rr = rx * rx + ry * ry
+        t0 = qx * rx + qy * ry
+        t1 = t0 + sx * rx + sy * ry
+        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+        if hi < 0 or lo > rr:
             return None
         if hi == 0:
             return ("point", p1, "touch")
-        if lo == 1:
+        if lo == rr:
             return ("point", p2, "touch")
         return ("overlap",)
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-    if t < 0 or t > 1 or u < 0 or u > 1:
+    t = qx * sy - qy * sx
+    if denom < 0:
+        denom, t, u = -denom, -t, -u
+    if t < 0 or t > denom or u < 0 or u > denom:
         return None
-    kind = "proper" if (0 < t < 1 and 0 < u < 1) else "touch"
-    return ("point", (p1[0] + t * r[0], p1[1] + t * r[1]), kind)
+    if t == 0:
+        return ("point", p1, "touch")
+    if t == denom:
+        return ("point", p2, "touch")
+    if u == 0:
+        return ("point", q1, "touch")
+    if u == denom:
+        return ("point", q2, "touch")
+    return ("point", (Fraction(p1[0] * denom + t * rx, denom),
+                      Fraction(p1[1] * denom + t * ry, denom)), "proper")
 
 
 def segment_pairs(segs, others=None) -> List[Tuple[int, int]]:
@@ -121,26 +156,16 @@ class TorusCurve:
         pts = self.vertices + [self.closure]
         return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
-    def translates_hitting(self, lo: Point, hi: Point):
-        """Deck translates t with edge bounding boxes meeting [lo, hi]."""
-        xs = [p[0] for p in self.vertices + [self.closure]]
-        ys = [p[1] for p in self.vertices + [self.closure]]
-        out = []
-        kx_min = int(((lo[0] - max(xs)) / SIDE).__floor__())
-        kx_max = int(((hi[0] - min(xs)) / SIDE).__ceil__())
-        ky_min = int(((lo[1] - max(ys)) / SIDE).__floor__())
-        ky_max = int(((hi[1] - min(ys)) / SIDE).__ceil__())
-        for kx in range(kx_min, kx_max + 1):
-            for ky in range(ky_min, ky_max + 1):
-                out.append((SIDE * kx, SIDE * ky))
-        return out
-
     def is_embedded(self) -> bool:
         """No self-intersections on the torus (translate-aware)."""
-        edges = self.edges()
+        path = self.vertices + [self.closure]
+        q = common_scale(path)
+        pts = scaled(path, q)
+        edges = list(zip(pts, pts[1:]))
         n = len(edges)
-        cls = (SIDE * self.hclass[0], SIDE * self.hclass[1])
-        shifts, shifted = _translated_edges(self, edges)
+        cls = self.hclass
+        back = (-cls[0], -cls[1])
+        shifts, shifted = _translated_edges(pts, pts, q)
         for i, k in segment_pairs(edges, shifted):
             t, j = shifts[k // n], k % n
             if t == (0, 0) and j <= i:
@@ -154,7 +179,7 @@ class TorusCurve:
             if t == (0, 0) and j == i + 1 or i == n - 1 and j == 0 \
                     and t == cls:
                 allowed = b
-            elif i == 0 and j == n - 1 and t in ((0, 0), (-cls[0], -cls[1])):
+            elif i == 0 and j == n - 1 and t in ((0, 0), back):
                 allowed = a
             else:
                 allowed = None
@@ -221,14 +246,23 @@ class TorusCurve:
         return f"TorusCurve({self.name or self.hclass})"
 
 
-def _translated_edges(curve: TorusCurve, near):
-    """The deck translates of ``curve`` whose edges can meet the edges
-    ``near``, and the curve's edges moved by each, translate-major."""
-    xs = [p[0] for e in near for p in e]
-    ys = [p[1] for e in near for p in e]
-    shifts = curve.translates_hitting((min(xs), min(ys)), (max(xs), max(ys)))
-    return shifts, [((c[0] + t[0], c[1] + t[1]), (d[0] + t[0], d[1] + t[1]))
-                    for t in shifts for c, d in curve.edges()]
+def _translated_edges(pts, near, q: int):
+    """Deck translates of the closed lift path ``pts`` (integer points at
+    scale ``q``) whose edges can meet the integer points ``near``: the
+    multipliers (kx, ky) of the translates (2q kx, 2q ky), with kx and ky
+    ascending, and the path's edges moved by each, translate-major."""
+    side = 2 * q
+    ranges = []
+    for c in (0, 1):
+        vals = [p[c] for p in pts]
+        lo, hi = min(p[c] for p in near), max(p[c] for p in near)
+        ranges.append(range((lo - max(vals)) // side,
+                            -((min(vals) - hi) // side) + 1))
+    edges = list(zip(pts, pts[1:]))
+    shifts = [(kx, ky) for kx in ranges[0] for ky in ranges[1]]
+    return shifts, [((c[0] + side * kx, c[1] + side * ky),
+                     (d[0] + side * kx, d[1] + side * ky))
+                    for kx, ky in shifts for c, d in edges]
 
 
 class Crossing(NamedTuple):
@@ -249,9 +283,12 @@ def _crossing_points(c1: TorusCurve, c2: TorusCurve,
     """The transverse crossings, keyed by wrapped point.  Endpoint
     touches and collinear overlaps are skipped if ``proper`` is set and
     raise GeometryError otherwise."""
-    edges1 = c1.edges()
-    n2 = len(c2.edges())
-    shifts, shifted = _translated_edges(c2, edges1)
+    path1, path2 = c1.vertices + [c1.closure], c2.vertices + [c2.closure]
+    q = common_scale(path1 + path2)
+    pts1 = scaled(path1, q)
+    edges1 = list(zip(pts1, pts1[1:]))
+    n2 = len(path2) - 1
+    shifts, shifted = _translated_edges(scaled(path2, q), pts1, q)
     found: Dict[Point, Crossing] = {}
     # scan in (translate, edge of c1, edge of c2) order, which fixes the
     # first degenerate contact found and hence the error raised
@@ -262,11 +299,13 @@ def _crossing_points(c1: TorusCurve, c2: TorusCurve,
         if hit is None:
             continue
         if hit[0] == "point" and hit[2] == "proper":
-            p, t, w = hit[1], shifts[k // n2], wrap_point(hit[1])
+            p = (hit[1][0] / q, hit[1][1] / q)
+            kx, ky = shifts[k // n2]
+            w = wrap_point(p)
             # nonzero for a proper crossing: it is _seg_common's denom
             det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
-            found[w] = Crossing(w, ((i, p), (k % n2, (p[0] - t[0],
-                                                      p[1] - t[1]))),
+            found[w] = Crossing(w, ((i, p), (k % n2, (p[0] - 2 * kx,
+                                                      p[1] - 2 * ky))),
                                 1 if det > 0 else -1)
         elif not proper:
             raise GeometryError("segments overlap along a sub-segment"

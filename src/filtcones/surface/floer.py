@@ -9,6 +9,9 @@ guard.
 
 Every crossing is read from its ``curves.Crossing`` record (edge, lift
 and sign on each curve), so no routine here searches lattice translates.
+Each candidate loop is tested for simplicity and measured on its
+vertices times their common scale q, as integers; its area is the
+integer shoelace sum over 2 q^2.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Dict, List, Tuple
 
 from ..novikov import NovikovScalar
 from ..filtcx import Chain, FilteredComplex, homology_rank
-from .curves import Crossing, GeometryError, Point, TorusCurve, crossings, \
-    path_from, _seg_common, segment_pairs
+from .curves import Crossing, GeometryError, Point, TorusCurve, \
+    common_scale, crossings, path_from, scaled, _seg_common, segment_pairs
 
 
 def _shift(path: List[Point], d: Point) -> List[Point]:
@@ -75,7 +78,8 @@ def _polygon_simple(path: List[Point]) -> bool:
     n = len(path) - 1
     if n < 2:
         return False
-    segs = list(zip(path, path[1:]))
+    pts = scaled(path, common_scale(path))
+    segs = list(zip(pts, pts[1:]))
     for i, j in segment_pairs(segs):
         a, b = segs[i]
         hit = _seg_common(a, b, *segs[j])
@@ -92,11 +96,12 @@ def _polygon_simple(path: List[Point]) -> bool:
 
 
 def _signed_area(path: List[Point]) -> Fraction:
-    s = Fraction(0)
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        s += a[0] * b[1] - b[0] * a[1]
-    return s / 2
+    """Shoelace area of the closed path (first == last), summed on the
+    integer points at its common scale q and divided once by 2 q^2."""
+    q = common_scale(path)
+    pts = scaled(path, q)
+    return Fraction(sum(a[0] * b[1] - b[0] * a[1]
+                        for a, b in zip(pts, pts[1:])), 2 * q * q)
 
 
 def _corner_convex(incoming: Point, outgoing: Point, ccw: bool) -> bool:

@@ -4,16 +4,24 @@ A diagram holds PL curves in the plane plus horizontal end rays.  The
 shadow is the total area of the bounded complementary faces, computed
 from the exact rational arrangement (rays are clipped at a bounding box
 and faces touching the box are unbounded).
+
+The arrangement is built on the segments times their common scale, in
+integers; the cut points are divided back once, and the faces are traced
+on the arrangement's vertices times their own common scale q, where
+twice an area is an integer.  Areas are returned as Fractions.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..novikov import on_line, rat
-from .curves import GeometryError, _seg_common, segment_pairs
+from .curves import GeometryError, common_scale, scaled, _seg_common, \
+    segment_pairs
 
 Point = Tuple[Fraction, Fraction]
 
@@ -89,41 +97,44 @@ def shear_diagram(d: PlanarDiagram, lam) -> PlanarDiagram:
 
 def _atomic_segments(segments: List[Tuple[Point, Point]]):
     """Split segments at all mutual intersections and de-overlap
-    collinear pieces; returns a set of interior-disjoint edges."""
-    # group by supporting line: (a, b, c) with a*x + b*y = c normalized
+    collinear pieces; returns a set of interior-disjoint edges.
+
+    The work is done on the segments times their common scale q, and
+    the cut points are divided by q once, at the end."""
+    q = common_scale([p for seg in segments for p in seg])
+    segs = [tuple(scaled(seg, q)) for seg in segments]
+    # group by supporting line: (a, b, c) with a*x + b*y = c, reduced by
+    # gcd(a, b) and signed so that the first nonzero of a, b is positive
     lines: Dict[Tuple, List[Tuple[Point, Point]]] = {}
     cuts: Dict[Tuple, set] = {}
     line_cuts = []  # the cut set of each segment's supporting line
-    for (p, q) in segments:
-        a = q[1] - p[1]
-        b = p[0] - q[0]
-        c = a * p[0] + b * p[1]
-        if a != 0:
-            scale = a
-        else:
-            scale = b
-        key = (a / scale, b / scale, c / scale)
-        lines.setdefault(key, []).append((p, q))
+    for (p, r) in segs:
+        a = r[1] - p[1]
+        b = p[0] - r[0]
+        g = gcd(a, b)
+        if a < 0 or a == 0 and b < 0:
+            g = -g
+        key = (a // g, b // g, (a * p[0] + b * p[1]) // g)
+        lines.setdefault(key, []).append((p, r))
         cut = cuts.setdefault(key, set())
-        cut.update((p, q))
+        cut.update((p, r))
         line_cuts.append(cut)
-    for i, j in segment_pairs(segments):
+    for i, j in segment_pairs(segs):
         cut1, cut2 = line_cuts[i], line_cuts[j]
         if cut1 is cut2:
             continue  # same line: overlaps are merged by the cuts below
-        hit = _seg_common(*segments[i], *segments[j])
+        hit = _seg_common(*segs[i], *segs[j])
         if hit is not None and hit[0] == "point":
             cut1.add(hit[1])
             cut2.add(hit[1])
     edges = set()
-    for k, segs in lines.items():
+    for k, lsegs in lines.items():
         pts = sorted(cuts[k])
-        for (p, q) in segs:
-            lo, hi = sorted((p, q))
-            inside = [x for x in pts if lo <= x <= hi]
-            for u, v in zip(inside, inside[1:]):
-                if u != v:
-                    edges.add((u, v))
+        back = [(Fraction(x, q), Fraction(y, q)) for x, y in pts]
+        for (p, r) in lsegs:
+            lo, hi = sorted((p, r))
+            i, j = bisect_left(pts, lo), bisect_right(pts, hi)
+            edges.update(zip(back[i:j], back[i + 1:j]))
     return edges
 
 
@@ -155,7 +166,14 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
     box_edges = [((bx0, by0), (bx1, by0)), ((bx1, by0), (bx1, by1)),
                  ((bx1, by1), (bx0, by1)), ((bx0, by1), (bx0, by0))]
     segments += box_edges
-    edges = _atomic_segments(segments)
+    # trace the faces on the arrangement's vertices times their common
+    # scale q; twice an area is then an integer s, and the area s / 2q^2
+    atomic = _atomic_segments(segments)
+    verts = list({p for e in atomic for p in e})
+    q = common_scale(verts)
+    to_int = dict(zip(verts, scaled(verts, q)))
+    to_rat = {v: p for p, v in to_int.items()}
+    edges = [(to_int[u], to_int[v]) for u, v in atomic]
     # half-edge structure
     out_edges: Dict[Point, List[Point]] = {}
     for (u, v) in edges:
@@ -181,13 +199,14 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
 
     visited = set()
     faces = []
-    box_x = {bx0, bx1}
-    box_y = {by0, by1}
+    (ix0, iy0), (ix1, iy1) = to_int[(bx0, by0)], to_int[(bx1, by1)]
+    box_x = {ix0, ix1}
+    box_y = {iy0, iy1}
 
     def on_boundary(p: Point) -> bool:
         return p[0] in box_x or p[1] in box_y
 
-    for (u, v) in list(edges):
+    for (u, v) in edges:
         for h in ((u, v), (v, u)):
             if h in visited:
                 continue
@@ -201,21 +220,22 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
                 idx = nbrs.index(a)
                 nxt = nbrs[(idx - 1) % len(nbrs)]
                 cur = (b, nxt)
-            area = Fraction(0)
+            area = 0  # twice the area, times q^2
             touches_box = False
             for (a, b) in cycle:
                 area += a[0] * b[1] - b[0] * a[1]
                 if on_boundary(a) and on_boundary(b):
                     touches_box = True
-            faces.append((area / 2, touches_box, cycle))
-    total = Fraction(0)
+            faces.append((area, touches_box, cycle))
+    total = 0
     kept = []
     positives = [(area, cycle, touches) for area, touches, cycle in faces
                  if area > 0]
     for area, touches, cycle in faces:
         if area > 0 and not touches:
             total += area
-            kept.append((area, cycle))
+            kept.append((Fraction(area, 2 * q * q),
+                         [(to_rat[a], to_rat[b]) for a, b in cycle]))
     # negative cycles are hole boundaries of the face that contains them;
     # subtract those sitting inside a bounded face (their interior was
     # already counted by the enclosing positive cycle).  A hole can only
@@ -234,19 +254,25 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
                     best = (parea, ptouches)
         if best is not None and not best[1]:
             total += area  # area is negative
+    total = Fraction(total, 2 * q * q)
     if return_faces:
         return total, kept
     return total
 
 
 def _point_in_cycle(p: Point, cycle) -> bool:
-    """Even-odd test against the half-edge cycle (p must avoid its edges)."""
+    """Even-odd test against the half-edge cycle (p must avoid its edges).
+
+    An edge (a, b) that crosses the horizontal line through p counts if
+    it crosses right of p, at some x > p_x; ``right`` below is
+    (x - p_x)(b_y - a_y), so it counts if right (b_y - a_y) > 0.
+    """
     inside = False
     for (a, b) in cycle:
         if (a[1] > p[1]) != (b[1] > p[1]):
-            t = (p[1] - a[1]) / (b[1] - a[1])
-            x = a[0] + t * (b[0] - a[0])
-            if x > p[0]:
+            right = ((a[0] - p[0]) * (b[1] - a[1])
+                     + (p[1] - a[1]) * (b[0] - a[0]))
+            if right * (b[1] - a[1]) > 0:
                 inside = not inside
     return inside
 

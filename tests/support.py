@@ -830,6 +830,33 @@ def ref_atomic_segments(segments):
     return edges
 
 
+def ref_polygon_simple(path) -> bool:
+    """``floer._polygon_simple`` over every pair of edges of the closed
+    path (first == last): only consecutive edges may meet, and only at
+    their shared vertex."""
+    segs = list(zip(path, path[1:]))
+    n = len(segs)
+    if n < 2:
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            hit = ref_seg_common(*segs[i], *segs[j])
+            if hit is None:
+                continue
+            if hit[0] == "overlap":
+                return False
+            if not (j == i + 1 and hit[1] == segs[i][1]
+                    or i == 0 and j == n - 1 and hit[1] == segs[0][0]):
+                return False
+    return True
+
+
+def ref_signed_area(path) -> Fraction:
+    """Shoelace area of the closed path, summed in Fractions."""
+    return sum((Fraction(a[0]) * b[1] - Fraction(b[0]) * a[1]
+                for a, b in zip(path, path[1:])), Fraction(0)) / 2
+
+
 # ---------------------------------------------------------------------------
 # metric search: every sequence of distinct moves
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The segment-pair enumerator and the geometry built on it, checked
-against all-pairs scans that send every pair to the exact predicate."""
+"""The segment-pair enumerator, the integer geometry kernel and the
+geometry built on them, checked against all-pairs scans that send every
+pair to the Fraction contact predicate of ``support.ref_seg_common``."""
 
 from fractions import Fraction as F
 
@@ -14,39 +15,42 @@ from filtcones.surface import (
     GeometryError, PlanarDiagram, TorusCurve, count_transverse_crossings,
     intersections, planar_shadow, shear_diagram,
 )
-from filtcones.surface import shadow
-from filtcones.surface.curves import crossings, segment_pairs
+from filtcones.surface import floer, shadow
+from filtcones.surface.curves import (
+    _seg_common, common_scale, crossings, scaled, segment_pairs,
+)
 
 from support import (
-    ref_atomic_segments, ref_crossings, ref_is_embedded, ref_seg_common,
+    ref_atomic_segments, ref_crossings, ref_is_embedded, ref_polygon_simple,
+    ref_seg_common, ref_signed_area,
 )
 
 # -- the enumerator on random segments ------------------------------------------
 
 COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
-POINT = st.tuples(COORD, COORD)
 KINDS = ["free", "vertical", "horizontal", "collinear", "shared", "touch",
          "translate"]
 
 
 @st.composite
-def segment_lists(draw):
+def segment_lists(draw, coord=COORD):
     """Rational segments, many of them in special position relative to
     earlier ones: axis-parallel, collinear (overlapping, abutting or
     apart), sharing an endpoint, an axis-parallel segment starting on an
     earlier one, or an earlier one moved by a deck translate."""
     segs = []
+    point = st.tuples(coord, coord)
     for _ in range(draw(st.integers(1, 14))):
         kind = draw(st.sampled_from(KINDS if segs else KINDS[:3]))
-        p = draw(POINT)
+        p = draw(point)
         if kind in ("collinear", "shared", "touch", "translate"):
             a, b = segs[draw(st.integers(0, len(segs) - 1))]
         if kind == "free":
-            q = draw(POINT)
+            q = draw(point)
         elif kind == "vertical":
-            q = (p[0], draw(COORD))
+            q = (p[0], draw(coord))
         elif kind == "horizontal":
-            q = (draw(COORD), p[1])
+            q = (draw(coord), p[1])
         elif kind == "collinear":
             t0, t1 = (draw(st.builds(F, st.integers(-4, 8), st.just(4)))
                       for _ in range(2))
@@ -54,11 +58,11 @@ def segment_lists(draw):
                     for t in (t0, t1))
         elif kind == "shared":
             p = draw(st.sampled_from([a, b]))
-            q = draw(POINT)
+            q = draw(point)
         elif kind == "touch":
             t = draw(st.builds(F, st.integers(0, 4), st.just(4)))
             p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-            h = draw(COORD)
+            h = draw(coord)
             q = draw(st.sampled_from([(p[0], p[1] + h), (p[0] + h, p[1])]))
         else:
             dx, dy = (2 * draw(st.integers(-1, 1)) for _ in range(2))
@@ -90,6 +94,74 @@ def test_segment_pairs_yields_every_contact(segs, others):
         contacts = {(i, j) for i, j in candidates
                     if ref_seg_common(*segs[i], *second[j]) is not None}
         assert contacts <= set(got)
+
+
+# -- the integer kernel against the Fraction division form ---------------------
+
+# pairwise coprime, so a list's common scale grows with every new one
+DENOMS = [1, 3, 7, 29, 64, 125, 1009, 8999, 9973]
+BIG_COORD = st.sampled_from(DENOMS).flatmap(
+    lambda d: st.builds(F, st.integers(-3 * d, 3 * d), st.just(d)))
+
+
+def _unscaled(hit, q):
+    """A kernel contact with its point divided by the scale q."""
+    if hit is None or hit[0] == "overlap":
+        return hit
+    return ("point", (F(hit[1][0], q), F(hit[1][1], q)), hit[2])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(segment_lists(BIG_COORD))
+def test_integer_contact_matches_the_division_form(segs):
+    q = common_scale([p for seg in segs for p in seg])
+    ints = [tuple(scaled(seg, q)) for seg in segs]
+    assert all(isinstance(c, int) for seg in ints for p in seg for c in p)
+    for i in range(len(segs)):
+        for j in range(len(segs)):
+            got = _seg_common(*ints[i], *ints[j])
+            assert _unscaled(got, q) == ref_seg_common(*segs[i], *segs[j])
+
+
+@st.composite
+def closed_paths(draw):
+    """Closed rational paths (first == last) with no repeated consecutive
+    vertex: vertices in drawn order, some steps axis-parallel and some
+    part way back along the last step, or the same vertices as an
+    x-monotone polygon, which is simple."""
+    pts = [(draw(BIG_COORD), draw(BIG_COORD))]
+    for _ in range(draw(st.integers(2, 7))):
+        step = draw(st.sampled_from(["free", "vertical", "horizontal",
+                                     "back"]))
+        x, y = pts[-1]
+        if step == "free":
+            pts.append((draw(BIG_COORD), draw(BIG_COORD)))
+        elif step == "vertical":
+            pts.append((x, draw(BIG_COORD)))
+        elif step == "horizontal":
+            pts.append((draw(BIG_COORD), y))
+        elif len(pts) > 1:  # part way back along the last step
+            t = draw(st.builds(F, st.integers(1, 3), st.just(4)))
+            a = pts[-2]
+            pts.append((x + t * (a[0] - x), y + t * (a[1] - y)))
+    if draw(st.booleans()):
+        # the vertices above the line from the least to the greatest
+        # point, ascending, then the rest descending
+        a, b = min(pts), max(pts)
+        above = {p for p in pts if (b[0] - a[0]) * (p[1] - a[1])
+                 > (b[1] - a[1]) * (p[0] - a[0])}
+        pts = sorted(above) + sorted(set(pts) - above, reverse=True)
+    path = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
+    while len(path) > 1 and path[-1] == path[0]:
+        path.pop()
+    return path + [path[0]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(closed_paths())
+def test_polygon_predicates_match_fraction_references(path):
+    assert floer._signed_area(path) == ref_signed_area(path)
+    assert floer._polygon_simple(path) == ref_polygon_simple(path)
 
 
 # -- the callers against all-pairs scans ---------------------------------------
