@@ -24,6 +24,7 @@ from .curves import GeometryError, common_scale, scaled, _seg_common, \
     segment_pairs
 
 Point = Tuple[Fraction, Fraction]
+IPoint = Tuple[int, int]  # a point times the common scale of its call
 
 
 class PlanarDiagram:
@@ -105,7 +106,7 @@ def _atomic_segments(segments: List[Tuple[Point, Point]]):
     segs = [tuple(scaled(seg, q)) for seg in segments]
     # group by supporting line: (a, b, c) with a*x + b*y = c, reduced by
     # gcd(a, b) and signed so that the first nonzero of a, b is positive
-    lines: Dict[Tuple, List[Tuple[Point, Point]]] = {}
+    lines: Dict[Tuple, List[Tuple[IPoint, IPoint]]] = {}
     cuts: Dict[Tuple, set] = {}
     line_cuts = []  # the cut set of each segment's supporting line
     for (p, r) in segs:
@@ -138,7 +139,7 @@ def _atomic_segments(segments: List[Tuple[Point, Point]]):
     return edges
 
 
-def _pseudo_angle_cmp(u: Point, v: Point) -> int:
+def _pseudo_angle_cmp(u: IPoint, v: IPoint) -> int:
     """Counterclockwise order of directions starting from east."""
     def half(w):
         return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
@@ -175,7 +176,7 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
     to_rat = {v: p for p, v in to_int.items()}
     edges = [(to_int[u], to_int[v]) for u, v in atomic]
     # half-edge structure
-    out_edges: Dict[Point, List[Point]] = {}
+    out_edges: Dict[IPoint, List[IPoint]] = {}
     for (u, v) in edges:
         out_edges.setdefault(u, []).append(v)
         out_edges.setdefault(v, []).append(u)
@@ -184,7 +185,7 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
             lambda a, b, v=v: _pseudo_angle_cmp(
                 (a[0] - v[0], a[1] - v[1]), (b[0] - v[0], b[1] - v[1]))))
     # connected components of the arrangement (for hole assignment)
-    parent: Dict[Point, Point] = {}
+    parent: Dict[IPoint, IPoint] = {}
 
     def find(p):
         while parent[p] != p:
@@ -203,7 +204,7 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
     box_x = {ix0, ix1}
     box_y = {iy0, iy1}
 
-    def on_boundary(p: Point) -> bool:
+    def on_boundary(p: IPoint) -> bool:
         return p[0] in box_x or p[1] in box_y
 
     for (u, v) in edges:
@@ -260,7 +261,7 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
     return total
 
 
-def _point_in_cycle(p: Point, cycle) -> bool:
+def _point_in_cycle(p: IPoint, cycle) -> bool:
     """Even-odd test against the half-edge cycle (p must avoid its edges).
 
     An edge (a, b) that crosses the horizontal line through p counts if

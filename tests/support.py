@@ -8,10 +8,9 @@ enumeration) so that agreement is meaningful.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
@@ -744,8 +743,8 @@ def _ref_translates(curve, lo, hi):
     ranges = []
     for c in (0, 1):
         vals = [p[c] for p in pts]
-        ranges.append(range(math.floor((lo[c] - max(vals)) / SIDE) - 1,
-                            math.ceil((hi[c] - min(vals)) / SIDE) + 2))
+        ranges.append(range(floor((lo[c] - max(vals)) / SIDE) - 1,
+                            ceil((hi[c] - min(vals)) / SIDE) + 2))
     return [(SIDE * kx, SIDE * ky) for kx in ranges[0] for ky in ranges[1]]
 
 

@@ -111,7 +111,7 @@ def _unscaled(hit, q):
     return ("point", (F(hit[1][0], q), F(hit[1][1], q)), hit[2])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(segment_lists(BIG_COORD))
 def test_integer_contact_matches_the_division_form(segs):
     q = common_scale([p for seg in segs for p in seg])
