@@ -326,8 +326,13 @@ class MetricSpace:
     def cone_length(self, lp: str, l: str, family_name: str, a,
                     kmax: int = 8) -> MetricResult:
         """l_a: minimal number of extra ends admitting shadow <= a."""
-        a = rat(a) if a is not None else INF
-        lower_k = 0
+        if a is None:  # infinity: the fewest extra ends of any witness
+            goals = self._search(lp, l, self.families[family_name], False)
+            k = min((c for c in goals if c <= kmax), default=None)
+            return MetricResult(0, INF, None, "budget exhausted") if k is None \
+                else MetricResult(0, k, goals[k][1], "upper only" if k
+                                  else "pruned below")
+        a, lower_k = rat(a), 0
         for k, r in enumerate(itertools.islice(
                 self._results(lp, l, family_name), kmax + 1)):
             if r.upper <= a:

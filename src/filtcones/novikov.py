@@ -157,15 +157,6 @@ class NovikovScalar:
         acc.truncated = True  # inverse only meaningful below cutoff
         return acc
 
-    def divide(self, other: "NovikovScalar") -> "NovikovScalar":
-        """self / other in the Novikov field, exact below the cutoff."""
-        self._check(other)
-        if other.is_zero():
-            raise NovikovError("division by zero")
-        v = other.valuation()
-        unit = other.shift(-v)
-        return (self * unit.invert()).shift(-v)
-
     def rebase(self, cutoff: RatLike) -> "NovikovScalar":
         """Same scalar under another cutoff (may truncate further)."""
         return NovikovScalar(self.exps, cutoff, self.truncated)
@@ -219,17 +210,5 @@ def on_line(lineno: int, error=ValueError):
         raise error(f"line {lineno}: {exc}") from exc
 
 
-def nov_add(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
-    return x + y
-
-
-def nov_mul(x: NovikovScalar, y: NovikovScalar) -> NovikovScalar:
-    return x * y
-
-
 def valuation(x: NovikovScalar) -> Fraction:
     return x.valuation()
-
-
-def nov_invert(x: NovikovScalar) -> NovikovScalar:
-    return x.invert()

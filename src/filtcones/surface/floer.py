@@ -1,98 +1,80 @@
 """Combinatorial Floer complexes for transverse curve pairs on the torus.
 
 Generators are the intersection points at action zero; the differential
-counts embedded bigons in the universal cover bounded by one arc of each
-curve with convex corners, weighted by T^area, mod 2.  Boundary arcs may
-wind at most one extra time around their curve.  That window is not
-proven to hold every bigon; d^2 = 0, verified at construction, is the
-guard.
+counts embedded bigons (lunes) in the universal cover, bounded by one arc
+of each curve with convex corners, weighted by T^area, mod 2, and directed
+from the positive corner to the negative one.  One polygon walk finds the
+lunes and the triangles of ``mu2_triangles`` from the order of the
+crossings along the curves' lifts, as de Silva, Robbin and Salamon read
+lunes (*Combinatorial Floer Homology*, Mem. AMS 230, 2014).
 
-Every crossing is read from its ``curves.Crossing`` record (edge, lift
-and sign on each curve), so no routine here searches lattice translates.
-Each candidate loop is tested for simplicity and measured on its
-vertices times their common scale q, as integers; its area is the
-integer shoelace sum over 2 q^2.
+A crossing's position on a lift is its edge index plus the fraction of
+that edge before it; the class translate adds the edge count.  Side i of
+a polygon runs on a lift of curve i from corner i to corner i + 1.  The
+sides bound a simple loop iff no crossing of two sides' lifts but their
+common corner lies inside both.  The corners are convex iff each turns
+the same way, as its crossing sign and the directions of its two sides
+say (so a lune's corners carry opposite signs), and the loop's integer
+shoelace area, computed only for loops that pass, has that sign.
+
+Finiteness.  Lifts of two different classes cross finitely often.  When
+the two sides at a corner lie in one class up to sign, the candidates for
+given corner records step along both sides one class translate v at a
+time, and outside a finite window both sides pass the corner's translate
+by v.  So modulo the deck action the candidates are finite, with no bound
+on how far a side winds.  Triangles need exactly two classes equal up to
+sign: three pairwise distinct ones bound an infinite theta series of
+triangles (Polishchuk and Zaslow, 1998) and three equal ones a plane of
+candidates, and both are refused.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import ceil, floor, gcd, lcm
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..novikov import NovikovScalar
 from ..filtcx import Chain, FilteredComplex, homology_rank
-from .curves import Crossing, GeometryError, Point, TorusCurve, \
-    common_scale, crossings, path_from, scaled, _seg_common, segment_pairs
+from .curves import GeometryError, Point, TorusCurve, common_scale, \
+    crossings, scaled
 
 
-def _shift(path: List[Point], d: Point) -> List[Point]:
-    return [(v[0] + d[0], v[1] + d[1]) for v in path]
+class _Lift(NamedTuple):
+    """A curve's stored lift path (closure included), class and edges."""
+    pts: List[Point]
+    cls: Tuple[int, int]
+    n: int
+
+    @classmethod
+    def of(cls, curve: TorusCurve) -> "_Lift":
+        return cls(curve.vertices + [curve.closure], curve.hclass,
+                   len(curve.vertices))
 
 
-def _loop_at(curve: TorusCurve, rec: Crossing, side: int) -> List[Point]:
-    """The closed lift path of ``curve``, which is side ``side`` of the
-    crossing ``rec``, from the wrapped crossing point itself to it plus
-    the curve's class."""
-    i, lift = rec.ends[side]
-    return _shift(path_from(curve, i, lift),
-                  (rec.point[0] - lift[0], rec.point[1] - lift[1]))
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
 
 
-def _arc_options(loop: List[Point], at_p, at_q):
-    """Lift arcs along ``loop`` (from ``_loop_at``) from its start p to
-    lifts of q, where ``at_p`` and ``at_q`` are the (edge index, lift)
-    ends of p and q on the loop's curve.
-
-    Produces the forward and backward simple arcs plus their variants
-    winding one extra time around the curve; every arc is a simple path
-    in the universal cover starting at p itself.
-    """
-    (ip, lp), (iq, lq) = at_p, at_q
-    p, cls = loop[0], (loop[-1][0] - loop[0][0], loop[-1][1] - loop[0][1])
-    back = (-cls[0], -cls[1])
-    q = (lq[0] + p[0] - lp[0], lq[1] + p[1] - lp[1])
-    # loop segment k is the rest of edge ip for k = 0, then edges ip+1,
-    # ..., edges 0..ip-1 plus cls, and edge ip plus cls up to p + cls;
-    # q lies ahead of p on edge ip iff its lift is no further back
-    i = iq - ip
-    if i < 0 or i == 0 and ((lq[0] - lp[0]) * (loop[1][0] - p[0])
-                            + (lq[1] - lp[1]) * (loop[1][1] - p[1])) < 0:
-        i += len(loop) - 2
-        q = (q[0] + cls[0], q[1] + cls[1])
-    rev = [p] + _shift(loop[-2:0:-1], back)  # loop backward, one class down
-    fwd = _dedupe(loop[:i + 1] + [q])  # just [p] when q is p
-    bwd = rev[:len(loop) - 1 - i] + _shift([q], back)
-    return [fwd, bwd, loop[:-1] + _shift(fwd, cls), rev + _shift(bwd, back)]
+def _half(p: Point, q: Point) -> Tuple[int, int]:
+    """(p - q) / 2 for two lifts of one torus point: a deck multiplier."""
+    return int(p[0] - q[0]) // 2, int(p[1] - q[1]) // 2
 
 
-def _dedupe(path):
-    out = [path[0]]
-    for p in path[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return out
+def _pos(lift: _Lift, end) -> Fraction:
+    """Position of a crossing end (edge index i, lift point p) on the
+    stored lift: i plus the fraction of edge i before p."""
+    i, p = end
+    a, b = lift.pts[i], lift.pts[i + 1]
+    c = 0 if a[0] != b[0] else 1
+    return i + (p[c] - a[c]) / (b[c] - a[c])
 
 
-def _polygon_simple(path: List[Point]) -> bool:
-    """Is the closed PL path (first == last) simple?"""
-    n = len(path) - 1
-    if n < 2:
-        return False
-    pts = scaled(path, common_scale(path))
-    segs = list(zip(pts, pts[1:]))
-    for i, j in segment_pairs(segs):
-        a, b = segs[i]
-        hit = _seg_common(a, b, *segs[j])
-        if hit is None:
-            continue
-        if hit[0] == "overlap":
-            return False
-        p = hit[1]
-        consecutive = (j == i + 1 and p == b) or \
-            (i == 0 and j == n - 1 and p == a)
-        if not consecutive:
-            return False
-    return True
+def _moved(p: Point, lift: _Lift, k: int, off) -> Point:
+    """p moved by k class translates of the lift and by ``off``."""
+    return (p[0] + 2 * k * lift.cls[0] + off[0],
+            p[1] + 2 * k * lift.cls[1] + off[1])
 
 
 def _signed_area(path: List[Point]) -> Fraction:
@@ -104,85 +86,178 @@ def _signed_area(path: List[Point]) -> Fraction:
                         for a, b in zip(pts, pts[1:])), 2 * q * q)
 
 
-def _corner_convex(incoming: Point, outgoing: Point, ccw: bool) -> bool:
-    """Interior angle < pi at a transverse corner of a simple loop."""
-    cr = incoming[0] * outgoing[1] - incoming[1] * outgoing[0]
-    return cr > 0 if ccw else cr < 0
+def _blocked(la: _Lift, lb: _Lift, items, shift, arc_a, arc_b,
+             scale) -> bool:
+    """Does a crossing of lifts of a and b lie strictly inside both arcs?
+    Positions are integers over ``scale``; ``items`` hold (position on a,
+    on b, (a lift - b lift) / 2) per record; ``shift`` is (b - a) / 2."""
+    ha, hb, ea, eb = la.cls, lb.cls, la.n * scale, lb.n * scale
+    (a0, a1), (b0, b1) = sorted(arc_a), sorted(arc_b)
+    d = _det(hb, ha)
+    for pa, pb, e in items:
+        f = (shift[0] - e[0], shift[1] - e[1])  # i ha - j hb = f
+        if d:
+            (i, ri), (j, rj) = divmod(_det(hb, f), d), divmod(_det(ha, f), d)
+            if not (ri or rj) and a0 < pa + i * ea < a1 \
+                    and b0 < pb + j * eb < b1:
+                return True
+        elif not _det(ha, f):  # i = tau + sg j for every integer j
+            tau = (f[0] * ha[0] + f[1] * ha[1]) // (ha[0] ** 2 + ha[1] ** 2)
+            sg = 1 if hb == ha else -1
+            s = sorted(sg * (Fraction(x - pa, ea) - tau) for x in (a0, a1))
+            if floor(max(s[0], Fraction(b0 - pb, eb))) + 1 < \
+                    min(s[1], Fraction(b1 - pb, eb)):
+                return True
+    return False
+
+
+def _solve(vecs, rhs):
+    """Integers c with sum c[i] vecs[i] = rhs (one or two vectors)."""
+    if len(vecs) == 1:
+        (a,) = vecs
+        c, r = divmod(rhs[0] * a[0] + rhs[1] * a[1], a[0] ** 2 + a[1] ** 2)
+        return None if r or _det(a, rhs) else [c]
+    d = _det(*vecs)
+    (c0, r0), (c1, r1) = divmod(_det(rhs, vecs[1]), d), \
+        divmod(_det(vecs[0], rhs), d)
+    return None if r0 or r1 else [c0, c1]
+
+
+def _kernel(vecs):
+    """The primitive integer u with sum u[i] vecs[i] = 0, or zero."""
+    if len(vecs) == 2:
+        a, b = vecs
+        return (0, 0) if _det(a, b) else (-1 if a == b else 1, 1)
+    u = [_det(vecs[(c + 1) % 3], vecs[(c + 2) % 3]) for c in range(3)]
+    g = gcd(*u)
+    return tuple(v // g for v in u) if g else tuple(u)
+
+
+def _window(lp, lq, gp, gq, ep, eq):
+    """The t for which the corner's translate by (ep, eq) is not inside
+    both sides, ending lp + t gp and lq + t gq from the corner."""
+    lo, hi = sorted((max if s * gp > 0 else min)(
+        Fraction(s * ep - lp, gp), Fraction(s * eq - lq, gq)) for s in (1, -1))
+    return range(ceil(lo), floor(hi) + 1)
+
+
+def _polygons(lifts, corners):
+    """Embedded polygons with side i on ``lifts[i]``; ``corners[i]`` is
+    (records, flip) for the crossings of sides i - 1 and i, flip set if
+    the records list side i first.  Yields (corner records, signed area,
+    loop from the wrapped corner 0) once per polygon on the torus."""
+    k = len(lifts)
+    # corner i at period n[i] on side i - 1: sum n[i] h[i - 1] = rhs
+    vecs = [lifts[i - 1].cls for i in range(k)]
+    u = _kernel(vecs)
+    if k == 3 and u.count(0) != 1:
+        raise GeometryError("mu_2 needs exactly two of the three classes "
+                            "equal up to sign")
+    pinned = [i for i in range(k) if u[i]][-1:]  # its entry of u is +-1
+    unknown = [i for i in range(k) if i not in pinned]
+    same = next((i for i in range(k) if not _det(vecs[i], lifts[i].cls)),
+                None)  # a corner whose two sides lie in one class
+    sg = same is not None and (1 if vecs[same] == lifts[same].cls else -1)
+    pair = [(i, i - 1) if flip else (i - 1, i)
+            for i, (_, flip) in enumerate(corners)]
+    # every record end's position on its side, an integer over ``scale``
+    frac = {(s % k, id(r.ends[j])): _pos(lifts[s], r.ends[j])
+            for (recs, _), sides in zip(corners, pair) for r in recs
+            for j, s in enumerate(sides)}
+    scale = lcm(*(p.denominator for p in frac.values()))
+    pos = {key: p.numerator * (scale // p.denominator)
+           for key, p in frac.items()}
+    items = [[(pos[a % k, id(r.ends[0])], pos[b % k, id(r.ends[1])],
+               _half(r.ends[0][1], r.ends[1][1])) for r in recs]
+             for (recs, _), (a, b) in zip(corners, pair)]
+    # per corner: (record, end on side i - 1, end on side i, its position
+    # there, half the lift difference of the two ends)
+    ends = [[(r, r.ends[flip], r.ends[1 - flip], pos[i, id(r.ends[1 - flip])],
+              _half(r.ends[1 - flip][1], r.ends[flip][1])) for r in recs]
+            for i, (recs, flip) in enumerate(corners)]
+    for idx in itertools.product(*(range(len(e)) for e in ends)):
+        if k == 2 and idx[0] >= idx[1]:  # a bigon from its first corner
+            continue
+        tup = [ends[i][j] for i, j in enumerate(idx)]
+        sol = _solve([vecs[i] for i in unknown],
+                     [sum(c) for c in zip(*(c[4] for c in tup))])
+        if sol is None:
+            continue
+        s0 = [sol.pop(0) if i in unknown else 0 for i in range(k)]
+
+        def sides(t):
+            n = [a + t * b for a, b in zip(s0, u)]
+            return [(tup[i][3], pos[i, id(tup[i + 1 - k][1])]
+                     + n[i + 1 - k] * lifts[i].n * scale) for i in range(k)]
+
+        ts = range(1)
+        if same is not None:
+            (lp, lq), (lp1, lq1) = [
+                (a[same - 1][0] - a[same - 1][1],
+                 sg * (a[same][1] - a[same][0])) for a in (sides(0), sides(1))]
+            ts = _window(lp, lq, lp1 - lp, lq1 - lq,
+                         lifts[same - 1].n * scale, lifts[same].n * scale)
+        for t in ts:
+            arcs = sides(t)
+            e = [1 if b > a else -1 for a, b in arcs]
+            turns = {e[i - 1] * e[i] * c[0].sign * (1 - 2 * corners[i][1])
+                     for i, c in enumerate(tup)}
+            if len(turns) > 1:
+                continue
+            w, pts = [(0, 0)], [tup[0][2][1]]  # lift offsets, corners
+            for i in range(1, k):
+                end = tup[i][1]
+                pts.append(_moved(end[1], lifts[i - 1], (
+                    arcs[i - 1][1] // scale - end[0]) // lifts[i - 1].n,
+                    w[i - 1]))
+                w.append((pts[i][0] - tup[i][2][1][0],
+                          pts[i][1] - tup[i][2][1][1]))
+            if any(_blocked(lifts[a], lifts[b], items[i], _half(w[b], w[a]),
+                            arcs[a], arcs[b], scale)
+                   for i, (a, b) in enumerate(pair) if k > 2 or i):
+                continue
+            # the loop, moved by a deck translate to start at corner 0
+            to = [int(a - b) for a, b in zip(tup[0][0].point, pts[0])]
+            loop = []
+            for i, (a, b) in enumerate(arcs):
+                off = (int(w[i][0]) + to[0], int(w[i][1]) + to[1])
+                loop.append((pts[i][0] + to[0], pts[i][1] + to[1]))
+                a, b = a // scale, b // scale
+                for g in (range(a + 1, b + 1) if a < b else range(a, b, -1)):
+                    k_, v = divmod(g, lifts[i].n)
+                    loop.append(_moved(lifts[i].pts[v], lifts[i], k_, off))
+            loop.append(loop[0])
+            area = _signed_area(loop)
+            if (area > 0) == (turns.pop() > 0):
+                yield [c[0] for c in tup], area, loop
 
 
 def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, recs=None):
     """Embedded bigons between the two curves in the universal cover.
 
-    Yields (p, q, area, loop) where the loop runs along the N-arc from
-    p to q and back along the L-arc, is simple, and has convex corners.
-    Each bigon on the torus is reported once (lift-translation classes
-    are deduplicated by their vertex sets modulo translation).  ``recs``
-    are the sorted crossing records, if the caller has them already.
-    """
+    Returns (p, q, area, loop) once per bigon on the torus; the loop
+    starts at the wrapped corner p, the one first in ``recs`` (the sorted
+    crossing records, if the caller has them), runs along the N-arc to q
+    and back along the L-arc."""
     recs = crossings(n_curve, l_curve) if recs is None else recs
-    seen = set()
-    out = []
-    for rp in recs:
-        p = rp.point
-        loop_n, loop_l = _loop_at(n_curve, rp, 0), _loop_at(l_curve, rp, 1)
-        for rq in recs:
-            q = rq.point
-            arcs_n = _arc_options(loop_n, rp.ends[0], rq.ends[0])
-            arcs_l = _arc_options(loop_l, rp.ends[1], rq.ends[1])
-            for an in arcs_n:
-                for al in arcs_l:
-                    if an[-1] != al[-1]:
-                        continue
-                    if len(an) < 2 or len(al) < 2:
-                        continue
-                    loop = _dedupe(an + al[-2::-1])
-                    if loop[0] != loop[-1] or len(loop) < 4:
-                        continue
-                    if not _polygon_simple(loop):
-                        continue
-                    area = _signed_area(loop)
-                    if area == 0:
-                        continue
-                    ccw = area > 0
-                    # corners: at p (loop start) and at the N/L junction q
-                    v_in_p = _unit(loop[-2], loop[0])
-                    v_out_p = _unit(loop[0], loop[1])
-                    k = len(an) - 1
-                    v_in_q = _unit(loop[k - 1], loop[k])
-                    v_out_q = _unit(loop[k], loop[k + 1])
-                    if not (_corner_convex(v_in_p, v_out_p, ccw) and
-                            _corner_convex(v_in_q, v_out_q, ccw)):
-                        continue
-                    base = min(loop[:-1])
-                    shape = tuple(sorted((v[0] - base[0], v[1] - base[1])
-                                         for v in loop[:-1]))
-                    key = (tuple(sorted((p, q))), shape)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append((p, q, abs(area), loop))
-    return out
-
-
-def _unit(a: Point, b: Point) -> Point:
-    return (b[0] - a[0], b[1] - a[1])
-
-
-def _gen_name(i: int, p: Point) -> str:
-    return f"p{i}({p[0]},{p[1]})"
+    return [(p.point, q.point, abs(area), loop) for (p, q), area, loop
+            in _polygons([_Lift.of(n_curve), _Lift.of(l_curve)],
+                         [(recs, 1), (recs, 0)])]
 
 
 def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
                   cutoff=64) -> FilteredComplex:
     """CF(N, L): generators at action 0, differential from embedded
-    bigons directed by the corners' crossing signs, d^2 = 0 verified at
+    bigons directed from the positive corner to the negative one (the
+    corners of a lune carry opposite signs), d^2 = 0 verified at
     construction."""
     recs = crossings(n_curve, l_curve)
-    names = {r.point: _gen_name(i, r.point) for i, r in enumerate(recs)}
-    signs = {r.point: r.sign for r in recs}
+    names = {r.point: f"p{i}({r.point[0]},{r.point[1]})"
+             for i, r in enumerate(recs)}
+    positive = {r.point for r in recs if r.sign > 0}
     diff: Dict[str, Chain] = {name: {} for name in names.values()}
     for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, recs):
-        src, tgt = _bigon_direction(p, q, signs[p], signs[q])
+        src, tgt = (p, q) if p in positive else (q, p)
         mono = NovikovScalar.monomial(area, cutoff)
         col = diff[names[src]]
         cur = col.get(names[tgt])
@@ -193,93 +268,33 @@ def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
                            diff, cutoff)
 
 
-def _bigon_direction(p: Point, q: Point, sp: int, sq: int):
-    """Direct each bigon from its positive corner to its negative one,
-    given the crossing signs ``sp`` and ``sq`` of its corners.
-
-    The two corners of an embedded bigon carry opposite crossing signs,
-    so with this convention the differential maps positive generators to
-    negative ones and squares to zero for structural reasons.
-    """
-    if sp == sq:
-        raise GeometryError(
-            f"bigon corners {p}, {q} carry equal crossing signs")
-    return (p, q) if sp > 0 else (q, p)
-
-
 def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve, cutoff=64) -> int:
     """Lambda-dimension of the homology of the Floer complex."""
     return homology_rank(floer_complex(n_curve, l_curve, cutoff))
 
-
-# ---------------------------------------------------------------------------
-# triangles (mu_2)
-# ---------------------------------------------------------------------------
 
 def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve,
                   cutoff=64):
     """mu_2: CF(c1,c2) x CF(c0,c1) -> CF(c0,c2) by embedded triangle count.
 
     Returns a dict mapping (y, x) generator-point pairs to chains over
-    the CF(c0, c2) intersection points, weighted by T^area.
+    the CF(c0, c2) intersection points, weighted by T^area; a triangle
+    runs along c1 from x to y, along c2 to z and along c0 back to x.
+    Raises GeometryError on a triple point, and unless exactly two of the
+    three classes agree up to sign (see the module docstring).
     """
-    recs01, recs12, recs02 = crossings(c0, c1), crossings(c1, c2), \
-        crossings(c0, c2)
-    others = {r.point for r in recs12 + recs02}
-    if any(r.point in others for r in recs01):
+    recs = [crossings(a, b) for a, b in ((c0, c1), (c1, c2), (c0, c2))]
+    others = {r.point for r in recs[1] + recs[2]}
+    if any(r.point in others for r in recs[0]):
         raise GeometryError("triple point in mu_2 configuration")
     out: Dict[Tuple[Point, Point], Dict[Point, NovikovScalar]] = {}
-    loops1 = {x.point: _loop_at(c1, x, 1) for x in recs01}
-    loops2 = {y.point: _loop_at(c2, y, 1) for y in recs12}
-    loops0 = {z.point: _loop_at(c0, z, 0) for z in recs02}
-    for x in recs01:
-        for y in recs12:
-            for z in recs02:
-                for arc01 in _arc_options(loops1[x.point], x.ends[1],
-                                          y.ends[0]):
-                    for arc12 in _arc_options(loops2[y.point], y.ends[1],
-                                              z.ends[1]):
-                        start = arc01[0]
-                        a12 = _translate_to(arc12, arc01[-1])
-                        for arc20 in _arc_options(loops0[z.point], z.ends[0],
-                                                  x.ends[0]):
-                            a20 = _translate_to(arc20, a12[-1])
-                            if a20[-1] != start:
-                                continue
-                            loop = _dedupe(arc01 + a12[1:] + a20[1:])
-                            if loop[0] != loop[-1] or len(loop) < 4:
-                                continue
-                            if not _polygon_simple(loop):
-                                continue
-                            area = _signed_area(loop)
-                            if area == 0:
-                                continue
-                            if not _triangle_corners_convex(
-                                    loop, (0, len(arc01) - 1,
-                                           len(arc01) + len(a12) - 2),
-                                    area > 0):
-                                continue
-                            mono = NovikovScalar.monomial(abs(area), cutoff)
-                            cur = out.setdefault((y.point, x.point), {})
-                            prev = cur.get(z.point)
-                            cur[z.point] = mono if prev is None \
-                                else prev + mono
-    for k in list(out):
-        out[k] = {z: s for z, s in out[k].items() if not s.is_zero()}
-        if not out[k]:
-            del out[k]
-    return out
-
-
-def _translate_to(arc, start):
-    return _shift(arc, (start[0] - arc[0][0], start[1] - arc[0][1]))
-
-
-def _triangle_corners_convex(loop, corner_indices, ccw):
-    n = len(loop) - 1
-    for k in corner_indices:
-        v_in = _unit(loop[(k - 1) % n], loop[k % n])
-        v_out = _unit(loop[k % n], loop[(k + 1) % n])
-        if not _corner_convex(v_in, v_out, ccw):
-            return False
-    return True
+    if not all(recs):
+        return out
+    for (x, y, z), area, loop in _polygons(
+            [_Lift.of(c) for c in (c1, c2, c0)], list(zip(recs, (0, 0, 1)))):
+        mono = NovikovScalar.monomial(abs(area), cutoff)
+        cur = out.setdefault((y.point, x.point), {})
+        cur[z.point] = cur[z.point] + mono if z.point in cur else mono
+    return {key: chain for key, chain in (
+        (key, {z: s for z, s in c.items() if not s.is_zero()})
+        for key, c in out.items()) if chain}

@@ -17,7 +17,10 @@ from filtcones.filtcx import (
     Chain, F2Basis, FiltError, FilteredComplex, NEG_INF, _denominators,
     action_level, chain_add, chain_scale, chain_shift,
 )
-from filtcones.surface.curves import SIDE, GeometryError, wrap_point
+from filtcones.surface.curves import (
+    SIDE, GeometryError, _seg_common, common_scale, crossings, path_from,
+    scaled, segment_pairs, wrap_point,
+)
 
 Rat = Fraction
 
@@ -830,7 +833,7 @@ def ref_atomic_segments(segments):
 
 
 def ref_polygon_simple(path) -> bool:
-    """``floer._polygon_simple`` over every pair of edges of the closed
+    """``polygon_simple`` over every pair of edges of the closed
     path (first == last): only consecutive edges may meet, and only at
     their shared vertex."""
     segs = list(zip(path, path[1:]))
@@ -854,6 +857,169 @@ def ref_signed_area(path) -> Fraction:
     """Shoelace area of the closed path, summed in Fractions."""
     return sum((Fraction(a[0]) * b[1] - Fraction(b[0]) * a[1]
                 for a, b in zip(path, path[1:])), Fraction(0)) / 2
+
+
+# ---------------------------------------------------------------------------
+# Floer polygons: every pair or triple of lift arcs up to one extra wind
+# ---------------------------------------------------------------------------
+
+def polygon_simple(path) -> bool:
+    """Is the closed PL path (first == last) simple?  Tested on the
+    integer points at its common scale, over the pairs of edges that
+    ``segment_pairs`` yields."""
+    n = len(path) - 1
+    if n < 2:
+        return False
+    pts = scaled(path, common_scale(path))
+    segs = list(zip(pts, pts[1:]))
+    for i, j in segment_pairs(segs):
+        a, b = segs[i]
+        hit = _seg_common(a, b, *segs[j])
+        if hit is None:
+            continue
+        if hit[0] == "overlap":
+            return False
+        p = hit[1]
+        consecutive = (j == i + 1 and p == b) or \
+            (i == 0 and j == n - 1 and p == a)
+        if not consecutive:
+            return False
+    return True
+
+
+def _shift_path(path, d):
+    return [(v[0] + d[0], v[1] + d[1]) for v in path]
+
+
+def _loop_at(curve, rec, side):
+    """The closed lift path of ``curve``, side ``side`` of the crossing
+    ``rec``, from the wrapped crossing point to it plus the class."""
+    i, lift = rec.ends[side]
+    return _shift_path(path_from(curve, i, lift),
+                       (rec.point[0] - lift[0], rec.point[1] - lift[1]))
+
+
+def _dedupe(path):
+    out = [path[0]]
+    for p in path[1:]:
+        if p != out[-1]:
+            out.append(p)
+    return out
+
+
+def _arc_options(loop, at_p, at_q):
+    """Lift arcs along ``loop`` (from ``_loop_at``) from its start p to
+    lifts of q: the forward and backward simple arcs plus their variants
+    winding one extra time around the curve."""
+    (ip, lp), (iq, lq) = at_p, at_q
+    p, cls = loop[0], (loop[-1][0] - loop[0][0], loop[-1][1] - loop[0][1])
+    back = (-cls[0], -cls[1])
+    q = (lq[0] + p[0] - lp[0], lq[1] + p[1] - lp[1])
+    i = iq - ip
+    if i < 0 or i == 0 and ((lq[0] - lp[0]) * (loop[1][0] - p[0])
+                            + (lq[1] - lp[1]) * (loop[1][1] - p[1])) < 0:
+        i += len(loop) - 2
+        q = (q[0] + cls[0], q[1] + cls[1])
+    rev = [p] + _shift_path(loop[-2:0:-1], back)
+    fwd = _dedupe(loop[:i + 1] + [q])
+    bwd = rev[:len(loop) - 1 - i] + _shift_path([q], back)
+    return [fwd, bwd, loop[:-1] + _shift_path(fwd, cls),
+            rev + _shift_path(bwd, back)]
+
+
+def _corners_convex(loop, corners, ccw):
+    """Interior angle < pi at each corner index of the simple loop."""
+    n = len(loop) - 1
+    for k in corners:
+        a, b, c = loop[(k - 1) % n], loop[k % n], loop[(k + 1) % n]
+        cr = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+        if not (cr > 0 if ccw else cr < 0):
+            return False
+    return True
+
+
+def ref_enumerate_bigons(n_curve, l_curve):
+    """``floer.enumerate_bigons`` by brute force: every pair of
+    ``_arc_options`` arcs for every pair of crossings, each closed loop
+    tested for simplicity, area and convex corners, and deduplicated by
+    its corners and its shape modulo translation.  Arcs wind at most
+    one extra time, so this sees only the bigons inside that window."""
+    recs = crossings(n_curve, l_curve)
+    seen = set()
+    out = []
+    for rp in recs:
+        p = rp.point
+        loop_n, loop_l = _loop_at(n_curve, rp, 0), _loop_at(l_curve, rp, 1)
+        for rq in recs:
+            q = rq.point
+            for an in _arc_options(loop_n, rp.ends[0], rq.ends[0]):
+                for al in _arc_options(loop_l, rp.ends[1], rq.ends[1]):
+                    if an[-1] != al[-1] or len(an) < 2 or len(al) < 2:
+                        continue
+                    loop = _dedupe(an + al[-2::-1])
+                    if loop[0] != loop[-1] or len(loop) < 4 \
+                            or not polygon_simple(loop):
+                        continue
+                    area = ref_signed_area(loop)
+                    if area == 0 or not _corners_convex(
+                            loop, (0, len(an) - 1), area > 0):
+                        continue
+                    base = min(loop[:-1])
+                    shape = tuple(sorted((v[0] - base[0], v[1] - base[1])
+                                         for v in loop[:-1]))
+                    key = (tuple(sorted((p, q))), shape)
+                    if key not in seen:
+                        seen.add(key)
+                        out.append((p, q, abs(area), loop))
+    return out
+
+
+def ref_mu2_triangles(c0, c1, c2, cutoff=64):
+    """``floer.mu2_triangles`` by brute force: every triple of
+    ``_arc_options`` arcs for every triple of crossings, each loop tested
+    for simplicity, area and three convex corners; one extra wind at
+    most, as in ``ref_enumerate_bigons``."""
+    recs01, recs12, recs02 = crossings(c0, c1), crossings(c1, c2), \
+        crossings(c0, c2)
+    others = {r.point for r in recs12 + recs02}
+    if any(r.point in others for r in recs01):
+        raise GeometryError("triple point in mu_2 configuration")
+    out = {}
+    for x in recs01:
+        for y in recs12:
+            for z in recs02:
+                for arc01 in _arc_options(_loop_at(c1, x, 1), x.ends[1],
+                                          y.ends[0]):
+                    for arc12 in _arc_options(_loop_at(c2, y, 1), y.ends[1],
+                                              z.ends[1]):
+                        a12 = _shift_path(arc12, (arc01[-1][0] - arc12[0][0],
+                                                  arc01[-1][1] - arc12[0][1]))
+                        for arc20 in _arc_options(_loop_at(c0, z, 0),
+                                                  z.ends[0], x.ends[0]):
+                            a20 = _shift_path(arc20, (a12[-1][0] - arc20[0][0],
+                                                      a12[-1][1] - arc20[0][1]))
+                            if a20[-1] != arc01[0]:
+                                continue
+                            loop = _dedupe(arc01 + a12[1:] + a20[1:])
+                            if loop[0] != loop[-1] or len(loop) < 4 \
+                                    or not polygon_simple(loop):
+                                continue
+                            area = ref_signed_area(loop)
+                            corners = (0, len(arc01) - 1,
+                                       len(arc01) + len(a12) - 2)
+                            if area == 0 or not _corners_convex(
+                                    loop, corners, area > 0):
+                                continue
+                            mono = NovikovScalar.monomial(abs(area), cutoff)
+                            cur = out.setdefault((y.point, x.point), {})
+                            prev = cur.get(z.point)
+                            cur[z.point] = mono if prev is None \
+                                else prev + mono
+    for k in list(out):
+        out[k] = {z: s for z, s in out[k].items() if not s.is_zero()}
+        if not out[k]:
+            del out[k]
+    return out
 
 
 # ---------------------------------------------------------------------------

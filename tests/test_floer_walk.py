@@ -1,0 +1,180 @@
+"""The combinatorial polygon walk of ``floer`` against the arc-pair brute
+force of ``support.ref_enumerate_bigons`` and ``ref_mu2_triangles``, on
+random curves, the scenario pools and the probe curves, plus the zigzag
+family whose bigon count is known in closed form."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from filtcones.scenarios import lem_ex1_space, trace_surgery_space
+from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
+from filtcones.surface.floer import enumerate_bigons, floer_complex
+
+from support import ref_enumerate_bigons, ref_mu2_triangles
+from test_segment_pairs import _floer_sanity_pool, _outcome
+
+EPS, DELTA = F(1, 8), F(1, 256)
+
+
+def _bigons(fn, a, b):
+    got = _outcome(fn, a, b)
+    if isinstance(got, tuple):
+        return got
+    return sorted((p, q, area, tuple(loop)) for p, q, area, loop in got)
+
+
+def _agree(a, b):
+    """The walk and the brute force give the same bigons (corners, area
+    and loop) or the same refusal; returns the bigon count."""
+    got = _bigons(enumerate_bigons, a, b)
+    assert got == _bigons(ref_enumerate_bigons, a, b)
+    return len(got) if isinstance(got, list) else 0
+
+
+# -- random curves ---------------------------------------------------------------
+
+DENS = [16, 17, 19, 23]
+
+
+def _coord(draw, den, lo=-1, hi=1):
+    """An odd multiple of 1/(2 den) strictly between lo and hi."""
+    return F(2 * draw(st.integers(lo * den, hi * den - 1)) + 1, 2 * den)
+
+
+@st.composite
+def jog_curves(draw, den):
+    """A horizontal curve (class (1, 0)) with rectangular dips and bumps."""
+    y = _coord(draw, den)
+    xs = sorted({_coord(draw, den) for _ in range(draw(st.integers(0, 6)))})
+    pts = [(-1, y)]
+    for x0, x1 in zip(xs[::2], xs[1::2]):
+        d = _coord(draw, den, -2, 2)
+        pts += [(x0, y), (x0, y - d), (x1, y - d), (x1, y)]
+    return TorusCurve(pts + [(1, y)], name="J")
+
+
+@st.composite
+def zigzag_curves(draw, den):
+    """A y-monotone polyline from (x, -1) to (x, 1): class (0, 1)."""
+    x = _coord(draw, den)
+    ys = sorted({_coord(draw, den) for _ in range(draw(st.integers(1, 6)))})
+    pts = [(x, -1)] + [(_coord(draw, den), y) for y in ys] + [(x, 1)]
+    return TorusCurve(pts, name="Z")
+
+
+@st.composite
+def curve_lists(draw, kinds):
+    """Curves of the given kinds (None: either kind), each on its own
+    grid, so that two of them rarely meet at a vertex."""
+    dens = draw(st.permutations(DENS))
+    return [draw((kind or draw(st.sampled_from([jog_curves,
+                                                zigzag_curves])))(den))
+            for kind, den in zip(kinds, dens)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(curve_lists([None, None]))
+def test_bigons_match_brute_force_on_random_curves(pair):
+    _agree(*pair)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(curve_lists([jog_curves, zigzag_curves, jog_curves]))
+def test_triangles_match_brute_force_on_random_curves(triple):
+    assert _outcome(mu2_triangles, *triple) == \
+        _outcome(ref_mu2_triangles, *triple)
+
+
+# -- the scenario pools and the probe curves ----------------------------------------
+
+def _pools():
+    probe_space = trace_surgery_space(EPS, DELTA)
+    probes = [probe_space.probes[0].build(t)
+              for t in (F(1, 2), F(3, 4), F(9, 10))]
+    return {"floer-sanity": _floer_sanity_pool(),
+            "lem-ex1": list(lem_ex1_space(EPS, DELTA).curves.values()),
+            "trace": list(probe_space.curves.values()),
+            "probes": probes + list(probe_space.curves.values())}
+
+
+@pytest.mark.parametrize("suite", ["floer-sanity", "lem-ex1", "trace",
+                                   "probes"])
+def test_bigons_match_brute_force_on_scenario_pools(suite):
+    pool = _pools()[suite]
+    bigons = sum(_agree(a, b) for a in pool for b in pool if a is not b)
+    assert bigons > 0 or suite == "trace"  # no trace pair bounds one
+
+
+@pytest.mark.parametrize("suite", ["floer-sanity", "lem-ex1"])
+def test_triangles_match_brute_force_on_scenario_pools(suite):
+    pool = _pools()[suite]
+    compared = 0
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                if len({id(a), id(b), id(c)}) < 3:
+                    continue
+                got = _outcome(mu2_triangles, a, b, c)
+                classes = {a.hclass, b.hclass, c.hclass}
+                if isinstance(got, tuple) and "exactly two" in got[1]:
+                    assert len({max(h, (-h[0], -h[1])) for h in classes}) \
+                        != 2  # refused only unless two agree up to sign
+                    continue
+                assert got == _outcome(ref_mu2_triangles, a, b, c)
+                compared += 1
+    assert compared > 0
+
+
+def test_triangles_refuse_three_distinct_classes():
+    """Three straight lines of pairwise distinct classes bound triangles
+    of every size, a theta series; the walk refuses rather than cut it."""
+    a = TorusCurve([(-1, 0), (1, 0)], name="A")
+    b = TorusCurve([(F(-1, 2), -1), (F(-1, 2), 1)], name="B")
+    c = TorusCurve([(-1, F(-1, 3)), (1, F(5, 3))], name="C")
+    with pytest.raises(GeometryError, match="exactly two"):
+        mu2_triangles(a, b, c)
+
+
+# -- the zigzag family -----------------------------------------------------------
+
+def zigzag(m):
+    """The vertical zigzag with 2m + 1 crossings of the line y = 1/7."""
+    k = 2 * m + 1
+    pts = [(0, -1), (0, F(1, 4))]
+    pts += [(F(i, k), F(-1, 4) if i % 2 else F(1, 4)) for i in range(1, 2 * m + 1)]
+    pts += [(F(2 * m, k), F(1, 2)), (0, 1)]
+    return TorusCurve(pts, name=f"Z{k}")
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_zigzag_family_bigon_count(m):
+    n = TorusCurve([(-1, F(1, 7)), (1, F(1, 7))], name="N")
+    z = zigzag(m)
+    bigons = enumerate_bigons(n, z)
+    assert len(bigons) == 2 * m
+    cx = floer_complex(n, z)  # d^2 = 0 is verified at construction
+    assert cx.dim == 2 * m + 1
+    if 2 * m + 1 <= 9:
+        assert _bigons(enumerate_bigons, n, z) == \
+            _bigons(ref_enumerate_bigons, n, z)
+
+
+def spiral():
+    """A class (0, 1) curve whose lift crosses y = 0 at -3/5 (B), 0 (A),
+    1/10, 3/20, 1/5 (D), 3/5 (C) and 9/10, and runs A, B, C, D in that
+    order: the arcs from A to D share no other crossing with the line,
+    and the signs at A and D differ, but both corners are reflex."""
+    pts = [(16, -20), (16, -18), (2, -18), (2, 3), (0, 3), (0, -2), (-12, -2),
+           (-12, 6), (12, 6), (12, -4), (4, -4), (4, 4), (3, 4), (3, -16),
+           (18, -16), (18, 19), (16, 20)]
+    return TorusCurve([(F(x, 20), F(y, 20)) for x, y in pts], name="spiral")
+
+
+def test_reflex_corners_are_no_lune():
+    n = TorusCurve([(-1, 0), (1, 0)], name="N")
+    got = enumerate_bigons(n, spiral())
+    assert ((0, 0), (F(1, 5), 0)) not in {(p, q) for p, q, _, _ in got}
+    assert _bigons(enumerate_bigons, n, spiral()) == \
+        _bigons(ref_enumerate_bigons, n, spiral())

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from filtcones.novikov import (
-    INF, NovikovError, NovikovScalar, nov_add, nov_invert, nov_mul,
-    parse_scalar, valuation,
+    INF, NovikovError, NovikovScalar, parse_scalar, valuation,
 )
 
 CUT = Fraction(64)
@@ -47,8 +46,8 @@ def test_valuation_multiplicative_random():
     for _ in range(50):
         x = nov(*{Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))})
         y = nov(*{Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))})
-        assert valuation(nov_mul(x, y)) == valuation(x) + valuation(y)
-        assert valuation(nov_add(x, y)) >= min(valuation(x), valuation(y))
+        assert valuation(x * y) == valuation(x) + valuation(y)
+        assert valuation(x + y) >= min(valuation(x), valuation(y))
         if valuation(x) != valuation(y):
             assert valuation(x + y) == min(valuation(x), valuation(y))
 

