@@ -8,10 +8,9 @@ Lower bounds come only from the declared fission inequalities, evaluated
 through the axis-parallel widths (and verified probe families for the
 double-point variant).  Results are intervals, never point estimates.
 
-A ``MetricSpace`` computes each relative width and probe verification at
-most once: the values live in dicts on the space, keyed by the curve and
-probe objects themselves, so they stay right when moves are added after
-a query.
+A query bounds every end multiset of at most k family members; the width
+part of a bound depends only on the set of ends, so each query computes
+it once per set.  What outlives a query is kept on the ``MetricSpace``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .novikov import INF, rat
 from .surface.curves import TorusCurve, count_transverse_crossings
 from .surface.floer import hf_rank
 from .surface.shadow import PlanarDiagram, planar_shadow
-from .surface.widths import gromov_width_rel, gromov_width_double_points
+from .surface.widths import StrandTable, gromov_width_double_points
 
 
 class FragError(ValueError):
@@ -165,6 +164,12 @@ class MetricResult:
 
 
 class MetricSpace:
+    """Curves, objects, families, moves and probes, with the metric
+    queries.  Kept across queries, keyed by curve and probe objects: one
+    ``StrandTable`` per carrier (``_tables``), each width per carrier and
+    cover set (``_widths``) and each probe verification (``_probe_ok``);
+    none depends on the moves, so moves may be added after a query."""
+
     def __init__(self, curves: Dict[str, TorusCurve],
                  objects: Sequence[LagObject], families: Dict[str, Sequence[str]],
                  moves: Sequence[Move], probes: Sequence[ProbeFamily] = (),
@@ -177,6 +182,7 @@ class MetricSpace:
         self.monotone_min_area = None if monotone_min_area is None \
             else rat(monotone_min_area)
         self._widths: Dict[tuple, Fraction] = {}
+        self._tables: Dict[tuple, StrandTable] = {}
         self._probe_ok: Dict[ProbeFamily, bool] = {}
 
     def geometry(self, name: str) -> TorusCurve:
@@ -203,7 +209,9 @@ class MetricSpace:
         q = self.cover_curves(end_names)
         key = (tuple(carrier), frozenset(q))
         if key not in self._widths:
-            self._widths[key] = gromov_width_rel(carrier, q)
+            if key[0] not in self._tables:
+                self._tables[key[0]] = StrandTable(carrier)
+            self._widths[key] = self._tables[key[0]].width(key[1])
         val = self._widths[key] / 2
         if mode == "monotone" and self.monotone_min_area is not None:
             val = min(val, self.monotone_min_area)
@@ -214,16 +222,21 @@ class MetricSpace:
             self._probe_ok[probe] = probe.verify(self)
         return self._probe_ok[probe]
 
-    def _bound_for_ends(self, lp: str, l: str, ends: Tuple[str, ...],
-                        mode: str) -> Tuple[Fraction, str]:
-        best = Fraction(0)
-        cert = "none"
-        v1 = self.prune_lower_bound(lp, [l, *ends], mode)
-        if v1 > best:
-            best, cert = v1, f"width({lp};{l}+{'+'.join(ends) or 'none'})/2"
-        v2 = self.prune_lower_bound(l, [lp, *ends], mode)
-        if v2 > best:
-            best, cert = v2, f"width({l};{lp}+{'+'.join(ends) or 'none'})/2"
+    def _bound_for_ends(self, lp: str, l: str, ends: Sequence[str],
+                        mode: str) -> Tuple[Fraction, Fraction]:
+        """(width(lp; l + ends)/2, width(l; lp + ends)/2), which depend
+        only on the set of ends."""
+        return (self.prune_lower_bound(lp, [l, *ends], mode),
+                self.prune_lower_bound(l, [lp, *ends], mode))
+
+    def _certify(self, lp: str, l: str, ends: Tuple[str, ...],
+                 widths: Tuple[Fraction, Fraction]) -> Tuple[Fraction, str]:
+        """The best certified bound for the end multiset ``ends`` with
+        width bounds ``widths``, and its certificate."""
+        best, cert, names = Fraction(0), "none", "+".join(ends) or "none"
+        for val, (a, b) in zip(widths, ((lp, l), (l, lp))):
+            if val > best:
+                best, cert = val, f"width({a};{b}+{names})/2"
         # probes certify the whole end multiset; bending makes the choice
         # of positive end irrelevant
         query_ms = tuple(sorted((lp, l, *ends)))
@@ -294,18 +307,23 @@ class MetricSpace:
         The upper bound is the least recorded goal with at most k extra
         ends: the one with the most, as it was found first.  The lower
         bound is the least certified bound over the end multisets of at
-        most k family members, each bounded once, and only as far as the
-        caller reads.
+        most k family members, only as far as the caller reads.  The width
+        part of a bound depends on the set of ends alone and is computed
+        once per set; probes and certificates see the multiset.
         """
         family = self.families[family_name]
         goals = self._search(lp, l, family, top_end)
+        widths: Dict[frozenset, Tuple[Fraction, Fraction]] = {}
         lower, cert = INF, "no ends"
         for k in itertools.count():
             fits = [c for c in goals if c <= k]
             upper, witness = goals[max(fits)] if fits else (INF, None)
             for ends in itertools.combinations_with_replacement(
                     sorted(set(family)), k):
-                val, why = self._bound_for_ends(lp, l, ends, mode)
+                key = frozenset(ends)
+                if key not in widths:
+                    widths[key] = self._bound_for_ends(lp, l, key, mode)
+                val, why = self._certify(lp, l, ends, widths[key])
                 if val < lower:
                     lower, cert = val, why
             if lp == l:

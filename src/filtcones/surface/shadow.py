@@ -6,9 +6,10 @@ from the exact rational arrangement (rays are clipped at a bounding box
 and faces touching the box are unbounded).
 
 The arrangement is built on the segments times their common scale, in
-integers; the cut points are divided back once, and the faces are traced
-on the arrangement's vertices times their own common scale q, where
-twice an area is an integer.  Areas are returned as Fractions.
+integers, and its vertices are scaled once more by the common scale of
+the contact points: the faces are traced on integer vertices at one
+scale q, where twice an area is an integer.  Areas (and the faces that
+``return_faces`` asks for) are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -98,45 +99,45 @@ def shear_diagram(d: PlanarDiagram, lam) -> PlanarDiagram:
 
 def _atomic_segments(segments: List[Tuple[Point, Point]]):
     """Split segments at all mutual intersections and de-overlap
-    collinear pieces; returns a set of interior-disjoint edges.
-
-    The work is done on the segments times their common scale q, and
-    the cut points are divided by q once, at the end."""
+    collinear pieces; returns (edges, q), interior-disjoint edges between
+    integer points: the vertices times q, the segments' common scale
+    times the common scale m of their contact points in that frame."""
     q = common_scale([p for seg in segments for p in seg])
     segs = [tuple(scaled(seg, q)) for seg in segments]
     # group by supporting line: (a, b, c) with a*x + b*y = c, reduced by
     # gcd(a, b) and signed so that the first nonzero of a, b is positive
     lines: Dict[Tuple, List[Tuple[IPoint, IPoint]]] = {}
-    cuts: Dict[Tuple, set] = {}
-    line_cuts = []  # the cut set of each segment's supporting line
+    keys = []  # the supporting line of each segment
     for (p, r) in segs:
         a = r[1] - p[1]
         b = p[0] - r[0]
         g = gcd(a, b)
         if a < 0 or a == 0 and b < 0:
             g = -g
-        key = (a // g, b // g, (a * p[0] + b * p[1]) // g)
-        lines.setdefault(key, []).append((p, r))
-        cut = cuts.setdefault(key, set())
-        cut.update((p, r))
-        line_cuts.append(cut)
+        keys.append((a // g, b // g, (a * p[0] + b * p[1]) // g))
+        lines.setdefault(keys[-1], []).append((p, r))
+    hits = []  # (segment, segment, contact point)
     for i, j in segment_pairs(segs):
-        cut1, cut2 = line_cuts[i], line_cuts[j]
-        if cut1 is cut2:
+        if keys[i] == keys[j]:
             continue  # same line: overlaps are merged by the cuts below
         hit = _seg_common(*segs[i], *segs[j])
         if hit is not None and hit[0] == "point":
-            cut1.add(hit[1])
-            cut2.add(hit[1])
+            hits.append((i, j, hit[1]))
+    m = common_scale([p for _, _, p in hits])
+    lines = {k: [tuple(scaled(seg, m)) for seg in lsegs]
+             for k, lsegs in lines.items()}
+    cuts = {k: {p for seg in lsegs for p in seg} for k, lsegs in lines.items()}
+    for (i, j, _), p in zip(hits, scaled([p for _, _, p in hits], m)):
+        cuts[keys[i]].add(p)
+        cuts[keys[j]].add(p)
     edges = set()
     for k, lsegs in lines.items():
         pts = sorted(cuts[k])
-        back = [(Fraction(x, q), Fraction(y, q)) for x, y in pts]
         for (p, r) in lsegs:
             lo, hi = sorted((p, r))
             i, j = bisect_left(pts, lo), bisect_right(pts, hi)
-            edges.update(zip(back[i:j], back[i + 1:j]))
-    return edges
+            edges.update(zip(pts[i:j], pts[i + 1:j]))
+    return edges, q * m
 
 
 def _pseudo_angle_cmp(u: IPoint, v: IPoint) -> int:
@@ -169,12 +170,7 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
     segments += box_edges
     # trace the faces on the arrangement's vertices times their common
     # scale q; twice an area is then an integer s, and the area s / 2q^2
-    atomic = _atomic_segments(segments)
-    verts = list({p for e in atomic for p in e})
-    q = common_scale(verts)
-    to_int = dict(zip(verts, scaled(verts, q)))
-    to_rat = {v: p for p, v in to_int.items()}
-    edges = [(to_int[u], to_int[v]) for u, v in atomic]
+    edges, q = _atomic_segments(segments)
     # half-edge structure
     out_edges: Dict[IPoint, List[IPoint]] = {}
     for (u, v) in edges:
@@ -200,7 +196,7 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
 
     visited = set()
     faces = []
-    (ix0, iy0), (ix1, iy1) = to_int[(bx0, by0)], to_int[(bx1, by1)]
+    (ix0, iy0), (ix1, iy1) = scaled([(bx0, by0), (bx1, by1)], q)
     box_x = {ix0, ix1}
     box_y = {iy0, iy1}
 
@@ -236,7 +232,8 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
         if area > 0 and not touches:
             total += area
             kept.append((Fraction(area, 2 * q * q),
-                         [(to_rat[a], to_rat[b]) for a, b in cycle]))
+                         [tuple((Fraction(x, q), Fraction(y, q))
+                                for x, y in e) for e in cycle]))
     # negative cycles are hole boundaries of the face that contains them;
     # subtract those sitting inside a bounded face (their interior was
     # already counted by the enclosing positive cycle).  A hole can only

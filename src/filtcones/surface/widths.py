@@ -5,12 +5,16 @@ axis-parallel strands: a disk with real part on a strand fills two side
 strips bounded by the nearest parallel obstruction lines, and a disk
 centered at a double point fills four quadrant rectangles.  General
 position input is refused rather than approximated.
+
+Relative widths are read off one ``StrandTable`` per carrier, with one
+column per obstruction curve; both formulas read lines from ``_lines``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from math import lcm
+from typing import Dict, Sequence, Set, Tuple
 
 from ..novikov import INF, rat
 from .curves import GeometryError, SIDE, TorusCurve, wrap_point
@@ -31,16 +35,15 @@ class Box:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
 
 
-def _strand_lines(curves: Sequence[TorusCurve]):
-    """(vertical_line_coords, horizontal_line_coords), wrapped."""
-    vs, hs = set(), set()
+def _lines(curves: Sequence[TorusCurve]) -> Dict[str, Set[Fraction]]:
+    """The wrapped coordinates of the strand lines of ``curves``, by axis:
+    {"v": x's of vertical strands, "h": y's of horizontal strands}.
+    ``strands`` refuses a curve that is not axis-parallel."""
+    lines: Dict[str, Set[Fraction]] = {"v": set(), "h": set()}
     for c in curves:
         for axis, coord, _ in c.strands():
-            if axis == "v":
-                vs.add(coord)
-            else:
-                hs.add(coord)
-    return vs, hs
+            lines[axis].add(coord)
+    return lines
 
 
 def _gaps(coord: Fraction, obstacles: set) -> Tuple[Fraction, Fraction]:
@@ -52,45 +55,72 @@ def _gaps(coord: Fraction, obstacles: set) -> Tuple[Fraction, Fraction]:
     return ds[0], SIDE - ds[-1]
 
 
+class StrandTable:
+    """delta(L; Q) for one carrier L and any obstruction set Q.
+
+    A strand's capacity is 2 * length * gap, the gap being the wrap-aware
+    distance to the nearest parallel obstruction line (SIDE/2 if none).
+    ``base`` holds it against the other carrier lines (a coincident one
+    does not obstruct); each obstruction curve gets a column on first
+    use: None where the strand rides on one of its lines, else the
+    capacity against its lines alone.  width(Q) is the max, over rows
+    with no None, of the min over ``base`` and Q's columns (0 if L lies
+    in Q).  Entries are integers, capacities times scale^2; a column
+    that needs a finer scale rescales the table first.
+    """
+
+    def __init__(self, carrier: Sequence[TorusCurve]):
+        lines = _lines(carrier)
+        self.strands = [s for c in carrier for s in c.strands()]
+        self.scale = lcm(*(x.denominator for _, c, n in self.strands
+                           for x in (c, n)))
+        self.base = self._capacities(lines, ride=False)
+        self._columns: Dict[TorusCurve, list] = {}
+
+    def _capacities(self, lines: Dict[str, Set[Fraction]], ride: bool):
+        q, out = self.scale, []
+        for axis, coord, length in self.strands:
+            at = coord.numerator * (q // coord.denominator)
+            ds = [(c.numerator * (q // c.denominator) - at) % (2 * q)
+                  for c in lines[axis]]
+            if ride and 0 in ds:
+                out.append(None)
+            else:
+                gap = min((min(d, 2 * q - d) for d in ds if d), default=q)
+                out.append(2 * length.numerator * (q // length.denominator)
+                           * gap)
+        return out
+
+    def _column(self, curve: TorusCurve) -> list:
+        if curve not in self._columns:
+            lines = _lines([curve])
+            q = lcm(self.scale, *(c.denominator for cs in lines.values()
+                                  for c in cs))
+            if q != self.scale:
+                k = (q // self.scale) ** 2
+                self.scale, self.base = q, [x * k for x in self.base]
+                for col in self._columns.values():
+                    col[:] = [x if x is None else x * k for x in col]
+            self._columns[curve] = self._capacities(lines, ride=True)
+        return self._columns[curve]
+
+    def width(self, q: Sequence[TorusCurve]) -> Fraction:
+        cols = [self._column(c) for c in set(q)]  # may rescale the table
+        return Fraction(max((min(caps) for caps in zip(self.base, *cols)
+                             if None not in caps), default=0),
+                        self.scale ** 2)
+
+
 def gromov_width_rel(carrier: Sequence[TorusCurve], q: Sequence[TorusCurve]
                      ) -> Fraction:
-    """delta(L; Q) via the strip-capacity formula.
+    """delta(L; Q) via the strip-capacity formula (``StrandTable``).
 
     ``carrier`` is the union of curves representing L (the disk's real
     part); obstructions are Q plus the other carrier strands.  Strands
     collinear with Q are skipped; if every strand is skipped, L lies in
     Q and the width is 0.
     """
-    for c in list(carrier) + list(q):
-        if not c.axis_parallel():
-            raise GeometryError("widths require axis-parallel curves")
-    qv, qh = _strand_lines(q)
-    all_strands = []
-    for c in carrier:
-        all_strands.extend(c.strands())
-    best = Fraction(0)
-    usable = 0
-    for idx, (axis, coord, length) in enumerate(all_strands):
-        q_lines = qv if axis == "v" else qh
-        if coord in q_lines:
-            continue  # strand rides on Q
-        usable += 1
-        others = {c2 for j, (a2, c2, _) in enumerate(all_strands)
-                  if j != idx and a2 == axis and c2 != coord}
-        obstacles = others | set(q_lines)
-        g1, g2 = _gaps(coord, obstacles)
-        best = max(best, 2 * length * min(g1, g2))
-    return best if usable else Fraction(0)
-
-
-def _point_on_lines(p, curves: Sequence[TorusCurve]) -> bool:
-    for c in curves:
-        for axis, coord, _ in c.strands():
-            if axis == "v" and (p[0] - coord) % SIDE == 0:
-                return True
-            if axis == "h" and (p[1] - coord) % SIDE == 0:
-                return True
-    return False
+    return StrandTable(carrier).width(q)
 
 
 def gromov_width_double_points(curves: Sequence[TorusCurve],
@@ -106,21 +136,13 @@ def gromov_width_double_points(curves: Sequence[TorusCurve],
     if not sigma:
         return INF
     pts = [wrap_point((rat(p[0]), rat(p[1]))) for p in sigma]
-    for c in list(curves) + list(q):
-        if not c.axis_parallel():
-            raise GeometryError("widths require axis-parallel curves")
-    if all(_point_on_lines(p, q) for p in pts):
-        return Fraction(0)
-    vs, hs = _strand_lines(curves)
-    qv, qh = _strand_lines(q)
+    lines, q_lines = _lines([*curves, *q]), _lines(q)
     best = INF
     for p in pts:
-        if _point_on_lines(p, q):
+        if p[0] in q_lines["v"] or p[1] in q_lines["h"]:
             return Fraction(0)
-        v_lines = (vs | qv) - {c for c in vs | qv if (c - p[0]) % SIDE == 0}
-        h_lines = (hs | qh) - {c for c in hs | qh if (c - p[1]) % SIDE == 0}
-        g_e, g_w = _gaps(p[0], v_lines)
-        g_n, g_s = _gaps(p[1], h_lines)
+        g_e, g_w = _gaps(p[0], lines["v"])
+        g_n, g_s = _gaps(p[1], lines["h"])
         for b in boxes:
             if b.contains(p):
                 g_e = min(g_e, b.x1 - p[0])

@@ -1059,3 +1059,98 @@ def ref_metric_uppers(moves, lp, l, family, top_end=False):
 
     walk((lp,), list(moves), Fraction(0))
     return found
+
+
+# ---------------------------------------------------------------------------
+# relative widths and metric lower bounds, one strand and one multiset at a time
+# ---------------------------------------------------------------------------
+
+def _ref_strand_lines(curves):
+    """(vertical_line_coords, horizontal_line_coords), wrapped."""
+    vs, hs = set(), set()
+    for c in curves:
+        for axis, coord, _ in c.strands():
+            if axis == "v":
+                vs.add(coord)
+            else:
+                hs.add(coord)
+    return vs, hs
+
+
+def _ref_gaps(coord, obstacles):
+    """Wrap-aware distances to the nearest obstruction line on either
+    side; unobstructed sides share the complement evenly."""
+    ds = sorted({(c - coord) % SIDE for c in obstacles
+                 if (c - coord) % SIDE != 0})
+    if not ds:
+        return SIDE / 2, SIDE / 2
+    return ds[0], SIDE - ds[-1]
+
+
+def ref_gromov_width_rel(carrier, q):
+    """delta(L; Q) strand by strand: every strand's obstacles (the other
+    carrier strands and the Q lines of its axis) gathered afresh, each
+    gap a Fraction subtract-and-mod over them."""
+    for c in list(carrier) + list(q):
+        if not c.axis_parallel():
+            raise GeometryError("widths require axis-parallel curves")
+    qv, qh = _ref_strand_lines(q)
+    all_strands = []
+    for c in carrier:
+        all_strands.extend(c.strands())
+    best = Fraction(0)
+    usable = 0
+    for idx, (axis, coord, length) in enumerate(all_strands):
+        q_lines = qv if axis == "v" else qh
+        if coord in q_lines:
+            continue  # strand rides on Q
+        usable += 1
+        others = {c2 for j, (a2, c2, _) in enumerate(all_strands)
+                  if j != idx and a2 == axis and c2 != coord}
+        g1, g2 = _ref_gaps(coord, others | set(q_lines))
+        best = max(best, 2 * length * min(g1, g2))
+    return best if usable else Fraction(0)
+
+
+def ref_lower_bounds(space, lp, l, family_name, mode="weakly-exact", kmax=6):
+    """(lower, certificate) of d_k(lp, l) for k = 0..kmax, bounding every
+    end multiset of at most k family members on its own: both widths
+    through ``ref_gromov_width_rel``, then the probes of that multiset,
+    each verified once here."""
+    verified = {}
+
+    def width(source, ends):
+        val = ref_gromov_width_rel(space.carrier_curves(source),
+                                   space.cover_curves(ends)) / 2
+        if mode == "monotone" and space.monotone_min_area is not None:
+            val = min(val, space.monotone_min_area)
+        return val
+
+    def bound(ends):
+        best, cert = Fraction(0), "none"
+        names = "+".join(ends) or "none"
+        for a, b in ((lp, l), (l, lp)):
+            val = width(a, [b, *ends])
+            if val > best:
+                best, cert = val, f"width({a};{b}+{names})/2"
+        for p in space.probes:
+            if sorted((p.source, *p.ends)) == sorted((lp, l, *ends)) \
+                    and p.claimed_sup > best:
+                if p not in verified:
+                    verified[p] = p.verify(space)
+                if verified[p]:
+                    best, cert = p.claimed_sup, f"probe {p.name}"
+        return best, cert
+
+    out = []
+    lower, cert = INF, "no ends"
+    family = sorted(set(space.families[family_name]))
+    for k in range(kmax + 1):
+        for ends in itertools.combinations_with_replacement(family, k):
+            val, why = bound(ends)
+            if val < lower:
+                lower, cert = val, why
+        if lp == l:
+            lower = Fraction(0)
+        out.append((lower, cert))
+    return out

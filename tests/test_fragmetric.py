@@ -16,7 +16,7 @@ from filtcones.scenarios import (
 from filtcones.surface.curves import TorusCurve
 from filtcones.surface.shadow import PlanarDiagram, planar_shadow
 
-from support import ref_metric_uppers
+from support import ref_lower_bounds, ref_metric_uppers
 
 EPS, DELTA = F(1, 8), F(1, 256)
 
@@ -286,6 +286,48 @@ def test_strands_kept_and_copied():
     for _ in range(2):
         with pytest.raises(GeometryError):
             diagonal.strands()
+
+
+# -- lower bounds: one width per end set ------------------------------------------
+
+LINE_X = {"S1": -F(1, 2) - EPS, "S2": -F(1, 2) + EPS,
+          "S3": F(1, 2) - EPS, "S4": F(1, 2) + EPS}
+SUSPENSIONS = [(), (("S1", "S2"),), (("S2", "S3"),),
+               (("S1", "S3"), ("S2", "S4"))]
+
+
+def _trace_space_s1_only():
+    # the probe certifies (L'', L, S1) only: the multiset (S1, S1) of the
+    # same set has bound 0 at k = 2
+    space = trace_surgery_space(EPS, DELTA)
+    space.families["F"] = ["S1"]
+    return space
+
+
+@pytest.mark.parametrize("pattern", SUSPENSIONS)
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: lem_ex1_space(EPS, DELTA),
+     [("L'", "L"), ("L", "L'"), ("S1", "S2"), ("L'", "L'")]),
+    (lambda: trace_surgery_space(EPS, DELTA),
+     [("L''", "L"), ("L", "L''"), ("S2", "S3")]),
+    (_trace_space_s1_only, [("L''", "L"), ("L", "L''")]),
+    (lambda: disjoint_union_space(EPS), [("S1", "S2"), ("S2", "S1")]),
+], ids=["lem", "trace", "trace-S1", "disjoint"])
+def test_lower_bounds_match_every_multiset_bounded_alone(build, pairs,
+                                                         pattern):
+    for mode in ("weakly-exact", "monotone"):
+        space = build()
+        if mode == "monotone":
+            space.monotone_min_area = F(1, 64)
+        for a, b in pattern:
+            length = 2 * abs(LINE_X[a] - LINE_X[b])
+            space.moves.append(suspension_move(f"s{a[1]}{b[1]}", a, b,
+                                               length))
+        for lp, l in pairs:
+            got = [(r.lower, r.certificate) for r in itertools.islice(
+                space._results(lp, l, "F", mode), 7)]
+            assert got == ref_lower_bounds(space, lp, l, "F", mode), \
+                (mode, lp, l)
 
 
 # -- additive expression shadows and the exhaustive search ----------------------

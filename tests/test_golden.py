@@ -1,7 +1,7 @@
 """Golden outputs of the torus geometry and the metric search:
 ``repro-lemma-ex1`` reports, a Floer table (bigons, ranks, differentials
 and refusals) over fixed curve pools, a metric table (lower, upper,
-witness and certificate of fixed metric queries) and a ``metric`` report,
+witness and certificate of fixed metric queries) and ``metric`` reports,
 compared byte for byte with the files in ``tests/golden/``.
 
 Regenerate the files (only when a reported value is meant to change) with
@@ -23,7 +23,7 @@ from filtcones.scenarios import (
 from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
 from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
 
-from test_fragmetric import LEM_QUERIES, TRACE_QUERIES
+from test_fragmetric import LEM_QUERIES, LINE_X, TRACE_QUERIES
 from test_segment_pairs import _floer_sanity_pool
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -32,8 +32,8 @@ REPRO = {("1/8", "1/256"): "repro-lemma-ex1-eps1_8-delta1_256.txt",
          ("3/29", "1/8999"): "repro-lemma-ex1-eps3_29-delta1_8999.txt"}
 TABLE = "floer-table.txt"
 METRIC_TABLE = "metric-table.txt"
-METRIC_SCENARIO = "metric-lem-ex1.scenario"
-METRIC_REPORT = "metric-lem-ex1.txt"
+METRIC_REPORTS = {"metric-lem-ex1.scenario": "metric-lem-ex1.txt",
+                  "metric-trace.scenario": "metric-trace.txt"}
 EPS, DELTA = F(1, 8), F(1, 256)
 
 
@@ -92,11 +92,10 @@ def floer_table():
     return "\n".join(lines) + "\n"
 
 
-def metric_report():
+def metric_report(scenario):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["metric", "--scenario",
-                     os.path.join(GOLDEN, METRIC_SCENARIO)])
+        code = main(["metric", "--scenario", os.path.join(GOLDEN, scenario)])
     assert code == 0, out.getvalue()
     return out.getvalue()
 
@@ -106,8 +105,6 @@ def metric_report():
 LEM_PATTERNS = [(("S1", "S2"),), (("S1", "S2"), ("S3", "S4")),
                 (("S2", "S3"),), (("S1", "S3"), ("S2", "S4"))]
 TRACE_PATTERNS = [(("S1", "S2"),), (("S2", "S3"),), (("S3", "S4"),)]
-LINE_X = {"S1": -F(1, 2) - EPS, "S2": -F(1, 2) + EPS,
-          "S3": F(1, 2) - EPS, "S4": F(1, 2) + EPS}
 LINES = sorted(LINE_X)
 
 
@@ -199,7 +196,8 @@ def test_geometry_outputs_match_golden_files():
 
 def test_metric_outputs_match_golden_files():
     assert metric_table() == _read(METRIC_TABLE)
-    assert metric_report() == _read(METRIC_REPORT)
+    for scenario, report in METRIC_REPORTS.items():
+        assert metric_report(scenario) == _read(report), scenario
 
 
 if __name__ == "__main__":
@@ -207,7 +205,8 @@ if __name__ == "__main__":
     files = {name: repro_stdout(*key) for key, name in REPRO.items()}
     files[TABLE] = floer_table()
     files[METRIC_TABLE] = metric_table()
-    files[METRIC_REPORT] = metric_report()
+    for scenario, report in METRIC_REPORTS.items():
+        files[report] = metric_report(scenario)
     for name, text in files.items():
         with open(os.path.join(GOLDEN, name), "w") as f:
             f.write(text)

@@ -237,15 +237,37 @@ def _diagrams():
         grid.add_rect(x0, y0, x1, y1)
     grid.add_polyline([(0, 3), (3, 0)])
     out.append(grid)
+    # a bowtie whose diagonals cross at (3/2, 1/2), off the integer grid
+    # of its segments
+    out.append(PlanarDiagram([((0, 0), (3, 1)), ((0, 1), (3, 0)),
+                              ((0, 0), (0, 1)), ((3, 0), (3, 1))]))
     return out
+
+
+def _ref_atomic_at_one_scale(segments):
+    """``ref_atomic_segments`` in the form of ``shadow._atomic_segments``:
+    the edges times the common scale of their endpoints, and that scale."""
+    edges = ref_atomic_segments(segments)
+    q = common_scale([p for e in edges for p in e])
+    return {tuple(scaled(e, q)) for e in edges}, q
+
+
+def _faces(diagram):
+    """``planar_shadow(diagram, return_faces=True)`` up to the order of
+    the faces and the starting half-edge of each face cycle."""
+    total, faces = planar_shadow(diagram, return_faces=True)
+    return total, sorted((area, min(cycle[i:] + cycle[:i]
+                                    for i in range(len(cycle))))
+                         for area, cycle in faces)
 
 
 def test_planar_shadow_matches_all_pairs_scan(monkeypatch):
     diagrams = _diagrams()
-    got = [planar_shadow(d, return_faces=True) for d in diagrams]
-    monkeypatch.setattr(shadow, "_atomic_segments", ref_atomic_segments)
-    assert got == [planar_shadow(d, return_faces=True) for d in diagrams]
+    got = [_faces(d) for d in diagrams]
+    monkeypatch.setattr(shadow, "_atomic_segments", _ref_atomic_at_one_scale)
+    assert got == [_faces(d) for d in diagrams]
     assert any(total > 0 for total, _ in got)
+    assert got[-1][0] == F(3, 2)
 
 
 def _wrap(p):
