@@ -409,8 +409,7 @@ def cmd_twisted_check(args) -> int:
                 for gens, ch in phi_tables[i].items():
                     comps.setdefault(len(gens), {})[gens] = ch
                 f = PreModHom(src, k, comps, 0)
-                meas = [s for s in f.measured_shifts() if s > -INF]
-                f.shift = max(meas, default=Fraction(0))
+                f.shift = f.max_shift()
                 return f
             return build
 

@@ -5,22 +5,26 @@ generator and a square differential matrix over Novikov scalars.  The
 filtration is the mixed one: A(sum l_j e_j) = max(-v(l_j) + A(e_j)).
 
 The quantitative invariants (boundary level/depth, homotopical variants,
-delta-robust subspaces) are computed exactly by a persistence-style
-column reduction on the lattice t = T^(1/q), and independently checkable
-by the brute-force oracles in the test suite.  With L = lo*q for the
-window floor lo, monomial T^s e_j at action act = A_j - s is bit
-(act*q - L)*dim + j of an int, the order of (action, generator).  The
-column d(T^s e_j) is the bit pattern of d(e_j) shifted by (act*q - L)*dim
-bits, a right shift dropping what falls below the window; a column in
-which ``chain_shift`` cuts a term off at the cutoff is built through it.
+min beta and delta-robust subspaces) are the exponents of one Smith
+normal form of d over the valuation ring F2[[t]], t = T^(1/q), q the lcm
+of every action and exponent denominator, the queries' included (Usher
+and Zhang, *Persistent homology and Floer-Novikov theory*, 2016).  In
+the basis f_j = T^(A_j) e_j of action 0, d'_ij = d_ij T^(A_j - A_i);
+each entry is an int bitmask (bit k for t^k) after one common shift by
+the least exponent.  The elimination runs modulo t^N, N = (n+1)*D + 1
+with D the largest degree among the matrix and the query columns; as a
+nonzero j-minor has valuation at most j*D, every rank and valuation read
+off is exact (see ``_Smith``).  It reads the stored polynomials and no
+cutoff: a chain whose boundary only vanishes past the cutoff is no
+boundary.  The brute-force oracles of the test suite check it.
 
 The elimination layer has one implementation per ring, and none of it
 solves by truncated division:
 
+* ``_echelon`` -- least-valuation column echelon over F2[[t]] modulo t^N
+  on int bitmasks, run by ``_Smith``.
 * ``F2Basis`` -- F2 rows as int bitmasks in echelon form by top bit,
-  each with an XOR-accumulated tag.  The grid reduction, the two passes
-  of ``min_beta_over_span`` and the peak-slice expressions of
-  ``peel_off`` run on it.
+  each with an XOR-accumulated tag, for the peak slices of ``peel_off``.
 * ``Echelon`` -- fraction-free column echelon over the Novikov field
   with coefficient bookkeeping; ``field_rank``, ``field_kernel``,
   ``field_in_span``, ``image_basis`` and ``_quotient_kernel`` read it.
@@ -140,24 +144,15 @@ class FilteredComplex:
     def is_cycle(self, x: Chain) -> bool:
         return not self.d(x)
 
-    def grid(self, chains: Sequence[Chain] = ()) -> "_GridReduction":
-        """Grid reduction able to express the given query chains."""
+    def grid(self, chains: Sequence[Chain] = ()) -> "_Smith":
+        """The Smith-form reduction of d on a lattice holding the chains."""
         q = _denominators(self)
-        hi_need = None
-        lo_need = None
         for ch in chains:
-            for g, s in ch.items():
+            for s in ch.values():
                 for e in s.exps:
                     q = lcm(q, e.denominator)
-                    act = self.action[g] - e
-                    hi_need = act if hi_need is None else max(hi_need, act)
-                    lo_need = act if lo_need is None else min(lo_need, act)
-        g = self._grid
-        if (g is not None and g.step.denominator % q == 0
-                and (hi_need is None or g.hi >= hi_need + 1)
-                and (lo_need is None or g.lo <= lo_need)):
-            return g
-        self._grid = _GridReduction(self, q=q, hi_need=hi_need, lo_need=lo_need)
+        if self._grid is None or self._grid.q % q:
+            self._grid = _Smith(self, q)
         return self._grid
 
     def shift_actions(self, nu) -> "FilteredComplex":
@@ -338,8 +333,8 @@ class F2Basis:
 
     Every row carries a tag (an int) that is XOR-accumulated along each
     reduction.  Tagging input i with 1 << i records which inputs a row
-    combines; tagging an equation with its right-hand side bit turns the
-    basis into a linear-system solver.
+    combines; tagging an equation with its right-hand side bit shows an
+    inconsistent system as a residual 0 with tag 1.
     """
 
     __slots__ = ("rows",)
@@ -365,19 +360,9 @@ class F2Basis:
             self.rows[v.bit_length() - 1] = (v, tag)
         return v, tag
 
-    def solve(self) -> int:
-        """x (a bitmask) with parity(row & x) = tag for every row; the
-        variables that are no row's top bit are 0."""
-        x = 0
-        for top in sorted(self.rows):
-            v, b = self.rows[top]
-            if (b ^ (v & x).bit_count()) & 1:
-                x |= 1 << top
-        return x
-
 
 # ---------------------------------------------------------------------------
-# grid reduction engine
+# Smith-form kernel over the valuation ring
 # ---------------------------------------------------------------------------
 
 def _denominators(cx: FilteredComplex) -> int:
@@ -390,174 +375,172 @@ def _denominators(cx: FilteredComplex) -> int:
     return q
 
 
-class _GridReduction:
-    """Persistence-style reduction of a complex over the exponent grid.
+def _bits(x: int):
+    """The exponents k of the terms t^k of a polynomial bitmask, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    The window [lo, hi] is rows 0 .. rows-1 of the lattice (1/q)Z, row k
-    at action (k + L)/q.  Monomial T^s e_j at action act is bit
-    (act*q - L)*dim + j, so bit order is birth order; the column of row k
-    is the pattern of d(e_j) shifted by k*dim bits (see the module notes).
-    Columns are reduced in bit order into one ``F2Basis``, the i-th kept
-    column tagged 1 << i, so the boundary level of a vector is the birth
-    of the top bit of the tag it reduces with.
+
+def _mul(a: int, b: int) -> int:
+    """Carry-less product: multiplication in F2[t] on bitmasks."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    for k in _bits(a):
+        out ^= b << k
+    return out
+
+
+def _echelon(cols: List[List[int]], width: int, prec: int):
+    """Column echelon over F2[[t]] modulo t^prec, pivoting on the entry
+    of least valuation among the first ``width`` coordinates of the live
+    columns.
+
+    With pivot t^k*u (u a unit) each other live column c with entry y
+    there becomes u*c + (y/t^k)*pivot, and the pivot column retires.
+    Returns the retired columns as (k, column), k nondecreasing, and the
+    columns whose first ``width`` coordinates vanished.
+    """
+    mask = (1 << prec) - 1
+    live, dropped, retired = [], [], []
+    for c in cols:
+        c[:] = [x & mask for x in c]
+        (live if any(c[:width]) else dropped).append(c)
+    while live:
+        k, i, j = min(((x & -x).bit_length() - 1, i, j)
+                      for j, c in enumerate(live)
+                      for i, x in enumerate(c[:width]) if x)
+        piv = live.pop(j)
+        u, rest = piv[i] >> k, []
+        for c in live:
+            if c[i]:
+                w = c[i] >> k
+                c[:] = [(_mul(u, x) ^ _mul(w, y)) & mask
+                        for x, y in zip(c, piv)]
+            (rest if any(c[:width]) else dropped).append(c)
+        live = rest
+        retired.append((k, piv))
+    return retired, dropped
+
+
+class _Smith:
+    """Smith normal form of d over R = F2[[t]], t = T^(1/q).
+
+    In the basis f_j = T^(A_j) e_j, d is t^m D0 with D0 over F2[t], and
+    a query chain is t^s mu0 with v(mu0) = 0, so A(c) = -s/q.  Row
+    operations P and column operations Q, invertible over R, make D0
+    diagonal: ``_echelon`` on the rows of D0 (clearing a pivot's row
+    only zeroes entries) with the query columns appended retires pivot
+    rows with exponents k_i and leaves nu = P mu0.  P and Q keep
+    valuations, so B(c) = (m - s + max_i (k_i - v(nu_i))) / q over the
+    pivot rows, and c is no boundary iff nu is nonzero off them.
+
+    Precision N = (n + 1) * D + 1, D the largest degree in D0 and the
+    query columns: a nonzero j-minor of [D0 | mu0] has valuation at most
+    j*D.  The k_i are the Smith exponents of D0 (each least-valuation
+    pivot is the next invariant factor), so each is at most their sum,
+    the least valuation of a nonzero r-minor, r*D < N, and modulo t^N
+    the computation is the exact one.  A nonzero nu_j off the pivot rows
+    times t^(sum k_i) is an (r+1)-minor of the reduced matrix, so v(nu_j)
+    <= (r+1)*D < N.  As d b = c forces v(b) <= v(mu0) = 0, the maximum is
+    attained where v(nu_i) <= k_i < N, and an entry lost modulo t^N has
+    v(nu_i) - k_i > 0.  No cutoff is read.
     """
 
-    def __init__(self, cx: FilteredComplex, q: Optional[int] = None,
-                 hi_need=None, lo_need=None):
-        # no reference to cx itself: cx caches its grid, and the cycle
-        # would keep a large grid alive until a cyclic collection
-        self.generators, self.action = cx.generators, cx.action
-        self.cutoff = cx.cutoff
-        q = lcm(q or 1, _denominators(cx))  # a lattice holding every exponent
-        self.q, self.dim, self.step = q, cx.dim, Fraction(1, q)
-        span = max((e for g in cx.generators for s in cx.diff[g].values()
-                    for e in s.exps), default=Fraction(0))
-        acts = [cx.action[g] for g in cx.generators] or [Fraction(0)]
-        pad = (span + 1) * (cx.dim + 2)
-        lo = min(acts + ([] if lo_need is None else [lo_need])) - pad
-        hi = max(acts) + span + 1
-        hi = hi if hi_need is None else max(hi, hi_need + 1)
-        # the window on the lattice
-        self.L = (lo * q).__floor__()
-        self.rows = (hi * q).__ceil__() - self.L + 1
-        self.lo, self.hi = Fraction(self.L, q), Fraction(self.L + self.rows - 1, q)
-        self.monomials = range(self.rows * self.dim)  # bit i is monomial i
-        self.gen_index = {g: i for i, g in enumerate(cx.generators)}
-        self._row = [cx.action[g].numerator * q // cx.action[g].denominator
-                     - self.L for g in cx.generators]  # row of T^0 e_j
-        dim, rows = self.dim, self.rows
-        cols = []
-        for gi, g in enumerate(cx.generators):
-            # (action drop in rows, target, s*q from which it is cut off)
-            terms = [(self._row[gi] - self._row[self.gen_index[h]] + n,
-                      self.gen_index[h], (s.cutoff * q).__ceil__() - n)
-                     for h, s in cx.diff[g].items() for e in s.exps
-                     for n in (e.numerator * q // e.denominator,)]
-            if terms:
-                top = max(t[0] for t in terms)
-                pat = sum(1 << (top - d) * dim + h for d, h, _ in terms)
-                shifted = range(self._row[gi] - min(t[2] for t in terms) + 1,
-                                rows + min(t[0] for t in terms))
-                cols.append((g, pat, top, shifted))
-        self.births: List[Fraction] = []  # of the kept columns, ascending
-        self.basis = F2Basis()
-        for k in range(rows):
-            for g, pat, top, shifted in cols:
-                if k not in shifted:
-                    v = self._vec_of_chain(chain_shift(
-                        self.action[g] - Fraction(k + self.L, q), cx.diff[g]))
-                elif k >= top:
-                    v = pat << (k - top) * dim
-                else:
-                    v = pat >> (top - k) * dim
-                if v and self.basis.add(v, 1 << len(self.births))[0]:
-                    self.births.append(Fraction(k + self.L, q))
+    def __init__(self, cx: FilteredComplex, q: int):
+        # no reference to cx itself: cx caches its reduction
+        self.q = q
+        self.index = {g: i for i, g in enumerate(cx.generators)}
+        self.lift = [int(cx.action[g] * q) for g in cx.generators]
+        # the nonzero terms t^k of d', as (row, column, k)
+        self.monomials = [(self.index[h], j, int(e * q) + self.lift[j]
+                           - self.lift[self.index[h]])
+                          for j, g in enumerate(cx.generators)
+                          for h, s in cx.diff[g].items() for e in s.exps]
+        self.shift = min((k for *_, k in self.monomials), default=0)
+        self.rows = [[0] * cx.dim for _ in cx.generators]
+        for i, j, k in self.monomials:
+            self.rows[i][j] ^= 1 << k - self.shift
 
-    def _act(self, i: int) -> Fraction:
-        return Fraction(i // self.dim + self.L, self.q)
+    def _column(self, x: Chain) -> Tuple[int, List[int]]:
+        """(s, mu0): x = t^s mu0 in the f basis, v(mu0) = 0."""
+        terms = [(self.index[g], e * self.q - self.lift[self.index[g]])
+                 for g, sc in x.items() for e in sc.exps]
+        if any(k.denominator != 1 for _, k in terms):
+            raise FiltError("chain off the lattice of the reduction")
+        s = int(min(k for _, k in terms))
+        col = [0] * len(self.rows)
+        for i, k in terms:
+            col[i] ^= 1 << int(k) - s
+        return s, col
 
-    def _vec_of_chain(self, x: Chain, strict: bool = False) -> Optional[int]:
-        """Bit-vector of a chain in the monomial basis.
-
-        Monomials below the window are truncated unless ``strict``; above
-        the window or off the lattice the result is None.
-        """
-        q, dim, v = self.q, self.dim, 0
-        for g, s in x.items():
-            gi = self.gen_index[g]
-            for e in s.exps:
-                n, off = divmod(e.numerator * q, e.denominator)
-                r = self._row[gi] - n  # an off-lattice term lies just below r
-                if r < (1 if off else 0):
-                    if strict:
-                        return None
-                    continue
-                if off or r >= self.rows:
-                    return None
-                v |= 1 << r * dim + gi
-        return v
-
-    def _level(self, tag: int) -> Fraction:
-        return self.births[tag.bit_length() - 1] if tag else NEG_INF
+    def _reduce(self, cols: List[List[int]], extra: int = 0):
+        """Eliminate D0 with the query columns appended, modulo t^N."""
+        n = len(self.rows)
+        deg = max(x.bit_length() for row in self.rows + cols for x in row) - 1
+        prec = (n + 1 + extra) * deg + 1
+        return (prec, *_echelon([row + [c[i] for c in cols]
+                                 for i, row in enumerate(self.rows)], n, prec))
 
     def boundary_level(self, x: Chain) -> Fraction:
         if not x:
             return NEG_INF
-        v = self._vec_of_chain(x)
-        if v is None:
-            raise FiltError("chain exceeds grid window")
-        res, tag = self.basis.reduce(v)
-        return INF if res else self._level(tag)
+        s, col = self._column(x)
+        _, pivots, rest = self._reduce([col])
+        if any(row[-1] for row in rest):
+            return INF
+        top = max(k - next(_bits(row[-1])) for k, row in pivots if row[-1])
+        return Fraction(self.shift - s + top, self.q)
 
     def min_beta_over_span(self, vectors: List[Chain]) -> Fraction:
         """min over nonzero u in the Lambda-span of ``vectors`` of B(u)-A(u).
 
-        All vectors must be boundaries.  Returns +infinity for the zero
-        span.  Works on the monomial window: reduce the shifted family to
-        distinct action peaks, then reduce the boundary expressions to
-        distinct top births; the minimum is attained on the resulting
-        double-orthogonal family.
+        All vectors must be boundaries; +infinity for the zero span.  On
+        the r pivot rows u is nu, with A(u) = -v(nu) and B(u) = -v(K^-1
+        nu) up to the shifts, K = diag(t^k_i).  A first ``_echelon`` of
+        the nu columns retires them with exponents k'_b (their Smith
+        exponents); divided by t^k'_b they form Z, an R-basis of the span
+        with v(Z l) = v(l).  So beta(Z l) = v(l) - v(K^-1 Z l), least at
+        -max sigma_j over the Smith exponents of K^-1 Z, which a second
+        ``_echelon`` reads off H = t^kmax K^-1 Z (exponents kmax + sigma_j
+        in [0, kmax], as beta >= m/q).  The inputs' bookkeeping rides
+        along as extra coordinates, so the column of the largest one is
+        an input combination attaining the minimum: ``last_witness``.
+
+        Precision: sum k'_b, the least valuation of a nonzero p-minor of
+        the p independent inputs, is at most p*D, and kmax <= r*D.  The
+        second echelon needs N - max k'_b > kmax, and cutting the
+        witness's coefficients at t^h keeps its A and B once h > max k'_b
+        + kmax: N = (n + 1 + 2 len(vectors)) * D + 1 covers both.
         """
-        dim, low = self.dim, (1 << self.dim) - 1
-        raw = []  # (monomial bitvec, boundary expression tag)
-        for u in vectors:
-            if not u:
-                continue
-            a = max(self.action[g] - s.valuation() for g, s in u.items())
-            s0 = a - (self.hi - 1)  # scale so the peak sits near the top
-            # copy j is u * T^(s0 + j/q): one row down per copy, except at
-            # the copies where a term reaches the cutoff and is dropped
-            cuts = {((s.cutoff - e - s0) * self.q).__ceil__()
-                    for s in u.values() for e in s.exps}
-            hits = j = 0
-            v = self._vec_of_chain(chain_shift(s0, u), strict=True)
-            while v:
-                res, tag = self.basis.reduce(v)
-                if not res:
-                    raw.append((v, tag))  # copies too close to the top cannot
-                    hits += 1             # reach their primitives: dropped
-                j += 1
-                if j in cuts:
-                    v = self._vec_of_chain(
-                        chain_shift(s0 + j * self.step, u), strict=True)
-                else:  # a term leaving the window makes the copy None
-                    v = None if v & low else v >> dim
-            if hits == 0:
-                raise FiltError("min_beta_over_span: vector is not a boundary "
-                                "within the grid window")
-        # distinct action peaks (expressions of boundaries are unique, so
-        # the accumulated tag is the expression of the reduced vector)
-        peaks = F2Basis()
-        for v, tag in sorted(raw, key=lambda t: t[0].bit_length(),
-                             reverse=True):
-            peaks.add(v, tag)
-        if not peaks.rows:
-            return INF
-        # distinct top births in the expressions, processing by peak ascending
-        births = F2Basis()
-        for peak in sorted(peaks.rows):
-            v, expr = peaks.rows[peak]
-            births.add(expr, v)  # a vanished expression: element of lower span
-        best = INF
-        best_vec = None
-        for expr, v in births.rows.values():
-            act = self._act(v.bit_length() - 1)
-            b = self._level(expr)
-            if b - act < best:
-                best = b - act
-                best_vec = v
+        vecs = [v for v in vectors if v]
         self.last_witness = None
-        if best_vec is not None:
-            ch: Chain = {}
-            for i in reversed(range(best_vec.bit_length())):
-                if not best_vec >> i & 1:
-                    continue
-                g = self.generators[i % dim]
-                mono = NovikovScalar.monomial(self.action[g] - self._act(i),
-                                              self.cutoff)
-                ch = chain_add(ch, {g: mono})
-            self.last_witness = ch
-        return best
+        if not vecs:
+            return INF
+        cols = [self._column(v) for v in vecs]
+        prec, pivots, rest = self._reduce([c for _, c in cols], 2 * len(vecs))
+        n, r, p = len(self.rows), len(pivots), len(vecs)
+        if any(any(row[n:]) for row in rest):
+            raise FiltError("min_beta_over_span: vector is not a boundary")
+        ortho = _echelon([[row[n + l] for _, row in pivots]
+                          + [int(j == l) for j in range(p)]
+                          for l in range(p)], r, prec)[0]
+        top, kmax = ortho[-1][0], pivots[-1][0]
+        sigma, best = _echelon([[(z[i] >> kb) << kmax - pivots[i][0]
+                                 for i in range(r)]
+                                + [x << top - kb for x in z[r:]]
+                                for kb, z in ortho], r, prec - top)[0][-1]
+        w: Chain = {}
+        for lam, (s, _), v in zip(best[r:], cols, vecs):
+            if lam:
+                lam = NovikovScalar([Fraction(k - top - s, self.q)
+                                     for k in _bits(lam)],
+                                    next(iter(v.values())).cutoff)
+                w = chain_add(w, chain_scale(lam, v))
+        self.last_witness = w
+        return Fraction(self.shift + kmax - sigma, self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,12 +1044,15 @@ def complex_from_lines(lines: Iterable[Tuple[int, str]], cutoff=64
 
 
 def serialize_complex(cx: FilteredComplex) -> str:
+    """The text ``parse_complex`` reads back: one ``T^e*gen`` term per
+    monomial of the differential."""
     lines = [f"cutoff {cx.cutoff}"]
     for g in cx.generators:
         lines.append(f"gen {g} action {cx.action[g]}")
     for g in cx.generators:
         col = cx.diff[g]
         if col:
-            rhs = " + ".join(f"{s}*{h}" for h, s in sorted(col.items()))
+            rhs = " + ".join(f"T^{e}*{h}" for h, s in sorted(col.items())
+                             for e in s.exps)
             lines.append(f"d {g} = {rhs}")
     return "\n".join(lines) + "\n"

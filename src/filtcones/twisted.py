@@ -418,12 +418,9 @@ def rho_upper_from_witness(f: PreModHom, g: PreModHom,
     delta = comp.add(PreModHom.identity(f.source))
     if not delta.add(mu1_mod(eta)).is_zero():
         raise TwistedError("witness homotopy does not certify g f ~ id")
-    k = max((s for s in eta.measured_shifts() if s > NEG_INF),
-            default=Fraction(0))
-    a_g = max((s for s in g.measured_shifts() if s > NEG_INF),
-              default=Fraction(0))
-    a_f = max((s for s in f.measured_shifts() if s > NEG_INF),
-              default=Fraction(0))
+    k = eta.max_shift()
+    a_g = g.max_shift()
+    a_f = f.max_shift()
     return max(k, a_g + a_f, Fraction(0))
 
 
@@ -462,9 +459,9 @@ def cone_replace(phi: PreModHom, u: PreModHom, v: PreModHom, xi: PreModHom):
     from .wfainf import shift_module
     N, K1 = phi.source, phi.target
     Np = u.target
-    r = max((s for s in v.measured_shifts() if s > NEG_INF), default=Fraction(0))
-    s_shift = max((s for s in u.measured_shifts() if s > NEG_INF), default=Fraction(0))
-    k_shift = max((s for s in xi.measured_shifts() if s > NEG_INF), default=Fraction(0))
+    r = v.max_shift()
+    s_shift = u.max_shift()
+    k_shift = xi.max_shift()
     Np_sh = shift_module(Np, -r)
     vbar = PreModHom(Np_sh, N, v.components, 0, v.disc)
     phi_prime = mu2_mod(vbar, phi)

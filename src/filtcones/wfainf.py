@@ -521,6 +521,11 @@ class PreModHom:
                 out[d - 1] = max(out[d - 1], action_level(img, tgt) - total)
         return out
 
+    def max_shift(self) -> Fraction:
+        """The largest measured shift over the arities; 0 for the zero map."""
+        return max((s for s in self.measured_shifts() if s > NEG_INF),
+                   default=Fraction(0))
+
     def in_hom(self, rho, eps: Discrepancy) -> bool:
         """Membership in hom^{<= rho; eps}."""
         rho = rat(rho)
@@ -864,7 +869,7 @@ def pullback_module(F: WFFunctor, m: WFModule) -> WFModule:
     for d in range(2, cap + 1):
         table: Dict[Tuple[str, ...], Chain] = {}
         for gens in _pullback_tuples(F, m, d):
-            img = _pullback_value(F, m.mu, m, gens)
+            img = _pullback_value(F, m, gens)
             if img:
                 table[gens] = img
         if table:
@@ -885,7 +890,7 @@ def _pullback_tuples(F: WFFunctor, m: WFModule, d: int):
                 yield gens + (g,)
 
 
-def _pullback_value(F: WFFunctor, mu_unused, m: WFModule,
+def _pullback_value(F: WFFunctor, m: WFModule,
                     gens: Tuple[str, ...]) -> Chain:
     d = len(gens)
     a_gens, b = gens[:-1], gens[-1]

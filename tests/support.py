@@ -114,7 +114,9 @@ def oracle_boundary_level(c: Chain, cx: FilteredComplex):
     lo = action_level(c, cx) - step  # provably infeasible
     exps = [e for g in cx.generators for s in cx.diff[g].values() for e in s.exps]
     span = max(exps, default=Fraction(0)) + 1
-    hi = max(cx.action.values()) + span * (cx.dim + 1)
+    # a primitive lies above the chain itself, which may lie above every
+    # generator
+    hi = max(*cx.action.values(), action_level(c, cx)) + span * (cx.dim + 1)
     if not oracle_boundary_decision(c, cx, hi):
         return INF
     while hi - lo > step:

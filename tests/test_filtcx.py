@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
@@ -11,7 +12,8 @@ from filtcones.filtcx import (
     filtered_inverse, find_robust_subspace, hom_complex,
     homotopical_boundary_depth, homotopical_boundary_level, homology_rank,
     image_basis, is_delta_robust, map_to_chain, min_beta_subspace,
-    orthogonalize, parse_complex, serialize_complex, verify_rig_cplx2,
+    orthogonalize, parse_chain, parse_complex, serialize_complex,
+    verify_rig_cplx2,
 )
 
 from support import oracle_boundary_level, random_boundary, random_chain, random_complex
@@ -408,6 +410,26 @@ d b = T^1/2*x
     assert rt.action == cx.action
     for g in cx.generators:
         assert chain_eq(rt.diff[g], cx.diff[g])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 5, 7]),
+       st.integers(-12, 12), st.sampled_from([64, 40, 20]))
+def test_serialize_parse_roundtrip_property(seed, qden, shift, cutoff):
+    """Conjugated bar complexes carry scalars with several terms on one
+    generator; every one of them is read back as written."""
+    rng = random.Random(seed)
+    cx = random_complex(rng, n=rng.randint(1, 6), qden=qden, cutoff=cutoff)
+    cx = cx.shift_actions(Fraction(shift, qden))
+    text = serialize_complex(cx)
+    rt = parse_complex(text)
+    assert (rt.generators, rt.action, rt.diff, rt.cutoff) == \
+        (cx.generators, cx.action, cx.diff, cx.cutoff)
+    assert serialize_complex(rt) == text
+    for g in cx.generators:
+        rhs = text.split(f"d {g} = ", 1)[1].split("\n")[0] \
+            if cx.diff[g] else "0"
+        assert parse_chain(rhs, cutoff) == cx.diff[g]
 
 
 def test_degenerate_inputs_conventions():

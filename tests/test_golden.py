@@ -1,8 +1,10 @@
-"""Golden outputs of the torus geometry and the metric search:
-``repro-lemma-ex1`` reports, a Floer table (bigons, ranks, differentials
-and refusals) over fixed curve pools, a metric table (lower, upper,
-witness and certificate of fixed metric queries) and ``metric`` reports,
-compared byte for byte with the files in ``tests/golden/``.
+"""Golden outputs of the torus geometry, the metric search and the depth
+queries: ``repro-lemma-ex1`` reports, a Floer table (bigons, ranks,
+differentials and refusals) over fixed curve pools, a metric table
+(lower, upper, witness and certificate of fixed metric queries),
+``metric`` reports and ``depth`` reports on fixed complexes (odd
+denominators, negative actions), compared byte for byte with the files
+in ``tests/golden/``.
 
 Regenerate the files (only when a reported value is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -34,6 +36,13 @@ TABLE = "floer-table.txt"
 METRIC_TABLE = "metric-table.txt"
 METRIC_REPORTS = {"metric-lem-ex1.scenario": "metric-lem-ex1.txt",
                   "metric-trace.scenario": "metric-trace.txt"}
+# complex file -> (queries, report file); tier1.yml diffs the same runs
+DEPTH = {"depth-odd.cx": (("B x", "beta x", "B y", "beta y", "B z", "A a",
+                           "A z"), "depth-odd.txt"),
+         "depth-negative.cx": (("B s", "beta s", "B t", "A p", "A s"),
+                               "depth-negative.txt"),
+         "depth-sevenths.cx": (("B g1", "beta g1", "B g3", "beta g3", "B g5",
+                                "beta g5", "A g0"), "depth-sevenths.txt")}
 EPS, DELTA = F(1, 8), F(1, 256)
 
 
@@ -96,6 +105,17 @@ def metric_report(scenario):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["metric", "--scenario", os.path.join(GOLDEN, scenario)])
+    assert code == 0, out.getvalue()
+    return out.getvalue()
+
+
+def depth_report(complex_file, queries):
+    argv = ["depth", "--complex", os.path.join(GOLDEN, complex_file)]
+    for q in queries:
+        argv += ["--query", q]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
     assert code == 0, out.getvalue()
     return out.getvalue()
 
@@ -200,6 +220,11 @@ def test_metric_outputs_match_golden_files():
         assert metric_report(scenario) == _read(report), scenario
 
 
+def test_depth_outputs_match_golden_files():
+    for complex_file, (queries, report) in DEPTH.items():
+        assert depth_report(complex_file, queries) == _read(report), report
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     files = {name: repro_stdout(*key) for key, name in REPRO.items()}
@@ -207,6 +232,8 @@ if __name__ == "__main__":
     files[METRIC_TABLE] = metric_table()
     for scenario, report in METRIC_REPORTS.items():
         files[report] = metric_report(scenario)
+    for complex_file, (queries, report) in DEPTH.items():
+        files[report] = depth_report(complex_file, queries)
     for name, text in files.items():
         with open(os.path.join(GOLDEN, name), "w") as f:
             f.write(text)

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     FilteredComplex, action_level, boundary_depth_elem, boundary_level,
-    chain_add, chain_scale, delta_d, is_delta_robust, min_beta_subspace,
+    chain_add, chain_scale, chain_shift, delta_d, is_delta_robust,
+    min_beta_subspace, parse_chain, parse_complex,
 )
 
 from support import oracle_boundary_level, random_boundary, random_chain, \
@@ -151,3 +152,45 @@ def test_beta_geq_delta_d_odd_denominators():
         if not c:
             continue
         assert boundary_depth_elem(c, cx) >= delta_d(cx)
+
+
+# -- exact boundary levels where a bounded monomial window went wrong ----------
+
+
+def test_primitive_a_full_depth_above_the_chain():
+    cx = parse_complex("gen g0 action 4/3\ngen g1 action 4/3\n"
+                       "d g1 = T^4/3*g0\n")
+    c = parse_chain("T^-5/3*g0 + T^10/3*g0", 64)
+    # the primitive T^-3*g1 + T^2*g1 sits at 13/3, 4/3 above A(c) = 3
+    assert boundary_level(c, cx) == F(13, 3)
+    assert oracle_boundary_level(c, cx) == F(13, 3)
+
+
+def test_levels_shift_with_the_chain_far_below_the_actions():
+    cx = parse_complex("gen g0 action 1\ngen g1 action 3/2\ngen g2 action 1\n"
+                       "gen g3 action 1\nd g1 = T^1/2*g0\n"
+                       "d g2 = T^0*g0 + T^1*g3\n")
+    v = parse_chain("T^4*g0 + T^9/2*g0 + T^5*g3", 64)
+    b = boundary_level(v, cx)
+    assert b == F(-5, 2)
+    assert oracle_boundary_level(chain_shift(12, v), cx) == F(-29, 2)
+    for s in range(-20, 21):
+        assert boundary_level(chain_shift(s, v), cx) == b - s
+    assert boundary_depth_elem(v, cx) == F(1, 2)
+    assert min_beta_subspace([v], cx) == F(1, 2)
+    assert is_delta_robust([v], F(1, 2), cx)
+    assert not is_delta_robust([v], F(3, 4), cx)
+
+
+def test_a_boundary_past_the_cutoff_is_no_boundary():
+    # is_cycle drops d(T^127/2*g1) at the cutoff 64; the stored
+    # polynomials say it is no cycle, so it bounds nothing
+    cx = parse_complex("gen g0 action 1\ngen g1 action 0\ngen g2 action 0\n"
+                       "gen g3 action 2\ngen g4 action 2\n"
+                       "d g0 = T^0*g1 + T^1*g2 + T^3*g3\n"
+                       "d g1 = T^6*g3 + T^7*g4\nd g3 = T^3*g3 + T^4*g4\n"
+                       "d g4 = T^2*g3 + T^3*g4\n")
+    w = parse_chain("T^127/2*g1", 64)
+    assert cx.is_cycle(w)
+    assert boundary_level(w, cx) == INF
+    assert oracle_boundary_level(w, cx) == INF
