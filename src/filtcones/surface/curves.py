@@ -4,24 +4,32 @@ A curve is stored as its lift: a vertex path in the plane whose final
 point differs from the first by (2p, 2q); (p, q) is the homology class.
 Edges are straight segments in the universal cover.
 
-The exact predicates run on integers: each call multiplies the points
-it works on by their common scale q (``common_scale``, the lcm of the
-coordinate denominators; ``scaled``), so deck translates become
-multiples of 2q and the contact predicate ``_seg_common`` compares
-integer numerators without dividing.  Points, crossing records and areas
+The exact predicates run on integers.  Each curve carries one integer
+lift, built at construction: its scale q (``common_scale``, the lcm of
+its vertex denominators) and its closed lift path times q (``scaled``),
+so its deck translates are multiples of 2q and the contact predicate
+``_seg_common`` compares integer numerators without dividing.  A
+predicate on two curves brings both lifts to the lcm of their scales
+with one multiply per coordinate.  Points, crossing records and areas
 are returned as Fractions in the torus coordinates.
 
 Pairs of segments are tested only as ``segment_pairs`` yields them: the
 pairs whose closed axis-aligned bounding boxes meet.  It never decides
 contact itself; ``_seg_common`` is the one exact contact predicate.  The
-pairs it skips share no point, as their closed boxes are disjoint.
+pairs it skips share no point, as their closed boxes are disjoint.  The
+deck translates of one path that can meet another are cut the same way
+(``_translated_edges``): a translated edge whose closed box misses the
+closed box of the other path misses every segment of that path, whose
+boxes lie inside it, so it is dropped before the sweep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..novikov import rat
 
@@ -37,9 +45,16 @@ def _pt(p) -> Point:
     return (rat(p[0]), rat(p[1]))
 
 
+def _wrap(c) -> Fraction:
+    n, d = c.numerator, c.denominator
+    return Fraction((n + d) % (2 * d) - d, d)
+
+
 def wrap_point(p: Point) -> Point:
-    """Representative in the fundamental square [-1, 1) x [-1, 1)."""
-    return (Fraction((p[0] + 1) % SIDE) - 1, Fraction((p[1] + 1) % SIDE) - 1)
+    """Representative in the fundamental square [-1, 1) x [-1, 1).  A
+    coordinate n/d maps to ((n + d) mod 2d - d)/d, congruent to n modulo
+    d and so in lowest terms."""
+    return (_wrap(p[0]), _wrap(p[1]))
 
 
 def common_scale(points) -> int:
@@ -54,15 +69,16 @@ def scaled(points, q: int) -> List[Tuple[int, int]]:
              y.numerator * (q // y.denominator)) for x, y in points]
 
 
-def _seg_common(p1, p2, q1, q2):
+def _seg_common(p1, p2, q1, q2, scale: int = 1):
     """Exact contact between two closed segments with integer endpoints.
 
     Returns None, ("point", p, kind) with kind "proper" (both interiors)
     or "touch", or ("overlap",) for a collinear sub-segment.  The hit
     parameters t/denom on p1p2 and u/denom on q1q2 are compared as
     integer numerators against denom > 0.  A touch point is the endpoint
-    itself; only a proper hit point is divided out, as a pair of
-    Fractions in the same frame.
+    itself; only a proper hit point is divided out, by denom times
+    ``scale``, as a pair of Fractions: in the same frame, or in the
+    unscaled one for endpoints at scale ``scale``.
     """
     rx, ry = p2[0] - p1[0], p2[1] - p1[1]
     sx, sy = q2[0] - q1[0], q2[1] - q1[1]
@@ -97,8 +113,9 @@ def _seg_common(p1, p2, q1, q2):
         return ("point", q1, "touch")
     if u == denom:
         return ("point", q2, "touch")
-    return ("point", (Fraction(p1[0] * denom + t * rx, denom),
-                      Fraction(p1[1] * denom + t * ry, denom)), "proper")
+    return ("point", (Fraction(p1[0] * denom + t * rx, denom * scale),
+                      Fraction(p1[1] * denom + t * ry, denom * scale)),
+            "proper")
 
 
 def segment_pairs(segs, others=None) -> List[Tuple[int, int]]:
@@ -128,7 +145,10 @@ def segment_pairs(segs, others=None) -> List[Tuple[int, int]]:
 
 
 class TorusCurve:
-    """Closed embedded PL curve, stored by its lift path."""
+    """Closed embedded PL curve, stored by its lift path and its integer
+    lift: ``scale``, the lcm q of the vertex denominators, and
+    ``int_lift``, the closed lift path times q.  Only ``name`` may change
+    after construction, so the lift, strands and strand lines are kept."""
 
     def __init__(self, vertices: Sequence, name: str = "",
                  check_embedded: bool = True):
@@ -136,19 +156,21 @@ class TorusCurve:
         vs = [_pt(v) for v in vertices]
         if len(vs) < 2:
             raise GeometryError("a curve needs at least two vertices")
-        dx = vs[-1][0] - vs[0][0]
-        dy = vs[-1][1] - vs[0][1]
-        if dx % SIDE != 0 or dy % SIDE != 0:
+        self.scale = q = common_scale(vs)
+        self.int_lift = pts = scaled(vs, q)
+        (kx, rx), (ky, ry) = (divmod(pts[-1][c] - pts[0][c], 2 * q)
+                              for c in (0, 1))
+        if rx or ry:
             raise GeometryError("lift path must close up to a deck translate")
         self.vertices = vs[:-1]
         self.closure = vs[-1]
         self._strands: Optional[Tuple[tuple, ...]] = None
-        self.hclass = (int(dx / SIDE), int(dy / SIDE))
+        self._lines: Optional[Dict[str, FrozenSet[Fraction]]] = None
+        self.hclass = (kx, ky)
         if self.hclass == (0, 0):
             raise GeometryError("curve must be homologically essential")
-        for a, b in self.edges():
-            if a == b:
-                raise GeometryError("degenerate edge")
+        if any(a == b for a, b in zip(pts, pts[1:])):
+            raise GeometryError("degenerate edge")
         if check_embedded and not self.is_embedded():
             raise GeometryError(f"curve {name or vertices} is not embedded")
 
@@ -158,16 +180,14 @@ class TorusCurve:
 
     def is_embedded(self) -> bool:
         """No self-intersections on the torus (translate-aware)."""
-        path = self.vertices + [self.closure]
-        q = common_scale(path)
-        pts = scaled(path, q)
+        pts = self.int_lift
         edges = list(zip(pts, pts[1:]))
         n = len(edges)
         cls = self.hclass
         back = (-cls[0], -cls[1])
-        shifts, shifted = _translated_edges(pts, pts, q)
+        tags, shifted = _translated_edges(pts, pts, self.scale)
         for i, k in segment_pairs(edges, shifted):
-            t, j = shifts[k // n], k % n
+            t, j = tags[k]
             if t == (0, 0) and j <= i:
                 continue
             a, b = edges[i]
@@ -205,6 +225,15 @@ class TorusCurve:
         if self._strands is None:
             self._strands = tuple(self._strand_runs())
         return list(self._strands)
+
+    def strand_lines(self) -> Dict[str, FrozenSet[Fraction]]:
+        """The wrapped coordinates of the strand lines, by axis: {"v":
+        x's of vertical strands, "h": y's of horizontal strands}.  Found
+        on the first call and kept; callers must not change the dict."""
+        if self._lines is None:
+            self._lines = {axis: frozenset(c for a, c, _ in self.strands()
+                                           if a == axis) for axis in "vh"}
+        return self._lines
 
     def _strand_runs(self) -> List[tuple]:
         if not self.axis_parallel():
@@ -247,22 +276,24 @@ class TorusCurve:
 
 
 def _translated_edges(pts, near, q: int):
-    """Deck translates of the closed lift path ``pts`` (integer points at
-    scale ``q``) whose edges can meet the integer points ``near``: the
-    multipliers (kx, ky) of the translates (2q kx, 2q ky), with kx and ky
-    ascending, and the path's edges moved by each, translate-major."""
+    """The deck translates of the edges of the closed lift path ``pts``
+    (integer points at scale ``q``) whose closed boxes meet the closed box
+    of the integer points ``near``; the others meet no segment between
+    those points.  Returns the tags ((kx, ky), edge index) of the edges
+    moved by (2q kx, 2q ky), sorted (translate-major, kx, ky and the
+    index ascending), and the moved edges in that order."""
     side = 2 * q
-    ranges = []
-    for c in (0, 1):
-        vals = [p[c] for p in pts]
-        lo, hi = min(p[c] for p in near), max(p[c] for p in near)
-        ranges.append(range((lo - max(vals)) // side,
-                            -((min(vals) - hi) // side) + 1))
-    edges = list(zip(pts, pts[1:]))
-    shifts = [(kx, ky) for kx in ranges[0] for ky in ranges[1]]
-    return shifts, [((c[0] + side * kx, c[1] + side * ky),
-                     (d[0] + side * kx, d[1] + side * ky))
-                    for kx, ky in shifts for c, d in edges]
+    x0, x1 = min(p[0] for p in near), max(p[0] for p in near)
+    y0, y1 = min(p[1] for p in near), max(p[1] for p in near)
+    tags = sorted(
+        ((kx, ky), j) for j, (a, b) in enumerate(zip(pts, pts[1:]))
+        for kx in range((x0 - max(a[0], b[0]) - 1) // side + 1,
+                        (x1 - min(a[0], b[0])) // side + 1)
+        for ky in range((y0 - max(a[1], b[1]) - 1) // side + 1,
+                        (y1 - min(a[1], b[1])) // side + 1))
+    return tags, [((pts[j][0] + side * kx, pts[j][1] + side * ky),
+                   (pts[j + 1][0] + side * kx, pts[j + 1][1] + side * ky))
+                  for (kx, ky), j in tags]
 
 
 class Crossing(NamedTuple):
@@ -283,29 +314,28 @@ def _crossing_points(c1: TorusCurve, c2: TorusCurve,
     """The transverse crossings, keyed by wrapped point.  Endpoint
     touches and collinear overlaps are skipped if ``proper`` is set and
     raise GeometryError otherwise."""
-    path1, path2 = c1.vertices + [c1.closure], c2.vertices + [c2.closure]
-    q = common_scale(path1 + path2)
-    pts1 = scaled(path1, q)
+    q = lcm(c1.scale, c2.scale)
+    pts1, pts2 = ([(x * m, y * m) for x, y in c.int_lift]
+                  for c, m in ((c1, q // c1.scale), (c2, q // c2.scale)))
     edges1 = list(zip(pts1, pts1[1:]))
-    n2 = len(path2) - 1
-    shifts, shifted = _translated_edges(scaled(path2, q), pts1, q)
+    tags, shifted = _translated_edges(pts2, pts1, q)
     found: Dict[Point, Crossing] = {}
     # scan in (translate, edge of c1, edge of c2) order, which fixes the
     # first degenerate contact found and hence the error raised
     for i, k in sorted(segment_pairs(edges1, shifted),
-                       key=lambda ik: (ik[1] // n2, ik[0], ik[1])):
+                       key=lambda ik: (tags[ik[1]][0], ik[0], ik[1])):
         (a, b), (c, d) = edges1[i], shifted[k]
-        hit = _seg_common(a, b, c, d)
+        hit = _seg_common(a, b, c, d, q)
         if hit is None:
             continue
         if hit[0] == "point" and hit[2] == "proper":
-            p = (hit[1][0] / q, hit[1][1] / q)
-            kx, ky = shifts[k // n2]
+            p = hit[1]
+            (kx, ky), j = tags[k]
             w = wrap_point(p)
             # nonzero for a proper crossing: it is _seg_common's denom
             det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
-            found[w] = Crossing(w, ((i, p), (k % n2, (p[0] - 2 * kx,
-                                                      p[1] - 2 * ky))),
+            found[w] = Crossing(w, ((i, p), (j, (p[0] - 2 * kx,
+                                                 p[1] - 2 * ky))),
                                 1 if det > 0 else -1)
         elif not proper:
             raise GeometryError("segments overlap along a sub-segment"

@@ -42,14 +42,17 @@ from .curves import GeometryError, Point, TorusCurve, common_scale, \
 
 
 class _Lift(NamedTuple):
-    """A curve's stored lift path (closure included), class and edges."""
-    pts: List[Point]
+    """A curve's integer lift (closure included) and its scale, read off
+    the curve, with its vertices, class and edge count."""
+    pts: List[Tuple[int, int]]
+    scale: int
+    vertices: List[Point]
     cls: Tuple[int, int]
     n: int
 
     @classmethod
     def of(cls, curve: TorusCurve) -> "_Lift":
-        return cls(curve.vertices + [curve.closure], curve.hclass,
+        return cls(curve.int_lift, curve.scale, curve.vertices, curve.hclass,
                    len(curve.vertices))
 
 
@@ -58,17 +61,23 @@ def _det(u, v):
 
 
 def _half(p: Point, q: Point) -> Tuple[int, int]:
-    """(p - q) / 2 for two lifts of one torus point: a deck multiplier."""
-    return int(p[0] - q[0]) // 2, int(p[1] - q[1]) // 2
+    """(p - q) / 2 for two lifts of one torus point: a deck multiplier.
+    The lifts differ by even integers, so they share denominators."""
+    return ((p[0].numerator - q[0].numerator) // (2 * p[0].denominator),
+            (p[1].numerator - q[1].numerator) // (2 * p[1].denominator))
 
 
 def _pos(lift: _Lift, end) -> Fraction:
     """Position of a crossing end (edge index i, lift point p) on the
-    stored lift: i plus the fraction of edge i before p."""
+    stored lift: i plus the fraction of edge i before p, which is
+    (p q - a) / (b - a) on the integer lift at scale q."""
     i, p = end
     a, b = lift.pts[i], lift.pts[i + 1]
     c = 0 if a[0] != b[0] else 1
-    return i + (p[c] - a[c]) / (b[c] - a[c])
+    x = p[c]
+    d = (b[c] - a[c]) * x.denominator
+    return Fraction(i * d + x.numerator * lift.scale - a[c] * x.denominator,
+                    d)
 
 
 def _moved(p: Point, lift: _Lift, k: int, off) -> Point:
@@ -225,7 +234,8 @@ def _polygons(lifts, corners):
                 a, b = a // scale, b // scale
                 for g in (range(a + 1, b + 1) if a < b else range(a, b, -1)):
                     k_, v = divmod(g, lifts[i].n)
-                    loop.append(_moved(lifts[i].pts[v], lifts[i], k_, off))
+                    loop.append(_moved(lifts[i].vertices[v], lifts[i], k_,
+                                       off))
             loop.append(loop[0])
             area = _signed_area(loop)
             if (area > 0) == (turns.pop() > 0):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from ..novikov import INF, rat
 from .curves import GeometryError, SIDE, TorusCurve, wrap_point
@@ -35,15 +35,12 @@ class Box:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
 
 
-def _lines(curves: Sequence[TorusCurve]) -> Dict[str, Set[Fraction]]:
+def _lines(curves: Sequence[TorusCurve]) -> Dict[str, FrozenSet[Fraction]]:
     """The wrapped coordinates of the strand lines of ``curves``, by axis:
-    {"v": x's of vertical strands, "h": y's of horizontal strands}.
-    ``strands`` refuses a curve that is not axis-parallel."""
-    lines: Dict[str, Set[Fraction]] = {"v": set(), "h": set()}
-    for c in curves:
-        for axis, coord, _ in c.strands():
-            lines[axis].add(coord)
-    return lines
+    the union of their ``strand_lines``, which refuse a curve that is not
+    axis-parallel."""
+    return {axis: frozenset().union(*(c.strand_lines()[axis]
+                                      for c in curves)) for axis in "vh"}
 
 
 def _gaps(coord: Fraction, obstacles: set) -> Tuple[Fraction, Fraction]:
@@ -77,7 +74,7 @@ class StrandTable:
         self.base = self._capacities(lines, ride=False)
         self._columns: Dict[TorusCurve, list] = {}
 
-    def _capacities(self, lines: Dict[str, Set[Fraction]], ride: bool):
+    def _capacities(self, lines: Dict[str, FrozenSet[Fraction]], ride: bool):
         q, out = self.scale, []
         for axis, coord, length in self.strands:
             at = coord.numerator * (q // coord.denominator)

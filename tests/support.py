@@ -14,12 +14,12 @@ from math import ceil, floor, lcm
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
-    Chain, F2Basis, FiltError, FilteredComplex, NEG_INF, _denominators,
-    action_level, chain_add, chain_scale, chain_shift,
+    Chain, FilteredComplex, NEG_INF, action_level, chain_add, chain_scale,
+    homology_rank,
 )
 from filtcones.surface.curves import (
     SIDE, GeometryError, _seg_common, common_scale, crossings, path_from,
-    scaled, segment_pairs, wrap_point,
+    scaled, segment_pairs,
 )
 
 Rat = Fraction
@@ -235,137 +235,6 @@ def random_chain(rng: random.Random, cx: FilteredComplex, density=0.7,
 def random_boundary(rng: random.Random, cx: FilteredComplex, qden=2):
     b = random_chain(rng, cx, qden=qden)
     return cx.d(b), b
-
-
-# ---------------------------------------------------------------------------
-# reference grid: Fraction monomials, sorted, columns via chain_shift
-# ---------------------------------------------------------------------------
-
-class RefGridReduction:
-    """The grid reduction with a sorted list of (action, generator)
-    monomials, an index dict, and each column d(T^s e_j) built by
-    ``chain_shift`` and looked up term by term.  The library's lattice
-    grid must agree with it bit for bit."""
-
-    def __init__(self, cx: FilteredComplex, q=None, hi_need=None, lo_need=None):
-        self.generators, self.action = cx.generators, cx.action
-        self.cutoff = cx.cutoff
-        if q is None:
-            q = _denominators(cx)
-        self.step = Fraction(1, q)
-        exps = [e for g in cx.generators for s in cx.diff[g].values()
-                for e in s.exps]
-        span = max(exps) if exps else Fraction(0)
-        acts = [cx.action[g] for g in cx.generators] or [Fraction(0)]
-        pad = (span + 1) * (cx.dim + 2)
-        self.lo = min(acts) - pad
-        self.hi = max(acts) + span + 1
-        if hi_need is not None:
-            self.hi = max(self.hi, hi_need + 1)
-        if lo_need is not None:
-            self.lo = min(self.lo, lo_need - pad)
-        self.lo = (self.lo / self.step).__floor__() * self.step
-        self.hi = -((-self.hi / self.step).__floor__()) * self.step
-        self.monomials = []
-        self.gen_index = {g: i for i, g in enumerate(cx.generators)}
-        nsteps = int((self.hi - self.lo) / self.step)
-        for gi, g in enumerate(cx.generators):
-            a = cx.action[g]
-            s = a - self.hi
-            for k in range(nsteps + 1):
-                self.monomials.append((a - (s + k * self.step), gi))
-        self.monomials.sort(key=lambda t: (t[0], t[1]))
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        cols = []
-        for act, gi in self.monomials:
-            g = cx.generators[gi]
-            v = self._vec_of_chain(chain_shift(cx.action[g] - act, cx.diff[g]))
-            if v:
-                cols.append((act, v))
-        cols.sort(key=lambda t: t[0])
-        self.births = []
-        self.basis = F2Basis()
-        for birth, v in cols:
-            if self.basis.add(v, 1 << len(self.births))[0]:
-                self.births.append(birth)
-
-    def _vec_of_chain(self, x: Chain, strict=False):
-        v = 0
-        for g, s in x.items():
-            gi = self.gen_index[g]
-            for e in s.exps:
-                act = self.action[g] - e
-                if act < self.lo:
-                    if strict:
-                        return None
-                    continue
-                key = (act, gi)
-                if key not in self.index:
-                    return None
-                v |= 1 << self.index[key]
-        return v
-
-    def _level(self, tag):
-        return self.births[tag.bit_length() - 1] if tag else NEG_INF
-
-    def boundary_level(self, x: Chain):
-        if not x:
-            return NEG_INF
-        v = self._vec_of_chain(x)
-        if v is None:
-            raise FiltError("chain exceeds grid window")
-        res, tag = self.basis.reduce(v)
-        return INF if res else self._level(tag)
-
-    def min_beta_over_span(self, vectors):
-        raw = []
-        for u in vectors:
-            if not u:
-                continue
-            a = max(self.action[g] - s.valuation() for g, s in u.items())
-            s = a - (self.hi - 1)
-            hits = 0
-            while True:
-                v = self._vec_of_chain(chain_shift(s, u), strict=True)
-                if v is None or v == 0:
-                    break
-                res, tag = self.basis.reduce(v)
-                if not res:
-                    raw.append((v, tag))
-                    hits += 1
-                s += self.step
-            if hits == 0:
-                raise FiltError("min_beta_over_span: vector is not a boundary "
-                                "within the grid window")
-        peaks = F2Basis()
-        for v, tag in sorted(raw, key=lambda t: t[0].bit_length(),
-                             reverse=True):
-            peaks.add(v, tag)
-        if not peaks.rows:
-            return INF
-        births = F2Basis()
-        for peak in sorted(peaks.rows):
-            v, expr = peaks.rows[peak]
-            births.add(expr, v)
-        best, best_vec = INF, None
-        for expr, v in births.rows.values():
-            act = self.monomials[v.bit_length() - 1][0]
-            b = self._level(expr)
-            if b - act < best:
-                best, best_vec = b - act, v
-        self.last_witness = None
-        if best_vec is not None:
-            ch = {}
-            v = best_vec
-            while v:
-                i = v.bit_length() - 1
-                v ^= 1 << i
-                act, gi = self.monomials[i]
-                g = self.generators[gi]
-                mono = NovikovScalar.monomial(self.action[g] - act, self.cutoff)
-                ch = chain_add(ch, {g: mono})
-            self.last_witness = ch
-        return best
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +652,23 @@ def ref_is_embedded(curve) -> bool:
     return True
 
 
-def ref_crossings(c1, c2, proper: bool):
-    """Sorted wrapped crossing points; touches and overlaps are skipped if
-    ``proper`` is set and raise like ``intersections`` otherwise."""
+def ref_wrap_point(p):
+    """Representative in the fundamental square [-1, 1) x [-1, 1), by
+    Fraction add, mod and subtract."""
+    return (Fraction((p[0] + 1) % SIDE) - 1, Fraction((p[1] + 1) % SIDE) - 1)
+
+
+def ref_crossing_signs(c1, c2, proper: bool):
+    """{wrapped crossing point: sign of det(t1, t2) of the two edge
+    tangents}; touches and overlaps are skipped if ``proper`` is set and
+    raise like ``intersections`` otherwise."""
     edges1 = c1.edges()
-    pts = set()
+    signs = {}
     for t in _ref_translates(c2, *_edge_bounds(edges1)):
         for a, b in edges1:
             for seg in c2.edges():
-                hit = ref_seg_common(a, b, *_translate(seg, t))
+                c, d = _translate(seg, t)
+                hit = ref_seg_common(a, b, c, d)
                 if hit is None:
                     continue
                 if hit[0] == "overlap":
@@ -802,8 +679,16 @@ def ref_crossings(c1, c2, proper: bool):
                     if proper:
                         continue
                     raise GeometryError("segments meet at a vertex")
-                pts.add(wrap_point(hit[1]))
-    return sorted(pts)
+                det = (b[0] - a[0]) * (d[1] - c[1]) \
+                    - (b[1] - a[1]) * (d[0] - c[0])
+                signs[ref_wrap_point(hit[1])] = 1 if det > 0 else -1
+    return signs
+
+
+def ref_crossings(c1, c2, proper: bool):
+    """Sorted wrapped crossing points; touches and overlaps are skipped if
+    ``proper`` is set and raise like ``intersections`` otherwise."""
+    return sorted(ref_crossing_signs(c1, c2, proper))
 
 
 def ref_atomic_segments(segments):
@@ -1114,11 +999,71 @@ def ref_gromov_width_rel(carrier, q):
     return best if usable else Fraction(0)
 
 
+def ref_hf_rank(n_curve, l_curve, cutoff=64) -> int:
+    """``floer.hf_rank`` from the brute-force bigons: the generators and
+    their signs from ``ref_crossing_signs``, each bigon of
+    ``ref_enumerate_bigons`` directed from its positive corner to its
+    negative one, and the rank of the homology of that complex."""
+    signs = ref_crossing_signs(n_curve, l_curve, proper=False)
+    gens = {p: f"g{i}" for i, p in enumerate(sorted(signs))}
+    diff = {g: {} for g in gens.values()}
+    for p, q, area, _ in ref_enumerate_bigons(n_curve, l_curve):
+        src, tgt = (p, q) if signs[p] > 0 else (q, p)
+        col = diff[gens[src]]
+        col[gens[tgt]] = col.get(gens[tgt], NovikovScalar.zero(cutoff)) \
+            + NovikovScalar.monomial(area, cutoff)
+    diff = {g: {h: s for h, s in col.items() if s} for g, col in diff.items()}
+    return homology_rank(FilteredComplex(
+        list(gens.values()), {g: Fraction(0) for g in gens.values()}, diff,
+        cutoff))
+
+
+def ref_double_point_width(curves, sigma, q):
+    """``gromov_width_double_points`` with no keep-in boxes, in Fractions:
+    at each wrapped point of ``sigma``, 4 times the least product of the
+    gaps to the nearest strand lines of ``curves`` and ``q`` in two
+    neighbouring directions; 0 if a line of ``q`` passes through it."""
+    if not sigma:
+        return INF
+    vs, hs = _ref_strand_lines(list(curves) + list(q))
+    qv, qh = _ref_strand_lines(q)
+    best = INF
+    for p in sigma:
+        x, y = ref_wrap_point((Fraction(p[0]), Fraction(p[1])))
+        if x in qv or y in qh:
+            return Fraction(0)
+        (e, w), (n, s) = _ref_gaps(x, vs), _ref_gaps(y, hs)
+        best = min(best, 4 * min(e * n, e * s, w * n, w * s))
+    return best
+
+
+def ref_probe_verify(probe, space) -> bool:
+    """``ProbeFamily.verify`` by the all-pairs oracles: at each sample t,
+    A(t) strictly between 0 and the claimed sup, N_t embedded
+    (``ref_is_embedded``), fewer proper crossings of N_t with the source
+    (``ref_crossings``) than the Floer ranks of N_t against the system
+    curves add up to (``ref_hf_rank``), and the quadrant capacity
+    (``ref_double_point_width``) exactly 4 A(t)."""
+    src = space.geometry(probe.source)
+    system = [space.curves[n] for n in probe.system]
+    for t in probe.samples:
+        n_t, a_t = probe.build(t), probe.profile(t)
+        if not (0 < a_t < probe.claimed_sup and ref_is_embedded(n_t)):
+            return False
+        if len(ref_crossings(n_t, src, proper=True)) >= \
+                sum(ref_hf_rank(n_t, c) for c in system):
+            return False
+        if ref_double_point_width(system, probe.sigma_points, [n_t]) \
+                != 4 * a_t:
+            return False
+    return True
+
+
 def ref_lower_bounds(space, lp, l, family_name, mode="weakly-exact", kmax=6):
     """(lower, certificate) of d_k(lp, l) for k = 0..kmax, bounding every
     end multiset of at most k family members on its own: both widths
     through ``ref_gromov_width_rel``, then the probes of that multiset,
-    each verified once here."""
+    each verified once here by ``ref_probe_verify``."""
     verified = {}
 
     def width(source, ends):
@@ -1139,7 +1084,7 @@ def ref_lower_bounds(space, lp, l, family_name, mode="weakly-exact", kmax=6):
             if sorted((p.source, *p.ends)) == sorted((lp, l, *ends)) \
                     and p.claimed_sup > best:
                 if p not in verified:
-                    verified[p] = p.verify(space)
+                    verified[p] = ref_probe_verify(p, space)
                 if verified[p]:
                     best, cert = p.claimed_sup, f"probe {p.name}"
         return best, cert

@@ -16,7 +16,7 @@ from filtcones.scenarios import (
 from filtcones.surface.curves import TorusCurve
 from filtcones.surface.shadow import PlanarDiagram, planar_shadow
 
-from support import ref_lower_bounds, ref_metric_uppers
+from support import ref_lower_bounds, ref_metric_uppers, ref_probe_verify
 
 EPS, DELTA = F(1, 8), F(1, 256)
 
@@ -110,6 +110,34 @@ def test_probe_verification_is_exact(tspace):
     bad = copy.copy(probe)
     bad.claimed_sup = DELTA / 2  # samples exceed the claimed sup
     assert not bad.verify(tspace)
+
+
+def _mirrored(build):
+    """N_t reflected in the x axis: its notch runs round the quadrant
+    opposite the surgery corner, so it meets the source curve L'' three
+    times, as often as its Floer ranks against L and S1 add up to."""
+    def mirrored(t):
+        n_t = build(t)
+        return TorusCurve([(x, -y) for x, y in n_t.vertices + [n_t.closure]])
+    return mirrored
+
+
+# eps = 1/m, delta = 1/n across the ranges of the metric-search benchmark
+# (m in 8..16, 2m^2 < n <= 2m^2 + 4000)
+@pytest.mark.parametrize("m, n", [(8, 129), (9, 1000), (11, 4242), (12, 2900),
+                                  (13, 400), (16, 4512)])
+def test_probe_verification_matches_the_all_pairs_oracle(m, n):
+    import copy
+    sp = trace_surgery_space(F(1, m), F(1, n))
+    corner = sp.probes[0]
+    assert corner.verify(sp) is ref_probe_verify(corner, sp) is True
+    mutants = {"claimed_sup": corner.profile(corner.samples[-1]),
+               "profile": lambda t: corner.profile(t) / 2,
+               "build": _mirrored(corner.build)}
+    for attr, val in mutants.items():
+        bad = copy.copy(corner)
+        setattr(bad, attr, val)
+        assert bad.verify(sp) is ref_probe_verify(bad, sp) is False, attr
 
 
 def test_disjoint_union_vanishing():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import (
     INF, NovikovError, NovikovScalar, parse_scalar, valuation,
@@ -102,3 +103,69 @@ def test_parse_and_print():
     assert str(NovikovScalar.zero(CUT)) == "0"
     # unsorted + duplicate terms normalize
     assert parse_scalar("T^3 + T^1 + T^3", CUT) == nov(1)
+
+
+# -- ring laws, derandomized property tests ----------------------------------
+
+def exponent(lo, hi):
+    """Rationals in [lo, hi] whose denominators divide 12."""
+    return st.builds(Fraction, st.integers(lo * 12, hi * 12), st.just(12))
+
+
+def scalars(lo=-3, hi=12, cutoff=CUT):
+    """Scalars with exponents in [lo, hi]; some truncated on construction
+    when hi reaches the cutoff."""
+    return st.builds(lambda exps, t: NovikovScalar(exps, cutoff, t),
+                     st.lists(exponent(lo, hi), max_size=5), st.booleans())
+
+
+# the laws both with exponents of either sign far below the cutoff, and
+# with nonnegative exponents whose sums cross a small cutoff (so terms
+# are dropped on the way, and dropped terms never come back)
+LAW_CASES = st.one_of(
+    st.tuples(scalars(), scalars(), scalars()),
+    st.tuples(*(scalars(0, 4, Fraction(5)) for _ in range(3))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(LAW_CASES)
+def test_ring_laws(xyz):
+    x, y, z = xyz
+    cut = x.cutoff
+    zero, one = NovikovScalar.zero(cut), NovikovScalar.one(cut)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + x).is_zero()
+    assert x + zero == x and x * one == x and (x * zero).is_zero()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(LAW_CASES, exponent(-3, 6))
+def test_shift_is_multiplication_by_a_monomial(xyz, s):
+    x = xyz[0]
+    assert x.shift(s) == x * NovikovScalar.monomial(s, x.cutoff)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(LAW_CASES, exponent(-3, 6))
+def test_truncation_flags_propagate(xyz, s):
+    x, y, _ = xyz
+    either = x.truncated or y.truncated
+    assert (x + y).truncated >= either and (x * y).truncated >= either
+    # a product term at or past the cutoff is dropped and flagged
+    past = any(a + b >= x.cutoff for a in x.exps for b in y.exps)
+    assert (x * y).truncated >= past
+    shifted = x.shift(s)
+    assert shifted.truncated == (x.truncated or any(e + s >= x.cutoff
+                                                    for e in x.exps))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(exponent(0, 6).filter(lambda e: e > 0), max_size=4),
+       st.sampled_from([Fraction(4), Fraction(15, 2)]))
+def test_invert_is_an_inverse_below_the_cutoff(rest, cutoff):
+    x = NovikovScalar([0, *rest], cutoff)
+    assert (x.invert() * x).exps == (Fraction(0),)
+    assert (x * x.invert()) == NovikovScalar.one(cutoff)

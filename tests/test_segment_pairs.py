@@ -5,7 +5,7 @@ pair to the Fraction contact predicate of ``support.ref_seg_common``."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from filtcones.scenarios import (
     connected_small_shadow_footprint, disjoint_union_space, lem_ex1_space,
@@ -17,12 +17,12 @@ from filtcones.surface import (
 )
 from filtcones.surface import floer, shadow
 from filtcones.surface.curves import (
-    _seg_common, common_scale, crossings, scaled, segment_pairs,
+    _seg_common, common_scale, crossings, scaled, segment_pairs, wrap_point,
 )
 
 from support import (
     polygon_simple, ref_atomic_segments, ref_crossings, ref_is_embedded,
-    ref_polygon_simple, ref_seg_common, ref_signed_area,
+    ref_polygon_simple, ref_seg_common, ref_signed_area, ref_wrap_point,
 )
 
 # -- the enumerator on random segments ------------------------------------------
@@ -123,6 +123,30 @@ def test_integer_contact_matches_the_division_form(segs):
             assert _unscaled(got, q) == ref_seg_common(*segs[i], *segs[j])
 
 
+# odd and even denominators, negative values, integers and exactly +-1
+RATIONAL = st.one_of(
+    st.sampled_from([F(1), F(-1), F(0), F(2), F(-2), F(-3)]),
+    st.builds(F, st.integers(-9, 9)),
+    st.builds(F, st.integers(-90, 90), st.sampled_from([3, 5, 7, 29, 8999])),
+    st.builds(F, st.integers(-90, 90), st.integers(1, 64)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(RATIONAL, RATIONAL), min_size=1, max_size=5),
+       st.sampled_from([(1, 0), (0, -1), (1, 1), (-2, 3)]))
+def test_wrap_point_and_integer_lift_match_the_fraction_forms(pts, cls):
+    for p in pts:
+        got = wrap_point(p)
+        assert got == ref_wrap_point(p)
+        assert all(type(c) is F for c in got)
+    path = pts + [(pts[0][0] + 2 * cls[0], pts[0][1] + 2 * cls[1])]
+    assume(all(a != b for a, b in zip(path, path[1:])))
+    curve = TorusCurve(path, check_embedded=False)
+    assert curve.hclass == cls
+    assert [(F(x, curve.scale), F(y, curve.scale))
+            for x, y in curve.int_lift] == curve.vertices + [curve.closure]
+
+
 @st.composite
 def closed_paths(draw):
     """Closed rational paths (first == last) with no repeated consecutive
@@ -194,14 +218,48 @@ def _outcome(fn, *args):
         return ("GeometryError", str(exc))
 
 
-@pytest.mark.parametrize("suite", ["floer-sanity", "lem-ex1", "trace"])
+def _space_pool(build, eps, delta):
+    return list(build(eps, delta).curves.values())
+
+
+def _probe_pool():
+    """The trace-surgery curves and the three N_t of its probe."""
+    space = trace_surgery_space(F(1, 8), F(1, 256))
+    probe = space.probes[0]
+    return list(space.curves.values()) + [probe.build(t)
+                                          for t in probe.samples]
+
+
+# the lift of L' spans two squares; at (1/64, 1/8193) and (3/29, 1/8999)
+# the surgered curves have scales above 10^6 and close strands
+POOLS = {
+    "floer-sanity": _floer_sanity_pool,
+    "lem-ex1": lambda: _space_pool(lem_ex1_space, F(1, 8), F(1, 256)),
+    "trace": lambda: _space_pool(trace_surgery_space, F(1, 8), F(1, 256)),
+    "lem-ex1-eps1_64": lambda: _space_pool(lem_ex1_space, F(1, 64),
+                                           F(1, 8193)),
+    "trace-eps1_64": lambda: _space_pool(trace_surgery_space, F(1, 64),
+                                         F(1, 8193)),
+    "lem-ex1-eps3_29": lambda: _space_pool(lem_ex1_space, F(3, 29),
+                                           F(1, 8999)),
+    "trace-eps3_29": lambda: _space_pool(trace_surgery_space, F(3, 29),
+                                         F(1, 8999)),
+    "trace-probe": _probe_pool,
+    # contacts on the edge of a path's box: tips touching lines through
+    # the tips, both ways round
+    "box-touch": lambda: [
+        TorusCurve([(0, -1), (0, 0), (F(1, 2), F(1, 4)), (0, F(1, 2)),
+                    (0, 1)], name="tip-x"),
+        TorusCurve([(F(1, 2), -1), (F(1, 2), 1)], name="line-x"),
+        TorusCurve([(-1, 0), (0, 0), (F(1, 4), F(1, 2)), (F(1, 2), 0),
+                    (1, 0)], name="tip-y"),
+        TorusCurve([(-1, F(1, 2)), (1, F(1, 2))], name="line-y")],
+}
+
+
+@pytest.mark.parametrize("suite", list(POOLS))
 def test_curve_geometry_matches_all_pairs_scan(suite):
-    if suite == "floer-sanity":
-        pool = _floer_sanity_pool()
-    else:
-        space = (lem_ex1_space if suite == "lem-ex1"
-                 else trace_surgery_space)(F(1, 8), F(1, 256))
-        pool = list(space.curves.values())
+    pool = POOLS[suite]()
     # a self-crossing curve, accepted without the embedding check
     pool.append(TorusCurve([(0, 0), (1, 0), (1, 1), (F(1, 2), 1),
                             (F(1, 2), -1), (2, -1), (2, 0)],
@@ -285,12 +343,7 @@ def _strictly_inside(a, b, p):
 
 @pytest.mark.parametrize("suite", ["floer-sanity", "lem-ex1", "trace"])
 def test_crossing_records_match_their_curves(suite):
-    if suite == "floer-sanity":
-        pool = _floer_sanity_pool()
-    else:
-        space = (lem_ex1_space if suite == "lem-ex1"
-                 else trace_surgery_space)(F(1, 8), F(1, 256))
-        pool = list(space.curves.values())
+    pool = POOLS[suite]()
     records = 0
     for c1 in pool:
         for c2 in pool:
