@@ -21,26 +21,27 @@ boundary.  The brute-force oracles of the test suite check it.
 The elimination layer has one implementation per ring, and none of it
 solves by truncated division:
 
-* ``_echelon`` -- least-valuation column echelon over F2[[t]] modulo t^N
-  on int bitmasks, run by ``_Smith``.
+* ``_echelon`` -- least-valuation echelon on int bitmask polynomials,
+  over F2[[t]] modulo t^N for ``_Smith`` and exactly over F2[t] for the
+  field layer; ``_vectors`` puts every Novikov matrix on its lattice.
+  The field layer reads one exact run, the inputs' bookkeeping riding
+  along as extra coordinates: ``field_rank`` (the retired vectors),
+  ``field_kernel`` (the bookkeeping of the dropped ones), ``field_basis``
+  and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
+  ``homology_rank``.  ``left_inverse`` reads the least action of a left
+  inverse off the largest Smith exponent of the normalized map, and its
+  witness back-substitutes the retired rows, dividing only by units
+  below the cutoff, for ``invert_map`` and the callers in ``twisted``.
 * ``F2Basis`` -- F2 rows as int bitmasks in echelon form by top bit,
   each with an XOR-accumulated tag, for the peak slices of ``peel_off``.
-* ``Echelon`` -- fraction-free column echelon over the Novikov field
-  with coefficient bookkeeping; ``field_rank``, ``field_kernel``,
-  ``field_in_span``, ``image_basis`` and ``_quotient_kernel`` read it.
 * ``peel_off`` -- peak-slice reduction of a chain against an
   action-orthogonal family; ``orthogonalize`` extends such a family.
-
-``left_inverse`` is built from the last two: the least action of a left
-inverse comes exactly from ``Echelon`` relations peeled by ``peel_off``,
-and only its witness divides (below the cutoff), for ``invert_map`` and
-the callers in ``twisted`` that need a map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .novikov import INF, NovikovScalar, on_line, parse_scalar, rat
@@ -48,8 +49,6 @@ from .novikov import INF, NovikovScalar, on_line, parse_scalar, rat
 NEG_INF = -INF
 
 Chain = Dict[str, NovikovScalar]
-
-_FIELD_CUTOFF = Fraction(10**9)
 
 
 class FiltError(ValueError):
@@ -253,78 +252,6 @@ def delta_d(cx: FilteredComplex) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the Novikov field (fraction-free)
-# ---------------------------------------------------------------------------
-
-def _big(s: NovikovScalar) -> NovikovScalar:
-    return NovikovScalar(s.exps, _FIELD_CUTOFF)
-
-
-def _chain_vec(x: Chain, gens: Sequence[str]) -> List[NovikovScalar]:
-    z = NovikovScalar.zero(_FIELD_CUTOFF)
-    return [_big(x[g]) if g in x else z for g in gens]
-
-
-class Echelon:
-    """Fraction-free column echelon over the Novikov field.
-
-    Columns are added one at a time.  Each is reduced against the pivots
-    kept so far by c <- p*c + e*q (characteristic 2, no division, hence
-    no truncation) and carries bookkeeping: its coefficients in the added
-    columns, so a column that reduces to zero yields a kernel relation.
-    """
-
-    def __init__(self, columns: Sequence[Sequence[NovikovScalar]] = ()):
-        # (reduced column, pivot row, bookkeeping {column index: scalar})
-        self.pivots: List[Tuple[List[NovikovScalar], int,
-                                Dict[int, NovikovScalar]]] = []
-        self.added = 0
-        for col in columns:
-            self.add(col)
-
-    def add(self, column: Sequence[NovikovScalar]
-            ) -> Optional[Dict[int, NovikovScalar]]:
-        """Reduce and keep a column; None if it is independent of the
-        previous columns, else the relation it satisfies with them."""
-        col = list(column)
-        book = {self.added: NovikovScalar.one(_FIELD_CUTOFF)}
-        self.added += 1
-        zero = NovikovScalar.zero(_FIELD_CUTOFF)
-        for pcol, pri, pbook in self.pivots:
-            e = col[pri]
-            if e:
-                pval = pcol[pri]
-                col = [pval * x + e * y for x, y in zip(col, pcol)]
-                book = {k: s for k in book.keys() | pbook.keys()
-                        if (s := pval * book.get(k, zero)
-                            + e * pbook.get(k, zero))}
-        ri = next((i for i, x in enumerate(col) if x), None)
-        if ri is None:
-            return book
-        self.pivots.append((col, ri, book))
-        return None
-
-
-def field_rank(columns: List[List[NovikovScalar]]) -> int:
-    """Rank over the Novikov field."""
-    return len(Echelon(columns).pivots)
-
-
-def field_in_span(columns: List[List[NovikovScalar]],
-                  target: List[NovikovScalar]) -> bool:
-    return Echelon(columns).add(target) is not None
-
-
-def field_kernel(columns: List[List[NovikovScalar]]) -> List[List[NovikovScalar]]:
-    """Kernel basis of the column family, as coefficient vectors."""
-    zero = NovikovScalar.zero(_FIELD_CUTOFF)
-    ech = Echelon()
-    relations = [ech.add(col) for col in columns]
-    return [[rel.get(i, zero) for i in range(len(columns))]
-            for rel in relations if rel is not None]
-
-
-# ---------------------------------------------------------------------------
 # F2 pivot basis
 # ---------------------------------------------------------------------------
 
@@ -362,7 +289,7 @@ class F2Basis:
 
 
 # ---------------------------------------------------------------------------
-# Smith-form kernel over the valuation ring
+# bitmask elimination over F2[t] and the Smith-form kernel
 # ---------------------------------------------------------------------------
 
 def _denominators(cx: FilteredComplex) -> int:
@@ -393,17 +320,55 @@ def _mul(a: int, b: int) -> int:
     return out
 
 
-def _echelon(cols: List[List[int]], width: int, prec: int):
-    """Column echelon over F2[[t]] modulo t^prec, pivoting on the entry
-    of least valuation among the first ``width`` coordinates of the live
-    columns.
+def _vectors(chains: Sequence[Chain], coords: Sequence[str], q: int = 0,
+             action: Optional[Sequence[Fraction]] = None,
+             coord_action: Optional[Dict[str, Fraction]] = None
+             ) -> Tuple[int, int, List[List[int]]]:
+    """A Novikov matrix as F2[t] bitmask vectors on t = T^(1/q).
+
+    Vector j is chains[j] over the generators ``coords``: its term T^e at
+    g is t^(q*(e + action[j] - coord_action[g]) - m), actions 0 where not
+    given and m the least such exponent, so the matrix is t^m times the
+    vectors (``_Smith`` takes d'_ij = d_ij T^(A_j - A_i) so).  With q = 0
+    the lattice is the lcm of the denominators; a given q must clear the
+    actions' and raises if it does not clear the chains'.  Returns (q, m,
+    vectors).
+    """
+    index = {g: i for i, g in enumerate(coords)}
+    action = action or [0] * len(chains)
+    coord_action = coord_action or dict.fromkeys(coords, 0)
+    q = q or lcm(1, *(a.denominator for a in action),
+                 *(a.denominator for a in coord_action.values()),
+                 *(e.denominator for ch in chains for s in ch.values()
+                   for e in s.exps))
+    lift = [int(a * q) for a in action]
+    coord_lift = {g: int(a * q) for g, a in coord_action.items()}
+    terms = [(j, index[g], e * q, lift[j] - coord_lift[g])
+             for j, ch in enumerate(chains) for g, s in ch.items()
+             for e in s.exps]
+    if any(k.denominator != 1 for _, _, k, _ in terms):
+        raise FiltError("chain off the lattice of the reduction")
+    ks = [int(k) + dk for _, _, k, dk in terms]
+    m = min(ks, default=0)
+    vecs = [[0] * len(coords) for _ in chains]
+    for (j, i, *_), k in zip(terms, ks):
+        vecs[j][i] ^= 1 << k - m
+    return q, m, vecs
+
+
+def _echelon(cols: List[List[int]], width: int, prec: int = 0):
+    """Column echelon over F2[[t]] modulo t^prec, or exactly over F2[t]
+    when ``prec`` is 0, pivoting on the entry of least valuation among the
+    first ``width`` coordinates of the live columns.
 
     With pivot t^k*u (u a unit) each other live column c with entry y
     there becomes u*c + (y/t^k)*pivot, and the pivot column retires.
-    Returns the retired columns as (k, column), k nondecreasing, and the
-    columns whose first ``width`` coordinates vanished.
+    Coordinates past ``width`` ride along: given the identity there, a
+    column records the combination of the inputs it is.  Returns the
+    retired columns as (k, column), k nondecreasing (the Smith exponents),
+    and the columns whose first ``width`` coordinates vanished.
     """
-    mask = (1 << prec) - 1
+    mask = (1 << prec) - 1 if prec else -1
     live, dropped, retired = [], [], []
     for c in cols:
         c[:] = [x & mask for x in c]
@@ -429,13 +394,13 @@ class _Smith:
     """Smith normal form of d over R = F2[[t]], t = T^(1/q).
 
     In the basis f_j = T^(A_j) e_j, d is t^m D0 with D0 over F2[t], and
-    a query chain is t^s mu0 with v(mu0) = 0, so A(c) = -s/q.  Row
-    operations P and column operations Q, invertible over R, make D0
-    diagonal: ``_echelon`` on the rows of D0 (clearing a pivot's row
-    only zeroes entries) with the query columns appended retires pivot
-    rows with exponents k_i and leaves nu = P mu0.  P and Q keep
-    valuations, so B(c) = (m - s + max_i (k_i - v(nu_i))) / q over the
-    pivot rows, and c is no boundary iff nu is nonzero off them.
+    a query chain is t^s mu0 with v(mu0) = 0, so A(c) = -s/q (both from
+    ``_vectors``).  Row operations P and column operations Q, invertible
+    over R, make D0 diagonal: ``_echelon`` on the rows of D0 (clearing a
+    pivot's row only zeroes entries) with the query columns appended
+    retires pivot rows with exponents k_i and leaves nu = P mu0.  P and Q
+    keep valuations, so B(c) = (m - s + max_i (k_i - v(nu_i))) / q over
+    the pivot rows, and c is no boundary iff nu is nonzero off them.
 
     Precision N = (n + 1) * D + 1, D the largest degree in D0 and the
     query columns: a nonzero j-minor of [D0 | mu0] has valuation at most
@@ -452,28 +417,21 @@ class _Smith:
     def __init__(self, cx: FilteredComplex, q: int):
         # no reference to cx itself: cx caches its reduction
         self.q = q
-        self.index = {g: i for i, g in enumerate(cx.generators)}
-        self.lift = [int(cx.action[g] * q) for g in cx.generators]
-        # the nonzero terms t^k of d', as (row, column, k)
-        self.monomials = [(self.index[h], j, int(e * q) + self.lift[j]
-                           - self.lift[self.index[h]])
-                          for j, g in enumerate(cx.generators)
-                          for h, s in cx.diff[g].items() for e in s.exps]
-        self.shift = min((k for *_, k in self.monomials), default=0)
-        self.rows = [[0] * cx.dim for _ in cx.generators]
-        for i, j, k in self.monomials:
-            self.rows[i][j] ^= 1 << k - self.shift
+        self.generators, self.action = cx.generators, cx.action
+        _, self.shift, cols = _vectors(
+            [cx.diff[g] for g in cx.generators], cx.generators, q,
+            [cx.action[g] for g in cx.generators], cx.action)
+        self.rows = [list(row) for row in zip(*cols)]
+
+    @property
+    def monomials(self) -> List[int]:
+        """The exponents of the nonzero terms t^k of D0."""
+        return [k for row in self.rows for x in row for k in _bits(x)]
 
     def _column(self, x: Chain) -> Tuple[int, List[int]]:
         """(s, mu0): x = t^s mu0 in the f basis, v(mu0) = 0."""
-        terms = [(self.index[g], e * self.q - self.lift[self.index[g]])
-                 for g, sc in x.items() for e in sc.exps]
-        if any(k.denominator != 1 for _, k in terms):
-            raise FiltError("chain off the lattice of the reduction")
-        s = int(min(k for _, k in terms))
-        col = [0] * len(self.rows)
-        for i, k in terms:
-            col[i] ^= 1 << int(k) - s
+        _, s, (col,) = _vectors([x], self.generators, self.q, None,
+                                self.action)
         return s, col
 
     def _reduce(self, cols: List[List[int]], extra: int = 0):
@@ -544,6 +502,80 @@ class _Smith:
 
 
 # ---------------------------------------------------------------------------
+# exact linear algebra over the Novikov field
+# ---------------------------------------------------------------------------
+
+def _field_run(chains: Sequence[Chain], tracked: int = 0):
+    """One exact ``_echelon`` of the chains as vectors over the generators
+    they use; the first ``tracked`` carry bookkeeping.  Returns (q,
+    width, retired, dropped); coordinates past ``width`` are bookkeeping."""
+    coords = list(dict.fromkeys(g for ch in chains for g in ch))
+    q, _, vecs = _vectors(chains, coords)
+    n = len(coords)
+    retired, dropped = _echelon([v + [int(i == j) for i in range(tracked)]
+                                 for j, v in enumerate(vecs)], n)
+    return q, n, retired, dropped
+
+
+def field_rank(chains: Sequence[Chain]) -> int:
+    """Rank of the chains over the Novikov field."""
+    return len(_field_run(chains)[2])
+
+
+def field_kernel(chains: Sequence[Chain]) -> Tuple[int, List[List[int]]]:
+    """A basis of the relations among the chains: (q, relations), each
+    relation the F2[t] bitmask coefficients l_j, t = T^(1/q), of a
+    vanishing sum_j l_j chains_j (the bookkeeping of a dropped vector)."""
+    q, n, _, dropped = _field_run(chains, len(chains))
+    return q, [v[n:] for v in dropped]
+
+
+def field_basis(chains: Sequence[Chain]) -> List[Chain]:
+    """The chains whose vectors the echelon retires, a basis of their span.
+
+    A retired vector's bookkeeping holds its own input and inputs retired
+    before it, so its own input is the one not yet claimed."""
+    _, n, retired, _ = _field_run(chains, len(chains))
+    owners: List[int] = []
+    for _, v in retired:
+        owners.append(next(j for j, b in enumerate(v[n:])
+                           if b and j not in owners))
+    return [chains[j] for j in sorted(owners)]
+
+
+def field_preimage(chains: Sequence[Chain], images: Sequence[Chain],
+                   span: Sequence[Chain], cutoff) -> List[Chain]:
+    """A basis of the combinations sum_j l_j chains_j whose image sum_j
+    l_j images_j lies in the span of ``span``.
+
+    The echelon runs on the images, with bookkeeping, and a basis of the
+    span; the inputs are independent, so the dropped vectors are, and
+    their bookkeeping is that basis."""
+    q, n, _, dropped = _field_run(list(images) + field_basis(span),
+                                  len(images))
+    return _combinations(q, [v[n:] for v in dropped], chains, cutoff)
+
+
+def _combinations(q: int, relations: List[List[int]], chains: Sequence[Chain],
+                  cutoff) -> List[Chain]:
+    """The nonzero chains sum_j l_j chains_j, one per list of F2[t]
+    bitmask coefficients l_j (t = T^(1/q)), each divided by the largest
+    power of t that divides all of its coefficients."""
+    out = []
+    for rel in relations:
+        low = min((x & -x).bit_length() - 1 for x in rel if x)
+        ch: Chain = {}
+        for lam, z in zip(rel, chains):
+            if lam:
+                s = NovikovScalar([Fraction(k - low, q) for k in _bits(lam)],
+                                  cutoff)
+                ch = chain_add(ch, chain_scale(s, z))
+        if ch:
+            out.append(ch)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # boundary level / depth operations
 # ---------------------------------------------------------------------------
 
@@ -567,22 +599,18 @@ def boundary_depth_elem(c: Chain, cx: FilteredComplex) -> Fraction:
 
 
 def cycle_basis(cx: FilteredComplex) -> List[Chain]:
-    cols = [_chain_vec(cx.diff[g], cx.generators) for g in cx.generators]
-    return _combinations(field_kernel(cols),
-                         [cx.basis_chain(g) for g in cx.generators], cx.cutoff)
+    q, rels = field_kernel([cx.diff[g] for g in cx.generators])
+    return _combinations(q, rels, [cx.basis_chain(g) for g in cx.generators],
+                         cx.cutoff)
 
 
 def image_basis(cx: FilteredComplex) -> List[Chain]:
-    """The columns of d that are independent of the earlier ones."""
-    ech = Echelon()
-    return [cx.diff[g] for g in cx.generators if cx.diff[g]
-            and ech.add(_chain_vec(cx.diff[g], cx.generators)) is None]
+    """Columns of d that form a basis of its image."""
+    return field_basis([cx.diff[g] for g in cx.generators])
 
 
 def homology_rank(cx: FilteredComplex) -> int:
-    cols = [_chain_vec(cx.diff[g], cx.generators) for g in cx.generators]
-    r = field_rank(cols)
-    return cx.dim - 2 * r
+    return cx.dim - 2 * field_rank([cx.diff[g] for g in cx.generators])
 
 
 def boundary_depth_map(phi: FilteredMap) -> Fraction:
@@ -594,17 +622,9 @@ def boundary_depth_map(phi: FilteredMap) -> Fraction:
         raise FiltError("boundary_depth_map requires a strictly filtered map")
     C, D = phi.domain, phi.codomain
     zs = cycle_basis(C)
-    if not zs:
-        return Fraction(0)
-    img_cols = [_chain_vec(D.diff[g], D.generators) for g in D.generators]
-    # subspace of cycles landing in the boundaries of D
-    phi_vecs = [_chain_vec(phi.apply(z), D.generators) for z in zs]
-    if all(field_in_span(img_cols, v) for v in phi_vecs):
-        sub = zs
-    else:
-        # combinations of cycle basis elements whose image is a boundary
-        red_cols = [_chain_vec(ch, D.generators) for ch in image_basis(D)]
-        sub = _combinations(_quotient_kernel(phi_vecs, red_cols), zs, C.cutoff)
+    # the cycles landing in the boundaries of D
+    sub = field_preimage(zs, [phi.apply(z) for z in zs],
+                         [D.diff[g] for g in D.generators], C.cutoff)
     best = Fraction(0)
     # orthogonalize the subspace and bound via basis elements
     for z in orthogonalize(sub, C):
@@ -613,29 +633,6 @@ def boundary_depth_map(phi: FilteredMap) -> Fraction:
             continue
         best = max(best, b - action_level(z, C))
     return best
-
-
-def _combinations(coeffs: List[List[NovikovScalar]], chains: Sequence[Chain],
-                  cutoff) -> List[Chain]:
-    """The nonzero chains sum_i t_i chains_i, one per coefficient vector t."""
-    out = []
-    for coeff in coeffs:
-        ch: Chain = {}
-        for t, z in zip(coeff, chains):
-            if t:
-                ch = chain_add(ch, chain_scale(t.rebase(cutoff), z))
-        if ch:
-            out.append(ch)
-    return out
-
-
-def _quotient_kernel(cols: List[List[NovikovScalar]],
-                     modulo: List[List[NovikovScalar]]):
-    """Independent coefficient vectors t with sum t_i cols_i in span(modulo)."""
-    n = len(cols)
-    heads = Echelon()
-    return [k[:n] for k in field_kernel(list(cols) + list(modulo))
-            if heads.add(k[:n]) is None]
 
 
 def peel_off(x: Chain, family: Sequence[Chain], cx: FilteredComplex
@@ -759,22 +756,10 @@ def is_delta_robust(V: List[Chain], delta, cx: FilteredComplex) -> bool:
     for v in V:
         if not cx.is_cycle(v):
             raise FiltError("delta-robustness requires cycles")
-    span = [v for v in V if v]
-    if not span:
-        return True
     # restrict to span(V) intersect im(d)
-    img = image_basis(cx)
-    img_vecs = [_chain_vec(ch, cx.generators) for ch in img]
-    v_vecs = [_chain_vec(v, cx.generators) for v in span]
-    if all(field_in_span(img_vecs, v) for v in v_vecs):
-        inside = span
-    else:
-        inside = _combinations(_quotient_kernel(v_vecs, img_vecs), span,
-                               cx.cutoff)
-    if not inside:
-        return True
-    m = cx.grid(inside).min_beta_over_span(inside)
-    return m >= delta
+    inside = field_preimage(V, V, [cx.diff[g] for g in cx.generators],
+                            cx.cutoff)
+    return not inside or cx.grid(inside).min_beta_over_span(inside) >= delta
 
 
 def min_beta_subspace(V: List[Chain], cx: FilteredComplex) -> Fraction:
@@ -823,8 +808,8 @@ def find_robust_subspace(cx: FilteredComplex, d0: Dict[str, Chain],
         return out
 
     imd = image_basis(cx)
-    pi_vecs = [_chain_vec(pi(ch), cx.generators) for ch in imd]
-    V = _combinations(field_kernel(pi_vecs), imd, cx.cutoff)
+    q, rels = field_kernel([pi(ch) for ch in imd])
+    V = _combinations(q, rels, imd, cx.cutoff)
     if len(V) < k:
         raise FiltError("projection kernel smaller than predicted")
     dd1 = action_drop(d1map) if any(d1.get(g) for g in cx.generators) else INF
@@ -864,8 +849,7 @@ def verify_rig_cplx2(cx: FilteredComplex, d0: Dict[str, Chain],
     bh = (homotopical_boundary_level(diffm) if any(diffm.matrix.values())
           else NEG_INF)
     report["Bh_f_minus_id"] = bh
-    rank_f = field_rank([_chain_vec(f.matrix.get(g, {}), cx.generators)
-                         for g in cx.generators])
+    rank_f = field_rank([f.matrix.get(g, {}) for g in cx.generators])
     report["rank_f"] = rank_f
     hyp = h0 >= h and bh < dd1
     report["hypotheses_ok"] = hyp
@@ -882,8 +866,8 @@ def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
     C, D = f.domain, f.codomain
     if not (f.is_chain_map() and g.is_chain_map()):
         raise FiltError("inputs must be chain maps")
-    g_cols = [_chain_vec(g.matrix.get(x, {}), D.generators) for x in C.generators]
-    if field_rank(g_cols) != C.dim or C.dim != D.dim:
+    if field_rank([g.matrix.get(x, {}) for x in C.generators]) != C.dim \
+            or C.dim != D.dim:
         return False
     if g.measured_shift() > 0:
         return False
@@ -898,8 +882,7 @@ def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
     # conclusion, verified exactly
     if f.measured_shift() > 0:
         raise FiltError("lemma conclusion failed: f not strictly filtered")
-    rank_f = field_rank([_chain_vec(f.matrix.get(x, {}), D.generators)
-                         for x in C.generators])
+    rank_f = field_rank([f.matrix.get(x, {}) for x in C.generators])
     if rank_f != C.dim:
         raise FiltError("lemma conclusion failed: f not injective")
     return True
@@ -909,53 +892,62 @@ def left_inverse(f: FilteredMap):
     """The least hom-action of a left inverse of f; None if f is not
     injective.
 
-    The rows of g decouple: row c is a vector x over D's generators with
-    sum_d x_d f_d = e_c, f_d the row of f at d (a vector over C's
-    generators), and A(g) = max_c [A_C(c) + A*(x)], A* the action on
-    ``dual``: D's generators at actions -A_D(d).  In one ``Echelon`` of
-    the f_d, the dependent rows give relations spanning K = {x : sum x_d
-    f_d = 0}, and each e_c, being dependent, gives a relation delta_c e_c
-    = sum_d p_{c,d} f_d.  Row c of every left inverse is (p_c + k)/delta_c
-    with k in K.  Peeling p_c against an A*-orthogonal basis of K leaves
-    a residual r_c whose peak slice is outside theirs, so r_c has the
-    least A* on its coset, and the least action is max_c (A_C(c) +
-    A*(r_c) + v(delta_c)): polynomials only, no division.
+    In the bases T^(A) e of action 0, f is t^m F0 with F0 over F2[t]
+    (``_vectors`` on the rows f_dc T^(A_c - A_d)), and g = t^-m G0 is a
+    left inverse iff G0 F0 = 1.  With the Smith form F0 = P [K; 0] Q over
+    R = F2[[t]], K = diag(t^k_i), these are G0 = Q^-1 [K^-1 | X] P^-1;
+    P and Q keep valuations, so the least action is (m + k_max)/q, at
+    X = 0.  One exact ``_echelon`` of the rows of F0 retires n rows with
+    the Smith exponents k_i (f is injective iff n = dim C).
 
-    Returns (action, witness); ``witness()`` divides, building the left
-    inverse with rows r_c/delta_c below the cutoff of C.
+    Returns (action, witness).  Each row carries its bookkeeping b, with
+    a unit at its own row, so v(b) = 0.  The retired rows B F0 are K U,
+    U over R triangular on the pivot columns with unit diagonal, so G0 =
+    (K U)^-1 B has valuation -k_max.  ``witness()`` back-substitutes it,
+    dividing only by units, exactly below the cutoff of C.
     """
     C, D = f.domain, f.codomain
-    ech, kernel = Echelon(), []
-    for d in D.generators:
-        row = {c: col[d] for c, col in f.matrix.items() if d in col}
-        rel = ech.add(_chain_vec(row, C.generators))
-        if rel is not None:
-            kernel.append(rel)
-    if len(ech.pivots) < C.dim:
+    n = C.dim
+    rows = [{c: col[d] for c, col in f.matrix.items() if d in col}
+            for d in D.generators]
+    # entry (d, c) is f_dc T^(A_c - A_d): row d at action -A_D(d) over the
+    # generators c of C at actions -A_C(c)
+    q, m, vecs = _vectors(rows, C.generators, 0,
+                          [-D.action[d] for d in D.generators],
+                          {c: -a for c, a in C.action.items()})
+    pivots = _echelon([v + [int(i == j) for i in range(len(vecs))]
+                       for j, v in enumerate(vecs)], n)[0]
+    if len(pivots) < n:
         return None
-    dual = FilteredComplex(D.generators, {d: -a for d, a in D.action.items()},
-                           {}, _FIELD_CUTOFF, check=False)
-
-    def over_d(rel: Dict[int, NovikovScalar]) -> Chain:
-        return {D.generators[k]: s for k, s in rel.items()}
-
-    basis = orthogonalize([over_d(rel) for rel in kernel], dual)
-    best, rows = NEG_INF, []
-    for c in C.generators:
-        rel = ech.add(_chain_vec(C.basis_chain(c), C.generators))
-        delta = rel.pop(ech.added - 1)
-        r = peel_off(over_d(rel), basis, dual)[0]
-        best = max(best, C.action[c] + action_level(r, dual)
-                   + delta.valuation())
-        rows.append((c, r, delta))
+    kmax = pivots[-1][0] if pivots else 0
+    best = Fraction(m + kmax, q) if n else NEG_INF
 
     def witness() -> FilteredMap:
+        spread = max(D.action.values(), default=0) - \
+            min(C.action.values(), default=0)
+        prec = max(1, ceil((C.cutoff + spread) * q) + m + kmax)
+        mask = (1 << prec) - 1
+        z: Dict[int, List[int]] = {}  # pivot column -> row of t^kmax G0
+        for k, row in reversed(pivots):
+            i = next(j for j in range(n) if row[j] and j not in z)
+            acc = [(b << kmax - k) & mask for b in row[n:]]
+            for j, zj in z.items():
+                if row[j]:
+                    w = row[j] >> k
+                    acc = [(a ^ _mul(w, x)) & mask for a, x in zip(acc, zj)]
+            u, inv, rest = row[i] >> k, 0, 1
+            for e in range(prec):  # 1/u modulo t^prec, by long division
+                if rest >> e & 1:
+                    inv, rest = inv | 1 << e, rest ^ u << e
+            z[i] = [_mul(inv, a) & mask for a in acc]
         mat: Dict[str, Chain] = {}
-        for c, r, delta in rows:
-            v = delta.valuation()  # scale first: the unit divides exactly
-            inv = delta.shift(-v).rebase(C.cutoff).invert()
-            for d, s in r.items():
-                mat.setdefault(d, {})[c] = s.shift(-v).rebase(C.cutoff) * inv
+        for i, c in enumerate(C.generators):
+            for d, x in zip(D.generators, z[i]):
+                base = C.action[c] - D.action[d] - best
+                s = NovikovScalar([Fraction(k, q) + base for k in _bits(x)],
+                                  C.cutoff)
+                if s:
+                    mat.setdefault(d, {})[c] = s
         return FilteredMap(D, C, mat, best)
 
     return best, witness

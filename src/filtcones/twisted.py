@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .novikov import INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
-    chain_scale, field_rank, _chain_vec, homotopical_boundary_level,
+    chain_scale, field_rank, homotopical_boundary_level,
     invert_map, left_inverse,
 )
 from .wfainf import (
@@ -311,8 +311,7 @@ def audit_structure_theorem(cat: WFCategory, objects: Sequence[str],
         if diag is None or diag.exps != (Fraction(0),) or off_diag_same_block:
             report["error"] = f"diagonal block of sigma_1 not id at {g}"
             return report
-    cols = [_chain_vec(sigma1.matrix.get(g, {}), m_complex.generators)
-            for g in k_complex.generators]
+    cols = [sigma1.matrix.get(g, {}) for g in k_complex.generators]
     if field_rank(cols) != k_complex.dim:
         report["error"] = "sigma_1 not invertible"
         return report

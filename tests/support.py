@@ -15,10 +15,9 @@ from math import ceil, floor, lcm
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     Chain, FilteredComplex, NEG_INF, action_level, chain_add, chain_scale,
-    homology_rank,
 )
 from filtcones.surface.curves import (
-    SIDE, GeometryError, _seg_common, common_scale, crossings, path_from,
+    SIDE, Crossing, GeometryError, _seg_common, common_scale, path_from,
     scaled, segment_pairs,
 )
 
@@ -259,6 +258,28 @@ def _det(rows) -> frozenset:
             term = _poly_mul(term, rows[i][j])
         out ^= term
     return frozenset(out)
+
+
+def ref_field_rank(columns) -> int:
+    """Rank of the chains over the Novikov field: the size of the largest
+    nonzero minor, by permutation-expansion determinants.
+
+    The minor is grown one row and column at a time.  With M[R, S]
+    nonsingular, column j is in the span of the columns S iff every
+    bordered minor det M[R + i, S + j] vanishes (it is det M[R, S] times
+    the entry at row i of column j minus its projection on S), so a
+    greedy bordering finds a largest independent set of columns."""
+    rows = sorted({g for col in columns for g in col})
+    entry = [{g: frozenset(s.exps) for g, s in col.items()} for col in columns]
+    R, S = [], []
+    for j in range(len(columns)):
+        for g in rows:
+            if g not in R and _det([[entry[c].get(r, frozenset())
+                                     for c in S + [j]] for r in R + [g]]):
+                R.append(g)
+                S.append(j)
+                break
+    return len(S)
 
 
 def ref_left_inverse_action(f):
@@ -557,7 +578,7 @@ def strict_right_mult_hom(cat, m_src, m_tgt, c):
         if img:
             comps[1][(g,)] = img
     f = PreModHom(m_src, m_tgt, comps, 0)
-    meas = [s for s in f.measured_shifts() if s > -(10**9)]
+    meas = [s for s in f.measured_shifts() if s > NEG_INF]
     f.shift = max(meas, default=Fraction(0))
     return f
 
@@ -658,15 +679,18 @@ def ref_wrap_point(p):
     return (Fraction((p[0] + 1) % SIDE) - 1, Fraction((p[1] + 1) % SIDE) - 1)
 
 
-def ref_crossing_signs(c1, c2, proper: bool):
-    """{wrapped crossing point: sign of det(t1, t2) of the two edge
-    tangents}; touches and overlaps are skipped if ``proper`` is set and
-    raise like ``intersections`` otherwise."""
+def ref_crossing_records(c1, c2, proper: bool = False):
+    """{wrapped crossing point: ``Crossing``} from every edge of ``c1``
+    against every edge of every nearby deck translate of ``c2``: each end
+    holds the edge index and the point on that curve's own lift path,
+    and the sign is that of det(t1, t2) of the two edge tangents.
+    Touches and overlaps are skipped if ``proper`` is set and raise like
+    ``intersections`` otherwise."""
     edges1 = c1.edges()
-    signs = {}
+    found = {}
     for t in _ref_translates(c2, *_edge_bounds(edges1)):
-        for a, b in edges1:
-            for seg in c2.edges():
+        for i, (a, b) in enumerate(edges1):
+            for j, seg in enumerate(c2.edges()):
                 c, d = _translate(seg, t)
                 hit = ref_seg_common(a, b, c, d)
                 if hit is None:
@@ -679,10 +703,19 @@ def ref_crossing_signs(c1, c2, proper: bool):
                     if proper:
                         continue
                     raise GeometryError("segments meet at a vertex")
+                p = hit[1]
                 det = (b[0] - a[0]) * (d[1] - c[1]) \
                     - (b[1] - a[1]) * (d[0] - c[0])
-                signs[ref_wrap_point(hit[1])] = 1 if det > 0 else -1
-    return signs
+                w = ref_wrap_point(p)
+                lift = (p[0] - t[0], p[1] - t[1])
+                found[w] = Crossing(w, ((i, p), (j, lift)),
+                                    1 if det > 0 else -1)
+    return found
+
+
+def ref_crossing_signs(c1, c2, proper: bool):
+    """{wrapped crossing point: sign} of ``ref_crossing_records``."""
+    return {p: r.sign for p, r in ref_crossing_records(c1, c2, proper).items()}
 
 
 def ref_crossings(c1, c2, proper: bool):
@@ -825,13 +858,19 @@ def _corners_convex(loop, corners, ccw):
     return True
 
 
+def _ref_records(c1, c2):
+    """The crossing records of ``ref_crossing_records``, sorted by point."""
+    found = ref_crossing_records(c1, c2)
+    return [found[p] for p in sorted(found)]
+
+
 def ref_enumerate_bigons(n_curve, l_curve):
     """``floer.enumerate_bigons`` by brute force: every pair of
     ``_arc_options`` arcs for every pair of crossings, each closed loop
     tested for simplicity, area and convex corners, and deduplicated by
     its corners and its shape modulo translation.  Arcs wind at most
     one extra time, so this sees only the bigons inside that window."""
-    recs = crossings(n_curve, l_curve)
+    recs = _ref_records(n_curve, l_curve)
     seen = set()
     out = []
     for rp in recs:
@@ -866,8 +905,8 @@ def ref_mu2_triangles(c0, c1, c2, cutoff=64):
     ``_arc_options`` arcs for every triple of crossings, each loop tested
     for simplicity, area and three convex corners; one extra wind at
     most, as in ``ref_enumerate_bigons``."""
-    recs01, recs12, recs02 = crossings(c0, c1), crossings(c1, c2), \
-        crossings(c0, c2)
+    recs01, recs12, recs02 = _ref_records(c0, c1), _ref_records(c1, c2), \
+        _ref_records(c0, c2)
     others = {r.point for r in recs12 + recs02}
     if any(r.point in others for r in recs01):
         raise GeometryError("triple point in mu_2 configuration")
@@ -1003,7 +1042,8 @@ def ref_hf_rank(n_curve, l_curve, cutoff=64) -> int:
     """``floer.hf_rank`` from the brute-force bigons: the generators and
     their signs from ``ref_crossing_signs``, each bigon of
     ``ref_enumerate_bigons`` directed from its positive corner to its
-    negative one, and the rank of the homology of that complex."""
+    negative one, and the rank of the homology of that complex, its
+    differential's rank from ``ref_field_rank``."""
     signs = ref_crossing_signs(n_curve, l_curve, proper=False)
     gens = {p: f"g{i}" for i, p in enumerate(sorted(signs))}
     diff = {g: {} for g in gens.values()}
@@ -1012,10 +1052,8 @@ def ref_hf_rank(n_curve, l_curve, cutoff=64) -> int:
         col = diff[gens[src]]
         col[gens[tgt]] = col.get(gens[tgt], NovikovScalar.zero(cutoff)) \
             + NovikovScalar.monomial(area, cutoff)
-    diff = {g: {h: s for h, s in col.items() if s} for g, col in diff.items()}
-    return homology_rank(FilteredComplex(
-        list(gens.values()), {g: Fraction(0) for g in gens.values()}, diff,
-        cutoff))
+    diff = [{h: s for h, s in col.items() if s} for col in diff.values()]
+    return len(gens) - 2 * ref_field_rank(diff)
 
 
 def ref_double_point_width(curves, sigma, q):

@@ -1,8 +1,8 @@
 """The elimination kernels: the F2 pivot basis against the window
 solver of the oracle suite, the Smith-form kernel against the
 brute-force boundary-level oracle and closed-form bar families, and the
-Novikov echelon against the rank-nullity identity and exact
-annihilation."""
+exact field layer (rank, kernel, basis and preimage off one echelon over
+F2[t]) against the largest nonzero minor and exact annihilation."""
 
 import random
 from fractions import Fraction as F
@@ -10,13 +10,16 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from filtcones.filtcx import (
-    _FIELD_CUTOFF, F2Basis, FilteredComplex, _Smith, action_level,
-    boundary_depth_elem, chain_add, chain_scale, chain_shift, field_in_span,
-    field_kernel, field_rank, is_delta_robust, min_beta_subspace,
+    F2Basis, FilteredComplex, _Smith, action_level, boundary_depth_elem,
+    chain_add, chain_scale, chain_shift, field_basis, field_kernel,
+    field_preimage, field_rank, is_delta_robust, min_beta_subspace,
 )
 from filtcones.novikov import NovikovScalar
 
-from support import _f2_solve, oracle_boundary_level, random_complex
+from support import (
+    _f2_solve, _poly_mul, oracle_boundary_level, random_complex,
+    ref_field_rank,
+)
 
 # -- F2 pivot basis --------------------------------------------------------------
 
@@ -149,54 +152,94 @@ def test_min_beta_closed_form_bars(data):
         assert min_beta_subspace([v], cx) == boundary_depth_elem(v, cx)
 
 
-# -- Novikov echelon -------------------------------------------------------------
+# -- the field layer: one exact echelon over F2[t] -------------------------------
 
-EXP = st.builds(F, st.integers(-2, 4), st.sampled_from([1, 2]))
-SCALAR = st.lists(EXP, max_size=2).map(
-    lambda exps: NovikovScalar(exps, _FIELD_CUTOFF))
+EXP = st.builds(F, st.integers(-2, 4), st.sampled_from([1, 2, 3]))
+SCALAR = st.lists(EXP, max_size=2).map(lambda exps: NovikovScalar(exps, 64))
+ONE = NovikovScalar([0], 64)
 
 
 @st.composite
 def novikov_columns(draw):
-    """Up to five columns of length up to four; some are sums of earlier
-    ones times monomials, so dependent families are common."""
-    nrows = draw(st.integers(1, 4))
+    """Up to five chains over up to four generators; some are sums of
+    earlier ones times scalars, so dependent families are common."""
+    rows = [f"r{i}" for i in range(draw(st.integers(1, 4)))]
     cols = []
     for _ in range(draw(st.integers(1, 5))):
         if cols and draw(st.booleans()):
             a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
-            s, t = draw(SCALAR), draw(SCALAR)
-            cols.append([s * x + t * y for x, y in zip(a, b)])
+            cols.append(chain_add(chain_scale(draw(SCALAR), a),
+                                  chain_scale(draw(SCALAR), b)))
         else:
-            cols.append(draw(st.lists(SCALAR, min_size=nrows,
-                                      max_size=nrows)))
+            cols.append({g: x for g in rows if (x := draw(SCALAR))})
     return cols
+
+
+def _poly(lam, q):
+    """The bitmask polynomial lam in t = T^(1/q) as a set of T-exponents."""
+    return frozenset(F(k, q) for k in range(lam.bit_length()) if lam >> k & 1)
+
+
+def _markers(n):
+    """Chains on n fresh generators: a combination of them shows its
+    coefficients."""
+    return [{f"x{j}": ONE} for j in range(n)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(novikov_columns())
 def test_echelon_rank_plus_nullity(cols):
-    assert field_rank(cols) + len(field_kernel(cols)) == len(cols)
+    """The retired and dropped vectors split the columns, the rank is the
+    size of the largest nonzero minor, and ``field_basis`` keeps that
+    many of the columns, spanning them all."""
+    rank = field_rank(cols)
+    assert rank == ref_field_rank(cols)
+    assert rank + len(field_kernel(cols)[1]) == len(cols)
+    basis = field_basis(cols)
+    assert all(any(b is c for c in cols) for b in basis)
+    assert len(basis) == ref_field_rank(basis) == rank
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(novikov_columns())
 def test_kernel_vectors_annihilate_the_columns(cols):
-    zero = NovikovScalar.zero(_FIELD_CUTOFF)
-    for k in field_kernel(cols):
-        assert any(k)
-        for r in range(len(cols[0])):
-            total = zero
-            for t, col in zip(k, cols):
-                total = total + t * col[r]
-            assert total.is_zero()
+    """Each relation l makes sum_j l_j(T) cols_j vanish as exact
+    polynomials in T, read with no cutoff, and the relations are
+    independent."""
+    q, rels = field_kernel(cols)
+    for rel in rels:
+        assert any(rel)
+        for g in {g for c in cols for g in c}:
+            total = frozenset()
+            for lam, col in zip(rel, cols):
+                if g in col:
+                    total ^= _poly_mul(_poly(lam, q), frozenset(col[g].exps))
+            assert not total
+    top = max((e for rel in rels for lam in rel for e in _poly(lam, q)),
+              default=0) + 1
+    assert ref_field_rank([{f"c{j}": NovikovScalar(_poly(lam, q), top)
+                            for j, lam in enumerate(rel) if lam}
+                           for rel in rels]) == len(rels)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(novikov_columns(), st.integers(0, 4))
 def test_in_span_agrees_with_augmented_rank(cols, pick):
+    """``field_preimage`` finds a combination landing in the span iff the
+    augmented rank does not grow; in general its combinations land in
+    the span and their number is the dimension of the preimage."""
     # the last column is often a combination of the others
     *rest, target = cols
-    assert field_in_span(rest, target) == (
-        field_rank(rest + [target]) == field_rank(rest))
-    assert field_in_span(cols, cols[pick % len(cols)])
+    assert bool(field_preimage(_markers(1), [target], rest, 64)) == (
+        ref_field_rank(rest + [target]) == ref_field_rank(rest))
+    assert field_preimage(_markers(1), [cols[pick % len(cols)]], cols, 64)
+    images, span = cols[:pick % len(cols) + 1], cols[pick % len(cols) + 1:]
+    found = field_preimage(_markers(len(images)), images, span, 64)
+    assert len(found) == len(images) - ref_field_rank(images + span) \
+        + ref_field_rank(span)
+    for w in found:
+        image = {}
+        for j, col in enumerate(images):
+            if f"x{j}" in w:
+                image = chain_add(image, chain_scale(w[f"x{j}"], col))
+        assert ref_field_rank(span + [image]) == ref_field_rank(span)
