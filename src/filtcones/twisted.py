@@ -23,8 +23,8 @@ from .filtcx import (
     invert_map, left_inverse,
 )
 from .wfainf import (
-    Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max, mu1_mod,
-    mu2_mod, yoneda_module,
+    CycleError, Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max,
+    mu1_mod, mu2_mod, yoneda_module,
 )
 
 
@@ -71,9 +71,11 @@ def build_iterated_cone(spec: IteratedConeSpec) -> Tuple[WFModule, List[Discrepa
             phi = phi(k)
         if phi.target is not k:
             raise TwistedError(f"attaching map {i + 1} does not target K_{i}")
-        if not mu1_mod(phi).is_zero():
-            raise TwistedError(f"attaching map {i + 1} is not a cycle")
-        k = cone(phi, spec.rhos[i], spec.deltas[i])
+        try:
+            k = cone(phi, spec.rhos[i], spec.deltas[i])
+        except CycleError:
+            raise TwistedError(
+                f"attaching map {i + 1} is not a cycle") from None
         ledger.append(disc_max([ledger[-1],
                                 spec.deltas[i].minus_first()], "module"))
     return k, ledger
@@ -178,8 +180,7 @@ def assemble_twisted_mu1(cat: WFCategory, objects: Sequence[str],
             if i == j:
                 out: Chain = {}
                 for g, s in b.items():
-                    out = chain_add(out, chain_scale(
-                        s, cat.hom(*cat.gen_hom[g]).diff[g]))
+                    out = chain_add(out, chain_scale(s, cat.mu_gens((g,))))
                 return out
             out: Chain = {}
             for d, cpairs in symbolic[(i, j)].terms:

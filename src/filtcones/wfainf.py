@@ -1,9 +1,16 @@
 """Arity-capped weakly filtered A-infinity categories and modules.
 
-Operations are stored as sparse tables on generator tuples with Novikov
-coefficients.  Discrepancy sequences track by how much each mu_d may
-overshoot the additive action bound; the calculus on them (pointwise
-max, the star product, Assumption E) is implemented verbatim.
+Categories, modules and pre-module maps store their operations in one
+kind of table (``_Table``): sparse maps from composable generator tuples
+to chains with Novikov coefficients, with one tuple walk, one multilinear
+evaluation and one measure of how far each entry overshoots the summed
+input actions.  One insertion sum, ``_insert``, composes them: the
+A-infinity and module relation checks, ``mu1_mod`` and ``mu2_mod`` are
+each a call or two of it.  The checks run over every composable tuple up
+to the arity where the relations become vacuous.  Discrepancy sequences
+track by how much each mu_d may overshoot the additive action bound; the
+calculus on them (pointwise max, the star product, Assumption E) is
+implemented verbatim.
 
 Generator names are required to be globally unique across all hom
 complexes of a category so that chains can be moved between modules and
@@ -29,6 +36,10 @@ class CapError(ValueError):
 
 class WfError(ValueError):
     pass
+
+
+class CycleError(WfError):
+    """The attaching map of a cone is not a cycle (mu1_mod f != 0)."""
 
 
 # ---------------------------------------------------------------------------
@@ -160,81 +171,107 @@ def check_mod_squared_condition(eps_h: Discrepancy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# weakly filtered categories
+# operation tables
 # ---------------------------------------------------------------------------
 
 MuTable = Dict[int, Dict[Tuple[str, ...], Chain]]
 
 
-class WFCategory:
-    """Objects, hom complexes and higher operations up to the arity cap."""
+class _Table:
+    """A sparse table ``mu_tables[d]``: composable generator d-tuples ->
+    chains.  Categories, modules and pre-module maps each carry one.
 
-    def __init__(self, objects: Sequence[str],
-                 homs: Dict[Tuple[str, str], FilteredComplex],
-                 mu: MuTable, disc: Discrepancy, cap: int = 6,
-                 units: Optional[Dict[str, Chain]] = None,
-                 unit_bound=0, check: bool = True):
-        self.objects = tuple(objects)
-        self.homs = dict(homs)
-        self.cap = cap
-        if disc.cap != cap:
-            raise CapError("discrepancy cap must equal the arity cap")
-        self.disc = disc
-        self.mu_tables: MuTable = {d: dict(t) for d, t in mu.items() if d >= 2}
-        self.units = dict(units) if units else None
-        self.unit_bound = rat(unit_bound)
-        # generator registry
-        self.gen_hom: Dict[str, Tuple[str, str]] = {}
-        for (x, y), cx in self.homs.items():
+    Every entry of a tuple but the last is a generator of the category
+    ``base``; the last is a generator of ``_ins``, and values are chains
+    of ``_outs``.  A category is its own base, ins and outs.  A module
+    reads its own generators for the last entry (a right module is the
+    category with one more object and nothing out of it); its generators
+    may be named like hom generators, since a Yoneda module reuses them,
+    so they keep a registry of their own.  A pre-module map reads its
+    source module and writes its target.  Categories and modules take
+    mu_1 from the differentials of their complexes; the arity-1 entries of
+    a map are table entries.
+    """
+
+    _name = "mu"
+    _mu1_is_diff = True
+
+    def _register(self, complexes, source, reused: str) -> Dict[str, object]:
+        """generator -> key of its complex; also fills ``_home`` (generator
+        -> complex) and ``_starts`` (object -> generators leaving it)."""
+        keys: Dict[str, object] = {}
+        self._home: Dict[str, FilteredComplex] = {}
+        self._starts: Dict[str, List[str]] = {}
+        for key, cx in complexes.items():
             for g in cx.generators:
-                if g in self.gen_hom:
-                    raise WfError(f"generator name {g} reused across homs")
-                self.gen_hom[g] = (x, y)
-        if check:
-            self.check_ainf_relations()
-            if self.units:
-                self._check_units()
+                if g in keys:
+                    raise WfError(reused.format(g))
+                keys[g] = key
+                self._home[g] = cx
+                self._starts.setdefault(source(key), []).append(g)
+        return keys
 
-    def hom(self, x: str, y: str) -> FilteredComplex:
-        try:
-            return self.homs[(x, y)]
-        except KeyError:
-            raise WfError(f"no hom complex for ({x}, {y})")
-
-    def cutoff(self):
-        return next(iter(self.homs.values())).cutoff
-
-    # -- evaluation ----------------------------------------------------
+    def tuples(self, n: int, base=None, obj_map=None):
+        """Composable n-tuples: n - 1 generators of ``base`` (``self.base``
+        unless given), then one of ours leaving the object where they end,
+        read through ``obj_map`` when given."""
+        if n == 1:
+            yield from ((g,) for g in self._home)
+            return
+        base = self.base if base is None else base
+        for head in base.tuples(n - 1):
+            y = base.gen_hom[head[-1]][1]
+            if obj_map is not None:
+                y = obj_map.get(y)
+            for g in self._starts.get(y, ()):
+                yield head + (g,)
 
     def mu_gens(self, gens: Tuple[str, ...]) -> Chain:
         d = len(gens)
         if d > self.cap:
-            raise CapError(f"mu_{d} beyond arity cap {self.cap}")
-        if d == 1:
-            g = gens[0]
-            return self.hom(*self.gen_hom[g]).diff[g]
+            raise CapError(f"{self._name}_{d} beyond arity cap {self.cap}")
+        if d == 1 and self._mu1_is_diff:
+            return self._home[gens[0]].diff[gens[0]]
         return self.mu_tables.get(d, {}).get(gens, {})
 
-    def mu(self, chains: Sequence[Chain]) -> Chain:
-        """Multilinear extension of mu_d to chains."""
-        d = len(chains)
-        if d > self.cap:
-            raise CapError(f"mu_{d} beyond arity cap {self.cap}")
+    def _mu(self, chains: Sequence[Chain]) -> Chain:
+        """Multilinear extension of ``mu_gens`` to chains."""
+        if len(chains) > self.cap:
+            raise CapError(
+                f"{self._name}_{len(chains)} beyond arity cap {self.cap}")
         out: Chain = {}
         for combo, coeff in _tuples(chains):
-            term = chain_scale(coeff, self.mu_gens(combo))
-            out = chain_add(out, term)
+            out = chain_add(out, chain_scale(coeff, self.mu_gens(combo)))
         return out
 
-    # -- verification ---------------------------------------------------
+    def _top(self) -> int:
+        return max((d for d, t in self.mu_tables.items() if t), default=0)
 
-    def max_op_arity(self) -> int:
-        """Largest arity carrying a nonzero operation (mu_1 included)."""
-        tops = [1] + [d for d, t in self.mu_tables.items() if t]
-        return max(tops)
+    def _overshoots(self):
+        """(arity, tuple, overshoot) of each nonzero entry: the action of
+        the value less the summed actions of the inputs."""
+        base, ins, outs = self.base._home, self._ins._home, self._outs._home
+        for d, table in self.mu_tables.items():
+            for gens, img in table.items():
+                if img:
+                    total = sum(base[g].action[g] for g in gens[:-1])
+                    total += ins[gens[-1]].action[gens[-1]]
+                    yield d, gens, action_level(
+                        img, outs[next(iter(img))]) - total
 
-    def check_ainf_relations(self, max_arity: Optional[int] = None):
-        """A-infinity relations on generator tuples up to cap - 1.
+    def _measured(self, floor) -> List[Fraction]:
+        """Per-arity worst overshoot, ``floor`` where no entry is nonzero."""
+        out = [floor] * self.cap
+        for d, _, over in self._overshoots():
+            out[d - 1] = max(out[d - 1], over)
+        return out
+
+    def measured_discrepancy(self) -> List[Fraction]:
+        """Per-arity worst action overshoot actually attained."""
+        return self._measured(Fraction(0))
+
+    def _check_relations(self, max_arity, base, failed: str):
+        """The A-infinity (or module) relations on tuples up to cap - 1.
 
         Relations at arity n are vacuous once n exceeds twice the top
         nonzero operation arity minus one, so the check stops there.
@@ -242,65 +279,39 @@ class WFCategory:
         top = max_arity if max_arity is not None else \
             min(self.cap - 1, 2 * self.max_op_arity() - 1)
         for n in range(1, top + 1):
-            for gens in self._composable_tuples(n):
-                acc: Chain = {}
-                for m in range(1, n + 1):
-                    for j in range(0, n - m + 1):
-                        inner = self.mu_gens(gens[j:j + m])
-                        if not inner:
-                            continue
-                        for g_in, s in inner.items():
-                            outer = self.mu_gens(
-                                gens[:j] + (g_in,) + gens[j + m:])
-                            acc = chain_add(acc, chain_scale(s, outer))
-                if acc:
-                    raise WfError(f"A-infinity relation fails at {gens}")
-        self._check_disc_bound()
+            for gens in self.tuples(n):
+                if _insert(gens, self, self, base):
+                    raise WfError(failed.format(gens))
 
-    def _check_disc_bound(self):
-        for d, table in self.mu_tables.items():
-            for gens, out in table.items():
-                if not out:
-                    continue
-                tgt = self.gen_hom[out and next(iter(out))]
-                total = sum(self.hom(*self.gen_hom[g]).action[g] for g in gens)
-                a_out = action_level(out, self.hom(*tgt))
-                if a_out > total + self.disc[d]:
-                    raise WfError(
-                        f"mu_{d}{gens} violates the declared discrepancy")
 
-    def measured_discrepancy(self) -> List[Fraction]:
-        """Per-arity worst action overshoot actually attained."""
-        out = [Fraction(0)] * self.cap
-        for d, table in self.mu_tables.items():
-            for gens, img in table.items():
-                if not img:
-                    continue
-                tgt = self.gen_hom[next(iter(img))]
-                total = sum(self.hom(*self.gen_hom[g]).action[g] for g in gens)
-                a_out = action_level(img, self.hom(*tgt))
-                out[d - 1] = max(out[d - 1], a_out - total)
-        return out
+def _insert(gens: Tuple[str, ...], inner: _Table, outer: _Table,
+            base: Optional[_Table] = None) -> Chain:
+    """Sum over k of outer(gens[:k] + inner(gens[k:])), inner on each
+    nonempty suffix; with ``base``, plus outer(gens[:j] + base(gens[j:e]) +
+    gens[e:]) over the windows that end before the last entry.  Each
+    generator of an inner value stands in for its window in turn."""
+    n = len(gens)
+    windows = [(k, n, inner) for k in range(n)]
+    if base is not None:
+        windows += [(j, e, base) for j in range(n - 1)
+                    for e in range(j + 1, n)]
+    acc: Chain = {}
+    for j, e, op in windows:
+        head, tail = gens[:j], gens[e:]
+        for g, s in op.mu_gens(gens[j:e]).items():
+            acc = chain_add(acc, chain_scale(
+                s, outer.mu_gens(head + (g,) + tail)))
+    return acc
 
-    def _composable_tuples(self, n: int):
-        if n == 1:
-            for g in self.gen_hom:
-                yield (g,)
-            return
-        for gens in self._composable_tuples(n - 1):
-            last = gens[-1]
-            _, y = self.gen_hom[last]
-            for g, (x2, _) in self.gen_hom.items():
-                if x2 == y:
-                    yield gens + (g,)
 
-    def _check_units(self):
-        for x, e in self.units.items():
-            cx = self.hom(x, x)
-            if not cx.is_cycle(e):
-                raise WfError(f"unit of {x} is not a cycle")
-            if action_level(e, cx) > self.unit_bound:
-                raise WfError(f"unit of {x} exceeds the declared bound")
+def _tabulate(walk, arities, value) -> MuTable:
+    """{d: {t: value(t)}} over the tuples ``walk(d)``, nonzero values only."""
+    out: MuTable = {}
+    for d in arities:
+        table = {t: v for t in walk(d) if (v := value(t))}
+        if table:
+            out[d] = table
+    return out
 
 
 def _tuples(chains: Sequence[Chain]):
@@ -321,10 +332,72 @@ def _tuples(chains: Sequence[Chain]):
 
 
 # ---------------------------------------------------------------------------
+# weakly filtered categories
+# ---------------------------------------------------------------------------
+
+class WFCategory(_Table):
+    """Objects, hom complexes and higher operations up to the arity cap."""
+
+    def __init__(self, objects: Sequence[str],
+                 homs: Dict[Tuple[str, str], FilteredComplex],
+                 mu: MuTable, disc: Discrepancy, cap: int = 6,
+                 units: Optional[Dict[str, Chain]] = None,
+                 unit_bound=0, check: bool = True):
+        self.objects = tuple(objects)
+        self.homs = dict(homs)
+        self.cap = cap
+        if disc.cap != cap:
+            raise CapError("discrepancy cap must equal the arity cap")
+        self.disc = disc
+        self.mu_tables: MuTable = {d: dict(t) for d, t in mu.items() if d >= 2}
+        self.units = dict(units) if units else None
+        self.unit_bound = rat(unit_bound)
+        self.base = self._ins = self._outs = self
+        self.gen_hom = self._register(self.homs, lambda key: key[0],
+                                      "generator name {} reused across homs")
+        if check:
+            self.check_ainf_relations()
+            if self.units:
+                self._check_units()
+
+    def hom(self, x: str, y: str) -> FilteredComplex:
+        try:
+            return self.homs[(x, y)]
+        except KeyError:
+            raise WfError(f"no hom complex for ({x}, {y})")
+
+    def cutoff(self):
+        return next(iter(self.homs.values())).cutoff
+
+    def mu(self, chains: Sequence[Chain]) -> Chain:
+        """Multilinear extension of mu_d to chains."""
+        return self._mu(chains)
+
+    def max_op_arity(self) -> int:
+        """Largest arity carrying a nonzero operation (mu_1 included)."""
+        return max(1, self._top())
+
+    def check_ainf_relations(self, max_arity: Optional[int] = None):
+        """The A-infinity relations, then each entry against ``disc``."""
+        self._check_relations(max_arity, self, "A-infinity relation fails at {}")
+        for d, gens, over in self._overshoots():
+            if over > self.disc[d]:
+                raise WfError(f"mu_{d}{gens} violates the declared discrepancy")
+
+    def _check_units(self):
+        for x, e in self.units.items():
+            cx = self.hom(x, x)
+            if not cx.is_cycle(e):
+                raise WfError(f"unit of {x} is not a cycle")
+            if action_level(e, cx) > self.unit_bound:
+                raise WfError(f"unit of {x} exceeds the declared bound")
+
+
+# ---------------------------------------------------------------------------
 # weakly filtered modules
 # ---------------------------------------------------------------------------
 
-class WFModule:
+class WFModule(_Table):
     """Module over a weakly filtered category, stored as sparse mu-tables.
 
     ``mu_tables[d]`` maps (a_1, ..., a_{d-1}, m) generator tuples (the
@@ -332,18 +405,17 @@ class WFModule:
     first object.
     """
 
+    _name = "module mu"
+
     def __init__(self, cat: WFCategory, values: Dict[str, FilteredComplex],
                  mu: MuTable, disc: Discrepancy, check: bool = True):
-        self.cat = cat
+        self.cat = self.base = cat
         self.values = dict(values)
         self.mu_tables = {d: dict(t) for d, t in mu.items() if d >= 2}
         self.disc = disc
-        self.gen_value: Dict[str, str] = {}
-        for x, cx in self.values.items():
-            for g in cx.generators:
-                if g in self.gen_value:
-                    raise WfError(f"module generator {g} reused across values")
-                self.gen_value[g] = x
+        self._ins = self._outs = self
+        self.gen_value = self._register(
+            self.values, lambda x: x, "module generator {} reused across values")
         if check:
             self.check_module_relations()
 
@@ -354,91 +426,25 @@ class WFModule:
     def value(self, x: str) -> FilteredComplex:
         return self.values[x]
 
-    def mu_gens(self, gens: Tuple[str, ...]) -> Chain:
-        d = len(gens)
-        if d > self.cap:
-            raise CapError(f"module mu_{d} beyond arity cap")
-        if d == 1:
-            g = gens[0]
-            return self.values[self.gen_value[g]].diff[g]
-        return self.mu_tables.get(d, {}).get(gens, {})
-
     def mu(self, a_chains: Sequence[Chain], b: Chain) -> Chain:
-        out: Chain = {}
-        for combo, coeff in _tuples(list(a_chains) + [b]):
-            out = chain_add(out, chain_scale(coeff, self.mu_gens(combo)))
-        return out
+        return self._mu([*a_chains, b])
 
-    def module_tuples(self, n: int):
-        """Composable (a_1..a_{n-1}, m) generator tuples."""
-        if n == 1:
-            for g in self.gen_value:
-                yield (g,)
-            return
-        for gens in self.cat._composable_tuples(n - 1):
-            _, y = self.cat.gen_hom[gens[-1]]
-            for m, x in self.gen_value.items():
-                if x == y:
-                    yield gens + (m,)
+    module_tuples = _Table.tuples
 
     def max_op_arity(self) -> int:
-        tops = [1, self.cat.max_op_arity()]
-        tops += [d for d, t in self.mu_tables.items() if t]
-        return max(tops)
+        return max(self.cat.max_op_arity(), self._top())
 
     def check_module_relations(self, max_arity: Optional[int] = None):
-        top = max_arity if max_arity is not None else \
-            min(self.cap - 1, 2 * self.max_op_arity() - 1)
-        for n in range(1, top + 1):
-            for gens in self.module_tuples(n):
-                acc: Chain = {}
-                # inner category operation
-                for m in range(1, n):
-                    for j in range(0, n - m):
-                        inner = self.cat.mu_gens(gens[j:j + m])
-                        for g_in, s in inner.items():
-                            outer = self.mu_gens(gens[:j] + (g_in,) + gens[j + m:])
-                            acc = chain_add(acc, chain_scale(s, outer))
-                # inner module operation
-                for m in range(1, n + 1):
-                    inner = self.mu_gens(gens[n - m:])
-                    for g_in, s in inner.items():
-                        outer = self.mu_gens(gens[:n - m] + (g_in,))
-                        acc = chain_add(acc, chain_scale(s, outer))
-                if acc:
-                    raise WfError(f"module relation fails at {gens}")
-        self._check_disc_bound()
-
-    def _check_disc_bound(self):
+        self._check_relations(max_arity, self.cat, "module relation fails at {}")
         meas = self.measured_discrepancy()
         for d in range(2, self.cap + 1):
             if meas[d - 1] > self.disc[d]:
                 raise WfError(
                     f"module mu_{d} exceeds the declared discrepancy")
 
-    def measured_discrepancy(self) -> List[Fraction]:
-        out = [Fraction(0)] * self.cap
-        for d, table in self.mu_tables.items():
-            for gens, img in table.items():
-                if not img:
-                    continue
-                total = Fraction(0)
-                for g in gens[:-1]:
-                    x, y = self.cat.gen_hom[g]
-                    total += self.cat.hom(x, y).action[g]
-                mval = self.values[self.gen_value[gens[-1]]]
-                total += mval.action[gens[-1]]
-                tgt = self.values[self.gen_value[next(iter(img))]]
-                out[d - 1] = max(out[d - 1], action_level(img, tgt) - total)
-        return out
-
     def action_table(self) -> Dict[str, Fraction]:
         """Generator -> action, the cone filtration in tabular form."""
-        out = {}
-        for x, cx in self.values.items():
-            for g in cx.generators:
-                out[g] = cx.action[g]
-        return out
+        return {g: cx.action[g] for g, cx in self._home.items()}
 
 
 def yoneda_module(cat: WFCategory, y: str) -> WFModule:
@@ -461,21 +467,25 @@ def yoneda_module(cat: WFCategory, y: str) -> WFModule:
 # pre-module homomorphisms
 # ---------------------------------------------------------------------------
 
-class PreModHom:
+class PreModHom(_Table):
     """Weakly filtered pre-module homomorphism f = (f_1, f_2, ...).
 
-    ``components[d]`` maps (a_1..a_{d-1}, m) tuples to chains in
-    M1(first object).
+    ``components[d]`` (also its ``mu_tables``) maps (a_1..a_{d-1}, m)
+    tuples to chains in M1(first object).
     """
+
+    _name = "component f"
+    _mu1_is_diff = False
 
     def __init__(self, source: WFModule, target: WFModule,
                  components: MuTable, shift=0,
                  disc: Optional[Discrepancy] = None):
-        self.source = source
-        self.target = target
-        self.components = {d: {k: v for k, v in t.items() if v}
-                           for d, t in components.items()}
-        self.components = {d: t for d, t in self.components.items() if t}
+        self.source = self._ins = source
+        self.target = self._outs = target
+        self.base = source.cat
+        comps = {d: {k: v for k, v in t.items() if v}
+                 for d, t in components.items()}
+        self.components = self.mu_tables = {d: t for d, t in comps.items() if t}
         self.shift = rat(shift)
         self.disc = disc if disc is not None else Discrepancy.zero(
             source.cap, "hom")
@@ -484,17 +494,10 @@ class PreModHom:
     def cap(self) -> int:
         return self.source.cap
 
-    def comp_gens(self, gens: Tuple[str, ...]) -> Chain:
-        d = len(gens)
-        if d > self.cap:
-            raise CapError("component beyond arity cap")
-        return self.components.get(d, {}).get(gens, {})
+    comp_gens = _Table.mu_gens
 
     def apply(self, a_chains: Sequence[Chain], b: Chain) -> Chain:
-        out: Chain = {}
-        for combo, coeff in _tuples(list(a_chains) + [b]):
-            out = chain_add(out, chain_scale(coeff, self.comp_gens(combo)))
-        return out
+        return self._mu([*a_chains, b])
 
     def first_order_map(self, x: str) -> FilteredMap:
         mat = {}
@@ -506,20 +509,7 @@ class PreModHom:
 
     def measured_shifts(self) -> List[Fraction]:
         """Per-arity maximal action overshoot (before the rho/eps split)."""
-        out = [NEG_INF] * self.cap
-        for d, table in self.components.items():
-            for gens, img in table.items():
-                if not img:
-                    continue
-                total = Fraction(0)
-                for g in gens[:-1]:
-                    total += self.source.cat.hom(
-                        *self.source.cat.gen_hom[g]).action[g]
-                total += self.source.value(
-                    self.source.gen_value[gens[-1]]).action[gens[-1]]
-                tgt = self.target.value(self.target.gen_value[next(iter(img))])
-                out[d - 1] = max(out[d - 1], action_level(img, tgt) - total)
-        return out
+        return self._measured(NEG_INF)
 
     def max_shift(self) -> Fraction:
         """The largest measured shift over the arities; 0 for the zero map."""
@@ -551,8 +541,7 @@ class PreModHom:
 
     @staticmethod
     def identity(m: WFModule) -> "PreModHom":
-        comps = {1: {(g,): m.values[x].basis_chain(g)
-                     for g, x in m.gen_value.items()}}
+        comps = {1: {(g,): cx.basis_chain(g) for g, cx in m._home.items()}}
         return PreModHom(m, m, comps, 0)
 
     @staticmethod
@@ -561,40 +550,14 @@ class PreModHom:
 
 
 def mu1_mod(f: PreModHom) -> PreModHom:
-    """Differential of the dg-category of modules (characteristic 2)."""
+    """Differential of the dg-category of modules (characteristic 2):
+    M1 after f, plus f after M0 and after the category operations."""
     m0, m1 = f.source, f.target
-    cat = m0.cat
-    comps: MuTable = {}
-    maxf = max([d for d, t in f.components.items() if t], default=0)
+    maxf = f._top()
     maxmu = max(m0.max_op_arity(), m1.max_op_arity())
     top = min(f.cap, maxf + maxmu - 1) if maxf else 0
-    for n in range(1, top + 1):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for gens in m0.module_tuples(n):
-            acc: Chain = {}
-            # target module operation applied to f
-            for k in range(0, n):
-                inner = f.comp_gens(gens[k:])
-                for g_in, s in inner.items():
-                    outer = m1.mu_gens(gens[:k] + (g_in,))
-                    acc = chain_add(acc, chain_scale(s, outer))
-            # f applied to source module operation
-            for k in range(0, n):
-                inner = m0.mu_gens(gens[k:])
-                for g_in, s in inner.items():
-                    outer = f.comp_gens(gens[:k] + (g_in,))
-                    acc = chain_add(acc, chain_scale(s, outer))
-            # f applied around inner category operations
-            for m in range(1, n):
-                for j in range(0, n - m):
-                    inner = cat.mu_gens(gens[j:j + m])
-                    for g_in, s in inner.items():
-                        outer = f.comp_gens(gens[:j] + (g_in,) + gens[j + m:])
-                        acc = chain_add(acc, chain_scale(s, outer))
-            if acc:
-                table[gens] = acc
-        if table:
-            comps[n] = table
+    comps = _tabulate(m0.tuples, range(1, top + 1), lambda t: chain_add(
+        _insert(t, f, m1), _insert(t, m0, f, m0.cat)))
     return PreModHom(m0, m1, comps, f.shift, f.disc)
 
 
@@ -603,23 +566,10 @@ def mu2_mod(f: PreModHom, g: PreModHom) -> PreModHom:
     if f.target is not g.source:
         if f.target.gen_value.keys() != g.source.gen_value.keys():
             raise WfError("mu2_mod: modules do not compose")
-    comps: MuTable = {}
-    maxf = max([d for d, t in f.components.items() if t], default=0)
-    maxg = max([d for d, t in g.components.items() if t], default=0)
+    maxf, maxg = f._top(), g._top()
     top = min(f.cap, maxf + maxg - 1) if maxf and maxg else 0
-    for n in range(1, top + 1):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for gens in f.source.module_tuples(n):
-            acc: Chain = {}
-            for k in range(0, n):
-                inner = f.comp_gens(gens[k:])
-                for g_in, s in inner.items():
-                    outer = g.comp_gens(gens[:k] + (g_in,))
-                    acc = chain_add(acc, chain_scale(s, outer))
-            if acc:
-                table[gens] = acc
-        if table:
-            comps[n] = table
+    comps = _tabulate(f.source.tuples, range(1, top + 1),
+                      lambda t: _insert(t, f, g))
     return PreModHom(f.source, g.target, comps, f.shift + g.shift,
                      disc_star(f.disc, g.disc))
 
@@ -661,7 +611,7 @@ def cone(f: PreModHom, rho=None, epsf: Optional[Discrepancy] = None) -> ConeModu
     rho + eps^f_1; discrepancy max{eps^M0, eps^M1, eps^f - eps^f_1}.
     """
     if not mu1_mod(f).is_zero():
-        raise WfError("cone requires a module homomorphism (mu1_mod f = 0)")
+        raise CycleError("cone requires a module homomorphism (mu1_mod f = 0)")
     m0, m1 = f.source, f.target
     rho = f.shift if rho is None else rat(rho)
     epsf = f.disc if epsf is None else epsf
@@ -690,13 +640,9 @@ def cone(f: PreModHom, rho=None, epsf: Optional[Discrepancy] = None) -> ConeModu
     mu: MuTable = {}
     for d in range(2, f.cap + 1):
         table: Dict[Tuple[str, ...], Chain] = {}
-        for gens, img in m0.mu_tables.get(d, {}).items():
-            table[gens] = chain_add(dict(img), {})
-        for gens in list(f.components.get(d, {})):
-            img = f.comp_gens(gens)
-            table[gens] = chain_add(table.get(gens, {}), img)
-        for gens, img in m1.mu_tables.get(d, {}).items():
-            table[gens] = chain_add(table.get(gens, {}), img)
+        for part in (m0, f, m1):
+            for gens, img in part.mu_tables.get(d, {}).items():
+                table[gens] = chain_add(table.get(gens, {}), img)
         table = {k: v for k, v in table.items()
                  if v and k[-1] in kept and all(g in kept for g in v)}
         if table:
@@ -762,12 +708,7 @@ def cone_compose(f: PreModHom, xi: PreModHom) -> PreModHom:
             img = xi.apply([], f.target.value(x).basis_chain(g))
             if img:
                 comps[1][(g,)] = img
-    for d in range(2, f.cap + 1):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for gens, img in xi.components.get(d, {}).items():
-            table[gens] = img
-        if table:
-            comps[d] = table
+    comps.update((d, t) for d, t in xi.components.items() if d >= 2)
     psi = PreModHom(c_src, c_tgt, comps, xi.shift, xi.disc)
     psi.cone_source = c_src
     psi.cone_target = c_tgt
@@ -791,12 +732,7 @@ def cone_boundary_correction(f: PreModHom, theta: PreModHom,
         else:
             img = base
         comps[1][(g,)] = img
-    for d in range(2, f.cap + 1):
-        table = {}
-        for gens, img in theta.components.get(d, {}).items():
-            table[gens] = img
-        if table:
-            comps[d] = table
+    comps.update((d, t) for d, t in theta.components.items() if d >= 2)
     out = PreModHom(c_src, c_tgt, comps, 0, eps.minus_first())
     out.cone_source = c_src
     out.cone_target = c_tgt
@@ -864,36 +800,21 @@ def _compositions(n: int, k: int):
 def pullback_module(F: WFFunctor, m: WFModule) -> WFModule:
     values = {x: m.value(F.obj_map[x]) for x in F.source.objects
               if F.obj_map.get(x) in m.values}
-    mu: MuTable = {}
-    cap = m.cap
-    for d in range(2, cap + 1):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for gens in _pullback_tuples(F, m, d):
-            img = _pullback_value(F, m, gens)
-            if img:
-                table[gens] = img
-        if table:
-            mu[d] = table
+    mu = _tabulate(lambda d: m.tuples(d, F.source, F.obj_map),
+                   range(2, m.cap + 1), lambda t: _pullback_value(F, m, t))
     disc = pullback_disc(F.disc, m.disc, higher_vanish=F.higher_vanish())
     return WFModule(F.source, values, mu, disc, check=False)
 
 
-def _pullback_tuples(F: WFFunctor, m: WFModule, d: int):
-    # tuples (a_1..a_{d-1}, b) from the source category and the module
-    if d == 1:
-        yield from ((g,) for g in m.gen_value)
-        return
-    for gens in F.source._composable_tuples(d - 1):
-        _, y = F.source.gen_hom[gens[-1]]
-        for g, x in m.gen_value.items():
-            if x == F.obj_map.get(y):
-                yield gens + (g,)
-
-
-def _pullback_value(F: WFFunctor, m: WFModule,
+def _pullback_value(F: WFFunctor, table: _Table,
                     gens: Tuple[str, ...]) -> Chain:
+    """The pulled-back entry at (a_1..a_{d-1}, b): the table at
+    (F(block_1), ..., F(block_k), b) summed over the splittings of the a's
+    into consecutive blocks."""
     d = len(gens)
     a_gens, b = gens[:-1], gens[-1]
+    if d == 1:
+        return table.mu_gens((b,))
     out: Chain = {}
     for k in range(1, d):
         for split in _compositions(d - 1, k):
@@ -907,41 +828,15 @@ def _pullback_value(F: WFFunctor, m: WFModule,
             if any(not bc for bc in block_chains):
                 continue
             for combo, coeff in _tuples(block_chains):
-                term = m.mu_gens(combo + (b,))
+                term = table.mu_gens(combo + (b,))
                 out = chain_add(out, chain_scale(coeff, term))
-    if d == 1:
-        out = m.mu_gens((b,))
     return out
 
 
 def pullback_hom(F: WFFunctor, f: PreModHom, pm0: WFModule,
                  pm1: WFModule) -> PreModHom:
-    cap = f.cap
-    comps: MuTable = {}
-    for d in range(1, cap + 1):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for gens in _pullback_tuples(F, f.source, d):
-            a_gens, b = gens[:-1], gens[-1]
-            acc: Chain = {}
-            if d == 1:
-                acc = f.comp_gens((b,))
-            else:
-                for k in range(1, d):
-                    for split in _compositions(d - 1, k):
-                        blocks, pos = [], 0
-                        for s in split:
-                            blocks.append(a_gens[pos:pos + s])
-                            pos += s
-                        block_chains = [F.comp_gens(bl) for bl in blocks]
-                        if any(not bc for bc in block_chains):
-                            continue
-                        for combo, coeff in _tuples(block_chains):
-                            term = f.comp_gens(combo + (b,))
-                            acc = chain_add(acc, chain_scale(coeff, term))
-            if acc:
-                table[gens] = acc
-        if table:
-            comps[d] = table
+    comps = _tabulate(lambda d: f.source.tuples(d, F.source, F.obj_map),
+                      range(1, f.cap + 1), lambda t: _pullback_value(F, f, t))
     disc = pullback_disc(F.disc, f.disc, first_free=True,
                          higher_vanish=F.higher_vanish())
     return PreModHom(pm0, pm1, comps, f.shift, disc)
@@ -984,18 +879,14 @@ def lambda_map(m: WFModule, y: str, c: Chain,
         for d in range(1, m.cap):
             if eps_h[d] < m.disc[d + 1]:
                 raise WfError("eps^h_d >= eps^M_{d+1} violated")
-    comps: MuTable = {}
-    for d in range(1, m.cap):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for gens in yon.module_tuples(d):
-            acc: Chain = {}
-            for g_c, s in c.items():
-                term = m.mu_gens(gens + (g_c,))
-                acc = chain_add(acc, chain_scale(s, term))
-            if acc:
-                table[gens] = acc
-        if table:
-            comps[d] = table
+
+    def value(gens):
+        acc: Chain = {}
+        for g_c, s in c.items():
+            acc = chain_add(acc, chain_scale(s, m.mu_gens(gens + (g_c,))))
+        return acc
+
+    comps = _tabulate(yon.tuples, range(1, m.cap), value)
     if c:
         shift = action_level(c, m.value(y))
     else:

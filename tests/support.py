@@ -584,6 +584,164 @@ def strict_right_mult_hom(cat, m_src, m_tgt, c):
 
 
 # ---------------------------------------------------------------------------
+# A-infinity relation oracles: one explicit loop per relation, reading only
+# the hom complexes, values and tables (no library tuple walk or evaluation)
+# ---------------------------------------------------------------------------
+
+def _ref_home(complexes):
+    """generator -> the key of the complex holding it."""
+    return {g: key for key, cx in complexes.items() for g in cx.generators}
+
+
+def _ref_cat_op(cat, home, gens):
+    if len(gens) == 1:
+        return cat.homs[home[gens[0]]].diff[gens[0]]
+    return cat.mu_tables.get(len(gens), {}).get(gens, {})
+
+
+def _ref_mod_op(m, home, gens):
+    if len(gens) == 1:
+        return m.values[home[gens[0]]].diff[gens[0]]
+    return m.mu_tables.get(len(gens), {}).get(gens, {})
+
+
+def _ref_hom_op(f, gens):
+    return f.components.get(len(gens), {}).get(gens, {})
+
+
+def _ref_cat_tuples(cat, home, n):
+    if n == 1:
+        for g in home:
+            yield (g,)
+        return
+    for gens in _ref_cat_tuples(cat, home, n - 1):
+        y = home[gens[-1]][1]
+        for g, (x2, _) in home.items():
+            if x2 == y:
+                yield gens + (g,)
+
+
+def _ref_mod_tuples(m, n):
+    chome, mhome = _ref_home(m.cat.homs), _ref_home(m.values)
+    if n == 1:
+        for g in mhome:
+            yield (g,)
+        return
+    for gens in _ref_cat_tuples(m.cat, chome, n - 1):
+        y = chome[gens[-1]][1]
+        for g, x in mhome.items():
+            if x == y:
+                yield gens + (g,)
+
+
+def _ref_top(tables, floor=1):
+    return max([floor] + [d for d, t in tables.items() if t])
+
+
+def ref_check_ainf_relations(cat):
+    """The first generator tuple at which the A-infinity relations of
+    ``cat`` fail, in the library's tuple order, or None."""
+    home = _ref_home(cat.homs)
+    top = min(cat.cap - 1, 2 * _ref_top(cat.mu_tables) - 1)
+    for n in range(1, top + 1):
+        for gens in _ref_cat_tuples(cat, home, n):
+            acc = {}
+            for m in range(1, n + 1):
+                for j in range(0, n - m + 1):
+                    inner = _ref_cat_op(cat, home, gens[j:j + m])
+                    for g_in, s in inner.items():
+                        outer = _ref_cat_op(
+                            cat, home, gens[:j] + (g_in,) + gens[j + m:])
+                        acc = chain_add(acc, chain_scale(s, outer))
+            if acc:
+                return gens
+    return None
+
+
+def ref_check_module_relations(m):
+    """The first tuple at which the module relations of ``m`` fail, or
+    None."""
+    chome, mhome = _ref_home(m.cat.homs), _ref_home(m.values)
+    top = min(m.cat.cap - 1, 2 * max(_ref_top(m.cat.mu_tables),
+                                     _ref_top(m.mu_tables)) - 1)
+    for n in range(1, top + 1):
+        for gens in _ref_mod_tuples(m, n):
+            acc = {}
+            for k in range(1, n):
+                for j in range(0, n - k):
+                    inner = _ref_cat_op(m.cat, chome, gens[j:j + k])
+                    for g_in, s in inner.items():
+                        outer = _ref_mod_op(
+                            m, mhome, gens[:j] + (g_in,) + gens[j + k:])
+                        acc = chain_add(acc, chain_scale(s, outer))
+            for k in range(1, n + 1):
+                inner = _ref_mod_op(m, mhome, gens[n - k:])
+                for g_in, s in inner.items():
+                    outer = _ref_mod_op(m, mhome, gens[:n - k] + (g_in,))
+                    acc = chain_add(acc, chain_scale(s, outer))
+            if acc:
+                return gens
+    return None
+
+
+def ref_mu1_mod(f):
+    """The component tables of mu1_mod(f), one explicit loop per term."""
+    m0, m1 = f.source, f.target
+    cat = m0.cat
+    chome = _ref_home(cat.homs)
+    h0, h1 = _ref_home(m0.values), _ref_home(m1.values)
+    maxf = _ref_top(f.components, 0)
+    maxmu = max(_ref_top(cat.mu_tables), _ref_top(m0.mu_tables),
+                _ref_top(m1.mu_tables))
+    top = min(cat.cap, maxf + maxmu - 1) if maxf else 0
+    comps = {}
+    for n in range(1, top + 1):
+        table = {}
+        for gens in _ref_mod_tuples(m0, n):
+            acc = {}
+            for k in range(0, n):
+                for g_in, s in _ref_hom_op(f, gens[k:]).items():
+                    outer = _ref_mod_op(m1, h1, gens[:k] + (g_in,))
+                    acc = chain_add(acc, chain_scale(s, outer))
+            for k in range(0, n):
+                for g_in, s in _ref_mod_op(m0, h0, gens[k:]).items():
+                    outer = _ref_hom_op(f, gens[:k] + (g_in,))
+                    acc = chain_add(acc, chain_scale(s, outer))
+            for k in range(1, n):
+                for j in range(0, n - k):
+                    inner = _ref_cat_op(cat, chome, gens[j:j + k])
+                    for g_in, s in inner.items():
+                        outer = _ref_hom_op(
+                            f, gens[:j] + (g_in,) + gens[j + k:])
+                        acc = chain_add(acc, chain_scale(s, outer))
+            if acc:
+                table[gens] = acc
+        if table:
+            comps[n] = table
+    return comps
+
+
+def ref_mu2_mod(f, g):
+    """The component tables of the composite g o f."""
+    maxf, maxg = _ref_top(f.components, 0), _ref_top(g.components, 0)
+    top = min(f.source.cat.cap, maxf + maxg - 1) if maxf and maxg else 0
+    comps = {}
+    for n in range(1, top + 1):
+        table = {}
+        for gens in _ref_mod_tuples(f.source, n):
+            acc = {}
+            for k in range(0, n):
+                for g_in, s in _ref_hom_op(f, gens[k:]).items():
+                    outer = _ref_hom_op(g, gens[:k] + (g_in,))
+                    acc = chain_add(acc, chain_scale(s, outer))
+            if acc:
+                table[gens] = acc
+        if table:
+            comps[n] = table
+    return comps
+
+
+# ---------------------------------------------------------------------------
 # all-pairs geometry scans: every segment pair goes to the exact predicate,
 # with no bounding-box pruning
 # ---------------------------------------------------------------------------

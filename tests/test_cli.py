@@ -189,6 +189,15 @@ def test_cli_shadow(tmp_path, capsys):
     assert "shadow | 2" in out
 
 
+def test_cli_twisted_check_refuses_a_non_cycle(capsys):
+    spec = os.path.join(os.path.dirname(__file__), "golden",
+                        "twisted-noncycle.tw")
+    code, out = run_cli(["twisted-check", "--spec", spec], capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == \
+        "iterated cone | - | - | error: attaching map 2 is not a cycle"
+
+
 def test_cli_twisted_check(tmp_path, capsys):
     f = tmp_path / "tw.txt"
     f.write_text(TWISTED)

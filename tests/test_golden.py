@@ -1,10 +1,11 @@
-"""Golden outputs of the torus geometry, the metric search and the depth
-queries: ``repro-lemma-ex1`` reports, a Floer table (bigons, ranks,
-differentials and refusals) over fixed curve pools, a metric table
-(lower, upper, witness and certificate of fixed metric queries),
-``metric`` reports and ``depth`` reports on fixed complexes (odd
-denominators, negative actions), compared byte for byte with the files
-in ``tests/golden/``.
+"""Golden outputs of the torus geometry, the metric search, the depth
+queries and the twisted layer: ``repro-lemma-ex1`` reports, a Floer table
+(bigons, ranks, differentials and refusals) over fixed curve pools, a
+metric table (lower, upper, witness and certificate of fixed metric
+queries), ``metric`` reports and ``depth`` reports on fixed complexes (odd
+denominators, negative actions), ``twisted-check`` reports on fixed dg
+towers and a cone table (each stage K_i of fixed iterated cones), compared
+byte for byte with the files in ``tests/golden/``.
 
 Regenerate the files (only when a reported value is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -13,6 +14,7 @@ Regenerate the files (only when a reported value is meant to change) with
 import contextlib
 import io
 import os
+import random
 from fractions import Fraction as F
 
 from filtcones.cli import main
@@ -24,7 +26,12 @@ from filtcones.scenarios import (
 )
 from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
 from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
+from filtcones.twisted import IteratedConeSpec, build_iterated_cone
+from filtcones.wfainf import Discrepancy, cone, lambda_map, yoneda_module
 
+from support import (
+    chain_category, random_cycle_in, strict_dg_category, strict_right_mult_hom,
+)
 from test_fragmetric import LEM_QUERIES, LINE_X, TRACE_QUERIES
 from test_segment_pairs import _floer_sanity_pool
 
@@ -43,6 +50,11 @@ DEPTH = {"depth-odd.cx": (("B x", "beta x", "B y", "beta y", "B z", "A a",
                                "depth-negative.txt"),
          "depth-sevenths.cx": (("B g1", "beta g1", "B g3", "beta g3", "B g5",
                                 "beta g5", "A g0"), "depth-sevenths.txt")}
+# spec file -> (report file, exit code); tier1.yml diffs the same runs
+TWISTED = {"twisted-r2.tw": ("twisted-r2.txt", 0),
+           "twisted-r4.tw": ("twisted-r4.txt", 0),
+           "twisted-noncycle.tw": ("twisted-noncycle.txt", 1)}
+CONE_TABLE = "cone-table.txt"
 EPS, DELTA = F(1, 8), F(1, 256)
 
 
@@ -203,6 +215,82 @@ def metric_table():
     return "\n".join(lines) + "\n"
 
 
+def twisted_report(spec, code):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = main(["twisted-check", "--spec", os.path.join(GOLDEN, spec)])
+    assert got == code, out.getvalue()
+    return out.getvalue()
+
+
+def _chain_text(ch):
+    return " + ".join(f"T^{e}*{h}" for h, s in sorted(ch.items())
+                      for e in s.exps)
+
+
+def _strict_tower(seed, nobj):
+    """Stages K_0..K_r of a tower over ``strict_dg_category`` whose stage
+    j attaches L_j by right multiplication with a random cycle of K_{j-1}."""
+    rng = random.Random(seed)
+    cat = strict_dg_category(nobj=nobj)
+    stages = []
+
+    def attach(j):
+        def build(k):
+            stages.append(k)
+            return strict_right_mult_hom(cat, yoneda_module(cat, f"L{j}"), k,
+                                         random_cycle_in(rng, k.value(f"L{j}")))
+        return build
+
+    objs = [f"L{j}" for j in range(nobj)]
+    zero = Discrepancy.zero(cat.cap, "hom")
+    spec = IteratedConeSpec(cat, objs, [attach(j) for j in range(1, nobj)],
+                            [0] * (nobj - 1), [zero] * (nobj - 1))
+    stages.append(build_iterated_cone(spec)[0])
+    return stages
+
+
+def _chain_cones(weights=None):
+    """Cone(yon L_j -> yon L_i) of ``chain_category`` along m_ji."""
+    cat = chain_category(weights)
+    out = []
+    for j, i in ((1, 0), (2, 1), (2, 0)):
+        m0 = yoneda_module(cat, f"L{j}")
+        m1 = yoneda_module(cat, f"L{i}")
+        g = f"m{j}{i}"
+        out.append(cone(lambda_map(m1, f"L{j}",
+                                   cat.hom(f"L{j}", f"L{i}").basis_chain(g))))
+    return out
+
+
+def cone_table():
+    """Value complexes, sorted mu tables and measured discrepancy of each
+    stage K_i of fixed iterated cones, and of single cones in
+    ``chain_category``."""
+    towers = [(f"strict seed {seed} nobj {nobj}", _strict_tower(seed, nobj))
+              for seed, nobj in ((1, 2), (2, 3), (3, 3), (4, 4))]
+    towers.append(("chain cones", _chain_cones()))
+    # decreasing weights: mu_2 overshoots the summed input actions
+    towers.append(("chain cones, weights -i^2/2",
+                   _chain_cones({i: F(-i * i, 2) for i in range(4)})))
+    lines = []
+    for label, stages in towers:
+        for i, k in enumerate(stages):
+            lines.append(f"{label} K_{i}: objects {sorted(k.values)}")
+            lines.append("  disc " + " ".join(map(str, k.disc.values)))
+            lines.append("  measured " + " ".join(
+                map(str, k.measured_discrepancy())))
+            for x in sorted(k.values):
+                lines.append(f"  value {x}")
+                lines += [f"    {row}" for row in
+                          serialize_complex(k.value(x)).splitlines()]
+            for d in sorted(k.mu_tables):
+                for gens, img in sorted(k.mu_tables[d].items()):
+                    lines.append(f"  mu {d} ({','.join(gens)}) -> "
+                                 f"{_chain_text(img)}")
+    return "\n".join(lines) + "\n"
+
+
 def _read(name):
     with open(os.path.join(GOLDEN, name)) as f:
         return f.read()
@@ -225,6 +313,12 @@ def test_depth_outputs_match_golden_files():
         assert depth_report(complex_file, queries) == _read(report), report
 
 
+def test_twisted_outputs_match_golden_files():
+    for spec, (report, code) in TWISTED.items():
+        assert twisted_report(spec, code) == _read(report), report
+    assert cone_table() == _read(CONE_TABLE)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     files = {name: repro_stdout(*key) for key, name in REPRO.items()}
@@ -234,6 +328,9 @@ if __name__ == "__main__":
         files[report] = metric_report(scenario)
     for complex_file, (queries, report) in DEPTH.items():
         files[report] = depth_report(complex_file, queries)
+    for spec, (report, code) in TWISTED.items():
+        files[report] = twisted_report(spec, code)
+    files[CONE_TABLE] = cone_table()
     for name, text in files.items():
         with open(os.path.join(GOLDEN, name), "w") as f:
             f.write(text)

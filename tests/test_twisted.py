@@ -13,8 +13,9 @@ from filtcones.wfainf import (
     Discrepancy, PreModHom, cone, cone_boundary_correction, cone_compose,
     mu1_mod, mu2_mod, yoneda_module,
 )
+from filtcones import twisted, wfainf
 from filtcones.twisted import (
-    IteratedConeSpec, TwistedData, TwistedEntry, assemble_twisted_mu1,
+    IteratedConeSpec, TwistedData, TwistedError, TwistedEntry, assemble_twisted_mu1,
     audit_structure_theorem, bounds_chi_xi, build_iterated_cone,
     check_rho_subadditive, check_twisted_square_zero, cone_replace,
     retract_energy, twisted_value_complex, weight_wp,
@@ -146,6 +147,47 @@ def test_build_iterated_cone_ledger():
     k0b, ledger0 = build_iterated_cone(spec0)
     assert k0b.values.keys() == k0.values.keys()
     assert ledger0[0].values == tuple(cat.disc.values)
+
+
+def test_build_iterated_cone_refuses_a_non_cycle():
+    """Each stage computes mu1_mod of its attaching map once, in ``cone``,
+    and a non-cycle is refused with the stage's number."""
+    rng = random.Random(8)
+    cat = strict_dg_category(nobj=3)
+    objs = ["L0", "L1", "L2"]
+    zero = Discrepancy.zero(cat.cap, "hom")
+
+    def right_mult(j, c=None):
+        def build(k):
+            cyc = random_cycle_in(rng, k.value(f"L{j}")) if c is None else c
+            return strict_right_mult_hom(cat, yoneda_module(cat, f"L{j}"),
+                                         k, cyc)
+        return build
+
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return mu1_mod(f)
+
+    spec = IteratedConeSpec(cat, objs, [right_mult(1), right_mult(2)],
+                            [0, 0], [zero, zero])
+    saved = wfainf.mu1_mod, twisted.mu1_mod
+    wfainf.mu1_mod = twisted.mu1_mod = counted
+    try:
+        build_iterated_cone(spec)
+    finally:
+        wfainf.mu1_mod, twisted.mu1_mod = saved
+    assert len(calls) == 2
+    # eps[Lj,Li] is no cycle: d eps = T^sigma one
+    bad1, bad2 = {"eps[L1,L0]": nov(0)}, {"eps[L2,L1]": nov(0)}
+    for phis, stage in (([right_mult(1, bad1)], 1),
+                        ([right_mult(1), right_mult(2, bad2)], 2)):
+        spec = IteratedConeSpec(cat, objs[:len(phis) + 1], phis,
+                                [0] * len(phis), [zero] * len(phis))
+        with pytest.raises(TwistedError) as exc:
+            build_iterated_cone(spec)
+        assert str(exc.value) == f"attaching map {stage} is not a cycle"
 
 
 def test_bounds_chi_xi():

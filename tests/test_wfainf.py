@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import action_level, chain_add, chain_eq
 from filtcones.wfainf import (
-    CapError, Discrepancy, PreModHom, WFFunctor, WfError, assh_cone_kappa,
+    CapError, Discrepancy, PreModHom, WFCategory, WFFunctor, WFModule,
+    WfError, assh_cone_kappa,
     check_assumption_E, check_mod_squared_condition, check_Ue, check_URe,
     check_Us, check_Uw, choose_eps, cone, cone_boundary_correction,
     cone_compose, disc_max, disc_star, lambda_map, mu1_mod, mu2_mod,
@@ -14,7 +16,12 @@ from filtcones.wfainf import (
     verify_hom_filtration, yoneda_module,
 )
 
-from support import chain_category, perturbed_unit_category, unital_dg_category
+from support import (
+    _ref_cat_tuples, _ref_home, _ref_mod_tuples, chain_category,
+    perturbed_unit_category, ref_check_ainf_relations,
+    ref_check_module_relations, ref_mu1_mod, ref_mu2_mod, unital_dg_category,
+)
+from test_twisted import build_random_tower
 
 CUT = 64
 
@@ -277,6 +284,18 @@ def test_cone_inclusion_is_filtered():
     assert all(meas[d - 1] <= k.disc[d] for d in range(1, k.cap + 1))
 
 
+@pytest.mark.xfail(strict=True, reason="cone() keeps only the objects where "
+                   "both M0 and M1 have a value (FOUND in CHANGES.md)")
+def test_cone_keeps_the_objects_of_the_target_alone():
+    """Cone(yon L1 -> yon L0) at L1 is M1(L1) = hom(L1, L0) = {m10}."""
+    cat = chain_category()
+    m0 = yoneda_module(cat, "L1")
+    m1 = yoneda_module(cat, "L0")
+    f = _lambda_like(m0, m1, "L1", cat.hom("L1", "L0").basis_chain("m10"))
+    k = cone(f)
+    assert "L1" in k.values and k.value("L1").generators == ("m10",)
+
+
 def test_cone_filtration_change_shifts():
     cat = chain_category()
     m0 = yoneda_module(cat, "L1")
@@ -465,3 +484,113 @@ def test_lambda_map_properties():
     m2.disc = big_disc
     with pytest.raises(WfError):
         lambda_map(m2, y, {cval.generators[0]: nov(0)}, bad)
+
+
+# -- the relation checks and module maps against their oracles ----------------
+
+def _subject(rng, kind):
+    """A category or module to mutate: the category of a random MC tower,
+    ``chain_category``, a Yoneda module of it, a tower's K_r, or a cone of
+    ``chain_category``."""
+    if kind in ("tower category", "tower module"):
+        cat, _, k, _, _ = build_random_tower(rng, nobj=rng.randint(2, 3))
+        return cat if kind == "tower category" else k
+    cat = chain_category()
+    if kind == "chain category":
+        return cat
+    if kind == "yoneda":
+        return yoneda_module(cat, rng.choice(["L0", "L1", "L2"]))
+    j = rng.randint(1, 2)
+    i = rng.randrange(j)
+    m1 = yoneda_module(cat, f"L{i}")
+    return cone(lambda_map(m1, f"L{j}",
+                           cat.hom(f"L{j}", f"L{i}").basis_chain(f"m{j}{i}")))
+
+
+def _mutate(rng, obj):
+    """A copy of ``obj`` (category or module) with one random term added
+    to one table entry of arity 2 or 3, and a discrepancy large enough
+    that only the relations can fail."""
+    is_cat = isinstance(obj, WFCategory)
+    cat = obj if is_cat else obj.cat
+    home = _ref_home(cat.homs)
+    d = rng.choice([2, 2, 3])
+    if is_cat:
+        tuples = list(_ref_cat_tuples(cat, home, d))
+    else:
+        tuples = list(_ref_mod_tuples(obj, d))
+    tables = {e: dict(t) for e, t in obj.mu_tables.items()}
+    if tuples:
+        gens = rng.choice(tuples)
+        src = home[gens[0]][0]
+        out = cat.homs.get((src, home[gens[-1]][1])) if is_cat else \
+            obj.values.get(src)
+        if out is not None and out.generators:
+            term = {rng.choice(out.generators):
+                    nov(Fraction(rng.randint(0, 4), 2))}
+            table = tables.setdefault(d, {})
+            table[gens] = chain_add(table.get(gens, {}), term)
+    big = Discrepancy([0] + [100] * (cat.cap - 1),
+                      "category" if is_cat else "module")
+    if is_cat:
+        return WFCategory(cat.objects, cat.homs, tables, big, cap=cat.cap,
+                          check=False)
+    return WFModule(cat, obj.values, tables, big, check=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32),
+       st.sampled_from(["tower category", "chain category", "yoneda",
+                        "tower module", "cone"]))
+def test_relation_checks_match_the_oracles(seed, kind):
+    """The checks raise exactly when the oracle finds a failing tuple,
+    and name the oracle's first one."""
+    rng = random.Random(seed)
+    obj = _mutate(rng, _subject(rng, kind))
+    if isinstance(obj, WFCategory):
+        want, check = ref_check_ainf_relations(obj), obj.check_ainf_relations
+        message = "A-infinity relation fails at {}"
+    else:
+        want, check = ref_check_module_relations(obj), \
+            obj.check_module_relations
+        message = "module relation fails at {}"
+    if want is None:
+        check()
+    else:
+        with pytest.raises(WfError) as exc:
+            check()
+        assert str(exc.value) == message.format(want)
+
+
+def _any_prehom(rng, m0, m1, max_arity=3):
+    """Random components on the module tuples of m0 that land where m1
+    has a value."""
+    comps = {}
+    for d in range(1, max_arity + 1):
+        for gens in m0.module_tuples(d):
+            x = m0.cat.gen_hom[gens[0]][0] if d > 1 else m0.gen_value[gens[0]]
+            if x in m1.values and rng.random() < 0.5:
+                g = rng.choice(m1.value(x).generators)
+                comps.setdefault(d, {})[gens] = \
+                    {g: nov(Fraction(rng.randint(0, 4), 2))}
+    return PreModHom(m0, m1, comps, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.booleans())
+def test_module_maps_match_the_oracles(seed, tower):
+    """mu1_mod and mu2_mod on random pre-module maps between Yoneda modules
+    of ``chain_category``, or into and out of a random tower's K_r."""
+    rng = random.Random(seed)
+    if tower:
+        cat, _, k, _, _ = build_random_tower(rng, nobj=rng.randint(2, 3))
+        m0 = yoneda_module(cat, rng.choice(["L0", "L1"]))
+        mods = [m0, k, yoneda_module(cat, "L0")]
+    else:
+        cat = chain_category()
+        mods = [yoneda_module(cat, f"L{i}") for i in (2, 1, 0)]
+    f = _any_prehom(rng, mods[0], mods[1])
+    g = _any_prehom(rng, mods[1], mods[2])
+    assert mu1_mod(f).components == ref_mu1_mod(f)
+    assert mu1_mod(g).components == ref_mu1_mod(g)
+    assert mu2_mod(f, g).components == ref_mu2_mod(f, g)
