@@ -18,24 +18,24 @@ off is exact (see ``_Smith``).  It reads the stored polynomials and no
 cutoff: a chain whose boundary only vanishes past the cutoff is no
 boundary.  The brute-force oracles of the test suite check it.
 
-The elimination layer has one implementation per ring, and none of it
-solves by truncated division:
-
-* ``_echelon`` -- least-valuation echelon on int bitmask polynomials,
-  over F2[[t]] modulo t^N for ``_Smith`` and exactly over F2[t] for the
-  field layer; ``_vectors`` puts every Novikov matrix on its lattice.
-  The field layer reads one exact run, the inputs' bookkeeping riding
-  along as extra coordinates: ``field_rank`` (the retired vectors),
-  ``field_kernel`` (the bookkeeping of the dropped ones), ``field_basis``
-  and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
-  ``homology_rank``.  ``left_inverse`` reads the least action of a left
-  inverse off the largest Smith exponent of the normalized map, and its
-  witness back-substitutes the retired rows, dividing only by units
-  below the cutoff, for ``invert_map`` and the callers in ``twisted``.
-* ``F2Basis`` -- F2 rows as int bitmasks in echelon form by top bit,
-  each with an XOR-accumulated tag, for the peak slices of ``peel_off``.
-* ``peel_off`` -- peak-slice reduction of a chain against an
-  action-orthogonal family; ``orthogonalize`` extends such a family.
+The elimination layer is one loop, and none of it solves by truncated
+division.  ``_echelon`` is a least-valuation echelon on int bitmask
+polynomials, over F2[[t]] modulo t^N for ``_Smith`` and exactly over
+F2[t] for the field layer; ``_vectors`` puts every Novikov matrix on its
+lattice.  The field layer reads one exact run, the inputs' bookkeeping
+riding along as extra coordinates: ``field_rank`` (the retired vectors),
+``field_kernel`` (the bookkeeping of the dropped ones), ``field_basis``
+and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
+``homology_rank``.  ``left_inverse`` reads the least action of a left
+inverse off the largest Smith exponent of the normalized map, and its
+witness back-substitutes the retired rows, dividing only by units below
+the cutoff, for ``invert_map`` and the callers in ``twisted``.
+``orthonormal_basis`` reads an action-orthogonal basis of a span off one
+run in the f basis: each retired column divided by t^k, cut to an input
+combination with no exponent above the inputs', with its pivot
+generator.  ``boundary_depth_map`` and ``check_Uw`` take their maxima
+over its members, and ``find_robust_subspace`` projects along the
+generators off its pivots.
 """
 
 from __future__ import annotations
@@ -252,43 +252,6 @@ def delta_d(cx: FilteredComplex) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# F2 pivot basis
-# ---------------------------------------------------------------------------
-
-class F2Basis:
-    """F2 row space with rows as int bitmasks, kept in echelon form by top bit.
-
-    Every row carries a tag (an int) that is XOR-accumulated along each
-    reduction.  Tagging input i with 1 << i records which inputs a row
-    combines; tagging an equation with its right-hand side bit shows an
-    inconsistent system as a residual 0 with tag 1.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: Dict[int, Tuple[int, int]] = {}  # top bit -> (row, tag)
-
-    def reduce(self, v: int, tag: int = 0) -> Tuple[int, int]:
-        """Cancel top bits of v against the rows; returns (residual, tag)."""
-        rows = self.rows
-        while v:
-            hit = rows.get(v.bit_length() - 1)
-            if hit is None:
-                break
-            v ^= hit[0]
-            tag ^= hit[1]
-        return v, tag
-
-    def add(self, v: int, tag: int = 0) -> Tuple[int, int]:
-        """Reduce v and keep the residual as a row if it is nonzero."""
-        v, tag = self.reduce(v, tag)
-        if v:
-            self.rows[v.bit_length() - 1] = (v, tag)
-        return v, tag
-
-
-# ---------------------------------------------------------------------------
 # bitmask elimination over F2[t] and the Smith-form kernel
 # ---------------------------------------------------------------------------
 
@@ -492,11 +455,9 @@ class _Smith:
                                 for kb, z in ortho], r, prec - top)[0][-1]
         w: Chain = {}
         for lam, (s, _), v in zip(best[r:], cols, vecs):
-            if lam:
-                lam = NovikovScalar([Fraction(k - top - s, self.q)
-                                     for k in _bits(lam)],
-                                    next(iter(v.values())).cutoff)
-                w = chain_add(w, chain_scale(lam, v))
+            w = chain_add(w, _combination(self.q, [lam], [v],
+                                          next(iter(v.values())).cutoff,
+                                          top + s))
         self.last_witness = w
         return Fraction(self.shift + kmax - sigma, self.q)
 
@@ -556,6 +517,19 @@ def field_preimage(chains: Sequence[Chain], images: Sequence[Chain],
     return _combinations(q, [v[n:] for v in dropped], chains, cutoff)
 
 
+def _combination(q: int, coeffs: Sequence[int], chains: Sequence[Chain],
+                 cutoff, low: int) -> Chain:
+    """sum_j l_j T^(-low/q) chains_j for F2[t] bitmask coefficients l_j,
+    t = T^(1/q)."""
+    ch: Chain = {}
+    for lam, z in zip(coeffs, chains):
+        if lam:
+            s = NovikovScalar([Fraction(k - low, q) for k in _bits(lam)],
+                              cutoff)
+            ch = chain_add(ch, chain_scale(s, z))
+    return ch
+
+
 def _combinations(q: int, relations: List[List[int]], chains: Sequence[Chain],
                   cutoff) -> List[Chain]:
     """The nonzero chains sum_j l_j chains_j, one per list of F2[t]
@@ -564,14 +538,38 @@ def _combinations(q: int, relations: List[List[int]], chains: Sequence[Chain],
     out = []
     for rel in relations:
         low = min((x & -x).bit_length() - 1 for x in rel if x)
-        ch: Chain = {}
-        for lam, z in zip(rel, chains):
-            if lam:
-                s = NovikovScalar([Fraction(k - low, q) for k in _bits(lam)],
-                                  cutoff)
-                ch = chain_add(ch, chain_scale(s, z))
+        ch = _combination(q, rel, chains, cutoff, low)
         if ch:
             out.append(ch)
+    return out
+
+
+def orthonormal_basis(chains: Sequence[Chain], cx: FilteredComplex
+                      ) -> List[Tuple[str, Chain]]:
+    """An action-orthogonal basis of the span of the chains in cx, as
+    (pivot generator, member) pairs: the action of a combination of the
+    members is the max of its terms' actions.
+
+    One exact ``_echelon`` runs on the chains in the f basis with
+    bookkeeping.  A retired column sum_j l_j vec_j is t^k w, w a unit at
+    its pivot and 0 at the pivots retired before it, so the w and the
+    off-pivot generators form a basis invertible over F2[[t]]: the
+    projection along those generators onto the span does not raise
+    action.  The member sum_j (l_j mod t^(k+1)) T^(-k/q) chains_j is w
+    modulo t, which keeps all of this, and has no exponent above the
+    chains'.  The exact l_j can reach far higher degrees than k, and the
+    full quotient would have terms past the cutoff.
+    """
+    n = cx.dim
+    q, _, vecs = _vectors(chains, cx.generators, 0, None, cx.action)
+    retired, _ = _echelon([v + [int(i == j) for i in range(len(vecs))]
+                           for j, v in enumerate(vecs)], n)
+    out = []
+    for k, col in retired:
+        i = next(i for i, x in enumerate(col[:n]) if x >> k & 1)
+        cut = [lam & (1 << k + 1) - 1 for lam in col[n:]]
+        out.append((cx.generators[i],
+                    _combination(q, cut, chains, cx.cutoff, k)))
     return out
 
 
@@ -626,65 +624,14 @@ def boundary_depth_map(phi: FilteredMap) -> Fraction:
     sub = field_preimage(zs, [phi.apply(z) for z in zs],
                          [D.diff[g] for g in D.generators], C.cutoff)
     best = Fraction(0)
-    # orthogonalize the subspace and bound via basis elements
-    for z in orthogonalize(sub, C):
+    # the largest drop over the subspace is the largest over an
+    # action-orthogonal basis of it
+    for _, z in orthonormal_basis(sub, C):
         b = boundary_level(phi.apply(z), D)
         if b == NEG_INF:
             continue
         best = max(best, b - action_level(z, C))
     return best
-
-
-def peel_off(x: Chain, family: Sequence[Chain], cx: FilteredComplex
-             ) -> Tuple[Chain, List[NovikovScalar]]:
-    """Peel x against an action-orthogonal family.
-
-    At the peak action a of x, the peak slice of x (the generators whose
-    coefficient has a term at action a) is written over F2 in the peak
-    slices of the family, each member shifted so that its own peak sits
-    at a, and that combination is added to x.  The action drops every
-    round, and terms past the cutoff are truncated, so the peel ends:
-    when x vanishes, or when its peak slice is not in the span.  Returns
-    the residual and the coefficients used, x = residual + sum c_j f_j
-    up to the cutoff.
-    """
-    index = {g: i for i, g in enumerate(cx.generators)}
-
-    def peak_slice(v: Chain, a) -> int:
-        return sum(1 << index[g] for g, s in v.items()
-                   if cx.action[g] - a in s.exps)
-
-    acts = [action_level(f, cx) for f in family]
-    slices = F2Basis()
-    for j, (f, a) in enumerate(zip(family, acts)):
-        slices.add(peak_slice(f, a), 1 << j)
-    coeffs = [NovikovScalar.zero(cx.cutoff) for _ in family]
-    v = dict(x)
-    while v:
-        a = action_level(v, cx)
-        res, combo = slices.reduce(peak_slice(v, a))
-        if res:
-            break
-        for j, f in enumerate(family):
-            if combo >> j & 1:
-                s = acts[j] - a
-                coeffs[j] = coeffs[j] + NovikovScalar.monomial(s, cx.cutoff)
-                v = chain_add(v, chain_shift(s, f))
-    return v, coeffs
-
-
-def orthogonalize(vectors: Sequence[Chain], cx: FilteredComplex,
-                  family: Sequence[Chain] = ()) -> List[Chain]:
-    """Extend an action-orthogonal family by the vectors: each is peeled
-    against the members kept so far and kept if a residual remains.  The
-    kept peak slices are independent, so the action of a combination is
-    the max of the actions of its terms."""
-    kept = list(family)
-    for v in vectors:
-        rest = peel_off(v, kept, cx)[0]
-        if rest:
-            kept.append(rest)
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -793,22 +740,14 @@ def find_robust_subspace(cx: FilteredComplex, d0: Dict[str, Chain],
     if (h0 - h) % 2 != 0:
         raise FiltError("homology dimension defect must be even")
     k = (h0 - h) // 2
-    # projection onto im(d0) along an action-orthogonal completion
-    im0 = orthogonalize(image_basis(C0), cx)
-    by_action = sorted(cx.generators, key=lambda g: cx.action[g])
-    completion = orthogonalize([cx.basis_chain(g) for g in by_action], cx, im0)
-
-    def pi(x: Chain) -> Chain:
-        rest, coeffs = peel_off(x, completion, cx)
-        if rest:
-            raise FiltError("vector not in the span of the basis")
-        out: Chain = {}
-        for lam, b in zip(coeffs, im0):
-            out = chain_add(out, chain_scale(lam, b))
-        return out
-
+    # the projection onto im(d0) along the generators off the pivots of an
+    # orthonormal basis of im(d0) does not raise action; its kernel is
+    # spanned by those generators, so V is the part of im(d) vanishing on
+    # the pivots
+    pivots = {g for g, _ in orthonormal_basis(image_basis(C0), cx)}
     imd = image_basis(cx)
-    q, rels = field_kernel([pi(ch) for ch in imd])
+    q, rels = field_kernel([{g: s for g, s in ch.items() if g in pivots}
+                            for ch in imd])
     V = _combinations(q, rels, imd, cx.cutoff)
     if len(V) < k:
         raise FiltError("projection kernel smaller than predicted")

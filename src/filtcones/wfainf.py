@@ -26,7 +26,7 @@ from .novikov import INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level,
     boundary_level, chain_add, chain_scale, cycle_basis,
-    homotopical_boundary_level, orthogonalize,
+    homotopical_boundary_level, orthonormal_basis,
 )
 
 
@@ -948,7 +948,7 @@ def check_Uw(m: WFModule, kappa=None):
     for x in m.values:
         cx = m.value(x)
         v = _unit_action_map(m, x)
-        for z in orthogonalize(cycle_basis(cx), cx):
+        for _, z in orthonormal_basis(cycle_basis(cx), cx):
             w = chain_add(v.apply(z), z)
             if not w:
                 continue

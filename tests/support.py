@@ -14,7 +14,8 @@ from math import ceil, floor, lcm
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
-    Chain, FilteredComplex, NEG_INF, action_level, chain_add, chain_scale,
+    Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
+    chain_scale, chain_shift,
 )
 from filtcones.surface.curves import (
     SIDE, Crossing, GeometryError, _seg_common, common_scale, path_from,
@@ -229,6 +230,29 @@ def random_chain(rng: random.Random, cx: FilteredComplex, density=0.7,
             if not s.is_zero():
                 ch[g] = s
     return ch
+
+
+def random_chain_map(rng: random.Random, n=4, qden=2):
+    """A strictly filtered chain map phi = base + T^s (d h + h d) from a
+    random complex C, and whether base is the identity.  Base is either
+    the identity from C to C with every action lowered by some nu >= 0,
+    or zero into another random complex D; h is a random map C -> D, and
+    s >= 0 the least shift that keeps T^s (d h + h d) from raising
+    action."""
+    C = random_complex(rng, n=n, qden=qden)
+    ident = rng.random() < 0.5
+    D = (C.shift_actions(-Fraction(rng.randint(0, qden), qden)) if ident
+         else random_complex(rng, n=rng.randint(2, n), qden=qden))
+    h = FilteredMap(C, D, {g: random_chain(rng, D, density=0.4, qden=qden)
+                           for g in C.generators})
+    htpy = FilteredMap(C, D, {g: chain_add(D.d(h.matrix[g]),
+                                           h.apply(C.diff[g]))
+                              for g in C.generators})
+    s = max(0, htpy.measured_shift())
+    mat = {g: chain_shift(s, htpy.matrix[g]) for g in C.generators}
+    if ident:
+        mat = {g: chain_add(mat[g], C.basis_chain(g)) for g in C.generators}
+    return FilteredMap(C, D, mat), ident
 
 
 def random_boundary(rng: random.Random, cx: FilteredComplex, qden=2):

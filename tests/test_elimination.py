@@ -1,8 +1,9 @@
-"""The elimination kernels: the F2 pivot basis against the window
-solver of the oracle suite, the Smith-form kernel against the
-brute-force boundary-level oracle and closed-form bar families, and the
-exact field layer (rank, kernel, basis and preimage off one echelon over
-F2[t]) against the largest nonzero minor and exact annihilation."""
+"""The elimination kernel: the Smith form against the brute-force
+boundary-level oracle and closed-form bar families, the exact field
+layer (rank, kernel, basis and preimage off one echelon over F2[t])
+against the largest nonzero minor and exact annihilation, and the
+orthonormal basis read off that echelon against ranks and the actions
+of sampled combinations."""
 
 import random
 from fractions import Fraction as F
@@ -10,48 +11,16 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from filtcones.filtcx import (
-    F2Basis, FilteredComplex, _Smith, action_level, boundary_depth_elem,
-    chain_add, chain_scale, chain_shift, field_basis, field_kernel,
-    field_preimage, field_rank, is_delta_robust, min_beta_subspace,
+    NEG_INF, FilteredComplex, FilteredMap, _Smith, action_level,
+    boundary_depth_elem, boundary_depth_map, chain_add, chain_scale,
+    chain_shift, field_basis, field_kernel, field_preimage, field_rank,
+    is_delta_robust, min_beta_subspace, orthonormal_basis,
 )
 from filtcones.novikov import NovikovScalar
 
 from support import (
-    _f2_solve, _poly_mul, oracle_boundary_level, random_complex,
-    ref_field_rank,
+    _poly_mul, oracle_boundary_level, random_complex, ref_field_rank,
 )
-
-# -- F2 pivot basis --------------------------------------------------------------
-
-
-@st.composite
-def f2_systems(draw):
-    """Rows over up to 10 unknowns.  Half the systems take their
-    right-hand side from a hidden solution (always consistent), the other
-    half draw it freely (often inconsistent)."""
-    nvars = draw(st.integers(1, 10))
-    rows = draw(st.lists(st.sets(st.integers(0, nvars - 1)), min_size=1,
-                         max_size=14))
-    if draw(st.booleans()):
-        hidden = draw(st.sets(st.integers(0, nvars - 1)))
-        rhs = [len(r & hidden) % 2 for r in rows]
-    else:
-        rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows),
-                            max_size=len(rows)))
-    return rows, rhs
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(f2_systems())
-def test_f2_basis_consistency_agrees_with_window_solver(system):
-    rows, rhs = system
-    basis = F2Basis()
-    consistent = True
-    for row, b in zip(rows, rhs):
-        if basis.add(sum(1 << j for j in row), b) == (0, 1):
-            consistent = False
-    assert consistent == _f2_solve([sorted(r) for r in rows], rhs)
-
 
 # -- Smith-form kernel against the brute-force oracle ----------------------------
 
@@ -116,12 +85,9 @@ def test_smith_kernel_matches_oracle(case):
     assert min_beta_subspace(bounds[:1], cx) == _beta(bounds[0], cx)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.data())
-def test_min_beta_closed_form_bars(data):
-    """Bars d b_i = T^e_i x_i with beta(x_i) = drop_i: over the span of
-    the x_i for i in S, however the spanning vectors mix them, min beta
-    is the least drop in S, and robustness switches exactly there."""
+def _bars(data):
+    """Bars d b_i = T^e_i x_i on the 1/qden lattice with beta(x_i) =
+    drop_i.  Returns the complex, the drops, qden and the lattice draw."""
     qden = data.draw(st.sampled_from([1, 3, 5, 7]))
     n = data.draw(st.integers(1, 4))
 
@@ -135,8 +101,18 @@ def test_min_beta_closed_form_bars(data):
         action[f"x{i}"], action[f"b{i}"] = a, a - e + drop
         diff[f"b{i}"] = {f"x{i}": NovikovScalar([e], 64)}
         drops.append(drop)
-    cx = FilteredComplex(gens, action, diff, 64)
-    S = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return FilteredComplex(gens, action, diff, 64), drops, qden, lattice
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_min_beta_closed_form_bars(data):
+    """On the bars: over the span of the x_i for i in S, however the
+    spanning vectors mix them, min beta is the least drop in S, and
+    robustness switches exactly there."""
+    cx, drops, qden, lattice = _bars(data)
+    S = data.draw(st.lists(st.integers(0, len(drops) - 1), min_size=1,
+                           unique=True))
     vecs = []
     for k, i in enumerate(S):
         v = {f"x{i}": NovikovScalar([lattice(-3, 3)], 64)}
@@ -150,6 +126,20 @@ def test_min_beta_closed_form_bars(data):
     assert not is_delta_robust(vecs, m + F(1, qden), cx)
     for v in vecs:
         assert min_beta_subspace([v], cx) == boundary_depth_elem(v, cx)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_boundary_depth_map_closed_form_bars(data):
+    """On the bars the identity has the largest drop as its boundary
+    depth, and the projection onto the bars i in S the largest drop in S
+    (0 for S empty)."""
+    cx, drops, _, _ = _bars(data)
+    assert boundary_depth_map(FilteredMap.identity(cx)) == max(drops)
+    S = data.draw(st.lists(st.integers(0, len(drops) - 1), unique=True))
+    proj = FilteredMap(cx, cx, {g: cx.basis_chain(g) for i in S
+                                for g in (f"b{i}", f"x{i}")})
+    assert boundary_depth_map(proj) == max((drops[i] for i in S), default=0)
 
 
 # -- the field layer: one exact echelon over F2[t] -------------------------------
@@ -243,3 +233,36 @@ def test_in_span_agrees_with_augmented_rank(cols, pick):
             if f"x{j}" in w:
                 image = chain_add(image, chain_scale(w[f"x{j}"], col))
         assert ref_field_rank(span + [image]) == ref_field_rank(span)
+
+
+# -- the orthonormal basis off one exact echelon ---------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(novikov_columns(),
+       st.lists(st.sampled_from([F(0), F(1, 2), F(1)]), min_size=4,
+                max_size=4),
+       st.lists(SCALAR, min_size=4, max_size=4))
+def test_orthonormal_basis(cols, actions, coeffs):
+    """The members span the chains, their pivots are distinct, no member
+    has an exponent above the chains', and with the generators off the
+    pivots they are action-orthogonal: a combination has the largest
+    action of its terms."""
+    gens = sorted({g for c in cols for g in c} | {"r0"})
+    cx = FilteredComplex(gens, dict(zip(gens, actions)), {}, 64)
+    basis = orthonormal_basis(cols, cx)
+    pivots = [g for g, _ in basis]
+    members = [w for _, w in basis]
+    rank = field_rank(cols)
+    assert len(members) == rank
+    assert field_rank(members) == field_rank(cols + members) == rank
+    assert len(set(pivots)) == len(pivots)
+    top = max((e for c in cols for s in c.values() for e in s.exps), default=0)
+    assert all(e <= top for w in members for s in w.values() for e in s.exps)
+    off = [cx.basis_chain(g) for g in gens if g not in pivots]
+    terms = [chain_scale(lam, w) for lam, w in zip(coeffs, members + off)]
+    combo = {}
+    for t in terms:
+        combo = chain_add(combo, t)
+    assert action_level(combo, cx) == max(
+        (action_level(t, cx) for t in terms if t), default=NEG_INF)

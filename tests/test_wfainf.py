@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import INF, NovikovScalar
-from filtcones.filtcx import action_level, chain_add, chain_eq
+from filtcones.filtcx import action_level, chain_add, chain_eq, homology_rank
 from filtcones.wfainf import (
     CapError, Discrepancy, PreModHom, WFCategory, WFFunctor, WFModule,
     WfError, assh_cone_kappa,
@@ -18,7 +18,7 @@ from filtcones.wfainf import (
 
 from support import (
     _ref_cat_tuples, _ref_home, _ref_mod_tuples, chain_category,
-    perturbed_unit_category, ref_check_ainf_relations,
+    perturbed_unit_category, random_complex, ref_check_ainf_relations,
     ref_check_module_relations, ref_mu1_mod, ref_mu2_mod, unital_dg_category,
 )
 from test_twisted import build_random_tower
@@ -118,6 +118,25 @@ def test_unital_category_relations():
     cat.check_ainf_relations()
     ok, zeta = check_Ue(cat)
     assert ok and zeta == 0
+
+
+def test_check_Uw_of_a_unit_acting_by_zero():
+    """With e acting by 0 on M(X) = C, [mu_2(e, .)] misses the identity by
+    the boundary depth of C: infinite if C has homology, else its longest
+    bar.  A random complex is bars d b = T^f x under a filtered change of
+    basis, so the longest bar is the largest A(b) - A(x) + f."""
+    cat = unital_dg_category()
+    rng = random.Random(43)
+    for _ in range(100):
+        cx, bars = random_complex(rng, n=rng.randint(2, 6),
+                                  qden=rng.choice([1, 2, 3]), with_split=True)
+        m = WFModule(cat, {"X": cx}, {}, Discrepancy([0] * cat.cap, "module"),
+                     check=False)
+        longest = max((cx.action[b] - cx.action[x] + f
+                       for b, col in bars.items() for x, s in col.items()
+                       for f in s.exps), default=0)
+        assert check_Uw(m) == ((False, INF) if homology_rank(cx)
+                               else (True, longest))
 
 
 def test_perturbed_unit_witness_level():
