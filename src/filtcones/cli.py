@@ -489,10 +489,8 @@ def main(argv=None) -> int:
         prog="filtcones",
         description="Exact filtered-cone invariants and fragmentation "
                     "metrics on the flat torus")
-    parser.add_argument("--cutoff", type=rat,
-                        default=rat(os.environ.get("FILTCONES_CUTOFF", "64")))
-    parser.add_argument("--arity-cap", type=int,
-                        default=int(os.environ.get("FILTCONES_ARITY_CAP", "6")))
+    parser.add_argument("--cutoff", type=rat, default=Fraction(64))
+    parser.add_argument("--arity-cap", type=int, default=6)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("metric", help="run scenario metric queries")

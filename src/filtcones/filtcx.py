@@ -15,11 +15,10 @@ the least exponent.  The elimination runs modulo t^N, N = (n+1)*D + 1
 with D the largest degree among the matrix and the query columns; as a
 nonzero j-minor has valuation at most j*D, every rank and valuation read
 off is exact (see ``_Smith``).  It reads the stored polynomials and no
-cutoff: a chain whose boundary only vanishes past the cutoff is no
-boundary.  The brute-force oracles of the test suite check it.
+cutoff.  The brute-force oracles of the test suite check it.
 
-The elimination layer is one loop, and none of it solves by truncated
-division.  ``_echelon`` is a least-valuation echelon on int bitmask
+The elimination layer is one loop, and none of it solves on a window of
+exponents.  ``_echelon`` is a least-valuation echelon on int bitmask
 polynomials, over F2[[t]] modulo t^N for ``_Smith`` and exactly over
 F2[t] for the field layer; ``_vectors`` puts every Novikov matrix on its
 lattice.  The field layer reads one exact run, the inputs' bookkeeping
@@ -28,8 +27,9 @@ riding along as extra coordinates: ``field_rank`` (the retired vectors),
 and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
 ``homology_rank``.  ``left_inverse`` reads the least action of a left
 inverse off the largest Smith exponent of the normalized map, and its
-witness back-substitutes the retired rows, dividing only by units below
-the cutoff, for ``invert_map`` and the callers in ``twisted``.
+witness back-substitutes the retired rows, dividing only by units, and
+keeps its terms below the cutoff, for ``invert_map`` and the callers in
+``twisted``.
 ``orthonormal_basis`` reads an action-orthogonal basis of a span off one
 run in the f basis: each retired column divided by t^k, cut to an input
 combination with no exponent above the inputs', with its pivot
@@ -97,7 +97,8 @@ class FilteredComplex:
     """Generators with rational actions plus a differential over Novikov scalars.
 
     ``diff[j]`` is the chain d(e_j).  Standing assumptions verified at
-    construction: d*d = 0 (below cutoff) and A(d e_j) <= A(e_j).
+    construction, exactly: d*d = 0 and A(d e_j) <= A(e_j).  ``cutoff`` is
+    the precision of the series that invert maps on the complex.
     """
 
     def __init__(self, generators: Sequence[str], action: Dict[str, object],
@@ -843,7 +844,11 @@ def left_inverse(f: FilteredMap):
     a unit at its own row, so v(b) = 0.  The retired rows B F0 are K U,
     U over R triangular on the pivot columns with unit diagonal, so G0 =
     (K U)^-1 B has valuation -k_max.  ``witness()`` back-substitutes it,
-    dividing only by units, exactly below the cutoff of C.
+    dividing only by units, and keeps the terms below the cutoff of C
+    (``below_cutoff``): those of the exact g, which is a series.  So g f
+    = id holds only below about cutoff + min(0, v(f)): the lost terms of
+    g, times the terms of f, land there.  For f = [[T^-1, T^-1], [T^-1,
+    1]] and cutoff 64, g f - id has terms at T^63.
     """
     C, D = f.domain, f.codomain
     n = C.dim
@@ -884,7 +889,7 @@ def left_inverse(f: FilteredMap):
             for d, x in zip(D.generators, z[i]):
                 base = C.action[c] - D.action[d] - best
                 s = NovikovScalar([Fraction(k, q) + base for k in _bits(x)],
-                                  C.cutoff)
+                                  C.cutoff).below_cutoff()
                 if s:
                     mat.setdefault(d, {})[c] = s
         return FilteredMap(D, C, mat, best)
@@ -893,7 +898,9 @@ def left_inverse(f: FilteredMap):
 
 
 def invert_map(g: FilteredMap) -> FilteredMap:
-    """Inverse of a linear iso over the Novikov field (below cutoff)."""
+    """Inverse of a linear iso over the Novikov field: the witness of
+    ``left_inverse``, exact below the cutoff of the domain, so g^-1 g = id
+    only below about cutoff + min(0, v(g))."""
     inv = left_inverse(g) if g.domain.dim == g.codomain.dim else None
     if inv is None:
         raise FiltError("map is not invertible")
@@ -903,7 +910,13 @@ def invert_map(g: FilteredMap) -> FilteredMap:
 
 
 def filtered_inverse(f: FilteredMap, g: FilteredMap) -> FilteredMap:
-    """Inversion-trick inverse a.g^-1 for f = g(id - k), k action-decreasing."""
+    """Inversion-trick inverse a.g^-1 for f = g(id - k), k action-decreasing.
+
+    a = sum k^n, each power cut below the cutoff of the domain; as k
+    lowers action, the exponents of the powers climb past it and the sum
+    ends.  With g^-1 from ``invert_map`` the result is exact below the
+    cutoff, up to the precision of g^-1 (see ``left_inverse``).
+    """
     C = f.domain
     ginv = invert_map(g)
     k = ginv.compose(f.add(g))  # g^-1 (f - g) ; char 2 makes this -k
@@ -914,6 +927,10 @@ def filtered_inverse(f: FilteredMap, g: FilteredMap) -> FilteredMap:
     power = FilteredMap.identity(C)
     while True:
         power = k.compose(power)
+        power = FilteredMap(C, C, {x: {h: s.below_cutoff()
+                                       for h, s in col.items()}
+                                   for x, col in power.matrix.items()},
+                            power.declared_shift)
         if not any(power.matrix.values()):
             break
         acc = acc.add(power)

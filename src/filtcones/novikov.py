@@ -1,16 +1,20 @@
 """Exact arithmetic in the Novikov field over the two-element field.
 
 A scalar is a finite sum of powers T^e with rational exponents e and
-coefficient 1 (characteristic 2: a power is present or absent).  Every
-scalar carries a rational truncation cutoff: exponents >= cutoff are
-discarded and the scalar is flagged as truncated.  Addition and
-multiplication are exact as long as all exponents stay below the cutoff;
-inversion is only ever defined up to the cutoff.
+coefficient 1 (characteristic 2: a power is present or absent).  Sums,
+products and shifts of such sums are finite sums again, and they keep
+every term.  Every scalar carries a rational cutoff, the precision of
+the series that are infinite: ``invert`` (and, in ``filtcx``, the
+inverses of maps) sum a geometric series and keep its terms below the
+cutoff, through ``below_cutoff``.  Scalars of different cutoffs do not
+mix.  A written exponent at or above the cutoff is refused by
+``parse_scalar``.
 """
 
 from __future__ import annotations
 
 import contextlib
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -33,12 +37,12 @@ class NovikovError(ValueError):
 
 
 class NovikovScalar:
-    """A finite Z/2-combination of powers T^e, truncated at ``cutoff``."""
+    """A finite Z/2-combination of powers T^e; ``cutoff`` is the
+    precision of its inverse."""
 
-    __slots__ = ("exps", "cutoff", "truncated")
+    __slots__ = ("exps", "cutoff")
 
-    def __init__(self, exps: Iterable[RatLike], cutoff: RatLike, truncated: bool = False):
-        cutoff = rat(cutoff)
+    def __init__(self, exps: Iterable[RatLike], cutoff: RatLike):
         seen = set()
         for e in exps:
             e = rat(e)
@@ -46,15 +50,8 @@ class NovikovScalar:
                 seen.remove(e)  # characteristic 2 cancellation
             else:
                 seen.add(e)
-        kept = []
-        for e in seen:
-            if e >= cutoff:
-                truncated = True
-            else:
-                kept.append(e)
-        self.exps = tuple(sorted(kept))
-        self.cutoff = cutoff
-        self.truncated = truncated
+        self.exps = tuple(sorted(seen))
+        self.cutoff = rat(cutoff)
 
     # -- constructors -------------------------------------------------
 
@@ -98,16 +95,11 @@ class NovikovScalar:
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        return NovikovScalar(
-            set(self.exps) ^ set(other.exps),
-            self.cutoff,
-            self.truncated or other.truncated,
-        )
+        return NovikovScalar(set(self.exps) ^ set(other.exps), self.cutoff)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
         acc = set()
-        trunc = self.truncated or other.truncated
         for a in self.exps:
             for b in other.exps:
                 s = a + b
@@ -115,14 +107,12 @@ class NovikovScalar:
                     acc.remove(s)
                 else:
                     acc.add(s)
-        return NovikovScalar(acc, self.cutoff, trunc)
+        return NovikovScalar(acc, self.cutoff)
 
     def shift(self, s: RatLike) -> "NovikovScalar":
         """Multiply by the monomial T^s."""
         s = rat(s)
-        return NovikovScalar(
-            (e + s for e in self.exps), self.cutoff, self.truncated
-        )
+        return NovikovScalar((e + s for e in self.exps), self.cutoff)
 
     def valuation(self) -> Fraction:
         """Minimal exponent; +infinity (INF sentinel) for the zero scalar."""
@@ -130,12 +120,18 @@ class NovikovScalar:
             return INF
         return self.exps[0]
 
+    def below_cutoff(self) -> "NovikovScalar":
+        """The terms below the cutoff: where a series stops."""
+        return NovikovScalar(self.exps[:bisect_left(self.exps, self.cutoff)],
+                             self.cutoff)
+
     def invert(self) -> "NovikovScalar":
         """Inverse of a valuation-zero unit, exact below the cutoff.
 
         Uses the geometric series: if x = 1 + k with v(k) > 0 then
-        x^-1 = sum k^n, and the sum terminates once exponents pass the
-        cutoff.
+        x^-1 = sum k^n, each power cut below the cutoff; the sum ends
+        once a power is cut to zero.  Every exponent of the result is
+        below the cutoff.
         """
         if not self.exps:
             raise NovikovError("cannot invert 0")
@@ -144,22 +140,12 @@ class NovikovScalar:
                 f"inversion requires valuation 0, got {self.exps[0]}; "
                 "rescale by T^-v first"
             )
-        k = NovikovScalar(self.exps[1:], self.cutoff, self.truncated)
-        if k.is_zero():
-            return NovikovScalar.one(self.cutoff)
-        acc = NovikovScalar.one(self.cutoff)
-        power = NovikovScalar.one(self.cutoff)
-        while True:
-            power = power * k
-            if power.is_zero():
-                break
+        k = NovikovScalar(self.exps[1:], self.cutoff)
+        acc = power = NovikovScalar.one(self.cutoff).below_cutoff()
+        while power:
+            power = (power * k).below_cutoff()
             acc = acc + power
-        acc.truncated = True  # inverse only meaningful below cutoff
         return acc
-
-    def rebase(self, cutoff: RatLike) -> "NovikovScalar":
-        """Same scalar under another cutoff (may truncate further)."""
-        return NovikovScalar(self.exps, cutoff, self.truncated)
 
     # -- text form ------------------------------------------------------
 

@@ -40,6 +40,8 @@ from ..filtcx import Chain, FilteredComplex, homology_rank
 from .curves import GeometryError, Point, TorusCurve, common_scale, \
     crossings, scaled
 
+CUTOFF = 64  # the cutoff of the Floer complexes' scalars
+
 
 class _Lift(NamedTuple):
     """A curve's integer lift (closure included) and its scale, read off
@@ -255,8 +257,7 @@ def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, recs=None):
                          [(recs, 1), (recs, 0)])]
 
 
-def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
-                  cutoff=64) -> FilteredComplex:
+def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve) -> FilteredComplex:
     """CF(N, L): generators at action 0, differential from embedded
     bigons directed from the positive corner to the negative one (the
     corners of a lune carry opposite signs), d^2 = 0 verified at
@@ -268,23 +269,22 @@ def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
     diff: Dict[str, Chain] = {name: {} for name in names.values()}
     for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, recs):
         src, tgt = (p, q) if p in positive else (q, p)
-        mono = NovikovScalar.monomial(area, cutoff)
+        mono = NovikovScalar.monomial(area, CUTOFF)
         col = diff[names[src]]
         cur = col.get(names[tgt])
         col[names[tgt]] = mono if cur is None else cur + mono
         diff[names[src]] = {g: s for g, s in col.items() if not s.is_zero()}
     return FilteredComplex(list(names.values()),
                            {name: Fraction(0) for name in names.values()},
-                           diff, cutoff)
+                           diff, CUTOFF)
 
 
-def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve, cutoff=64) -> int:
+def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve) -> int:
     """Lambda-dimension of the homology of the Floer complex."""
-    return homology_rank(floer_complex(n_curve, l_curve, cutoff))
+    return homology_rank(floer_complex(n_curve, l_curve))
 
 
-def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve,
-                  cutoff=64):
+def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve):
     """mu_2: CF(c1,c2) x CF(c0,c1) -> CF(c0,c2) by embedded triangle count.
 
     Returns a dict mapping (y, x) generator-point pairs to chains over
@@ -302,7 +302,7 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve,
         return out
     for (x, y, z), area, loop in _polygons(
             [_Lift.of(c) for c in (c1, c2, c0)], list(zip(recs, (0, 0, 1)))):
-        mono = NovikovScalar.monomial(abs(area), cutoff)
+        mono = NovikovScalar.monomial(abs(area), CUTOFF)
         cur = out.setdefault((y.point, x.point), {})
         cur[z.point] = cur[z.point] + mono if z.point in cur else mono
     return {key: chain for key, chain in (

@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .novikov import INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
-    chain_scale, field_rank, homotopical_boundary_level,
-    invert_map, left_inverse,
+    field_rank, homotopical_boundary_level, invert_map, left_inverse,
 )
 from .wfainf import (
     CycleError, Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max,
@@ -177,11 +176,6 @@ def assemble_twisted_mu1(cat: WFCategory, objects: Sequence[str],
 
     def entry_operator(i: int, j: int):
         def op(b: Chain) -> Chain:
-            if i == j:
-                out: Chain = {}
-                for g, s in b.items():
-                    out = chain_add(out, chain_scale(s, cat.mu_gens((g,))))
-                return out
             out: Chain = {}
             for d, cpairs in symbolic[(i, j)].terms:
                 chains = [data.cycle(q, p) for q, p in cpairs]

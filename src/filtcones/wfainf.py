@@ -673,16 +673,6 @@ def rename_module(m: WFModule, prefix: str) -> WFModule:
     return WFModule(m.cat, values, mu, m.disc, check=False)
 
 
-def rename_hom_into(f: PreModHom, new_target: WFModule,
-                    prefix: str) -> PreModHom:
-    """Reinterpret f with its target replaced by a renamed clone."""
-    comps: MuTable = {}
-    for d, table in f.components.items():
-        comps[d] = {gens: {f"{prefix}{h}": s for h, s in img.items()}
-                    for gens, img in table.items()}
-    return PreModHom(f.source, new_target, comps, f.shift, f.disc)
-
-
 def shift_module(m: WFModule, nu) -> WFModule:
     """Action-shift S^nu M: (S^nu M)^{<= a} = M^{<= a + nu}, so every
     element's action drops by nu."""
@@ -709,10 +699,7 @@ def cone_compose(f: PreModHom, xi: PreModHom) -> PreModHom:
             if img:
                 comps[1][(g,)] = img
     comps.update((d, t) for d, t in xi.components.items() if d >= 2)
-    psi = PreModHom(c_src, c_tgt, comps, xi.shift, xi.disc)
-    psi.cone_source = c_src
-    psi.cone_target = c_tgt
-    return psi
+    return PreModHom(c_src, c_tgt, comps, xi.shift, xi.disc)
 
 
 def cone_boundary_correction(f: PreModHom, theta: PreModHom,
@@ -733,10 +720,7 @@ def cone_boundary_correction(f: PreModHom, theta: PreModHom,
             img = base
         comps[1][(g,)] = img
     comps.update((d, t) for d, t in theta.components.items() if d >= 2)
-    out = PreModHom(c_src, c_tgt, comps, 0, eps.minus_first())
-    out.cone_source = c_src
-    out.cone_target = c_tgt
-    return out
+    return PreModHom(c_src, c_tgt, comps, 0, eps.minus_first())
 
 
 # ---------------------------------------------------------------------------
@@ -923,16 +907,29 @@ def check_Ue(cat: WFCategory, zeta=None):
     return ok, worst
 
 
+def _endomorphism(cx: FilteredComplex, image) -> FilteredMap:
+    """The map on cx with generator g -> image(g as a chain)."""
+    return FilteredMap(cx, cx, {g: image(cx.basis_chain(g))
+                                for g in cx.generators})
+
+
 def _unit_action_map(m: WFModule, x: str) -> FilteredMap:
     """b -> mu_2^M(e_X, b) as a filtered map on M(X)."""
-    e = m.cat.units[x]
-    cx = m.value(x)
-    mat = {}
-    for g in cx.generators:
-        img = m.mu([e], cx.basis_chain(g))
-        if img:
-            mat[g] = img
-    return FilteredMap(cx, cx, mat, 0)
+    return _endomorphism(m.value(x), lambda b: m.mu([m.cat.units[x]], b))
+
+
+def _homotopic_to_identity(maps, floor, kappa):
+    """(ok, worst): worst is the largest B_h(r + id) over the maps r, and
+    at least ``floor``; (False, INF) if some r + id is not null-homotopic.
+    ok says kappa >= worst, and is True for kappa None."""
+    worst = floor
+    for r in maps:
+        diff = r.add(FilteredMap.identity(r.domain))
+        if any(diff.matrix.values()):
+            worst = max(worst, homotopical_boundary_level(diff))
+            if worst >= INF:
+                return False, INF
+    return kappa is None or rat(kappa) >= worst, worst
 
 
 def check_Uw(m: WFModule, kappa=None):
@@ -964,20 +961,8 @@ def check_Us(m: WFModule, kappa=None):
     """Homotopy version: mu_2(e, .) chain homotopic to the identity."""
     if not m.cat.units:
         raise WfError("category carries no units")
-    floor = m.cat.unit_bound + m.disc[2]
-    worst = floor
-    for x in m.values:
-        cx = m.value(x)
-        v = _unit_action_map(m, x)
-        diff = v.add(FilteredMap.identity(cx))
-        if not any(diff.matrix.values()):
-            continue
-        b = homotopical_boundary_level(diff)
-        if b >= INF:
-            return False, INF
-        worst = max(worst, b)
-    ok = True if kappa is None else rat(kappa) >= worst
-    return ok, worst
+    return _homotopic_to_identity((_unit_action_map(m, x) for x in m.values),
+                                  m.cat.unit_bound + m.disc[2], kappa)
 
 
 def check_URe(cat: WFCategory, y: str, kappa=None):
@@ -985,41 +970,18 @@ def check_URe(cat: WFCategory, y: str, kappa=None):
     if not cat.units:
         raise WfError("category carries no units")
     e = cat.units[y]
-    floor = cat.disc[2] + cat.unit_bound
-    worst = floor
-    for x in cat.objects:
-        if (x, y) not in cat.homs:
-            continue
-        cx = cat.hom(x, y)
-        mat = {}
-        for g in cx.generators:
-            img = cat.mu([cx.basis_chain(g), e])
-            if img:
-                mat[g] = img
-        r = FilteredMap(cx, cx, mat, 0)
-        diff = r.add(FilteredMap.identity(cx))
-        if not any(diff.matrix.values()):
-            continue
-        b = homotopical_boundary_level(diff)
-        if b >= INF:
-            return False, INF
-        worst = max(worst, b)
-    ok = True if kappa is None else rat(kappa) >= worst
-    return ok, worst
+    return _homotopic_to_identity(
+        (_endomorphism(cat.hom(x, y), lambda b: cat.mu([b, e]))
+         for x in cat.objects if (x, y) in cat.homs),
+        cat.disc[2] + cat.unit_bound, kappa)
 
 
 def unit_square_homotopy(m: WFModule, x: str, c_witness: Chain) -> FilteredMap:
     """h(b) = mu_3(e, e, b) + mu_2(c, b): chain homotopy between v and
     v o v, shifting action by <= max{2u + eps_3, zeta + eps_2}."""
     e = m.cat.units[x]
-    cx = m.value(x)
-    mat = {}
-    for g in cx.generators:
-        img = chain_add(m.mu([e, e], cx.basis_chain(g)),
-                        m.mu([c_witness], cx.basis_chain(g)))
-        if img:
-            mat[g] = img
-    return FilteredMap(cx, cx, mat, 0)
+    return _endomorphism(m.value(x), lambda b: chain_add(
+        m.mu([e, e], b), m.mu([c_witness], b)))
 
 
 def assh_cone_kappa(kappa0, kappa1, u, zeta, eps2_c, eps3_c) -> Fraction:

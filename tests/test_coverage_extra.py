@@ -264,8 +264,7 @@ def test_lambda_map_is_chain_map_on_non_cycles():
 def test_unitality_of_cones_matches_kappa_formula():
     """Cones of unital modules stay unital with the displayed kappa."""
     from filtcones.wfainf import (
-        assh_cone_kappa, check_Ue, check_Uw, cone, rename_hom_into,
-        rename_module,
+        assh_cone_kappa, check_Ue, check_Uw, cone, rename_module,
     )
     from support import perturbed_unit_category
     t, s = F(1), F(1, 2)
@@ -311,7 +310,7 @@ def test_verify_hom_filtration_reports_violations():
 
 
 def test_filtered_inverse_random_roundtrip():
-    from filtcones.filtcx import FilteredMap, chain_eq, filtered_inverse
+    from filtcones.filtcx import FilteredMap, filtered_inverse
     from support import random_complex
     rng = random.Random(64)
     done = 0
@@ -332,8 +331,10 @@ def test_filtered_inverse_random_roundtrip():
             continue
         inv = filtered_inverse(f, ident)
         comp = f.compose(inv)
-        assert all(chain_eq(comp.apply(cx.basis_chain(g)), cx.basis_chain(g))
-                   for g in cx.generators)
+        # the series is cut at the cutoff, so f inv = id below it
+        for g in cx.generators:
+            err = chain_add(comp.apply(cx.basis_chain(g)), cx.basis_chain(g))
+            assert not any(s.below_cutoff() for s in err.values())
         assert inv.measured_shift() <= 0
         done += 1
 

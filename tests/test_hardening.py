@@ -4,11 +4,13 @@ threshold-exact robustness, and deeper oracle agreement."""
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
-    FilteredComplex, action_level, boundary_depth_elem, boundary_level,
-    chain_add, chain_scale, chain_shift, delta_d, is_delta_robust,
-    min_beta_subspace, parse_chain, parse_complex,
+    FiltError, FilteredComplex, action_level, boundary_depth_elem,
+    boundary_level, chain_add, chain_scale, chain_shift, delta_d,
+    is_delta_robust, min_beta_subspace, parse_chain, parse_complex,
 )
 
 from support import oracle_boundary_level, random_boundary, random_chain, \
@@ -183,14 +185,22 @@ def test_levels_shift_with_the_chain_far_below_the_actions():
 
 
 def test_a_boundary_past_the_cutoff_is_no_boundary():
-    # is_cycle drops d(T^127/2*g1) at the cutoff 64; the stored
-    # polynomials say it is no cycle, so it bounds nothing
+    # d(T^127/2*g1) has its terms at and past the cutoff 64: they still
+    # count, so it is no cycle and bounds nothing
     cx = parse_complex("gen g0 action 1\ngen g1 action 0\ngen g2 action 0\n"
                        "gen g3 action 2\ngen g4 action 2\n"
                        "d g0 = T^0*g1 + T^1*g2 + T^3*g3\n"
                        "d g1 = T^6*g3 + T^7*g4\nd g3 = T^3*g3 + T^4*g4\n"
                        "d g4 = T^2*g3 + T^3*g4\n")
     w = parse_chain("T^127/2*g1", 64)
-    assert cx.is_cycle(w)
-    assert boundary_level(w, cx) == INF
+    assert not cx.is_cycle(w)
+    with pytest.raises(FiltError, match="requires a cycle"):
+        boundary_level(w, cx)
     assert oracle_boundary_level(w, cx) == INF
+
+
+def test_d_squared_past_the_cutoff_is_refused():
+    # d^2 a = T^80*c, past the cutoff 64 but not zero
+    with pytest.raises(FiltError, match="d\\^2 != 0 at generator a"):
+        parse_complex("gen a action 0\ngen b action 0\ngen c action 0\n"
+                      "d a = T^40*b\nd b = T^40*c\n")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,15 +19,6 @@ def nov(*exps, cutoff=CUT):
 def test_char2_cancellation():
     assert (nov(0) + nov(0)).is_zero()
     assert nov(Fraction(1, 2), 2) + nov(2) == nov(Fraction(1, 2))
-
-
-def test_truncation_flag():
-    x = NovikovScalar([1], 2)
-    y = NovikovScalar([3], 2)
-    assert y.is_zero() and y.truncated
-    z = x + y
-    assert z == NovikovScalar([1], 2)
-    assert z.truncated
 
 
 def test_mul():
@@ -69,9 +61,10 @@ def test_invert_unit():
     assert nov(0).invert() == nov(0)
     x = NovikovScalar([0, 1], 4)
     inv = x.invert()
-    assert inv == NovikovScalar([0, 1, 2, 3], 4, truncated=True)
-    prod = x * inv
-    assert prod == NovikovScalar.one(Fraction(4))
+    assert inv == NovikovScalar([0, 1, 2, 3], 4)
+    # the product is exact: (1 + T)(1 + T + T^2 + T^3) = 1 + T^4
+    assert x * inv == NovikovScalar([0, 4], 4)
+    assert (x * inv).below_cutoff() == NovikovScalar.one(Fraction(4))
 
 
 def test_invert_errors():
@@ -87,7 +80,7 @@ def test_invert_roundtrip_random():
         exps = {Fraction(0)} | {Fraction(rng.randint(1, 20), rng.randint(1, 4))
                                 for _ in range(rng.randint(0, 4))}
         x = nov(*exps)
-        assert (x * x.invert()).exps == (Fraction(0),)
+        assert (x * x.invert()).below_cutoff().exps == (Fraction(0),)
 
 
 def test_cutoff_mismatch():
@@ -113,15 +106,13 @@ def exponent(lo, hi):
 
 
 def scalars(lo=-3, hi=12, cutoff=CUT):
-    """Scalars with exponents in [lo, hi]; some truncated on construction
-    when hi reaches the cutoff."""
-    return st.builds(lambda exps, t: NovikovScalar(exps, cutoff, t),
-                     st.lists(exponent(lo, hi), max_size=5), st.booleans())
+    """Scalars with exponents in [lo, hi]."""
+    return st.builds(lambda exps: NovikovScalar(exps, cutoff),
+                     st.lists(exponent(lo, hi), max_size=5))
 
 
 # the laws both with exponents of either sign far below the cutoff, and
-# with nonnegative exponents whose sums cross a small cutoff (so terms
-# are dropped on the way, and dropped terms never come back)
+# with nonnegative exponents whose sums cross a small cutoff
 LAW_CASES = st.one_of(
     st.tuples(scalars(), scalars(), scalars()),
     st.tuples(*(scalars(0, 4, Fraction(5)) for _ in range(3))))
@@ -150,16 +141,13 @@ def test_shift_is_multiplication_by_a_monomial(xyz, s):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(LAW_CASES, exponent(-3, 6))
-def test_truncation_flags_propagate(xyz, s):
+def test_ring_operations_keep_terms_past_the_cutoff(xyz, s):
     x, y, _ = xyz
-    either = x.truncated or y.truncated
-    assert (x + y).truncated >= either and (x * y).truncated >= either
-    # a product term at or past the cutoff is dropped and flagged
-    past = any(a + b >= x.cutoff for a in x.exps for b in y.exps)
-    assert (x * y).truncated >= past
-    shifted = x.shift(s)
-    assert shifted.truncated == (x.truncated or any(e + s >= x.cutoff
-                                                    for e in x.exps))
+    assert set((x + y).exps) == set(x.exps) ^ set(y.exps)
+    terms = Counter(a + b for a in x.exps for b in y.exps)
+    assert set((x * y).exps) == {e for e, n in terms.items() if n % 2}
+    assert x.shift(s).exps == tuple(e + s for e in x.exps)
+    assert nov(60) * nov(10) == nov(70) and nov(60).shift(4) == nov(64)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -167,5 +155,6 @@ def test_truncation_flags_propagate(xyz, s):
        st.sampled_from([Fraction(4), Fraction(15, 2)]))
 def test_invert_is_an_inverse_below_the_cutoff(rest, cutoff):
     x = NovikovScalar([0, *rest], cutoff)
-    assert (x.invert() * x).exps == (Fraction(0),)
-    assert (x * x.invert()) == NovikovScalar.one(cutoff)
+    inv = x.invert()
+    assert (inv * x).below_cutoff() == NovikovScalar.one(cutoff)
+    assert all(e < cutoff for e in inv.exps)

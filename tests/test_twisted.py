@@ -446,6 +446,9 @@ def test_retract_energy_witness_attains_the_value(f):
         return
     g = got[2]
     assert max(Fraction(0), g.measured_shift() + f.measured_shift()) == got[1]
+    # the witness is a series kept below the cutoff
+    assert all(e < CUT for col in g.matrix.values() for s in col.values()
+               for e in s.exps)
     gf = g.compose(f)
     for c in f.domain.generators:
         err = chain_add(gf.apply(f.domain.basis_chain(c)),
