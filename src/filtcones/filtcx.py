@@ -229,6 +229,13 @@ class FilteredMap:
         return FilteredMap(self.domain, self.codomain, mat,
                            max(self.declared_shift, other.declared_shift))
 
+    def below_cutoff(self) -> "FilteredMap":
+        """Every entry cut below its cutoff: a series map at its precision."""
+        return FilteredMap(self.domain, self.codomain,
+                           {g: {h: s.below_cutoff() for h, s in col.items()}
+                            for g, col in self.matrix.items()},
+                           self.declared_shift)
+
     @staticmethod
     def identity(cx: FilteredComplex) -> "FilteredMap":
         return FilteredMap(cx, cx, {g: cx.basis_chain(g) for g in cx.generators}, 0)
@@ -926,11 +933,7 @@ def filtered_inverse(f: FilteredMap, g: FilteredMap) -> FilteredMap:
     acc = FilteredMap.identity(C)
     power = FilteredMap.identity(C)
     while True:
-        power = k.compose(power)
-        power = FilteredMap(C, C, {x: {h: s.below_cutoff()
-                                       for h, s in col.items()}
-                                   for x, col in power.matrix.items()},
-                            power.declared_shift)
+        power = k.compose(power).below_cutoff()
         if not any(power.matrix.values()):
             break
         acc = acc.add(power)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .novikov import INF, rat
 from .filtcx import (
-    Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
+    Chain, FilteredComplex, FilteredMap, action_level, chain_add,
     field_rank, homotopical_boundary_level, invert_map, left_inverse,
 )
 from .wfainf import (
@@ -344,8 +344,8 @@ def retract_energy(f, with_witness: bool = False):
     (``filtcx.left_inverse``, exact), and (INF, INF) when f is not
     injective; ``with_witness`` appends that g, divided out below the
     cutoff.  Otherwise the upper bound comes from ``_homotopy_left_inverse``
-    and B_h(g f - id), (0, INF) when it finds no chain map, and the lower
-    bound is 0 only.  Module homomorphisms are measured through their
+    and B_h of g f - id below the cutoff, (0, INF) when either is no chain
+    map there, and the lower bound is 0 only.  Module homomorphisms are measured through their
     first-order parts objectwise (valid when the modules carry no higher
     operations).
     """
@@ -361,9 +361,7 @@ def retract_energy(f, with_witness: bool = False):
         up = max((r[1] for r in results), default=Fraction(0))
         return lo, up
     C, D = f.domain, f.codomain
-    zero_diff = all(not C.diff[g] for g in C.generators) and \
-        all(not D.diff[g] for g in D.generators)
-    if zero_diff:
+    if not any(C.diff.values()) and not any(D.diff.values()):
         inv = left_inverse(f)
         if inv is None:
             return INF, INF
@@ -375,20 +373,18 @@ def retract_energy(f, with_witness: bool = False):
     g = _homotopy_left_inverse(f)
     if g is None:
         return Fraction(0), INF
-    diff = g.compose(f).add(FilteredMap.identity(C))
-    if any(diff.matrix.values()):
-        bh = homotopical_boundary_level(diff)
-    else:
-        bh = NEG_INF
-    if bh >= INF:
-        return Fraction(0), INF
+    # g is exact below the cutoff only, and so is g f - id; its cut tail
+    # may still break d-commutation, and then certifies nothing
+    diff = g.compose(f).add(FilteredMap.identity(C)).below_cutoff()
+    bh = homotopical_boundary_level(diff) if diff.is_chain_map() else INF
     upper = max(Fraction(0), bh, g.measured_shift() + f.measured_shift())
     return Fraction(0), upper
 
 
 def _homotopy_left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
     """The least-action field left inverse of f (``left_inverse``'s
-    witness) when it is a chain map, else None.
+    witness) when it is a chain map below the cutoff, its precision, else
+    None.
 
     A g with g f = id that is not a chain map certifies nothing: with
     f: x -> b into a -> b (d a = b), g(b) = x inverts f over the field,
@@ -397,8 +393,11 @@ def _homotopy_left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
     inv = left_inverse(f)
     if inv is None:
         return None
+    C, D = f.domain, f.codomain
     g = inv[1]()
-    return g if g.is_chain_map() else None
+    comm = g.compose(FilteredMap(D, D, D.diff)).add(
+        FilteredMap(C, C, C.diff).compose(g)).below_cutoff()
+    return None if any(comm.matrix.values()) else g
 
 
 def rho_upper_from_witness(f: PreModHom, g: PreModHom,

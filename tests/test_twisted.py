@@ -323,6 +323,31 @@ def test_retract_energy_finite_when_the_determinant_is_a_unit():
     assert lo == up == 0
 
 
+def test_retract_energy_reads_a_series_inverse_at_its_precision():
+    # with a differential: f = (1 + T) id has the inverse sum T^k, cut at
+    # the cutoff, so g f - id = T^CUT id vanishes below it and rho = 0
+    acts = {"x": 0, "y": 0, "z": 0}
+    cx = FilteredComplex(list(acts), acts, {"y": {"x": nov(0)}}, CUT)
+    f = FilteredMap(cx, cx, {g: {g: nov(0, 1)} for g in acts}, 0)
+    assert retract_energy(f) == (0, 0)
+    # with d y = T x1 + x2, this f has a series inverse that commutes with
+    # d below the cutoff only: d g - g d has terms at T^CUT
+    acts = {"x1": 0, "x2": 0, "y": 0}
+    cx = FilteredComplex(list(acts), acts, {"y": {"x1": nov(1), "x2": nov(0)}},
+                         CUT)
+    f = FilteredMap(cx, cx, {"x1": {"x1": nov(0), "x2": nov(0)},
+                             "x2": {"x1": nov(2), "x2": nov(0)},
+                             "y": {"y": nov(0, 1)}}, 0)
+    assert f.is_chain_map()
+    assert not invert_map(f).is_chain_map()
+    assert retract_energy(f) == (0, 0)
+    # scaled by T^-1, the lost tail of g lands at T^63 and breaks
+    # d-commutation there: no certificate, and no refusal
+    f = FilteredMap(cx, cx, {x: {y: s.shift(-1) for y, s in col.items()}
+                             for x, col in f.matrix.items()}, 0)
+    assert retract_energy(f) == (0, INF)
+
+
 def brute_force_rho_monomial(f):
     """Oracle: minimize max(A(g)+A(f), 0) over monomial left inverses."""
     C, D = f.domain, f.codomain
