@@ -4,8 +4,9 @@ queries and the twisted layer: ``repro-lemma-ex1`` reports, a Floer table
 metric table (lower, upper, witness and certificate of fixed metric
 queries), ``metric`` reports and ``depth`` reports on fixed complexes (odd
 denominators, negative actions), ``twisted-check`` reports on fixed dg
-towers and a cone table (each stage K_i of fixed iterated cones), compared
-byte for byte with the files in ``tests/golden/``.
+towers, a cone table (each stage K_i of fixed iterated cones) and a
+retract table (``retract_energy`` of seeded maps), compared byte for byte
+with the files in ``tests/golden/``.
 
 Regenerate the files (only when a reported value is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -18,19 +19,22 @@ import random
 from fractions import Fraction as F
 
 from filtcones.cli import main
-from filtcones.filtcx import serialize_complex
+from filtcones.filtcx import FilteredComplex, FilteredMap, serialize_complex
 from filtcones.fragmetric import suspension_move, trace_move
-from filtcones.novikov import INF
+from filtcones.novikov import INF, NovikovScalar
 from filtcones.scenarios import (
     disjoint_union_space, lem_ex1_space, trace_surgery_space,
 )
 from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
 from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
-from filtcones.twisted import IteratedConeSpec, build_iterated_cone
+from filtcones.twisted import (
+    IteratedConeSpec, build_iterated_cone, retract_energy,
+)
 from filtcones.wfainf import Discrepancy, cone, lambda_map, yoneda_module
 
 from support import (
-    chain_category, random_cycle_in, strict_dg_category, strict_right_mult_hom,
+    chain_category, random_chain_map, random_cycle_in, strict_dg_category,
+    strict_right_mult_hom,
 )
 from test_fragmetric import LEM_QUERIES, LINE_X, TRACE_QUERIES
 from test_segment_pairs import _floer_sanity_pool
@@ -55,6 +59,7 @@ TWISTED = {"twisted-r2.tw": ("twisted-r2.txt", 0),
            "twisted-r4.tw": ("twisted-r4.txt", 0),
            "twisted-noncycle.tw": ("twisted-noncycle.txt", 1)}
 CONE_TABLE = "cone-table.txt"
+RETRACT_TABLE = "retract-table.txt"
 EPS, DELTA = F(1, 8), F(1, 256)
 
 
@@ -291,6 +296,76 @@ def cone_table():
     return "\n".join(lines) + "\n"
 
 
+# (n, m) of the retract maps of one filtered-algebra benchmark round
+RETRACT_SHAPES = [(2, 2), (3, 3), (4, 4), (2, 4), (3, 4), (4, 4)]
+
+
+def _zero_diff_map(rng, n, m):
+    """A full monomial matrix T^e, e in {0, 1/2, 1, 3/2}, between
+    zero-differential complexes at actions in [-1, 1], as the benchmark
+    draws them but without its rank filter, so singular maps occur."""
+    def cx(p, k):
+        gens = [f"{p}{i}" for i in range(k)]
+        return FilteredComplex(gens, {g: F(rng.randint(-2, 2), 2)
+                                      for g in gens}, {}, 64)
+    C, D = cx("x", n), cx("y", m)
+    mat = {g: {h: NovikovScalar([F(rng.randint(0, 3), 2)], 64)
+               for h in D.generators} for g in C.generators}
+    return FilteredMap(C, D, mat)
+
+
+def _map_text(f):
+    acts = lambda cx: " ".join(f"{g}@{cx.action[g]}" for g in cx.generators)
+    lines = [f"  C {acts(f.domain)}", f"  D {acts(f.codomain)}"]
+    lines += [f"  {p} d {g} = {_chain_text(cx.diff[g])}"
+              for cx, p in ((f.domain, "C"), (f.codomain, "D"))
+              for g in cx.generators if cx.diff[g]]
+    lines += [f"  f {g} = {_chain_text(f.matrix[g]) or '0'}"
+              for g in f.domain.generators]
+    return lines
+
+
+def _retract_cases():
+    """The FOUND example of a least-action field left inverse that is no
+    chain map, the series inverse scaled by T^-1, and x -> b into a -> b."""
+    one = lambda e=0: NovikovScalar([F(e)], 64)
+    C = FilteredComplex(["x"], {"x": 0}, {}, 64)
+    D = FilteredComplex(["a", "b", "y"], {"a": 2, "b": 1, "y": 0},
+                        {"a": {"b": one(1)}}, 64)
+    found = FilteredMap(C, D, {"x": {"y": one(), "b": one()}})
+    acts = {"x1": 0, "x2": 0, "y": 0}
+    E = FilteredComplex(list(acts), acts, {"y": {"x1": one(1), "x2": one()}},
+                        64)
+    series = FilteredMap(E, E, {"x1": {"x1": one(-1), "x2": one(-1)},
+                                "x2": {"x1": one(1), "x2": one(-1)},
+                                "y": {"y": NovikovScalar([-1, 0], 64)}})
+    B = FilteredComplex(["a", "b"], {"a": 1, "b": 0}, {"a": {"b": one()}}, 64)
+    dead = FilteredMap(C, B, {"x": {"b": one()}})
+    return [("found", found), ("series T^-1", series), ("x -> b", dead)]
+
+
+def retract_table():
+    """[lower, upper] of ``retract_energy`` on 40 seeded zero-differential
+    maps of the benchmark's shapes, 40 seeded ``random_chain_map`` maps and
+    three fixed cases, each after its map."""
+    rng = random.Random(5)
+    maps = []
+    for i in range(40):
+        n, m = RETRACT_SHAPES[i % len(RETRACT_SHAPES)]
+        maps.append((f"zero-diff {i} {n}x{m}", _zero_diff_map(rng, n, m)))
+    rng = random.Random(11)
+    for i in range(40):
+        f, ident = random_chain_map(rng, n=rng.randint(2, 4), qden=2)
+        maps.append((f"chain map {i} {'id' if ident else 'zero'} base", f))
+    maps += _retract_cases()
+    lines = []
+    for label, f in maps:
+        lo, up = retract_energy(f)[:2]
+        lines.append(f"{label}: [{_val(lo)}, {_val(up)}]")
+        lines += _map_text(f)
+    return "\n".join(lines) + "\n"
+
+
 def _read(name):
     with open(os.path.join(GOLDEN, name)) as f:
         return f.read()
@@ -319,6 +394,10 @@ def test_twisted_outputs_match_golden_files():
     assert cone_table() == _read(CONE_TABLE)
 
 
+def test_retract_energy_matches_golden_table():
+    assert retract_table() == _read(RETRACT_TABLE)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     files = {name: repro_stdout(*key) for key, name in REPRO.items()}
@@ -331,6 +410,7 @@ if __name__ == "__main__":
     for spec, (report, code) in TWISTED.items():
         files[report] = twisted_report(spec, code)
     files[CONE_TABLE] = cone_table()
+    files[RETRACT_TABLE] = retract_table()
     for name, text in files.items():
         with open(os.path.join(GOLDEN, name), "w") as f:
             f.write(text)
