@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .novikov import INF, on_line, rat
+from .novikov import DEFAULT_CUTOFF, INF, on_line, rat
 from .filtcx import (
     FiltError, action_level, boundary_depth_elem, boundary_level,
     delta_d, parse_complex,
@@ -207,7 +207,7 @@ def _answer_query(space: MetricSpace, q: str, rep: Report, expected):
         if expected is not None:
             rep.check(q, r.upper, expected, r.witness)
         else:
-            rep.emit(q, f"[{r.lower}, {r.upper}]", r.witness, "ok")
+            rep.emit(q, f"[{_fmt(r.lower)}, {_fmt(r.upper)}]", r.witness, "ok")
         return r.upper
     if kind == "d_F":
         lp, l = parts[1], parts[2]
@@ -359,6 +359,7 @@ def cmd_width(args) -> int:
 
 def cmd_twisted_check(args) -> int:
     from .wfainf import Discrepancy, PreModHom, parse_category, yoneda_module
+    from .wfainf import DEFAULT_ARITY_CAP
     from .twisted import IteratedConeSpec, TwistedData, \
         assemble_twisted_mu1, build_iterated_cone, check_twisted_square_zero
     from .filtcx import parse_chain
@@ -389,8 +390,9 @@ def cmd_twisted_check(args) -> int:
                         parse_chain(rhs, args.cutoff)
                 else:
                     cat_lines[-1] = raw
+        cap = args.arity_cap
         return parse_category("\n".join(cat_lines), cutoff=args.cutoff,
-                              cap=args.arity_cap)
+                              cap=DEFAULT_ARITY_CAP if cap is None else cap)
 
     cat = _parse_file(args.spec, parse_spec)
     data = TwistedData(cat, obj_list, cycles)
@@ -489,8 +491,9 @@ def main(argv=None) -> int:
         prog="filtcones",
         description="Exact filtered-cone invariants and fragmentation "
                     "metrics on the flat torus")
-    parser.add_argument("--cutoff", type=rat, default=Fraction(64))
-    parser.add_argument("--arity-cap", type=int, default=6)
+    parser.add_argument("--cutoff", type=rat, default=DEFAULT_CUTOFF)
+    # default wfainf.DEFAULT_ARITY_CAP, read where wfainf is imported
+    parser.add_argument("--arity-cap", type=int)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("metric", help="run scenario metric queries")

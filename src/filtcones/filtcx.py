@@ -26,10 +26,12 @@ riding along as extra coordinates: ``field_rank`` (the retired vectors),
 ``field_kernel`` (the bookkeeping of the dropped ones), ``field_basis``
 and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
 ``homology_rank``.  ``left_inverse`` reads the least action of a left
-inverse off the largest Smith exponent of the normalized map, and its
-witness back-substitutes the retired rows, dividing only by units, and
-keeps its terms below the cutoff, for ``invert_map`` and the callers in
-``twisted``.
+inverse off the largest Smith exponent of the normalized map, and builds
+one by back-substituting the retired rows, dividing only by units and
+keeping the terms below the cutoff; ``invert_map`` returns it.
+``chain_left_inverse_action`` reads the least action of a chain-map left
+inverse, for ``twisted.retract_energy``, off one exact run over hom(D, C)
+with the read of ``_Smith.boundary_level`` (``_preimage_level``).
 ``orthonormal_basis`` reads an action-orthogonal basis of a span off one
 run in the f basis: each retired column divided by t^k, cut to an input
 combination with no exponent above the inputs', with its pivot
@@ -44,7 +46,9 @@ from fractions import Fraction
 from math import ceil, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .novikov import INF, NovikovScalar, on_line, parse_scalar, rat
+from .novikov import (
+    DEFAULT_CUTOFF, INF, NovikovScalar, on_line, parse_scalar, rat,
+)
 
 NEG_INF = -INF
 
@@ -102,7 +106,8 @@ class FilteredComplex:
     """
 
     def __init__(self, generators: Sequence[str], action: Dict[str, object],
-                 diff: Dict[str, Chain], cutoff=64, check: bool = True):
+                 diff: Dict[str, Chain], cutoff=DEFAULT_CUTOFF,
+                 check: bool = True):
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise FiltError("duplicate generator names")
@@ -361,6 +366,18 @@ def _echelon(cols: List[List[int]], width: int, prec: int = 0):
     return retired, dropped
 
 
+def _preimage_level(pivots, rest, shift: int, q: int) -> Fraction:
+    """The least action of a preimage, read off an ``_echelon`` of rows
+    ending in the target's entry (see ``_Smith``): +infinity when the
+    reduced target nu survives off the pivot rows, else (shift + max_i
+    (k_i - v(nu_i)))/q over them; -infinity for the zero target."""
+    if any(row[-1] for row in rest):
+        return INF
+    top = max((k - next(_bits(row[-1])) for k, row in pivots if row[-1]),
+              default=None)
+    return NEG_INF if top is None else Fraction(shift + top, q)
+
+
 class _Smith:
     """Smith normal form of d over R = F2[[t]], t = T^(1/q).
 
@@ -418,10 +435,7 @@ class _Smith:
             return NEG_INF
         s, col = self._column(x)
         _, pivots, rest = self._reduce([col])
-        if any(row[-1] for row in rest):
-            return INF
-        top = max(k - next(_bits(row[-1])) for k, row in pivots if row[-1])
-        return Fraction(self.shift - s + top, self.q)
+        return _preimage_level(pivots, rest, self.shift - s, self.q)
 
     def min_beta_over_span(self, vectors: List[Chain]) -> Fraction:
         """min over nonzero u in the Lambda-span of ``vectors`` of B(u)-A(u).
@@ -681,24 +695,23 @@ def map_to_chain(f: FilteredMap) -> Chain:
 
 def homotopical_boundary_level(psi: FilteredMap) -> Fraction:
     """B_h(psi): infimal action shift of a null-homotopy; +inf if none."""
-    H = hom_complex(psi.domain, psi.codomain)
     ch = map_to_chain(psi)
     if not ch:
         return NEG_INF
+    H = hom_complex(psi.domain, psi.codomain)
     if not H.is_cycle(ch):
         raise FiltError("homotopical boundary level requires a chain map")
     return boundary_level(ch, H)
 
 
 def homotopical_boundary_depth(psi: FilteredMap) -> Fraction:
-    H = hom_complex(psi.domain, psi.codomain)
-    ch = map_to_chain(psi)
     b = homotopical_boundary_level(psi)
     if b >= INF:
         raise FiltError("map is not null-homotopic")
     if b == NEG_INF:
         return Fraction(0)
-    return b - action_level(ch, H)
+    # the action of psi in the hom complex is its action shift
+    return b - psi.measured_shift()
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +772,7 @@ def find_robust_subspace(cx: FilteredComplex, d0: Dict[str, Chain],
     V = _combinations(q, rels, imd, cx.cutoff)
     if len(V) < k:
         raise FiltError("projection kernel smaller than predicted")
-    dd1 = action_drop(d1map) if any(d1.get(g) for g in cx.generators) else INF
+    dd1 = action_drop(d1map)  # INF for d1 = 0
     if dd1 < INF and not is_delta_robust(V, dd1, cx):
         raise FiltError("constructed subspace fails robustness check")
     return V, k
@@ -787,14 +800,10 @@ def verify_rig_cplx2(cx: FilteredComplex, d0: Dict[str, Chain],
     h = homology_rank(cx)
     report["dim_H_d0"] = h0
     report["dim_H_d"] = h
-    d1map = FilteredMap(cx, cx, d1, 0)
-    nonzero_d1 = any(d1.get(g) for g in cx.generators)
-    dd1 = action_drop(d1map) if nonzero_d1 else INF
+    dd1 = action_drop(FilteredMap(cx, cx, d1, 0))  # INF for d1 = 0
     report["delta_d1"] = dd1
-    ident = FilteredMap.identity(cx)
-    diffm = f.add(ident)  # f - id in characteristic 2
-    bh = (homotopical_boundary_level(diffm) if any(diffm.matrix.values())
-          else NEG_INF)
+    # f - id in characteristic 2
+    bh = homotopical_boundary_level(f.add(FilteredMap.identity(cx)))
     report["Bh_f_minus_id"] = bh
     rank_f = field_rank([f.matrix.get(g, {}) for g in cx.generators])
     report["rank_f"] = rank_f
@@ -821,10 +830,7 @@ def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
     ginv = invert_map(g)
     if ginv.measured_shift() > 0:
         return False
-    diff = f.add(g)
-    bh = homotopical_boundary_level(diff) if any(diff.matrix.values()) else NEG_INF
-    bound = min(delta_d(C), delta_d(D))
-    if not bh < bound:
+    if not homotopical_boundary_level(f.add(g)) < min(delta_d(C), delta_d(D)):
         return False
     # conclusion, verified exactly
     if f.measured_shift() > 0:
@@ -835,9 +841,9 @@ def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
     return True
 
 
-def left_inverse(f: FilteredMap):
-    """The least hom-action of a left inverse of f; None if f is not
-    injective.
+def left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
+    """A left inverse g of f of least hom-action, with that action as its
+    declared shift; None if f is not injective.
 
     In the bases T^(A) e of action 0, f is t^m F0 with F0 over F2[t]
     (``_vectors`` on the rows f_dc T^(A_c - A_d)), and g = t^-m G0 is a
@@ -847,15 +853,15 @@ def left_inverse(f: FilteredMap):
     X = 0.  One exact ``_echelon`` of the rows of F0 retires n rows with
     the Smith exponents k_i (f is injective iff n = dim C).
 
-    Returns (action, witness).  Each row carries its bookkeeping b, with
-    a unit at its own row, so v(b) = 0.  The retired rows B F0 are K U,
-    U over R triangular on the pivot columns with unit diagonal, so G0 =
-    (K U)^-1 B has valuation -k_max.  ``witness()`` back-substitutes it,
-    dividing only by units, and keeps the terms below the cutoff of C
-    (``below_cutoff``): those of the exact g, which is a series.  So g f
-    = id holds only below about cutoff + min(0, v(f)): the lost terms of
-    g, times the terms of f, land there.  For f = [[T^-1, T^-1], [T^-1,
-    1]] and cutoff 64, g f - id has terms at T^63.
+    Each row carries its bookkeeping b, with a unit at its own row, so
+    v(b) = 0.  The retired rows B F0 are K U, U over R triangular on the
+    pivot columns with unit diagonal, so G0 = (K U)^-1 B has valuation
+    -k_max.  g back-substitutes it, dividing only by units, and keeps the
+    terms below the cutoff of C (``below_cutoff``): those of the exact g,
+    which is a series.  So g f = id holds only below about cutoff +
+    min(0, v(f)): the lost terms of g, times the terms of f, land there.
+    For f = [[T^-1, T^-1], [T^-1, 1]] and cutoff 64, g f - id has terms
+    at T^63.
     """
     C, D = f.domain, f.codomain
     n = C.dim
@@ -872,46 +878,69 @@ def left_inverse(f: FilteredMap):
         return None
     kmax = pivots[-1][0] if pivots else 0
     best = Fraction(m + kmax, q) if n else NEG_INF
+    spread = max(D.action.values(), default=0) - \
+        min(C.action.values(), default=0)
+    prec = max(1, ceil((C.cutoff + spread) * q) + m + kmax)
+    mask = (1 << prec) - 1
+    z: Dict[int, List[int]] = {}  # pivot column -> row of t^kmax G0
+    for k, row in reversed(pivots):
+        i = next(j for j in range(n) if row[j] and j not in z)
+        acc = [(b << kmax - k) & mask for b in row[n:]]
+        for j, zj in z.items():
+            if row[j]:
+                w = row[j] >> k
+                acc = [(a ^ _mul(w, x)) & mask for a, x in zip(acc, zj)]
+        u, inv, rest = row[i] >> k, 0, 1
+        for e in range(prec):  # 1/u modulo t^prec, by long division
+            if rest >> e & 1:
+                inv, rest = inv | 1 << e, rest ^ u << e
+        z[i] = [_mul(inv, a) & mask for a in acc]
+    mat: Dict[str, Chain] = {}
+    for i, c in enumerate(C.generators):
+        for d, x in zip(D.generators, z[i]):
+            base = C.action[c] - D.action[d] - best
+            s = NovikovScalar([Fraction(k, q) + base for k in _bits(x)],
+                              C.cutoff).below_cutoff()
+            if s:
+                mat.setdefault(d, {})[c] = s
+    return FilteredMap(D, C, mat, best)
 
-    def witness() -> FilteredMap:
-        spread = max(D.action.values(), default=0) - \
-            min(C.action.values(), default=0)
-        prec = max(1, ceil((C.cutoff + spread) * q) + m + kmax)
-        mask = (1 << prec) - 1
-        z: Dict[int, List[int]] = {}  # pivot column -> row of t^kmax G0
-        for k, row in reversed(pivots):
-            i = next(j for j in range(n) if row[j] and j not in z)
-            acc = [(b << kmax - k) & mask for b in row[n:]]
-            for j, zj in z.items():
-                if row[j]:
-                    w = row[j] >> k
-                    acc = [(a ^ _mul(w, x)) & mask for a, x in zip(acc, zj)]
-            u, inv, rest = row[i] >> k, 0, 1
-            for e in range(prec):  # 1/u modulo t^prec, by long division
-                if rest >> e & 1:
-                    inv, rest = inv | 1 << e, rest ^ u << e
-            z[i] = [_mul(inv, a) & mask for a in acc]
-        mat: Dict[str, Chain] = {}
-        for i, c in enumerate(C.generators):
-            for d, x in zip(D.generators, z[i]):
-                base = C.action[c] - D.action[d] - best
-                s = NovikovScalar([Fraction(k, q) + base for k in _bits(x)],
-                                  C.cutoff).below_cutoff()
-                if s:
-                    mat.setdefault(d, {})[c] = s
-        return FilteredMap(D, C, mat, best)
 
-    return best, witness
+def chain_left_inverse_action(f: FilteredMap) -> Fraction:
+    """The least hom-action of a chain map g: D -> C with g f = id, for f:
+    C -> D; +infinity if there is none.
+
+    The conditions are linear in g: g is a preimage of (id_C, 0) under g
+    -> (g f, d_C g + g d_D).  The unknowns are the coefficients of g on
+    the generators E[c<-d] of hom(D, C), at their actions; the images
+    live in hom(C, C) + hom(D, C), on the coordinates (c, x) and E[c<-d]
+    at their actions (any row scaling reads the same level; these keep
+    the degrees low).  One ``_vectors`` call puts images and target on
+    one lattice, and one exact ``_echelon`` of the rows reads the level
+    as ``_Smith.boundary_level`` does, over F2[t]: the divisions by t^k
+    of a run modulo t^N can leave spurious entries off the pivot rows.
+    """
+    C, D = f.domain, f.codomain
+    H = hom_complex(D, C)
+    cols = [{(c, x): col[d] for x, col in f.matrix.items() if d in col}
+            | H.diff[f"E[{c}<-{d}]"]
+            for c in C.generators for d in D.generators]
+    act = {(c, x): C.action[c] - C.action[x]
+           for c in C.generators for x in C.generators} | H.action
+    target = {(c, c): NovikovScalar.one(C.cutoff) for c in C.generators}
+    q, _, vecs = _vectors(cols + [target], list(act), 0,
+                          [*H.action.values(), 0], act)
+    pivots, rest = _echelon([list(row) for row in zip(*vecs)], len(cols))
+    return _preimage_level(pivots, rest, 0, q)
 
 
 def invert_map(g: FilteredMap) -> FilteredMap:
-    """Inverse of a linear iso over the Novikov field: the witness of
+    """Inverse of a linear iso over the Novikov field: the map of
     ``left_inverse``, exact below the cutoff of the domain, so g^-1 g = id
     only below about cutoff + min(0, v(g))."""
-    inv = left_inverse(g) if g.domain.dim == g.codomain.dim else None
-    if inv is None:
+    h = left_inverse(g) if g.domain.dim == g.codomain.dim else None
+    if h is None:
         raise FiltError("map is not invertible")
-    h = inv[1]()
     h.declared_shift = -g.declared_shift
     return h
 
@@ -957,12 +986,12 @@ def parse_chain(text: str, cutoff) -> Chain:
     return ch
 
 
-def parse_complex(text: str, cutoff=64) -> FilteredComplex:
+def parse_complex(text: str, cutoff=DEFAULT_CUTOFF) -> FilteredComplex:
     return complex_from_lines(enumerate(text.splitlines(), 1), cutoff)
 
 
-def complex_from_lines(lines: Iterable[Tuple[int, str]], cutoff=64
-                       ) -> FilteredComplex:
+def complex_from_lines(lines: Iterable[Tuple[int, str]],
+                       cutoff=DEFAULT_CUTOFF) -> FilteredComplex:
     """A complex from numbered ``cutoff``, ``gen`` and ``d`` lines; a
     malformed line raises FiltError naming its number."""
     gens: List[str] = []

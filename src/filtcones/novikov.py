@@ -21,6 +21,7 @@ from typing import Iterable, Union
 RatLike = Union[int, str, Fraction]
 
 INF = Fraction(10**12)  # sentinel used by callers for +infinity levels
+DEFAULT_CUTOFF = Fraction(64)  # the cutoff where none is given
 
 
 def rat(x: RatLike) -> Fraction:

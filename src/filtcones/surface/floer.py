@@ -35,12 +35,10 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Dict, List, NamedTuple, Tuple
 
-from ..novikov import NovikovScalar
+from ..novikov import DEFAULT_CUTOFF, NovikovScalar
 from ..filtcx import Chain, FilteredComplex, homology_rank
 from .curves import GeometryError, Point, TorusCurve, common_scale, \
     crossings, scaled
-
-CUTOFF = 64  # the cutoff of the Floer complexes' scalars
 
 
 class _Lift(NamedTuple):
@@ -269,14 +267,14 @@ def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve) -> FilteredComplex:
     diff: Dict[str, Chain] = {name: {} for name in names.values()}
     for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, recs):
         src, tgt = (p, q) if p in positive else (q, p)
-        mono = NovikovScalar.monomial(area, CUTOFF)
+        mono = NovikovScalar.monomial(area, DEFAULT_CUTOFF)
         col = diff[names[src]]
         cur = col.get(names[tgt])
         col[names[tgt]] = mono if cur is None else cur + mono
         diff[names[src]] = {g: s for g, s in col.items() if not s.is_zero()}
     return FilteredComplex(list(names.values()),
                            {name: Fraction(0) for name in names.values()},
-                           diff, CUTOFF)
+                           diff, DEFAULT_CUTOFF)
 
 
 def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve) -> int:
@@ -302,7 +300,7 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve):
         return out
     for (x, y, z), area, loop in _polygons(
             [_Lift.of(c) for c in (c1, c2, c0)], list(zip(recs, (0, 0, 1)))):
-        mono = NovikovScalar.monomial(abs(area), CUTOFF)
+        mono = NovikovScalar.monomial(abs(area), DEFAULT_CUTOFF)
         cur = out.setdefault((y.point, x.point), {})
         cur[z.point] = cur[z.point] + mono if z.point in cur else mono
     return {key: chain for key, chain in (

@@ -5,10 +5,12 @@ contract: ``assemble_twisted_mu1`` produces the upper-triangular matrix
 whose off-diagonal entries insert connecting cycles into the higher
 category operations, ``audit_structure_theorem`` verifies a supplied
 model against the contract, and the retract energy rho(f), the least
-A(g) + A(f) over g with g f ~ id, gives the weight of ``weight_wp``.  On
-zero-differential maps rho is exact, read off ``filtcx.left_inverse``
-with no window or bisection; otherwise it is an interval certified by a
-chain-map left inverse.  The fragmentation metrics do not read it yet.
+A(g) + A(f) over g with g f ~ id, gives the weight of ``weight_wp``.
+Its upper bound is one computation for every map: the least action of
+a chain map g with g f = id, read off one exact elimination over
+hom(D, C) (``filtcx.chain_left_inverse_action``).  On zero-differential
+maps it is exact; otherwise the lower bound is 0.  The fragmentation
+metrics do not read it yet.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .novikov import INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, action_level, chain_add,
-    field_rank, homotopical_boundary_level, invert_map, left_inverse,
+    chain_left_inverse_action, field_rank, invert_map,
 )
 from .wfainf import (
     CycleError, Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max,
@@ -336,16 +338,14 @@ def audit_structure_theorem(cat: WFCategory, objects: Sequence[str],
 # retract energy
 # ---------------------------------------------------------------------------
 
-def retract_energy(f, with_witness: bool = False):
+def retract_energy(f):
     """rho(f) as a certified interval (lower, upper).
 
-    For maps of complexes with zero differentials the two bounds agree:
-    rho = max(0, A(g) + A(f)) for the least action A(g) of a left inverse
-    (``filtcx.left_inverse``, exact), and (INF, INF) when f is not
-    injective; ``with_witness`` appends that g, divided out below the
-    cutoff.  Otherwise the upper bound comes from ``_homotopy_left_inverse``
-    and B_h of g f - id below the cutoff, (0, INF) when either is no chain
-    map there, and the lower bound is 0 only.  Module homomorphisms are measured through their
+    The upper bound is max(0, A(g) + A(f)) for the least hom-action A(g)
+    of a chain map g with g f = id (``filtcx.chain_left_inverse_action``),
+    +infinity when there is none.  When both differentials vanish, g f ~
+    id only if g f = id, so the lower bound equals the upper one;
+    otherwise it is 0.  Module homomorphisms are measured through their
     first-order parts objectwise (valid when the modules carry no higher
     operations).
     """
@@ -356,48 +356,16 @@ def retract_energy(f, with_witness: bool = False):
                                    "higher operations; measure objectwise")
         maps = [f.first_order_map(x) for x in f.source.values
                 if x in f.target.values]
-        results = [retract_energy(m, with_witness=False) for m in maps]
+        results = [retract_energy(m) for m in maps]
         lo = max((r[0] for r in results), default=Fraction(0))
         up = max((r[1] for r in results), default=Fraction(0))
         return lo, up
-    C, D = f.domain, f.codomain
-    if not any(C.diff.values()) and not any(D.diff.values()):
-        inv = left_inverse(f)
-        if inv is None:
-            return INF, INF
-        val = max(Fraction(0), inv[0] + f.measured_shift())
-        if with_witness:
-            return val, val, inv[1]()
-        return val, val
-    # general case: certified upper bound from a constructed g, trivial lower
-    g = _homotopy_left_inverse(f)
-    if g is None:
-        return Fraction(0), INF
-    # g is exact below the cutoff only, and so is g f - id; its cut tail
-    # may still break d-commutation, and then certifies nothing
-    diff = g.compose(f).add(FilteredMap.identity(C)).below_cutoff()
-    bh = homotopical_boundary_level(diff) if diff.is_chain_map() else INF
-    upper = max(Fraction(0), bh, g.measured_shift() + f.measured_shift())
-    return Fraction(0), upper
-
-
-def _homotopy_left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
-    """The least-action field left inverse of f (``left_inverse``'s
-    witness) when it is a chain map below the cutoff, its precision, else
-    None.
-
-    A g with g f = id that is not a chain map certifies nothing: with
-    f: x -> b into a -> b (d a = b), g(b) = x inverts f over the field,
-    yet f is zero on H(C) and no g with g f ~ id exists.
-    """
-    inv = left_inverse(f)
-    if inv is None:
-        return None
-    C, D = f.domain, f.codomain
-    g = inv[1]()
-    comm = g.compose(FilteredMap(D, D, D.diff)).add(
-        FilteredMap(C, C, C.diff).compose(g)).below_cutoff()
-    return None if any(comm.matrix.values()) else g
+    level = chain_left_inverse_action(f)
+    upper = INF if level >= INF else \
+        max(Fraction(0), level + f.measured_shift())
+    if any(f.domain.diff.values()) or any(f.codomain.diff.values()):
+        return Fraction(0), upper
+    return upper, upper
 
 
 def rho_upper_from_witness(f: PreModHom, g: PreModHom,
@@ -419,9 +387,9 @@ def rho_upper_from_witness(f: PreModHom, g: PreModHom,
 
 def check_rho_subadditive(f: FilteredMap, fprime: FilteredMap) -> bool:
     """rho(f' o f) <= rho(f) + rho(f') on the computed upper bounds."""
-    lo1, up1 = retract_energy(f)[:2]
-    lo2, up2 = retract_energy(fprime)[:2]
-    loc, upc = retract_energy(fprime.compose(f))[:2]
+    up1 = retract_energy(f)[1]
+    up2 = retract_energy(fprime)[1]
+    upc = retract_energy(fprime.compose(f))[1]
     if up1 >= INF or up2 >= INF:
         return True
     return upc <= up1 + up2

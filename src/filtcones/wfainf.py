@@ -22,12 +22,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .novikov import INF, rat
+from .novikov import DEFAULT_CUTOFF, INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level,
     boundary_level, chain_add, chain_scale, cycle_basis,
     homotopical_boundary_level, orthonormal_basis,
 )
+
+DEFAULT_ARITY_CAP = 6  # the arity cap where none is given
 
 
 class CapError(ValueError):
@@ -340,7 +342,7 @@ class WFCategory(_Table):
 
     def __init__(self, objects: Sequence[str],
                  homs: Dict[Tuple[str, str], FilteredComplex],
-                 mu: MuTable, disc: Discrepancy, cap: int = 6,
+                 mu: MuTable, disc: Discrepancy, cap: int = DEFAULT_ARITY_CAP,
                  units: Optional[Dict[str, Chain]] = None,
                  unit_bound=0, check: bool = True):
         self.objects = tuple(objects)
@@ -896,15 +898,11 @@ def check_Ue(cat: WFCategory, zeta=None):
     worst = floor
     for x, e in cat.units.items():
         cx = cat.hom(x, x)
-        w = chain_add(cat.mu([e, e]), e)
-        if not w:
-            continue
-        b = boundary_level(w, cx)
+        b = boundary_level(chain_add(cat.mu([e, e]), e), cx)
         if b >= INF:
-            return (False, INF) if zeta is not None else (False, INF)
+            return False, INF
         worst = max(worst, b)
-    ok = True if zeta is None else rat(zeta) >= worst
-    return ok, worst
+    return zeta is None or rat(zeta) >= worst, worst
 
 
 def _endomorphism(cx: FilteredComplex, image) -> FilteredMap:
@@ -924,11 +922,10 @@ def _homotopic_to_identity(maps, floor, kappa):
     ok says kappa >= worst, and is True for kappa None."""
     worst = floor
     for r in maps:
-        diff = r.add(FilteredMap.identity(r.domain))
-        if any(diff.matrix.values()):
-            worst = max(worst, homotopical_boundary_level(diff))
-            if worst >= INF:
-                return False, INF
+        worst = max(worst, homotopical_boundary_level(
+            r.add(FilteredMap.identity(r.domain))))
+        if worst >= INF:
+            return False, INF
     return kappa is None or rat(kappa) >= worst, worst
 
 
@@ -996,7 +993,8 @@ def assh_cone_kappa(kappa0, kappa1, u, zeta, eps2_c, eps3_c) -> Fraction:
 # text format
 # ---------------------------------------------------------------------------
 
-def parse_category(text: str, cutoff=64, cap: int = 6) -> WFCategory:
+def parse_category(text: str, cutoff=DEFAULT_CUTOFF,
+                   cap: int = DEFAULT_ARITY_CAP) -> WFCategory:
     """Toy-category format::
 
         object X

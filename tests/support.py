@@ -342,6 +342,34 @@ def ref_left_inverse_action(f):
     return max(best.values(), default=NEG_INF)
 
 
+def ref_chain_left_inverses(f, exps):
+    """Every chain map g: D -> C with g f = id whose entries are 0 or T^e,
+    e in ``exps``, for f: C -> D.
+
+    g f = id decouples over the rows of g, so each row is enumerated on
+    its own and kept when it inverts f; every combination of kept rows is
+    then tested for g d_D = d_C g.  All checks are exact."""
+    C, D = f.domain, f.codomain
+    zero, one = NovikovScalar.zero(C.cutoff), NovikovScalar.one(C.cutoff)
+    options = [None] + [NovikovScalar([e], C.cutoff) for e in exps]
+    rows = []
+    for c in C.generators:
+        kept = []
+        for entries in itertools.product(options, repeat=D.dim):
+            row = {d: s for d, s in zip(D.generators, entries) if s}
+            if all(sum((row[d] * s for d, s in f.matrix[x].items()
+                        if d in row), zero) == (one if x == c else zero)
+                   for x in C.generators):
+                kept.append(row)
+        rows.append(kept)
+    for combo in itertools.product(*rows):
+        g = FilteredMap(D, C, {d: {c: row[d] for c, row
+                                   in zip(C.generators, combo) if d in row}
+                               for d in D.generators})
+        if g.is_chain_map():
+            yield g
+
+
 # ---------------------------------------------------------------------------
 # weakly filtered category fixtures
 # ---------------------------------------------------------------------------

@@ -87,6 +87,17 @@ def test_cli_metric_custom_scenario(tmp_path, capsys):
     assert "d_k M L k=0" in out
 
 
+def test_cli_l_a_prints_an_infinite_bound_as_inf(tmp_path, capsys):
+    # the search budget runs out with no expression of shadow <= 1/256,
+    # so the upper bound is infinite
+    f = tmp_path / "sc.txt"
+    f.write_text("scenario lem-ex1 eps=1/8 delta=1/256\n"
+                 "query l_a L' L a=1/256\n")
+    code, out = run_cli(["metric", "--scenario", str(f)], capsys)
+    assert code == 0
+    assert out.splitlines() == ["l_a L' L a=1/256 | [4, inf] | - | ok"]
+
+
 def test_cli_metric_failing_assert(tmp_path, capsys):
     f = tmp_path / "sc.txt"
     f.write_text(SCENARIO + "assert floer N S1 == 7\n")

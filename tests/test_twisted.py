@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     FiltError, FilteredComplex, FilteredMap, action_level,
-    chain_add, chain_eq, field_rank, homology_rank, invert_map,
+    chain_add, chain_eq, chain_left_inverse_action, field_rank, homology_rank,
+    invert_map, left_inverse,
 )
 from filtcones.wfainf import (
     Discrepancy, PreModHom, cone, cone_boundary_correction, cone_compose,
@@ -22,8 +23,8 @@ from filtcones.twisted import (
 )
 
 from support import (
-    random_cycle_in, ref_left_inverse_action, strict_dg_category,
-    strict_right_mult_hom,
+    random_chain_map, random_complex, random_cycle_in, ref_chain_left_inverses,
+    ref_left_inverse_action, strict_dg_category, strict_right_mult_hom,
 )
 
 CUT = 64
@@ -324,14 +325,14 @@ def test_retract_energy_finite_when_the_determinant_is_a_unit():
 
 
 def test_retract_energy_reads_a_series_inverse_at_its_precision():
-    # with a differential: f = (1 + T) id has the inverse sum T^k, cut at
-    # the cutoff, so g f - id = T^CUT id vanishes below it and rho = 0
+    # with a differential: f = (1 + T) id has the chain-map inverse
+    # sum_k T^k id, a series of action 0, so rho = 0
     acts = {"x": 0, "y": 0, "z": 0}
     cx = FilteredComplex(list(acts), acts, {"y": {"x": nov(0)}}, CUT)
     f = FilteredMap(cx, cx, {g: {g: nov(0, 1)} for g in acts}, 0)
     assert retract_energy(f) == (0, 0)
-    # with d y = T x1 + x2, this f has a series inverse that commutes with
-    # d below the cutoff only: d g - g d has terms at T^CUT
+    # with d y = T x1 + x2, this f has a series inverse that is a chain
+    # map, while its witness, cut at the cutoff, is not
     acts = {"x1": 0, "x2": 0, "y": 0}
     cx = FilteredComplex(list(acts), acts, {"y": {"x1": nov(1), "x2": nov(0)}},
                          CUT)
@@ -341,11 +342,12 @@ def test_retract_energy_reads_a_series_inverse_at_its_precision():
     assert f.is_chain_map()
     assert not invert_map(f).is_chain_map()
     assert retract_energy(f) == (0, 0)
-    # scaled by T^-1, the lost tail of g lands at T^63 and breaks
-    # d-commutation there: no certificate, and no refusal
+    # scaled by T^-1, g scales by T: A(g) + A(f) = -1 + 1, read exactly
+    # with no cut to lose a tail
     f = FilteredMap(cx, cx, {x: {y: s.shift(-1) for y, s in col.items()}
                              for x, col in f.matrix.items()}, 0)
-    assert retract_energy(f) == (0, INF)
+    assert chain_left_inverse_action(f) == -1
+    assert retract_energy(f) == (0, 0)
 
 
 def brute_force_rho_monomial(f):
@@ -390,9 +392,8 @@ def test_retract_energy_vs_bruteforce_random():
         oracle = brute_force_rho_monomial(f)
         assert oracle is not None
         assert up <= oracle  # the engine may beat single-term inverses
-        # and the engine value is attained by an actual witness
-        got = retract_energy(f, with_witness=True)
-        g = got[2]
+        # and the engine value is attained by the witness of left_inverse
+        g = left_inverse(f)
         comp = g.compose(f)
         assert chain_eq(comp.apply(cx.basis_chain("x")), cx.basis_chain("x"))
         assert max(Fraction(0),
@@ -466,11 +467,11 @@ def test_retract_energy_matches_the_basic_solution_oracle(f):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(zero_diff_maps())
 def test_retract_energy_witness_attains_the_value(f):
-    got = retract_energy(f, with_witness=True)
-    if got[1] >= INF:
+    up = retract_energy(f)[1]
+    if up >= INF:
         return
-    g = got[2]
-    assert max(Fraction(0), g.measured_shift() + f.measured_shift()) == got[1]
+    g = left_inverse(f)
+    assert max(Fraction(0), g.measured_shift() + f.measured_shift()) == up
     # the witness is a series kept below the cutoff
     assert all(e < CUT for col in g.matrix.values() for s in col.values()
                for e in s.exps)
@@ -510,6 +511,59 @@ def test_retract_energy_refuses_a_field_inverse_that_is_no_chain_map():
     f = FilteredMap(cx, cy, {"x": {"b": nov(0)}}, 0)
     assert f.is_chain_map()
     assert retract_energy(f) == (0, INF)
+
+
+def test_retract_energy_finds_a_chain_map_left_inverse_off_the_least_action():
+    # the least-action field left inverse g(b) = x is no chain map (g d a =
+    # T x, d g a = 0), while g'(y) = x is one with g' f = id: rho = 1
+    cx = zero_diff_complex(["x"], [0])
+    cy = FilteredComplex(["a", "b", "y"], {"a": 2, "b": 1, "y": 0},
+                         {"a": {"b": nov(1)}}, CUT)
+    f = FilteredMap(cx, cy, {"x": {"y": nov(0), "b": nov(0)}}, 0)
+    assert f.is_chain_map()
+    assert not left_inverse(f).is_chain_map()
+    assert chain_left_inverse_action(f) == 0
+    assert retract_energy(f) == (0, 1)
+
+
+def test_chain_left_inverse_action_is_exact_where_a_cut_run_is_not():
+    # this map's elimination, run modulo t^727, left entries off the
+    # pivots at t^725 and t^726 and read no solution; the exact run reads 1
+    rng = random.Random(11)
+    for _ in range(98):
+        f, _ = random_chain_map(rng, n=rng.randint(2, 4), qden=2)
+    assert f.measured_shift() == -1
+    assert chain_left_inverse_action(f) == 1
+    assert retract_energy(f) == (0, 0)
+
+
+# monomial exponents of the enumerated left inverses
+LEFT_INVERSE_EXPS = [Fraction(k, 2) for k in range(-3, 4)]
+
+
+def test_chain_left_inverse_action_vs_enumerated_left_inverses():
+    """Every chain map g: D -> C with g f = id and monomial entries T^e, e
+    in [-3/2, 3/2], on random complexes of dimension at most 3 and chain
+    maps f with monomial entries: the least action is at most the least
+    A(g) found, so it is finite whenever one is found."""
+    rng = random.Random(5)
+    found = with_diff = 0
+    for _ in range(1000):
+        C = random_complex(rng, n=rng.randint(1, 3), qden=2, cutoff=CUT)
+        D = random_complex(rng, n=rng.randint(1, 3), qden=2, cutoff=CUT)
+        f = FilteredMap(C, D, {x: {y: nov(Fraction(rng.randint(-1, 2), 2))
+                                   for y in D.generators if rng.random() < .5}
+                               for x in C.generators})
+        if not f.is_chain_map():
+            continue
+        level = chain_left_inverse_action(f)
+        acts = [g.measured_shift()
+                for g in ref_chain_left_inverses(f, LEFT_INVERSE_EXPS)]
+        if acts:
+            assert level <= min(acts)
+            found += 1
+            with_diff += any(C.diff.values()) or any(D.diff.values())
+    assert found >= 80 and with_diff >= 20
 
 
 def test_rho_subadditive_on_compositions():
