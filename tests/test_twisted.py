@@ -515,7 +515,7 @@ def test_retract_energy_refuses_a_field_inverse_that_is_no_chain_map():
 
 def test_retract_energy_finds_a_chain_map_left_inverse_off_the_least_action():
     # the least-action field left inverse g(b) = x is no chain map (g d a =
-    # T x, d g a = 0), while g'(y) = x is one with g' f = id: rho = 1
+    # T x, d g a = 0), while g'(y) = x is one with g' f = id: rho <= 1
     cx = zero_diff_complex(["x"], [0])
     cy = FilteredComplex(["a", "b", "y"], {"a": 2, "b": 1, "y": 0},
                          {"a": {"b": nov(1)}}, CUT)
