@@ -360,7 +360,7 @@ def cmd_width(args) -> int:
 def cmd_twisted_check(args) -> int:
     from .wfainf import Discrepancy, PreModHom, parse_category, yoneda_module
     from .wfainf import DEFAULT_ARITY_CAP
-    from .twisted import IteratedConeSpec, TwistedData, \
+    from .twisted import IteratedConeSpec, TwistedData, TwistedError, \
         assemble_twisted_mu1, build_iterated_cone, check_twisted_square_zero
     from .filtcx import parse_chain
     from .novikov import on_line
@@ -395,8 +395,12 @@ def cmd_twisted_check(args) -> int:
                               cap=DEFAULT_ARITY_CAP if cap is None else cap)
 
     cat = _parse_file(args.spec, parse_spec)
-    data = TwistedData(cat, obj_list, cycles)
-    sym, _ = assemble_twisted_mu1(cat, obj_list, data)
+    try:
+        data = TwistedData(cat, obj_list, cycles)
+        sym, _ = assemble_twisted_mu1(cat, obj_list, data)
+    except TwistedError as exc:  # bad cycles, or an arity cap below r
+        rep.emit("twisted differential", None, "", f"error: {exc}")
+        return 1
     for key in sorted(sym):
         rep.emit(f"entry {key}", sym[key])
     test_obj = cat.objects[0]

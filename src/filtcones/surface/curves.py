@@ -11,7 +11,8 @@ so its deck translates are multiples of 2q and the contact predicate
 ``_seg_common`` compares integer numerators without dividing.  A
 predicate on two curves brings both lifts to the lcm of their scales
 with one multiply per coordinate.  Points, crossing records and areas
-are returned as Fractions in the torus coordinates.
+are returned as Fractions in the torus coordinates; a crossing record
+also keeps its ends as the integers the Floer polygon walk reads.
 
 Pairs of segments are tested only as ``segment_pairs`` yields them: the
 pairs whose closed axis-aligned bounding boxes meet.  It never decides
@@ -26,10 +27,8 @@ boxes lie inside it, so it is dropped before the sweep.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import (
-    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from math import gcd, lcm
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..novikov import rat
 
@@ -78,7 +77,8 @@ def _seg_common(p1, p2, q1, q2, scale: int = 1):
     integer numerators against denom > 0.  A touch point is the endpoint
     itself; only a proper hit point is divided out, by denom times
     ``scale``, as a pair of Fractions: in the same frame, or in the
-    unscaled one for endpoints at scale ``scale``.
+    unscaled one for endpoints at scale ``scale``.  A proper hit carries
+    (t, u, denom) as a fourth entry.
     """
     rx, ry = p2[0] - p1[0], p2[1] - p1[1]
     sx, sy = q2[0] - q1[0], q2[1] - q1[1]
@@ -115,7 +115,7 @@ def _seg_common(p1, p2, q1, q2, scale: int = 1):
         return ("point", q2, "touch")
     return ("point", (Fraction(p1[0] * denom + t * rx, denom * scale),
                       Fraction(p1[1] * denom + t * ry, denom * scale)),
-            "proper")
+            "proper", (t, u, denom))
 
 
 def segment_pairs(segs, others=None) -> List[Tuple[int, int]]:
@@ -228,11 +228,20 @@ class TorusCurve:
 
     def strand_lines(self) -> Dict[str, FrozenSet[Fraction]]:
         """The wrapped coordinates of the strand lines, by axis: {"v":
-        x's of vertical strands, "h": y's of horizontal strands}.  Found
-        on the first call and kept; callers must not change the dict."""
+        x's of vertical strands, "h": y's of horizontal strands}.  Every
+        edge of a strand lies on its line, so they are read off the
+        edges.  Found on the first call and kept; callers must not change
+        the dict.  Only for axis-parallel curves."""
         if self._lines is None:
-            self._lines = {axis: frozenset(c for a, c, _ in self.strands()
-                                           if a == axis) for axis in "vh"}
+            if not self.axis_parallel():
+                raise GeometryError("strands need an axis-parallel curve")
+            lines: Dict[str, set] = {"v": set(), "h": set()}
+            for a, b in self.edges():
+                if a[0] == b[0]:
+                    lines["v"].add(_wrap(a[0]))
+                else:
+                    lines["h"].add(_wrap(a[1]))
+            self._lines = {axis: frozenset(cs) for axis, cs in lines.items()}
         return self._lines
 
     def _strand_runs(self) -> List[tuple]:
@@ -296,17 +305,40 @@ def _translated_edges(pts, near, q: int):
                   for (kx, ky), j in tags]
 
 
-class Crossing(NamedTuple):
+class Crossing:
     """One transverse crossing of two curves c1 and c2.
 
     ``point`` is the wrapped crossing point.  ``ends[s]`` is (edge index,
     lift) on curve s: the edge of that curve through the point, and the
     point's lift strictly inside that edge of the curve's own lift path.
     ``sign`` is the sign of det(t1, t2) of the two edge tangents.
+
+    ``crossings`` also records the ends as the integers that the polygon
+    walk of ``floer`` reads: ``at[s]`` is (n, m), the lift of end s lying
+    n/``den`` of the way along its edge and equal to ``point`` plus 2 m.
+    They are left out of comparisons, so a record equals the one built
+    from its first three fields.
     """
-    point: Point
-    ends: Tuple[Tuple[int, Point], Tuple[int, Point]]
-    sign: int
+    __slots__ = ("point", "ends", "sign", "den", "at")
+
+    def __init__(self, point: Point,
+                 ends: Tuple[Tuple[int, Point], Tuple[int, Point]],
+                 sign: int, den: int = 1,
+                 at: Tuple[Tuple[int, Tuple[int, int]], ...] = ()):
+        self.point, self.ends, self.sign = point, ends, sign
+        self.den, self.at = den, at
+
+    def _key(self):
+        return self.point, self.ends, self.sign
+
+    def __eq__(self, other):
+        return isinstance(other, Crossing) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Crossing(%r, %r, %r)" % self._key()
 
 
 def _crossing_points(c1: TorusCurve, c2: TorusCurve,
@@ -329,14 +361,20 @@ def _crossing_points(c1: TorusCurve, c2: TorusCurve,
         if hit is None:
             continue
         if hit[0] == "point" and hit[2] == "proper":
-            p = hit[1]
+            p, (t, u, den) = hit[1], hit[3]
             (kx, ky), j = tags[k]
             w = wrap_point(p)
+            # p = w + 2 m, and the lift on c2 is p - 2 (kx, ky)
+            mx, my = ((c.numerator + c.denominator) // (2 * c.denominator)
+                      for c in p)
+            g = gcd(t, u, den)
             # nonzero for a proper crossing: it is _seg_common's denom
             det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
             found[w] = Crossing(w, ((i, p), (j, (p[0] - 2 * kx,
                                                  p[1] - 2 * ky))),
-                                1 if det > 0 else -1)
+                                1 if det > 0 else -1, den // g,
+                                ((t // g, (mx, my)),
+                                 (u // g, (mx - kx, my - ky))))
         elif not proper:
             raise GeometryError("segments overlap along a sub-segment"
                                 if hit[0] == "overlap"

@@ -15,7 +15,17 @@ sides bound a simple loop iff no crossing of two sides' lifts but their
 common corner lies inside both.  The corners are convex iff each turns
 the same way, as its crossing sign and the directions of its two sides
 say (so a lune's corners carry opposite signs), and the loop's integer
-shoelace area, computed only for loops that pass, has that sign.
+shoelace area, computed only for loops that pass, has that sign.  So
+when no two crossings of a pair differ in sign there is no lune, and
+``hf_rank`` returns the crossing count without the walk.
+
+The walk runs on integers.  Each crossing record holds its ends as
+integer fractions n/den of their edges and integer deck translates
+(``curves.Crossing``), so positions are integers over the lcm of the
+records' denominators, deck offsets are integer vectors, and a loop's
+points are integers over that lcm times the curves' scales.  Each
+polygon found gets one Fraction for its area and Fraction points for
+its loop.
 
 Finiteness.  Lifts of two different classes cross finitely often.  When
 the two sides at a corner lie in one class up to sign, the candidates for
@@ -37,22 +47,20 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from ..novikov import DEFAULT_CUTOFF, NovikovScalar
 from ..filtcx import Chain, FilteredComplex, homology_rank
-from .curves import GeometryError, Point, TorusCurve, common_scale, \
-    crossings, scaled
+from .curves import GeometryError, Point, TorusCurve, crossings
 
 
 class _Lift(NamedTuple):
     """A curve's integer lift (closure included) and its scale, read off
-    the curve, with its vertices, class and edge count."""
+    the curve, with its class and edge count."""
     pts: List[Tuple[int, int]]
     scale: int
-    vertices: List[Point]
     cls: Tuple[int, int]
     n: int
 
     @classmethod
     def of(cls, curve: TorusCurve) -> "_Lift":
-        return cls(curve.int_lift, curve.scale, curve.vertices, curve.hclass,
+        return cls(curve.int_lift, curve.scale, curve.hclass,
                    len(curve.vertices))
 
 
@@ -60,39 +68,22 @@ def _det(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _half(p: Point, q: Point) -> Tuple[int, int]:
-    """(p - q) / 2 for two lifts of one torus point: a deck multiplier.
-    The lifts differ by even integers, so they share denominators."""
-    return ((p[0].numerator - q[0].numerator) // (2 * p[0].denominator),
-            (p[1].numerator - q[1].numerator) // (2 * p[1].denominator))
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1])
 
 
-def _pos(lift: _Lift, end) -> Fraction:
-    """Position of a crossing end (edge index i, lift point p) on the
-    stored lift: i plus the fraction of edge i before p, which is
-    (p q - a) / (b - a) on the integer lift at scale q."""
-    i, p = end
-    a, b = lift.pts[i], lift.pts[i + 1]
-    c = 0 if a[0] != b[0] else 1
-    x = p[c]
-    d = (b[c] - a[c]) * x.denominator
-    return Fraction(i * d + x.numerator * lift.scale - a[c] * x.denominator,
-                    d)
+def _point(lift: _Lift, r, s: int, big: int) -> Tuple[int, int]:
+    """The lift of end s of record r on ``lift``, times ``big`` (a
+    multiple of the lift's scale times r.den): n/den of the way along
+    its edge of the integer lift."""
+    (ax, ay), (bx, by) = lift.pts[r.ends[s][0]:r.ends[s][0] + 2]
+    n, f = r.at[s][0], big // (lift.scale * r.den)
+    return ((ax * r.den + n * (bx - ax)) * f, (ay * r.den + n * (by - ay)) * f)
 
 
-def _moved(p: Point, lift: _Lift, k: int, off) -> Point:
-    """p moved by k class translates of the lift and by ``off``."""
-    return (p[0] + 2 * k * lift.cls[0] + off[0],
-            p[1] + 2 * k * lift.cls[1] + off[1])
-
-
-def _signed_area(path: List[Point]) -> Fraction:
-    """Shoelace area of the closed path (first == last), summed on the
-    integer points at its common scale q and divided once by 2 q^2."""
-    q = common_scale(path)
-    pts = scaled(path, q)
-    return Fraction(sum(a[0] * b[1] - b[0] * a[1]
-                        for a, b in zip(pts, pts[1:])), 2 * q * q)
+def _shoelace(pts) -> int:
+    """Twice the signed area of the closed integer path (first == last)."""
+    return sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(pts, pts[1:]))
 
 
 def _blocked(la: _Lift, lb: _Lift, items, shift, arc_a, arc_b,
@@ -113,9 +104,11 @@ def _blocked(la: _Lift, lb: _Lift, items, shift, arc_a, arc_b,
         elif not _det(ha, f):  # i = tau + sg j for every integer j
             tau = (f[0] * ha[0] + f[1] * ha[1]) // (ha[0] ** 2 + ha[1] ** 2)
             sg = 1 if hb == ha else -1
-            s = sorted(sg * (Fraction(x - pa, ea) - tau) for x in (a0, a1))
-            if floor(max(s[0], Fraction(b0 - pb, eb))) + 1 < \
-                    min(s[1], Fraction(b1 - pb, eb)):
+            # the j inside arc a lie strictly between lo / ea and hi / ea;
+            # j0 is the least integer past both lower ends
+            lo, hi = sorted(sg * (x - pa - tau * ea) for x in (a0, a1))
+            j0 = max(lo // ea, (b0 - pb) // eb) + 1
+            if j0 * ea < hi and j0 * eb < b1 - pb:
                 return True
     return False
 
@@ -169,34 +162,34 @@ def _polygons(lifts, corners):
     sg = same is not None and (1 if vecs[same] == lifts[same].cls else -1)
     pair = [(i, i - 1) if flip else (i - 1, i)
             for i, (_, flip) in enumerate(corners)]
-    # every record end's position on its side, an integer over ``scale``
-    frac = {(s % k, id(r.ends[j])): _pos(lifts[s], r.ends[j])
-            for (recs, _), sides in zip(corners, pair) for r in recs
-            for j, s in enumerate(sides)}
-    scale = lcm(*(p.denominator for p in frac.values()))
-    pos = {key: p.numerator * (scale // p.denominator)
-           for key, p in frac.items()}
-    items = [[(pos[a % k, id(r.ends[0])], pos[b % k, id(r.ends[1])],
-               _half(r.ends[0][1], r.ends[1][1])) for r in recs]
-             for (recs, _), (a, b) in zip(corners, pair)]
-    # per corner: (record, end on side i - 1, end on side i, its position
-    # there, half the lift difference of the two ends)
-    ends = [[(r, r.ends[flip], r.ends[1 - flip], pos[i, id(r.ends[1 - flip])],
-              _half(r.ends[1 - flip][1], r.ends[flip][1])) for r in recs]
-            for i, (recs, flip) in enumerate(corners)]
+    # a record end's position on its side, edge i plus n / den, is an
+    # integer over ``scale``; the loops' points are integers over ``big``
+    scale = lcm(*(r.den for recs, _ in corners for r in recs))
+    big = scale * lcm(*(lift.scale for lift in lifts))
+
+    def pos(r, s):
+        return r.ends[s][0] * scale + r.at[s][0] * (scale // r.den)
+
+    items = [[(pos(r, 0), pos(r, 1), _sub(r.at[0][1], r.at[1][1]))
+              for r in recs] for recs, _ in corners]
+    # per corner: (record, its position on side i, on side i - 1, half
+    # the lift difference of its ends on sides i and i - 1)
+    ends = [[(r, pos(r, 1 - flip), pos(r, flip),
+              _sub(r.at[1 - flip][1], r.at[flip][1])) for r in recs]
+            for recs, flip in corners]
     for idx in itertools.product(*(range(len(e)) for e in ends)):
         if k == 2 and idx[0] >= idx[1]:  # a bigon from its first corner
             continue
         tup = [ends[i][j] for i, j in enumerate(idx)]
         sol = _solve([vecs[i] for i in unknown],
-                     [sum(c) for c in zip(*(c[4] for c in tup))])
+                     [sum(c) for c in zip(*(c[3] for c in tup))])
         if sol is None:
             continue
         s0 = [sol.pop(0) if i in unknown else 0 for i in range(k)]
 
         def sides(t):
             n = [a + t * b for a, b in zip(s0, u)]
-            return [(tup[i][3], pos[i, id(tup[i + 1 - k][1])]
+            return [(tup[i][1], tup[i + 1 - k][2]
                      + n[i + 1 - k] * lifts[i].n * scale) for i in range(k)]
 
         ts = range(1)
@@ -213,33 +206,38 @@ def _polygons(lifts, corners):
                      for i, c in enumerate(tup)}
             if len(turns) > 1:
                 continue
-            w, pts = [(0, 0)], [tup[0][2][1]]  # lift offsets, corners
+            # w[i]: half the deck offset of side i's lift from side 0's,
+            # which meets it at corner i after whole class translates
+            w = [(0, 0)]
             for i in range(1, k):
-                end = tup[i][1]
-                pts.append(_moved(end[1], lifts[i - 1], (
-                    arcs[i - 1][1] // scale - end[0]) // lifts[i - 1].n,
-                    w[i - 1]))
-                w.append((pts[i][0] - tup[i][2][1][0],
-                          pts[i][1] - tup[i][2][1][1]))
-            if any(_blocked(lifts[a], lifts[b], items[i], _half(w[b], w[a]),
+                end, h = tup[i][0].ends[corners[i][1]], lifts[i - 1].cls
+                m = (arcs[i - 1][1] // scale - end[0]) // lifts[i - 1].n
+                w.append((w[-1][0] + m * h[0] - tup[i][3][0],
+                          w[-1][1] + m * h[1] - tup[i][3][1]))
+            if any(_blocked(lifts[a], lifts[b], items[i], _sub(w[b], w[a]),
                             arcs[a], arcs[b], scale)
                    for i, (a, b) in enumerate(pair) if k > 2 or i):
                 continue
-            # the loop, moved by a deck translate to start at corner 0
-            to = [int(a - b) for a, b in zip(tup[0][0].point, pts[0])]
+            # the loop times big, moved by a deck translate to start at
+            # the wrapped corner 0
+            to = tup[0][0].at[1 - corners[0][1]][1]
             loop = []
             for i, (a, b) in enumerate(arcs):
-                off = (int(w[i][0]) + to[0], int(w[i][1]) + to[1])
-                loop.append((pts[i][0] + to[0], pts[i][1] + to[1]))
-                a, b = a // scale, b // scale
-                for g in (range(a + 1, b + 1) if a < b else range(a, b, -1)):
-                    k_, v = divmod(g, lifts[i].n)
-                    loop.append(_moved(lifts[i].vertices[v], lifts[i], k_,
-                                       off))
+                lift, f = lifts[i], big // lifts[i].scale
+                ox, oy = (2 * big * (c - m) for c, m in zip(w[i], to))
+                x, y = _point(lift, tup[i][0], 1 - corners[i][1], big)
+                loop.append((x + ox, y + oy))
+                for g in (range(a // scale + 1, b // scale + 1) if a < b
+                          else range(a // scale, b // scale, -1)):
+                    m, v = divmod(g, lift.n)
+                    x, y = lift.pts[v]
+                    loop.append((x * f + 2 * big * m * lift.cls[0] + ox,
+                                 y * f + 2 * big * m * lift.cls[1] + oy))
             loop.append(loop[0])
-            area = _signed_area(loop)
+            area = _shoelace(loop)
             if (area > 0) == (turns.pop() > 0):
-                yield [c[0] for c in tup], area, loop
+                yield [c[0] for c in tup], Fraction(area, 2 * big * big), \
+                    [(Fraction(x, big), Fraction(y, big)) for x, y in loop]
 
 
 def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, recs=None):
@@ -255,31 +253,39 @@ def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, recs=None):
                          [(recs, 1), (recs, 0)])]
 
 
-def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve) -> FilteredComplex:
+def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
+                  recs=None) -> FilteredComplex:
     """CF(N, L): generators at action 0, differential from embedded
     bigons directed from the positive corner to the negative one (the
     corners of a lune carry opposite signs), d^2 = 0 verified at
-    construction."""
-    recs = crossings(n_curve, l_curve)
-    names = {r.point: f"p{i}({r.point[0]},{r.point[1]})"
-             for i, r in enumerate(recs)}
-    positive = {r.point for r in recs if r.sign > 0}
-    diff: Dict[str, Chain] = {name: {} for name in names.values()}
+    construction.  ``recs`` are the sorted crossing records, if the
+    caller has them."""
+    recs = crossings(n_curve, l_curve) if recs is None else recs
+    gens = {r.point: (f"p{i}({r.point[0]},{r.point[1]})", r.sign)
+            for i, r in enumerate(recs)}
+    names = [name for name, _ in gens.values()]
+    diff: Dict[str, Chain] = {name: {} for name in names}
     for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, recs):
-        src, tgt = (p, q) if p in positive else (q, p)
+        (a, sign), (b, _) = gens[p], gens[q]
+        src, tgt = (a, b) if sign > 0 else (b, a)
         mono = NovikovScalar.monomial(area, DEFAULT_CUTOFF)
-        col = diff[names[src]]
-        cur = col.get(names[tgt])
-        col[names[tgt]] = mono if cur is None else cur + mono
-        diff[names[src]] = {g: s for g, s in col.items() if not s.is_zero()}
-    return FilteredComplex(list(names.values()),
-                           {name: Fraction(0) for name in names.values()},
+        col = diff[src]
+        cur = col.get(tgt)
+        col[tgt] = mono if cur is None else cur + mono
+        diff[src] = {g: s for g, s in col.items() if not s.is_zero()}
+    return FilteredComplex(names, {name: Fraction(0) for name in names},
                            diff, DEFAULT_CUTOFF)
 
 
 def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve) -> int:
-    """Lambda-dimension of the homology of the Floer complex."""
-    return homology_rank(floer_complex(n_curve, l_curve))
+    """Lambda-dimension of the homology of the Floer complex.  A lune's
+    corners carry opposite signs, so when no two crossings differ in
+    sign the differential is 0 and the rank is the crossing count, read
+    without the walk."""
+    recs = crossings(n_curve, l_curve)
+    if len({r.sign for r in recs}) < 2:
+        return len(recs)
+    return homology_rank(floer_complex(n_curve, l_curve, recs))
 
 
 def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve):

@@ -224,16 +224,11 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
                 if on_boundary(a) and on_boundary(b):
                     touches_box = True
             faces.append((area, touches_box, cycle))
-    total = 0
-    kept = []
     positives = [(area, cycle, touches) for area, touches, cycle in faces
                  if area > 0]
-    for area, touches, cycle in faces:
-        if area > 0 and not touches:
-            total += area
-            kept.append((Fraction(area, 2 * q * q),
-                         [tuple((Fraction(x, q), Fraction(y, q))
-                                for x, y in e) for e in cycle]))
+    bounded = [(area, cycle) for area, touches, cycle in faces
+               if area > 0 and not touches]
+    total = sum(area for area, _ in bounded)
     # negative cycles are hole boundaries of the face that contains them;
     # subtract those sitting inside a bounded face (their interior was
     # already counted by the enclosing positive cycle).  A hole can only
@@ -254,7 +249,9 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
             total += area  # area is negative
     total = Fraction(total, 2 * q * q)
     if return_faces:
-        return total, kept
+        return total, [(Fraction(area, 2 * q * q),
+                        [tuple((Fraction(x, q), Fraction(y, q)) for x, y in e)
+                         for e in cycle]) for area, cycle in bounded]
     return total
 
 

@@ -7,7 +7,8 @@ centered at a double point fills four quadrant rectangles.  General
 position input is refused rather than approximated.
 
 Relative widths are read off one ``StrandTable`` per carrier, with one
-column per obstruction curve; both formulas read lines from ``_lines``.
+column per obstruction curve; both formulas read lines from ``_lines``
+and their gaps (``_gaps``) on integers at one common scale.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import lcm
 from typing import Dict, FrozenSet, Sequence, Tuple
 
 from ..novikov import INF, rat
-from .curves import GeometryError, SIDE, TorusCurve, wrap_point
+from .curves import GeometryError, TorusCurve, wrap_point
 
 Rat = Fraction
 
@@ -43,13 +44,16 @@ def _lines(curves: Sequence[TorusCurve]) -> Dict[str, FrozenSet[Fraction]]:
                                       for c in curves)) for axis in "vh"}
 
 
-def _gaps(coord: Fraction, obstacles: set) -> Tuple[Fraction, Fraction]:
+def _gaps(ds: Sequence[int], q: int) -> Tuple[int, int]:
     """Wrap-aware distances to the nearest parallel obstruction line on
-    either side; unobstructed sides share the complement evenly."""
-    ds = sorted({(c - coord) % SIDE for c in obstacles if (c - coord) % SIDE != 0})
+    either side, on integers at scale q (so the side is 2 q): ``ds`` are
+    the lines' offsets ahead of the point modulo 2 q, and a line through
+    the point (offset 0) does not obstruct.  Unobstructed sides share
+    the complement evenly."""
+    ds = [d for d in ds if d]
     if not ds:
-        return SIDE / 2, SIDE / 2
-    return ds[0], SIDE - ds[-1]
+        return q, q
+    return min(ds), 2 * q - max(ds)
 
 
 class StrandTable:
@@ -83,9 +87,8 @@ class StrandTable:
             if ride and 0 in ds:
                 out.append(None)
             else:
-                gap = min((min(d, 2 * q - d) for d in ds if d), default=q)
                 out.append(2 * length.numerator * (q // length.denominator)
-                           * gap)
+                           * min(_gaps(ds, q)))
         return out
 
     def _column(self, curve: TorusCurve) -> list:
@@ -129,23 +132,34 @@ def gromov_width_double_points(curves: Sequence[TorusCurve],
     point, the Q-curves, and the keep-in boxes; the capacity at a point
     is 4 * min over quadrants of the product of the bounding gaps.
     Conventions: empty Sigma gives +infinity; Sigma inside Q gives 0.
+    The gaps are read on integers at the common scale s of the lines,
+    the points and the boxes, and the least capacity is divided by s^2
+    once.
     """
     if not sigma:
         return INF
     pts = [wrap_point((rat(p[0]), rat(p[1]))) for p in sigma]
     lines, q_lines = _lines([*curves, *q]), _lines(q)
-    best = INF
+    s = lcm(*(c.denominator for cs in lines.values() for c in cs),
+            *(c.denominator for p in pts for c in p),
+            *(c.denominator for b in boxes for c in (b.x0, b.x1, b.y0, b.y1)))
+
+    def ints(cs):
+        return [c.numerator * (s // c.denominator) for c in cs]
+
+    (vs, hs), (qv, qh) = ((ints(ls["v"]), ints(ls["h"]))
+                          for ls in (lines, q_lines))
+    caps = []
     for p in pts:
-        if p[0] in q_lines["v"] or p[1] in q_lines["h"]:
+        x, y = ints(p)
+        if x in qv or y in qh:  # both wrapped: a Q line through p
             return Fraction(0)
-        g_e, g_w = _gaps(p[0], lines["v"])
-        g_n, g_s = _gaps(p[1], lines["h"])
+        g_e, g_w = _gaps([(c - x) % (2 * s) for c in vs], s)
+        g_n, g_s = _gaps([(c - y) % (2 * s) for c in hs], s)
         for b in boxes:
             if b.contains(p):
-                g_e = min(g_e, b.x1 - p[0])
-                g_w = min(g_w, p[0] - b.x0)
-                g_n = min(g_n, b.y1 - p[1])
-                g_s = min(g_s, p[1] - b.y0)
-        cap = 4 * min(g_e * g_n, g_e * g_s, g_w * g_n, g_w * g_s)
-        best = min(best, cap)
-    return best
+                x0, x1, y0, y1 = ints((b.x0, b.x1, b.y0, b.y1))
+                g_e, g_w = min(g_e, x1 - x), min(g_w, x - x0)
+                g_n, g_s = min(g_n, y1 - y), min(g_s, y - y0)
+        caps.append(4 * min(g_e * g_n, g_e * g_s, g_w * g_n, g_w * g_s))
+    return Fraction(min(caps), s * s)

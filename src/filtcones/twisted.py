@@ -8,9 +8,9 @@ model against the contract, and the retract energy rho(f), the least
 A(g) + A(f) over g with g f ~ id, gives the weight of ``weight_wp``.
 Its upper bound is one computation for every map: the least action of
 a chain map g with g f = id, read off one exact elimination over
-hom(D, C) (``filtcx.chain_left_inverse_action``).  On zero-differential
-maps it is exact; otherwise the lower bound is 0.  The fragmentation
-metrics do not read it yet.
+hom(D, C) (``filtcx.chain_left_inverse_action``).  It is exact when
+the domain's differential vanishes; otherwise the lower bound is 0.
+The fragmentation metrics do not read it yet.
 """
 
 from __future__ import annotations
@@ -343,9 +343,11 @@ def retract_energy(f):
 
     The upper bound is max(0, A(g) + A(f)) for the least hom-action A(g)
     of a chain map g with g f = id (``filtcx.chain_left_inverse_action``),
-    +infinity when there is none.  When both differentials vanish, g f ~
-    id only if g f = id, so the lower bound equals the upper one;
-    otherwise it is 0.  Module homomorphisms are measured through their
+    +infinity when there is none.  When the differential of the domain C
+    vanishes, every h: C -> C has d h + h d = 0, so g f ~ id only if
+    g f = id and the lower bound equals the upper one, whatever the
+    codomain's differential; otherwise it is 0.  Module homomorphisms
+    are measured through their
     first-order parts objectwise (valid when the modules carry no higher
     operations).
     """
@@ -363,7 +365,7 @@ def retract_energy(f):
     level = chain_left_inverse_action(f)
     upper = INF if level >= INF else \
         max(Fraction(0), level + f.measured_shift())
-    if any(f.domain.diff.values()) or any(f.codomain.diff.values()):
+    if any(f.domain.diff.values()):
         return Fraction(0), upper
     return upper, upper
 

@@ -209,6 +209,15 @@ def test_cli_twisted_check_refuses_a_non_cycle(capsys):
         "iterated cone | - | - | error: attaching map 2 is not a cycle"
 
 
+def test_cli_twisted_check_refuses_an_arity_cap_below_the_tower(capsys):
+    spec = os.path.join(os.path.dirname(__file__), "golden", "twisted-r2.tw")
+    code, out = run_cli(["--arity-cap", "2", "twisted-check", "--spec",
+                         spec], capsys)
+    assert code == 1
+    assert out.splitlines() == ["twisted differential | - | - | error: "
+                                "arity cap 2 too small for r = 2"]
+
+
 def test_cli_twisted_check(tmp_path, capsys):
     f = tmp_path / "tw.txt"
     f.write_text(TWISTED)

@@ -1,18 +1,23 @@
 """The combinatorial polygon walk of ``floer`` against the arc-pair brute
-force of ``support.ref_enumerate_bigons`` and ``ref_mu2_triangles``, on
-random curves, the scenario pools and the probe curves, plus the zigzag
-family whose bigon count is known in closed form."""
+force of ``support.ref_enumerate_bigons`` and ``ref_mu2_triangles``, and
+``hf_rank`` against ``ref_hf_rank``, on random curves, the scenario pools
+and the probe curves, plus the zigzag family whose bigon count is known
+in closed form; the probes' quadrant capacities against
+``ref_double_point_width``."""
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from filtcones.scenarios import lem_ex1_space, trace_surgery_space
-from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
-from filtcones.surface.floer import enumerate_bigons, floer_complex
+from filtcones.surface import GeometryError, TorusCurve, \
+    gromov_width_double_points, mu2_triangles
+from filtcones.surface.curves import crossings
+from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
 
-from support import ref_enumerate_bigons, ref_mu2_triangles
+from support import ref_double_point_width, ref_enumerate_bigons, \
+    ref_hf_rank, ref_mu2_triangles
 from test_segment_pairs import _floer_sanity_pool, _outcome
 
 EPS, DELTA = F(1, 8), F(1, 256)
@@ -80,6 +85,23 @@ def test_bigons_match_brute_force_on_random_curves(pair):
     _agree(*pair)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(curve_lists([None, None]))
+def test_ranks_match_brute_force_on_random_curves(pair):
+    a, b = pair
+    recs = _outcome(crossings, a, b)
+    # Two limits of the engines, not of the rank: the oracle expands
+    # determinants by permutations, in time factorial in the rank of d
+    # (at most half the crossing count); and ``homology_rank`` holds a
+    # scalar as a bitmask over the common denominator of its exponents,
+    # which the lune areas of slanted edges push past 2^30, so mixed pairs
+    # are drawn from the axis-parallel curves alone.
+    assume(isinstance(recs, tuple) or len(recs) <= 12 and (
+        len({r.sign for r in recs}) < 2
+        or a.axis_parallel() and b.axis_parallel()))
+    assert _outcome(hf_rank, a, b) == _outcome(ref_hf_rank, a, b)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(curve_lists([jog_curves, zigzag_curves, jog_curves]))
 def test_triangles_match_brute_force_on_random_curves(triple):
@@ -105,6 +127,46 @@ def test_bigons_match_brute_force_on_scenario_pools(suite):
     pool = _pools()[suite]
     bigons = sum(_agree(a, b) for a in pool for b in pool if a is not b)
     assert bigons > 0 or suite == "trace"  # no trace pair bounds one
+
+
+def test_ranks_match_brute_force_on_scenario_pools():
+    """Sign-pure pairs (rank read off the count) and mixed ones (rank off
+    the walk) both occur, and both agree with the brute force."""
+    kinds = {True: 0, False: 0}
+    for pool in _pools().values():
+        for a in pool:
+            for b in pool:
+                if a is b:
+                    continue
+                got = _outcome(hf_rank, a, b)
+                assert got == _outcome(ref_hf_rank, a, b)
+                if isinstance(got, int):
+                    kinds[len({r.sign for r in crossings(a, b)}) < 2] += 1
+    assert kinds[True] > 0 and kinds[False] > 0
+
+
+@pytest.mark.parametrize("eps,delta", [(EPS, DELTA), (F(1, 10), F(1, 1000)),
+                                       (F(3, 29), F(1, 8999))])
+def test_probe_ranks_and_capacities_match_the_oracles(eps, delta):
+    """At the probe's samples and at parameters between and past them,
+    N_t has the oracle's Floer ranks against L (sign-pure) and S1
+    (mixed), and its quadrant capacity at the double point is the
+    oracle's, with and without N_t as an obstruction."""
+    space = trace_surgery_space(eps, delta)
+    probe = space.probes[0]
+    system = [space.curves[n] for n in probe.system]
+    for t in (F(1, 100), F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(99, 100)):
+        n_t = probe.build(t)
+        signs = [{r.sign for r in crossings(n_t, c)} for c in system]
+        assert [len(s) for s in signs] == [1, 2]
+        assert [hf_rank(n_t, c) for c in system] == \
+            [ref_hf_rank(n_t, c) for c in system]
+        for q in ([], [n_t], [space.curves["S1"]]):
+            got = gromov_width_double_points(system, probe.sigma_points, q)
+            assert got == ref_double_point_width(system, probe.sigma_points,
+                                                 q)
+        assert gromov_width_double_points(
+            system, probe.sigma_points, [n_t]) == 4 * probe.profile(t)
 
 
 @pytest.mark.parametrize("suite", ["floer-sanity", "lem-ex1"])

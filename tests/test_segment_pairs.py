@@ -184,7 +184,9 @@ def closed_paths(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(closed_paths())
 def test_polygon_predicates_match_fraction_references(path):
-    assert floer._signed_area(path) == ref_signed_area(path)
+    q = common_scale(path)
+    assert F(floer._shoelace(scaled(path, q)), 2 * q * q) == \
+        ref_signed_area(path)
     assert polygon_simple(path) == ref_polygon_simple(path)
 
 
