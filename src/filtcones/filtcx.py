@@ -25,13 +25,11 @@ lattice.  The field layer reads one exact run, the inputs' bookkeeping
 riding along as extra coordinates: ``field_rank`` (the retired vectors),
 ``field_kernel`` (the bookkeeping of the dropped ones), ``field_basis``
 and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
-``homology_rank``.  ``left_inverse`` reads the least action of a left
-inverse off the largest Smith exponent of the normalized map, and builds
-one by back-substituting the retired rows, dividing only by units and
-keeping the terms below the cutoff; ``invert_map`` returns it.
-``chain_left_inverse_action`` reads the least action of a chain-map left
-inverse, for ``twisted.retract_energy``, off one exact run over hom(D, C)
-with the read of ``_Smith.boundary_level`` (``_preimage_level``).
+``homology_rank``.  ``chain_left_inverse_action`` reads the least
+action of a chain-map left inverse, for ``twisted.retract_energy`` and
+the inverse shifts of the rigidity lemmas, off one exact run over
+hom(D, C) with the read of ``_Smith.boundary_level``
+(``_preimage_level``); no inverse's entries are built.
 ``orthonormal_basis`` reads an action-orthogonal basis of a span off one
 run in the f basis: each retired column divided by t^k, cut to an input
 combination with no exponent above the inputs', with its pivot
@@ -43,7 +41,7 @@ generators off its pivots.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .novikov import (
@@ -102,7 +100,7 @@ class FilteredComplex:
 
     ``diff[j]`` is the chain d(e_j).  Standing assumptions verified at
     construction, exactly: d*d = 0 and A(d e_j) <= A(e_j).  ``cutoff`` is
-    the precision of the series that invert maps on the complex.
+    the bound on the written exponents of the complex's scalars.
     """
 
     def __init__(self, generators: Sequence[str], action: Dict[str, object],
@@ -233,13 +231,6 @@ class FilteredMap:
                for g in self.domain.generators}
         return FilteredMap(self.domain, self.codomain, mat,
                            max(self.declared_shift, other.declared_shift))
-
-    def below_cutoff(self) -> "FilteredMap":
-        """Every entry cut below its cutoff: a series map at its precision."""
-        return FilteredMap(self.domain, self.codomain,
-                           {g: {h: s.below_cutoff() for h, s in col.items()}
-                            for g, col in self.matrix.items()},
-                           self.declared_shift)
 
     @staticmethod
     def identity(cx: FilteredComplex) -> "FilteredMap":
@@ -827,8 +818,7 @@ def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
         return False
     if g.measured_shift() > 0:
         return False
-    ginv = invert_map(g)
-    if ginv.measured_shift() > 0:
+    if chain_left_inverse_action(g) > 0:
         return False
     if not homotopical_boundary_level(f.add(g)) < min(delta_d(C), delta_d(D)):
         return False
@@ -839,71 +829,6 @@ def check_injectivity_lemma(f: FilteredMap, g: FilteredMap) -> bool:
     if rank_f != C.dim:
         raise FiltError("lemma conclusion failed: f not injective")
     return True
-
-
-def left_inverse(f: FilteredMap) -> Optional[FilteredMap]:
-    """A left inverse g of f of least hom-action, with that action as its
-    declared shift; None if f is not injective.
-
-    In the bases T^(A) e of action 0, f is t^m F0 with F0 over F2[t]
-    (``_vectors`` on the rows f_dc T^(A_c - A_d)), and g = t^-m G0 is a
-    left inverse iff G0 F0 = 1.  With the Smith form F0 = P [K; 0] Q over
-    R = F2[[t]], K = diag(t^k_i), these are G0 = Q^-1 [K^-1 | X] P^-1;
-    P and Q keep valuations, so the least action is (m + k_max)/q, at
-    X = 0.  One exact ``_echelon`` of the rows of F0 retires n rows with
-    the Smith exponents k_i (f is injective iff n = dim C).
-
-    Each row carries its bookkeeping b, with a unit at its own row, so
-    v(b) = 0.  The retired rows B F0 are K U, U over R triangular on the
-    pivot columns with unit diagonal, so G0 = (K U)^-1 B has valuation
-    -k_max.  g back-substitutes it, dividing only by units, and keeps the
-    terms below the cutoff of C (``below_cutoff``): those of the exact g,
-    which is a series.  So g f = id holds only below about cutoff +
-    min(0, v(f)): the lost terms of g, times the terms of f, land there.
-    For f = [[T^-1, T^-1], [T^-1, 1]] and cutoff 64, g f - id has terms
-    at T^63.
-    """
-    C, D = f.domain, f.codomain
-    n = C.dim
-    rows = [{c: col[d] for c, col in f.matrix.items() if d in col}
-            for d in D.generators]
-    # entry (d, c) is f_dc T^(A_c - A_d): row d at action -A_D(d) over the
-    # generators c of C at actions -A_C(c)
-    q, m, vecs = _vectors(rows, C.generators, 0,
-                          [-D.action[d] for d in D.generators],
-                          {c: -a for c, a in C.action.items()})
-    pivots = _echelon([v + [int(i == j) for i in range(len(vecs))]
-                       for j, v in enumerate(vecs)], n)[0]
-    if len(pivots) < n:
-        return None
-    kmax = pivots[-1][0] if pivots else 0
-    best = Fraction(m + kmax, q) if n else NEG_INF
-    spread = max(D.action.values(), default=0) - \
-        min(C.action.values(), default=0)
-    prec = max(1, ceil((C.cutoff + spread) * q) + m + kmax)
-    mask = (1 << prec) - 1
-    z: Dict[int, List[int]] = {}  # pivot column -> row of t^kmax G0
-    for k, row in reversed(pivots):
-        i = next(j for j in range(n) if row[j] and j not in z)
-        acc = [(b << kmax - k) & mask for b in row[n:]]
-        for j, zj in z.items():
-            if row[j]:
-                w = row[j] >> k
-                acc = [(a ^ _mul(w, x)) & mask for a, x in zip(acc, zj)]
-        u, inv, rest = row[i] >> k, 0, 1
-        for e in range(prec):  # 1/u modulo t^prec, by long division
-            if rest >> e & 1:
-                inv, rest = inv | 1 << e, rest ^ u << e
-        z[i] = [_mul(inv, a) & mask for a in acc]
-    mat: Dict[str, Chain] = {}
-    for i, c in enumerate(C.generators):
-        for d, x in zip(D.generators, z[i]):
-            base = C.action[c] - D.action[d] - best
-            s = NovikovScalar([Fraction(k, q) + base for k in _bits(x)],
-                              C.cutoff).below_cutoff()
-            if s:
-                mat.setdefault(d, {})[c] = s
-    return FilteredMap(D, C, mat, best)
 
 
 def chain_left_inverse_action(f: FilteredMap) -> Fraction:
@@ -919,6 +844,10 @@ def chain_left_inverse_action(f: FilteredMap) -> Fraction:
     one lattice, and one exact ``_echelon`` of the rows reads the level
     as ``_Smith.boundary_level`` does, over F2[t]: the divisions by t^k
     of a run modulo t^N can leave spurious entries off the pivot rows.
+
+    For a chain isomorphism f the inverse is the only left inverse, and
+    it is a chain map, so this is also the least action of any left
+    inverse, the inverse's own.
     """
     C, D = f.domain, f.codomain
     H = hom_complex(D, C)
@@ -932,41 +861,6 @@ def chain_left_inverse_action(f: FilteredMap) -> Fraction:
                           [*H.action.values(), 0], act)
     pivots, rest = _echelon([list(row) for row in zip(*vecs)], len(cols))
     return _preimage_level(pivots, rest, 0, q)
-
-
-def invert_map(g: FilteredMap) -> FilteredMap:
-    """Inverse of a linear iso over the Novikov field: the map of
-    ``left_inverse``, exact below the cutoff of the domain, so g^-1 g = id
-    only below about cutoff + min(0, v(g))."""
-    h = left_inverse(g) if g.domain.dim == g.codomain.dim else None
-    if h is None:
-        raise FiltError("map is not invertible")
-    h.declared_shift = -g.declared_shift
-    return h
-
-
-def filtered_inverse(f: FilteredMap, g: FilteredMap) -> FilteredMap:
-    """Inversion-trick inverse a.g^-1 for f = g(id - k), k action-decreasing.
-
-    a = sum k^n, each power cut below the cutoff of the domain; as k
-    lowers action, the exponents of the powers climb past it and the sum
-    ends.  With g^-1 from ``invert_map`` the result is exact below the
-    cutoff, up to the precision of g^-1 (see ``left_inverse``).
-    """
-    C = f.domain
-    ginv = invert_map(g)
-    k = ginv.compose(f.add(g))  # g^-1 (f - g) ; char 2 makes this -k
-    if any(k.matrix.values()):
-        if k.measured_shift() >= 0:
-            raise FiltError("series requires strictly action-decreasing k")
-    acc = FilteredMap.identity(C)
-    power = FilteredMap.identity(C)
-    while True:
-        power = k.compose(power).below_cutoff()
-        if not any(power.matrix.values()):
-            break
-        acc = acc.add(power)
-    return acc.compose(ginv)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 A scalar is a finite sum of powers T^e with rational exponents e and
 coefficient 1 (characteristic 2: a power is present or absent).  Sums,
 products and shifts of such sums are finite sums again, and they keep
-every term.  Every scalar carries a rational cutoff, the precision of
-the series that are infinite: ``invert`` (and, in ``filtcx``, the
-inverses of maps) sum a geometric series and keep its terms below the
-cutoff, through ``below_cutoff``.  Scalars of different cutoffs do not
-mix.  A written exponent at or above the cutoff is refused by
-``parse_scalar``.
+every term.  Every scalar carries a rational cutoff.  It bounds the
+written exponents: one at or above the cutoff is refused by
+``parse_scalar``.  Scalars of different cutoffs do not mix.  The one
+series left, ``invert`` (a geometric series kept below the cutoff
+through ``below_cutoff``), has no caller in the package; the benchmark
+tracer still counts its calls by name, so it stays until that counter
+goes.  No inverse of a map is built: ``filtcx`` reads only its least
+action.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class NovikovError(ValueError):
 
 
 class NovikovScalar:
-    """A finite Z/2-combination of powers T^e; ``cutoff`` is the
-    precision of its inverse."""
+    """A finite Z/2-combination of powers T^e; ``cutoff`` bounds its
+    written exponents and is the precision of ``invert``."""
 
     __slots__ = ("exps", "cutoff")
 

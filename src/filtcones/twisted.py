@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .novikov import INF, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, action_level, chain_add,
-    chain_left_inverse_action, field_rank, invert_map,
+    chain_left_inverse_action, field_rank,
 )
 from .wfainf import (
     CycleError, Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max,
@@ -309,12 +309,11 @@ def audit_structure_theorem(cat: WFCategory, objects: Sequence[str],
             report["error"] = f"diagonal block of sigma_1 not id at {g}"
             return report
     cols = [sigma1.matrix.get(g, {}) for g in k_complex.generators]
-    if field_rank(cols) != k_complex.dim:
+    if field_rank(cols) != k_complex.dim or k_complex.dim != m_complex.dim:
         report["error"] = "sigma_1 not invertible"
         return report
-    inv = invert_map(sigma1)
-    report["sigma1_inverse_shift"] = inv.measured_shift()
-    if inv.measured_shift() > 0:
+    report["sigma1_inverse_shift"] = chain_left_inverse_action(sigma1)
+    if report["sigma1_inverse_shift"] > 0:
         report["error"] = "sigma_1^{-1} raises action"
         return report
     # bottom summand: pure block-0 chains carry the same filtration

@@ -309,34 +309,6 @@ def test_verify_hom_filtration_reports_violations():
     assert verify_hom_filtration(m0, m1, loose, [f])
 
 
-def test_filtered_inverse_random_roundtrip():
-    from filtcones.filtcx import FilteredMap, filtered_inverse
-    from support import random_complex
-    rng = random.Random(64)
-    done = 0
-    while done < 20:
-        cx = random_complex(rng, n=rng.randint(2, 4))
-        ident = FilteredMap.identity(cx)
-        pert = {}
-        for g in cx.generators:
-            col = {g: nov(0)}
-            if rng.random() < 0.6:
-                tgt = rng.choice(cx.generators)
-                e = cx.action[tgt] - cx.action[g] + F(rng.randint(1, 4), 2)
-                col = chain_add(col, {tgt: nov(e)})
-            pert[g] = col
-        f = FilteredMap(cx, cx, pert, 0)
-        k = f.add(ident)
-        if any(k.matrix.values()) and k.measured_shift() >= 0:
-            continue
-        inv = filtered_inverse(f, ident)
-        # the series is cut at the cutoff, so f inv = id below it
-        err = f.compose(inv).add(ident).below_cutoff()
-        assert not any(err.matrix.values())
-        assert inv.measured_shift() <= 0
-        done += 1
-
-
 def test_parse_category_roundtrip_units():
     text = """
 object X

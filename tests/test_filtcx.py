@@ -9,7 +9,7 @@ from filtcones.filtcx import (
     FiltError, FilteredComplex, FilteredMap, NEG_INF, action_drop,
     action_level, boundary_depth_elem, boundary_depth_map, boundary_level,
     chain_add, chain_eq, chain_shift, check_injectivity_lemma, cycle_basis,
-    delta_d, filtered_inverse, find_robust_subspace, hom_complex,
+    delta_d, find_robust_subspace, hom_complex,
     homotopical_boundary_depth, homotopical_boundary_level, homology_rank,
     image_basis, is_delta_robust, map_to_chain, min_beta_subspace,
     orthonormal_basis, parse_chain, parse_complex, serialize_complex,
@@ -417,26 +417,12 @@ def test_check_injectivity_lemma():
         pert[g] = chain_add(val, {g: nov(0)})
     fbad = FilteredMap(cx, cx, pert, 0)
     assert check_injectivity_lemma(fbad, FilteredMap.identity(cx)) is False
-
-
-def test_filtered_inverse():
-    cx = two_gen(Fraction(1))
-    ident = FilteredMap.identity(cx)
-    inv = filtered_inverse(ident, ident)
-    assert chain_eq(inv.apply(cx.basis_chain("b")), cx.basis_chain("b"))
-    # f = id + T^eps N with N nilpotent
-    eps = Fraction(1, 4)
-    n = FilteredMap(cx, cx, {"b": {"x": nov(eps)}}, 0)
-    f = ident.add(n)
-    inv = filtered_inverse(f, ident)
-    comp = f.compose(inv)
-    for g in cx.generators:
-        assert chain_eq(comp.apply(cx.basis_chain(g)), cx.basis_chain(g))
-    assert inv.measured_shift() <= 0
-    # k not action-decreasing -> error
-    bad = FilteredMap(cx, cx, {"b": {"x": nov(0)}}, 0)
-    with pytest.raises(FiltError):
-        filtered_inverse(ident.add(bad), ident)
+    # g = T^1 id lowers action by 1 but its inverse T^-1 id raises it by
+    # 1, so g is no strictly filtered iso with strictly filtered inverse
+    cz = FilteredComplex(["u", "v"], {"u": 0, "v": 1}, {}, CUT)
+    g = FilteredMap(cz, cz, {x: {x: nov(1)} for x in cz.generators}, 0)
+    assert g.measured_shift() == -1
+    assert check_injectivity_lemma(g, g) is False
 
 
 def test_cycle_basis_and_homology_rank():
