@@ -82,15 +82,6 @@ def chain_scale(s: NovikovScalar, x: Chain) -> Chain:
     return out
 
 
-def chain_shift(e, x: Chain) -> Chain:
-    out = {}
-    for g, s in x.items():
-        u = s.shift(e)
-        if not u.is_zero():
-            out[g] = u
-    return out
-
-
 def chain_eq(x: Chain, y: Chain) -> bool:
     return not chain_add(x, y)
 
@@ -235,10 +226,6 @@ class FilteredMap:
     @staticmethod
     def identity(cx: FilteredComplex) -> "FilteredMap":
         return FilteredMap(cx, cx, {g: cx.basis_chain(g) for g in cx.generators}, 0)
-
-    @staticmethod
-    def zero_map(dom: FilteredComplex, cod: FilteredComplex) -> "FilteredMap":
-        return FilteredMap(dom, cod, {}, 0)
 
 
 def action_drop(f: FilteredMap) -> Fraction:
@@ -695,16 +682,6 @@ def homotopical_boundary_level(psi: FilteredMap) -> Fraction:
     return boundary_level(ch, H)
 
 
-def homotopical_boundary_depth(psi: FilteredMap) -> Fraction:
-    b = homotopical_boundary_level(psi)
-    if b >= INF:
-        raise FiltError("map is not null-homotopic")
-    if b == NEG_INF:
-        return Fraction(0)
-    # the action of psi in the hom complex is its action shift
-    return b - psi.measured_shift()
-
-
 # ---------------------------------------------------------------------------
 # delta-robust subspaces
 # ---------------------------------------------------------------------------
@@ -719,14 +696,6 @@ def is_delta_robust(V: List[Chain], delta, cx: FilteredComplex) -> bool:
     inside = field_preimage(V, V, [cx.diff[g] for g in cx.generators],
                             cx.cutoff)
     return not inside or cx.grid(inside).min_beta_over_span(inside) >= delta
-
-
-def min_beta_subspace(V: List[Chain], cx: FilteredComplex) -> Fraction:
-    """Exact min of beta over span(V) minus 0 (all must be boundaries)."""
-    span = [v for v in V if v]
-    if not span:
-        return INF
-    return cx.grid(span).min_beta_over_span(span)
 
 
 def find_robust_subspace(cx: FilteredComplex, d0: Dict[str, Chain],
@@ -915,18 +884,3 @@ def complex_from_lines(lines: Iterable[Tuple[int, str]],
         with on_line(n, FiltError):
             diff[src] = parse_chain(rhs, cutoff)
     return FilteredComplex(gens, action, diff, cutoff)
-
-
-def serialize_complex(cx: FilteredComplex) -> str:
-    """The text ``parse_complex`` reads back: one ``T^e*gen`` term per
-    monomial of the differential."""
-    lines = [f"cutoff {cx.cutoff}"]
-    for g in cx.generators:
-        lines.append(f"gen {g} action {cx.action[g]}")
-    for g in cx.generators:
-        col = cx.diff[g]
-        if col:
-            rhs = " + ".join(f"T^{e}*{h}" for h, s in sorted(col.items())
-                             for e in s.exps)
-            lines.append(f"d {g} = {rhs}")
-    return "\n".join(lines) + "\n"

@@ -45,12 +45,11 @@ class LagObject:
 
     def __init__(self, name: str, carrier: Sequence[str],
                  cover: Optional[Sequence[str]] = None,
-                 geometry: Optional[str] = None, min_disk_area=None):
+                 geometry: Optional[str] = None):
         self.name = name
         self.carrier = list(carrier)
         self.cover = list(cover) if cover is not None else list(carrier)
         self.geometry = geometry
-        self.min_disk_area = None if min_disk_area is None else rat(min_disk_area)
 
 
 class Move:
@@ -374,34 +373,3 @@ class MetricSpace:
         r2 = self.d_f(lp, l, fam2, kmax)
         return MetricResult(max(r1.lower, r2.lower), max(r1.upper, r2.upper),
                             (r1.witness, r2.witness), "max of two families")
-
-
-def check_triangle(space: MetricSpace, family: str,
-                   triples: Sequence[Tuple[str, str, str]],
-                   ks: Sequence[Tuple[int, int]]) -> bool:
-    """d_{k+k'}(L,L'') <= d_k(L,L') + d_{k'}(L',L'') on computed uppers."""
-    for (a, b, c) in triples:
-        for (k1, k2) in ks:
-            r_ab = space.d_k(a, b, family, k1)
-            r_bc = space.d_k(b, c, family, k2)
-            r_ac = space.d_k(a, c, family, k1 + k2, )
-            if r_ab.upper >= INF or r_bc.upper >= INF:
-                continue
-            if r_ac.upper > r_ab.upper + r_bc.upper:
-                return False
-    return True
-
-
-def quasi_isometry_check(space: MetricSpace, fam1: str, fam2: str,
-                         pairs: Sequence[Tuple[str, str, str, str]],
-                         hofer_length) -> bool:
-    """|d_hat(L,L') - d_hat(phi L, phi L')| <= 2 ||phi||_H on upper bounds."""
-    h = rat(hofer_length)
-    for (a, b, fa, fb) in pairs:
-        r1 = space.d_hat(a, b, fam1, fam2)
-        r2 = space.d_hat(fa, fb, fam1, fam2)
-        if r1.upper >= INF or r2.upper >= INF:
-            continue
-        if abs(r1.upper - r2.upper) > 2 * h:
-            return False
-    return True

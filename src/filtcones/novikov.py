@@ -197,7 +197,3 @@ def on_line(lineno: int, error=ValueError):
         yield
     except (ValueError, ArithmeticError, LookupError) as exc:
         raise error(f"line {lineno}: {exc}") from exc
-
-
-def valuation(x: NovikovScalar) -> Fraction:
-    return x.valuation()

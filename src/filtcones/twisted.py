@@ -1,11 +1,13 @@
 """Iterated weakly filtered cones and the twisted differential assembly.
 
 The structure theorem for iterated cones is consumed as an output
-contract: ``assemble_twisted_mu1`` produces the upper-triangular matrix
-whose off-diagonal entries insert connecting cycles into the higher
-category operations, ``audit_structure_theorem`` verifies a supplied
-model against the contract, and the retract energy rho(f), the least
-A(g) + A(f) over g with g f ~ id, gives the weight of ``weight_wp``.
+contract: ``assemble_twisted_mu1`` returns the symbolic upper-triangular
+matrix alone, whose off-diagonal entries insert connecting cycles into
+the higher category operations, and ``twisted_value_complex`` evaluates
+its entries with the category's ``mu``.  ``audit_structure_theorem``
+verifies a supplied model against the contract, and the retract energy
+rho(f), the least A(g) + A(f) over g with g f ~ id, gives the weight of
+``weight_wp``.
 Its upper bound is one computation for every map: the least action of
 a chain map g with g f = id, read off one exact elimination over
 hom(D, C) (``filtcx.chain_left_inverse_action``).  It is exact when
@@ -16,6 +18,7 @@ The fragmentation metrics do not read it yet.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .novikov import INF, rat
@@ -91,42 +94,21 @@ class TwistedData:
 
     def __init__(self, cat: WFCategory, objects: Sequence[str],
                  cycles: Dict[Tuple[int, int], Chain],
-                 declared_action: Optional[Dict[Tuple[int, int], Fraction]] = None,
                  require_cycles: bool = False):
         # individual entries need not be cycles: the square-zero condition
         # couples mu_1 c_{q,p} to the Maurer-Cartan products
         self.cat = cat
         self.objects = tuple(objects)
         self.cycles = dict(cycles)
-        self.declared_action = {k: rat(v) for k, v in (declared_action or {}).items()}
         for (q, p), c in self.cycles.items():
             if not 0 <= p < q < len(objects):
                 raise TwistedError(f"bad cycle index ({q},{p})")
             hom = cat.hom(objects[q], objects[p])
             if require_cycles and not hom.is_cycle(c):
                 raise TwistedError(f"c[{q},{p}] is not a mu_1-cycle")
-            a = self.declared_action.get((q, p))
-            if a is not None and action_level(c, hom) > a:
-                raise TwistedError(f"c[{q},{p}] exceeds its declared action")
 
     def cycle(self, q: int, p: int) -> Chain:
         return self.cycles.get((q, p), {})
-
-
-def _partitions(i: int, j: int):
-    """All chains i = k_1 < ... < k_d = j with d >= 2."""
-    if i >= j:
-        return
-    stack = [(i,)]
-    while stack:
-        path = stack.pop()
-        last = path[-1]
-        for nxt in range(last + 1, j + 1):
-            ext = path + (nxt,)
-            if nxt == j:
-                yield ext
-            else:
-                stack.append(ext)
 
 
 class TwistedEntry:
@@ -154,40 +136,23 @@ def assemble_twisted_mu1(cat: WFCategory, objects: Sequence[str],
 
     Entry (i, j), i < j, is the sum over strictly increasing paths
     i = k_1 < ... < k_d = j of mu_d(-, c_{k_d, k_{d-1}}, ..., c_{k_2, k_1});
-    the diagonal is mu_1.  Returns (symbolic matrix, operator matrix)
-    where operators act on chains in C(X, L_j) for any test object X.
+    the diagonal is mu_1.  The paths are the subsets of range(i + 1, j).
+    Returns the symbolic matrix alone; ``twisted_value_complex``
+    evaluates it on C(X, L_j) for a test object X.
     """
     r = len(objects) - 1
     if cat.cap < r + 1:
         raise TwistedError(f"arity cap {cat.cap} too small for r = {r}")
     symbolic: Dict[Tuple[int, int], TwistedEntry] = {}
     for i in range(r + 1):
-        for j in range(r + 1):
-            if i > j:
-                continue
-            if i == j:
-                symbolic[(i, j)] = TwistedEntry([(1, ())])
-                continue
-            terms = []
-            for path in _partitions(i, j):
-                d = len(path)
-                cpairs = tuple((path[t + 1], path[t])
-                               for t in reversed(range(d - 1)))
-                terms.append((d, cpairs))
-            symbolic[(i, j)] = TwistedEntry(terms)
-
-    def entry_operator(i: int, j: int):
-        def op(b: Chain) -> Chain:
-            out: Chain = {}
-            for d, cpairs in symbolic[(i, j)].terms:
-                chains = [data.cycle(q, p) for q, p in cpairs]
-                out = chain_add(out, cat.mu([b] + chains))
-            return out
-        return op
-
-    operators = {(i, j): entry_operator(i, j)
-                 for i in range(r + 1) for j in range(i, r + 1)}
-    return symbolic, operators
+        symbolic[(i, i)] = TwistedEntry([(1, ())])
+        for j in range(i + 1, r + 1):
+            # each path read from j down to i: (k_d, ..., k_1)
+            paths = [(j, *mid[::-1], i) for n in range(j - i)
+                     for mid in combinations(range(i + 1, j), n)]
+            symbolic[(i, j)] = TwistedEntry(
+                [(len(p), tuple(zip(p, p[1:]))) for p in paths])
+    return symbolic
 
 
 def twisted_value_complex(cat: WFCategory, objects: Sequence[str],
@@ -200,7 +165,7 @@ def twisted_value_complex(cat: WFCategory, objects: Sequence[str],
     ``actions`` may override the inherited action of each summand.
     """
     r = len(objects) - 1
-    _, ops = assemble_twisted_mu1(cat, objects, data)
+    sym = assemble_twisted_mu1(cat, objects, data)
     gens, action, diff = [], {}, {}
     name = lambda g, j: f"{g}@{j}"
     for j in range(r + 1):
@@ -215,8 +180,12 @@ def twisted_value_complex(cat: WFCategory, objects: Sequence[str],
         hom = cat.hom(x, objects[j])
         for g in hom.generators:
             col: Chain = {}
+            b = hom.basis_chain(g)
             for i in range(0, j + 1):
-                img = ops[(i, j)](hom.basis_chain(g))
+                img: Chain = {}
+                for _, cpairs in sym[(i, j)].terms:
+                    img = chain_add(img, cat.mu(
+                        [b] + [data.cycle(q, p) for q, p in cpairs]))
                 for h, s in img.items():
                     col = chain_add(col, {name(h, i): s})
             diff[name(g, j)] = col
@@ -384,25 +353,6 @@ def rho_upper_from_witness(f: PreModHom, g: PreModHom,
     a_g = g.max_shift()
     a_f = f.max_shift()
     return max(k, a_g + a_f, Fraction(0))
-
-
-def check_rho_subadditive(f: FilteredMap, fprime: FilteredMap) -> bool:
-    """rho(f' o f) <= rho(f) + rho(f') on the computed upper bounds."""
-    up1 = retract_energy(f)[1]
-    up2 = retract_energy(fprime)[1]
-    upc = retract_energy(fprime.compose(f))[1]
-    if up1 >= INF or up2 >= INF:
-        return True
-    return upc <= up1 + up2
-
-
-def composed_retract_homotopy(g: FilteredMap, eta: FilteredMap,
-                              gprime: FilteredMap, etaprime: FilteredMap,
-                              f: FilteredMap, fprime: FilteredMap) -> FilteredMap:
-    """The witness homotopy g o eta' o f + eta for the subadditivity proof;
-    shifts action by <= max{r + s + k', k}."""
-    comp = g.compose(etaprime).compose(f)
-    return comp.add(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ cones without relabeling.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .novikov import DEFAULT_CUTOFF, INF, rat
@@ -431,8 +432,6 @@ class WFModule(_Table):
     def mu(self, a_chains: Sequence[Chain], b: Chain) -> Chain:
         return self._mu([*a_chains, b])
 
-    module_tuples = _Table.tuples
-
     def max_op_arity(self) -> int:
         return max(self.cat.max_op_arity(), self._top())
 
@@ -496,8 +495,6 @@ class PreModHom(_Table):
     def cap(self) -> int:
         return self.source.cap
 
-    comp_gens = _Table.mu_gens
-
     def apply(self, a_chains: Sequence[Chain], b: Chain) -> Chain:
         return self._mu([*a_chains, b])
 
@@ -529,7 +526,7 @@ class PreModHom(_Table):
         for d in set(self.components) | set(other.components):
             t: Dict[Tuple[str, ...], Chain] = {}
             for gens in set(self.components.get(d, {})) | set(other.components.get(d, {})):
-                v = chain_add(self.comp_gens(gens), other.comp_gens(gens))
+                v = chain_add(self.mu_gens(gens), other.mu_gens(gens))
                 if v:
                     t[gens] = v
             if t:
@@ -596,17 +593,7 @@ def verify_hom_filtration(m0: WFModule, m1: WFModule, eps_h: Discrepancy,
 # cones
 # ---------------------------------------------------------------------------
 
-class ConeModule(WFModule):
-    """Weakly filtered mapping cone; records (rho, eps^f) of the attaching map."""
-
-    def __init__(self, f: PreModHom, rho, epsf: Discrepancy, **kw):
-        self.attaching = f
-        self.rho = rat(rho)
-        self.epsf = epsf
-        super().__init__(**kw)
-
-
-def cone(f: PreModHom, rho=None, epsf: Optional[Discrepancy] = None) -> ConeModule:
+def cone(f: PreModHom, rho=None, epsf: Optional[Discrepancy] = None) -> WFModule:
     """Weakly filtered Cone(f; rho, eps^f).
 
     The value at X is M0(X) + M1(X) with the M0 part shifted up by
@@ -633,8 +620,7 @@ def cone(f: PreModHom, rho=None, epsf: Optional[Discrepancy] = None) -> ConeModu
         action.update({g: c1.action[g] for g in c1.generators})
         diff: Dict[str, Chain] = {}
         for g in c0.generators:
-            diff[g] = chain_add(dict(c0.diff[g]),
-                                f.comp_gens((g,)))
+            diff[g] = chain_add(dict(c0.diff[g]), f.mu_gens((g,)))
         for g in c1.generators:
             diff[g] = dict(c1.diff[g])
         values[x] = FilteredComplex(gens, action, diff, c1.cutoff, check=False)
@@ -650,8 +636,7 @@ def cone(f: PreModHom, rho=None, epsf: Optional[Discrepancy] = None) -> ConeModu
         if table:
             mu[d] = table
     disc = disc_max([m0.disc, m1.disc, epsf.minus_first()], kind="module")
-    return ConeModule(f, rho, epsf, cat=m0.cat, values=values, mu=mu,
-                      disc=disc, check=False)
+    return WFModule(m0.cat, values, mu, disc, check=False)
 
 
 def rename_module(m: WFModule, prefix: str) -> WFModule:
@@ -741,9 +726,6 @@ class WFFunctor:
         self.components = {d: dict(t) for d, t in components.items()}
         self.disc = disc
 
-    def comp_gens(self, gens: Tuple[str, ...]) -> Chain:
-        return self.components.get(len(gens), {}).get(gens, {})
-
     def higher_vanish(self) -> bool:
         return all(d == 1 or not t for d, t in self.components.items())
 
@@ -798,24 +780,18 @@ def _pullback_value(F: WFFunctor, table: _Table,
     (F(block_1), ..., F(block_k), b) summed over the splittings of the a's
     into consecutive blocks."""
     d = len(gens)
-    a_gens, b = gens[:-1], gens[-1]
+    b = gens[-1]
     if d == 1:
         return table.mu_gens((b,))
+    b_chain = table._ins._home[b].basis_chain(b)
     out: Chain = {}
     for k in range(1, d):
         for split in _compositions(d - 1, k):
-            blocks = []
-            pos = 0
-            for s in split:
-                blocks.append(a_gens[pos:pos + s])
-                pos += s
-            # multilinear: image chains of each block under F
-            block_chains = [F.comp_gens(bl) for bl in blocks]
-            if any(not bc for bc in block_chains):
-                continue
-            for combo, coeff in _tuples(block_chains):
-                term = table.mu_gens(combo + (b,))
-                out = chain_add(out, chain_scale(coeff, term))
+            ends = list(accumulate(split, initial=0))
+            blocks = [gens[s:e] for s, e in zip(ends, ends[1:])]
+            out = chain_add(out, table._mu(
+                [F.components.get(len(bl), {}).get(bl, {}) for bl in blocks]
+                + [b_chain]))
     return out
 
 

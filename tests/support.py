@@ -15,7 +15,7 @@ from math import ceil, floor, lcm
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
-    chain_scale, chain_shift,
+    chain_scale,
 )
 from filtcones.surface.curves import (
     SIDE, Crossing, GeometryError, _seg_common, common_scale, path_from,
@@ -249,7 +249,8 @@ def random_chain_map(rng: random.Random, n=4, qden=2):
                                            h.apply(C.diff[g]))
                               for g in C.generators})
     s = max(0, htpy.measured_shift())
-    mat = {g: chain_shift(s, htpy.matrix[g]) for g in C.generators}
+    mat = {g: chain_scale(NovikovScalar.monomial(s, D.cutoff), htpy.matrix[g])
+           for g in C.generators}
     if ident:
         mat = {g: chain_add(mat[g], C.basis_chain(g)) for g in C.generators}
     return FilteredMap(C, D, mat), ident
@@ -1349,3 +1350,33 @@ def ref_lower_bounds(space, lp, l, family_name, mode="weakly-exact", kmax=6):
             lower = Fraction(0)
         out.append((lower, cert))
     return out
+
+
+# ---------------------------------------------------------------------------
+# a text round trip and a property check of the retract energy
+# ---------------------------------------------------------------------------
+
+def serialize_complex(cx: FilteredComplex) -> str:
+    """The text ``parse_complex`` reads back: one ``T^e*gen`` term per
+    monomial of the differential."""
+    lines = [f"cutoff {cx.cutoff}"]
+    for g in cx.generators:
+        lines.append(f"gen {g} action {cx.action[g]}")
+    for g in cx.generators:
+        col = cx.diff[g]
+        if col:
+            rhs = " + ".join(f"T^{e}*{h}" for h, s in sorted(col.items())
+                             for e in s.exps)
+            lines.append(f"d {g} = {rhs}")
+    return "\n".join(lines) + "\n"
+
+
+def check_rho_subadditive(f: FilteredMap, fprime: FilteredMap) -> bool:
+    """rho(f' o f) <= rho(f) + rho(f') on the computed upper bounds."""
+    from filtcones.twisted import retract_energy
+    up1 = retract_energy(f)[1]
+    up2 = retract_energy(fprime)[1]
+    upc = retract_energy(fprime.compose(f))[1]
+    if up1 >= INF or up2 >= INF:
+        return True
+    return upc <= up1 + up2

@@ -20,7 +20,7 @@ from filtcones.wfainf import (
 )
 from filtcones.twisted import (
     TwistedData, TwistedEntry, assemble_twisted_mu1, audit_structure_theorem,
-    check_rho_subadditive, check_twisted_square_zero, cone_replace,
+    check_twisted_square_zero, cone_replace,
     retract_energy, rho_upper_from_witness, twisted_value_complex,
 )
 from filtcones.surface import (
@@ -34,7 +34,8 @@ from filtcones.scenarios import (
 )
 
 from support import (
-    oracle_boundary_level, random_boundary, random_complex,
+    check_rho_subadditive, oracle_boundary_level, random_boundary,
+    random_complex,
     random_split_complex, random_cycle_in, strict_dg_category,
     strict_right_mult_hom, nov as mknov,
 )
@@ -239,7 +240,7 @@ def _tower(rng, nobj, sigma=F(1, 2)):
 def test_criterion_8_twisted_assembly():
     cat = strict_dg_category(nobj=3)
     objs = ["L0", "L1", "L2"]
-    sym, _ = assemble_twisted_mu1(
+    sym = assemble_twisted_mu1(
         cat, objs, TwistedData(cat, objs, {}))
     ok = sym[(0, 2)] == TwistedEntry([(2, ((2, 0),)), (3, ((2, 1), (1, 0)))])
     ok &= sym[(0, 1)] == TwistedEntry([(2, ((1, 0),))])

@@ -106,6 +106,31 @@ def test_cli_metric_failing_assert(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_cli_count_asserts_compare_the_value_as_written(tmp_path, capsys):
+    """A Floer rank or an intersection count is an integer, so an assert
+    of 1/2 or 9/2 fails: the asserted value is not truncated first."""
+    f = tmp_path / "sc.txt"
+    f.write_text("scenario lem-ex1 eps=1/8 delta=1/256\n"
+                 "assert floer N L == 1/2\n"
+                 "assert intersections N L' == 9/2\n")
+    code, out = run_cli(["metric", "--scenario", str(f)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "floer N L | 0 | - | FAIL (want 1/2 (~0.5))",
+        "intersections N L' | 4 | - | FAIL (want 9/2 (~4.5))",
+    ]
+    # integer asserts keep their report lines
+    f.write_text("scenario lem-ex1 eps=1/8 delta=1/256\n"
+                 "assert floer N L == 0\n"
+                 "assert intersections N L' == 5\n")
+    code, out = run_cli(["metric", "--scenario", str(f)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "floer N L | 0 | - | pass",
+        "intersections N L' | 4 | - | FAIL (want 5)",
+    ]
+
+
 @pytest.mark.parametrize("text, bad", [
     ("scenario lem-ex1 eps=1/8 delta=1/256\n"
      "move suspension s12: S1 -> S2 length=1/2\n"

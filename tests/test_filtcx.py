@@ -8,17 +8,15 @@ from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     FiltError, FilteredComplex, FilteredMap, NEG_INF, action_drop,
     action_level, boundary_depth_elem, boundary_depth_map, boundary_level,
-    chain_add, chain_eq, chain_shift, check_injectivity_lemma, cycle_basis,
-    delta_d, find_robust_subspace, hom_complex,
-    homotopical_boundary_depth, homotopical_boundary_level, homology_rank,
-    image_basis, is_delta_robust, map_to_chain, min_beta_subspace,
-    orthonormal_basis, parse_chain, parse_complex, serialize_complex,
-    verify_rig_cplx2,
+    chain_add, chain_eq, chain_scale, check_injectivity_lemma, cycle_basis,
+    delta_d, find_robust_subspace, hom_complex, homotopical_boundary_level,
+    homology_rank, image_basis, is_delta_robust, map_to_chain,
+    orthonormal_basis, parse_chain, parse_complex, verify_rig_cplx2,
 )
 
 from support import (
     oracle_boundary_level, random_boundary, random_chain, random_chain_map,
-    random_complex,
+    random_complex, serialize_complex,
 )
 
 CUT = 64
@@ -52,7 +50,7 @@ def test_action_level_examples():
 
 def test_action_drop_examples():
     cx = two_gen(Fraction(3, 2))
-    zero = FilteredMap.zero_map(cx, cx)
+    zero = FilteredMap(cx, cx, {})
     assert action_drop(zero) == INF
     assert delta_d(cx) == Fraction(3, 2)
     assert action_drop(FilteredMap.identity(cx)) == 0
@@ -104,7 +102,7 @@ def test_boundary_depth_map_examples():
     s = Fraction(5, 4)
     cx = two_gen(s)
     assert boundary_depth_map(FilteredMap.identity(cx)) == s
-    assert boundary_depth_map(FilteredMap.zero_map(cx, cx)) == 0
+    assert boundary_depth_map(FilteredMap(cx, cx, {})) == 0
 
 
 def test_boundary_depth_map_bounds_every_sampled_drop():
@@ -125,7 +123,7 @@ def test_boundary_depth_map_bounds_every_sampled_drop():
             for z in basis:
                 if rng.random() < 0.6:
                     e = Fraction(rng.randint(-4, 4), 2)
-                    x = chain_add(x, chain_shift(e, z))
+                    x = chain_add(x, chain_scale(nov(e), z))
             y = phi.apply(x)
             if y:
                 drop = oracle_boundary_level(y, D) - action_level(x, C)
@@ -179,15 +177,17 @@ def test_beta_le_bh_for_nullhomotopic():
 def test_homotopical_boundary_level_examples():
     s = Fraction(1, 3)
     cx = two_gen(s)
-    zero = FilteredMap.zero_map(cx, cx)
+    zero = FilteredMap(cx, cx, {})
     assert homotopical_boundary_level(zero) == NEG_INF
     ident = FilteredMap.identity(cx)
     assert homotopical_boundary_level(ident) == s
-    # identity B_h = A + beta_h on the hom complex
+    # identity B_h = A + beta_h on the hom complex, where the action of a
+    # map is its action shift
     H = hom_complex(cx, cx)
     ch = map_to_chain(ident)
-    assert homotopical_boundary_level(ident) == \
-        action_level(ch, H) + homotopical_boundary_depth(ident)
+    depth = homotopical_boundary_level(ident) - ident.measured_shift()
+    assert depth == s
+    assert homotopical_boundary_level(ident) == action_level(ch, H) + depth
 
 
 def test_bh_matches_oracle_on_hom_complexes():
@@ -226,14 +226,20 @@ def test_min_beta_subspace_two_bars():
         {"b1": 0, "x1": 0, "b2": 0, "x2": 0},
         {"b1": {"x1": nov(1)}, "b2": {"x2": nov(2)}, "x1": {}, "x2": {}},
         CUT)
+    def min_beta(V):
+        return cx.grid(V).min_beta_over_span(V)
+
     V = [{"x1": nov(0)}, {"x2": nov(0)}]
-    assert min_beta_subspace(V, cx) == 1
-    assert min_beta_subspace([{"x2": nov(0)}], cx) == 2
+    assert min_beta(V) == 1
+    assert min_beta([{"x2": nov(0)}]) == 2
     # the line through x1+x2 must pay for the deeper bar
     mixed = [{"x1": nov(0), "x2": nov(0)}]
-    assert min_beta_subspace(mixed, cx) == 2
+    assert min_beta(mixed) == 2
     # but a span containing x1 dips to 1
-    assert min_beta_subspace([{"x1": nov(0), "x2": nov(0)}, {"x2": nov(0)}], cx) == 1
+    assert min_beta([{"x1": nov(0), "x2": nov(0)}, {"x2": nov(0)}]) == 1
+    # zero vectors drop out, and the empty span is +infinity
+    assert min_beta([{}, {"x2": nov(0)}]) == 2
+    assert min_beta([{}]) == INF
 
 
 def test_min_beta_subspace_vs_sampling():
@@ -255,7 +261,6 @@ def test_min_beta_subspace_vs_sampling():
         assert w is not None
         assert boundary_level(w, cx) - action_level(w, cx) == m
         # soundness: no sampled combination dips below m
-        from filtcones.filtcx import chain_scale
         for _ in range(15):
             combo = {}
             for b in bs:

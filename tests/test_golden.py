@@ -19,7 +19,7 @@ import random
 from fractions import Fraction as F
 
 from filtcones.cli import main
-from filtcones.filtcx import FilteredComplex, FilteredMap, serialize_complex
+from filtcones.filtcx import FilteredComplex, FilteredMap
 from filtcones.fragmetric import suspension_move, trace_move
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.scenarios import (
@@ -33,8 +33,8 @@ from filtcones.twisted import (
 from filtcones.wfainf import Discrepancy, cone, lambda_map, yoneda_module
 
 from support import (
-    chain_category, random_chain_map, random_cycle_in, strict_dg_category,
-    strict_right_mult_hom,
+    chain_category, random_chain_map, random_cycle_in, serialize_complex,
+    strict_dg_category, strict_right_mult_hom,
 )
 from test_fragmetric import LEM_QUERIES, LINE_X, TRACE_QUERIES
 from test_segment_pairs import _floer_sanity_pool

@@ -9,12 +9,13 @@ import pytest
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     FiltError, FilteredComplex, action_level, boundary_depth_elem,
-    boundary_level, chain_add, chain_scale, chain_shift, delta_d,
-    is_delta_robust, min_beta_subspace, parse_chain, parse_complex,
+    boundary_level, chain_add, chain_scale, delta_d,
+    is_delta_robust, parse_chain, parse_complex,
 )
 
 from support import oracle_boundary_level, random_boundary, random_chain, \
     random_complex
+from test_fragmetric import check_triangle
 
 
 def nov(exps, cutoff=64):
@@ -84,7 +85,7 @@ def test_robustness_threshold_is_sharp():
         V = [{f"x{i}": nov([0])} for i in range(n)]
         m = min(drops)
         step = F(1, qden)
-        assert min_beta_subspace(V, cx) == m
+        assert cx.grid(V).min_beta_over_span(V) == m
         assert is_delta_robust(V, m, cx)
         assert not is_delta_robust(V, m + step, cx)
 
@@ -137,7 +138,6 @@ def test_floer_four_point_curve():
 
 
 def test_triangle_inequality_across_trace_space():
-    from filtcones.fragmetric import check_triangle
     from filtcones.scenarios import trace_surgery_space
     sp = trace_surgery_space(F(1, 8), F(1, 256))
     assert check_triangle(sp, "F",
@@ -175,11 +175,11 @@ def test_levels_shift_with_the_chain_far_below_the_actions():
     v = parse_chain("T^4*g0 + T^9/2*g0 + T^5*g3", 64)
     b = boundary_level(v, cx)
     assert b == F(-5, 2)
-    assert oracle_boundary_level(chain_shift(12, v), cx) == F(-29, 2)
+    assert oracle_boundary_level(chain_scale(nov([12]), v), cx) == F(-29, 2)
     for s in range(-20, 21):
-        assert boundary_level(chain_shift(s, v), cx) == b - s
+        assert boundary_level(chain_scale(nov([s]), v), cx) == b - s
     assert boundary_depth_elem(v, cx) == F(1, 2)
-    assert min_beta_subspace([v], cx) == F(1, 2)
+    assert cx.grid([v]).min_beta_over_span([v]) == F(1, 2)
     assert is_delta_robust([v], F(1, 2), cx)
     assert not is_delta_robust([v], F(3, 4), cx)
 

@@ -17,12 +17,12 @@ from filtcones import twisted, wfainf
 from filtcones.twisted import (
     IteratedConeSpec, TwistedData, TwistedError, TwistedEntry, assemble_twisted_mu1,
     audit_structure_theorem, bounds_chi_xi, build_iterated_cone,
-    check_rho_subadditive, check_twisted_square_zero, cone_replace,
+    check_twisted_square_zero, cone_replace,
     retract_energy, twisted_value_complex, weight_wp,
 )
 
 from support import (
-    random_chain_map, random_complex, random_cycle_in, ref_chain_left_inverses,
+    check_rho_subadditive, random_chain_map, random_complex, random_cycle_in, ref_chain_left_inverses,
     ref_left_inverse_action, strict_dg_category, strict_right_mult_hom,
 )
 
@@ -63,7 +63,7 @@ def test_symbolic_matrix_r1_r2():
     cat = strict_dg_category(nobj=3)
     objs = ["L0", "L1", "L2"]
     data = TwistedData(cat, objs, {}, require_cycles=False)
-    sym, _ = assemble_twisted_mu1(cat, objs, data)
+    sym = assemble_twisted_mu1(cat, objs, data)
     assert sym[(0, 1)] == TwistedEntry([(2, (((1, 0),)))])
     # r = 2 matrix matches the displayed shape entry for entry
     assert sym[(0, 2)] == TwistedEntry([
@@ -73,6 +73,30 @@ def test_symbolic_matrix_r1_r2():
     assert sym[(1, 2)] == TwistedEntry([(2, ((2, 1),))])
     assert sym[(0, 0)] == TwistedEntry([(1, ())])
     assert (1, 0) not in sym and (2, 0) not in sym and (2, 1) not in sym
+
+
+def test_symbolic_matrix_lists_every_path_once():
+    """Entry (i, j) holds each strictly increasing path i < ... < j once,
+    2^(j-i-1) terms, at arity the path's length, for every r up to the
+    default arity cap.  The paths are read off the bits of a counter."""
+    cap = wfainf.DEFAULT_ARITY_CAP
+    cat = strict_dg_category(nobj=cap, cap=cap)
+    for r in range(1, cap):
+        objs = [f"L{i}" for i in range(r + 1)]
+        sym = assemble_twisted_mu1(cat, objs, TwistedData(cat, objs, {}))
+        for i in range(r + 1):
+            for j in range(i + 1, r + 1):
+                inner = range(i + 1, j)
+                want = []
+                for mask in range(2 ** len(inner)):
+                    path = [i] + [k for b, k in enumerate(inner)
+                                  if mask >> b & 1] + [j]
+                    want.append((len(path), tuple(
+                        (path[t + 1], path[t])
+                        for t in reversed(range(len(path) - 1)))))
+                terms = sym[(i, j)].terms
+                assert len(set(terms)) == len(terms) == 2 ** (j - i - 1)
+                assert terms == sorted(want)
 
 
 def test_zero_data_block_diagonal():
@@ -326,7 +350,7 @@ def test_retract_energy_identity_and_monomials():
     # g(y) = T^{-s}x gives A(g) + A(f) = s - s = 0
     assert lo == up == 0
     # f = 0 into a nonzero target
-    z = FilteredMap.zero_map(cx, cy)
+    z = FilteredMap(cx, cy, {})
     lo, up = retract_energy(z)
     assert lo >= INF and up >= INF
 

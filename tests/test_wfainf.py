@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import INF, NovikovScalar
-from filtcones.filtcx import action_level, chain_add, chain_eq, homology_rank
+from filtcones.filtcx import (
+    FilteredComplex, action_level, boundary_level, chain_add, chain_eq,
+    cycle_basis, homology_rank,
+)
 from filtcones.wfainf import (
     CapError, Discrepancy, PreModHom, WFCategory, WFFunctor, WFModule,
     WfError, assh_cone_kappa,
@@ -139,6 +142,27 @@ def test_check_Uw_of_a_unit_acting_by_zero():
                                else (True, longest))
 
 
+def test_check_Uw_reads_an_action_orthogonal_cycle_basis():
+    """Bars of different depth share one cycle: d a = d b = d c = y with
+    a, b, c at actions 2, 1, 0, and a + b = d u, a + c = d w at action 2.
+    The kernel basis {y, a+b, a+c} is not action-orthogonal: its sum b + c
+    sits at action 1 and bounds only at 2.  With e acting by 0, kappa is
+    the largest B(z) - A(z) over the cycles, 1 at b + c; the raw basis
+    reads 0."""
+    one = nov(0)
+    cx = FilteredComplex(
+        ["u", "w", "a", "b", "c", "y"],
+        {"u": 2, "w": 2, "a": 2, "b": 1, "c": 0, "y": 0},
+        {"u": {"a": one, "b": one}, "w": {"a": one, "c": one},
+         "a": {"y": one}, "b": {"y": one}, "c": {"y": one}, "y": {}}, CUT)
+    zs = cycle_basis(cx)
+    assert max(boundary_level(z, cx) - action_level(z, cx) for z in zs) == 0
+    cat = unital_dg_category()
+    m = WFModule(cat, {"X": cx}, {}, Discrepancy([0] * cat.cap, "module"),
+                 check=False)
+    assert check_Uw(m) == (True, 1)
+
+
 def test_perturbed_unit_witness_level():
     t, s = Fraction(1), Fraction(1, 2)
     cat = perturbed_unit_category(t, s)
@@ -202,7 +226,7 @@ def _random_prehom(rng, m0, m1, max_arity=3, qden=2):
     comps = {}
     for d in range(1, max_arity + 1):
         table = {}
-        for gens in m0.module_tuples(d):
+        for gens in m0.tuples(d):
             if rng.random() < 0.5:
                 x = m0.cat.gen_hom[gens[0]][0] if d > 1 else \
                     m0.gen_value[gens[0]]
@@ -387,7 +411,7 @@ def test_cone_compose():
     ident = PreModHom.identity(m1)
     psi_id = cone_compose(f, ident)
     for g, x in psi_id.source.gen_value.items():
-        assert chain_eq(psi_id.comp_gens((g,)),
+        assert chain_eq(psi_id.mu_gens((g,)),
                         psi_id.target.value(x).basis_chain(g))
 
 
@@ -400,7 +424,7 @@ def test_cone_boundary_correction():
     # theta = 0: the correction map is the identity
     vt0 = cone_boundary_correction(f, PreModHom.zero(m0, m1))
     for g, x in vt0.source.gen_value.items():
-        assert chain_eq(vt0.comp_gens((g,)),
+        assert chain_eq(vt0.mu_gens((g,)),
                         vt0.target.value(x).basis_chain(g))
     for _ in range(5):
         theta = _random_prehom(rng, m0, m1, max_arity=2)
@@ -471,6 +495,23 @@ def test_pullback_shifted_category():
     meas = pm.measured_discrepancy()
     for d in range(2, cat.cap + 1):
         assert meas[d - 1] <= (d - 1) * c + m.disc[d]
+
+
+def test_pullback_reads_a_higher_functor_component():
+    """With F_2(x2, m21) = T^1 x1 the pulled-back mu_3 at (x2, m21, m10)
+    is mu_2(T^1 x1, m10): the yoneda module of L0 has no mu_3, so the
+    one-block splitting is the only term."""
+    cat = chain_category()
+    m = yoneda_module(cat, "L0")
+    ident = {(g,): cat.hom(*cat.gen_hom[g]).basis_chain(g)
+             for g in cat.gen_hom}
+    F = WFFunctor(cat, cat, {o: o for o in cat.objects},
+                  {1: ident, 2: {("x2", "m21"): {"x1": nov(1)}}},
+                  Discrepancy.zero(cat.cap, "hom"))
+    pm = pullback_module(F, m)
+    want = {g: s.shift(1) for g, s in m.mu_gens(("x1", "m10")).items()}
+    assert want and chain_eq(pm.mu_gens(("x2", "m21", "m10")), want)
+    assert pm.mu_tables[2] == m.mu_tables[2]
 
 
 # -- the lambda map -------------------------------------------------------------
@@ -586,7 +627,7 @@ def _any_prehom(rng, m0, m1, max_arity=3):
     has a value."""
     comps = {}
     for d in range(1, max_arity + 1):
-        for gens in m0.module_tuples(d):
+        for gens in m0.tuples(d):
             x = m0.cat.gen_hom[gens[0]][0] if d > 1 else m0.gen_value[gens[0]]
             if x in m1.values and rng.random() < 0.5:
                 g = rng.choice(m1.value(x).generators)
