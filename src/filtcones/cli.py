@@ -13,10 +13,11 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .novikov import DEFAULT_CUTOFF, INF, on_line, rat
+from .novikov import DEFAULT_CUTOFF, INF, content_lines, name_tuple, \
+    on_line, options, rat
 from .filtcx import (
     FiltError, action_level, boundary_depth_elem, boundary_level,
-    delta_d, parse_complex,
+    delta_d, parse_chain, parse_complex,
 )
 from .surface.curves import TorusCurve, intersections, parse_curve
 from .surface.floer import floer_complex, hf_rank
@@ -42,15 +43,11 @@ def _fmt(x) -> str:
 
 
 class Report:
-    def __init__(self, out=None):
-        self.lines: List[str] = []
+    def __init__(self):
         self.failed = 0
-        self.out = out or sys.stdout
 
     def emit(self, query: str, result, witness="", status="ok"):
-        line = f"{query} | {_fmt(result)} | {witness or '-'} | {status}"
-        self.lines.append(line)
-        print(line, file=self.out)
+        print(f"{query} | {_fmt(result)} | {witness or '-'} | {status}")
         if status not in ("ok", "pass"):
             self.failed += 1
 
@@ -85,69 +82,70 @@ class Scenario:
         return self.space
 
 
+# the canned scenarios and the key=value options each takes, in the order
+# of its builder's arguments
+CANNED = {"lem-ex1": (canned.lem_ex1_space, ("eps", "delta")),
+          "trace-surgery": (canned.trace_surgery_space, ("eps", "delta")),
+          "disjoint-union": (canned.disjoint_union_space, ("eps",))}
+
+
 def parse_scenario(text: str) -> Scenario:
+    """A scenario from its lines; lines, options, vertex lists and name
+    tuples are read by the ``novikov`` line reader."""
     sc = Scenario()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
+        word, _, rest = line.partition(" ")
         with on_line(lineno, FragError):
-            if sc.space is not None and \
-                    line.startswith(("object ", "family ", "move ")):
+            if sc.space is not None and word in ("object", "family", "move"):
                 raise FragError(f"{line!r} cannot extend a canned scenario")
-            if line.startswith("scenario "):
+            if word == "scenario":
                 if sc.space is not None or sc.curves or sc.objects or \
                         sc.families or sc.moves:
                     raise FragError(f"{line!r} must precede every other "
                                     "definition and appear once")
-                parts = dict(p.split("=") for p in line.split()[2:])
-                name = line.split()[1]
-                eps = rat(parts.get("eps", "1/8"))
-                delta = rat(parts.get("delta", "1/256"))
-                if name == "lem-ex1":
-                    sc.space = canned.lem_ex1_space(eps, delta)
-                elif name == "trace-surgery":
-                    sc.space = canned.trace_surgery_space(eps, delta)
-                elif name == "disjoint-union":
-                    sc.space = canned.disjoint_union_space(eps)
-                else:
+                name, *words = rest.split()
+                if name not in CANNED:
                     raise FragError(f"unknown canned scenario {name}")
+                build, keys = CANNED[name]
+                kw = {"eps": "1/8", "delta": "1/256", **options(words, keys)}
+                sc.space = build(*(rat(kw[k]) for k in keys))
                 sc.curves = sc.space.curves
-            elif line.startswith("curve "):
+            elif word == "curve":
                 c = parse_curve(line)
                 sc.curves[c.name] = c
-            elif line.startswith("object "):
-                parts = line.split()
-                name = parts[1]
-                kw = dict(p.split("=") for p in parts[2:])
+            elif word == "object":
+                name, *words = rest.split()
+                kw = options(words, ("carrier", "cover", "geometry"))
                 sc.objects.append(LagObject(
                     name,
                     kw.get("carrier", name).split(","),
-                    kw.get("cover", "").split(",") if kw.get("cover") else None,
+                    kw["cover"].split(",") if kw.get("cover") else None,
                     kw.get("geometry")))
-            elif line.startswith("family "):
-                head, rest = line[7:].split("=", 1)
+            elif word == "family":
+                head, rest = rest.split("=", 1)
                 sc.families[head.strip()] = rest.split()
-            elif line.startswith("move suspension "):
-                head, rest = line[len("move suspension "):].split(":", 1)
-                arrow, kw = rest.rsplit("length=", 1)
-                a, b = [s.strip() for s in arrow.split("->")]
-                sc.moves.append(suspension_move(head.strip(), a, b, rat(kw)))
-            elif line.startswith("move trace "):
-                head, rest = line[len("move trace "):].split(":", 1)
-                src, remainder = rest.split("->", 1)
-                ends_part, kw_part = remainder.split(")", 1)
-                ends = [e.strip() for e in
-                        ends_part.strip().lstrip("(").split(",")]
-                kws = dict(p.split("=") for p in kw_part.split())
-                handles = [rat(v) for v in kws["handles"].split(",")]
-                groups = [int(v) for v in kws["groups"].split(",")]
-                sc.moves.append(trace_move(head.strip(), src.strip(), ends,
-                                           handles, groups))
-            elif line.startswith("query "):
-                sc.queries.append(line[6:].strip())
-            elif line.startswith("assert "):
-                q, sep, value = line[7:].rpartition("==")
+            elif word == "move":
+                kind, _, rest = rest.strip().partition(" ")
+                if kind not in ("suspension", "trace"):
+                    raise FragError(f"unrecognized scenario line {line!r}")
+                head, rest = rest.split(":", 1)
+                src, rest = rest.split("->", 1)
+                if kind == "suspension":
+                    dst, *words = rest.split()
+                    length = rat(options(words, ("length",))["length"])
+                    sc.moves.append(suspension_move(head.strip(), src.strip(),
+                                                    dst, length))
+                else:
+                    ends, sep, rest = rest.partition(")")
+                    kw = options(rest.split(), ("handles", "groups"))
+                    sc.moves.append(trace_move(
+                        head.strip(), src.strip(), name_tuple(ends + sep),
+                        [rat(v) for v in kw["handles"].split(",")],
+                        [int(v) for v in kw["groups"].split(",")]))
+            elif word == "query":
+                sc.queries.append(rest.strip())
+            elif word == "assert":
+                q, sep, value = rest.rpartition("==")
                 if not sep:
                     raise FragError(f"expected '<query> == <value>', got "
                                     f"{line!r}")
@@ -157,15 +155,9 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
-def _options(parts: List[str]) -> Dict[str, str]:
-    """The ``key=value`` options of a query."""
-    kw = {}
-    for p in parts:
-        key, sep, val = p.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value, got {p!r}")
-        kw[key] = val
-    return kw
+# the key=value options each query kind on two names takes
+QUERY_OPTIONS = {"d_k": ("k", "family"), "l_a": ("a", "family"),
+                 "d_F": ("family",), "floer": (), "intersections": ()}
 
 
 def run_query(space: MetricSpace, q: str, rep: Report,
@@ -183,11 +175,11 @@ def run_query(space: MetricSpace, q: str, rep: Report,
 def _answer_query(space: MetricSpace, q: str, rep: Report, expected):
     parts = q.split()
     kind = parts[0] if parts else ""
-    if kind in ("d_k", "l_a", "d_F", "floer", "intersections") \
-            and len(parts) < 3:
-        raise ValueError(f"{kind} needs two names")
+    if kind in QUERY_OPTIONS:
+        if len(parts) < 3:
+            raise ValueError(f"{kind} needs two names")
+        kw = options(parts[3:], QUERY_OPTIONS[kind])
     if kind in ("d_k", "l_a", "d_F"):
-        kw = _options(parts[3:])
         pair = (parts[1], parts[2], kw.get("family", "F"))
         if kind == "d_k":
             r = space.d_k(*pair, int(kw["k"]))
@@ -211,7 +203,7 @@ def _answer_query(space: MetricSpace, q: str, rep: Report, expected):
         val = len(intersections(space.curves[parts[1]],
                                 space.curves[parts[2]]))
     elif kind == "width":
-        kw = _options(parts[1:])
+        kw = options(parts[1:], ("carrier", "q"))
         carrier = [space.curves[c] for c in kw["carrier"].split(",")]
         qset = [space.curves[c] for c in kw.get("q", "").split(",") if c]
         val = gromov_width_rel(carrier, qset)
@@ -278,7 +270,7 @@ def cmd_floer(args) -> int:
             rep.emit(f"complex {a} {b}", None, "", f"error: {exc}")
     else:
         for q in sc.queries:
-            if q.startswith(("floer", "intersections")):
+            if q.partition(" ")[0] in ("floer", "intersections"):
                 run_query(space, q, rep)
     return 1 if rep.failed else 0
 
@@ -332,63 +324,59 @@ def cmd_width(args) -> int:
 
 
 def cmd_twisted_check(args) -> int:
-    from .wfainf import Discrepancy, PreModHom, parse_category, yoneda_module
-    from .wfainf import DEFAULT_ARITY_CAP
+    from .wfainf import DEFAULT_ARITY_CAP, Discrepancy, PreModHom, WfError, \
+        parse_category, yoneda_module
     from .twisted import IteratedConeSpec, TwistedData, TwistedError, \
         assemble_twisted_mu1, build_iterated_cone, check_twisted_square_zero
-    from .filtcx import parse_chain
-    from .novikov import on_line
     rep = Report()
-    cat_lines, obj_list, cycles = [], [], {}
+    obj_list, cycles = [], {}
     phi_tables: dict = {}
 
     def parse_spec(text):
-        # lines read here are blanked for parse_category, which then
-        # numbers its errors by the lines of the whole file
-        for n, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            cat_lines.append("")
+        # the objects, c and phi lines are read here and the numbered rest
+        # by parse_category
+        cat_lines = []
+        for n, line in content_lines(text):
+            word, _, rest = line.partition(" ")
             with on_line(n):
-                if line.startswith("objects "):
-                    obj_list[:] = line.split()[1:]
-                elif line.startswith("c "):
-                    head, rhs = line.split("->", 1)
-                    _, qs, ps = head.split()
+                if word == "objects":
+                    obj_list[:] = rest.split()
+                elif word == "c":
+                    head, rhs = rest.split("->", 1)
+                    qs, ps = head.split()
                     cycles[(int(qs), int(ps))] = parse_chain(rhs, args.cutoff)
-                elif line.startswith("phi "):
-                    head, rhs = line.split("->", 1)
-                    parts = head.split(None, 2)
-                    gens = tuple(g.strip() for g in
-                                 parts[2].strip().strip("()").split(","))
-                    phi_tables.setdefault(int(parts[1]), {})[gens] = \
-                        parse_chain(rhs, args.cutoff)
+                elif word == "phi":
+                    head, rhs = rest.split("->", 1)
+                    i, gens = head.split(None, 1)
+                    gens = name_tuple(gens)  # phi_tables[i][arity][gens]
+                    phi_tables.setdefault(int(i), {}).setdefault(
+                        len(gens), {})[gens] = parse_chain(rhs, args.cutoff)
                 else:
-                    cat_lines[-1] = raw
+                    cat_lines.append((n, line))
         cap = args.arity_cap
-        return parse_category("\n".join(cat_lines), cutoff=args.cutoff,
+        return parse_category(cat_lines, cutoff=args.cutoff,
                               cap=DEFAULT_ARITY_CAP if cap is None else cap)
 
     cat = _parse_file(args.spec, parse_spec)
-    try:
+    if not cat.objects:
+        raise InputError(f"{args.spec}: no object line")
+    test_obj = cat.objects[0]
+    try:  # bad cycles, an arity cap below r, or a pair with no hom complex
         data = TwistedData(cat, obj_list, cycles)
         sym = assemble_twisted_mu1(cat, obj_list, data)
-    except TwistedError as exc:  # bad cycles, or an arity cap below r
+        ok = check_twisted_square_zero(cat, obj_list, data, test_obj)
+    except (TwistedError, WfError) as exc:
         rep.emit("twisted differential", None, "", f"error: {exc}")
         return 1
     for key in sorted(sym):
         rep.emit(f"entry {key}", sym[key])
-    test_obj = cat.objects[0]
-    ok = check_twisted_square_zero(cat, obj_list, data, test_obj)
     rep.emit(f"square-zero at {test_obj}", ok, "",
              "pass" if ok else "FAIL (mu_1^2 != 0)")
     if phi_tables:
         def attach(i):
             def build(k):
-                src = yoneda_module(cat, obj_list[i])
-                comps = {}
-                for gens, ch in phi_tables[i].items():
-                    comps.setdefault(len(gens), {})[gens] = ch
-                f = PreModHom(src, k, comps, 0)
+                f = PreModHom(yoneda_module(cat, obj_list[i]), k,
+                              phi_tables[i])
                 f.shift = f.max_shift()
                 return f
             return build

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .novikov import (
-    DEFAULT_CUTOFF, INF, NovikovScalar, on_line, parse_scalar, rat,
+    DEFAULT_CUTOFF, INF, NovikovScalar, content_lines, on_line, parse_scalar,
+    rat,
 )
 
 NEG_INF = -INF
@@ -849,22 +850,15 @@ def parse_chain(text: str, cutoff) -> Chain:
     return ch
 
 
-def parse_complex(text: str, cutoff=DEFAULT_CUTOFF) -> FilteredComplex:
-    return complex_from_lines(enumerate(text.splitlines(), 1), cutoff)
-
-
-def complex_from_lines(lines: Iterable[Tuple[int, str]],
-                       cutoff=DEFAULT_CUTOFF) -> FilteredComplex:
-    """A complex from numbered ``cutoff``, ``gen`` and ``d`` lines; a
-    malformed line raises FiltError naming its number."""
+def parse_complex(text, cutoff=DEFAULT_CUTOFF) -> FilteredComplex:
+    """A complex from ``cutoff``, ``gen`` and ``d`` lines, text or
+    ``(n, line)`` pairs read by ``novikov.content_lines``; a malformed
+    line raises FiltError naming its number."""
     gens: List[str] = []
     action: Dict[str, Fraction] = {}
     rhs_of: Dict[str, Tuple[int, str]] = {}
     cutoff = rat(cutoff)
-    for n, raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for n, line in content_lines(text):
         with on_line(n, FiltError):
             parts = line.split()
             if parts[0] == "cutoff" and len(parts) == 2:

@@ -10,7 +10,8 @@ series left, ``invert`` (a geometric series kept below the cutoff
 through ``below_cutoff``), has no caller in the package; the benchmark
 tracer still counts its calls by name, so it stays until that counter
 goes.  No inverse of a map is built: ``filtcx`` reads only its least
-action.
+action.  The module also holds the line reader every input format
+shares: ``content_lines``, ``options``, ``points`` and ``name_tuple``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import contextlib
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -196,4 +197,50 @@ def on_line(lineno: int, error=ValueError):
     try:
         yield
     except (ValueError, ArithmeticError, LookupError) as exc:
-        raise error(f"line {lineno}: {exc}") from exc
+        what = f"unknown or missing {exc}" if isinstance(exc, KeyError) \
+            else exc
+        raise error(f"line {lineno}: {what}") from exc
+
+
+def content_lines(source) -> Iterator[Tuple[int, str]]:
+    """The numbered lines of ``source`` (text, or ``(n, line)`` pairs)
+    that hold something once the ``#`` comment is cut, stripped."""
+    if isinstance(source, str):
+        source = enumerate(source.splitlines(), 1)
+    for n, raw in source:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield n, line
+
+
+def options(words: Iterable[str], keys: Tuple[str, ...]) -> Dict[str, str]:
+    """The ``key=value`` words, each key one of ``keys`` and given once."""
+    kw: Dict[str, str] = {}
+    for word in words:
+        key, sep, val = word.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {word!r}")
+        if key not in keys:
+            raise ValueError(f"unknown option {key!r}; expected "
+                             f"{', '.join(keys) or 'none'}")
+        if key in kw:
+            raise ValueError(f"option {key!r} given twice")
+        kw[key] = val
+    return kw
+
+
+def points(text: str) -> List[Tuple[Fraction, Fraction]]:
+    """The vertices of "(x,y) (x,y) ...", each read by ``name_tuple``."""
+    pts = []
+    for word in text.split():
+        x, y = name_tuple(word)
+        pts.append((rat(x), rat(y)))
+    return pts
+
+
+def name_tuple(text: str) -> Tuple[str, ...]:
+    """The entries of "(g1,...,gd)"."""
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ValueError(f"expected (a,b,...), got {text!r}")
+    return tuple(g.strip() for g in text[1:-1].split(","))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..novikov import rat
+from ..novikov import points, rat
 
 Point = Tuple[Fraction, Fraction]
 SIDE = Fraction(2)  # fundamental square side length
@@ -502,20 +502,9 @@ def _auto_width(l_curve, s_curve, at, handle_area) -> Fraction:
     return w
 
 
-def parse_curve(line: str, name: str = "") -> TorusCurve:
-    """Parse "curve <name>: (x1,y1) (x2,y2) ..." or a bare vertex list."""
-    body = line.strip()
-    if body.startswith("curve "):
-        head, rest = body[6:].split(":", 1)
-        name = head.strip()
-        body = rest
-    pts = []
-    for chunk in body.replace(")", ") ").split():
-        chunk = chunk.strip().strip(",")
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise GeometryError(f"bad vertex {chunk!r}")
-        x, y = chunk[1:-1].split(",")
-        pts.append((rat(x.strip()), rat(y.strip())))
-    return TorusCurve(pts, name=name)
+def parse_curve(line: str) -> TorusCurve:
+    """Parse "curve <name>: (x1,y1) (x2,y2) ..."; the vertices are read by
+    ``novikov.points``."""
+    head, body = line.split(":", 1)
+    _, name = head.split()
+    return TorusCurve(points(body), name=name)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..novikov import on_line, rat
+from ..novikov import content_lines, on_line, options, points, rat
 from .curves import GeometryError, common_scale, scaled, _seg_common, \
     segment_pairs
 
@@ -278,35 +278,25 @@ def _point_in_cycle(p: IPoint, cycle) -> bool:
 
 def parse_diagram(text: str) -> PlanarDiagram:
     """Line format: "poly (x,y) (x,y) ...", "end left|right y=<h> x=<x>",
-    "rect x0 y0 x1 y1", "strip <a-> <a+>"."""
+    "rect x0 y0 x1 y1", "strip <a-> <a+>"; lines, options and vertex
+    lists are read by the ``novikov`` line reader."""
     d = PlanarDiagram()
     strip = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
+        word, _, rest = line.partition(" ")
         with on_line(lineno, GeometryError):
-            if line.startswith("poly"):
-                pts = []
-                for chunk in line[4:].replace(")", ") ").split():
-                    chunk = chunk.strip().strip(",")
-                    if not chunk:
-                        continue
-                    x, y = chunk.strip("()").split(",")
-                    pts.append((rat(x), rat(y)))
-                d.add_polyline(pts)
-            elif line.startswith("rect"):
-                vals = line.split()[1:]
-                d.add_rect(*vals)
-            elif line.startswith("end"):
-                parts = line.split()
-                side = parts[1]
-                kv = {p.split("=")[0]: p.split("=")[1] for p in parts[2:]}
-                y = rat(kv["y"])
-                x = rat(kv.get("x", 0))
-                d.rays.append(((x, y), 1 if side == "right" else -1))
-            elif line.startswith("strip"):
-                _, a, b = line.split()
+            if word == "poly":
+                d.add_polyline(points(rest))
+            elif word == "rect":
+                x0, y0, x1, y1 = rest.split()
+                d.add_rect(x0, y0, x1, y1)
+            elif word == "end":
+                side, *words = rest.split()
+                kw = options(words, ("y", "x"))
+                d.rays.append(((rat(kw.get("x", 0)), rat(kw["y"])),
+                               {"left": -1, "right": 1}[side]))
+            elif word == "strip":
+                a, b = rest.split()
                 strip = (rat(a), rat(b))
             else:
                 raise GeometryError(f"unrecognized diagram line {line!r}")

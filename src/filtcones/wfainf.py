@@ -23,11 +23,13 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .novikov import DEFAULT_CUTOFF, INF, rat
+from .novikov import DEFAULT_CUTOFF, INF, content_lines, name_tuple, \
+    on_line, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level,
     boundary_level, chain_add, chain_scale, cycle_basis,
-    homotopical_boundary_level, orthonormal_basis,
+    homotopical_boundary_level, orthonormal_basis, parse_chain,
+    parse_complex,
 )
 
 DEFAULT_ARITY_CAP = 6  # the arity cap where none is given
@@ -969,9 +971,10 @@ def assh_cone_kappa(kappa0, kappa1, u, zeta, eps2_c, eps3_c) -> Fraction:
 # text format
 # ---------------------------------------------------------------------------
 
-def parse_category(text: str, cutoff=DEFAULT_CUTOFF,
+def parse_category(text, cutoff=DEFAULT_CUTOFF,
                    cap: int = DEFAULT_ARITY_CAP) -> WFCategory:
-    """Toy-category format::
+    """Toy-category format, text or ``(n, line)`` pairs read by
+    ``novikov.content_lines``::
 
         object X
         hom X X: gen e action 0 ; gen a action 1/2
@@ -980,62 +983,50 @@ def parse_category(text: str, cutoff=DEFAULT_CUTOFF,
         disc 0 1/2 1/2 ...
         unit X = T^0*e bound 0
     """
-    from .novikov import on_line
-    from .filtcx import complex_from_lines, parse_chain
     objects: List[str] = []
     hom_lines: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
     mu: MuTable = {}
-    disc_vals = None
+    disc_vals = [0]
     units: Dict[str, Chain] = {}
     unit_bound = Fraction(0)
     gen_home: Dict[str, Tuple[str, str]] = {}
-    for n, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for n, line in content_lines(text):
+        word, _, rest = line.partition(" ")
         with on_line(n, WfError):
-            if line.startswith("object "):
-                objects.append(line.split()[1])
-            elif line.startswith("hom "):
-                head, rest = line[4:].split(":", 1)
+            if word == "object":
+                name, = rest.split()
+                objects.append(name)
+            elif word == "hom":
+                head, rest = rest.split(":", 1)
                 x, y = head.split()
                 body = hom_lines.setdefault((x, y), [])
                 for piece in rest.split(";"):
-                    piece = piece.strip()
-                    if piece:
-                        body.append((n, piece))
-                        if piece.startswith("gen "):
-                            gen_home[piece.split()[1]] = (x, y)
-            elif line.startswith("d "):
-                src = line[2:].split("=", 1)[0].strip()
+                    body.append((n, piece))
+                    if piece.strip().startswith("gen "):
+                        gen_home[piece.split()[1]] = (x, y)
+            elif word == "d":
+                src = rest.split("=", 1)[0].strip()
                 if src not in gen_home:
                     raise WfError(f"differential for unknown generator {src}")
                 hom_lines[gen_home[src]].append((n, line))
-            elif line.startswith("mu "):
-                head, rhs = line[3:].split("->", 1)
-                parts = head.strip().split(None, 1)
-                d = int(parts[0])
-                gens = tuple(g.strip() for g in
-                             parts[1].strip().strip("()").split(","))
-                mu.setdefault(d, {})[gens] = parse_chain(rhs, cutoff)
-            elif line.startswith("disc"):
-                disc_vals = [rat(v) for v in line.split()[1:]]
-            elif line.startswith("unit "):
-                head, rest = line[5:].split("=", 1)
-                bound = Fraction(0)
-                if " bound " in rest:
-                    rest, btxt = rest.rsplit(" bound ", 1)
-                    bound = rat(btxt.strip())
+            elif word == "mu":
+                head, rhs = rest.split("->", 1)
+                d, gens = head.split(None, 1)
+                mu.setdefault(int(d), {})[name_tuple(gens)] = \
+                    parse_chain(rhs, cutoff)
+            elif word == "disc":
+                disc_vals = [rat(v) for v in rest.split()]
+                if not disc_vals:
+                    raise WfError("a disc line needs at least one value")
+            elif word == "unit":
+                head, rest = rest.split("=", 1)
+                rest, _, bound = rest.partition(" bound ")
                 units[head.strip()] = parse_chain(rest, cutoff)
-                unit_bound = max(unit_bound, bound)
+                unit_bound = max(unit_bound, rat(bound or 0))
             else:
                 raise WfError(f"unrecognized category line {line!r}")
-    homs = {key: complex_from_lines(body, cutoff)
+    homs = {key: parse_complex(body, cutoff)
             for key, body in hom_lines.items()}
-    if disc_vals is None:
-        disc_vals = [0] * cap
-    while len(disc_vals) < cap:
-        disc_vals.append(disc_vals[-1])
-    disc = Discrepancy(disc_vals[:cap], "category")
+    disc = Discrepancy((disc_vals + disc_vals[-1:] * cap)[:cap], "category")
     return WFCategory(objects, homs, mu, disc, cap=cap,
                       units=units or None, unit_bound=unit_bound)

@@ -8,26 +8,25 @@ import pytest
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
-    FilteredComplex, FilteredMap, action_level,
-    boundary_depth_elem, boundary_level, chain_add, chain_eq, delta_d,
+    FilteredComplex, FilteredMap,
+    boundary_depth_elem, boundary_level, chain_add, delta_d,
     field_rank, find_robust_subspace, homology_rank, hom_complex,
     is_delta_robust, map_to_chain, verify_rig_cplx2,
 )
 from filtcones.wfainf import (
-    Discrepancy, PreModHom, WFFunctor, check_assumption_E, choose_eps, cone,
-    cone_boundary_correction, cone_compose, disc_star, lambda_map, mu1_mod,
-    mu2_mod, pullback_disc, pullback_module, shift_module, yoneda_module,
+    Discrepancy, PreModHom, check_assumption_E, choose_eps, cone,
+    cone_boundary_correction, cone_compose, disc_star, mu1_mod,
+    mu2_mod, pullback_disc, shift_module, yoneda_module,
 )
 from filtcones.twisted import (
     TwistedData, TwistedEntry, assemble_twisted_mu1, audit_structure_theorem,
     check_twisted_square_zero, cone_replace,
-    retract_energy, rho_upper_from_witness, twisted_value_complex,
+    retract_energy, rho_upper_from_witness,
 )
 from filtcones.surface import (
     GeometryError, PlanarDiagram, TorusCurve, floer_complex, hf_rank,
     intersections, planar_shadow, shear_diagram,
 )
-from filtcones.surface.floer import enumerate_bigons
 from filtcones.scenarios import (
     connected_small_shadow_footprint, disjoint_union_space, lem_ex1_space,
     trace_surgery_space,

@@ -1,4 +1,3 @@
-import io
 import os
 
 import pytest
@@ -204,6 +203,20 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
      "'assert intersections L L = 4'\n"),
     ("metric", "curve L: (-1,0) (1,0)\nassert intersections L L == four\n",
      "line 2: Invalid literal for Fraction: 'four'\n"),
+    # unknown line words and key=value options are refused, never dropped
+    ("metric", "scenario lem-ex1 eps=1/8 detla=1/300\n",
+     "line 1: unknown option 'detla'; expected eps, delta\n"),
+    ("metric", "curve L: (-1,0) (1,0)\nobject X carier=L\n",
+     "line 2: unknown option 'carier'; expected carrier, cover, geometry\n"),
+    ("shadow", "poly (0,0) (2,0)\nend rihgt y=0\n",
+     "line 2: unknown or missing 'rihgt'\n"),
+    ("shadow", "poly 0,0 1,0 1,1 0,0\n",
+     "line 1: expected (a,b,...), got '0,0'\n"),
+    ("shadow", "rect 0 0 1\n", "line 1: not enough values to unpack"),
+    ("twisted-check", TWISTED + "discount 0 1/2\n",
+     "line 23: unrecognized category line 'discount 0 1/2'\n"),
+    ("twisted-check", TWISTED.replace("mu 2 (x2,m21)", "mu 2 x2,m21"),
+     "line 16: expected (a,b,...), got 'x2,m21'\n"),
 ])
 def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
                                             where):
@@ -241,6 +254,17 @@ def test_cli_twisted_check_refuses_an_arity_cap_below_the_tower(capsys):
     assert code == 1
     assert out.splitlines() == ["twisted differential | - | - | error: "
                                 "arity cap 2 too small for r = 2"]
+
+
+def test_cli_twisted_check_refuses_a_pair_with_no_hom_complex(tmp_path,
+                                                               capsys):
+    f = tmp_path / "tw.txt"
+    f.write_text("objects A B\nobject A\nobject B\n"
+                 "hom A A: gen e action 0\nc 1 0 -> T^0*e\n")
+    code, out = run_cli(["twisted-check", "--spec", str(f)], capsys)
+    assert code == 1
+    assert out.splitlines() == ["twisted differential | - | - | error: "
+                                "no hom complex for (B, A)"]
 
 
 def test_cli_twisted_check(tmp_path, capsys):
@@ -298,10 +322,15 @@ MALFORMED_QUERIES = [
     ("metric", SCENARIO, "d_k L' L k=0 family=G",
      "error: unknown or missing 'G'"),
     ("metric", SCENARIO, "d_k L' L k", "error: expected key=value, got 'k'"),
+    ("metric", SCENARIO, "d_k L' L k=0 famly=G",
+     "error: unknown option 'famly'; expected k, family"),
+    ("metric", SCENARIO, "d_k L' L k=0 k=1", "error: option 'k' given twice"),
     ("metric", SCENARIO, "l_a L' L a=x", "error: "),
     ("metric", SCENARIO, "d_F L'", "error: d_F needs two names"),
     ("width", SCENARIO, "width carrier=S1 q=zz",
      "error: unknown or missing 'zz'"),
+    ("width", SCENARIO, "width carrier=L q=S1 bogus=1",
+     "error: unknown option 'bogus'; expected carrier, q"),
     ("depth", COMPLEX, "B zz", "error: a depth query is"),
     ("depth", COMPLEX, "B", "error: a depth query is"),
 ]

@@ -7,14 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from filtcones.novikov import INF, NovikovScalar
+from filtcones.novikov import NovikovScalar
 from filtcones.filtcx import (
     FilteredComplex, FilteredMap, chain_add, field_rank,
     homotopical_boundary_level, is_delta_robust,
 )
 from filtcones.wfainf import (
     Discrepancy, PreModHom, WFCategory, WFFunctor, choose_eps, disc_max,
-    mu1_mod, parse_category, pullback_cone, pullback_hom, pullback_module,
+    mu1_mod, parse_category, pullback_cone, pullback_module,
     yoneda_module,
 )
 from filtcones.twisted import TwistedData, alpha_ledger

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import (
-    INF, NovikovError, NovikovScalar, parse_scalar,
+    INF, NovikovError, NovikovScalar, content_lines, name_tuple, options,
+    parse_scalar, points,
 )
 
 CUT = Fraction(64)
@@ -158,3 +159,22 @@ def test_invert_is_an_inverse_below_the_cutoff(rest, cutoff):
     inv = x.invert()
     assert (inv * x).below_cutoff() == NovikovScalar.one(cutoff)
     assert all(e < cutoff for e in inv.exps)
+
+
+def test_line_reader():
+    text = "gen a action 0  # a comment\n\n   # only a comment\n d a = 0\n"
+    assert list(content_lines(text)) == [(1, "gen a action 0"), (4, "d a = 0")]
+    # numbered pairs keep their numbers
+    assert list(content_lines([(7, " x # y"), (9, "#")])) == [(7, "x")]
+    assert options(["k=0", "family=G"], ("k", "family")) == \
+        {"k": "0", "family": "G"}
+    for words, msg in [(["k"], "expected key=value, got 'k'"),
+                       (["famly=G"], "unknown option 'famly'; expected k"),
+                       (["k=0", "k=1"], "option 'k' given twice")]:
+        with pytest.raises(ValueError, match=msg):
+            options(words, ("k",))
+    assert points("(0,1/2) (-1,0)") == [(0, Fraction(1, 2)), (-1, 0)]
+    assert name_tuple(" (a, b) ") == ("a", "b")
+    for bad in ("0,0", "(0,0,1)", "(0)"):
+        with pytest.raises(ValueError):
+            points(bad)

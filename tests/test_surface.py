@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from filtcones.novikov import INF, NovikovScalar
+from filtcones.novikov import INF
 from filtcones.surface import (
     GeometryError, PlanarDiagram, TorusCurve, count_transverse_crossings,
     curves_to_svg, diagram_to_svg, floer_complex, gromov_width_double_points,

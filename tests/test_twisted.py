@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
-    FilteredComplex, FilteredMap, action_level, chain_eq,
-    chain_left_inverse_action, field_rank, homology_rank,
+    FilteredComplex, FilteredMap, chain_eq,
+    chain_left_inverse_action, field_rank,
 )
 from filtcones.wfainf import (
-    Discrepancy, PreModHom, cone, cone_boundary_correction, cone_compose,
+    Discrepancy, PreModHom, cone, cone_boundary_correction,
     mu1_mod, mu2_mod, yoneda_module,
 )
 from filtcones import twisted, wfainf
