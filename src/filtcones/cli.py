@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .novikov import DEFAULT_CUTOFF, INF, content_lines, name_tuple, \
-    on_line, options, rat
+from .novikov import DEFAULT_CUTOFF, INF, content_lines, error_text, \
+    name_tuple, on_line, options, rat
 from .filtcx import (
     FiltError, action_level, boundary_depth_elem, boundary_level,
     delta_d, parse_chain, parse_complex,
@@ -166,10 +166,8 @@ def run_query(space: MetricSpace, q: str, rep: Report,
     curve, family or option, gets an ``error:`` report line."""
     try:
         _answer_query(space, q, rep, expected)
-    except KeyError as exc:
-        rep.emit(q, None, "", f"error: unknown or missing {exc}")
-    except ValueError as exc:
-        rep.emit(q, None, "", f"error: {exc}")
+    except (KeyError, ValueError) as exc:
+        rep.emit(q, None, "", f"error: {error_text(exc)}")
 
 
 def _answer_query(space: MetricSpace, q: str, rep: Report, expected):
@@ -194,11 +192,7 @@ def _answer_query(space: MetricSpace, q: str, rep: Report, expected):
             rep.emit(q, f"[{_fmt(r.lower)}, {_fmt(r.upper)}]", r.witness, "ok")
         return
     if kind == "floer":
-        try:
-            val = hf_rank(space.curves[parts[1]], space.curves[parts[2]])
-        except Exception as exc:
-            rep.emit(q, None, "", f"error: {exc}")
-            return
+        val = hf_rank(space.curves[parts[1]], space.curves[parts[2]])
     elif kind == "intersections":
         val = len(intersections(space.curves[parts[1]],
                                 space.curves[parts[2]]))
@@ -266,8 +260,8 @@ def cmd_floer(args) -> int:
             cx = floer_complex(space.curves[a], space.curves[b])
             rep.emit(f"complex {a} {b}",
                      f"{cx.dim} generators, delta_d={_fmt(delta_d(cx))}")
-        except Exception as exc:
-            rep.emit(f"complex {a} {b}", None, "", f"error: {exc}")
+        except (KeyError, ValueError) as exc:
+            rep.emit(f"complex {a} {b}", None, "", f"error: {error_text(exc)}")
     else:
         for q in sc.queries:
             if q.partition(" ")[0] in ("floer", "intersections"):
@@ -326,8 +320,8 @@ def cmd_width(args) -> int:
 def cmd_twisted_check(args) -> int:
     from .wfainf import DEFAULT_ARITY_CAP, Discrepancy, PreModHom, WfError, \
         parse_category, yoneda_module
-    from .twisted import IteratedConeSpec, TwistedData, TwistedError, \
-        assemble_twisted_mu1, build_iterated_cone, check_twisted_square_zero
+    from .twisted import TwistedData, TwistedError, assemble_twisted_mu1, \
+        build_iterated_cone, check_twisted_square_zero
     rep = Report()
     obj_list, cycles = [], {}
     phi_tables: dict = {}
@@ -353,6 +347,12 @@ def cmd_twisted_check(args) -> int:
                         len(gens), {})[gens] = parse_chain(rhs, args.cutoff)
                 else:
                     cat_lines.append((n, line))
+        # phi_i attaches L_i to K_{i-1}: the stages run 1..r, r < #objects
+        r = len(phi_tables)
+        if r and (set(phi_tables) != set(range(1, r + 1))
+                  or r >= len(obj_list)):
+            raise TwistedError("phi lines must number the stages 1, 2, ..., "
+                               "r with r below the number of objects")
         cap = args.arity_cap
         return parse_category(cat_lines, cutoff=args.cutoff,
                               cap=DEFAULT_ARITY_CAP if cap is None else cap)
@@ -363,7 +363,7 @@ def cmd_twisted_check(args) -> int:
     test_obj = cat.objects[0]
     try:  # bad cycles, an arity cap below r, or a pair with no hom complex
         data = TwistedData(cat, obj_list, cycles)
-        sym = assemble_twisted_mu1(cat, obj_list, data)
+        sym = assemble_twisted_mu1(cat, obj_list)
         ok = check_twisted_square_zero(cat, obj_list, data, test_obj)
     except (TwistedError, WfError) as exc:
         rep.emit("twisted differential", None, "", f"error: {exc}")
@@ -382,18 +382,16 @@ def cmd_twisted_check(args) -> int:
             return build
 
         stages = sorted(phi_tables)
-        spec = IteratedConeSpec(
-            cat, obj_list[:max(stages) + 1],
-            [attach(i) for i in stages],
-            [0] * len(stages),
-            [Discrepancy.zero(cat.cap, "hom")] * len(stages))
         try:
-            k, ledger = build_iterated_cone(spec)
+            k, ledger = build_iterated_cone(
+                cat, obj_list[:max(stages) + 1], [attach(i) for i in stages],
+                [0] * len(stages),
+                [Discrepancy.zero(cat.cap, "hom")] * len(stages))
             for i, d in enumerate(ledger):
                 rep.emit(f"cone ledger K_{i}",
                          " ".join(str(v) for v in d.values))
-        except Exception as exc:
-            rep.emit("iterated cone", None, "", f"error: {exc}")
+        except (KeyError, ValueError) as exc:
+            rep.emit("iterated cone", None, "", f"error: {error_text(exc)}")
     return 1 if rep.failed else 0
 
 

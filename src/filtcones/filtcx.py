@@ -126,9 +126,8 @@ class FilteredComplex:
     def dim(self) -> int:
         return len(self.generators)
 
-    def basis_chain(self, g: str, exp=0) -> Chain:
-        s = NovikovScalar.monomial(exp, self.cutoff)
-        return {g: s}
+    def basis_chain(self, g: str) -> Chain:
+        return {g: NovikovScalar.monomial(0, self.cutoff)}
 
     def d(self, x: Chain) -> Chain:
         out: Chain = {}
@@ -427,39 +426,27 @@ class _Smith:
         with v(Z l) = v(l).  So beta(Z l) = v(l) - v(K^-1 Z l), least at
         -max sigma_j over the Smith exponents of K^-1 Z, which a second
         ``_echelon`` reads off H = t^kmax K^-1 Z (exponents kmax + sigma_j
-        in [0, kmax], as beta >= m/q).  The inputs' bookkeeping rides
-        along as extra coordinates, so the column of the largest one is
-        an input combination attaining the minimum: ``last_witness``.
+        in [0, kmax], as beta >= m/q).
 
         Precision: sum k'_b, the least valuation of a nonzero p-minor of
         the p independent inputs, is at most p*D, and kmax <= r*D.  The
-        second echelon needs N - max k'_b > kmax, and cutting the
-        witness's coefficients at t^h keeps its A and B once h > max k'_b
-        + kmax: N = (n + 1 + 2 len(vectors)) * D + 1 covers both.
+        second echelon needs N - max k'_b > kmax, which N = (n + 1 +
+        2 len(vectors)) * D + 1 covers.
         """
         vecs = [v for v in vectors if v]
-        self.last_witness = None
         if not vecs:
             return INF
-        cols = [self._column(v) for v in vecs]
-        prec, pivots, rest = self._reduce([c for _, c in cols], 2 * len(vecs))
-        n, r, p = len(self.rows), len(pivots), len(vecs)
+        prec, pivots, rest = self._reduce([self._column(v)[1] for v in vecs],
+                                          2 * len(vecs))
+        n, r = len(self.rows), len(pivots)
         if any(any(row[n:]) for row in rest):
             raise FiltError("min_beta_over_span: vector is not a boundary")
         ortho = _echelon([[row[n + l] for _, row in pivots]
-                          + [int(j == l) for j in range(p)]
-                          for l in range(p)], r, prec)[0]
+                          for l in range(len(vecs))], r, prec)[0]
         top, kmax = ortho[-1][0], pivots[-1][0]
-        sigma, best = _echelon([[(z[i] >> kb) << kmax - pivots[i][0]
-                                 for i in range(r)]
-                                + [x << top - kb for x in z[r:]]
-                                for kb, z in ortho], r, prec - top)[0][-1]
-        w: Chain = {}
-        for lam, (s, _), v in zip(best[r:], cols, vecs):
-            w = chain_add(w, _combination(self.q, [lam], [v],
-                                          next(iter(v.values())).cutoff,
-                                          top + s))
-        self.last_witness = w
+        sigma = _echelon([[(z[i] >> kb) << kmax - pivots[i][0]
+                           for i in range(r)]
+                          for kb, z in ortho], r, prec - top)[0][-1][0]
         return Fraction(self.shift + kmax - sigma, self.q)
 
 

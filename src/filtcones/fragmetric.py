@@ -83,13 +83,14 @@ def suspension_move(name: str, a: str, b: str, length) -> Move:
 
 
 def trace_move(name: str, source: str, ends: Sequence[str], handle_areas,
-               groups: Sequence[int], column_width=4) -> Move:
-    """Surgery-trace move: one rectangle blob per handle; handles sharing
-    a group index get identical footprints (overlapping projections)."""
+               groups: Sequence[int]) -> Move:
+    """Surgery-trace move: one rectangle blob per handle, in columns 4
+    apart; handles sharing a group index get identical footprints
+    (overlapping projections)."""
     d = PlanarDiagram()
     for area, group in zip(handle_areas, groups):
         area = rat(area)
-        x0 = Fraction(column_width * group)
+        x0 = Fraction(4 * group)
         d.add_rect(x0, 0, x0 + 1, area)
     for i in range(len(ends)):
         d.rays.append(((0, -2 - i), -1))
@@ -153,9 +154,6 @@ class MetricResult:
         if lower > upper:
             raise FragError(f"inconsistent bounds {lower} > {upper}: "
                             "the declared inequalities contradict the witness")
-
-    def exact(self) -> bool:
-        return self.lower == self.upper
 
     def __repr__(self):
         w = f" via {self.witness}" if self.witness else ""

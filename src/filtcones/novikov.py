@@ -197,9 +197,13 @@ def on_line(lineno: int, error=ValueError):
     try:
         yield
     except (ValueError, ArithmeticError, LookupError) as exc:
-        what = f"unknown or missing {exc}" if isinstance(exc, KeyError) \
-            else exc
-        raise error(f"line {lineno}: {what}") from exc
+        raise error(f"line {lineno}: {error_text(exc)}") from exc
+
+
+def error_text(exc: Exception) -> str:
+    """What an input error says: a missing key is named as such."""
+    return f"unknown or missing {exc}" if isinstance(exc, KeyError) \
+        else str(exc)
 
 
 def content_lines(source) -> Iterator[Tuple[int, str]]:

@@ -429,9 +429,10 @@ def _direction(a: Point, b: Point) -> Point:
 
 
 def surgery(l_curve: TorusCurve, s_curve: TorusCurve, at, handle_area,
-            width: Optional[Fraction] = None, name: str = ""):
+            width):
     """Resolve the transverse crossing ``at`` with a one-sided
-    rectangular corner cut enclosing exactly ``handle_area``.
+    rectangular corner cut ``width`` wide enclosing exactly
+    ``handle_area``.
 
     The resolution follows the orientations: the curve enters along L,
     leaves along S through the crossing point itself, and the returning
@@ -455,8 +456,6 @@ def surgery(l_curve: TorusCurve, s_curve: TorusCurve, at, handle_area,
     u_s = _direction(pts_s[0], pts_s[1])
     if u_l[0] * u_s[0] + u_l[1] * u_s[1] != 0:
         raise GeometryError("surgery requires an axis-parallel transverse crossing")
-    if width is None:
-        width = _auto_width(l_curve, s_curve, at, handle_area)
     w = rat(width)
     h = handle_area / w
     end_s = pts_s[-1]  # crossing + S-class translate
@@ -473,33 +472,8 @@ def surgery(l_curve: TorusCurve, s_curve: TorusCurve, at, handle_area,
     l_shift = (end_s[0] - pts_l[0][0], end_s[1] - pts_l[0][1])
     l_path = [(q[0] + l_shift[0], q[1] + l_shift[1]) for q in pts_l]
     verts = pts_s[:-1] + [cut1, cut2, cut3] + l_path[1:]
-    out = TorusCurve(verts, name=name or f"{l_curve.name}#{s_curve.name}")
+    out = TorusCurve(verts, name=f"{l_curve.name}#{s_curve.name}")
     return out, (w, h)
-
-
-def _auto_width(l_curve, s_curve, at, handle_area) -> Fraction:
-    """Half the smallest positive gap to any nearby strand line; the cut
-    height delta/w must also clear the gap or the handle does not fit.
-
-    The caller usually knows the configuration better (for the torus
-    examples, width = eps/2 with delta < eps^2/2 always fits) and should
-    pass an explicit width.
-    """
-    gaps = []
-    for c in (l_curve, s_curve):
-        for a, b in c.edges():
-            for coord, val in ((0, at[0]), (1, at[1])):
-                if a[coord] == b[coord]:
-                    d = (a[coord] - val) % SIDE
-                    d = min(d, SIDE - d)
-                    if d > 0:
-                        gaps.append(d)
-    g = min(gaps) if gaps else Fraction(1, 2)
-    w = g / 2
-    if handle_area / w >= g:
-        raise GeometryError("handle too large for the local gaps; "
-                            "pass an explicit width")
-    return w
 
 
 def parse_curve(line: str) -> TorusCurve:

@@ -72,13 +72,6 @@ class PlanarDiagram:
             return (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
         return (min(xs), min(ys), max(xs), max(ys))
 
-    def translated(self, dx, dy) -> "PlanarDiagram":
-        dx, dy = rat(dx), rat(dy)
-        return PlanarDiagram(
-            [((a[0] + dx, a[1] + dy), (b[0] + dx, b[1] + dy))
-             for a, b in self.segments],
-            [((p[0] + dx, p[1] + dy), d) for p, d in self.rays])
-
     def union(self, other: "PlanarDiagram") -> "PlanarDiagram":
         return PlanarDiagram(self.segments + other.segments,
                              self.rays + other.rays)

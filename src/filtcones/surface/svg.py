@@ -10,22 +10,23 @@ from .shadow import PlanarDiagram
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f"]
+_SIZE = 480  # pixels on each side of the picture
 
 
 def _f(x) -> str:
     return f"{float(x):.6g}"
 
 
-def curves_to_svg(curves: Dict[str, TorusCurve], size: int = 480) -> str:
+def curves_to_svg(curves: Dict[str, TorusCurve]) -> str:
     """Render named torus curves on the fundamental square."""
-    scale = size / 2.2
-    cx = cy = size / 2
+    scale = _SIZE / 2.2
+    cx = cy = _SIZE / 2
 
     def pt(p):
         return f"{_f(cx + float(p[0]) * scale)},{_f(cy - float(p[1]) * scale)}"
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+             f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">']
     corner = pt((-1, 1))
     side = _f(2 * scale)
     parts.append(f'<rect x="{corner.split(",")[0]}" y="{corner.split(",")[1]}" '
@@ -62,19 +63,19 @@ def _wrap_edge(a, b):
     return pieces
 
 
-def diagram_to_svg(diagram: PlanarDiagram, size: int = 480) -> str:
+def diagram_to_svg(diagram: PlanarDiagram) -> str:
     x0, y0, x1, y1 = diagram.bounds()
     w = float(x1 - x0) or 1.0
     h = float(y1 - y0) or 1.0
     pad = 0.1 * max(w, h) + 0.2
-    scale = size / (max(w, h) + 2 * pad)
+    scale = _SIZE / (max(w, h) + 2 * pad)
 
     def pt(p):
         return (f"{_f((float(p[0]) - float(x0) + pad) * scale)},"
                 f"{_f((float(y1) - float(p[1]) + pad) * scale)}")
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}">']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+             f'height="{_SIZE}">']
     for a, b in diagram.segments:
         parts.append(f'<polyline points="{pt(a)} {pt(b)}" fill="none" '
                      'stroke="#1f77b4" stroke-width="1.5"/>')

@@ -86,10 +86,6 @@ class Discrepancy:
         if self.cap != other.cap:
             raise CapError(f"cap mismatch {self.cap} vs {other.cap}")
 
-    def add_const(self, c) -> "Discrepancy":
-        c = rat(c)
-        return Discrepancy([v + c for v in self.values], "hom")
-
     def minus_first(self) -> "Discrepancy":
         """eps - eps_1: first entry 0, later entries possibly negative;
         only meaningful inside a pointwise max with module discrepancies."""
@@ -275,15 +271,13 @@ class _Table:
         """Per-arity worst action overshoot actually attained."""
         return self._measured(Fraction(0))
 
-    def _check_relations(self, max_arity, base, failed: str):
+    def _check_relations(self, base, failed: str):
         """The A-infinity (or module) relations on tuples up to cap - 1.
 
         Relations at arity n are vacuous once n exceeds twice the top
         nonzero operation arity minus one, so the check stops there.
         """
-        top = max_arity if max_arity is not None else \
-            min(self.cap - 1, 2 * self.max_op_arity() - 1)
-        for n in range(1, top + 1):
+        for n in range(1, min(self.cap - 1, 2 * self.max_op_arity() - 1) + 1):
             for gens in self.tuples(n):
                 if _insert(gens, self, self, base):
                     raise WfError(failed.format(gens))
@@ -382,9 +376,9 @@ class WFCategory(_Table):
         """Largest arity carrying a nonzero operation (mu_1 included)."""
         return max(1, self._top())
 
-    def check_ainf_relations(self, max_arity: Optional[int] = None):
+    def check_ainf_relations(self):
         """The A-infinity relations, then each entry against ``disc``."""
-        self._check_relations(max_arity, self, "A-infinity relation fails at {}")
+        self._check_relations(self, "A-infinity relation fails at {}")
         for d, gens, over in self._overshoots():
             if over > self.disc[d]:
                 raise WfError(f"mu_{d}{gens} violates the declared discrepancy")
@@ -437,8 +431,8 @@ class WFModule(_Table):
     def max_op_arity(self) -> int:
         return max(self.cat.max_op_arity(), self._top())
 
-    def check_module_relations(self, max_arity: Optional[int] = None):
-        self._check_relations(max_arity, self.cat, "module relation fails at {}")
+    def check_module_relations(self):
+        self._check_relations(self.cat, "module relation fails at {}")
         meas = self.measured_discrepancy()
         for d in range(2, self.cap + 1):
             if meas[d - 1] > self.disc[d]:
@@ -576,14 +570,13 @@ def mu2_mod(f: PreModHom, g: PreModHom) -> PreModHom:
 
 
 def verify_hom_filtration(m0: WFModule, m1: WFModule, eps_h: Discrepancy,
-                          homs: Sequence[PreModHom], rho=None) -> bool:
-    """mu1_mod preserves hom^{<= rho; eps_h} on the given sample maps."""
+                          homs: Sequence[PreModHom]) -> bool:
+    """mu1_mod preserves hom^{<= rho; eps_h} on the given sample maps, rho
+    the least level holding each map."""
     for f in homs:
-        r = rho
-        if r is None:
-            meas = f.measured_shifts()
-            r = max((meas[d - 1] - eps_h[d] for d in range(1, f.cap + 1)
-                     if meas[d - 1] > NEG_INF), default=Fraction(0))
+        meas = f.measured_shifts()
+        r = max((meas[d - 1] - eps_h[d] for d in range(1, f.cap + 1)
+                 if meas[d - 1] > NEG_INF), default=Fraction(0))
         if not f.in_hom(r, eps_h):
             raise WfError("sample map not in the stated hom filtration")
         if not mu1_mod(f).in_hom(r, eps_h):
@@ -691,12 +684,11 @@ def cone_compose(f: PreModHom, xi: PreModHom) -> PreModHom:
     return PreModHom(c_src, c_tgt, comps, xi.shift, xi.disc)
 
 
-def cone_boundary_correction(f: PreModHom, theta: PreModHom,
-                             rho=None, eps: Optional[Discrepancy] = None) -> PreModHom:
-    """vartheta: Cone(f) -> Cone(f + mu1_mod theta), action shift <= 0,
-    discrepancy <= eps - eps_1 (signs vanish in characteristic 2)."""
-    rho = f.shift if rho is None else rat(rho)
-    eps = f.disc if eps is None else eps
+def cone_boundary_correction(f: PreModHom, theta: PreModHom) -> PreModHom:
+    """vartheta: Cone(f) -> Cone(f + mu1_mod theta), both cones at f's
+    own (rho, eps); action shift <= 0, discrepancy <= eps - eps_1 (signs
+    vanish in characteristic 2)."""
+    rho, eps = f.shift, f.disc
     fprime = f.add(mu1_mod(theta))
     c_src = cone(f, rho, eps)
     c_tgt = cone(fprime, rho, eps)
@@ -719,11 +711,9 @@ def cone_boundary_correction(f: PreModHom, theta: PreModHom,
 class WFFunctor:
     """Functor data: object map, component tables F_s, discrepancy."""
 
-    def __init__(self, source: WFCategory, target: WFCategory,
-                 obj_map: Dict[str, str], components: MuTable,
-                 disc: Discrepancy):
+    def __init__(self, source: WFCategory, obj_map: Dict[str, str],
+                 components: MuTable, disc: Discrepancy):
         self.source = source
-        self.target = target
         self.obj_map = dict(obj_map)
         self.components = {d: dict(t) for d, t in components.items()}
         self.disc = disc
@@ -806,16 +796,15 @@ def pullback_hom(F: WFFunctor, f: PreModHom, pm0: WFModule,
     return PreModHom(pm0, pm1, comps, f.shift, disc)
 
 
-def pullback_cone(F: WFFunctor, f: PreModHom, pm0: WFModule, pm1: WFModule,
-                  rho=None, epsf: Optional[Discrepancy] = None):
-    """F*(Cone(f; rho, eps)) and Cone(F*f; rho, eps^{F*f}).
+def pullback_cone(F: WFFunctor, f: PreModHom, pm0: WFModule, pm1: WFModule):
+    """F*(Cone(f; rho, eps)) and Cone(F*f; rho, eps^{F*f}), (rho, eps)
+    f's own.
 
     The two agree as filtration tables (the first pull-back discrepancy
     entry equals eps^f_1, so the bottom shift matches); returns the pair
     for table comparison.
     """
-    rho = f.shift if rho is None else rat(rho)
-    epsf = f.disc if epsf is None else epsf
+    rho, epsf = f.shift, f.disc
     c = cone(f, rho, epsf)
     pulled_cone = pullback_module(F, c)
     pf = pullback_hom(F, f, pm0, pm1)
@@ -894,17 +883,16 @@ def _unit_action_map(m: WFModule, x: str) -> FilteredMap:
     return _endomorphism(m.value(x), lambda b: m.mu([m.cat.units[x]], b))
 
 
-def _homotopic_to_identity(maps, floor, kappa):
-    """(ok, worst): worst is the largest B_h(r + id) over the maps r, and
-    at least ``floor``; (False, INF) if some r + id is not null-homotopic.
-    ok says kappa >= worst, and is True for kappa None."""
+def _homotopic_to_identity(maps, floor):
+    """(True, worst): worst is the largest B_h(r + id) over the maps r, and
+    at least ``floor``; (False, INF) if some r + id is not null-homotopic."""
     worst = floor
     for r in maps:
         worst = max(worst, homotopical_boundary_level(
             r.add(FilteredMap.identity(r.domain))))
         if worst >= INF:
             return False, INF
-    return kappa is None or rat(kappa) >= worst, worst
+    return True, worst
 
 
 def check_Uw(m: WFModule, kappa=None):
@@ -932,15 +920,15 @@ def check_Uw(m: WFModule, kappa=None):
     return ok, worst
 
 
-def check_Us(m: WFModule, kappa=None):
+def check_Us(m: WFModule):
     """Homotopy version: mu_2(e, .) chain homotopic to the identity."""
     if not m.cat.units:
         raise WfError("category carries no units")
     return _homotopic_to_identity((_unit_action_map(m, x) for x in m.values),
-                                  m.cat.unit_bound + m.disc[2], kappa)
+                                  m.cat.unit_bound + m.disc[2])
 
 
-def check_URe(cat: WFCategory, y: str, kappa=None):
+def check_URe(cat: WFCategory, y: str):
     """b -> mu_2(b, e_Y) on C(X, Y) chain homotopic to the identity."""
     if not cat.units:
         raise WfError("category carries no units")
@@ -948,7 +936,7 @@ def check_URe(cat: WFCategory, y: str, kappa=None):
     return _homotopic_to_identity(
         (_endomorphism(cat.hom(x, y), lambda b: cat.mu([b, e]))
          for x in cat.objects if (x, y) in cat.homs),
-        cat.disc[2] + cat.unit_bound, kappa)
+        cat.disc[2] + cat.unit_bound)
 
 
 def unit_square_homotopy(m: WFModule, x: str, c_witness: Chain) -> FilteredMap:
@@ -986,7 +974,7 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
     objects: List[str] = []
     hom_lines: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
     mu: MuTable = {}
-    disc_vals = [0]
+    disc = Discrepancy.zero(cap, "category")
     units: Dict[str, Chain] = {}
     unit_bound = Fraction(0)
     gen_home: Dict[str, Tuple[str, str]] = {}
@@ -1015,9 +1003,10 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
                 mu.setdefault(int(d), {})[name_tuple(gens)] = \
                     parse_chain(rhs, cutoff)
             elif word == "disc":
-                disc_vals = [rat(v) for v in rest.split()]
-                if not disc_vals:
+                vals = [rat(v) for v in rest.split()]
+                if not vals:
                     raise WfError("a disc line needs at least one value")
+                disc = Discrepancy((vals + vals[-1:] * cap)[:cap], "category")
             elif word == "unit":
                 head, rest = rest.split("=", 1)
                 rest, _, bound = rest.partition(" bound ")
@@ -1027,6 +1016,5 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
                 raise WfError(f"unrecognized category line {line!r}")
     homs = {key: parse_complex(body, cutoff)
             for key, body in hom_lines.items()}
-    disc = Discrepancy((disc_vals + disc_vals[-1:] * cap)[:cap], "category")
     return WFCategory(objects, homs, mu, disc, cap=cap,
                       units=units or None, unit_bound=unit_bound)

@@ -239,8 +239,7 @@ def _tower(rng, nobj, sigma=F(1, 2)):
 def test_criterion_8_twisted_assembly():
     cat = strict_dg_category(nobj=3)
     objs = ["L0", "L1", "L2"]
-    sym = assemble_twisted_mu1(
-        cat, objs, TwistedData(cat, objs, {}))
+    sym = assemble_twisted_mu1(cat, objs)
     ok = sym[(0, 2)] == TwistedEntry([(2, ((2, 0),)), (3, ((2, 1), (1, 0)))])
     ok &= sym[(0, 1)] == TwistedEntry([(2, ((1, 0),))])
     ok &= sym[(1, 2)] == TwistedEntry([(2, ((2, 1),))])
@@ -323,7 +322,7 @@ def _audit_corrected_instance(rng) -> bool:
         mat[f"{gen}@{block(gen)}"] = {f"{h}@{block(h)}": s
                                       for h, s in img.items()}
     sigma1 = FilteredMap(kx, mx, mat, 0)
-    rep = audit_structure_theorem(cat, objs, kx, mx, sigma1, xi_r=1)
+    rep = audit_structure_theorem(cat, objs, kx, mx, sigma1)
     return rep["ok"]
 
 

@@ -217,6 +217,8 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
      "line 23: unrecognized category line 'discount 0 1/2'\n"),
     ("twisted-check", TWISTED.replace("mu 2 (x2,m21)", "mu 2 x2,m21"),
      "line 16: expected (a,b,...), got 'x2,m21'\n"),
+    ("twisted-check", "objects X\nobject X\nhom X X: gen e action 0\ndisc 1 1\n",
+     "line 4: category discrepancy must have eps_1 = 0\n"),
 ])
 def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
                                             where):
@@ -265,6 +267,22 @@ def test_cli_twisted_check_refuses_a_pair_with_no_hom_complex(tmp_path,
     assert code == 1
     assert out.splitlines() == ["twisted differential | - | - | error: "
                                 "no hom complex for (B, A)"]
+
+
+@pytest.mark.parametrize("phis", [
+    "phi 2 (x2) -> T^0*x1\n",  # no stage 1
+    "phi 1 (x1) -> T^0*x0\nphi 3 (x2) -> T^0*x1\n",  # no stage 2
+    "phi 1 (x1) -> T^0*x0\nphi 2 (x2) -> T^0*x1\nphi 3 (x2) -> T^0*x1\n",
+], ids=["gap", "past-objects", "too-many"])
+def test_cli_twisted_check_refuses_misnumbered_phi_stages(tmp_path, capsys,
+                                                          phis):
+    f = tmp_path / "tw.txt"
+    f.write_text(TWISTED + phis)
+    code = main(["twisted-check", "--spec", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: {f}: phi lines must number the stages 1, 2, "
+                   "..., r with r below the number of objects\n")
 
 
 def test_cli_twisted_check(tmp_path, capsys):
@@ -327,6 +345,7 @@ MALFORMED_QUERIES = [
     ("metric", SCENARIO, "d_k L' L k=0 k=1", "error: option 'k' given twice"),
     ("metric", SCENARIO, "l_a L' L a=x", "error: "),
     ("metric", SCENARIO, "d_F L'", "error: d_F needs two names"),
+    ("metric", SCENARIO, "floer N zz", "error: unknown or missing 'zz'"),
     ("width", SCENARIO, "width carrier=S1 q=zz",
      "error: unknown or missing 'zz'"),
     ("width", SCENARIO, "width carrier=L q=S1 bogus=1",

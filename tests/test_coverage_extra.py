@@ -43,7 +43,7 @@ def test_pullback_cone_tables_agree():
     m1 = yoneda_module(cat, "L0")
     from filtcones.wfainf import lambda_map
     f = lambda_map(m1, "L1", cat.hom("L1", "L0").basis_chain("m10"))
-    F_ident = WFFunctor(cat2, cat, {o: o for o in cat.objects},
+    F_ident = WFFunctor(cat2, {o: o for o in cat.objects},
                         {1: {(g,): cat.hom(*cat.gen_hom[g]).basis_chain(g)
                              for g in cat2.gen_hom}},
                         Discrepancy([c_shift] + [0] * (cat.cap - 1), "hom"))

@@ -256,10 +256,6 @@ def test_min_beta_subspace_vs_sampling():
             continue
         grid = cx.grid(bs)
         m = grid.min_beta_over_span(bs)
-        # attainment: the witness is in the span and has beta == m
-        w = grid.last_witness
-        assert w is not None
-        assert boundary_level(w, cx) - action_level(w, cx) == m
         # soundness: no sampled combination dips below m
         for _ in range(15):
             combo = {}

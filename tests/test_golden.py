@@ -27,9 +27,7 @@ from filtcones.scenarios import (
 )
 from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
 from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
-from filtcones.twisted import (
-    IteratedConeSpec, build_iterated_cone, retract_energy,
-)
+from filtcones.twisted import build_iterated_cone, retract_energy
 from filtcones.wfainf import Discrepancy, cone, lambda_map, yoneda_module
 
 from support import (
@@ -249,9 +247,9 @@ def _strict_tower(seed, nobj):
 
     objs = [f"L{j}" for j in range(nobj)]
     zero = Discrepancy.zero(cat.cap, "hom")
-    spec = IteratedConeSpec(cat, objs, [attach(j) for j in range(1, nobj)],
-                            [0] * (nobj - 1), [zero] * (nobj - 1))
-    stages.append(build_iterated_cone(spec)[0])
+    stages.append(build_iterated_cone(
+        cat, objs, [attach(j) for j in range(1, nobj)],
+        [0] * (nobj - 1), [zero] * (nobj - 1))[0])
     return stages
 
 

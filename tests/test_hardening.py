@@ -105,8 +105,6 @@ def test_min_beta_spans_with_mixing_automorphism():
             continue
         grid = cx.grid(bs)
         m = grid.min_beta_over_span(bs)
-        w = grid.last_witness
-        assert boundary_level(w, cx) - action_level(w, cx) == m
         for _ in range(20):
             combo = {}
             for b in bs:

@@ -174,7 +174,7 @@ def test_surgery_basic():
     l = horizontal(0)
     s1 = vertical(F(-5, 8), "S1")
     delta = F(1, 256)
-    cur, (w, h) = surgery(l, s1, (F(-5, 8), 0), delta)
+    cur, (w, h) = surgery(l, s1, (F(-5, 8), 0), delta, F(1, 4))
     assert w * h == delta
     assert cur.is_embedded()
     assert cur.hclass == (l.hclass[0] + s1.hclass[0],
@@ -182,9 +182,9 @@ def test_surgery_basic():
     # the crossing is resolved: no transverse crossings with S1 remain
     assert count_transverse_crossings(cur, s1) == 0
     with pytest.raises(GeometryError):
-        surgery(l, s1, (F(-5, 8), 0), 0)
+        surgery(l, s1, (F(-5, 8), 0), 0, F(1, 4))
     with pytest.raises(GeometryError):
-        surgery(l, s1, (0, 0), delta)  # not an intersection point
+        surgery(l, s1, (0, 0), delta, F(1, 4))  # not an intersection point
 
 
 def test_surgery_embeds_composites():
@@ -207,10 +207,11 @@ def test_surgery_refuses_a_point_on_only_one_curve():
             with pytest.raises(GeometryError, match=(
                     rf"point \({at[0]}, {at[1]}\) is not a transverse "
                     rf"crossing of {a.name} and {b.name}")):
-                surgery(a, b, at, F(1, 256))
+                surgery(a, b, at, F(1, 256), F(1, 4))
     # a deck translate of the crossing is the crossing itself
-    cur, _ = surgery(l, s1, (F(11, 8), 2), F(1, 256))
-    assert cur.vertices == surgery(l, s1, (F(-5, 8), 0), F(1, 256))[0].vertices
+    cur, _ = surgery(l, s1, (F(11, 8), 2), F(1, 256), F(1, 4))
+    assert cur.vertices == surgery(l, s1, (F(-5, 8), 0), F(1, 256),
+                                   F(1, 4))[0].vertices
 
 
 def test_crossing_records_carry_edges_lifts_and_sign():

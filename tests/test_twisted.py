@@ -15,7 +15,7 @@ from filtcones.wfainf import (
 )
 from filtcones import twisted, wfainf
 from filtcones.twisted import (
-    IteratedConeSpec, TwistedData, TwistedError, TwistedEntry, assemble_twisted_mu1,
+    TwistedData, TwistedError, TwistedEntry, assemble_twisted_mu1,
     audit_structure_theorem, bounds_chi_xi, build_iterated_cone,
     check_twisted_square_zero, cone_replace,
     retract_energy, twisted_value_complex, weight_wp,
@@ -55,15 +55,14 @@ def build_random_tower(rng, nobj=3, sigma=Fraction(1, 2)):
             cyc[g] = s
         rhos.append(f.shift)
         k = cone(f, f.shift, Discrepancy.zero(cat.cap, "hom"))
-    data = TwistedData(cat, objs, cycles, require_cycles=False)
+    data = TwistedData(cat, objs, cycles)
     return cat, objs, k, data, rhos
 
 
 def test_symbolic_matrix_r1_r2():
     cat = strict_dg_category(nobj=3)
     objs = ["L0", "L1", "L2"]
-    data = TwistedData(cat, objs, {}, require_cycles=False)
-    sym = assemble_twisted_mu1(cat, objs, data)
+    sym = assemble_twisted_mu1(cat, objs)
     assert sym[(0, 1)] == TwistedEntry([(2, (((1, 0),)))])
     # r = 2 matrix matches the displayed shape entry for entry
     assert sym[(0, 2)] == TwistedEntry([
@@ -83,7 +82,7 @@ def test_symbolic_matrix_lists_every_path_once():
     cat = strict_dg_category(nobj=cap, cap=cap)
     for r in range(1, cap):
         objs = [f"L{i}" for i in range(r + 1)]
-        sym = assemble_twisted_mu1(cat, objs, TwistedData(cat, objs, {}))
+        sym = assemble_twisted_mu1(cat, objs)
         for i in range(r + 1):
             for j in range(i + 1, r + 1):
                 inner = range(i + 1, j)
@@ -102,7 +101,7 @@ def test_symbolic_matrix_lists_every_path_once():
 def test_zero_data_block_diagonal():
     cat = strict_dg_category(nobj=3)
     objs = ["L0", "L1", "L2"]
-    data = TwistedData(cat, objs, {}, require_cycles=False)
+    data = TwistedData(cat, objs, {})
     cx = twisted_value_complex(cat, objs, data, "X")
     for g in cx.generators:
         base, blk = g.rsplit("@", 1)
@@ -136,8 +135,7 @@ def test_square_zero_detects_bad_data():
     c10 = {"one[L1,L0]": nov(0)}
     c21 = {"one[L2,L1]": nov(0)}
     c20 = {"eps[L2,L0]": nov(0)}  # d(eps) = T^sigma one != mu2(c21, c10)
-    data = TwistedData(cat, objs, {(1, 0): c10, (2, 1): c21, (2, 0): c20},
-                       require_cycles=False)
+    data = TwistedData(cat, objs, {(1, 0): c10, (2, 1): c21, (2, 0): c20})
     assert not check_twisted_square_zero(cat, objs, data, "X")
 
 
@@ -159,16 +157,14 @@ def test_build_iterated_cone_ledger():
 
     d1 = Discrepancy([Fraction(1, 2)] + [1] * (cat.cap - 1), "hom")
     d2 = Discrepancy([Fraction(1, 4)] + [2] * (cat.cap - 1), "hom")
-    spec = IteratedConeSpec(cat, objs, [phi1, phi2], [2, 3], [d1, d2])
-    k, ledger = build_iterated_cone(spec)
+    k, ledger = build_iterated_cone(cat, objs, [phi1, phi2], [2, 3], [d1, d2])
     assert len(ledger) == 3
     for d in range(1, cat.cap + 1):
         assert ledger[1][d] == max(cat.disc[d], d1[d] - d1[1])
         assert ledger[2][d] == max(ledger[1][d], d2[d] - d2[1])
     assert k.disc.values == ledger[2].values
     # r = 0: the cone tower degenerates to the Yoneda module
-    spec0 = IteratedConeSpec(cat, ["L0"], [], [], [])
-    k0b, ledger0 = build_iterated_cone(spec0)
+    k0b, ledger0 = build_iterated_cone(cat, ["L0"], [], [], [])
     assert k0b.values.keys() == k0.values.keys()
     assert ledger0[0].values == tuple(cat.disc.values)
 
@@ -194,12 +190,11 @@ def test_build_iterated_cone_refuses_a_non_cycle():
         calls.append(f)
         return mu1_mod(f)
 
-    spec = IteratedConeSpec(cat, objs, [right_mult(1), right_mult(2)],
-                            [0, 0], [zero, zero])
     saved = wfainf.mu1_mod, twisted.mu1_mod
     wfainf.mu1_mod = twisted.mu1_mod = counted
     try:
-        build_iterated_cone(spec)
+        build_iterated_cone(cat, objs, [right_mult(1), right_mult(2)],
+                            [0, 0], [zero, zero])
     finally:
         wfainf.mu1_mod, twisted.mu1_mod = saved
     assert len(calls) == 2
@@ -207,10 +202,9 @@ def test_build_iterated_cone_refuses_a_non_cycle():
     bad1, bad2 = {"eps[L1,L0]": nov(0)}, {"eps[L2,L1]": nov(0)}
     for phis, stage in (([right_mult(1, bad1)], 1),
                         ([right_mult(1), right_mult(2, bad2)], 2)):
-        spec = IteratedConeSpec(cat, objs[:len(phis) + 1], phis,
-                                [0] * len(phis), [zero] * len(phis))
         with pytest.raises(TwistedError) as exc:
-            build_iterated_cone(spec)
+            build_iterated_cone(cat, objs[:len(phis) + 1], phis,
+                                [0] * len(phis), [zero] * len(phis))
         assert str(exc.value) == f"attaching map {stage} is not a cycle"
 
 
@@ -247,10 +241,10 @@ def test_audit_trivial_tower():
     rng = random.Random(11)
     cat, objs, k, data, rhos = build_random_tower(rng, nobj=3)
     kx = _rename_block(k.value("X"), cat)
-    mx = twisted_value_complex(cat, objs, data, "X",
-                               actions={j: {g: k.value("X").action[g]
-                                            for g in cat.hom("X", o).generators}
-                                        for j, o in enumerate(objs)})
+    # the twisted complex, each summand at its action in the cone
+    mx = twisted_value_complex(cat, objs, data, "X")
+    mx = FilteredComplex(mx.generators, {g: kx.action[g] for g in mx.generators},
+                         mx.diff, mx.cutoff, check=False)
     ident = FilteredMap.identity(kx)
     sigma1 = FilteredMap(kx, mx, {g: {g: nov(0)} for g in kx.generators}, 0)
     rep = audit_structure_theorem(cat, objs, kx, mx, sigma1)
@@ -313,7 +307,7 @@ def test_audit_corrected_tower():
         mat[gg] = {f"{h}@{int(cat.gen_hom[h][1][1:])}": s
                    for h, s in img.items()}
     sigma1 = FilteredMap(kx, mx, mat, 0)
-    rep = audit_structure_theorem(cat, objs, kx, mx, sigma1, xi_r=1)
+    rep = audit_structure_theorem(cat, objs, kx, mx, sigma1)
     assert rep["ok"], rep
     assert rep["sigma1_inverse_shift"] <= 0
     assert rep["sigma1_inverse_shift"] == ref_left_inverse_action(sigma1)

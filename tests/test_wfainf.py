@@ -347,7 +347,7 @@ def test_cone_filtration_change_shifts():
     rho = f.shift
     eps = f.disc
     rho2 = rho + 2
-    eps2 = eps.add_const(Fraction(1, 2))
+    eps2 = Discrepancy([v + Fraction(1, 2) for v in eps.values], "hom")
     c1 = cone(f, rho, eps)
     c2 = cone(f, rho2, eps2)
     t1, t2 = c1.action_table(), c2.action_table()
@@ -384,11 +384,12 @@ def test_action_shift_cone_four_way_identity():
     rhs1 = cone(f_shifted, rho, eps).action_table()
     assert lhs == rhs1
     # Cone(M0 -> S^nu M1; f; rho, eps - nu) -- realized via the eps_1 offset
-    f_half = PreModHom(m0, shift_module(m1, nu), f.components, rho,
-                       eps.add_const(-nu) if all(v >= nu for v in eps.values)
-                       else eps)
-    if all(v >= nu for v in eps.values):
-        rhs2 = cone(f_half, rho, eps.add_const(-nu)).action_table()
+    shifted = all(v >= nu for v in eps.values)
+    eps_half = Discrepancy([v - nu for v in eps.values], "hom") if shifted \
+        else eps
+    f_half = PreModHom(m0, shift_module(m1, nu), f.components, rho, eps_half)
+    if shifted:
+        rhs2 = cone(f_half, rho, eps_half).action_table()
         assert lhs == rhs2
     # Cone(M0 -> S^nu M1; f; rho - nu, eps)
     f_low = PreModHom(m0, shift_module(m1, nu), f.components, rho - nu, eps)
@@ -454,7 +455,7 @@ def test_cone_boundary_correction():
 def test_pullback_identity_functor():
     cat = chain_category()
     m = yoneda_module(cat, "L0")
-    F = WFFunctor(cat, cat, {o: o for o in cat.objects},
+    F = WFFunctor(cat, {o: o for o in cat.objects},
                   {1: {(g,): cat.hom(*cat.gen_hom[g]).basis_chain(g)
                        for g in cat.gen_hom}},
                   Discrepancy.zero(cat.cap, "hom"))
@@ -487,7 +488,7 @@ def test_pullback_shifted_category():
                                   "category"),
                       cap=cat.cap, check=False)
     m = yoneda_module(cat, "L0")
-    F = WFFunctor(cat2, cat, {o: o for o in cat.objects},
+    F = WFFunctor(cat2, {o: o for o in cat.objects},
                   {1: {(g,): cat.hom(*cat.gen_hom[g]).basis_chain(g)
                        for g in cat2.gen_hom}},
                   Discrepancy([c] + [0] * (cat.cap - 1), "hom"))
@@ -505,7 +506,7 @@ def test_pullback_reads_a_higher_functor_component():
     m = yoneda_module(cat, "L0")
     ident = {(g,): cat.hom(*cat.gen_hom[g]).basis_chain(g)
              for g in cat.gen_hom}
-    F = WFFunctor(cat, cat, {o: o for o in cat.objects},
+    F = WFFunctor(cat, {o: o for o in cat.objects},
                   {1: ident, 2: {("x2", "m21"): {"x1": nov(1)}}},
                   Discrepancy.zero(cat.cap, "hom"))
     pm = pullback_module(F, m)
