@@ -199,9 +199,9 @@ class MetricSpace:
 
     # -- lower bounds ------------------------------------------------------
 
-    def prune_lower_bound(self, source: str, end_names: Sequence[str],
-                          mode: str = "weakly-exact") -> Fraction:
-        """(1/2) delta(source; union of ends), or its monotone variant."""
+    def prune_lower_bound(self, source: str,
+                          end_names: Sequence[str]) -> Fraction:
+        """(1/2) delta(source; union of ends), capped at monotone_min_area."""
         carrier = self.carrier_curves(source)
         q = self.cover_curves(end_names)
         key = (tuple(carrier), frozenset(q))
@@ -210,7 +210,7 @@ class MetricSpace:
                 self._tables[key[0]] = StrandTable(carrier)
             self._widths[key] = self._tables[key[0]].width(key[1])
         val = self._widths[key] / 2
-        if mode == "monotone" and self.monotone_min_area is not None:
+        if self.monotone_min_area is not None:
             val = min(val, self.monotone_min_area)
         return val
 
@@ -218,13 +218,6 @@ class MetricSpace:
         if probe not in self._probe_ok:
             self._probe_ok[probe] = probe.verify(self)
         return self._probe_ok[probe]
-
-    def _bound_for_ends(self, lp: str, l: str, ends: Sequence[str],
-                        mode: str) -> Tuple[Fraction, Fraction]:
-        """(width(lp; l + ends)/2, width(l; lp + ends)/2), which depend
-        only on the set of ends."""
-        return (self.prune_lower_bound(lp, [l, *ends], mode),
-                self.prune_lower_bound(l, [lp, *ends], mode))
 
     def _certify(self, lp: str, l: str, ends: Tuple[str, ...],
                  widths: Tuple[Fraction, Fraction]) -> Tuple[Fraction, str]:
@@ -298,7 +291,7 @@ class MetricSpace:
         return goals
 
     def _results(self, lp: str, l: str, family_name: str,
-                 mode: str = "weakly-exact", top_end: bool = False):
+                 top_end: bool = False):
         """Yield d_k(lp, l) for k = 0, 1, ... from one search.
 
         The upper bound is the least recorded goal with at most k extra
@@ -310,6 +303,7 @@ class MetricSpace:
         """
         family = self.families[family_name]
         goals = self._search(lp, l, family, top_end)
+        # per set of ends: (width(lp; l + ends)/2, width(l; lp + ends)/2)
         widths: Dict[frozenset, Tuple[Fraction, Fraction]] = {}
         lower, cert = INF, "no ends"
         for k in itertools.count():
@@ -319,7 +313,8 @@ class MetricSpace:
                     sorted(set(family)), k):
                 key = frozenset(ends)
                 if key not in widths:
-                    widths[key] = self._bound_for_ends(lp, l, key, mode)
+                    widths[key] = (self.prune_lower_bound(lp, [l, *key]),
+                                   self.prune_lower_bound(l, [lp, *key]))
                 val, why = self._certify(lp, l, ends, widths[key])
                 if val < lower:
                     lower, cert = val, why
@@ -334,9 +329,9 @@ class MetricSpace:
     # -- public metric queries -----------------------------------------------
 
     def d_k(self, lp: str, l: str, family_name: str, k: int,
-            mode: str = "weakly-exact", top_end: bool = False) -> MetricResult:
+            top_end: bool = False) -> MetricResult:
         return next(itertools.islice(
-            self._results(lp, l, family_name, mode, top_end), k, None))
+            self._results(lp, l, family_name, top_end), k, None))
 
     def cone_length(self, lp: str, l: str, family_name: str, a,
                     kmax: int = 8) -> MetricResult:
@@ -358,11 +353,11 @@ class MetricSpace:
                 lower_k = k + 1
         return MetricResult(lower_k, INF, None, "budget exhausted")
 
-    def d_f(self, lp: str, l: str, family_name: str, kmax: int = 6,
-            mode: str = "weakly-exact") -> MetricResult:
+    def d_f(self, lp: str, l: str, family_name: str,
+            kmax: int = 6) -> MetricResult:
         """min over k <= kmax of d_k, the first k on ties."""
         return min(itertools.islice(
-            self._results(lp, l, family_name, mode), kmax + 1),
+            self._results(lp, l, family_name), kmax + 1),
             key=lambda r: (r.upper, r.lower))
 
     def d_hat(self, lp: str, l: str, fam1: str, fam2: str,

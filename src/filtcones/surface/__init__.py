@@ -4,12 +4,3 @@ The torus is the square [-1,1] x [-1,1] with opposite sides identified
 (side length 2).  All geometry is exact rational; transversality is
 exact and near-degenerate inputs must be perturbed by the caller.
 """
-
-from .curves import (
-    GeometryError, TorusCurve, count_transverse_crossings, intersections,
-    parse_curve, surgery,
-)
-from .floer import floer_complex, hf_rank, mu2_triangles
-from .widths import gromov_width_double_points, gromov_width_rel
-from .shadow import PlanarDiagram, parse_diagram, planar_shadow, shear_diagram
-from .svg import curves_to_svg, diagram_to_svg

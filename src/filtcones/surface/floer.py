@@ -1,12 +1,14 @@
-"""Combinatorial Floer complexes for transverse curve pairs on the torus.
+"""Combinatorial Floer theory for transverse curve pairs on the torus.
 
-Generators are the intersection points at action zero; the differential
-counts embedded bigons (lunes) in the universal cover, bounded by one arc
-of each curve with convex corners, weighted by T^area, mod 2, and directed
-from the positive corner to the negative one.  One polygon walk finds the
-lunes and the triangles of ``mu2_triangles`` from the order of the
-crossings along the curves' lifts, as de Silva, Robbin and Salamon read
-lunes (*Combinatorial Floer Homology*, Mem. AMS 230, 2014).
+``hf_rank`` reads the rank of HF(X, Y) off the two classes and the flux
+and builds no complex.  The polygon walk serves CF(X, Y), its bigons and
+mu_2: generators are the intersection points at action zero; the
+differential counts embedded bigons (lunes) in the universal cover,
+bounded by one arc of each curve with convex corners, weighted by
+T^area, mod 2, and directed from the positive corner to the negative one.
+The walk finds the lunes and the triangles of ``mu2_triangles`` from the
+order of the crossings along the lifts, as de Silva, Robbin and Salamon
+read lunes (*Combinatorial Floer Homology*, Mem. AMS 230, 2014).
 
 A crossing's position on a lift is its edge index plus the fraction of
 that edge before it; the class translate adds the edge count.  Side i of
@@ -15,9 +17,7 @@ sides bound a simple loop iff no crossing of two sides' lifts but their
 common corner lies inside both.  The corners are convex iff each turns
 the same way, as its crossing sign and the directions of its two sides
 say (so a lune's corners carry opposite signs), and the loop's integer
-shoelace area, computed only for loops that pass, has that sign.  So
-when no two crossings of a pair differ in sign there is no lune, and
-``hf_rank`` returns the crossing count without the walk.
+shoelace area, computed only for loops that pass, has that sign.
 
 The walk runs on integers.  Each crossing record holds its ends as
 integer fractions n/den of their edges and integer deck translates
@@ -46,7 +46,7 @@ from math import ceil, floor, gcd, lcm
 from typing import Dict, List, NamedTuple, Tuple
 
 from ..novikov import DEFAULT_CUTOFF, NovikovScalar
-from ..filtcx import Chain, FilteredComplex, homology_rank
+from ..filtcx import Chain, FilteredComplex
 from .curves import GeometryError, Point, TorusCurve, crossings
 
 
@@ -253,14 +253,12 @@ def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, recs=None):
                          [(recs, 1), (recs, 0)])]
 
 
-def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
-                  recs=None) -> FilteredComplex:
+def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve) -> FilteredComplex:
     """CF(N, L): generators at action 0, differential from embedded
     bigons directed from the positive corner to the negative one (the
     corners of a lune carry opposite signs), d^2 = 0 verified at
-    construction.  ``recs`` are the sorted crossing records, if the
-    caller has them."""
-    recs = crossings(n_curve, l_curve) if recs is None else recs
+    construction."""
+    recs = crossings(n_curve, l_curve)
     gens = {r.point: (f"p{i}({r.point[0]},{r.point[1]})", r.sign)
             for i, r in enumerate(recs)}
     names = [name for name, _ in gens.values()]
@@ -277,15 +275,39 @@ def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve,
                            diff, DEFAULT_CUTOFF)
 
 
+def _flux(curve: TorusCurve, m: int) -> int:
+    """2 (q m)^2 F(curve) (see ``hf_rank``) for the lift's scale q: the
+    trapezoid rule, exact on each edge of the integer lift times m."""
+    (hx, hy), pts = curve.hclass, curve.int_lift
+    return m * m * sum(
+        (hx * (ay + by) - hy * (ax + bx)) * (hx * (bx - ax) + hy * (by - ay))
+        for (ax, ay), (bx, by) in zip(pts, pts[1:]))
+
+
 def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve) -> int:
-    """Lambda-dimension of the homology of the Floer complex.  A lune's
-    corners carry opposite signs, so when no two crossings differ in
-    sign the differential is 0 and the rank is the crossing count, read
-    without the walk."""
-    recs = crossings(n_curve, l_curve)
-    if len({r.sign for r in recs}) < 2:
-        return len(recs)
-    return homology_rank(floer_complex(n_curve, l_curve, recs))
+    """Lambda-dimension of HF(N, L), read off the classes and the flux.
+
+    HF over Lambda is invariant under Hamiltonian isotopy, and each curve
+    is isotopic to a straight line of its class h, Hamiltonianly up to a
+    translation (de Silva, Robbin and Salamon, *Combinatorial Floer
+    Homology*, Mem. AMS 230, 2014).  Lines of classes h_N != +-h_L cross
+    |det(h_N, h_L)| times and bound no lune.  For h_L = +-h_N = +-h the
+    rank is 2, that of H(S^1), if N and L are Hamiltonian isotopic: if
+    the area between N and L (oriented like N) is a multiple of the
+    torus area 4; else 0.  With n = (-h_y, h_x) and F the integral of
+    (n.p) d(h.p) over one period of a lift, that area is (F(N) - F(L)) /
+    |h|^2 (the loop between the curves closes with two segments 2h
+    apart, on which n.p agrees), and a deck translate moves F by a
+    multiple of 4|h|^2.  Reversing a curve negates h and F.
+    ``crossings`` refuses pairs that are not transverse."""
+    crossings(n_curve, l_curve)
+    h, k = n_curve.hclass, l_curve.hclass
+    if _det(h, k):
+        return abs(_det(h, k))
+    q = lcm(n_curve.scale, l_curve.scale)
+    diff = _flux(n_curve, q // n_curve.scale) - (1 if k == h else -1) \
+        * _flux(l_curve, q // l_curve.scale)
+    return 0 if diff % (8 * q * q * (h[0] ** 2 + h[1] ** 2)) else 2
 
 
 def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve):

@@ -77,15 +77,6 @@ class PlanarDiagram:
                              self.rays + other.rays)
 
 
-def shear_diagram(d: PlanarDiagram, lam) -> PlanarDiagram:
-    """x -> x + lam*y: area preserving, keeps ends horizontal."""
-    lam = rat(lam)
-    return PlanarDiagram(
-        [((a[0] + lam * a[1], a[1]), (b[0] + lam * b[1], b[1]))
-         for a, b in d.segments],
-        [((p[0] + lam * p[1], p[1]), dd) for p, dd in d.rays])
-
-
 # ---------------------------------------------------------------------------
 # arrangement
 # ---------------------------------------------------------------------------

@@ -54,13 +54,12 @@ class CycleError(WfError):
 class Discrepancy:
     """Sequence eps_1..eps_cap of nonnegative rationals.
 
-    ``kind`` is "category"/"module" (forces eps_1 = 0) or "hom" (eps_1
-    free).
+    ``kind`` picks the validation and is not kept: "category"/"module"
+    (forces eps_1 = 0), "hom" (eps_1 free) or "raw" (entries of any sign).
     """
 
     def __init__(self, values: Sequence, kind: str = "hom"):
         self.values = tuple(rat(v) for v in values)
-        self.kind = kind
         if kind != "raw" and any(v < 0 for v in self.values):
             raise WfError("discrepancies must be nonnegative")
         if kind in ("category", "module") and self.values and self.values[0] != 0:

@@ -21,6 +21,7 @@ from filtcones.surface.curves import (
     SIDE, Crossing, GeometryError, _seg_common, common_scale, path_from,
     scaled, segment_pairs,
 )
+from filtcones.surface.shadow import PlanarDiagram
 
 Rat = Fraction
 
@@ -795,6 +796,19 @@ def ref_mu2_mod(f, g):
 
 
 # ---------------------------------------------------------------------------
+# an area-preserving transform for the shear-invariance checks
+# ---------------------------------------------------------------------------
+
+def shear_diagram(d: PlanarDiagram, lam) -> PlanarDiagram:
+    """x -> x + lam*y: area preserving, keeps ends horizontal."""
+    lam = Fraction(lam)
+    return PlanarDiagram(
+        [((a[0] + lam * a[1], a[1]), (b[0] + lam * b[1], b[1]))
+         for a, b in d.segments],
+        [((p[0] + lam * p[1], p[1]), dd) for p, dd in d.rays])
+
+
+# ---------------------------------------------------------------------------
 # all-pairs geometry scans: every segment pair goes to the exact predicate,
 # with no bounding-box pruning
 # ---------------------------------------------------------------------------
@@ -1308,17 +1322,18 @@ def ref_probe_verify(probe, space) -> bool:
     return True
 
 
-def ref_lower_bounds(space, lp, l, family_name, mode="weakly-exact", kmax=6):
+def ref_lower_bounds(space, lp, l, family_name, kmax=6):
     """(lower, certificate) of d_k(lp, l) for k = 0..kmax, bounding every
     end multiset of at most k family members on its own: both widths
-    through ``ref_gromov_width_rel``, then the probes of that multiset,
+    through ``ref_gromov_width_rel``, capped at the space's
+    ``monotone_min_area`` if it has one, then the probes of that multiset,
     each verified once here by ``ref_probe_verify``."""
     verified = {}
 
     def width(source, ends):
         val = ref_gromov_width_rel(space.carrier_curves(source),
                                    space.cover_curves(ends)) / 2
-        if mode == "monotone" and space.monotone_min_area is not None:
+        if space.monotone_min_area is not None:
             val = min(val, space.monotone_min_area)
         return val
 

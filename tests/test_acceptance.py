@@ -23,10 +23,9 @@ from filtcones.twisted import (
     check_twisted_square_zero, cone_replace,
     retract_energy, rho_upper_from_witness,
 )
-from filtcones.surface import (
-    GeometryError, PlanarDiagram, TorusCurve, floer_complex, hf_rank,
-    intersections, planar_shadow, shear_diagram,
-)
+from filtcones.surface.curves import GeometryError, TorusCurve, intersections
+from filtcones.surface.floer import floer_complex, hf_rank
+from filtcones.surface.shadow import PlanarDiagram, planar_shadow
 from filtcones.scenarios import (
     connected_small_shadow_footprint, disjoint_union_space, lem_ex1_space,
     trace_surgery_space,
@@ -35,7 +34,7 @@ from filtcones.scenarios import (
 from support import (
     check_rho_subadditive, oracle_boundary_level, random_boundary,
     random_complex,
-    random_split_complex, random_cycle_in, strict_dg_category,
+    random_split_complex, random_cycle_in, shear_diagram, strict_dg_category,
     strict_right_mult_hom, nov as mknov,
 )
 

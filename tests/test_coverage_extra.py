@@ -18,8 +18,8 @@ from filtcones.wfainf import (
     yoneda_module,
 )
 from filtcones.twisted import TwistedData, alpha_ledger
-from filtcones.surface import TorusCurve, hf_rank, mu2_triangles
-from filtcones.surface.floer import floer_complex
+from filtcones.surface.curves import TorusCurve
+from filtcones.surface.floer import floer_complex, hf_rank, mu2_triangles
 
 from support import chain_category, random_cycle_in, strict_dg_category, \
     strict_right_mult_hom

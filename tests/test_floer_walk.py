@@ -1,20 +1,23 @@
 """The combinatorial polygon walk of ``floer`` against the arc-pair brute
 force of ``support.ref_enumerate_bigons`` and ``ref_mu2_triangles``, and
-``hf_rank`` against ``ref_hf_rank``, on random curves, the scenario pools
-and the probe curves, plus the zigzag family whose bigon count is known
-in closed form; the probes' quadrant capacities against
-``ref_double_point_width``."""
+``hf_rank`` (classes and flux) against ``ref_hf_rank`` and the homology
+of the walk's complex, on random curves, the scenario pools, the probe
+curves and straight and bent curves of slanted classes, plus the zigzag
+family whose bigon count is known in closed form; the probes' quadrant
+capacities against ``ref_double_point_width``."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from filtcones.filtcx import homology_rank
+from filtcones.novikov import points
 from filtcones.scenarios import lem_ex1_space, trace_surgery_space
-from filtcones.surface import GeometryError, TorusCurve, \
-    gromov_width_double_points, mu2_triangles
-from filtcones.surface.curves import crossings
-from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
+from filtcones.surface.curves import GeometryError, TorusCurve, crossings
+from filtcones.surface.floer import enumerate_bigons, floer_complex, \
+    hf_rank, mu2_triangles
+from filtcones.surface.widths import gromov_width_double_points
 
 from support import ref_double_point_width, ref_enumerate_bigons, \
     ref_hf_rank, ref_mu2_triangles
@@ -90,15 +93,10 @@ def test_bigons_match_brute_force_on_random_curves(pair):
 def test_ranks_match_brute_force_on_random_curves(pair):
     a, b = pair
     recs = _outcome(crossings, a, b)
-    # Two limits of the engines, not of the rank: the oracle expands
-    # determinants by permutations, in time factorial in the rank of d
-    # (at most half the crossing count); and ``homology_rank`` holds a
-    # scalar as a bitmask over the common denominator of its exponents,
-    # which the lune areas of slanted edges push past 2^30, so mixed pairs
-    # are drawn from the axis-parallel curves alone.
-    assume(isinstance(recs, tuple) or len(recs) <= 12 and (
-        len({r.sign for r in recs}) < 2
-        or a.axis_parallel() and b.axis_parallel()))
+    # A limit of the oracle, not of the rank: it expands determinants by
+    # permutations, in time factorial in the rank of d (at most half the
+    # crossing count), so pairs with more than 12 crossings are left out.
+    assume(isinstance(recs, tuple) or len(recs) <= 12)
     assert _outcome(hf_rank, a, b) == _outcome(ref_hf_rank, a, b)
 
 
@@ -130,8 +128,10 @@ def test_bigons_match_brute_force_on_scenario_pools(suite):
 
 
 def test_ranks_match_brute_force_on_scenario_pools():
-    """Sign-pure pairs (rank read off the count) and mixed ones (rank off
-    the walk) both occur, and both agree with the brute force."""
+    """On every ordered pair of the pools the rank equals the brute-force
+    oracle's and the homology rank of the walk's complex, or both refuse;
+    pairs whose crossings share one sign (no lune) and pairs with both
+    signs both occur."""
     kinds = {True: 0, False: 0}
     for pool in _pools().values():
         for a in pool:
@@ -141,6 +141,7 @@ def test_ranks_match_brute_force_on_scenario_pools():
                 got = _outcome(hf_rank, a, b)
                 assert got == _outcome(ref_hf_rank, a, b)
                 if isinstance(got, int):
+                    assert got == homology_rank(floer_complex(a, b))
                     kinds[len({r.sign for r in crossings(a, b)}) < 2] += 1
     assert kinds[True] > 0 and kinds[False] > 0
 
@@ -167,6 +168,77 @@ def test_probe_ranks_and_capacities_match_the_oracles(eps, delta):
                                                  q)
         assert gromov_width_double_points(
             system, probe.sigma_points, [n_t]) == 4 * probe.profile(t)
+
+
+# -- ranks of slanted classes -----------------------------------------------------
+
+def _ranks(a, b):
+    """hf_rank, the brute-force oracle and the homology of the walk's
+    complex."""
+    return (hf_rank(a, b), ref_hf_rank(a, b),
+            homology_rank(floer_complex(a, b)))
+
+
+STRAIGHT = {(2, 1): TorusCurve([(-1, F(-3, 4)), (3, F(5, 4))], name="A"),
+            (1, 2): TorusCurve([(F(-1, 3), -1), (F(5, 3), 3)], name="B"),
+            (1, 0): TorusCurve([(-1, F(1, 5)), (1, F(1, 5))], name="H"),
+            (0, 1): TorusCurve([(F(1, 7), -1), (F(1, 7), 1)], name="V")}
+
+
+@pytest.mark.parametrize("h,k,rank", [((2, 1), (1, 2), 3),
+                                      ((2, 1), (1, 0), 1),
+                                      ((2, 1), (0, 1), 2),
+                                      ((1, 2), (1, 0), 2),
+                                      ((1, 2), (0, 1), 1)])
+def test_straight_lines_of_different_classes_have_rank_det(h, k, rank):
+    a, b = STRAIGHT[h], STRAIGHT[k]
+    assert _ranks(a, b) == _ranks(b, a) == (rank,) * 3
+    assert len(crossings(a, b)) == rank
+
+
+def test_parallel_lines_apart_by_half_the_torus_have_rank_0():
+    """y = x + 1/2 and y = x + 3/2 (class (1, 1)) bound a band of area 2:
+    their F differ by 4, a multiple of 4 but not of 4|h|^2 = 8."""
+    a = TorusCurve([(-1, F(-1, 2)), (1, F(3, 2))], name="X")
+    b = TorusCurve([(-1, F(1, 2)), (1, F(5, 2))], name="Y")
+    back = TorusCurve([(1, F(5, 2)), (-1, F(1, 2))], name="Y-")
+    assert _ranks(a, b) == _ranks(a, back) == (0, 0, 0)
+
+
+def _sheared_dip(depth, name):
+    """The dipped horizontal circle of ``test_surface`` at y = 1/4, the
+    dip 1/2 wide, sheared by (x, y) -> (x, y + x) into class (1, 1)."""
+    pts = [(-1, F(1, 4)), (F(-1, 4), F(1, 4)), (F(-1, 4), F(1, 4) - depth),
+           (F(1, 4), F(1, 4) - depth), (F(1, 4), F(1, 4)), (1, F(1, 4))]
+    return TorusCurve([(x, y + x) for x, y in pts], name=name)
+
+
+def test_zero_flux_class_11_pair_has_rank_2():
+    """The dip of depth 1 cuts the band between the curve and y = x into
+    two bigons of area 3/8 on either side: zero flux, rank 2 in either
+    orientation; the dip of depth 1/2 leaves bigons of 1/8 and 3/8, rank
+    0 with two crossings."""
+    diag = TorusCurve([(-1, -1), (1, 1)], name="D")
+    back = TorusCurve([(1, 1), (-1, -1)], name="D-")
+    even, odd = _sheared_dip(1, "M"), _sheared_dip(F(1, 2), "M'")
+    assert _ranks(even, diag) == _ranks(diag, even) == _ranks(even, back) \
+        == (2, 2, 2)
+    assert _ranks(odd, diag) == _ranks(odd, back) == (0, 0, 0)
+    assert len(crossings(odd, diag)) == 2
+
+
+def test_rank_of_a_pair_whose_complex_outgrows_the_elimination():
+    """J (class (1, 0)) and Z (class (0, 1)) cross 7 times; the lune
+    areas of their complex have denominators whose lcm has 36 bits, which
+    ``homology_rank`` holds as bitmasks past any memory.  The rank is
+    |det| = 1, as the brute-force oracle finds."""
+    j = TorusCurve(points("(-1,-5/32) (1/32,-5/32) (1/32,25/16) "
+                          "(23/32,25/16) (23/32,-5/32) (1,-5/32)"), name="J")
+    z = TorusCurve(points("(-21/34,-1) (27/34,-33/34) (-11/34,-31/34) "
+                          "(-33/34,-19/34) (23/34,25/34) (-21/34,1)"),
+                   name="Z")
+    assert len(crossings(j, z)) == 7
+    assert hf_rank(j, z) == ref_hf_rank(j, z) == 1
 
 
 @pytest.mark.parametrize("suite", ["floer-sanity", "lem-ex1"])

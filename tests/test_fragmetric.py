@@ -168,11 +168,11 @@ def test_contradiction_detector():
 
 
 def test_monotone_mode_caps_bound(space):
-    val = space.prune_lower_bound("L'", ["L"], mode="weakly-exact")
+    val = space.prune_lower_bound("L'", ["L"])
     assert val == 4 * EPS
     capped = MetricSpace(space.curves, space.objects.values(), space.families,
                          space.moves, space.probes, monotone_min_area=F(1, 100))
-    assert capped.prune_lower_bound("L'", ["L"], mode="monotone") == F(1, 100)
+    assert capped.prune_lower_bound("L'", ["L"]) == F(1, 100)
 
 
 def test_top_end_mode(space):
@@ -364,19 +364,18 @@ def _trace_space_s1_only():
 ], ids=["lem", "trace", "trace-S1", "disjoint"])
 def test_lower_bounds_match_every_multiset_bounded_alone(build, pairs,
                                                          pattern):
-    for mode in ("weakly-exact", "monotone"):
+    for min_area in (None, F(1, 64)):  # weakly exact, then monotone
         space = build()
-        if mode == "monotone":
-            space.monotone_min_area = F(1, 64)
+        space.monotone_min_area = min_area
         for a, b in pattern:
             length = 2 * abs(LINE_X[a] - LINE_X[b])
             space.moves.append(suspension_move(f"s{a[1]}{b[1]}", a, b,
                                                length))
         for lp, l in pairs:
             got = [(r.lower, r.certificate) for r in itertools.islice(
-                space._results(lp, l, "F", mode), 7)]
-            assert got == ref_lower_bounds(space, lp, l, "F", mode), \
-                (mode, lp, l)
+                space._results(lp, l, "F"), 7)]
+            assert got == ref_lower_bounds(space, lp, l, "F"), \
+                (min_area, lp, l)
 
 
 # -- additive expression shadows and the exhaustive search ----------------------

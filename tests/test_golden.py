@@ -25,8 +25,9 @@ from filtcones.novikov import INF, NovikovScalar
 from filtcones.scenarios import (
     disjoint_union_space, lem_ex1_space, trace_surgery_space,
 )
-from filtcones.surface import GeometryError, TorusCurve, mu2_triangles
-from filtcones.surface.floer import enumerate_bigons, floer_complex, hf_rank
+from filtcones.surface.curves import GeometryError, TorusCurve
+from filtcones.surface.floer import enumerate_bigons, floer_complex, \
+    hf_rank, mu2_triangles
 from filtcones.twisted import build_iterated_cone, retract_energy
 from filtcones.wfainf import Discrepancy, cone, lambda_map, yoneda_module
 
@@ -193,9 +194,8 @@ def metric_table():
     for kind, build, lp in (("lem", lem_ex1_space, "L'"),
                             ("trace", trace_surgery_space, "L''")):
         groups.append((f"{kind} top_end", build(EPS, DELTA),
-                       [("d_k", (lp, "L", "F", k, "weakly-exact", True))
-                        for k in range(7)]
-                       + [("d_k", ("L", lp, "F", k, "weakly-exact", True))
+                       [("d_k", (lp, "L", "F", k, True)) for k in range(7)]
+                       + [("d_k", ("L", lp, "F", k, True))
                           for k in range(7)]))
     for kind, patterns in (("lem", LEM_PATTERNS), ("trace", TRACE_PATTERNS)):
         for pattern in patterns:
@@ -211,7 +211,10 @@ def metric_table():
     for label, space, queries in groups:
         for method, args in queries:
             r = getattr(space, method)(*args)
-            shown = ", ".join("None" if x is None else str(x) for x in args)
+            # a top_end row keeps the "weakly-exact" its label had when
+            # d_k also took a mode argument
+            shown = ", ".join("None" if x is None else str(x) for x in (
+                (*args[:4], "weakly-exact", True) if len(args) == 5 else args))
             lines.append(f"{label} {method}({shown}): "
                          f"[{_val(r.lower)}, {_val(r.upper)}] "
                          f"via {r.witness} | {r.certificate}")

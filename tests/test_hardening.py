@@ -120,8 +120,8 @@ def test_min_beta_spans_with_mixing_automorphism():
 
 
 def test_floer_four_point_curve():
-    from filtcones.surface import TorusCurve, hf_rank, intersections
-    from filtcones.surface.floer import floer_complex
+    from filtcones.surface.curves import TorusCurve, intersections
+    from filtcones.surface.floer import floer_complex, hf_rank
     # two rectangular dips: four transverse crossings with the base circle
     y = F(1, 4)
     m = TorusCurve([(-1, y), (F(-3, 4), y), (F(-3, 4), -y), (F(-1, 2), -y),

@@ -11,18 +11,18 @@ from filtcones.scenarios import (
     connected_small_shadow_footprint, disjoint_union_space, lem_ex1_space,
     trace_surgery_space,
 )
-from filtcones.surface import (
-    GeometryError, PlanarDiagram, TorusCurve, count_transverse_crossings,
-    intersections, planar_shadow, shear_diagram,
-)
 from filtcones.surface import floer, shadow
 from filtcones.surface.curves import (
-    _seg_common, common_scale, crossings, scaled, segment_pairs, wrap_point,
+    GeometryError, TorusCurve, _seg_common, common_scale,
+    count_transverse_crossings, crossings, intersections, scaled,
+    segment_pairs, wrap_point,
 )
+from filtcones.surface.shadow import PlanarDiagram, planar_shadow
 
 from support import (
     polygon_simple, ref_atomic_segments, ref_crossings, ref_is_embedded,
     ref_polygon_simple, ref_seg_common, ref_signed_area, ref_wrap_point,
+    shear_diagram,
 )
 
 # -- the enumerator on random segments ------------------------------------------

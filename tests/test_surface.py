@@ -4,15 +4,19 @@ from fractions import Fraction
 import pytest
 
 from filtcones.novikov import INF
-from filtcones.surface import (
-    GeometryError, PlanarDiagram, TorusCurve, count_transverse_crossings,
-    curves_to_svg, diagram_to_svg, floer_complex, gromov_width_double_points,
-    gromov_width_rel, hf_rank, intersections, mu2_triangles, parse_curve,
-    parse_diagram, planar_shadow, shear_diagram, surgery,
+from filtcones.surface.curves import (
+    Crossing, GeometryError, TorusCurve, count_transverse_crossings,
+    crossings, intersections, parse_curve, surgery,
 )
-from filtcones.surface.curves import Crossing, crossings
-from filtcones.surface.widths import Box
-from filtcones.surface.floer import enumerate_bigons
+from filtcones.surface.floer import enumerate_bigons, floer_complex, \
+    hf_rank, mu2_triangles
+from filtcones.surface.shadow import PlanarDiagram, parse_diagram, \
+    planar_shadow
+from filtcones.surface.svg import curves_to_svg, diagram_to_svg
+from filtcones.surface.widths import Box, gromov_width_double_points, \
+    gromov_width_rel
+
+from support import shear_diagram
 
 F = Fraction
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtcones.surface import GeometryError, TorusCurve
+from filtcones.surface.curves import GeometryError, TorusCurve
 from filtcones.surface.widths import StrandTable, gromov_width_rel
 
 from support import ref_gromov_width_rel
