@@ -8,9 +8,13 @@ Lower bounds come only from the declared fission inequalities, evaluated
 through the axis-parallel widths (and verified probe families for the
 double-point variant).  Results are intervals, never point estimates.
 
-A query bounds every end multiset of at most k family members; the width
-part of a bound depends only on the set of ends, so each query computes
-it once per set.  What outlives a query is kept on the ``MetricSpace``.
+A d_k query bounds every end multiset of at most k family members; the
+width part of a bound depends only on the set of ends, so each query
+computes it once per set.  d_F, d-hat and l_a range over every end count:
+d_F reads its interval off the first goal of the search and the width
+bound of the whole family set, and l_a reads its upper bound off the
+goals and walks the lower bounds only while they can still change.  What
+outlives a query is kept on the ``MetricSpace``.
 """
 
 from __future__ import annotations
@@ -152,8 +156,9 @@ class MetricResult:
         self.witness = witness
         self.certificate = certificate
         if lower > upper:
-            raise FragError(f"inconsistent bounds {lower} > {upper}: "
-                            "the declared inequalities contradict the witness")
+            raise FragError(
+                f"certified lower bound {lower} exceeds witnessed upper "
+                f"{upper}: inconsistent declarations")
 
     def __repr__(self):
         w = f" via {self.witness}" if self.witness else ""
@@ -219,14 +224,28 @@ class MetricSpace:
             self._probe_ok[probe] = probe.verify(self)
         return self._probe_ok[probe]
 
-    def _certify(self, lp: str, l: str, ends: Tuple[str, ...],
-                 widths: Tuple[Fraction, Fraction]) -> Tuple[Fraction, str]:
-        """The best certified bound for the end multiset ``ends`` with
-        width bounds ``widths``, and its certificate."""
+    def _set_widths(self, lp: str, l: str,
+                    ends) -> Tuple[Fraction, Fraction]:
+        """(width(lp; l + ends)/2, width(l; lp + ends)/2) of an end set."""
+        return (self.prune_lower_bound(lp, [l, *ends]),
+                self.prune_lower_bound(l, [lp, *ends]))
+
+    @staticmethod
+    def _width_bound(lp: str, l: str, ends: Sequence[str],
+                     widths: Tuple[Fraction, Fraction]) -> Tuple[Fraction, str]:
+        """The larger of the two width bounds ``widths`` of the ends, and
+        its certificate."""
         best, cert, names = Fraction(0), "none", "+".join(ends) or "none"
         for val, (a, b) in zip(widths, ((lp, l), (l, lp))):
             if val > best:
                 best, cert = val, f"width({a};{b}+{names})/2"
+        return best, cert
+
+    def _certify(self, lp: str, l: str, ends: Tuple[str, ...],
+                 widths: Tuple[Fraction, Fraction]) -> Tuple[Fraction, str]:
+        """The best certified bound for the end multiset ``ends`` with
+        width bounds ``widths``, and its certificate."""
+        best, cert = self._width_bound(lp, l, ends, widths)
         # probes certify the whole end multiset; bending makes the choice
         # of positive end irrelevant
         query_ms = tuple(sorted((lp, l, *ends)))
@@ -290,40 +309,41 @@ class MetricSpace:
                                 tuple(sorted(names + (mv.name,))), *key))
         return goals
 
+    def _lowers(self, lp: str, l: str, family: Sequence[str]):
+        """Yield (lower_k, certificate) for k = 0, 1, ...: the least
+        certified bound over the end multisets of at most k family members.
+
+        The width part of a bound depends on the set of ends alone and is
+        computed once per set; probes and certificates see the multiset.
+        """
+        widths: Dict[frozenset, Tuple[Fraction, Fraction]] = {}
+        lower, cert = INF, "no ends"
+        for k in itertools.count():
+            for ends in itertools.combinations_with_replacement(
+                    sorted(set(family)), k):
+                key = frozenset(ends)
+                if key not in widths:
+                    widths[key] = self._set_widths(lp, l, key)
+                val, why = self._certify(lp, l, ends, widths[key])
+                if val < lower:
+                    lower, cert = val, why
+            if lp == l:
+                lower = Fraction(0)
+            yield lower, cert
+
     def _results(self, lp: str, l: str, family_name: str,
                  top_end: bool = False):
         """Yield d_k(lp, l) for k = 0, 1, ... from one search.
 
         The upper bound is the least recorded goal with at most k extra
         ends: the one with the most, as it was found first.  The lower
-        bound is the least certified bound over the end multisets of at
-        most k family members, only as far as the caller reads.  The width
-        part of a bound depends on the set of ends alone and is computed
-        once per set; probes and certificates see the multiset.
+        bound is lower_k of ``_lowers``, only as far as the caller reads.
         """
         family = self.families[family_name]
         goals = self._search(lp, l, family, top_end)
-        # per set of ends: (width(lp; l + ends)/2, width(l; lp + ends)/2)
-        widths: Dict[frozenset, Tuple[Fraction, Fraction]] = {}
-        lower, cert = INF, "no ends"
-        for k in itertools.count():
+        for k, (lower, cert) in enumerate(self._lowers(lp, l, family)):
             fits = [c for c in goals if c <= k]
             upper, witness = goals[max(fits)] if fits else (INF, None)
-            for ends in itertools.combinations_with_replacement(
-                    sorted(set(family)), k):
-                key = frozenset(ends)
-                if key not in widths:
-                    widths[key] = (self.prune_lower_bound(lp, [l, *key]),
-                                   self.prune_lower_bound(l, [lp, *key]))
-                val, why = self._certify(lp, l, ends, widths[key])
-                if val < lower:
-                    lower, cert = val, why
-            if lp == l:
-                lower = Fraction(0)
-            if lower > upper:
-                raise FragError(
-                    f"certified lower bound {lower} exceeds witnessed upper "
-                    f"{upper}: inconsistent declarations")
             yield MetricResult(lower, upper, witness, cert)
 
     # -- public metric queries -----------------------------------------------
@@ -333,36 +353,74 @@ class MetricSpace:
         return next(itertools.islice(
             self._results(lp, l, family_name, top_end), k, None))
 
-    def cone_length(self, lp: str, l: str, family_name: str, a,
-                    kmax: int = 8) -> MetricResult:
-        """l_a: minimal number of extra ends admitting shadow <= a."""
-        if a is None:  # infinity: the fewest extra ends of any witness
-            goals = self._search(lp, l, self.families[family_name], False)
-            k = min((c for c in goals if c <= kmax), default=None)
-            return MetricResult(0, INF, None, "budget exhausted") if k is None \
+    def cone_length(self, lp: str, l: str, family_name: str,
+                    a) -> MetricResult:
+        """l_a: the fewest extra family ends of a cobordism with shadow
+        <= a, over every end count (``a = None``: any shadow).
+
+        The search records goals with falling end counts and rising
+        shadows, so the upper bound is the least recorded count c whose
+        shadow is <= a.  The lower bound is the first k with lower_k <= a,
+        read for k < c only, as lower_k never grows.  With no such goal
+        the walk runs to K = |F| + #probes, past which lower_k is constant
+        (see ``d_f``); if lower_K is still above a, l_a is infinite with
+        lower_K's certificate.  An inconsistency at one k is left for
+        ``d_k`` to report.
+        """
+        family = self.families[family_name]
+        goals = self._search(lp, l, family, False)
+        if a is None:
+            k = min(goals, default=None)
+            return MetricResult(0, INF, None, "exhausted") if k is None \
                 else MetricResult(0, k, goals[k][1], "upper only" if k
                                   else "pruned below")
-        a, lower_k = rat(a), 0
-        for k, r in enumerate(itertools.islice(
-                self._results(lp, l, family_name), kmax + 1)):
-            if r.upper <= a:
-                return MetricResult(
-                    lower_k, k, r.witness,
-                    "pruned below" if lower_k == k else "upper only")
-            if r.lower > a:
-                lower_k = k + 1
-        return MetricResult(lower_k, INF, None, "budget exhausted")
+        a = rat(a)
+        c = min((c for c, (s, _) in goals.items() if s <= a), default=None)
+        stop = len(set(family)) + len(self.probes) + 1 if c is None else c
+        lower_k = 0
+        for k, (lower, cert) in zip(range(stop), self._lowers(lp, l, family)):
+            if lower <= a:
+                break
+            lower_k = k + 1
+        if c is not None:
+            return MetricResult(lower_k, c, goals[c][1], "pruned below"
+                                if lower_k == c else "upper only")
+        if lower_k == stop:
+            return MetricResult(INF, INF, None,
+                                f"pruned at every end count: {cert}")
+        return MetricResult(lower_k, INF, None, "exhausted")
 
-    def d_f(self, lp: str, l: str, family_name: str,
-            kmax: int = 6) -> MetricResult:
-        """min over k <= kmax of d_k, the first k on ties."""
-        return min(itertools.islice(
-            self._results(lp, l, family_name), kmax + 1),
-            key=lambda r: (r.upper, r.lower))
+    def d_f(self, lp: str, l: str, family_name: str) -> MetricResult:
+        """d^F: the infimum of d_k over every end count, with no loop
+        over k.
 
-    def d_hat(self, lp: str, l: str, fam1: str, fam2: str,
-              kmax: int = 6) -> MetricResult:
-        r1 = self.d_f(lp, l, fam1, kmax)
-        r2 = self.d_f(lp, l, fam2, kmax)
+        The upper bound is the first goal that ``_search`` records: goals
+        leave its heap by shadow, so it has the least shadow of any end
+        count.  The lower bound is the width bound of the whole family
+        set.  Each of the two width bounds of an end set is a max over
+        the carrier's strands of a min over the obstruction columns; an
+        end adds columns, which never raise it.  A probe raises the bound
+        of one exact end multiset only, and of the multisets of the whole
+        set at sizes |F| .. |F| + #probes, one matches no probe and
+        attains that bound.  So it is the least certified bound over every
+        end count, read with no probe; it is 0 when lp = l.  An empty
+        family has the empty multiset alone, so there d_F is d_0.
+
+        ``FragError`` when that bound exceeds the least witnessed shadow;
+        an inconsistency at one end count only is left for ``d_k``.
+        """
+        family = sorted(set(self.families[family_name]))
+        if not family:
+            return self.d_k(lp, l, family_name, 0)
+        goals = self._search(lp, l, family, False)
+        upper, witness = next(iter(goals.values()), (INF, None))
+        lower, cert = (Fraction(0), "none") if lp == l else \
+            self._width_bound(lp, l, family, self._set_widths(lp, l, family))
+        return MetricResult(lower, upper, witness, cert)
+
+    def d_hat(self, lp: str, l: str, fam1: str, fam2: str) -> MetricResult:
+        r1 = self.d_f(lp, l, fam1)
+        r2 = self.d_f(lp, l, fam2)
         return MetricResult(max(r1.lower, r2.lower), max(r1.upper, r2.upper),
                             (r1.witness, r2.witness), "max of two families")
+

@@ -1367,6 +1367,16 @@ def ref_lower_bounds(space, lp, l, family_name, kmax=6):
     return out
 
 
+def ref_least_lower_bound(space, lp, l, family_name):
+    """(lower, certificate) of d_F(lp, l): ``ref_lower_bounds`` run out
+    to k = |F| + #probes.  From there on the end multisets of every
+    family member, one per size, outnumber the probes, so one that no
+    probe matches is bounded by widths alone, and no later k lowers the
+    bound."""
+    k = len(set(space.families[family_name])) + len(space.probes)
+    return ref_lower_bounds(space, lp, l, family_name, k)[-1]
+
+
 # ---------------------------------------------------------------------------
 # a text round trip and a property check of the retract energy
 # ---------------------------------------------------------------------------

@@ -87,8 +87,8 @@ def test_cli_metric_custom_scenario(tmp_path, capsys):
 
 
 def test_cli_l_a_prints_an_infinite_bound_as_inf(tmp_path, capsys):
-    # the search budget runs out with no expression of shadow <= 1/256,
-    # so the upper bound is infinite
+    # the exhaustive search finds no expression of shadow <= 1/256, so the
+    # upper bound is infinite
     f = tmp_path / "sc.txt"
     f.write_text("scenario lem-ex1 eps=1/8 delta=1/256\n"
                  "query l_a L' L a=1/256\n")

@@ -194,9 +194,9 @@ def test_dhat_positive_for_distinct_family_members():
     # positive certified lower bound
     from filtcones.scenarios import lem_ex1_space
     sp = lem_ex1_space(F(1, 8), F(1, 256))
-    degenerate = sp.d_hat("S1", "S3", "F", "F", kmax=2)
+    degenerate = sp.d_hat("S1", "S3", "F", "F")
     assert degenerate.lower == 0
-    r = sp.d_hat("S1", "S3", "Fleft", "Fright", kmax=2)
+    r = sp.d_hat("S1", "S3", "Fleft", "Fright")
     assert r.lower > 0
 
 

@@ -15,7 +15,10 @@ from filtcones.scenarios import (
 from filtcones.surface.curves import TorusCurve
 from filtcones.surface.shadow import PlanarDiagram, planar_shadow
 
-from support import ref_lower_bounds, ref_metric_uppers, ref_probe_verify
+from support import (
+    ref_least_lower_bound, ref_lower_bounds, ref_metric_uppers,
+    ref_probe_verify,
+)
 
 EPS, DELTA = F(1, 8), F(1, 256)
 
@@ -55,7 +58,7 @@ def test_cone_lengths(space):
     r = space.cone_length("L'", "L", "F", 2 * DELTA)
     assert r.lower == r.upper == 4
     # a below every generator shadow with distinct objects: infinite
-    r2 = space.cone_length("S1", "S2", "F", F(1, 10 ** 9), kmax=3)
+    r2 = space.cone_length("S1", "S2", "F", F(1, 10 ** 9))
     assert r2.upper >= INF
 
 
@@ -196,6 +199,19 @@ def check_triangle(space, family, triples, ks) -> bool:
     return True
 
 
+def triangles_f(space, family, objects):
+    """(checked, crossed): the ordered triples (a, b, c) of distinct
+    objects with finite d_F(a, b) and d_F(b, c) uppers, and those of them
+    whose d_F(a, c) upper exceeds the sum."""
+    upper = {(a, b): space.d_f(a, b, family).upper
+             for a, b in itertools.permutations(objects, 2)}
+    checked = [(a, b, c) for a, b, c in itertools.permutations(objects, 3)
+               if upper[a, b] < INF and upper[b, c] < INF]
+    crossed = [(a, b, c) for a, b, c in checked
+               if upper[a, c] > upper[a, b] + upper[b, c]]
+    return checked, crossed
+
+
 def quasi_isometry_check(space, fam1, fam2, pairs, hofer_length) -> bool:
     """|d_hat(L,L') - d_hat(phi L, phi L')| <= 2 ||phi||_H on upper bounds."""
     for (a, b, fa, fb) in pairs:
@@ -212,6 +228,25 @@ def test_triangle_inequality(space):
     assert check_triangle(space, "F",
                           [("L'", "L", "L"), ("L'", "L'", "L")],
                           [(0, 0), (4, 0), (0, 4)])
+    # d_F on triples of distinct objects, with S1 joined to S2 and S3 to S4
+    from test_golden import _pattern_space  # it imports this module
+    joined = _pattern_space("lem", (("S1", "S2"), ("S3", "S4")))
+    joined.families["G"] = ["S2", "S3", "S4", "L"]
+    checked, crossed = triangles_f(joined, "G", list(joined.objects))
+    assert len(checked) == 120
+    assert crossed == []
+
+
+@pytest.mark.xfail(strict=True, reason="the search uses each declared move "
+                   "at most once, so it cannot glue two expressions that "
+                   "share a move")
+def test_d_f_uppers_glue_expressions_that_share_a_move():
+    # d_F(L, S1) and d_F(S1, S2) are 65/128, both via T4+phi, but the
+    # glued expression from L to S2 would use T4 and phi twice
+    sp = lem_ex1_space(EPS, DELTA)
+    sp.families["G"] = ["S2", "S3", "S4", "L"]
+    checked, crossed = triangles_f(sp, "G", list(sp.objects))
+    assert checked and crossed == []
 
 
 def test_quasi_isometry_check(space):
@@ -227,6 +262,108 @@ def test_dhat_basics(space):
     assert r.upper == r_single.upper
     same = space.d_hat("L", "L", "F", "F")
     assert same.lower == same.upper == 0
+
+
+# -- d_F, d-hat and l_a over every end count --------------------------------------
+
+def _eight_line_space():
+    """A carried by eight vertical lines V_i at x_i = -1 + i/4, B at
+    x = -7/8 and the family W_i at x_i + 1/64.  The width bound of an end
+    set reaches its least value, 7/32, only with every W_i in it, and one
+    trace move A -> (B, W0, .., W7) of shadow 15/64 witnesses d_8."""
+    xs = [-1 + F(i, 4) for i in range(8)]
+    at = {f"V{i}": x for i, x in enumerate(xs)}
+    at.update({f"W{i}": x + F(1, 64) for i, x in enumerate(xs)}, B=F(-7, 8))
+    curves = {n: TorusCurve([(x, -1), (x, 1)], name=n) for n, x in at.items()}
+    family = [f"W{i}" for i in range(8)]
+    objects = [LagObject("A", [f"V{i}" for i in range(8)]),
+               LagObject("B", ["B"])] + [LagObject(w, [w]) for w in family]
+    move = trace_move("T", "A", ("B", *family), [F(15, 64)], [0])
+    return MetricSpace(curves, objects, {"F": family}, [move])
+
+
+def test_d_f_bounds_every_end_count_from_below():
+    sp = _eight_line_space()
+    assert sp.d_k("A", "B", "F", 6).lower == sp.d_k("A", "B", "F", 7).lower \
+        == F(1, 4)
+    d8 = sp.d_k("A", "B", "F", 8)
+    assert (d8.lower, d8.upper) == (F(7, 32), F(15, 64))
+    r = sp.d_f("A", "B", "F")
+    assert (r.lower, r.upper, r.witness) == (F(7, 32), F(15, 64), "T")
+    assert r.certificate == "width(B;A+W0+W1+W2+W3+W4+W5+W6+W7)/2"
+    r = sp.d_hat("A", "B", "F", "F")
+    assert (r.lower, r.upper, r.witness) == (F(7, 32), F(15, 64), ("T", "T"))
+
+
+def test_cone_length_bounds_every_end_count():
+    sp = _eight_line_space()
+    assert _outcome(sp.cone_length("A", "B", "F", F(15, 64))) == \
+        (8, 8, "T", "pruned below")
+    # no witness below 15/64; the width bound of all eight ends is 7/32
+    assert _outcome(sp.cone_length("A", "B", "F", F(7, 32))) == \
+        (8, INF, None, "exhausted")
+    # below 7/32 every end count is pruned: l_a is infinite
+    assert _outcome(sp.cone_length("A", "B", "F", F(1, 5))) == (
+        INF, INF, None,
+        "pruned at every end count: width(B;A+W0+W1+W2+W3+W4+W5+W6+W7)/2")
+
+
+def _seven_handle_space(area):
+    """phi: N -> L of length 1, and a trace move N -> (L, S1 x 7) with
+    seven handles of ``area`` in separate columns."""
+    moves = [suspension_move("phi", "N", "L", 1),
+             trace_move("T7", "N", ("L",) + ("S1",) * 7, [area] * 7,
+                        list(range(7)))]
+    objects = [LagObject(n, [n]) for n in ("N", "L", "S1")]
+    return MetricSpace(base_curves(EPS), objects, {"F": ["S1"]}, moves)
+
+
+def test_d_f_and_d_hat_read_the_least_shadow_of_any_end_count():
+    sp = _seven_handle_space(F(1, 10))
+    r = sp.d_f("N", "L", "F")
+    assert (r.lower, r.upper, r.witness) == (F(1, 2), F(7, 10), "T7")
+    r = sp.d_hat("N", "L", "F", "F")
+    assert (r.lower, r.upper, r.witness) == (F(1, 2), F(7, 10), ("T7", "T7"))
+
+
+def test_d_f_and_d_hat_refuse_an_inconsistency_past_six_ends():
+    sp = _seven_handle_space(F(1, 1000))
+    for query in (lambda: sp.d_f("N", "L", "F"),
+                  lambda: sp.d_hat("N", "L", "F", "F")):
+        with pytest.raises(FragError, match="certified lower bound 1/2 "
+                           "exceeds witnessed upper 7/1000: inconsistent "
+                           "declarations"):
+            query()
+
+
+def test_d_f_and_l_a_verify_no_probe():
+    sp = trace_surgery_space(EPS, DELTA)
+    probe = _counted_probe(sp.probes[0])
+    sp.probes = [probe]
+    r = sp.d_f("L''", "L", "F")
+    assert (r.lower, r.upper, r.witness) == (0, DELTA, "T1")
+    assert sp.d_hat("L''", "L", "F", "F").upper == DELTA
+    assert _outcome(sp.cone_length("L''", "L", "F", DELTA)) == \
+        (1, 1, "T1", "pruned below")
+    assert probe.builds == 0
+    assert sp.d_k("L''", "L", "F", 1).certificate == "probe corner"
+    assert probe.builds == len(probe.samples)
+
+
+@pytest.mark.parametrize("kind", ["lem", "trace"])
+def test_d_f_lower_bound_matches_every_end_count_by_brute_force(kind):
+    # the pattern spaces of the golden metric table
+    from test_golden import (  # it imports this module
+        LEM_PATTERNS, TRACE_PATTERNS, _apart, _pattern_space)
+    lp = "L'" if kind == "lem" else "L''"
+    for pattern in LEM_PATTERNS if kind == "lem" else TRACE_PATTERNS:
+        space = _pattern_space(kind, pattern)
+        pairs = [(lp, "L"), ("L", lp), _apart(pattern)]
+        pairs += [p for a, b in pattern for p in ((a, b), (b, a))]
+        for family in space.families:
+            for a, b in pairs:
+                assert space.d_f(a, b, family).lower == ref_least_lower_bound(
+                    space, a, b, family)[0], (pattern, family, a, b)
 
 
 # -- per-space memoization -------------------------------------------------------
@@ -469,6 +606,10 @@ def _least(found, k):
     return min((s for s, c in found if c <= k), default=INF)
 
 
+def _fewest(found, a):
+    return min((c for s, c in found if s <= a), default=INF)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(search_cases())
 def test_search_agrees_with_every_sequence_of_moves(case):
@@ -484,7 +625,8 @@ def test_search_agrees_with_every_sequence_of_moves(case):
                 used = [] if r.witness == "identity" else r.witness.split("+")
                 assert sum((shadows[n] for n in used), F(0)) == r.upper
     found = ref_metric_uppers(space.moves, lp, l, family)
-    assert space.d_f(lp, l, "F").upper == _least(found, 6)
+    r = space.d_f(lp, l, "F")
+    assert r.upper == min((s for s, _ in found), default=INF)
+    assert r.lower == ref_least_lower_bound(space, lp, l, "F")[0]
     for a in (F(0), F(1, 2), F(2), F(5)):
-        want = next((k for k in range(9) if _least(found, k) <= a), INF)
-        assert space.cone_length(lp, l, "F", a).upper == want, a
+        assert space.cone_length(lp, l, "F", a).upper == _fewest(found, a), a

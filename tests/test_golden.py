@@ -211,10 +211,7 @@ def metric_table():
     for label, space, queries in groups:
         for method, args in queries:
             r = getattr(space, method)(*args)
-            # a top_end row keeps the "weakly-exact" its label had when
-            # d_k also took a mode argument
-            shown = ", ".join("None" if x is None else str(x) for x in (
-                (*args[:4], "weakly-exact", True) if len(args) == 5 else args))
+            shown = ", ".join("None" if x is None else str(x) for x in args)
             lines.append(f"{label} {method}({shown}): "
                          f"[{_val(r.lower)}, {_val(r.upper)}] "
                          f"via {r.witness} | {r.certificate}")
