@@ -396,13 +396,18 @@ def cmd_twisted_check(args) -> int:
 
 
 def cmd_repro_lemma_ex1(args) -> int:
-    eps, delta = rat(args.eps), rat(args.delta)
     rep = Report()
-    if not delta < eps * eps / 2:
-        rep.emit("precondition delta < eps^2/2", f"{delta} vs {eps * eps / 2}",
-                 "", "FAIL (refused)")
+    try:
+        eps, delta = rat(args.eps), rat(args.delta)
+        if not delta < eps * eps / 2:
+            rep.emit("precondition delta < eps^2/2",
+                     f"{delta} vs {eps * eps / 2}", "", "FAIL (refused)")
+            return 1
+        space = canned.lem_ex1_space(eps, delta)
+    except (ValueError, ArithmeticError) as exc:
+        rep.emit(f"--eps {args.eps} --delta {args.delta}", None, "",
+                 f"error: {exc}")
         return 1
-    space = canned.lem_ex1_space(eps, delta)
     r0 = space.d_k("L'", "L", "F", 0)
     rep.check("d_0(L',L) lower", r0.lower, 4 * eps, r0.certificate)
     rep.check("d_0(L',L) upper", r0.upper, 4 * eps, r0.witness)

@@ -331,27 +331,27 @@ class MetricSpace:
                 lower = Fraction(0)
             yield lower, cert
 
-    def _results(self, lp: str, l: str, family_name: str,
-                 top_end: bool = False):
-        """Yield d_k(lp, l) for k = 0, 1, ... from one search.
-
-        The upper bound is the least recorded goal with at most k extra
-        ends: the one with the most, as it was found first.  The lower
-        bound is lower_k of ``_lowers``, only as far as the caller reads.
-        """
-        family = self.families[family_name]
-        goals = self._search(lp, l, family, top_end)
-        for k, (lower, cert) in enumerate(self._lowers(lp, l, family)):
-            fits = [c for c in goals if c <= k]
-            upper, witness = goals[max(fits)] if fits else (INF, None)
-            yield MetricResult(lower, upper, witness, cert)
-
     # -- public metric queries -----------------------------------------------
 
     def d_k(self, lp: str, l: str, family_name: str, k: int,
             top_end: bool = False) -> MetricResult:
-        return next(itertools.islice(
-            self._results(lp, l, family_name, top_end), k, None))
+        """d_k(lp, l) from one search: the least recorded goal with at
+        most k extra ends (the one with the most, found first) above, and
+        lower_k of ``_lowers`` below, read at min(k, K) for K = |F| +
+        #probes, past which it is constant (see ``d_f``).  An inconsistent
+        interval at any count up to k is refused; neither bound grows with
+        k, so one between K and k is one at k too."""
+        if k < 0:
+            raise FragError(f"d_k needs an end count k >= 0, got {k}")
+        family = self.families[family_name]
+        goals = self._search(lp, l, family, top_end)
+        last = len(set(family)) + len(self.probes)
+        for j, (lower, cert) in zip([*range(min(k, last)), k],
+                                    self._lowers(lp, l, family)):
+            fits = [c for c in goals if c <= j]
+            upper, witness = goals[max(fits)] if fits else (INF, None)
+            result = MetricResult(lower, upper, witness, cert)
+        return result
 
     def cone_length(self, lp: str, l: str, family_name: str,
                     a) -> MetricResult:

@@ -53,14 +53,14 @@ def four_surgery_curve(curves, eps, delta) -> Tuple[TorusCurve, list]:
 def lem_ex1_space(eps, delta) -> MetricSpace:
     """The torus configuration with its move set and bounds machinery.
 
-    Requires delta < eps^2 / 2 (the handle regime where every stated
+    Requires 0 < delta < eps^2 / 2 (the handle regime where every stated
     number is exact).
     """
     eps, delta = rat(eps), rat(delta)
     if not 0 < eps <= F(1, 8):
         raise FragError("requires 0 < eps <= 1/8")
-    if not delta < eps * eps / 2:
-        raise FragError("requires delta < eps^2/2")
+    if not 0 < delta < eps * eps / 2:
+        raise FragError("requires 0 < delta < eps^2/2")
     curves = base_curves(eps)
     lp, _ = four_surgery_curve(curves, eps, delta)
     curves["L'"] = lp
@@ -88,8 +88,8 @@ def trace_surgery_space(eps, delta) -> MetricSpace:
     eps, delta = rat(eps), rat(delta)
     if not 0 < eps <= F(1, 8):
         raise FragError("requires 0 < eps <= 1/8")
-    if not delta < eps * eps / 2:
-        raise FragError("requires delta < eps^2/2")
+    if not 0 < delta < eps * eps / 2:
+        raise FragError("requires 0 < delta < eps^2/2")
     curves = base_curves(eps)
     half = F(1, 2)
     ox = -half - eps

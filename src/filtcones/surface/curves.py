@@ -14,6 +14,11 @@ with one multiply per coordinate.  Points, crossing records and areas
 are returned as Fractions in the torus coordinates; a crossing record
 also keeps its ends as the integers the Floer polygon walk reads.
 
+Two curves (or a curve and itself) meet through one scan, ``_contacts``:
+the embedding check, ``crossings``, ``count_transverse_crossings``,
+``surgery`` and the refusal of ``transverse_contacts`` all read it, and
+records are built only for the crossings a caller keeps.
+
 Pairs of segments are tested only as ``segment_pairs`` yields them: the
 pairs whose closed axis-aligned bounding boxes meet.  It never decides
 contact itself; ``_seg_common`` is the one exact contact predicate.  The
@@ -179,35 +184,15 @@ class TorusCurve:
         return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
     def is_embedded(self) -> bool:
-        """No self-intersections on the torus (translate-aware)."""
-        pts = self.int_lift
-        edges = list(zip(pts, pts[1:]))
-        n = len(edges)
-        cls = self.hclass
-        back = (-cls[0], -cls[1])
-        tags, shifted = _translated_edges(pts, pts, self.scale)
-        for i, k in segment_pairs(edges, shifted):
-            t, j = tags[k]
-            if t == (0, 0) and j <= i:
-                continue
-            a, b = edges[i]
-            hit = _seg_common(a, b, *shifted[k])
-            if hit is None:
-                continue
-            # the only allowed contact is the shared vertex of
-            # consecutive edges (wrap-aware)
-            if t == (0, 0) and j == i + 1 or i == n - 1 and j == 0 \
-                    and t == cls:
-                allowed = b
-            elif i == 0 and j == n - 1 and t in ((0, 0), back):
-                allowed = a
-            else:
-                allowed = None
-            if hit[0] == "point" and allowed is not None \
-                    and hit[1] == allowed:
-                continue
-            return False
-        return True
+        """No self-intersections on the torus (translate-aware): the only
+        contact allowed is a touch of consecutive edges (wrap-aware), which
+        lies at their shared vertex, as segments that share an endpoint
+        and do not overlap meet nowhere else."""
+        last, cls = len(self.vertices) - 1, self.hclass
+        return all("touch" in hit and (
+            j == i + 1 and t == (0, 0) or (i, j) == (last, 0) and t == cls
+            or (i, j) == (0, last) and t == (-cls[0], -cls[1]))
+            for i, (t, j), hit, _, _ in _contacts(self, self))
 
     def axis_parallel(self) -> bool:
         return all(a[0] == b[0] or a[1] == b[1] for a, b in self.edges())
@@ -250,35 +235,19 @@ class TorusCurve:
         edges = self.edges()
         n = len(edges)
         axes = ["v" if a[0] == b[0] else "h" for a, b in edges]
-        lengths = [abs(b[1] - a[1]) if ax == "v" else abs(b[0] - a[0])
-                   for (a, b), ax in zip(edges, axes)]
-        if len(set(axes)) == 1:
-            a = edges[0][0]
-            coord = wrap_point(a)
-            c = coord[0] if axes[0] == "v" else coord[1]
-            return [(axes[0], c, min(sum(lengths), SIDE))]
-        # start each run at an axis change
+        # one cyclic walk from an axis change (edge 0 if there is none); a
+        # run starts where the axis changes, at coordinate c of its first
+        # vertex, and adds the length along the other
+        s = next((i for i in range(n) if axes[i] != axes[i - 1]), 0)
         runs = []
-        i = 0
-        while axes[i] == axes[i - 1]:
-            i += 1
-        start = i
-        while True:
-            j = i
-            total = Fraction(0)
-            while True:
-                total += lengths[j % n]
-                if axes[(j + 1) % n] != axes[i % n]:
-                    break
-                j += 1
-            a = edges[i % n][0]
-            coord = wrap_point(a)
-            c = coord[0] if axes[i % n] == "v" else coord[1]
-            runs.append((axes[i % n], c, min(total, SIDE)))
-            i = j + 1
-            if i % n == start:
-                break
-        return runs
+        for i in range(s, s + n):
+            (a, b), ax = edges[i % n], axes[i % n]
+            c = 0 if ax == "v" else 1
+            if i > s and ax == axes[i % n - 1]:
+                runs[-1][2] += abs(b[1 - c] - a[1 - c])
+            else:
+                runs.append([ax, _wrap(a[c]), abs(b[1 - c] - a[1 - c])])
+        return [(ax, c, min(total, SIDE)) for ax, c, total in runs]
 
     def __repr__(self):
         return f"TorusCurve({self.name or self.hclass})"
@@ -341,45 +310,63 @@ class Crossing:
         return "Crossing(%r, %r, %r)" % self._key()
 
 
-def _crossing_points(c1: TorusCurve, c2: TorusCurve,
-                     proper: bool) -> Dict[Point, Crossing]:
-    """The transverse crossings, keyed by wrapped point.  Endpoint
-    touches and collinear overlaps are skipped if ``proper`` is set and
-    raise GeometryError otherwise."""
+def _contacts(c1: TorusCurve, c2: TorusCurve):
+    """Every contact of the two curves on the torus, as (i, (translate,
+    j), hit, edge, other): ``edge``, edge i of c1's integer lift, meets
+    ``other``, edge j of c2's moved by 2q times the translate, and
+    ``hit`` is their ``_seg_common`` contact, all at the lcm q of the
+    curves' scales.  A curve met with itself skips, at translate zero,
+    each edge against itself and the pairs met the other way round.
+
+    The scan runs in (translate, i, j) order, which fixes the first
+    degenerate contact found and hence the error raised on it."""
     q = lcm(c1.scale, c2.scale)
-    pts1, pts2 = ([(x * m, y * m) for x, y in c.int_lift]
+    pts1, pts2 = (c.int_lift if m == 1 else [(x * m, y * m)
+                                             for x, y in c.int_lift]
                   for c, m in ((c1, q // c1.scale), (c2, q // c2.scale)))
     edges1 = list(zip(pts1, pts1[1:]))
     tags, shifted = _translated_edges(pts2, pts1, q)
-    found: Dict[Point, Crossing] = {}
-    # scan in (translate, edge of c1, edge of c2) order, which fixes the
-    # first degenerate contact found and hence the error raised
-    for i, k in sorted(segment_pairs(edges1, shifted),
-                       key=lambda ik: (tags[ik[1]][0], ik[0], ik[1])):
+    same = c1 is c2
+    found = []
+    for i, k in segment_pairs(edges1, shifted):
+        t, j = tags[k]
+        if same and j <= i and t == (0, 0):
+            continue
         (a, b), (c, d) = edges1[i], shifted[k]
         hit = _seg_common(a, b, c, d, q)
-        if hit is None:
-            continue
-        if hit[0] == "point" and hit[2] == "proper":
-            p, (t, u, den) = hit[1], hit[3]
-            (kx, ky), j = tags[k]
-            w = wrap_point(p)
-            # p = w + 2 m, and the lift on c2 is p - 2 (kx, ky)
-            mx, my = ((c.numerator + c.denominator) // (2 * c.denominator)
-                      for c in p)
-            g = gcd(t, u, den)
-            # nonzero for a proper crossing: it is _seg_common's denom
-            det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
-            found[w] = Crossing(w, ((i, p), (j, (p[0] - 2 * kx,
-                                                 p[1] - 2 * ky))),
-                                1 if det > 0 else -1, den // g,
-                                ((t // g, (mx, my)),
-                                 (u // g, (mx - kx, my - ky))))
-        elif not proper:
+        if hit is not None:
+            found.append((t, i, k, hit))
+    found.sort()  # k runs through the translated edges in (translate, j) order
+    for t, i, k, hit in found:
+        yield i, tags[k], hit, edges1[i], shifted[k]
+
+
+def transverse_contacts(c1: TorusCurve, c2: TorusCurve) -> list:
+    """The contacts of ``_contacts``, all proper; raises GeometryError at
+    the first endpoint touch or collinear overlap."""
+    out = list(_contacts(c1, c2))
+    for _, _, hit, _, _ in out:
+        if "proper" not in hit:
             raise GeometryError("segments overlap along a sub-segment"
                                 if hit[0] == "overlap"
                                 else "segments meet at a vertex")
-    return found
+    return out
+
+
+def _crossing(i, tag, hit, edge, other) -> Crossing:
+    """The record of a proper contact of ``_contacts``."""
+    (a, b), (c, d) = edge, other
+    p, (t, u, den) = hit[1], hit[3]
+    (kx, ky), j = tag
+    # p = wrap_point(p) + 2 m, and the lift on c2 is p - 2 (kx, ky)
+    mx, my = ((v.numerator + v.denominator) // (2 * v.denominator) for v in p)
+    g = gcd(t, u, den)
+    # nonzero for a proper crossing: it is _seg_common's denom
+    det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+    return Crossing(wrap_point(p),
+                    ((i, p), (j, (p[0] - 2 * kx, p[1] - 2 * ky))),
+                    1 if det > 0 else -1, den // g,
+                    ((t // g, (mx, my)), (u // g, (mx - kx, my - ky))))
 
 
 def crossings(c1: TorusCurve, c2: TorusCurve) -> List[Crossing]:
@@ -387,7 +374,8 @@ def crossings(c1: TorusCurve, c2: TorusCurve) -> List[Crossing]:
 
     Raises GeometryError on shared segments or vertex touches.
     """
-    found = _crossing_points(c1, c2, proper=False)
+    found = {r.point: r for r in (_crossing(*c)
+                                  for c in transverse_contacts(c1, c2))}
     return [found[p] for p in sorted(found)]
 
 
@@ -402,7 +390,8 @@ def count_transverse_crossings(c1: TorusCurve, c2: TorusCurve) -> int:
 
     Used for surgered curves that ride along their surgery partners.
     """
-    return len(_crossing_points(c1, c2, proper=True))
+    return len({wrap_point(hit[1]) for _, _, hit, _, _ in _contacts(c1, c2)
+                if "proper" in hit})
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +434,14 @@ def surgery(l_curve: TorusCurve, s_curve: TorusCurve, at, handle_area,
     handle_area = rat(handle_area)
     if handle_area <= 0:
         raise GeometryError("handle area must be positive")
-    rec = _crossing_points(l_curve, s_curve, proper=True).get(wrap_point(at))
-    if rec is None:
+    # the last proper contact at the point, as ``crossings`` keeps it
+    spot = wrap_point(at)
+    found = [c for c in _contacts(l_curve, s_curve)
+             if "proper" in c[2] and wrap_point(c[2][1]) == spot]
+    if not found:
         raise GeometryError(f"point ({at[0]}, {at[1]}) is not a transverse "
                             f"crossing of {l_curve.name} and {s_curve.name}")
+    rec = _crossing(*found[-1])
     pts_l = path_from(l_curve, *rec.ends[0])
     pts_s = path_from(s_curve, *rec.ends[1])
     # directions at the crossing

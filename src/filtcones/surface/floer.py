@@ -1,10 +1,11 @@
 """Combinatorial Floer theory for transverse curve pairs on the torus.
 
-``hf_rank`` reads the rank of HF(X, Y) off the two classes and the flux
-and builds no complex.  The polygon walk serves CF(X, Y), its bigons and
-mu_2: generators are the intersection points at action zero; the
-differential counts embedded bigons (lunes) in the universal cover,
-bounded by one arc of each curve with convex corners, weighted by
+``hf_rank`` reads the rank of HF(X, Y) off the two classes and the flux,
+and builds no complex and no crossing record: ``transverse_contacts``
+refuses a pair that is not transverse.  The polygon walk serves CF(X, Y),
+its bigons and mu_2: generators are the intersection points at action
+zero; the differential counts embedded bigons (lunes) in the universal
+cover, bounded by one arc of each curve with convex corners, weighted by
 T^area, mod 2, and directed from the positive corner to the negative one.
 The walk finds the lunes and the triangles of ``mu2_triangles`` from the
 order of the crossings along the lifts, as de Silva, Robbin and Salamon
@@ -23,9 +24,10 @@ The walk runs on integers.  Each crossing record holds its ends as
 integer fractions n/den of their edges and integer deck translates
 (``curves.Crossing``), so positions are integers over the lcm of the
 records' denominators, deck offsets are integer vectors, and a loop's
-points are integers over that lcm times the curves' scales.  Each
-polygon found gets one Fraction for its area and Fraction points for
-its loop.
+points are integers over that lcm times the curves' scales.  The walk
+reads each curve's integer lift, scale, class and edge count off the
+``TorusCurve`` itself.  Each polygon found gets one Fraction for its
+area and Fraction points for its loop.
 
 Finiteness.  Lifts of two different classes cross finitely often.  When
 the two sides at a corner lie in one class up to sign, the candidates for
@@ -43,25 +45,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Tuple
 
 from ..novikov import DEFAULT_CUTOFF, NovikovScalar
 from ..filtcx import Chain, FilteredComplex
-from .curves import GeometryError, Point, TorusCurve, crossings
-
-
-class _Lift(NamedTuple):
-    """A curve's integer lift (closure included) and its scale, read off
-    the curve, with its class and edge count."""
-    pts: List[Tuple[int, int]]
-    scale: int
-    cls: Tuple[int, int]
-    n: int
-
-    @classmethod
-    def of(cls, curve: TorusCurve) -> "_Lift":
-        return cls(curve.int_lift, curve.scale, curve.hclass,
-                   len(curve.vertices))
+from .curves import GeometryError, Point, TorusCurve, crossings, \
+    transverse_contacts
 
 
 def _det(u, v):
@@ -72,12 +61,12 @@ def _sub(u, v):
     return (u[0] - v[0], u[1] - v[1])
 
 
-def _point(lift: _Lift, r, s: int, big: int) -> Tuple[int, int]:
-    """The lift of end s of record r on ``lift``, times ``big`` (a
-    multiple of the lift's scale times r.den): n/den of the way along
+def _point(curve: TorusCurve, r, s: int, big: int) -> Tuple[int, int]:
+    """The lift of end s of record r on ``curve``, times ``big`` (a
+    multiple of the curve's scale times r.den): n/den of the way along
     its edge of the integer lift."""
-    (ax, ay), (bx, by) = lift.pts[r.ends[s][0]:r.ends[s][0] + 2]
-    n, f = r.at[s][0], big // (lift.scale * r.den)
+    (ax, ay), (bx, by) = curve.int_lift[r.ends[s][0]:r.ends[s][0] + 2]
+    n, f = r.at[s][0], big // (curve.scale * r.den)
     return ((ax * r.den + n * (bx - ax)) * f, (ay * r.den + n * (by - ay)) * f)
 
 
@@ -86,12 +75,13 @@ def _shoelace(pts) -> int:
     return sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(pts, pts[1:]))
 
 
-def _blocked(la: _Lift, lb: _Lift, items, shift, arc_a, arc_b,
+def _blocked(ca: TorusCurve, cb: TorusCurve, items, shift, arc_a, arc_b,
              scale) -> bool:
     """Does a crossing of lifts of a and b lie strictly inside both arcs?
     Positions are integers over ``scale``; ``items`` hold (position on a,
     on b, (a lift - b lift) / 2) per record; ``shift`` is (b - a) / 2."""
-    ha, hb, ea, eb = la.cls, lb.cls, la.n * scale, lb.n * scale
+    ha, hb = ca.hclass, cb.hclass
+    ea, eb = len(ca.vertices) * scale, len(cb.vertices) * scale
     (a0, a1), (b0, b1) = sorted(arc_a), sorted(arc_b)
     d = _det(hb, ha)
     for pa, pb, e in items:
@@ -143,29 +133,30 @@ def _window(lp, lq, gp, gq, ep, eq):
     return range(ceil(lo), floor(hi) + 1)
 
 
-def _polygons(lifts, corners):
-    """Embedded polygons with side i on ``lifts[i]``; ``corners[i]`` is
+def _polygons(curves, corners):
+    """Embedded polygons with side i on ``curves[i]``; ``corners[i]`` is
     (records, flip) for the crossings of sides i - 1 and i, flip set if
     the records list side i first.  Yields (corner records, signed area,
     loop from the wrapped corner 0) once per polygon on the torus."""
-    k = len(lifts)
+    k = len(curves)
+    ns = [len(c.vertices) for c in curves]  # edge counts
     # corner i at period n[i] on side i - 1: sum n[i] h[i - 1] = rhs
-    vecs = [lifts[i - 1].cls for i in range(k)]
+    vecs = [curves[i - 1].hclass for i in range(k)]
     u = _kernel(vecs)
     if k == 3 and u.count(0) != 1:
         raise GeometryError("mu_2 needs exactly two of the three classes "
                             "equal up to sign")
     pinned = [i for i in range(k) if u[i]][-1:]  # its entry of u is +-1
     unknown = [i for i in range(k) if i not in pinned]
-    same = next((i for i in range(k) if not _det(vecs[i], lifts[i].cls)),
+    same = next((i for i in range(k) if not _det(vecs[i], curves[i].hclass)),
                 None)  # a corner whose two sides lie in one class
-    sg = same is not None and (1 if vecs[same] == lifts[same].cls else -1)
+    sg = same is not None and (1 if vecs[same] == curves[same].hclass else -1)
     pair = [(i, i - 1) if flip else (i - 1, i)
             for i, (_, flip) in enumerate(corners)]
     # a record end's position on its side, edge i plus n / den, is an
     # integer over ``scale``; the loops' points are integers over ``big``
     scale = lcm(*(r.den for recs, _ in corners for r in recs))
-    big = scale * lcm(*(lift.scale for lift in lifts))
+    big = scale * lcm(*(c.scale for c in curves))
 
     def pos(r, s):
         return r.ends[s][0] * scale + r.at[s][0] * (scale // r.den)
@@ -190,7 +181,7 @@ def _polygons(lifts, corners):
         def sides(t):
             n = [a + t * b for a, b in zip(s0, u)]
             return [(tup[i][1], tup[i + 1 - k][2]
-                     + n[i + 1 - k] * lifts[i].n * scale) for i in range(k)]
+                     + n[i + 1 - k] * ns[i] * scale) for i in range(k)]
 
         ts = range(1)
         if same is not None:
@@ -198,7 +189,7 @@ def _polygons(lifts, corners):
                 (a[same - 1][0] - a[same - 1][1],
                  sg * (a[same][1] - a[same][0])) for a in (sides(0), sides(1))]
             ts = _window(lp, lq, lp1 - lp, lq1 - lq,
-                         lifts[same - 1].n * scale, lifts[same].n * scale)
+                         ns[same - 1] * scale, ns[same] * scale)
         for t in ts:
             arcs = sides(t)
             e = [1 if b > a else -1 for a, b in arcs]
@@ -210,11 +201,11 @@ def _polygons(lifts, corners):
             # which meets it at corner i after whole class translates
             w = [(0, 0)]
             for i in range(1, k):
-                end, h = tup[i][0].ends[corners[i][1]], lifts[i - 1].cls
-                m = (arcs[i - 1][1] // scale - end[0]) // lifts[i - 1].n
+                end, h = tup[i][0].ends[corners[i][1]], vecs[i]
+                m = (arcs[i - 1][1] // scale - end[0]) // ns[i - 1]
                 w.append((w[-1][0] + m * h[0] - tup[i][3][0],
                           w[-1][1] + m * h[1] - tup[i][3][1]))
-            if any(_blocked(lifts[a], lifts[b], items[i], _sub(w[b], w[a]),
+            if any(_blocked(curves[a], curves[b], items[i], _sub(w[b], w[a]),
                             arcs[a], arcs[b], scale)
                    for i, (a, b) in enumerate(pair) if k > 2 or i):
                 continue
@@ -223,16 +214,16 @@ def _polygons(lifts, corners):
             to = tup[0][0].at[1 - corners[0][1]][1]
             loop = []
             for i, (a, b) in enumerate(arcs):
-                lift, f = lifts[i], big // lifts[i].scale
+                curve, f = curves[i], big // curves[i].scale
                 ox, oy = (2 * big * (c - m) for c, m in zip(w[i], to))
-                x, y = _point(lift, tup[i][0], 1 - corners[i][1], big)
+                x, y = _point(curve, tup[i][0], 1 - corners[i][1], big)
                 loop.append((x + ox, y + oy))
                 for g in (range(a // scale + 1, b // scale + 1) if a < b
                           else range(a // scale, b // scale, -1)):
-                    m, v = divmod(g, lift.n)
-                    x, y = lift.pts[v]
-                    loop.append((x * f + 2 * big * m * lift.cls[0] + ox,
-                                 y * f + 2 * big * m * lift.cls[1] + oy))
+                    m, v = divmod(g, ns[i])
+                    x, y = curve.int_lift[v]
+                    loop.append((x * f + 2 * big * m * curve.hclass[0] + ox,
+                                 y * f + 2 * big * m * curve.hclass[1] + oy))
             loop.append(loop[0])
             area = _shoelace(loop)
             if (area > 0) == (turns.pop() > 0):
@@ -249,7 +240,7 @@ def enumerate_bigons(n_curve: TorusCurve, l_curve: TorusCurve, recs=None):
     and back along the L-arc."""
     recs = crossings(n_curve, l_curve) if recs is None else recs
     return [(p.point, q.point, abs(area), loop) for (p, q), area, loop
-            in _polygons([_Lift.of(n_curve), _Lift.of(l_curve)],
+            in _polygons([n_curve, l_curve],
                          [(recs, 1), (recs, 0)])]
 
 
@@ -299,8 +290,8 @@ def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve) -> int:
     |h|^2 (the loop between the curves closes with two segments 2h
     apart, on which n.p agrees), and a deck translate moves F by a
     multiple of 4|h|^2.  Reversing a curve negates h and F.
-    ``crossings`` refuses pairs that are not transverse."""
-    crossings(n_curve, l_curve)
+    ``transverse_contacts`` refuses pairs that are not transverse."""
+    transverse_contacts(n_curve, l_curve)
     h, k = n_curve.hclass, l_curve.hclass
     if _det(h, k):
         return abs(_det(h, k))
@@ -327,7 +318,7 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve):
     if not all(recs):
         return out
     for (x, y, z), area, loop in _polygons(
-            [_Lift.of(c) for c in (c1, c2, c0)], list(zip(recs, (0, 0, 1)))):
+            [c1, c2, c0], list(zip(recs, (0, 0, 1)))):
         mono = NovikovScalar.monomial(abs(area), DEFAULT_CUTOFF)
         cur = out.setdefault((y.point, x.point), {})
         cur[z.point] = cur[z.point] + mono if z.point in cur else mono

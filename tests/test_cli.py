@@ -316,6 +316,21 @@ def test_cli_repro(tmp_path, capsys):
     assert "refused" in out3
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["--eps", "1/4"], "requires 0 < eps <= 1/8"),
+    (["--delta", "0"], "requires 0 < delta < eps^2/2"),
+    (["--eps", "abc"], "Invalid literal for Fraction: 'abc'"),
+], ids=["eps 1/4", "delta 0", "eps abc"])
+def test_cli_repro_reports_bad_arguments_on_one_line(capsys, args, reason):
+    argv = dict(zip(args[::2], args[1::2]))
+    eps, delta = argv.get("--eps", "1/8"), argv.get("--delta", "1/256")
+    code = main(["repro-lemma-ex1", *args])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.err == ""
+    assert cap.out.splitlines() == [
+        f"--eps {eps} --delta {delta} | - | - | error: {reason}"]
+
+
 def test_cli_width(tmp_path, capsys):
     f = tmp_path / "sc.txt"
     f.write_text(SCENARIO)
@@ -343,6 +358,8 @@ MALFORMED_QUERIES = [
     ("metric", SCENARIO, "d_k L' L k=0 famly=G",
      "error: unknown option 'famly'; expected k, family"),
     ("metric", SCENARIO, "d_k L' L k=0 k=1", "error: option 'k' given twice"),
+    ("metric", SCENARIO, "d_k L' L k=-1",
+     "error: d_k needs an end count k >= 0, got -1"),
     ("metric", SCENARIO, "l_a L' L a=x", "error: "),
     ("metric", SCENARIO, "d_F L'", "error: d_F needs two names"),
     ("metric", SCENARIO, "floer N zz", "error: unknown or missing 'zz'"),

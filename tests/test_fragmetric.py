@@ -53,6 +53,28 @@ def test_dk_nonincreasing_in_k(space):
     assert all(a >= b for a, b in zip(lowers, lowers[1:]))
 
 
+@pytest.mark.parametrize("build, lp", [(lem_ex1_space, "L'"),
+                                       (trace_surgery_space, "L''")])
+def test_d_k_past_the_last_end_count_reads_that_count(monkeypatch, build, lp):
+    """lower_k is constant from K = |F| + #probes on, so d_k at k = 10**6
+    is d_k at K, byte for byte, after as many certified bounds; a negative
+    k is refused by name."""
+    sp = build(EPS, DELTA)
+    certify, calls = sp._certify, []
+    monkeypatch.setattr(sp, "_certify",
+                        lambda *a: calls.append(a) or certify(*a))
+    last = len(set(sp.families["F"])) + len(sp.probes)
+    got = []
+    for k in (last, 10 ** 6):
+        r = sp.d_k(lp, "L", "F", k)
+        got.append((repr(r), r.certificate, len(calls)))
+        calls.clear()
+    assert got[0] == got[1]
+    with pytest.raises(FragError, match=r"d_k needs an end count k >= 0, "
+                       r"got -1"):
+        sp.d_k(lp, "L", "F", -1)
+
+
 def test_cone_lengths(space):
     assert space.cone_length("L'", "L", "F", None).upper == 0
     r = space.cone_length("L'", "L", "F", 2 * DELTA)
@@ -509,8 +531,8 @@ def test_lower_bounds_match_every_multiset_bounded_alone(build, pairs,
             space.moves.append(suspension_move(f"s{a[1]}{b[1]}", a, b,
                                                length))
         for lp, l in pairs:
-            got = [(r.lower, r.certificate) for r in itertools.islice(
-                space._results(lp, l, "F"), 7)]
+            got = [(r.lower, r.certificate) for r in (
+                space.d_k(lp, l, "F", k) for k in range(7))]
             assert got == ref_lower_bounds(space, lp, l, "F"), \
                 (min_area, lp, l)
 

@@ -266,9 +266,15 @@ def test_curve_geometry_matches_all_pairs_scan(suite):
     pool.append(TorusCurve([(0, 0), (1, 0), (1, 1), (F(1, 2), 1),
                             (F(1, 2), -1), (2, -1), (2, 0)],
                            name="eight", check_embedded=False))
+    # a curve that crosses itself through a vertex, where two edges touch
+    # an edge that neither follows
+    pool.append(TorusCurve([(-1, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)),
+                            (0, F(1, 2)), (0, 0), (0, F(-1, 2)),
+                            (F(3, 4), F(-1, 2)), (F(3, 4), 0), (1, 0)],
+                           name="pinch", check_embedded=False))
     embedded = [c.is_embedded() for c in pool]
     assert embedded == [ref_is_embedded(c) for c in pool]
-    assert embedded.count(False) == 1
+    assert embedded.count(False) == 2
     transverse = 0
     for c1 in pool:
         for c2 in pool:
@@ -277,6 +283,11 @@ def test_curve_geometry_matches_all_pairs_scan(suite):
             got = _outcome(intersections, c1, c2)
             assert got == _outcome(ref_crossings, c1, c2, False)
             transverse += isinstance(got, list)
+            # hf_rank refuses exactly the pairs that intersections does,
+            # with the same text
+            rank = _outcome(floer.hf_rank, c1, c2)
+            assert (rank if isinstance(rank, tuple) else None) == \
+                (None if isinstance(got, list) else got)
             assert count_transverse_crossings(c1, c2) == \
                 len(ref_crossings(c1, c2, True))
     if suite == "floer-sanity":
