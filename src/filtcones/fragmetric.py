@@ -224,36 +224,28 @@ class MetricSpace:
             self._probe_ok[probe] = probe.verify(self)
         return self._probe_ok[probe]
 
-    def _set_widths(self, lp: str, l: str,
-                    ends) -> Tuple[Fraction, Fraction]:
-        """(width(lp; l + ends)/2, width(l; lp + ends)/2) of an end set."""
-        return (self.prune_lower_bound(lp, [l, *ends]),
-                self.prune_lower_bound(l, [lp, *ends]))
+    def _set_bound(self, lp: str, l: str,
+                   ends) -> Tuple[Fraction, Optional[Tuple[str, str]]]:
+        """The larger of width(lp; l + ends)/2 and width(l; lp + ends)/2
+        of an end set, and its pair, (lp, l) or (l, lp), the first on a
+        tie; (0, None) when both are 0."""
+        best, pair = Fraction(0), None
+        for a, b in ((lp, l), (l, lp)):
+            val = self.prune_lower_bound(a, [b, *ends])
+            if val > best:
+                best, pair = val, (a, b)
+        return best, pair
 
     @staticmethod
-    def _width_bound(lp: str, l: str, ends: Sequence[str],
-                     widths: Tuple[Fraction, Fraction]) -> Tuple[Fraction, str]:
-        """The larger of the two width bounds ``widths`` of the ends, and
-        its certificate."""
-        best, cert, names = Fraction(0), "none", "+".join(ends) or "none"
-        for val, (a, b) in zip(widths, ((lp, l), (l, lp))):
-            if val > best:
-                best, cert = val, f"width({a};{b}+{names})/2"
-        return best, cert
-
-    def _certify(self, lp: str, l: str, ends: Tuple[str, ...],
-                 widths: Tuple[Fraction, Fraction]) -> Tuple[Fraction, str]:
-        """The best certified bound for the end multiset ``ends`` with
-        width bounds ``widths``, and its certificate."""
-        best, cert = self._width_bound(lp, l, ends, widths)
-        # probes certify the whole end multiset; bending makes the choice
-        # of positive end irrelevant
-        query_ms = tuple(sorted((lp, l, *ends)))
-        for p in self.probes:
-            if tuple(sorted((p.source, *p.ends))) == query_ms \
-                    and p.claimed_sup > best and self._probe_verified(p):
-                best, cert = p.claimed_sup, f"probe {p.name}"
-        return best, cert
+    def _certify(ends: Sequence[str], why) -> str:
+        """The certificate of a bound of the end multiset ``ends``: ``why``
+        is the width pair of ``_set_bound``, None, or the probe that
+        raised the bound."""
+        if isinstance(why, ProbeFamily):
+            return f"probe {why.name}"
+        if why is None:
+            return "none"
+        return f"width({why[0]};{why[1]}+{'+'.join(ends) or 'none'})/2"
 
     # -- upper bounds (search) ----------------------------------------------
 
@@ -313,20 +305,31 @@ class MetricSpace:
         """Yield (lower_k, certificate) for k = 0, 1, ...: the least
         certified bound over the end multisets of at most k family members.
 
-        The width part of a bound depends on the set of ends alone and is
-        computed once per set; probes and certificates see the multiset.
+        The width part of a bound depends on the set of ends alone: its
+        larger width bound and that bound's pair are found once per set.
+        Per multiset, its sorted multiset with lp and l picks the probes
+        of that exact multiset, whose sorted multisets are found once per
+        walk.  A certificate is built only when a multiset lowers the bound
+        strictly, so the first multiset to reach the least bound keeps it.
         """
-        widths: Dict[frozenset, Tuple[Fraction, Fraction]] = {}
+        sets: Dict[frozenset, Tuple[Fraction, Optional[Tuple[str, str]]]] = {}
+        probes: Dict[tuple, List[ProbeFamily]] = {}
+        for p in self.probes:
+            probes.setdefault(tuple(sorted((p.source, *p.ends))), []).append(p)
+        members = sorted(set(family))
         lower, cert = INF, "no ends"
         for k in itertools.count():
-            for ends in itertools.combinations_with_replacement(
-                    sorted(set(family)), k):
+            for ends in itertools.combinations_with_replacement(members, k):
                 key = frozenset(ends)
-                if key not in widths:
-                    widths[key] = self._set_widths(lp, l, key)
-                val, why = self._certify(lp, l, ends, widths[key])
+                if key not in sets:
+                    sets[key] = self._set_bound(lp, l, key)
+                val, why = sets[key]
+                # bending makes the choice of positive end irrelevant
+                for p in probes.get(tuple(sorted((lp, l, *ends))), ()):
+                    if p.claimed_sup > val and self._probe_verified(p):
+                        val, why = p.claimed_sup, p
                 if val < lower:
-                    lower, cert = val, why
+                    lower, cert = val, self._certify(ends, why)
             if lp == l:
                 lower = Fraction(0)
             yield lower, cert
@@ -414,9 +417,10 @@ class MetricSpace:
             return self.d_k(lp, l, family_name, 0)
         goals = self._search(lp, l, family, False)
         upper, witness = next(iter(goals.values()), (INF, None))
-        lower, cert = (Fraction(0), "none") if lp == l else \
-            self._width_bound(lp, l, family, self._set_widths(lp, l, family))
-        return MetricResult(lower, upper, witness, cert)
+        lower, pair = (Fraction(0), None) if lp == l else \
+            self._set_bound(lp, l, family)
+        return MetricResult(lower, upper, witness,
+                            self._certify(family, pair))
 
     def d_hat(self, lp: str, l: str, fam1: str, fam2: str) -> MetricResult:
         r1 = self.d_f(lp, l, fam1)

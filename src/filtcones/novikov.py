@@ -33,7 +33,10 @@ def rat(x: RatLike) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(str(x))
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {str(x)!r}") from None
 
 
 class NovikovError(ValueError):

@@ -20,10 +20,12 @@ the embedding check, ``crossings``, ``count_transverse_crossings``,
 records are built only for the crossings a caller keeps.
 
 Pairs of segments are tested only as ``segment_pairs`` yields them: the
-pairs whose closed axis-aligned bounding boxes meet.  It never decides
-contact itself; ``_seg_common`` is the one exact contact predicate.  The
-pairs it skips share no point, as their closed boxes are disjoint.  The
-deck translates of one path that can meet another are cut the same way
+pairs whose closed axis-aligned bounding boxes meet, found by one sort
+of the boxes by left edge and a bisect of that order per box, with no
+list of open boxes kept.  It never decides contact itself;
+``_seg_common`` is the one exact contact predicate.  The pairs it skips
+share no point, as their closed boxes are disjoint.  The deck
+translates of one path that can meet another are cut the same way
 (``_translated_edges``): a translated edge whose closed box misses the
 closed box of the other path misses every segment of that path, whose
 boxes lie inside it, so it is dropped before the sweep.
@@ -31,8 +33,10 @@ boxes lie inside it, so it is dropped before the sweep.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..novikov import points, rat
@@ -123,29 +127,50 @@ def _seg_common(p1, p2, q1, q2, scale: int = 1):
             "proper", (t, u, denom))
 
 
+def _boxes(segs):
+    """The closed boxes (x0, x1, y0, y1, index) of ``segs``, sorted by
+    left edge, and their left edges in that order."""
+    boxes = sorted([((ax, bx) if ax <= bx else (bx, ax))
+                    + ((ay, by) if ay <= by else (by, ay)) + (i,)
+                    for i, ((ax, ay), (bx, by)) in enumerate(segs)],
+                   key=itemgetter(0))
+    return boxes, [e[0] for e in boxes]
+
+
 def segment_pairs(segs, others=None) -> List[Tuple[int, int]]:
     """Index pairs of segments whose closed bounding boxes meet.
 
     With one list: pairs (i, j), i < j, within ``segs``.  With ``others``:
-    cross pairs (i, j) of ``segs[i]`` and ``others[j]``.  A sweep over
-    the boxes sorted by left edge; all comparisons are exact and closed,
-    so zero-width boxes of axis-parallel segments pair with anything
-    touching them.
+    cross pairs (i, j) of ``segs[i]`` and ``others[j]``.  A sort-and-bisect
+    sweep over the boxes sorted by left edge: two boxes meet along x when
+    the left edge of one lies between the edges of the other.  Within one
+    list, a box takes the boxes after it whose left edge is <= its right
+    edge.  Across two lists, a ``segs`` box takes the ``others`` boxes
+    whose left edge lies in [x0, x1], and an ``others`` box the ``segs``
+    boxes whose left edge lies in (x0, x1], so each pair comes out once;
+    then the y ranges are compared.  All comparisons are exact and
+    closed, so zero-width boxes of axis-parallel segments pair with
+    anything touching them.
     """
-    lists = [segs] if others is None else [segs, others]
-    entries = sorted(((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]),
-                       max(a[1], b[1]), side, i)
-                      for side, lst in enumerate(lists)
-                      for i, (a, b) in enumerate(lst)), key=lambda e: e[0])
-    active = [[] for _ in lists]  # per side: (right edge, y lo, y hi, index)
+    boxes, lefts = _boxes(segs)
     pairs = []
-    for x0, x1, y0, y1, side, i in entries:
-        partner = active[0] if others is None else active[1 - side]
-        live = [e for e in partner if e[0] >= x0]  # the rest end left of x0
-        pairs.extend((j, i) if side or (others is None and j < i) else (i, j)
-                     for _, lo, hi, j in live if lo <= y1 and y0 <= hi)
-        partner[:] = live
-        active[side].append((x1, y0, y1, i))
+    if others is None:
+        for n, (_, x1, y0, y1, i) in enumerate(boxes):
+            pairs.extend((i, j) if i < j else (j, i)
+                         for _, _, lo, hi, j
+                         in boxes[n + 1:bisect_right(lefts, x1)]
+                         if lo <= y1 and y0 <= hi)
+        return pairs
+    oboxes, olefts = _boxes(others)
+    for x0, x1, y0, y1, i in boxes:
+        pairs.extend((i, j) for _, _, lo, hi, j
+                     in oboxes[bisect_left(olefts, x0):
+                               bisect_right(olefts, x1)]
+                     if lo <= y1 and y0 <= hi)
+    for x0, x1, y0, y1, j in oboxes:
+        pairs.extend((i, j) for _, _, lo, hi, i
+                     in boxes[bisect_right(lefts, x0):bisect_right(lefts, x1)]
+                     if lo <= y1 and y0 <= hi)
     return pairs
 
 

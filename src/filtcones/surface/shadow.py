@@ -5,10 +5,16 @@ shadow is the total area of the bounded complementary faces, computed
 from the exact rational arrangement (rays are clipped at a bounding box
 and faces touching the box are unbounded).
 
-The arrangement is built on the segments times their common scale, in
-integers, and its vertices are scaled once more by the common scale of
-the contact points: the faces are traced on integer vertices at one
-scale q, where twice an area is an integer.  Areas (and the faces that
+The arrangement is built in one integer frame: the diagram's points are
+scaled once by their common scale q, and the padded box (one unit, q in
+that frame) and the ray tips are integers there.  Its vertices are
+scaled once more by the common scale m of the contact points, so the
+faces are traced on integer vertices at scale qm, where twice an area
+is an integer.  The walk follows a next-half-edge table (neighbours are
+sorted by angle only where three or more edges meet) and adds up each
+face's area and box contact as it goes.  The connected components,
+which place a hole in the face around it, are found only when some
+negative cycle does not touch the box.  Areas (and the faces that
 ``return_faces`` asks for) are returned as Fractions.
 """
 
@@ -81,13 +87,11 @@ class PlanarDiagram:
 # arrangement
 # ---------------------------------------------------------------------------
 
-def _atomic_segments(segments: List[Tuple[Point, Point]]):
-    """Split segments at all mutual intersections and de-overlap
-    collinear pieces; returns (edges, q), interior-disjoint edges between
-    integer points: the vertices times q, the segments' common scale
-    times the common scale m of their contact points in that frame."""
-    q = common_scale([p for seg in segments for p in seg])
-    segs = [tuple(scaled(seg, q)) for seg in segments]
+def _atomic_segments(segs: List[Tuple[IPoint, IPoint]]):
+    """Split integer segments at all mutual intersections and de-overlap
+    collinear pieces; returns (edges, m), interior-disjoint edges between
+    integer points: the vertices times m, the common scale of the
+    segments' contact points."""
     # group by supporting line: (a, b, c) with a*x + b*y = c, reduced by
     # gcd(a, b) and signed so that the first nonzero of a, b is positive
     lines: Dict[Tuple, List[Tuple[IPoint, IPoint]]] = {}
@@ -108,8 +112,8 @@ def _atomic_segments(segments: List[Tuple[Point, Point]]):
         if hit is not None and hit[0] == "point":
             hits.append((i, j, hit[1]))
     m = common_scale([p for _, _, p in hits])
-    lines = {k: [tuple(scaled(seg, m)) for seg in lsegs]
-             for k, lsegs in lines.items()}
+    lines = {k: [((p[0] * m, p[1] * m), (r[0] * m, r[1] * m))
+                 for p, r in lsegs] for k, lsegs in lines.items()}
     cuts = {k: {p for seg in lsegs for p in seg} for k, lsegs in lines.items()}
     for (i, j, _), p in zip(hits, scaled([p for _, _, p in hits], m)):
         cuts[keys[i]].add(p)
@@ -121,7 +125,7 @@ def _atomic_segments(segments: List[Tuple[Point, Point]]):
             lo, hi = sorted((p, r))
             i, j = bisect_left(pts, lo), bisect_right(pts, hi)
             edges.update(zip(pts[i:j], pts[i + 1:j]))
-    return edges, q * m
+    return edges, m
 
 
 def _pseudo_angle_cmp(u: IPoint, v: IPoint) -> int:
@@ -141,30 +145,91 @@ def _pseudo_angle_cmp(u: IPoint, v: IPoint) -> int:
 
 def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
     """Total area of the bounded complementary faces, exactly."""
-    x0, y0, x1, y1 = diagram.bounds()
-    pad = Fraction(1)
-    bx0, by0, bx1, by1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
-    segments = list(diagram.segments)
-    for (p, d) in diagram.rays:
-        tip = (bx1 if d > 0 else bx0, p[1])
-        if tip != p:
-            segments.append((p, tip))
-    box_edges = [((bx0, by0), (bx1, by0)), ((bx1, by0), (bx1, by1)),
-                 ((bx1, by1), (bx0, by1)), ((bx0, by1), (bx0, by0))]
-    segments += box_edges
-    # trace the faces on the arrangement's vertices times their common
-    # scale q; twice an area is then an integer s, and the area s / 2q^2
-    edges, q = _atomic_segments(segments)
-    # half-edge structure
-    out_edges: Dict[IPoint, List[IPoint]] = {}
+    # the points times their common scale q, in a box padded by q (one
+    # unit) on every side; a ray ends on the box, a pad from its anchor
+    segments, rays = diagram.segments, diagram.rays
+    pts = [p for seg in segments for p in seg] + [p for p, _ in rays]
+    q = common_scale(pts)
+    ipts = scaled(pts, q)
+    xs = [x for x, _ in ipts] or [0, q]
+    ys = [y for _, y in ipts] or [0, q]
+    bx0, by0, bx1, by1 = min(xs) - q, min(ys) - q, max(xs) + q, max(ys) + q
+    n = 2 * len(segments)
+    segs = list(zip(ipts[:n:2], ipts[1:n:2]))
+    segs += [(p, (bx1 if d > 0 else bx0, p[1]))
+             for p, (_, d) in zip(ipts[n:], rays)]
+    segs += [((bx0, by0), (bx1, by0)), ((bx1, by0), (bx1, by1)),
+             ((bx1, by1), (bx0, by1)), ((bx0, by1), (bx0, by0))]
+    # trace the faces on the arrangement's vertices, at scale q * m; twice
+    # an area is then an integer s, and the area s / 2(qm)^2
+    edges, m = _atomic_segments(segs)
+    box_x, box_y = {bx0 * m, bx1 * m}, {by0 * m, by1 * m}
+    nbrs: Dict[IPoint, List[IPoint]] = {}
     for (u, v) in edges:
-        out_edges.setdefault(u, []).append(v)
-        out_edges.setdefault(v, []).append(u)
-    for v, nbrs in out_edges.items():
-        nbrs.sort(key=functools.cmp_to_key(
-            lambda a, b, v=v: _pseudo_angle_cmp(
-                (a[0] - v[0], a[1] - v[1]), (b[0] - v[0], b[1] - v[1]))))
-    # connected components of the arrangement (for hole assignment)
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    # the face walk goes from the half-edge (a, b) on to (b, nxt[a, b]):
+    # the neighbour of b just clockwise of a, neighbours being in
+    # counterclockwise order
+    nxt: Dict[Tuple[IPoint, IPoint], IPoint] = {}
+    for v, ns in nbrs.items():
+        if len(ns) > 2:
+            ns.sort(key=functools.cmp_to_key(
+                lambda a, b, v=v: _pseudo_angle_cmp(
+                    (a[0] - v[0], a[1] - v[1]), (b[0] - v[0], b[1] - v[1]))))
+        for i, a in enumerate(ns):
+            nxt[a, v] = ns[i - 1]
+    faces = []  # (twice the area times (qm)^2, touches the box, vertices)
+    while nxt:
+        (a, b), c = nxt.popitem()
+        a0, b0, cycle, area, touches = a, b, [], 0, False
+        while True:
+            cycle.append(a)
+            area += a[0] * b[1] - b[0] * a[1]
+            if (a[0] in box_x or a[1] in box_y) and \
+                    (b[0] in box_x or b[1] in box_y):
+                touches = True
+            if b == a0 and c == b0:
+                break
+            a, b, c = b, c, nxt.pop((b, c))
+        faces.append((area, touches, cycle))
+    bounded = [(area, cycle) for area, touches, cycle in faces
+               if area > 0 and not touches]
+    total = sum(area for area, _ in bounded)
+    # negative cycles are hole boundaries of the face that contains them;
+    # subtract those sitting inside a bounded face (their interior was
+    # already counted by the enclosing positive cycle).  A hole can only
+    # belong to a face bounded by a different connected component, so
+    # the components are found when there is a hole to place.
+    holes = [(area, cycle) for area, touches, cycle in faces
+             if area < 0 and not touches]
+    if holes:
+        find = _components(edges)
+        positives = [(area, touches, find(cycle[0]), cycle)
+                     for area, touches, cycle in faces if area > 0]
+    for area, cycle in holes:
+        probe = min(cycle)
+        cid = find(probe)
+        best = None
+        for parea, ptouches, pcid, pcycle in positives:
+            if pcid != cid and (best is None or parea < best[0]) \
+                    and _point_in_cycle(probe, pcycle):
+                best = (parea, ptouches)
+        if best is not None and not best[1]:
+            total += area  # area is negative
+    scale = q * m
+    if return_faces:
+        return Fraction(total, 2 * scale * scale), [
+            (Fraction(area, 2 * scale * scale),
+             [tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in e)
+              for e in zip(cycle, cycle[1:] + cycle[:1])])
+            for area, cycle in bounded]
+    return Fraction(total, 2 * scale * scale)
+
+
+def _components(edges):
+    """The connected components of the edges, as a function from a
+    vertex to its component's root (union-find)."""
     parent: Dict[IPoint, IPoint] = {}
 
     def find(p):
@@ -177,77 +242,19 @@ def planar_shadow(diagram: PlanarDiagram, return_faces: bool = False):
         parent.setdefault(u, u)
         parent.setdefault(v, v)
         parent[find(u)] = find(v)
-
-    visited = set()
-    faces = []
-    (ix0, iy0), (ix1, iy1) = scaled([(bx0, by0), (bx1, by1)], q)
-    box_x = {ix0, ix1}
-    box_y = {iy0, iy1}
-
-    def on_boundary(p: IPoint) -> bool:
-        return p[0] in box_x or p[1] in box_y
-
-    for (u, v) in edges:
-        for h in ((u, v), (v, u)):
-            if h in visited:
-                continue
-            cycle = []
-            cur = h
-            while cur not in visited:
-                visited.add(cur)
-                cycle.append(cur)
-                a, b = cur
-                nbrs = out_edges[b]
-                idx = nbrs.index(a)
-                nxt = nbrs[(idx - 1) % len(nbrs)]
-                cur = (b, nxt)
-            area = 0  # twice the area, times q^2
-            touches_box = False
-            for (a, b) in cycle:
-                area += a[0] * b[1] - b[0] * a[1]
-                if on_boundary(a) and on_boundary(b):
-                    touches_box = True
-            faces.append((area, touches_box, cycle))
-    positives = [(area, cycle, touches) for area, touches, cycle in faces
-                 if area > 0]
-    bounded = [(area, cycle) for area, touches, cycle in faces
-               if area > 0 and not touches]
-    total = sum(area for area, _ in bounded)
-    # negative cycles are hole boundaries of the face that contains them;
-    # subtract those sitting inside a bounded face (their interior was
-    # already counted by the enclosing positive cycle).  A hole can only
-    # belong to a face bounded by a different connected component.
-    for area, touches, cycle in faces:
-        if area >= 0 or touches:
-            continue
-        probe = min(p for e in cycle for p in e)
-        cid = find(probe)
-        best = None
-        for parea, pcycle, ptouches in positives:
-            if find(pcycle[0][0]) == cid:
-                continue
-            if _point_in_cycle(probe, pcycle):
-                if best is None or parea < best[0]:
-                    best = (parea, ptouches)
-        if best is not None and not best[1]:
-            total += area  # area is negative
-    total = Fraction(total, 2 * q * q)
-    if return_faces:
-        return total, [(Fraction(area, 2 * q * q),
-                        [tuple((Fraction(x, q), Fraction(y, q)) for x, y in e)
-                         for e in cycle]) for area, cycle in bounded]
-    return total
+    return find
 
 
 def _point_in_cycle(p: IPoint, cycle) -> bool:
-    """Even-odd test against the half-edge cycle (p must avoid its edges).
+    """Even-odd test against the closed vertex cycle (p must avoid its
+    edges).
 
     An edge (a, b) that crosses the horizontal line through p counts if
     it crosses right of p, at some x > p_x; ``right`` below is
     (x - p_x)(b_y - a_y), so it counts if right (b_y - a_y) > 0.
     """
     inside = False
-    for (a, b) in cycle:
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if (a[1] > p[1]) != (b[1] > p[1]):
             right = ((a[0] - p[0]) * (b[1] - a[1])
                      + (p[1] - a[1]) * (b[0] - a[0]))

@@ -808,6 +808,37 @@ def shear_diagram(d: PlanarDiagram, lam) -> PlanarDiagram:
         [((p[0] + lam * p[1], p[1]), dd) for p, dd in d.rays])
 
 
+def ref_rect_union_area(rects) -> Fraction:
+    """The area enclosed by the outlines of closed axis-parallel
+    rectangles (x0, y0, x1, y1): their union together with every pocket
+    of its complement that the union surrounds.  By coordinate
+    compression, with no planar arrangement: the lines through the edges
+    cut the bounding box into cells, each in the union or out of it as a
+    whole.  Two uncovered cells that share a side are joined through it,
+    as a rectangle edge on that side would cover one of them; so the
+    uncovered cells joined to the border of the box are the outside, and
+    the rest of the box is the answer."""
+    xs = sorted({c for r in rects for c in (r[0], r[2])})
+    ys = sorted({c for r in rects for c in (r[1], r[3])})
+    nx, ny = len(xs) - 1, len(ys) - 1
+    free = {(i, j) for i in range(nx) for j in range(ny)
+            if not any(r[0] <= xs[i] and xs[i + 1] <= r[2]
+                       and r[1] <= ys[j] and ys[j + 1] <= r[3]
+                       for r in rects)}
+    outside = [(i, j) for i, j in free
+               if i in (0, nx - 1) or j in (0, ny - 1)]
+    seen = set(outside)
+    while outside:
+        i, j = outside.pop()
+        for cell in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if cell in free and cell not in seen:
+                seen.add(cell)
+                outside.append(cell)
+    return (xs[-1] - xs[0]) * (ys[-1] - ys[0]) - sum(
+        ((xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j]) for i, j in seen),
+        Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # all-pairs geometry scans: every segment pair goes to the exact predicate,
 # with no bounding-box pruning

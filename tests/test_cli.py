@@ -204,6 +204,8 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
     ("metric", "curve L: (-1,0) (1,0)\nassert intersections L L == four\n",
      "line 2: Invalid literal for Fraction: 'four'\n"),
     # unknown line words and key=value options are refused, never dropped
+    ("metric", "scenario lem-ex1 eps=1/0 delta=1/256\n",
+     "line 1: zero denominator in '1/0'\n"),
     ("metric", "scenario lem-ex1 eps=1/8 detla=1/300\n",
      "line 1: unknown option 'detla'; expected eps, delta\n"),
     ("metric", "curve L: (-1,0) (1,0)\nobject X carier=L\n",
@@ -320,7 +322,8 @@ def test_cli_repro(tmp_path, capsys):
     (["--eps", "1/4"], "requires 0 < eps <= 1/8"),
     (["--delta", "0"], "requires 0 < delta < eps^2/2"),
     (["--eps", "abc"], "Invalid literal for Fraction: 'abc'"),
-], ids=["eps 1/4", "delta 0", "eps abc"])
+    (["--delta", "1/0"], "zero denominator in '1/0'"),
+], ids=["eps 1/4", "delta 0", "eps abc", "delta 1/0"])
 def test_cli_repro_reports_bad_arguments_on_one_line(capsys, args, reason):
     argv = dict(zip(args[::2], args[1::2]))
     eps, delta = argv.get("--eps", "1/8"), argv.get("--delta", "1/256")

@@ -5,7 +5,7 @@ pair to the Fraction contact predicate of ``support.ref_seg_common``."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from filtcones.scenarios import (
     connected_small_shadow_footprint, disjoint_union_space, lem_ex1_space,
@@ -82,6 +82,17 @@ def _boxes_meet(s, t):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(segment_lists(), segment_lists())
+# equal left edges, within each list and across the two
+@example([((F(0), F(0)), (F(2), F(1))), ((F(0), F(3)), (F(1), F(1)))],
+         [((F(0), F(1)), (F(1), F(0))), ((F(0), F(3)), (F(0), F(4)))])
+# zero-width and zero-height boxes: axis-parallel segments crossing,
+# touching end to end and meeting at a tip
+@example([((F(1), F(0)), (F(1), F(2))), ((F(0), F(1)), (F(2), F(1)))],
+         [((F(1), F(2)), (F(1), F(3))), ((F(2), F(1)), (F(3), F(1))),
+          ((F(1), F(1)), (F(1), F(1, 2)))])
+# a right edge equal to another box's left edge, either way round
+@example([((F(0), F(0)), (F(1), F(1))), ((F(1), F(1)), (F(2), F(0)))],
+         [((F(1), F(0)), (F(3), F(1))), ((F(-1), F(0)), (F(0), F(0)))])
 def test_segment_pairs_yields_every_contact(segs, others):
     within = [(i, j) for i in range(len(segs))
               for j in range(i + 1, len(segs))]
@@ -317,8 +328,10 @@ def _diagrams():
 
 def _ref_atomic_at_one_scale(segments):
     """``ref_atomic_segments`` in the form of ``shadow._atomic_segments``:
-    the edges times the common scale of their endpoints, and that scale."""
-    edges = ref_atomic_segments(segments)
+    the integer segments, read as Fraction points, split; the edges times
+    the common scale of their endpoints, and that scale."""
+    edges = ref_atomic_segments([tuple((F(x), F(y)) for x, y in seg)
+                                 for seg in segments])
     q = common_scale([p for e in edges for p in e])
     return {tuple(scaled(e, q)) for e in edges}, q
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from filtcones.novikov import INF
 from filtcones.surface.curves import (
@@ -16,7 +17,7 @@ from filtcones.surface.svg import curves_to_svg, diagram_to_svg
 from filtcones.surface.widths import Box, gromov_width_double_points, \
     gromov_width_rel
 
-from support import shear_diagram
+from support import ref_rect_union_area, shear_diagram
 
 F = Fraction
 
@@ -337,6 +338,81 @@ def test_shadow_with_rays_and_pocket():
     assert planar_shadow(d) == 0  # open channel to the left
     d.add_polyline([(0, 0), (0, 2)])  # close the pocket
     assert planar_shadow(d) == 4
+
+
+def test_shadow_islands_beside_and_inside_a_pocket_of_rays():
+    # the claw above, with a unit island in its pocket and one beside it:
+    # while the pocket is open, the island in it lies in a face that
+    # touches the box, so it is no hole of a bounded face and only the
+    # islands count
+    d = PlanarDiagram(rays=[((0, 0), -1), ((0, 2), -1), ((3, 1), 1)])
+    d.add_polyline([(0, 0), (2, 0), (2, 2), (0, 2)])
+    d.add_polyline([(3, 1), (2, 1)])
+    d.add_rect(F(1, 2), F(1, 2), F(3, 2), F(3, 2))
+    d.add_rect(4, 3, 5, 4)
+    assert planar_shadow(d) == 2
+    d.add_polyline([(0, 0), (0, 2)])  # close the pocket: the island in it
+    assert planar_shadow(d) == 5      # is a hole of a bounded face
+
+
+def test_shadow_three_nested_squares():
+    d = PlanarDiagram()
+    for lo, hi in ((0, 6), (1, 5), (2, 4)):
+        d.add_rect(lo, lo, hi, hi)
+    assert planar_shadow(d) == 36
+    # beside a fourth square, apart from them
+    d.add_rect(7, 0, 8, 1)
+    assert planar_shadow(d) == 37
+
+
+# corners on a grid of denominators 1, 2 and 3
+GRID = sorted({F(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1)})
+
+
+@st.composite
+def rect_sets(draw):
+    """1-6 rectangles, as index quadruples into GRID: each one free,
+    nested in an earlier one (sides may be shared), moved from one by a
+    few grid steps (overlapping, touching or apart), or beside one along
+    x (sharing its right edge or a few steps off)."""
+    idx = st.integers(0, len(GRID) - 1)
+    rects = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "nested", "moved", "beside"]
+                                    if rects else ["free"]))
+        if kind == "free":
+            x0, x1 = sorted(draw(st.sets(idx, min_size=2, max_size=2)))
+            y0, y1 = sorted(draw(st.sets(idx, min_size=2, max_size=2)))
+        else:
+            a0, b0, a1, b1 = draw(st.sampled_from(rects))
+            if kind == "nested":
+                x0, x1 = sorted(draw(st.sets(st.integers(a0, a1),
+                                             min_size=2, max_size=2)))
+                y0, y1 = sorted(draw(st.sets(st.integers(b0, b1),
+                                             min_size=2, max_size=2)))
+            elif kind == "moved":
+                dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+                x0, y0, x1, y1 = a0 + dx, b0 + dy, a1 + dx, b1 + dy
+            else:
+                gap = draw(st.integers(0, 3))
+                x0, y0, x1, y1 = a1 + gap, b0, a1 + gap + (a1 - a0), b1
+        assume(0 <= min(x0, y0) and max(x1, y1) < len(GRID))
+        rects.append((x0, y0, x1, y1))
+    return [tuple(GRID[i] for i in r) for r in rects]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rect_sets())
+# a frame of four rectangles around an uncovered pocket, with an island
+# in it
+@example([(F(-3), F(-3), F(3), F(-2)), (F(-3), F(2), F(3), F(3)),
+          (F(-3), F(-3), F(-2), F(3)), (F(2), F(-3), F(3), F(3)),
+          (F(-1, 2), F(-1, 3), F(1, 3), F(1, 2))])
+def test_shadow_of_rectangles_is_the_area_they_enclose(rects):
+    d = PlanarDiagram()
+    for r in rects:
+        d.add_rect(*r)
+    assert planar_shadow(d) == ref_rect_union_area(rects)
 
 
 def test_shear_invariance():
