@@ -112,6 +112,8 @@ def parse_scenario(text: str) -> Scenario:
                 sc.curves = sc.space.curves
             elif word == "curve":
                 c = parse_curve(line)
+                if c.name in sc.curves:
+                    raise FragError(f"curve {c.name} is already defined")
                 sc.curves[c.name] = c
             elif word == "object":
                 name, *words = rest.split()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .novikov import INF, rat
@@ -167,10 +168,11 @@ class MetricResult:
 
 class MetricSpace:
     """Curves, objects, families, moves and probes, with the metric
-    queries.  Kept across queries, keyed by curve and probe objects: one
-    ``StrandTable`` per carrier (``_tables``), each width per carrier and
-    cover set (``_widths``) and each probe verification (``_probe_ok``);
-    none depends on the moves, so moves may be added after a query."""
+    queries.  Widths are read on one integer frame, ``_scale``: the lcm
+    of the curves' scales when the space is built.  Kept across queries:
+    one ``StrandTable`` per object name, of its carrier (``_tables``), and
+    each probe verification (``_probe_ok``); neither depends on the moves,
+    so moves may be added after a query."""
 
     def __init__(self, curves: Dict[str, TorusCurve],
                  objects: Sequence[LagObject], families: Dict[str, Sequence[str]],
@@ -183,8 +185,8 @@ class MetricSpace:
         self.probes = list(probes)
         self.monotone_min_area = None if monotone_min_area is None \
             else rat(monotone_min_area)
-        self._widths: Dict[tuple, Fraction] = {}
-        self._tables: Dict[tuple, StrandTable] = {}
+        self._scale = lcm(*(c.scale for c in self.curves.values()))
+        self._tables: Dict[str, StrandTable] = {}
         self._probe_ok: Dict[ProbeFamily, bool] = {}
 
     def geometry(self, name: str) -> TorusCurve:
@@ -192,32 +194,7 @@ class MetricSpace:
         cname = obj.geometry or name
         return self.curves[cname]
 
-    def carrier_curves(self, name: str) -> List[TorusCurve]:
-        return [self.curves[c] for c in self.objects[name].carrier]
-
-    def cover_curves(self, names: Sequence[str]) -> List[TorusCurve]:
-        out = []
-        for n in names:
-            for c in self.objects[n].cover:
-                out.append(self.curves[c])
-        return out
-
     # -- lower bounds ------------------------------------------------------
-
-    def prune_lower_bound(self, source: str,
-                          end_names: Sequence[str]) -> Fraction:
-        """(1/2) delta(source; union of ends), capped at monotone_min_area."""
-        carrier = self.carrier_curves(source)
-        q = self.cover_curves(end_names)
-        key = (tuple(carrier), frozenset(q))
-        if key not in self._widths:
-            if key[0] not in self._tables:
-                self._tables[key[0]] = StrandTable(carrier)
-            self._widths[key] = self._tables[key[0]].width(key[1])
-        val = self._widths[key] / 2
-        if self.monotone_min_area is not None:
-            val = min(val, self.monotone_min_area)
-        return val
 
     def _probe_verified(self, probe: ProbeFamily) -> bool:
         if probe not in self._probe_ok:
@@ -227,11 +204,21 @@ class MetricSpace:
     def _set_bound(self, lp: str, l: str,
                    ends) -> Tuple[Fraction, Optional[Tuple[str, str]]]:
         """The larger of width(lp; l + ends)/2 and width(l; lp + ends)/2
-        of an end set, and its pair, (lp, l) or (l, lp), the first on a
-        tie; (0, None) when both are 0."""
+        of an end set, each capped at ``monotone_min_area``, and its pair,
+        (lp, l) or (l, lp), the first on a tie; (0, None) when both are 0.
+        width(a; names) reads the table of a's carrier against the curves
+        covering the named objects."""
         best, pair = Fraction(0), None
         for a, b in ((lp, l), (l, lp)):
-            val = self.prune_lower_bound(a, [b, *ends])
+            if a not in self._tables:
+                self._tables[a] = StrandTable(
+                    [self.curves[c] for c in self.objects[a].carrier],
+                    self._scale)
+            val = self._tables[a].width(
+                [self.curves[c] for n in (b, *ends)
+                 for c in self.objects[n].cover]) / 2
+            if self.monotone_min_area is not None:
+                val = min(val, self.monotone_min_area)
             if val > best:
                 best, pair = val, (a, b)
         return best, pair

@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..novikov import points, rat
 
@@ -178,7 +178,9 @@ class TorusCurve:
     """Closed embedded PL curve, stored by its lift path and its integer
     lift: ``scale``, the lcm q of the vertex denominators, and
     ``int_lift``, the closed lift path times q.  Only ``name`` may change
-    after construction, so the lift, strands and strand lines are kept."""
+    after construction, so the lift and the strands are kept; the strands
+    also give the strand lines that ``widths`` reads, at a scale that
+    ``scale`` divides."""
 
     def __init__(self, vertices: Sequence, name: str = "",
                  check_embedded: bool = True):
@@ -195,7 +197,6 @@ class TorusCurve:
         self.vertices = vs[:-1]
         self.closure = vs[-1]
         self._strands: Optional[Tuple[tuple, ...]] = None
-        self._lines: Optional[Dict[str, FrozenSet[Fraction]]] = None
         self.hclass = (kx, ky)
         if self.hclass == (0, 0):
             raise GeometryError("curve must be homologically essential")
@@ -235,24 +236,6 @@ class TorusCurve:
         if self._strands is None:
             self._strands = tuple(self._strand_runs())
         return list(self._strands)
-
-    def strand_lines(self) -> Dict[str, FrozenSet[Fraction]]:
-        """The wrapped coordinates of the strand lines, by axis: {"v":
-        x's of vertical strands, "h": y's of horizontal strands}.  Every
-        edge of a strand lies on its line, so they are read off the
-        edges.  Found on the first call and kept; callers must not change
-        the dict.  Only for axis-parallel curves."""
-        if self._lines is None:
-            if not self.axis_parallel():
-                raise GeometryError("strands need an axis-parallel curve")
-            lines: Dict[str, set] = {"v": set(), "h": set()}
-            for a, b in self.edges():
-                if a[0] == b[0]:
-                    lines["v"].add(_wrap(a[0]))
-                else:
-                    lines["h"].add(_wrap(a[1]))
-            self._lines = {axis: frozenset(cs) for axis, cs in lines.items()}
-        return self._lines
 
     def _strand_runs(self) -> List[tuple]:
         if not self.axis_parallel():

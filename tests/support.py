@@ -1313,10 +1313,10 @@ def ref_hf_rank(n_curve, l_curve, cutoff=64) -> int:
 
 
 def ref_double_point_width(curves, sigma, q):
-    """``gromov_width_double_points`` with no keep-in boxes, in Fractions:
-    at each wrapped point of ``sigma``, 4 times the least product of the
-    gaps to the nearest strand lines of ``curves`` and ``q`` in two
-    neighbouring directions; 0 if a line of ``q`` passes through it."""
+    """``gromov_width_double_points`` in Fractions: at each wrapped point
+    of ``sigma``, 4 times the least product of the gaps to the nearest
+    strand lines of ``curves`` and ``q`` in two neighbouring directions;
+    0 if a line of ``q`` passes through it."""
     if not sigma:
         return INF
     vs, hs = _ref_strand_lines(list(curves) + list(q))
@@ -1356,14 +1356,16 @@ def ref_probe_verify(probe, space) -> bool:
 def ref_lower_bounds(space, lp, l, family_name, kmax=6):
     """(lower, certificate) of d_k(lp, l) for k = 0..kmax, bounding every
     end multiset of at most k family members on its own: both widths
-    through ``ref_gromov_width_rel``, capped at the space's
-    ``monotone_min_area`` if it has one, then the probes of that multiset,
-    each verified once here by ``ref_probe_verify``."""
+    through ``ref_gromov_width_rel``, of the source object's carrier
+    curves against the cover curves of the other end objects, capped at
+    the space's ``monotone_min_area`` if it has one, then the probes of
+    that multiset, each verified once here by ``ref_probe_verify``."""
     verified = {}
 
     def width(source, ends):
-        val = ref_gromov_width_rel(space.carrier_curves(source),
-                                   space.cover_curves(ends)) / 2
+        carrier = [space.curves[c] for c in space.objects[source].carrier]
+        q = [space.curves[c] for n in ends for c in space.objects[n].cover]
+        val = ref_gromov_width_rel(carrier, q) / 2
         if space.monotone_min_area is not None:
             val = min(val, space.monotone_min_area)
         return val

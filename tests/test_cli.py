@@ -144,6 +144,20 @@ def test_canned_scenario_refuses_lines_it_would_drop(text, bad):
         parse_scenario(text)
 
 
+def test_canned_scenario_takes_new_curve_names(tmp_path, capsys):
+    # a new curve after a canned line serves the floer, intersections and
+    # width queries; its sevenths are in no frame of the canned space
+    f = tmp_path / "sc.txt"
+    f.write_text("scenario lem-ex1 eps=1/8 delta=1/256\n"
+                 "curve Z: (-2/7,-1) (-2/7,1)\n"
+                 "assert floer Z L == 1\n"
+                 "assert intersections Z L == 1\n"
+                 "assert width carrier=Z q=S1 == 19/14\n"
+                 "assert d_k L' L k=0 == 1/2\n")
+    code, out = run_cli(["metric", "--scenario", str(f)], capsys)
+    assert code == 0, out
+
+
 def test_cli_floer(tmp_path, capsys):
     f = tmp_path / "sc.txt"
     f.write_text(SCENARIO)
@@ -210,6 +224,11 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
      "line 1: unknown option 'detla'; expected eps, delta\n"),
     ("metric", "curve L: (-1,0) (1,0)\nobject X carier=L\n",
      "line 2: unknown option 'carier'; expected carrier, cover, geometry\n"),
+    # a curve name is defined once, in a canned scenario too
+    ("metric", "curve L: (-1,0) (1,0)\ncurve L: (-1,1/2) (1,1/2)\n",
+     "line 2: curve L is already defined\n"),
+    ("metric", "scenario lem-ex1 eps=1/8 delta=1/256\n"
+     "curve S1: (-2/7,-1) (-2/7,1)\n", "line 2: curve S1 is already defined\n"),
     ("shadow", "poly (0,0) (2,0)\nend rihgt y=0\n",
      "line 2: unknown or missing 'rihgt'\n"),
     ("shadow", "poly 0,0 1,0 1,1 0,0\n",

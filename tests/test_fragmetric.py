@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filtcones.cli import parse_scenario
 from filtcones.novikov import INF
 from filtcones.fragmetric import (
     FragError, LagObject, MetricSpace, suspension_move, trace_move,
@@ -193,11 +194,11 @@ def test_contradiction_detector():
 
 
 def test_monotone_mode_caps_bound(space):
-    val = space.prune_lower_bound("L'", ["L"])
+    val = space.d_k("L'", "L", "F", 0).lower
     assert val == 4 * EPS
     capped = MetricSpace(space.curves, space.objects.values(), space.families,
                          space.moves, space.probes, monotone_min_area=F(1, 100))
-    assert capped.prune_lower_bound("L'", ["L"]) == F(1, 100)
+    assert capped.d_k("L'", "L", "F", 0).lower == F(1, 100)
 
 
 def test_top_end_mode(space):
@@ -512,6 +513,24 @@ def _trace_space_s1_only():
     return space
 
 
+# a parsed scenario whose curves sit on thirds and sevenths: each width
+# table is read at the frame 21 that none of its own strands needs
+UNEQUAL_SCALES = """
+curve L: (-1,1/7) (1,1/7)
+curve J: (-1,-1/3) (-1/7,-1/3) (-1/7,-4/7) (3/7,-4/7) (3/7,-1/3) (1,-1/3)
+curve S1: (-2/3,-1) (-2/3,1)
+curve S2: (-3/7,-1) (-3/7,1)
+curve S3: (2/7,-1) (2/7,1)
+curve S4: (2/3,-1) (2/3,1)
+object K carrier=S1,J cover=S1,J,L
+family F = S1 S2 S3 S4
+"""
+
+
+def _unequal_scale_space():
+    return parse_scenario(UNEQUAL_SCALES).metric_space()
+
+
 @pytest.mark.parametrize("pattern", SUSPENSIONS)
 @pytest.mark.parametrize("build, pairs", [
     (lambda: lem_ex1_space(EPS, DELTA),
@@ -520,7 +539,9 @@ def _trace_space_s1_only():
      [("L''", "L"), ("L", "L''"), ("S2", "S3")]),
     (_trace_space_s1_only, [("L''", "L"), ("L", "L''")]),
     (lambda: disjoint_union_space(EPS), [("S1", "S2"), ("S2", "S1")]),
-], ids=["lem", "trace", "trace-S1", "disjoint"])
+    (_unequal_scale_space, [("S1", "S2"), ("S2", "S4"), ("S3", "S1"),
+                            ("K", "L"), ("L", "K"), ("K", "S2")]),
+], ids=["lem", "trace", "trace-S1", "disjoint", "thirds-sevenths"])
 def test_lower_bounds_match_every_multiset_bounded_alone(build, pairs,
                                                          pattern):
     for min_area in (None, F(1, 64)):  # weakly exact, then monotone

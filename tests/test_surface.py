@@ -14,10 +14,11 @@ from filtcones.surface.floer import enumerate_bigons, floer_complex, \
 from filtcones.surface.shadow import PlanarDiagram, parse_diagram, \
     planar_shadow
 from filtcones.surface.svg import curves_to_svg, diagram_to_svg
-from filtcones.surface.widths import Box, gromov_width_double_points, \
+from filtcones.surface.widths import gromov_width_double_points, \
     gromov_width_rel
 
-from support import ref_rect_union_area, shear_diagram
+from support import ref_double_point_width, ref_rect_union_area, \
+    shear_diagram
 
 F = Fraction
 
@@ -272,10 +273,10 @@ def test_width_double_points():
          vertical(F(1, 2) - eps, "S3"), vertical(F(1, 2) + eps, "S4")]
     pts = [(-F(1, 2) - eps, 0), (-F(1, 2) + eps, 0),
            (F(1, 2) - eps, 0), (F(1, 2) + eps, 0)]
-    k1 = Box(-F(1, 2) - 2 * eps, -F(1, 2) + 2 * eps, -eps, eps)
-    k2 = Box(F(1, 2) - 2 * eps, F(1, 2) + 2 * eps, -eps, eps)
-    val = gromov_width_double_points([l] + s, pts, q=[], boxes=[k1, k2])
-    assert val == 4 * eps * eps
+    # each point's nearest vertical lines are 2 eps and 1 - 2 eps away, and
+    # L through it does not obstruct, so the least quadrant is 2 eps by 1
+    val = gromov_width_double_points([l] + s, pts, q=[])
+    assert val == ref_double_point_width([l] + s, pts, []) == 8 * eps
     assert gromov_width_double_points([l] + s, [], q=[]) >= INF
     # Sigma inside Q gives zero
     assert gromov_width_double_points(

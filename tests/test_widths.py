@@ -4,6 +4,7 @@ pools and on the cases the table has to get right by construction."""
 
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,15 +46,18 @@ def axis_curves(draw):
 
 
 def _agree(carrier, pool):
-    """The table of ``carrier``, queried for every subset of ``pool`` in
+    """The table of ``carrier`` at the lcm frame of the curves' scales and
+    at six times that frame, each queried for every subset of ``pool`` in
     turn (its columns kept between queries), and a fresh table per query
-    both give the reference width; returns the widths."""
-    table = StrandTable(carrier)
+    all give the reference width; returns the widths."""
+    frame = lcm(*(c.scale for c in (*carrier, *pool)))
+    tables = [StrandTable(carrier, frame), StrandTable(carrier, 6 * frame)]
     out = []
     for r in range(len(pool) + 1):
         for q in itertools.combinations(pool, r):
             want = ref_gromov_width_rel(carrier, q)
-            assert table.width(q) == want, (carrier, q)
+            for table in tables:
+                assert table.width(q) == want, (carrier, q, table.scale)
             assert gromov_width_rel(carrier, list(q) + list(q[:1])) == want
             out.append(want)
     return out
@@ -90,6 +94,20 @@ def test_strand_table_edge_cases():
 def test_strand_table_refuses_general_position():
     diagonal = TorusCurve([(-1, -1), (1, 1)])
     with pytest.raises(GeometryError):
-        StrandTable([diagonal])
+        StrandTable([diagonal], 1)
     with pytest.raises(GeometryError):
-        StrandTable([_line("v", F(0))]).width([diagonal])
+        StrandTable([_line("v", F(0))], 1).width([diagonal])
+
+
+def test_strand_table_refuses_a_curve_off_its_frame():
+    # a line on thirds does not fit a table on quarters, as carrier or as
+    # an obstruction; its own frame, or any multiple of it, serves
+    quarter, third = _line("v", F(1, 4)), _line("v", F(1, 3))
+    with pytest.raises(GeometryError, match="does not fit the frame 4"):
+        StrandTable([third], 4)
+    table = StrandTable([quarter], 4)
+    with pytest.raises(GeometryError, match="does not fit the frame 4"):
+        table.width([third])
+    assert table.width([quarter]) == 0
+    assert StrandTable([quarter], 12).width([third]) == \
+        ref_gromov_width_rel([quarter], [third]) == F(1, 3)
