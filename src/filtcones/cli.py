@@ -340,13 +340,19 @@ def cmd_twisted_check(args) -> int:
                 elif word == "c":
                     head, rhs = rest.split("->", 1)
                     qs, ps = head.split()
+                    if (int(qs), int(ps)) in cycles:
+                        raise ValueError(f"c {qs} {ps} given twice")
                     cycles[(int(qs), int(ps))] = parse_chain(rhs, args.cutoff)
                 elif word == "phi":
                     head, rhs = rest.split("->", 1)
                     i, gens = head.split(None, 1)
                     gens = name_tuple(gens)  # phi_tables[i][arity][gens]
-                    phi_tables.setdefault(int(i), {}).setdefault(
-                        len(gens), {})[gens] = parse_chain(rhs, args.cutoff)
+                    table = phi_tables.setdefault(int(i), {}).setdefault(
+                        len(gens), {})
+                    if gens in table:
+                        raise ValueError(f"phi {i} ({','.join(gens)}) given "
+                                         "twice")
+                    table[gens] = parse_chain(rhs, args.cutoff)
                 else:
                     cat_lines.append((n, line))
         # phi_i attaches L_i to K_{i-1}: the stages run 1..r, r < #objects

@@ -3,6 +3,8 @@
 A complex carries finitely many generators, a rational action value per
 generator and a square differential matrix over Novikov scalars.  The
 filtration is the mixed one: A(sum l_j e_j) = max(-v(l_j) + A(e_j)).
+A chain maps generators to nonzero scalars, and every sum of chains is
+one ``chain_sum`` of (generator, scalar) terms (``chain_add`` sums two).
 
 The quantitative invariants (boundary level/depth, homotopical variants,
 min beta and delta-robust subspaces) are the exponents of one Smith
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .novikov import (
     DEFAULT_CUTOFF, INF, NovikovScalar, content_lines, on_line, parse_scalar,
@@ -62,25 +64,24 @@ class FiltError(ValueError):
 # chains
 # ---------------------------------------------------------------------------
 
-def chain_add(x: Chain, y: Chain) -> Chain:
-    out = dict(x)
-    for g, s in y.items():
+def chain_sum(terms: Iterable[Tuple[str, NovikovScalar]]) -> Chain:
+    """The sum of (generator, scalar) terms: terms on one generator add,
+    a generator whose sum is zero leaves, and a later term on it puts it
+    back at the end."""
+    out: Chain = {}
+    for g, s in terms:
         t = out.get(g)
-        s2 = s if t is None else t + s
-        if s2.is_zero():
-            out.pop(g, None)
+        if t is not None:
+            s = t + s
+        if s:
+            out[g] = s
         else:
-            out[g] = s2
+            out.pop(g, None)
     return out
 
 
-def chain_scale(s: NovikovScalar, x: Chain) -> Chain:
-    out = {}
-    for g, t in x.items():
-        u = s * t
-        if not u.is_zero():
-            out[g] = u
-    return out
+def chain_add(x: Chain, y: Chain) -> Chain:
+    return chain_sum([*x.items(), *y.items()])
 
 
 def chain_eq(x: Chain, y: Chain) -> bool:
@@ -130,10 +131,8 @@ class FilteredComplex:
         return {g: NovikovScalar.monomial(0, self.cutoff)}
 
     def d(self, x: Chain) -> Chain:
-        out: Chain = {}
-        for g, s in x.items():
-            out = chain_add(out, chain_scale(s, self.diff.get(g, {})))
-        return out
+        return chain_sum((h, s * t) for g, s in x.items()
+                         for h, t in self.diff.get(g, {}).items())
 
     def is_cycle(self, x: Chain) -> bool:
         return not self.d(x)
@@ -184,10 +183,8 @@ class FilteredMap:
         self.declared_shift = rat(declared_shift)
 
     def apply(self, x: Chain) -> Chain:
-        out: Chain = {}
-        for g, s in x.items():
-            out = chain_add(out, chain_scale(s, self.matrix.get(g, {})))
-        return out
+        return chain_sum((h, s * t) for g, s in x.items()
+                         for h, t in self.matrix.get(g, {}).items())
 
     def measured_shift(self) -> Fraction:
         """Exact maximal action shift over the generators."""
@@ -509,13 +506,10 @@ def _combination(q: int, coeffs: Sequence[int], chains: Sequence[Chain],
                  cutoff, low: int) -> Chain:
     """sum_j l_j T^(-low/q) chains_j for F2[t] bitmask coefficients l_j,
     t = T^(1/q)."""
-    ch: Chain = {}
-    for lam, z in zip(coeffs, chains):
-        if lam:
-            s = NovikovScalar([Fraction(k - low, q) for k in _bits(lam)],
-                              cutoff)
-            ch = chain_add(ch, chain_scale(s, z))
-    return ch
+    scaled = [(NovikovScalar([Fraction(k - low, q) for k in _bits(lam)],
+                             cutoff), z)
+              for lam, z in zip(coeffs, chains) if lam]
+    return chain_sum((h, s * t) for s, z in scaled for h, t in z.items())
 
 
 def _combinations(q: int, relations: List[List[int]], chains: Sequence[Chain],
@@ -629,26 +623,17 @@ def boundary_depth_map(phi: FilteredMap) -> Fraction:
 def hom_complex(C: FilteredComplex, D: FilteredComplex) -> FilteredComplex:
     """hom(C, D) with generators E[i<-j], action A_D(i) - A_C(j) and
     differential f -> d_D f + f d_C (characteristic 2)."""
-    gens = []
-    action = {}
-    for i in D.generators:
-        for j in C.generators:
-            g = f"E[{i}<-{j}]"
-            gens.append(g)
-            action[g] = D.action[i] - C.action[j]
+    action: Dict[str, Fraction] = {}
     diff: Dict[str, Chain] = {}
     for i in D.generators:
         for j in C.generators:
             g = f"E[{i}<-{j}]"
-            col: Chain = {}
-            for k, s in D.diff[i].items():
-                col = chain_add(col, {f"E[{k}<-{j}]": s})
-            for k in C.generators:
-                s = C.diff[k].get(j)
-                if s is not None:
-                    col = chain_add(col, {f"E[{i}<-{k}]": s})
-            diff[g] = col
-    return FilteredComplex(gens, action, diff, C.cutoff, check=False)
+            action[g] = D.action[i] - C.action[j]
+            diff[g] = chain_sum(
+                [*((f"E[{k}<-{j}]", s) for k, s in D.diff[i].items()),
+                 *((f"E[{i}<-{k}]", C.diff[k][j]) for k in C.generators
+                   if j in C.diff[k])])
+    return FilteredComplex(list(action), action, diff, C.cutoff, check=False)
 
 
 def map_to_chain(f: FilteredMap) -> Chain:
@@ -826,15 +811,15 @@ def chain_left_inverse_action(f: FilteredMap) -> Fraction:
 
 def parse_chain(text: str, cutoff) -> Chain:
     """Parse "T^e*gen + T^f*gen2 + ..." (or "0"); terms on one generator add."""
-    ch: Chain = {}
     if text.strip() == "0":
-        return ch
+        return {}
+    terms = []
     for term in text.split("+"):
         scal, star, gen = term.rpartition("*")
         if not (star and scal.strip() and gen.strip()):
             raise FiltError(f"bad chain term {term.strip()!r}")
-        ch = chain_add(ch, {gen.strip(): parse_scalar(scal, cutoff)})
-    return ch
+        terms.append((gen.strip(), parse_scalar(scal, cutoff)))
+    return chain_sum(terms)
 
 
 def parse_complex(text, cutoff=DEFAULT_CUTOFF) -> FilteredComplex:
@@ -853,10 +838,14 @@ def parse_complex(text, cutoff=DEFAULT_CUTOFF) -> FilteredComplex:
             elif parts[0] == "gen":
                 if len(parts) != 4 or parts[2] != "action":
                     raise FiltError(f"bad generator line: {line!r}")
+                if parts[1] in action:
+                    raise FiltError(f"generator {parts[1]} given twice")
                 gens.append(parts[1])
                 action[parts[1]] = rat(parts[3])
             elif parts[0] == "d":
                 head, rhs = line[2:].split("=", 1)
+                if head.strip() in rhs_of:
+                    raise FiltError(f"d {head.strip()} given twice")
                 rhs_of[head.strip()] = (n, rhs)
             else:
                 raise FiltError(f"unrecognized line: {line!r}")

@@ -3,7 +3,10 @@
 A scalar is a finite sum of powers T^e with rational exponents e and
 coefficient 1 (characteristic 2: a power is present or absent).  Sums,
 products and shifts of such sums are finite sums again, and they keep
-every term.  Every scalar carries a rational cutoff.  It bounds the
+every term: each lists its exponents, and the constructor cancels them
+in pairs, the one characteristic-2 cancellation.  Chains add through
+``filtcx.chain_sum`` and operation tables through ``wfainf.table_sum``,
+both on this sum.  Every scalar carries a rational cutoff.  It bounds the
 written exponents: one at or above the cutoff is refused by
 ``parse_scalar``.  Scalars of different cutoffs do not mix.  The one
 series left, ``invert`` (a geometric series kept below the cutoff
@@ -102,19 +105,12 @@ class NovikovScalar:
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        return NovikovScalar(set(self.exps) ^ set(other.exps), self.cutoff)
+        return NovikovScalar(self.exps + other.exps, self.cutoff)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        acc = set()
-        for a in self.exps:
-            for b in other.exps:
-                s = a + b
-                if s in acc:
-                    acc.remove(s)
-                else:
-                    acc.add(s)
-        return NovikovScalar(acc, self.cutoff)
+        return NovikovScalar([a + b for a in self.exps for b in other.exps],
+                             self.cutoff)
 
     def shift(self, s: RatLike) -> "NovikovScalar":
         """Multiply by the monomial T^s."""

@@ -48,7 +48,7 @@ from math import ceil, floor, gcd, lcm
 from typing import Dict, Tuple
 
 from ..novikov import DEFAULT_CUTOFF, NovikovScalar
-from ..filtcx import Chain, FilteredComplex
+from ..filtcx import FilteredComplex, chain_sum
 from .curves import GeometryError, Point, TorusCurve, crossings, \
     transverse_contacts
 
@@ -253,17 +253,14 @@ def floer_complex(n_curve: TorusCurve, l_curve: TorusCurve) -> FilteredComplex:
     gens = {r.point: (f"p{i}({r.point[0]},{r.point[1]})", r.sign)
             for i, r in enumerate(recs)}
     names = [name for name, _ in gens.values()]
-    diff: Dict[str, Chain] = {name: {} for name in names}
+    terms: Dict[str, list] = {name: [] for name in names}
     for (p, q, area, loop) in enumerate_bigons(n_curve, l_curve, recs):
         (a, sign), (b, _) = gens[p], gens[q]
         src, tgt = (a, b) if sign > 0 else (b, a)
-        mono = NovikovScalar.monomial(area, DEFAULT_CUTOFF)
-        col = diff[src]
-        cur = col.get(tgt)
-        col[tgt] = mono if cur is None else cur + mono
-        diff[src] = {g: s for g, s in col.items() if not s.is_zero()}
+        terms[src].append((tgt, NovikovScalar.monomial(area, DEFAULT_CUTOFF)))
     return FilteredComplex(names, {name: Fraction(0) for name in names},
-                           diff, DEFAULT_CUTOFF)
+                           {g: chain_sum(t) for g, t in terms.items()},
+                           DEFAULT_CUTOFF)
 
 
 def _flux(curve: TorusCurve, m: int) -> int:
@@ -314,14 +311,11 @@ def mu2_triangles(c0: TorusCurve, c1: TorusCurve, c2: TorusCurve):
     others = {r.point for r in recs[1] + recs[2]}
     if any(r.point in others for r in recs[0]):
         raise GeometryError("triple point in mu_2 configuration")
-    out: Dict[Tuple[Point, Point], Dict[Point, NovikovScalar]] = {}
+    terms: Dict[Tuple[Point, Point], list] = {}
     if not all(recs):
-        return out
+        return {}
     for (x, y, z), area, loop in _polygons(
             [c1, c2, c0], list(zip(recs, (0, 0, 1)))):
-        mono = NovikovScalar.monomial(abs(area), DEFAULT_CUTOFF)
-        cur = out.setdefault((y.point, x.point), {})
-        cur[z.point] = cur[z.point] + mono if z.point in cur else mono
-    return {key: chain for key, chain in (
-        (key, {z: s for z, s in c.items() if not s.is_zero()})
-        for key, c in out.items()) if chain}
+        terms.setdefault((y.point, x.point), []).append(
+            (z.point, NovikovScalar.monomial(abs(area), DEFAULT_CUTOFF)))
+    return {key: chain for key, t in terms.items() if (chain := chain_sum(t))}

@@ -6,7 +6,9 @@ is consumed as an output contract: ``assemble_twisted_mu1`` returns the
 symbolic upper-triangular matrix, which depends on the number of objects
 alone and whose off-diagonal entries insert connecting cycles into the
 higher category operations; ``twisted_value_complex`` evaluates its
-entries on the cycles of a ``TwistedData`` with the category's ``mu``.
+entries on the cycles of a ``TwistedData`` with the category's ``mu``,
+summed by ``filtcx.chain_sum``; ``cone_replace`` adds its maps' parts by
+``wfainf.table_sum``.
 ``audit_structure_theorem`` verifies a supplied model against the
 contract, and the retract energy
 rho(f), the least A(g) + A(f) over g with g f ~ id, gives the weight of
@@ -26,12 +28,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .novikov import INF, rat
 from .filtcx import (
-    Chain, FilteredComplex, FilteredMap, action_level, chain_add,
+    Chain, FilteredComplex, FilteredMap, action_level, chain_sum,
     chain_left_inverse_action, field_rank,
 )
 from .wfainf import (
     CycleError, Discrepancy, PreModHom, WFCategory, WFModule, cone, disc_max,
-    mu1_mod, mu2_mod, yoneda_module,
+    mu1_mod, mu2_mod, shift_module, table_sum, yoneda_module,
 )
 
 
@@ -149,27 +151,20 @@ def twisted_value_complex(cat: WFCategory, objects: Sequence[str],
     """
     r = len(objects) - 1
     sym = assemble_twisted_mu1(cat, objects)
-    gens, action, diff = [], {}, {}
+    action, diff = {}, {}
     name = lambda g, j: f"{g}@{j}"
     for j in range(r + 1):
         hom = cat.hom(x, objects[j])
         for g in hom.generators:
-            gens.append(name(g, j))
             action[name(g, j)] = hom.action[g]
-    for j in range(r + 1):
-        hom = cat.hom(x, objects[j])
-        for g in hom.generators:
-            col: Chain = {}
             b = hom.basis_chain(g)
-            for i in range(0, j + 1):
-                img: Chain = {}
-                for _, cpairs in sym[(i, j)].terms:
-                    img = chain_add(img, cat.mu(
-                        [b] + [data.cycle(q, p) for q, p in cpairs]))
-                for h, s in img.items():
-                    col = chain_add(col, {name(h, i): s})
-            diff[name(g, j)] = col
-    return FilteredComplex(gens, action, diff, cat.cutoff(), check=False)
+            diff[name(g, j)] = chain_sum(
+                (name(h, i), s) for i in range(j + 1)
+                for _, cpairs in sym[(i, j)].terms
+                for h, s in cat.mu([b] + [data.cycle(q, p)
+                                          for q, p in cpairs]).items())
+    return FilteredComplex(list(action), action, diff, cat.cutoff(),
+                           check=False)
 
 
 def check_twisted_square_zero(cat: WFCategory, objects: Sequence[str],
@@ -344,7 +339,6 @@ def cone_replace(phi: PreModHom, u: PreModHom, v: PreModHom, xi: PreModHom):
     Returns (M1, M1p, uprime, vprime, xiprime, bound) where bound =
     max{A(u) + A(v), A(xi), 0} is asserted against rho(u').
     """
-    from .wfainf import shift_module
     N, K1 = phi.source, phi.target
     Np = u.target
     r = v.max_shift()
@@ -356,35 +350,16 @@ def cone_replace(phi: PreModHom, u: PreModHom, v: PreModHom, xi: PreModHom):
     m1 = cone(phi, max(phi.shift, Fraction(0)), phi.disc)
     m1p = cone(phi_prime, Fraction(0), phi_prime.disc)
     # u' = (ubar, phi xi + id_{K1}) and v' = (vbar, id_{K1})
-    ubar_comps = {d: dict(t) for d, t in u.components.items()}
-    phi_xi = mu2_mod(xi, phi)
-    up_comps: Dict[int, Dict[Tuple[str, ...], Chain]] = {}
-    for d in range(1, u.cap + 1):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for gens, img in ubar_comps.get(d, {}).items():
-            table[gens] = img
-        for gens, img in phi_xi.components.get(d, {}).items():
-            table[gens] = chain_add(table.get(gens, {}), img)
-        if d == 1:
-            for g, x in K1.gen_value.items():
-                if x in m1p.values:
-                    table[(g,)] = chain_add(table.get((g,), {}),
-                                            K1.value(x).basis_chain(g))
-        if table:
-            up_comps[d] = table
-    uprime = PreModHom(m1, m1p, up_comps, max(r + s_shift, k_shift, 0))
-    vp_comps: Dict[int, Dict[Tuple[str, ...], Chain]] = {}
-    for d in range(1, v.cap + 1):
-        table = dict(vbar.components.get(d, {}))
-        if d == 1:
-            for g, x in K1.gen_value.items():
-                if x in m1.values:
-                    table[(g,)] = K1.value(x).basis_chain(g)
-        if table:
-            vp_comps[d] = table
-    vprime = PreModHom(m1p, m1, vp_comps, 0)
-    xi_comps = {d: dict(t) for d, t in xi.components.items()}
-    xiprime = PreModHom(m1, m1, xi_comps, k_shift)
+    def id_k1(cone_mod):
+        return {1: {(g,): K1.value(x).basis_chain(g)
+                    for g, x in K1.gen_value.items() if x in cone_mod.values}}
+
+    uprime = PreModHom(m1, m1p, table_sum([u.components,
+                                           mu2_mod(xi, phi).components,
+                                           id_k1(m1p)]),
+                       max(r + s_shift, k_shift, 0))
+    vprime = PreModHom(m1p, m1, table_sum([vbar.components, id_k1(m1)]), 0)
+    xiprime = PreModHom(m1, m1, xi.components, k_shift)
     bound = max(s_shift + r, k_shift, Fraction(0))
     return m1, m1p, uprime, vprime, xiprime, bound
 

@@ -6,7 +6,9 @@ to chains with Novikov coefficients, with one tuple walk, one multilinear
 evaluation and one measure of how far each entry overshoots the summed
 input actions.  One insertion sum, ``_insert``, composes them: the
 A-infinity and module relation checks, ``mu1_mod`` and ``mu2_mod`` are
-each a call or two of it.  The checks run over every composable tuple up
+each a call or two of it.  Values add through ``filtcx.chain_sum`` and
+whole tables entrywise through ``table_sum`` (the sum of pre-module
+maps, the parts of a cone).  The checks run over every composable tuple up
 to the arity where the relations become vacuous.  Discrepancy sequences
 track by how much each mu_d may overshoot the additive action bound; the
 calculus on them (pointwise max, the star product, Assumption E) is
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .novikov import DEFAULT_CUTOFF, INF, content_lines, name_tuple, \
     on_line, rat
 from .filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level,
-    boundary_level, chain_add, chain_scale, cycle_basis,
+    boundary_level, chain_add, chain_sum, cycle_basis,
     homotopical_boundary_level, orthonormal_basis, parse_chain,
     parse_complex,
 )
@@ -239,10 +241,8 @@ class _Table:
         if len(chains) > self.cap:
             raise CapError(
                 f"{self._name}_{len(chains)} beyond arity cap {self.cap}")
-        out: Chain = {}
-        for combo, coeff in _tuples(chains):
-            out = chain_add(out, chain_scale(coeff, self.mu_gens(combo)))
-        return out
+        return chain_sum((h, coeff * t) for combo, coeff in _tuples(chains)
+                         for h, t in self.mu_gens(combo).items())
 
     def _top(self) -> int:
         return max((d for d, t in self.mu_tables.items() if t), default=0)
@@ -293,13 +293,10 @@ def _insert(gens: Tuple[str, ...], inner: _Table, outer: _Table,
     if base is not None:
         windows += [(j, e, base) for j in range(n - 1)
                     for e in range(j + 1, n)]
-    acc: Chain = {}
-    for j, e, op in windows:
-        head, tail = gens[:j], gens[e:]
-        for g, s in op.mu_gens(gens[j:e]).items():
-            acc = chain_add(acc, chain_scale(
-                s, outer.mu_gens(head + (g,) + tail)))
-    return acc
+    return chain_sum((h, s * t) for j, e, op in windows
+                     for g, s in op.mu_gens(gens[j:e]).items()
+                     for h, t in outer.mu_gens(gens[:j] + (g,)
+                                               + gens[e:]).items())
 
 
 def _tabulate(walk, arities, value) -> MuTable:
@@ -310,6 +307,20 @@ def _tabulate(walk, arities, value) -> MuTable:
         if table:
             out[d] = table
     return out
+
+
+def table_sum(tables: Iterable[MuTable]) -> MuTable:
+    """The entrywise sum of operation tables, by ``chain_sum``; zero
+    entries and empty arities are dropped."""
+    terms: Dict[int, Dict[Tuple[str, ...], list]] = {}
+    for table in tables:
+        for d, entries in table.items():
+            for gens, img in entries.items():
+                terms.setdefault(d, {}).setdefault(gens, []).extend(
+                    img.items())
+    sums = {d: {gens: v for gens, items in entries.items()
+                if (v := chain_sum(items))} for d, entries in terms.items()}
+    return {d: t for d, t in sums.items() if t}
 
 
 def _tuples(chains: Sequence[Chain]):
@@ -479,9 +490,7 @@ class PreModHom(_Table):
         self.source = self._ins = source
         self.target = self._outs = target
         self.base = source.cat
-        comps = {d: {k: v for k, v in t.items() if v}
-                 for d, t in components.items()}
-        self.components = self.mu_tables = {d: t for d, t in comps.items() if t}
+        self.components = self.mu_tables = table_sum([components])
         self.shift = rat(shift)
         self.disc = disc if disc is not None else Discrepancy.zero(
             source.cap, "hom")
@@ -517,16 +526,8 @@ class PreModHom(_Table):
         return all(meas[d - 1] <= rho + eps[d] for d in range(1, self.cap + 1))
 
     def add(self, other: "PreModHom") -> "PreModHom":
-        comps: MuTable = {}
-        for d in set(self.components) | set(other.components):
-            t: Dict[Tuple[str, ...], Chain] = {}
-            for gens in set(self.components.get(d, {})) | set(other.components.get(d, {})):
-                v = chain_add(self.mu_gens(gens), other.mu_gens(gens))
-                if v:
-                    t[gens] = v
-            if t:
-                comps[d] = t
-        return PreModHom(self.source, self.target, comps,
+        return PreModHom(self.source, self.target,
+                         table_sum([self.components, other.components]),
                          max(self.shift, other.shift),
                          disc_max([self.disc, other.disc]))
 
@@ -614,21 +615,17 @@ def cone(f: PreModHom, rho=None, epsf: Optional[Discrepancy] = None) -> WFModule
         action.update({g: c1.action[g] for g in c1.generators})
         diff: Dict[str, Chain] = {}
         for g in c0.generators:
-            diff[g] = chain_add(dict(c0.diff[g]), f.mu_gens((g,)))
+            diff[g] = chain_add(c0.diff[g], f.mu_gens((g,)))
         for g in c1.generators:
             diff[g] = dict(c1.diff[g])
         values[x] = FilteredComplex(gens, action, diff, c1.cutoff, check=False)
     kept = {g for cx in values.values() for g in cx.generators}
     mu: MuTable = {}
-    for d in range(2, f.cap + 1):
-        table: Dict[Tuple[str, ...], Chain] = {}
-        for part in (m0, f, m1):
-            for gens, img in part.mu_tables.get(d, {}).items():
-                table[gens] = chain_add(table.get(gens, {}), img)
-        table = {k: v for k, v in table.items()
-                 if v and k[-1] in kept and all(g in kept for g in v)}
-        if table:
-            mu[d] = table
+    for d, t in table_sum(part.mu_tables for part in (m0, f, m1)).items():
+        t = {k: v for k, v in t.items()
+             if k[-1] in kept and all(g in kept for g in v)}
+        if d >= 2 and t:
+            mu[d] = t
     disc = disc_max([m0.disc, m1.disc, epsf.minus_first()], kind="module")
     return WFModule(m0.cat, values, mu, disc, check=False)
 
@@ -691,16 +688,14 @@ def cone_boundary_correction(f: PreModHom, theta: PreModHom) -> PreModHom:
     fprime = f.add(mu1_mod(theta))
     c_src = cone(f, rho, eps)
     c_tgt = cone(fprime, rho, eps)
-    comps: MuTable = {1: {}}
-    for g, x in c_src.gen_value.items():
-        base = c_tgt.value(x).basis_chain(g)
-        if g in f.source.gen_value:
-            img = chain_add(base, theta.apply([], f.source.value(x).basis_chain(g)))
-        else:
-            img = base
-        comps[1][(g,)] = img
-    comps.update((d, t) for d, t in theta.components.items() if d >= 2)
-    return PreModHom(c_src, c_tgt, comps, 0, eps.minus_first())
+    ident = {(g,): c_tgt.value(x).basis_chain(g)
+             for g, x in c_src.gen_value.items()}
+    theta1 = {(g,): theta.apply([], f.source.value(x).basis_chain(g))
+              for g, x in c_src.gen_value.items() if g in f.source.gen_value}
+    higher = {d: t for d, t in theta.components.items() if d >= 2}
+    return PreModHom(c_src, c_tgt,
+                     table_sum([{1: ident}, {1: theta1}, higher]), 0,
+                     eps.minus_first())
 
 
 # ---------------------------------------------------------------------------
@@ -775,15 +770,14 @@ def _pullback_value(F: WFFunctor, table: _Table,
     if d == 1:
         return table.mu_gens((b,))
     b_chain = table._ins._home[b].basis_chain(b)
-    out: Chain = {}
+    terms = []
     for k in range(1, d):
         for split in _compositions(d - 1, k):
             ends = list(accumulate(split, initial=0))
-            blocks = [gens[s:e] for s, e in zip(ends, ends[1:])]
-            out = chain_add(out, table._mu(
-                [F.components.get(len(bl), {}).get(bl, {}) for bl in blocks]
-                + [b_chain]))
-    return out
+            terms += table._mu([F.components.get(e - s, {}).get(gens[s:e], {})
+                                for s, e in zip(ends, ends[1:])]
+                               + [b_chain]).items()
+    return chain_sum(terms)
 
 
 def pullback_hom(F: WFFunctor, f: PreModHom, pm0: WFModule,
@@ -832,13 +826,9 @@ def lambda_map(m: WFModule, y: str, c: Chain,
             if eps_h[d] < m.disc[d + 1]:
                 raise WfError("eps^h_d >= eps^M_{d+1} violated")
 
-    def value(gens):
-        acc: Chain = {}
-        for g_c, s in c.items():
-            acc = chain_add(acc, chain_scale(s, m.mu_gens(gens + (g_c,))))
-        return acc
-
-    comps = _tabulate(yon.tuples, range(1, m.cap), value)
+    comps = _tabulate(yon.tuples, range(1, m.cap), lambda gens: chain_sum(
+        (h, s * t) for g_c, s in c.items()
+        for h, t in m.mu_gens(gens + (g_c,)).items()))
     if c:
         shift = action_level(c, m.value(y))
     else:
@@ -973,7 +963,7 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
     objects: List[str] = []
     hom_lines: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
     mu: MuTable = {}
-    disc = Discrepancy.zero(cap, "category")
+    disc = None
     units: Dict[str, Chain] = {}
     unit_bound = Fraction(0)
     gen_home: Dict[str, Tuple[str, str]] = {}
@@ -982,6 +972,8 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
         with on_line(n, WfError):
             if word == "object":
                 name, = rest.split()
+                if name in objects:
+                    raise WfError(f"object {name} given twice")
                 objects.append(name)
             elif word == "hom":
                 head, rest = rest.split(":", 1)
@@ -999,15 +991,21 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
             elif word == "mu":
                 head, rhs = rest.split("->", 1)
                 d, gens = head.split(None, 1)
-                mu.setdefault(int(d), {})[name_tuple(gens)] = \
-                    parse_chain(rhs, cutoff)
+                table, gens = mu.setdefault(int(d), {}), name_tuple(gens)
+                if gens in table:
+                    raise WfError(f"mu {d} ({','.join(gens)}) given twice")
+                table[gens] = parse_chain(rhs, cutoff)
             elif word == "disc":
+                if disc is not None:
+                    raise WfError("disc given twice")
                 vals = [rat(v) for v in rest.split()]
                 if not vals:
                     raise WfError("a disc line needs at least one value")
                 disc = Discrepancy((vals + vals[-1:] * cap)[:cap], "category")
             elif word == "unit":
                 head, rest = rest.split("=", 1)
+                if head.strip() in units:
+                    raise WfError(f"unit {head.strip()} given twice")
                 rest, _, bound = rest.partition(" bound ")
                 units[head.strip()] = parse_chain(rest, cutoff)
                 unit_bound = max(unit_bound, rat(bound or 0))
@@ -1015,5 +1013,6 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
                 raise WfError(f"unrecognized category line {line!r}")
     homs = {key: parse_complex(body, cutoff)
             for key, body in hom_lines.items()}
-    return WFCategory(objects, homs, mu, disc, cap=cap,
+    return WFCategory(objects, homs, mu,
+                      disc or Discrepancy.zero(cap, "category"), cap=cap,
                       units=units or None, unit_bound=unit_bound)

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, lcm
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     Chain, FilteredComplex, FilteredMap, NEG_INF, action_level, chain_add,
-    chain_scale,
 )
 from filtcones.surface.curves import (
     SIDE, Crossing, GeometryError, _seg_common, common_scale, path_from,
@@ -24,6 +24,33 @@ from filtcones.surface.curves import (
 from filtcones.surface.shadow import PlanarDiagram
 
 Rat = Fraction
+
+
+def chain_scale(s: NovikovScalar, x: Chain) -> Chain:
+    """s times the chain x, term by term."""
+    out = {}
+    for g, t in x.items():
+        u = s * t
+        if u:
+            out[g] = u
+    return out
+
+
+def ref_chain_sum(terms) -> Chain:
+    """``filtcx.chain_sum`` by exponent parities: each generator keeps a
+    Counter of the exponents of its terms, and no two scalars are added.
+    A generator whose counts all turn even leaves the order, and its next
+    odd count puts it back at the end."""
+    counts, cutoff, order = {}, {}, {}
+    for g, s in terms:
+        counts.setdefault(g, Counter()).update(s.exps)
+        cutoff[g] = s.cutoff
+        if any(n % 2 for n in counts[g].values()):
+            order.setdefault(g)
+        else:
+            order.pop(g, None)
+    return {g: NovikovScalar([e for e, n in counts[g].items() if n % 2],
+                             cutoff[g]) for g in order}
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +548,7 @@ def strict_dg_category(nobj=3, sigma=Fraction(1, 2), cutoff=64, cap=None):
 
 def random_cycle_in(rng, cx, qden=2, allow_zero=False):
     """Random Lambda-combination of a cycle basis with monomial weights."""
-    from filtcones.filtcx import cycle_basis, chain_add, chain_scale
+    from filtcones.filtcx import cycle_basis, chain_add
     zs = cycle_basis(cx)
     out = {}
     for z in zs:
@@ -621,7 +648,7 @@ def strict_right_mult_hom(cat, m_src, m_tgt, c):
     vanish, so the single component suffices.
     """
     from filtcones.wfainf import PreModHom
-    from filtcones.filtcx import chain_add, chain_scale
+    from filtcones.filtcx import chain_add
     comps = {1: {}}
     for g, x in m_src.gen_value.items():
         if x not in m_tgt.values:

@@ -240,6 +240,23 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
      "line 16: expected (a,b,...), got 'x2,m21'\n"),
     ("twisted-check", "objects X\nobject X\nhom X X: gen e action 0\ndisc 1 1\n",
      "line 4: category discrepancy must have eps_1 = 0\n"),
+    # a key is given once; the repeating line is refused
+    ("depth", "gen a action 0\ngen a action 1\n",
+     "line 2: generator a given twice\n"),
+    ("depth", "gen a action 1\ngen b action 0\nd a = T^1*b\nd a = T^2*b\n",
+     "line 4: d a given twice\n"),
+    ("twisted-check", TWISTED + "object X\n",
+     "line 23: object X given twice\n"),
+    ("twisted-check", TWISTED + "mu 2 (x1,m10) -> T^1*x0\n",
+     "line 23: mu 2 (x1,m10) given twice\n"),
+    ("twisted-check", TWISTED + "disc 0 0\ndisc 0 1\n",
+     "line 24: disc given twice\n"),
+    ("twisted-check", TWISTED + "hom X X: gen e action 0\n"
+     "unit X = T^0*e\nunit X = T^1*e\n", "line 25: unit X given twice\n"),
+    ("twisted-check", TWISTED + "c 1 0 -> T^2*m10\n",
+     "line 23: c 1 0 given twice\n"),
+    ("twisted-check", TWISTED + "phi 1 (x0) -> T^0*x0\nphi 1 (x0) -> T^1*x0\n",
+     "line 24: phi 1 (x0) given twice\n"),
 ])
 def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
                                             where):

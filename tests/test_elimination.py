@@ -12,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from filtcones.filtcx import (
     NEG_INF, FilteredComplex, FilteredMap, _Smith, action_level,
-    boundary_depth_elem, boundary_depth_map, chain_add, chain_scale,
+    boundary_depth_elem, boundary_depth_map, chain_add,
     field_basis, field_kernel, field_preimage, field_rank,
     is_delta_robust, orthonormal_basis,
 )
 from filtcones.novikov import NovikovScalar
 
 from support import (
-    _poly_mul, oracle_boundary_level, random_complex, ref_field_rank,
+    _poly_mul, chain_scale, oracle_boundary_level, random_complex,
+    ref_field_rank,
 )
 
 # -- Smith-form kernel against the brute-force oracle ----------------------------

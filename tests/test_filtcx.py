@@ -2,21 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     FiltError, FilteredComplex, FilteredMap, NEG_INF, action_drop,
     action_level, boundary_depth_elem, boundary_depth_map, boundary_level,
-    chain_add, chain_eq, chain_scale, check_injectivity_lemma, cycle_basis,
+    chain_add, chain_eq, chain_sum, check_injectivity_lemma, cycle_basis,
     delta_d, find_robust_subspace, hom_complex, homotopical_boundary_level,
     homology_rank, image_basis, is_delta_robust, map_to_chain,
     orthonormal_basis, parse_chain, parse_complex, verify_rig_cplx2,
 )
 
 from support import (
-    oracle_boundary_level, random_boundary, random_chain, random_chain_map,
-    random_complex, serialize_complex,
+    chain_scale, oracle_boundary_level, random_boundary, random_chain,
+    random_chain_map, random_complex, ref_chain_sum, serialize_complex,
 )
 
 CUT = 64
@@ -46,6 +46,22 @@ def test_action_level_examples():
         y = random_chain(rng, cx)
         ax, ay = action_level(x, cx), action_level(y, cx)
         assert action_level(chain_add(x, y), cx) <= max(ax, ay)
+
+
+TERM = st.tuples(st.sampled_from("abc"),
+                 st.sets(st.sampled_from([0, Fraction(1, 2), 1])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(TERM, max_size=14))
+@example([("a", {0}), ("b", {1}), ("a", {0}), ("a", {1})])
+def test_chain_sum_matches_parity_oracle(stream):
+    """Three generators and eight scalars: sums cancel, and a generator
+    whose sum was zero comes back at the end."""
+    terms = [(g, nov(*exps)) for g, exps in stream]
+    got, want = chain_sum(terms), ref_chain_sum(terms)
+    assert got == want and list(got) == list(want)
+    assert all(got.values())
 
 
 def test_action_drop_examples():

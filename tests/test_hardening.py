@@ -9,12 +9,12 @@ import pytest
 from filtcones.novikov import INF, NovikovScalar
 from filtcones.filtcx import (
     FiltError, FilteredComplex, action_level, boundary_depth_elem,
-    boundary_level, chain_add, chain_scale, delta_d,
+    boundary_level, chain_add, delta_d,
     is_delta_robust, parse_chain, parse_complex,
 )
 
-from support import oracle_boundary_level, random_boundary, random_chain, \
-    random_complex
+from support import chain_scale, oracle_boundary_level, random_boundary, \
+    random_chain, random_complex
 from test_fragmetric import check_triangle
 
 

@@ -16,7 +16,7 @@ from filtcones.wfainf import (
     check_Us, check_Uw, choose_eps, cone, cone_boundary_correction,
     cone_compose, disc_max, disc_star, lambda_map, mu1_mod, mu2_mod,
     pullback_disc, pullback_module, shift_module, unit_square_homotopy,
-    verify_hom_filtration, yoneda_module,
+    table_sum, verify_hom_filtration, yoneda_module,
 )
 
 from support import (
@@ -112,6 +112,18 @@ def test_discrepancy_kinds_and_cap():
     d = Discrepancy([0, 1], "module")
     with pytest.raises(CapError):
         d[3]
+
+
+def test_table_sum_adds_entrywise_and_drops_what_cancels():
+    t = {2: {("a", "m"): {"x": nov(0), "y": nov(1)}},
+         3: {("a", "b", "m"): {"x": nov(Fraction(1, 2))}}}
+    assert table_sum([t, t]) == {}
+    u = {2: {("a", "m"): {"x": nov(0)}}, 1: {("m",): {"y": nov(2)}}}
+    # arity 2 keeps only y; arity 3 stays; arity 1 is new
+    assert table_sum([t, u]) == {2: {("a", "m"): {"y": nov(1)}},
+                                 3: t[3], 1: u[1]}
+    assert table_sum([t, {3: t[3]}]) == {2: t[2]}
+    assert table_sum([]) == {}
 
 
 # -- categories, modules, units ----------------------------------------------
