@@ -117,6 +117,8 @@ def parse_scenario(text: str) -> Scenario:
                 sc.curves[c.name] = c
             elif word == "object":
                 name, *words = rest.split()
+                if any(o.name == name for o in sc.objects):
+                    raise FragError(f"object {name} given twice")
                 kw = options(words, ("carrier", "cover", "geometry"))
                 sc.objects.append(LagObject(
                     name,
@@ -125,6 +127,8 @@ def parse_scenario(text: str) -> Scenario:
                     kw.get("geometry")))
             elif word == "family":
                 head, rest = rest.split("=", 1)
+                if head.strip() in sc.families:
+                    raise FragError(f"family {head.strip()} given twice")
                 sc.families[head.strip()] = rest.split()
             elif word == "move":
                 kind, _, rest = rest.strip().partition(" ")
@@ -325,7 +329,7 @@ def cmd_twisted_check(args) -> int:
     from .twisted import TwistedData, TwistedError, assemble_twisted_mu1, \
         build_iterated_cone, check_twisted_square_zero
     rep = Report()
-    obj_list, cycles = [], {}
+    obj_list, objects_lines, cycles = [], [], {}
     phi_tables: dict = {}
 
     def parse_spec(text):
@@ -336,6 +340,9 @@ def cmd_twisted_check(args) -> int:
             word, _, rest = line.partition(" ")
             with on_line(n):
                 if word == "objects":
+                    if objects_lines:
+                        raise ValueError("objects given twice")
+                    objects_lines.append(n)
                     obj_list[:] = rest.split()
                 elif word == "c":
                     head, rhs = rest.split("->", 1)

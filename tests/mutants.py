@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 FILTCX, NOVIKOV = "filtcones/filtcx.py", "filtcones/novikov.py"
 WFAINF, CLI = "filtcones/wfainf.py", "filtcones/cli.py"
 FRAG, WIDTHS = "filtcones/fragmetric.py", "filtcones/surface/widths.py"
+CURVES, SHADOW = "filtcones/surface/curves.py", "filtcones/surface/shadow.py"
 
 REFUSAL = '''        for c in curves:
             if q % c.scale:
@@ -53,8 +54,57 @@ REFUSAL = '''        for c in curves:
 '''
 LOWER_BOUNDS = "tests/test_fragmetric.py::" \
     "test_lower_bounds_match_every_multiset_bounded_alone"
+EVERY_CONTACT = "tests/test_segment_pairs.py::" \
+    "test_segment_pairs_yields_every_contact"
+CERT_WALK = '''                if key not in sets:
+                    sets[key] = self._set_bound(lp, l, key)
+                val, why = sets[key]
+                # bending makes the choice of positive end irrelevant
+                for p in probes.get(tuple(sorted((lp, l, *ends))), ()):
+                    if p.claimed_sup > val and self._probe_verified(p):
+                        val, why = p.claimed_sup, p
+                if val < lower:
+                    lower, cert = val, self._certify(ends, why)
+'''
+CERT_CACHED = '''                if key not in sets:
+                    val, why = self._set_bound(lp, l, key)
+                    for p in probes.get(tuple(sorted((lp, l, *ends))), ()):
+                        if p.claimed_sup > val and self._probe_verified(p):
+                            val, why = p.claimed_sup, p
+                    sets[key] = val, self._certify(ends, why)
+                val, cert_of_set = sets[key]
+                if val < lower:
+                    lower, cert = val, cert_of_set
+'''
 
 MUTANTS = [
+    # the box sweep, the shadow's holes and the lower-bound walk
+    Mutant("the cross pass's (x0, x1] slice opened at x0 (a pair twice)",
+           ((CURVES, "boxes[bisect_right(lefts, x0):",
+             "boxes[bisect_left(lefts, x0):"),),
+           (EVERY_CONTACT,)),
+    Mutant("the cross pass's [x0, x1] slice closed before x1",
+           ((CURVES, "bisect_right(olefts, x1)]",
+             "bisect_left(olefts, x1)]"),),
+           (EVERY_CONTACT,)),
+    Mutant("the one-list pass's slice closed before x1",
+           ((CURVES, "boxes[n + 1:bisect_right(lefts, x1)]",
+             "boxes[n + 1:bisect_left(lefts, x1)]"),),
+           (EVERY_CONTACT,)),
+    Mutant("the planar shadow's holes never subtracted",
+           ((SHADOW, "total += area  # area is negative", "pass"),),
+           ("tests/test_surface.py::test_shadow_three_nested_squares",
+            "tests/test_surface.py::test_shadow_nested_and_crossing",
+            "tests/test_surface.py::"
+            "test_shadow_islands_beside_and_inside_a_pocket_of_rays",
+            "tests/test_surface.py::"
+            "test_shadow_of_rectangles_is_the_area_they_enclose")),
+    Mutant("a lower bound and its certificate taken from the first "
+           "multiset of its end set (cached per set)",
+           ((FRAG, CERT_WALK, CERT_CACHED),),
+           (LOWER_BOUNDS + "[trace-pattern0]",
+            LOWER_BOUNDS + "[trace-S1-pattern0]",
+            "tests/test_golden.py::test_metric_outputs_match_golden_files")),
     # one sum per algebraic type
     Mutant("chain_sum keeps a generator whose sum is zero",
            ((FILTCX, '''        if s:

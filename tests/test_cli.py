@@ -257,6 +257,12 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
      "line 23: c 1 0 given twice\n"),
     ("twisted-check", TWISTED + "phi 1 (x0) -> T^0*x0\nphi 1 (x0) -> T^1*x0\n",
      "line 24: phi 1 (x0) given twice\n"),
+    ("twisted-check", TWISTED + "objects X Y Z\n",
+     "line 23: objects given twice\n"),
+    ("metric", "curve L: (-1,0) (1,0)\nobject X carrier=L\nobject X\n",
+     "line 3: object X given twice\n"),
+    ("metric", "curve L: (-1,0) (1,0)\nfamily F = L\nfamily F = L\n",
+     "line 3: family F given twice\n"),
 ])
 def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
                                             where):

@@ -35,38 +35,24 @@ from support import (
     chain_category, random_chain_map, random_cycle_in, serialize_complex,
     strict_dg_category, strict_right_mult_hom,
 )
+from golden_runs import GOLDEN, runs
 from test_fragmetric import LEM_QUERIES, LINE_X, TRACE_QUERIES
 from test_segment_pairs import _floer_sanity_pool
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-REPRO = {("1/8", "1/256"): "repro-lemma-ex1-eps1_8-delta1_256.txt",
-         ("1/10", "1/1000"): "repro-lemma-ex1-eps1_10-delta1_1000.txt",
-         ("3/29", "1/8999"): "repro-lemma-ex1-eps3_29-delta1_8999.txt"}
 TABLE = "floer-table.txt"
 METRIC_TABLE = "metric-table.txt"
-METRIC_REPORTS = {"metric-lem-ex1.scenario": "metric-lem-ex1.txt",
-                  "metric-trace.scenario": "metric-trace.txt"}
-# complex file -> (queries, report file); tier1.yml diffs the same runs
-DEPTH = {"depth-odd.cx": (("B x", "beta x", "B y", "beta y", "B z", "A a",
-                           "A z"), "depth-odd.txt"),
-         "depth-negative.cx": (("B s", "beta s", "B t", "A p", "A s"),
-                               "depth-negative.txt"),
-         "depth-sevenths.cx": (("B g1", "beta g1", "B g3", "beta g3", "B g5",
-                                "beta g5", "A g0"), "depth-sevenths.txt")}
-# spec file -> (report file, exit code); tier1.yml diffs the same runs
-TWISTED = {"twisted-r2.tw": ("twisted-r2.txt", 0),
-           "twisted-r4.tw": ("twisted-r4.txt", 0),
-           "twisted-noncycle.tw": ("twisted-noncycle.txt", 1)}
 CONE_TABLE = "cone-table.txt"
 RETRACT_TABLE = "retract-table.txt"
 EPS, DELTA = F(1, 8), F(1, 256)
 
 
-def repro_stdout(eps, delta):
+def cli_stdout(argv, code):
+    """The report of one golden CLI run (``golden_runs.runs``), in
+    process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["repro-lemma-ex1", "--eps", eps, "--delta", delta])
-    assert code == 0, out.getvalue()
+        got = main(argv)
+    assert got == code, out.getvalue()
     return out.getvalue()
 
 
@@ -115,25 +101,6 @@ def floer_table():
         for z, s in sorted(tri[(y, x)].items()):
             lines.append(f"  mu2({_pt(y)}, {_pt(x)}) -> {_pt(z)}: {s}")
     return "\n".join(lines) + "\n"
-
-
-def metric_report(scenario):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["metric", "--scenario", os.path.join(GOLDEN, scenario)])
-    assert code == 0, out.getvalue()
-    return out.getvalue()
-
-
-def depth_report(complex_file, queries):
-    argv = ["depth", "--complex", os.path.join(GOLDEN, complex_file)]
-    for q in queries:
-        argv += ["--query", q]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert code == 0, out.getvalue()
-    return out.getvalue()
 
 
 # Extra suspensions between the vertical lines S1..S4, one set per space,
@@ -216,14 +183,6 @@ def metric_table():
                          f"[{_val(r.lower)}, {_val(r.upper)}] "
                          f"via {r.witness} | {r.certificate}")
     return "\n".join(lines) + "\n"
-
-
-def twisted_report(spec, code):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        got = main(["twisted-check", "--spec", os.path.join(GOLDEN, spec)])
-    assert got == code, out.getvalue()
-    return out.getvalue()
 
 
 def _chain_text(ch):
@@ -369,26 +328,28 @@ def _read(name):
         return f.read()
 
 
+def _check_runs(command):
+    for argv, report, code in runs():
+        if argv[0] == command:
+            assert cli_stdout(argv, code) == _read(report), report
+
+
 def test_geometry_outputs_match_golden_files():
-    for (eps, delta), name in REPRO.items():
-        assert repro_stdout(eps, delta) == _read(name), name
+    _check_runs("repro-lemma-ex1")
     assert floer_table() == _read(TABLE)
 
 
 def test_metric_outputs_match_golden_files():
     assert metric_table() == _read(METRIC_TABLE)
-    for scenario, report in METRIC_REPORTS.items():
-        assert metric_report(scenario) == _read(report), scenario
+    _check_runs("metric")
 
 
 def test_depth_outputs_match_golden_files():
-    for complex_file, (queries, report) in DEPTH.items():
-        assert depth_report(complex_file, queries) == _read(report), report
+    _check_runs("depth")
 
 
 def test_twisted_outputs_match_golden_files():
-    for spec, (report, code) in TWISTED.items():
-        assert twisted_report(spec, code) == _read(report), report
+    _check_runs("twisted-check")
     assert cone_table() == _read(CONE_TABLE)
 
 
@@ -398,15 +359,9 @@ def test_retract_energy_matches_golden_table():
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
-    files = {name: repro_stdout(*key) for key, name in REPRO.items()}
+    files = {report: cli_stdout(argv, code) for argv, report, code in runs()}
     files[TABLE] = floer_table()
     files[METRIC_TABLE] = metric_table()
-    for scenario, report in METRIC_REPORTS.items():
-        files[report] = metric_report(scenario)
-    for complex_file, (queries, report) in DEPTH.items():
-        files[report] = depth_report(complex_file, queries)
-    for spec, (report, code) in TWISTED.items():
-        files[report] = twisted_report(spec, code)
     files[CONE_TABLE] = cone_table()
     files[RETRACT_TABLE] = retract_table()
     for name, text in files.items():
