@@ -227,8 +227,11 @@ class InputError(Exception):
 
 
 def _parse_file(path: str, parse, **kw):
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path) as f:
+            text = f.read()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
     try:
         return parse(text, **kw)
     except (ValueError, ArithmeticError, LookupError) as exc:
@@ -325,11 +328,11 @@ def cmd_width(args) -> int:
 
 def cmd_twisted_check(args) -> int:
     from .wfainf import DEFAULT_ARITY_CAP, Discrepancy, PreModHom, WfError, \
-        parse_category, yoneda_module
+        key_ends, parse_category, yoneda_module
     from .twisted import TwistedData, TwistedError, assemble_twisted_mu1, \
         build_iterated_cone, check_twisted_square_zero
     rep = Report()
-    obj_list, objects_lines, cycles = [], [], {}
+    obj_list, objects_lines, cycles, phi_lines = [], [], {}, []
     phi_tables: dict = {}
 
     def parse_spec(text):
@@ -360,6 +363,7 @@ def cmd_twisted_check(args) -> int:
                         raise ValueError(f"phi {i} ({','.join(gens)}) given "
                                          "twice")
                     table[gens] = parse_chain(rhs, args.cutoff)
+                    phi_lines.append((n, int(i), gens))
                 else:
                     cat_lines.append((n, line))
         # phi_i attaches L_i to K_{i-1}: the stages run 1..r, r < #objects
@@ -369,8 +373,17 @@ def cmd_twisted_check(args) -> int:
             raise TwistedError("phi lines must number the stages 1, 2, ..., "
                                "r with r below the number of objects")
         cap = args.arity_cap
-        return parse_category(cat_lines, cutoff=args.cutoff,
-                              cap=DEFAULT_ARITY_CAP if cap is None else cap)
+        cat = parse_category(cat_lines, cutoff=args.cutoff,
+                             cap=DEFAULT_ARITY_CAP if cap is None else cap)
+        # a phi i key is a tuple of the Yoneda module of L_i
+        for n, i, gens in phi_lines:
+            with on_line(n):
+                where = f"phi {i} ({','.join(gens)})"
+                end = key_ends(cat.gen_hom, where, gens)[1]
+                if end != obj_list[i]:
+                    raise ValueError(f"{where}: {gens[-1]} ends at {end}, "
+                                     f"not at {obj_list[i]}")
+        return cat
 
     cat = _parse_file(args.spec, parse_spec)
     if not cat.objects:

@@ -29,9 +29,10 @@ riding along as extra coordinates: ``field_rank`` (the retired vectors),
 and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
 ``homology_rank``.  ``chain_left_inverse_action`` reads the least
 action of a chain-map left inverse, for ``twisted.retract_energy`` and
-the inverse shifts of the rigidity lemmas, off one exact run over
-hom(D, C) with the read of ``_Smith.boundary_level``
-(``_preimage_level``); no inverse's entries are built.
+the inverse shifts of the rigidity lemmas, off exact runs over hom(D,
+C), one per block of rows linked by their unknowns, with the read of
+``_Smith.boundary_level`` (``_preimage_level``); no inverse's entries
+are built.
 ``orthonormal_basis`` reads an action-orthogonal basis of a span off one
 run in the f basis: each retired column divided by t^k, cut to an input
 combination with no exponent above the inputs', with its pivot
@@ -139,11 +140,8 @@ class FilteredComplex:
 
     def grid(self, chains: Sequence[Chain] = ()) -> "_Smith":
         """The Smith-form reduction of d on a lattice holding the chains."""
-        q = _denominators(self)
-        for ch in chains:
-            for s in ch.values():
-                for e in s.exps:
-                    q = lcm(q, e.denominator)
+        q = lcm(_denominators(self),
+                *(s.denominator for ch in chains for s in ch.values()))
         if self._grid is None or self._grid.q % q:
             self._grid = _Smith(self, q)
         return self._grid
@@ -247,9 +245,7 @@ def _denominators(cx: FilteredComplex) -> int:
     q = 1
     for g in cx.generators:
         q = lcm(q, cx.action[g].denominator)
-        for s in cx.diff[g].values():
-            for e in s.exps:
-                q = lcm(q, e.denominator)
+        q = lcm(q, *(s.denominator for s in cx.diff[g].values()))
     return q
 
 
@@ -290,19 +286,16 @@ def _vectors(chains: Sequence[Chain], coords: Sequence[str], q: int = 0,
     coord_action = coord_action or dict.fromkeys(coords, 0)
     q = q or lcm(1, *(a.denominator for a in action),
                  *(a.denominator for a in coord_action.values()),
-                 *(e.denominator for ch in chains for s in ch.values()
-                   for e in s.exps))
-    lift = [int(a * q) for a in action]
-    coord_lift = {g: int(a * q) for g, a in coord_action.items()}
-    terms = [(j, index[g], e * q, lift[j] - coord_lift[g])
+                 *(s.denominator for ch in chains for s in ch.values()))
+    lift = [a.numerator * (q // a.denominator) for a in action]
+    coord_lift = {g: a.numerator * (q // a.denominator)
+                  for g, a in coord_action.items()}
+    terms = [(j, index[g], k + lift[j] - coord_lift[g])
              for j, ch in enumerate(chains) for g, s in ch.items()
-             for e in s.exps]
-    if any(k.denominator != 1 for _, _, k, _ in terms):
-        raise FiltError("chain off the lattice of the reduction")
-    ks = [int(k) + dk for _, _, k, dk in terms]
-    m = min(ks, default=0)
+             for k in s.lift(q)]
+    m = min((k for *_, k in terms), default=0)
     vecs = [[0] * len(coords) for _ in chains]
-    for (j, i, *_), k in zip(terms, ks):
+    for j, i, k in terms:
         vecs[j][i] ^= 1 << k - m
     return q, m, vecs
 
@@ -506,8 +499,7 @@ def _combination(q: int, coeffs: Sequence[int], chains: Sequence[Chain],
                  cutoff, low: int) -> Chain:
     """sum_j l_j T^(-low/q) chains_j for F2[t] bitmask coefficients l_j,
     t = T^(1/q)."""
-    scaled = [(NovikovScalar([Fraction(k - low, q) for k in _bits(lam)],
-                             cutoff), z)
+    scaled = [(NovikovScalar([k - low for k in _bits(lam)], cutoff, q), z)
               for lam, z in zip(coeffs, chains) if lam]
     return chain_sum((h, s * t) for s, z in scaled for h, t in z.items())
 
@@ -783,9 +775,15 @@ def chain_left_inverse_action(f: FilteredMap) -> Fraction:
     live in hom(C, C) + hom(D, C), on the coordinates (c, x) and E[c<-d]
     at their actions (any row scaling reads the same level; these keep
     the degrees low).  One ``_vectors`` call puts images and target on
-    one lattice, and one exact ``_echelon`` of the rows reads the level
+    one lattice, and exact ``_echelon`` runs of the rows read the level
     as ``_Smith.boundary_level`` does, over F2[t]: the divisions by t^k
     of a run modulo t^N can leave spurious entries off the pivot rows.
+    Rows linked through the unknowns they touch form a block, one run
+    each: no elimination step crosses blocks, so each run makes the
+    pivots one run of all rows would, and the level is the max over the
+    blocks (+infinity if one is inconsistent).  Under zero differentials
+    the rows split by the generator of C they belong to; a coupled map
+    is one block.
 
     For a chain isomorphism f the inverse is the only left inverse, and
     it is a chain map, so this is also the least action of any left
@@ -801,8 +799,32 @@ def chain_left_inverse_action(f: FilteredMap) -> Fraction:
     target = {(c, c): NovikovScalar.one(C.cutoff) for c in C.generators}
     q, _, vecs = _vectors(cols + [target], list(act), 0,
                           [*H.action.values(), 0], act)
-    pivots, rest = _echelon([list(row) for row in zip(*vecs)], len(cols))
-    return _preimage_level(pivots, rest, 0, q)
+    rows, n = [list(row) for row in zip(*vecs)], len(cols)
+    root = list(range(n))  # union-find over the unknowns
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for row in rows:
+        touched = [i for i in range(n) if row[i]]
+        for i in touched[1:]:
+            root[find(i)] = find(touched[0])
+    unknowns: Dict[int, List[int]] = {}
+    for i in range(n):
+        unknowns.setdefault(find(i), []).append(i)
+    blocks: Dict[Optional[int], List[List[int]]] = {}
+    for row in rows:
+        i = next((i for i in range(n) if row[i]), None)
+        blocks.setdefault(None if i is None else find(i), []).append(row)
+    level = NEG_INF
+    for key, block in blocks.items():
+        coords = unknowns.get(key, [])
+        pivots, rest = _echelon([[row[i] for i in coords] + row[-1:]
+                                 for row in block], len(coords))
+        level = max(level, _preimage_level(pivots, rest, 0, q))
+    return level
 
 
 # ---------------------------------------------------------------------------

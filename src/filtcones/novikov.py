@@ -1,20 +1,26 @@
 """Exact arithmetic in the Novikov field over the two-element field.
 
 A scalar is a finite sum of powers T^e with rational exponents e and
-coefficient 1 (characteristic 2: a power is present or absent).  Sums,
-products and shifts of such sums are finite sums again, and they keep
-every term: each lists its exponents, and the constructor cancels them
-in pairs, the one characteristic-2 cancellation.  Chains add through
-``filtcx.chain_sum`` and operation tables through ``wfainf.table_sum``,
-both on this sum.  Every scalar carries a rational cutoff.  It bounds the
-written exponents: one at or above the cutoff is refused by
-``parse_scalar``.  Scalars of different cutoffs do not mix.  The one
-series left, ``invert`` (a geometric series kept below the cutoff
-through ``below_cutoff``), has no caller in the package; the benchmark
-tracer still counts its calls by name, so it stays until that counter
-goes.  No inverse of a map is built: ``filtcx`` reads only its least
-action.  The module also holds the line reader every input format
-shares: ``content_lines``, ``options``, ``points`` and ``name_tuple``.
+coefficient 1 (characteristic 2: a power is present or absent).  It is
+held on one integer frame: its exponents are sorted integer numerators
+over one positive denominator, reduced by their common gcd, so that equal
+scalars have equal frames.  Sums, products and shifts bring their
+operands to a common frame with integer multiplies and hand the
+numerators to the constructor, which cancels them in pairs, the one
+characteristic-2 cancellation; they keep every term.  ``exps`` gives the
+exponents as ``Fraction``s, and ``lift`` gives them times a lattice
+denominator as integers: the filtered-complex layer reads the frame
+through it alone.  Chains add through ``filtcx.chain_sum`` and operation
+tables through ``wfainf.table_sum``, both on this sum.  Every scalar
+carries a rational cutoff.  It bounds the written exponents: one at or
+above the cutoff is refused by ``parse_scalar``.  Scalars of different
+cutoffs do not mix.  The one series left, ``invert`` (a geometric series
+kept below the cutoff through ``below_cutoff``), has no caller in the
+package; the benchmark tracer still counts its calls by name, so it
+stays until that counter goes.  No inverse of a map is built: ``filtcx``
+reads only its least action.  The module also holds the line reader
+every input format shares: ``content_lines``, ``options``, ``points``
+and ``name_tuple``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import contextlib
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 RatLike = Union[int, str, Fraction]
@@ -48,55 +55,91 @@ class NovikovError(ValueError):
 
 class NovikovScalar:
     """A finite Z/2-combination of powers T^e; ``cutoff`` bounds its
-    written exponents and is the precision of ``invert``."""
+    written exponents and is the precision of ``invert``.
 
-    __slots__ = ("exps", "cutoff")
+    ``exps`` are rationals, or, with ``den``, integer numerators over the
+    denominator ``den``.  The frame is ``_nums`` over ``denominator``.
+    """
 
-    def __init__(self, exps: Iterable[RatLike], cutoff: RatLike):
+    __slots__ = ("_nums", "denominator", "cutoff")
+
+    def __init__(self, exps: Iterable[RatLike], cutoff: RatLike,
+                 den: int = 0):
+        if not den:
+            exps = [rat(e) for e in exps]
+            den = lcm(1, *(e.denominator for e in exps))
+            exps = [e.numerator * (den // e.denominator) for e in exps]
         seen = set()
-        for e in exps:
-            e = rat(e)
-            if e in seen:
-                seen.remove(e)  # characteristic 2 cancellation
+        for k in exps:
+            if k in seen:
+                seen.remove(k)  # characteristic 2 cancellation
             else:
-                seen.add(e)
-        self.exps = tuple(sorted(seen))
+                seen.add(k)
+        if den > 1 and (g := gcd(den, *seen)) > 1:
+            seen, den = [k // g for k in seen], den // g
+        self._nums = tuple(sorted(seen))
+        self.denominator = den
         self.cutoff = rat(cutoff)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(cutoff: RatLike) -> "NovikovScalar":
-        return NovikovScalar((), cutoff)
+        return NovikovScalar((), cutoff, 1)
 
     @staticmethod
     def one(cutoff: RatLike) -> "NovikovScalar":
-        return NovikovScalar((0,), cutoff)
+        return NovikovScalar((0,), cutoff, 1)
 
     @staticmethod
     def monomial(e: RatLike, cutoff: RatLike) -> "NovikovScalar":
-        return NovikovScalar((rat(e),), cutoff)
+        e = rat(e)
+        return NovikovScalar((e.numerator,), cutoff, e.denominator)
+
+    # -- the frame ------------------------------------------------------
+
+    @property
+    def exps(self) -> Tuple[Fraction, ...]:
+        """The exponents, ascending."""
+        return tuple(Fraction(k, self.denominator) for k in self._nums)
+
+    def lift(self, q: int) -> List[int]:
+        """The exponents times ``q``, ascending, as integers; raises
+        NovikovError if ``q`` does not clear them."""
+        m, r = divmod(q, self.denominator)
+        if r:
+            raise NovikovError(f"{q} does not clear the exponents of {self}")
+        return [k * m for k in self._nums]
+
+    def _framed(self, other: "NovikovScalar"):
+        """(den, self's numerators, other's numerators) on one frame."""
+        a, b = self.denominator, other.denominator
+        if a == b:
+            return a, self._nums, other._nums
+        den = lcm(a, b)
+        return den, self.lift(den), other.lift(den)
 
     # -- basic predicates ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.exps
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.exps)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NovikovScalar)
-            and self.exps == other.exps
+            and self._nums == other._nums
+            and self.denominator == other.denominator
             and self.cutoff == other.cutoff
         )
 
     def __hash__(self):
-        return hash((self.exps, self.cutoff))
+        return hash((self._nums, self.denominator, self.cutoff))
 
     def _check(self, other: "NovikovScalar"):
-        if self.cutoff != other.cutoff:
+        if self.cutoff is not other.cutoff and self.cutoff != other.cutoff:
             raise NovikovError(
                 f"cutoff mismatch: {self.cutoff} vs {other.cutoff}"
             )
@@ -105,27 +148,31 @@ class NovikovScalar:
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        return NovikovScalar(self.exps + other.exps, self.cutoff)
+        den, xs, ys = self._framed(other)
+        return NovikovScalar([*xs, *ys], self.cutoff, den)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        return NovikovScalar([a + b for a in self.exps for b in other.exps],
-                             self.cutoff)
+        den, xs, ys = self._framed(other)
+        return NovikovScalar([x + y for x in xs for y in ys], self.cutoff, den)
 
     def shift(self, s: RatLike) -> "NovikovScalar":
         """Multiply by the monomial T^s."""
         s = rat(s)
-        return NovikovScalar((e + s for e in self.exps), self.cutoff)
+        den = lcm(self.denominator, s.denominator)
+        k = s.numerator * (den // s.denominator)
+        return NovikovScalar([x + k for x in self.lift(den)], self.cutoff, den)
 
     def valuation(self) -> Fraction:
         """Minimal exponent; +infinity (INF sentinel) for the zero scalar."""
-        if not self.exps:
+        if not self._nums:
             return INF
-        return self.exps[0]
+        return Fraction(self._nums[0], self.denominator)
 
     def below_cutoff(self) -> "NovikovScalar":
         """The terms below the cutoff: where a series stops."""
-        return NovikovScalar(self.exps[:bisect_left(self.exps, self.cutoff)],
+        exps = self.exps
+        return NovikovScalar(exps[:bisect_left(exps, self.cutoff)],
                              self.cutoff)
 
     def invert(self) -> "NovikovScalar":
@@ -136,14 +183,14 @@ class NovikovScalar:
         once a power is cut to zero.  Every exponent of the result is
         below the cutoff.
         """
-        if not self.exps:
+        if not self._nums:
             raise NovikovError("cannot invert 0")
-        if self.exps[0] != 0:
+        if self._nums[0] != 0:
             raise NovikovError(
-                f"inversion requires valuation 0, got {self.exps[0]}; "
+                f"inversion requires valuation 0, got {self.valuation()}; "
                 "rescale by T^-v first"
             )
-        k = NovikovScalar(self.exps[1:], self.cutoff)
+        k = NovikovScalar(self._nums[1:], self.cutoff, self.denominator)
         acc = power = NovikovScalar.one(self.cutoff).below_cutoff()
         while power:
             power = (power * k).below_cutoff()
@@ -153,7 +200,7 @@ class NovikovScalar:
     # -- text form ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self._nums:
             return "0"
         return " + ".join(f"T^{e}" for e in self.exps)
 

@@ -14,9 +14,10 @@ contract, and the retract energy
 rho(f), the least A(g) + A(f) over g with g f ~ id, gives the weight of
 ``weight_wp``.
 Its upper bound is one computation for every map: the least action of
-a chain map g with g f = id, read off one exact elimination over
-hom(D, C) (``filtcx.chain_left_inverse_action``).  It is exact when
-the domain's differential vanishes; otherwise the lower bound is 0.
+a chain map g with g f = id, read off exact eliminations over hom(D,
+C), one per block of linked unknowns
+(``filtcx.chain_left_inverse_action``).  It is exact when the domain's
+differential vanishes; otherwise the lower bound is 0.
 The fragmentation metrics do not read it yet.
 """
 

@@ -2,17 +2,18 @@
 
 Categories, modules and pre-module maps store their operations in one
 kind of table (``_Table``): sparse maps from composable generator tuples
-to chains with Novikov coefficients, with one tuple walk, one multilinear
-evaluation and one measure of how far each entry overshoots the summed
-input actions.  One insertion sum, ``_insert``, composes them: the
-A-infinity and module relation checks, ``mu1_mod`` and ``mu2_mod`` are
-each a call or two of it.  Values add through ``filtcx.chain_sum`` and
-whole tables entrywise through ``table_sum`` (the sum of pre-module
-maps, the parts of a cone).  The checks run over every composable tuple up
-to the arity where the relations become vacuous.  Discrepancy sequences
-track by how much each mu_d may overshoot the additive action bound; the
-calculus on them (pointwise max, the star product, Assumption E) is
-implemented verbatim.
+to chains with Novikov coefficients, with one multilinear evaluation and
+one measure of how far each entry overshoots the summed input actions.
+One insertion walk, ``_insertions``, composes them over their nonzero
+entries alone: the A-infinity and module relation checks, ``mu1_mod``
+and ``mu2_mod`` are each one call of it.  Values add through
+``filtcx.chain_sum`` and whole tables entrywise through ``table_sum``
+(the sum of pre-module maps, the parts of a cone).  The checks cover
+every composable tuple up to the arity where the relations become
+vacuous; only tuples that some nonzero entry reaches can fail.
+Discrepancy sequences track by how much each mu_d may overshoot the
+additive action bound; the calculus on them (pointwise max, the star
+product, Assumption E) is implemented verbatim.
 
 Generator names are required to be globally unique across all hom
 complexes of a category so that chains can be moved between modules and
@@ -192,7 +193,10 @@ class _Table:
     so they keep a registry of their own.  A pre-module map reads its
     source module and writes its target.  Categories and modules take
     mu_1 from the differentials of their complexes; the arity-1 entries of
-    a map are table entries.
+    a map are table entries.  ``_entries`` lists the nonzero ones, mu_1
+    included, for the insertion walk.  The composable tuples come arity
+    first, then by the registration index of each slot (``tuples``); the
+    walk returns its sums in that order.
     """
 
     _name = "mu"
@@ -227,6 +231,16 @@ class _Table:
                 y = obj_map.get(y)
             for g in self._starts.get(y, ()):
                 yield head + (g,)
+
+    def _entries(self, top: int):
+        """(tuple, value) of each nonzero entry of arity at most ``top``,
+        mu_1 read off the differentials where it is one."""
+        if self._mu1_is_diff:
+            yield from (((g,), cx.diff[g]) for g, cx in self._home.items()
+                        if cx.diff[g])
+        for d, table in self.mu_tables.items():
+            if d <= top:
+                yield from ((t, v) for t, v in table.items() if v)
 
     def mu_gens(self, gens: Tuple[str, ...]) -> Chain:
         d = len(gens)
@@ -271,32 +285,63 @@ class _Table:
         return self._measured(Fraction(0))
 
     def _check_relations(self, base, failed: str):
-        """The A-infinity (or module) relations on tuples up to cap - 1.
+        """The A-infinity (or module) relations on tuples up to cap - 1:
+        one ``_insertions`` walk with this table as inner and outer, and
+        ``base`` in the earlier slots.  The walk's first nonzero sum, in
+        the order ``tuples`` walks, is the failure named.
 
         Relations at arity n are vacuous once n exceeds twice the top
         nonzero operation arity minus one, so the check stops there.
         """
-        for n in range(1, min(self.cap - 1, 2 * self.max_op_arity() - 1) + 1):
-            for gens in self.tuples(n):
-                if _insert(gens, self, self, base):
-                    raise WfError(failed.format(gens))
+        top = min(self.cap - 1, 2 * self.max_op_arity() - 1)
+        for table in _insertions(top, (self, self, base)).values():
+            raise WfError(failed.format(next(iter(table))))
 
 
-def _insert(gens: Tuple[str, ...], inner: _Table, outer: _Table,
-            base: Optional[_Table] = None) -> Chain:
-    """Sum over k of outer(gens[:k] + inner(gens[k:])), inner on each
-    nonempty suffix; with ``base``, plus outer(gens[:j] + base(gens[j:e]) +
-    gens[e:]) over the windows that end before the last entry.  Each
-    generator of an inner value stands in for its window in turn."""
-    n = len(gens)
-    windows = [(k, n, inner) for k in range(n)]
-    if base is not None:
-        windows += [(j, e, base) for j in range(n - 1)
-                    for e in range(j + 1, n)]
-    return chain_sum((h, s * t) for j, e, op in windows
-                     for g, s in op.mu_gens(gens[j:e]).items()
-                     for h, t in outer.mu_gens(gens[:j] + (g,)
-                                               + gens[e:]).items())
+def _insertions(top: int, *triples) -> MuTable:
+    """The insertion sums of (inner, outer, base) triples on the tuples of
+    length at most ``top``, nonzero sums only.
+
+    At a tuple t the sum runs over k of outer(t[:k] + inner(t[k:])), inner
+    on each nonempty suffix; with a ``base``, plus outer(t[:j] +
+    base(t[j:e]) + t[e:]) over the windows that end before the last entry.
+    Each generator of a value stands in for its window in turn.  The walk
+    reads nonzero entries alone: it indexes outer's entries by the
+    generator in each slot, splices each inner entry into the last slot
+    and each base entry into an earlier one where its value's generators
+    sit, and sums each spliced tuple with one ``chain_sum``.  The tuples
+    come arity first, then by the registration index of each slot (first
+    inner's base for the earlier slots, its source for the last), the
+    order ``tuples`` walks them in.
+    """
+    terms: Dict[Tuple[str, ...], list] = {}
+    for inner, outer, base in triples:
+        last: Dict[str, list] = {}
+        earlier: Dict[str, list] = {}
+        for key, val in outer._entries(top):
+            last.setdefault(key[-1], []).append((key[:-1], (), val))
+            if base is not None:
+                for p, g in enumerate(key[:-1]):
+                    earlier.setdefault(g, []).append(
+                        (key[:p], key[p + 1:], val))
+        for index, op in ((last, inner), (earlier, base)):
+            if op is None:
+                continue
+            for key, val in op._entries(top):
+                for g, s in val.items():
+                    for head, tail, v in index.get(g, ()):
+                        if len(head) + len(key) + len(tail) <= top:
+                            terms.setdefault(head + key + tail, []).extend(
+                                (h, s * c) for h, c in v.items())
+    first = triples[0][0]
+    rank = {g: i for i, g in enumerate(first.base._home)}
+    end_rank = {g: i for i, g in enumerate(first._ins._home)}
+    sums = {t: v for t, items in terms.items() if (v := chain_sum(items))}
+    out: MuTable = {}
+    for t in sorted(sums, key=lambda t: (len(t), [rank[g] for g in t[:-1]],
+                                         end_rank[t[-1]])):
+        out.setdefault(len(t), {})[t] = sums[t]
+    return out
 
 
 def _tabulate(walk, arities, value) -> MuTable:
@@ -551,8 +596,7 @@ def mu1_mod(f: PreModHom) -> PreModHom:
     maxf = f._top()
     maxmu = max(m0.max_op_arity(), m1.max_op_arity())
     top = min(f.cap, maxf + maxmu - 1) if maxf else 0
-    comps = _tabulate(m0.tuples, range(1, top + 1), lambda t: chain_add(
-        _insert(t, f, m1), _insert(t, m0, f, m0.cat)))
+    comps = _insertions(top, (f, m1, None), (m0, f, m0.cat))
     return PreModHom(m0, m1, comps, f.shift, f.disc)
 
 
@@ -563,8 +607,7 @@ def mu2_mod(f: PreModHom, g: PreModHom) -> PreModHom:
             raise WfError("mu2_mod: modules do not compose")
     maxf, maxg = f._top(), g._top()
     top = min(f.cap, maxf + maxg - 1) if maxf and maxg else 0
-    comps = _tabulate(f.source.tuples, range(1, top + 1),
-                      lambda t: _insert(t, f, g))
+    comps = _insertions(top, (f, g, None))
     return PreModHom(f.source, g.target, comps, f.shift + g.shift,
                      disc_star(f.disc, g.disc))
 
@@ -948,6 +991,21 @@ def assh_cone_kappa(kappa0, kappa1, u, zeta, eps2_c, eps3_c) -> Fraction:
 # text format
 # ---------------------------------------------------------------------------
 
+def key_ends(homes: Dict[str, Tuple[str, str]], where: str,
+             gens: Tuple[str, ...]) -> Tuple[str, str]:
+    """(source, target) of a table key, ``homes`` giving each generator's
+    (source, target); raises WfError, prefixed by ``where``, on an unknown
+    generator or the first neighbours that do not compose."""
+    for g in gens:
+        if g not in homes:
+            raise WfError(f"{where}: unknown generator {g}")
+    for a, b in zip(gens, gens[1:]):
+        if homes[a][1] != homes[b][0]:
+            raise WfError(f"{where}: {a} ends at {homes[a][1]}, {b} starts "
+                          f"at {homes[b][0]}")
+    return homes[gens[0]][0], homes[gens[-1]][1]
+
+
 def parse_category(text, cutoff=DEFAULT_CUTOFF,
                    cap: int = DEFAULT_ARITY_CAP) -> WFCategory:
     """Toy-category format, text or ``(n, line)`` pairs read by
@@ -967,6 +1025,7 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
     units: Dict[str, Chain] = {}
     unit_bound = Fraction(0)
     gen_home: Dict[str, Tuple[str, str]] = {}
+    mu_lines: List[Tuple[int, int, Tuple[str, ...]]] = []
     for n, line in content_lines(text):
         word, _, rest = line.partition(" ")
         with on_line(n, WfError):
@@ -995,6 +1054,7 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
                 if gens in table:
                     raise WfError(f"mu {d} ({','.join(gens)}) given twice")
                 table[gens] = parse_chain(rhs, cutoff)
+                mu_lines.append((n, int(d), gens))
             elif word == "disc":
                 if disc is not None:
                     raise WfError("disc given twice")
@@ -1011,6 +1071,22 @@ def parse_category(text, cutoff=DEFAULT_CUTOFF,
                 unit_bound = max(unit_bound, rat(bound or 0))
             else:
                 raise WfError(f"unrecognized category line {line!r}")
+    # a key composes and its value lies in the hom complex it lands in,
+    # or the insertion walk would reach tuples that are not composable
+    for n, d, gens in mu_lines:
+        with on_line(n, WfError):
+            where = f"mu {d} ({','.join(gens)})"
+            if d < 2:
+                raise WfError(f"{where}: mu_1 is the differential; write a "
+                              "d line")
+            if d > cap:
+                raise WfError(f"{where}: beyond the arity cap {cap}")
+            if len(gens) != d:
+                raise WfError(f"{where}: {len(gens)} generators, not {d}")
+            x, y = key_ends(gen_home, where, gens)
+            for g in mu[d][gens]:
+                if gen_home.get(g) != (x, y):
+                    raise WfError(f"{where}: {g} is not in hom({x}, {y})")
     homs = {key: parse_complex(body, cutoff)
             for key, body in hom_lines.items()}
     return WFCategory(objects, homs, mu,

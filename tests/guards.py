@@ -222,6 +222,20 @@ def one_sum(ix):
                   and callee(n) in ("add", "remove")]
 
 
+# the relation checks and the module maps compose operation tables in one
+# walk over their nonzero entries, wfainf._insertions: _check_relations,
+# mu1_mod and mu2_mod call neither the tuple walk nor _tabulate, and no
+# per-tuple insertion sum _insert comes back
+def insertion_walk(ix):
+    wf = ix.top("wfainf.py")
+    users = {"_check_relations": members(wf["_Table"])["_check_relations"],
+             "mu1_mod": wf["mu1_mod"], "mu2_mod": wf["mu2_mod"]}
+    bad = [f"{name} calls {banned}" for name, node in users.items()
+           for banned in ("tuples", "_tabulate") if calls(node, banned)]
+    return bad + [f"{SRC / 'wfainf.py'}:{n.lineno}: defines _insert"
+                  for n in defined(ix.trees[SRC / "wfainf.py"], "_insert")]
+
+
 # the paper-lemma checks, and what only they use, that only tests reach
 ONLY_TESTS = {
     "rho_upper_from_witness", "check_assumption_E", "choose_eps",
@@ -239,7 +253,7 @@ ONLY_TESTS = {
     "_homotopic_to_identity", "_pullback_value", "_unit_action_map",
     "cycle_basis", "disc_star", "homotopical_boundary_level", "map_to_chain",
     "mu2_mod", "pullback_disc", "pullback_hom", "pullback_module",
-    "shift_module",
+    "shift_module", "_Table.tuples", "_tabulate",
 }
 
 
@@ -310,8 +324,8 @@ def parameters(ix):
 
 
 GUARDS = [inverse_series, line_reader, floer_ranks, contact_scan,
-          shadow_integers, end_count_cap, width_frame, one_sum, reachability,
-          parameters]
+          shadow_integers, end_count_cap, width_frame, one_sum,
+          insertion_walk, reachability, parameters]
 
 
 def main() -> int:

@@ -54,6 +54,8 @@ REFUSAL = '''        for c in curves:
 '''
 LOWER_BOUNDS = "tests/test_fragmetric.py::" \
     "test_lower_bounds_match_every_multiset_bounded_alone"
+GOLDEN_TOWERS = "tests/test_wfainf.py::" \
+    "test_relation_check_matches_the_oracle_on_the_golden_towers"
 EVERY_CONTACT = "tests/test_segment_pairs.py::" \
     "test_segment_pairs_yields_every_contact"
 CERT_WALK = '''                if key not in sets:
@@ -127,14 +129,37 @@ MUTANTS = [
 '''),),
            ("tests/test_filtcx.py::test_chain_sum_matches_parity_oracle",)),
     Mutant("the NovikovScalar constructor without its toggle",
-           ((NOVIKOV, '''            if e in seen:
-                seen.remove(e)  # characteristic 2 cancellation
+           ((NOVIKOV, '''            if k in seen:
+                seen.remove(k)  # characteristic 2 cancellation
             else:
-                seen.add(e)
-''', '''            seen.add(e)
+                seen.add(k)
+''', '''            seen.add(k)
 '''),),
            ("tests/test_novikov.py::test_char2_cancellation",
             "tests/test_novikov.py::test_ring_laws")),
+    Mutant("the scalar frame not reduced by its gcd",
+           ((NOVIKOV, "(g := gcd(den, *seen)) > 1", "(g := 1) > 1"),),
+           ("tests/test_novikov.py::test_equal_scalars_share_a_frame",
+            "tests/test_novikov.py::"
+            "test_arithmetic_across_frames_matches_the_parity_oracle")),
+    # the insertion walk and the retract blocks
+    Mutant("the insertion walk without base windows",
+           ((WFAINF, "(earlier, base))", "(earlier, None))"),),
+           (GOLDEN_TOWERS, "tests/test_wfainf.py::"
+            "test_relation_checks_match_the_oracles",
+            "tests/test_wfainf.py::test_module_maps_match_the_oracles")),
+    Mutant("the insertion walk without arity-1 differentials",
+           ((WFAINF, "        if self._mu1_is_diff:\n            yield from",
+             "        if False:\n            yield from"),),
+           (GOLDEN_TOWERS, "tests/test_wfainf.py::"
+            "test_relation_checks_match_the_oracles",
+            "tests/test_wfainf.py::test_module_maps_match_the_oracles")),
+    Mutant("retract blocks combined by min",
+           ((FILTCX, "level = max(level, _preimage_level(",
+             "level = min(level, _preimage_level("),),
+           ("tests/test_twisted.py::"
+            "test_retract_energy_identity_and_monomials",
+            "tests/test_golden.py::test_retract_energy_matches_golden_table")),
     Mutant("table_sum keeps zero entries",
            ((WFAINF, '''    sums = {d: {gens: v for gens, items in entries.items()
                 if (v := chain_sum(items))} for d, entries in terms.items()}

@@ -36,6 +36,13 @@ def chain_scale(s: NovikovScalar, x: Chain) -> Chain:
     return out
 
 
+def ref_exponents(terms):
+    """A Novikov sum by exponent parities: the exponents of ``terms`` that
+    occur an odd number of times, ascending, as ``Fraction``s."""
+    counts = Counter(Fraction(e) for e in terms)
+    return tuple(sorted(e for e, n in counts.items() if n % 2))
+
+
 def ref_chain_sum(terms) -> Chain:
     """``filtcx.chain_sum`` by exponent parities: each generator keeps a
     Counter of the exponents of its terms, and no two scalars are added.

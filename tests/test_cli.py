@@ -263,6 +263,25 @@ def test_cli_refuses_exponent_at_cutoff(tmp_path, capsys):
      "line 3: object X given twice\n"),
     ("metric", "curve L: (-1,0) (1,0)\nfamily F = L\nfamily F = L\n",
      "line 3: family F given twice\n"),
+    # a mu key is a composable tuple of known generators of its arity, and
+    # its value lies in the hom complex the tuple lands in; a phi i key is
+    # a tuple of the Yoneda module of L_i
+    ("twisted-check", TWISTED + "mu 2 (zz,m10) -> T^0*x0\n",
+     "line 23: mu 2 (zz,m10): unknown generator zz\n"),
+    ("twisted-check", TWISTED + "mu 2 (x1,m20) -> T^0*x0\n",
+     "line 23: mu 2 (x1,m20): x1 ends at L1, m20 starts at L2\n"),
+    ("twisted-check", TWISTED + "mu 3 (x2,m21) -> T^0*x1\n",
+     "line 23: mu 3 (x2,m21): 2 generators, not 3\n"),
+    ("twisted-check", TWISTED + "mu 1 (y0) -> T^0*x0\n",
+     "line 23: mu 1 (y0): mu_1 is the differential; write a d line\n"),
+    ("twisted-check", TWISTED + "mu 3 (x2,m21,m10) -> T^0*x1\n",
+     "line 23: mu 3 (x2,m21,m10): x1 is not in hom(X, L0)\n"),
+    ("twisted-check", TWISTED + "phi 1 (zz) -> T^0*x0\n",
+     "line 23: phi 1 (zz): unknown generator zz\n"),
+    ("twisted-check", TWISTED + "phi 1 (x2,m10) -> T^0*x0\n",
+     "line 23: phi 1 (x2,m10): x2 ends at L2, m10 starts at L1\n"),
+    ("twisted-check", TWISTED + "phi 1 (x2) -> T^0*x0\n",
+     "line 23: phi 1 (x2): x2 ends at L2, not at L1\n"),
 ])
 def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
                                             where):
@@ -274,6 +293,21 @@ def test_cli_reports_parse_errors_with_line(tmp_path, capsys, cmd, text,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {f}: {where}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("depth", "--complex"), ("twisted-check", "--spec"),
+    ("metric", "--scenario"), ("floer", "--scenario"),
+    ("width", "--scenario"), ("shadow", "--diagram")])
+@pytest.mark.parametrize("missing", [True, False],
+                         ids=["missing", "directory"])
+def test_cli_reports_an_unreadable_input_file(tmp_path, capsys, cmd, flag,
+                                              missing):
+    path = tmp_path / "absent.txt" if missing else tmp_path
+    code = main([cmd, flag, str(path)])
+    why = "No such file or directory" if missing else "Is a directory"
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {why}\n"
 
 
 def test_cli_shadow(tmp_path, capsys):

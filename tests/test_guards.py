@@ -19,6 +19,7 @@ import guards
 
 ROOT = Path(__file__).resolve().parent.parent
 FILTCX, CLI = "filtcones/filtcx.py", "filtcones/cli.py"
+WFAINF = "filtcones/wfainf.py"
 FRAG, FLOER = "filtcones/fragmetric.py", "filtcones/surface/floer.py"
 CURVES, SHADOW = "filtcones/surface/curves.py", "filtcones/surface/shadow.py"
 HF_RANK = "def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve) -> int:"
@@ -65,6 +66,13 @@ FIXTURES = [
      "            out = chain_add(out, {h: s * t for h, t in "
      "self.diff.get(g, {}).items()})\n        return out\n",
      "src/filtcones/filtcx.py:N: out = chain_add(out, ...)"),
+    (guards.insertion_walk, WFAINF,
+     "    comps = _insertions(top, (f, g, None))\n",
+     "    comps = _tabulate(f.source.tuples, range(1, top + 1),\n"
+     "                      lambda t: {})\n", "mu2_mod calls _tabulate"),
+    (guards.insertion_walk, WFAINF, "def _tabulate(",
+     "def _insert(gens, inner, outer):\n    return {}\n\n\n"
+     "def _tabulate(", "src/filtcones/wfainf.py:N: defines _insert"),
     # a helper that only a listed lemma check calls is reached from tests
     # alone, though src/ calls it
     (guards.reachability, FLOER, MU2_RETURN,

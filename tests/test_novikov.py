@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from filtcones.novikov import (
     INF, NovikovError, NovikovScalar, content_lines, name_tuple, options,
     parse_scalar, points,
 )
+
+from support import ref_exponents
 
 CUT = Fraction(64)
 
@@ -20,6 +23,14 @@ def nov(*exps, cutoff=CUT):
 def test_char2_cancellation():
     assert (nov(0) + nov(0)).is_zero()
     assert nov(Fraction(1, 2), 2) + nov(2) == nov(Fraction(1, 2))
+
+
+def test_equal_scalars_share_a_frame():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    x = nov(half) + nov(third) + nov(third)  # met on the frame 1/6
+    assert x == nov(half) and hash(x) == hash(nov(half))
+    assert x.denominator == 2 and x.lift(4) == [2]
+    assert nov(third).shift(-third) == nov(0) and nov(0).denominator == 1
 
 
 def test_mul():
@@ -149,6 +160,34 @@ def test_ring_operations_keep_terms_past_the_cutoff(xyz, s):
     assert set((x * y).exps) == {e for e, n in terms.items() if n % 2}
     assert x.shift(s).exps == tuple(e + s for e in x.exps)
     assert nov(60) * nov(10) == nov(70) and nov(60).shift(4) == nov(64)
+
+
+# exponents on frames of different denominators, so that sums and
+# products of two scalars meet on a common frame and then reduce
+MIXED = st.builds(Fraction, st.integers(-24, 48),
+                  st.sampled_from([1, 2, 3, 4, 6, 7]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(*[st.lists(MIXED, max_size=5)] * 3, MIXED)
+def test_arithmetic_across_frames_matches_the_parity_oracle(xs, ys, zs, s):
+    x, y, z = (NovikovScalar(e, CUT) for e in (xs, ys, zs))
+    assert x.exps == ref_exponents(xs)
+    assert (x + y).exps == ref_exponents(xs + ys)
+    assert (x * y).exps == ref_exponents(a + b for a in x.exps
+                                         for b in y.exps)
+    assert x.shift(s).exps == ref_exponents(e + s for e in x.exps)
+    assert x.valuation() == min(x.exps, default=INF)
+    # the frame is the least common denominator, whatever route built it
+    assert x.denominator == lcm(1, *(e.denominator for e in x.exps))
+    assert x.lift(3 * x.denominator) == [3 * x.denominator * e
+                                         for e in x.exps]
+    if x.denominator > 1:
+        with pytest.raises(NovikovError, match="does not clear"):
+            x.lift(x.denominator - 1)
+    for w in ((x + z) + z, (x * z) + (z * x) + x, x.shift(s).shift(-s)):
+        assert w == x and hash(w) == hash(x)
+    assert (x == y) == (ref_exponents(xs) == ref_exponents(ys))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtcones.novikov import INF, NovikovScalar
+from filtcones.novikov import INF, NovikovScalar, content_lines
 from filtcones.filtcx import (
     FilteredComplex, action_level, boundary_level, chain_add, chain_eq,
     cycle_basis, homology_rank,
@@ -16,7 +17,7 @@ from filtcones.wfainf import (
     check_Us, check_Uw, choose_eps, cone, cone_boundary_correction,
     cone_compose, disc_max, disc_star, lambda_map, mu1_mod, mu2_mod,
     pullback_disc, pullback_module, shift_module, unit_square_homotopy,
-    table_sum, verify_hom_filtration, yoneda_module,
+    parse_category, table_sum, verify_hom_filtration, yoneda_module,
 )
 
 from support import (
@@ -633,6 +634,40 @@ def test_relation_checks_match_the_oracles(seed, kind):
         with pytest.raises(WfError) as exc:
             check()
         assert str(exc.value) == message.format(want)
+
+
+@pytest.mark.parametrize("name", ["twisted-r2.tw", "twisted-r4.tw",
+                                  "twisted-noncycle.tw"])
+def test_relation_check_matches_the_oracle_on_the_golden_towers(name):
+    """The walk accepts each golden tower, as the exhaustive oracle does;
+    with any one mu entry dropped it names the oracle's first failing
+    tuple, or accepts where the oracle does."""
+    text = (Path(__file__).parent / "golden" / name).read_text()
+    cat = parse_category([(n, line) for n, line in content_lines(text)
+                          if line.split()[0] not in ("objects", "c", "phi")])
+    assert ref_check_ainf_relations(cat) is None
+    for d, table in cat.mu_tables.items():
+        for gens in table:
+            tables = {e: {k: v for k, v in t.items() if k != gens}
+                      for e, t in cat.mu_tables.items()}
+            cut = WFCategory(cat.objects, cat.homs, tables, cat.disc,
+                             cap=cat.cap, check=False)
+            want = ref_check_ainf_relations(cut)
+            if want is None:
+                cut.check_ainf_relations()
+                continue
+            with pytest.raises(WfError) as exc:
+                cut.check_ainf_relations()
+            assert str(exc.value) == f"A-infinity relation fails at {want}"
+
+
+def test_parse_category_refuses_an_entry_beyond_the_arity_cap():
+    text = "object X\nhom X X: gen e action 0\nmu 2 (e,e) -> T^0*e\n" \
+        "mu 3 (e,e,e) -> T^5*e\n"
+    assert parse_category(text, cap=3).max_op_arity() == 3
+    with pytest.raises(WfError, match=r"^line 4: mu 3 \(e,e,e\): beyond "
+                       r"the arity cap 2$"):
+        parse_category(text, cap=2)
 
 
 def _any_prehom(rng, m0, m1, max_arity=3):
