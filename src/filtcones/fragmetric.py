@@ -15,6 +15,11 @@ d_F reads its interval off the first goal of the search and the width
 bound of the whole family set, and l_a reads its upper bound off the
 goals and walks the lower bounds only while they can still change.  What
 outlives a query is kept on the ``MetricSpace``.
+
+Both walks run on integers: the search adds shadows at one frame per
+query, and a width bound compares the strand tables' integer widths in
+the space's frame.  Each becomes one ``Fraction`` per recorded goal or
+per end set's bound.
 """
 
 from __future__ import annotations
@@ -207,21 +212,29 @@ class MetricSpace:
         of an end set, each capped at ``monotone_min_area``, and its pair,
         (lp, l) or (l, lp), the first on a tie; (0, None) when both are 0.
         width(a; names) reads the table of a's carrier against the curves
-        covering the named objects."""
-        best, pair = Fraction(0), None
+        covering the named objects.  The two widths are compared as the
+        tables' integers in the space's frame, with the cap brought to
+        that frame when it is set, and the bound is one ``Fraction``."""
+        widths = []
         for a, b in ((lp, l), (l, lp)):
             if a not in self._tables:
                 self._tables[a] = StrandTable(
                     [self.curves[c] for c in self.objects[a].carrier],
                     self._scale)
-            val = self._tables[a].width(
+            widths.append(self._tables[a].width(
                 [self.curves[c] for n in (b, *ends)
-                 for c in self.objects[n].cover]) / 2
-            if self.monotone_min_area is not None:
-                val = min(val, self.monotone_min_area)
-            if val > best:
-                best, pair = val, (a, b)
-        return best, pair
+                 for c in self.objects[n].cover]))
+        # a bound is width / (2 den)
+        den, cap = self._scale ** 2, self.monotone_min_area
+        if cap is not None:
+            top = 2 * cap.numerator * den
+            widths = [min(w * cap.denominator, top) for w in widths]
+            den *= cap.denominator
+        best = max(widths)
+        if best <= 0:
+            return Fraction(0), None
+        return Fraction(best, 2 * den), \
+            (lp, l) if widths[0] == best else (l, lp)
 
     @staticmethod
     def _certify(ends: Sequence[str], why) -> str:
@@ -245,8 +258,9 @@ class MetricSpace:
         on one end (bending the positive end is shadow neutral).  A goal
         holds ``l`` (first, with ``top_end``) plus ``c`` extra ends in
         ``family``.  States leave the heap by (shadow, #moves, sorted
-        names); shadows are nonnegative and add up, so the first goal
-        popped with ``c`` extra ends is least.  Goals are expanded too,
+        names), the shadow an integer at the lcm of the moves' shadow
+        denominators; shadows are nonnegative and add up, so the first
+        goal popped with ``c`` extra ends is least.  Goals are expanded too,
         and recorded as {c: (shadow, witness)} only if ``c`` is below
         every recorded count.  The search ends at ``c = 0`` or an empty
         heap: it is exhaustive, with no cap.
@@ -259,7 +273,11 @@ class MetricSpace:
                 rest = list(mv.ends)
                 rest.remove(e)
                 swaps[-1].append((e, (mv.source, *rest)))
-        heap = [(Fraction(0), 0, (), (lp,), 0)]
+        # shadows on integers at the lcm of their denominators
+        frame = lcm(*(mv.shadow.denominator for mv in self.moves))
+        steps = [(mv.shadow.numerator * (frame // mv.shadow.denominator),
+                  mv.name) for mv in self.moves]
+        heap = [(0, 0, (), (lp,), 0)]
         seen = {((lp,), 0)}
         goals: Dict[int, Tuple[Fraction, str]] = {}
         while heap:
@@ -270,10 +288,11 @@ class MetricSpace:
                 c = len(rest)
                 if all(r in fam for r in rest) and \
                         c < min(goals, default=c + 1):
-                    goals[c] = (shadow, "+".join(names) or "identity")
+                    goals[c] = (Fraction(shadow, frame),
+                                "+".join(names) or "identity")
                     if c == 0:
                         break
-            for i, mv in enumerate(self.moves):
+            for i, (step, name) in enumerate(steps):
                 if used >> i & 1:
                     continue
                 for old, new in swaps[i]:
@@ -284,8 +303,8 @@ class MetricSpace:
                         if key not in seen:
                             seen.add(key)
                             heapq.heappush(heap, (
-                                shadow + mv.shadow, n + 1,
-                                tuple(sorted(names + (mv.name,))), *key))
+                                shadow + step, n + 1,
+                                tuple(sorted(names + (name,))), *key))
         return goals
 
     def _lowers(self, lp: str, l: str, family: Sequence[str]):

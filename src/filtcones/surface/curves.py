@@ -12,7 +12,9 @@ so its deck translates are multiples of 2q and the contact predicate
 predicate on two curves brings both lifts to the lcm of their scales
 with one multiply per coordinate.  Points, crossing records and areas
 are returned as Fractions in the torus coordinates; a crossing record
-also keeps its ends as the integers the Floer polygon walk reads.
+also keeps its ends as the integers the Floer polygon walk reads.  The
+strands of an axis-parallel curve, which ``widths`` reads, stay in the
+curve's integer frame: wrapped coordinates and lengths times its scale.
 
 Two curves (or a curve and itself) meet through one scan, ``_contacts``:
 the embedding check, ``crossings``, ``count_transverse_crossings``,
@@ -179,8 +181,8 @@ class TorusCurve:
     lift: ``scale``, the lcm q of the vertex denominators, and
     ``int_lift``, the closed lift path times q.  Only ``name`` may change
     after construction, so the lift and the strands are kept; the strands
-    also give the strand lines that ``widths`` reads, at a scale that
-    ``scale`` divides."""
+    are read off ``int_lift`` and give the strand lines that ``widths``
+    reads, as integers at ``scale``."""
 
     def __init__(self, vertices: Sequence, name: str = "",
                  check_embedded: bool = True):
@@ -220,27 +222,27 @@ class TorusCurve:
             or (i, j) == (0, last) and t == (-cls[0], -cls[1]))
             for i, (t, j), hit, _, _ in _contacts(self, self))
 
-    def axis_parallel(self) -> bool:
-        return all(a[0] == b[0] or a[1] == b[1] for a, b in self.edges())
+    def strands(self) -> List[Tuple[str, int, int]]:
+        """Maximal collinear runs, as (axis, coordinate, length) triples of
+        integers at the curve's ``scale``: the coordinate and length times
+        ``scale``.
 
-    def strands(self) -> List[tuple]:
-        """Maximal collinear runs, as (axis, coordinate, length) triples.
-
-        axis "v": vertical strand at x = coordinate (wrapped); axis "h":
-        horizontal strand at y = coordinate.  Consecutive edges of the
-        same axis share a vertex, hence a line, so the runs are the
-        cyclic maximal same-axis blocks.  Only for axis-parallel curves.
-        The runs are found on the first call and kept as a tuple; each
-        call returns a fresh list of them.
+        axis "v": vertical strand at x = coordinate, wrapped into
+        [-scale, scale); axis "h": horizontal strand at y = coordinate.
+        Consecutive edges of the same axis share a vertex, hence a line,
+        so the runs are the cyclic maximal same-axis blocks.  Only for
+        axis-parallel curves.  The runs are found on the first call and
+        kept as a tuple; each call returns a fresh list of them.
         """
         if self._strands is None:
             self._strands = tuple(self._strand_runs())
         return list(self._strands)
 
-    def _strand_runs(self) -> List[tuple]:
-        if not self.axis_parallel():
+    def _strand_runs(self) -> List[Tuple[str, int, int]]:
+        q, pts = self.scale, self.int_lift
+        edges = list(zip(pts, pts[1:]))
+        if not all(a[0] == b[0] or a[1] == b[1] for a, b in edges):
             raise GeometryError("strands need an axis-parallel curve")
-        edges = self.edges()
         n = len(edges)
         axes = ["v" if a[0] == b[0] else "h" for a, b in edges]
         # one cyclic walk from an axis change (edge 0 if there is none); a
@@ -254,8 +256,9 @@ class TorusCurve:
             if i > s and ax == axes[i % n - 1]:
                 runs[-1][2] += abs(b[1 - c] - a[1 - c])
             else:
-                runs.append([ax, _wrap(a[c]), abs(b[1 - c] - a[1 - c])])
-        return [(ax, c, min(total, SIDE)) for ax, c, total in runs]
+                runs.append([ax, (a[c] + q) % (2 * q) - q,
+                             abs(b[1 - c] - a[1 - c])])
+        return [(ax, c, min(total, 2 * q)) for ax, c, total in runs]
 
     def __repr__(self):
         return f"TorusCurve({self.name or self.hclass})"

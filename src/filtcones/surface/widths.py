@@ -9,8 +9,10 @@ position input is refused rather than approximated.
 Relative widths are read off one ``StrandTable`` per carrier, with one
 column per obstruction curve, on integers at one frame the caller fixes:
 a scale that every curve's ``TorusCurve.scale`` divides.  Both formulas
-read the strand lines off the curves' kept ``strands()`` (``_lines``) and
-their gaps (``_gaps``) on integers.
+read the strand lines off the curves' kept ``strands()``, which are
+integers at each curve's own scale, brought to the frame with one
+multiply (``_lines``), and their gaps (``_gaps``) on integers; a width
+becomes a ``Fraction`` once, when it is returned.
 """
 
 from __future__ import annotations
@@ -20,18 +22,28 @@ from math import lcm
 from typing import Dict, Sequence, Set, Tuple
 
 from ..novikov import INF, rat
-from .curves import GeometryError, TorusCurve, wrap_point
+from .curves import GeometryError, TorusCurve
 
 
-def _lines(curves: Sequence[TorusCurve]) -> Dict[str, Set[Fraction]]:
-    """The wrapped coordinates of the strand lines of ``curves``, by axis:
-    every edge of a strand lies on its line, so they are the strands'
-    coordinates, and ``strands`` refuses a curve that is not
-    axis-parallel."""
-    lines: Dict[str, Set[Fraction]] = {"v": set(), "h": set()}
+def _factor(curve: TorusCurve, frame: int) -> int:
+    """frame / curve.scale; a curve whose scale does not divide the frame
+    is refused."""
+    if frame % curve.scale:
+        raise GeometryError(f"{curve!r} at scale {curve.scale} does not fit "
+                            f"the frame {frame}")
+    return frame // curve.scale
+
+
+def _lines(curves: Sequence[TorusCurve], frame: int) -> Dict[str, Set[int]]:
+    """The wrapped coordinates of the strand lines of ``curves``, by axis,
+    as integers at ``frame``: every edge of a strand lies on its line, so
+    they are the strands' coordinates, and ``strands`` refuses a curve
+    that is not axis-parallel."""
+    lines: Dict[str, Set[int]] = {"v": set(), "h": set()}
     for c in curves:
+        m = _factor(c, frame)
         for axis, coord, _ in c.strands():
-            lines[axis].add(coord)
+            lines[axis].add(coord * m)
     return lines
 
 
@@ -53,37 +65,35 @@ class StrandTable:
 
     A strand's capacity is 2 * length * gap, the gap being the wrap-aware
     distance to the nearest parallel obstruction line (SIDE/2 if none).
-    ``base`` holds it against the other carrier lines (a coincident one
+    ``strands`` holds the carrier's strands at the frame, and ``base``
+    their capacities against the other carrier lines (a coincident one
     does not obstruct); each obstruction curve gets a column on first
     use: None where the strand rides on one of its lines, else the
-    capacity against its lines alone.  width(Q) is the max, over rows
-    with no None, of the min over ``base`` and Q's columns (0 if L lies
-    in Q).  Entries are integers, capacities times scale^2; a curve whose
+    capacity against its lines alone.  ``width(Q)`` is the max, over
+    rows with no None, of the min over ``base`` and Q's columns (0 if L
+    lies in Q), as an integer: the width times scale^2.  A curve whose
     ``TorusCurve.scale`` does not divide the frame is refused.
     """
 
     def __init__(self, carrier: Sequence[TorusCurve], scale: int):
         self.scale = scale
-        self.strands = [s for c in carrier for s in c.strands()]
+        self.strands = []
+        for c in carrier:
+            m = _factor(c, scale)
+            self.strands += [(axis, coord * m, length * m)
+                             for axis, coord, length in c.strands()]
         self.base = self._capacities(carrier, ride=False)
         self._columns: Dict[TorusCurve, list] = {}
 
     def _capacities(self, curves: Sequence[TorusCurve], ride: bool):
         q, out = self.scale, []
-        for c in curves:
-            if q % c.scale:
-                raise GeometryError(f"{c!r} at scale {c.scale} does not fit "
-                                    f"the frame {q}")
-        lines = _lines(curves)
-        for axis, coord, length in self.strands:
-            at = coord.numerator * (q // coord.denominator)
-            ds = [(c.numerator * (q // c.denominator) - at) % (2 * q)
-                  for c in lines[axis]]
+        lines = _lines(curves, q)
+        for axis, at, length in self.strands:
+            ds = [(c - at) % (2 * q) for c in lines[axis]]
             if ride and 0 in ds:
                 out.append(None)
             else:
-                out.append(2 * length.numerator * (q // length.denominator)
-                           * min(_gaps(ds, q)))
+                out.append(2 * length * min(_gaps(ds, q)))
         return out
 
     def _column(self, curve: TorusCurve) -> list:
@@ -91,25 +101,24 @@ class StrandTable:
             self._columns[curve] = self._capacities([curve], ride=True)
         return self._columns[curve]
 
-    def width(self, q: Sequence[TorusCurve]) -> Fraction:
+    def width(self, q: Sequence[TorusCurve]) -> int:
         cols = [self._column(c) for c in set(q)]
-        return Fraction(max((min(caps) for caps in zip(self.base, *cols)
-                             if None not in caps), default=0),
-                        self.scale ** 2)
+        return max((min(caps) for caps in zip(self.base, *cols)
+                    if None not in caps), default=0)
 
 
 def gromov_width_rel(carrier: Sequence[TorusCurve], q: Sequence[TorusCurve]
                      ) -> Fraction:
     """delta(L; Q) via the strip-capacity formula (``StrandTable``), in
-    the frame of the lcm of the curves' scales.
+    the frame of the lcm of the curves' scales, divided out once.
 
     ``carrier`` is the union of curves representing L (the disk's real
     part); obstructions are Q plus the other carrier strands.  Strands
     collinear with Q are skipped; if every strand is skipped, L lies in
     Q and the width is 0.
     """
-    return StrandTable(carrier, lcm(*(c.scale for c in (*carrier, *q)))
-                       ).width(q)
+    table = StrandTable(carrier, lcm(*(c.scale for c in (*carrier, *q))))
+    return Fraction(table.width(q), table.scale ** 2)
 
 
 def gromov_width_double_points(curves: Sequence[TorusCurve],
@@ -126,22 +135,18 @@ def gromov_width_double_points(curves: Sequence[TorusCurve],
     """
     if not sigma:
         return INF
-    pts = [wrap_point((rat(p[0]), rat(p[1]))) for p in sigma]
-    lines, q_lines = _lines([*curves, *q]), _lines(q)
+    pts = [(rat(p[0]), rat(p[1])) for p in sigma]
     s = lcm(*(c.scale for c in (*curves, *q)),
             *(c.denominator for p in pts for c in p))
-
-    def ints(cs):
-        return [c.numerator * (s // c.denominator) for c in cs]
-
-    (vs, hs), (qv, qh) = ((ints(ls["v"]), ints(ls["h"]))
-                          for ls in (lines, q_lines))
+    lines, q_lines = _lines([*curves, *q], s), _lines(q, s)
     caps = []
     for p in pts:
-        x, y = ints(p)
-        if x in qv or y in qh:  # both wrapped: a Q line through p
+        # wrapped into [-s, s), as the strand lines are
+        x, y = ((c.numerator * (s // c.denominator) + s) % (2 * s) - s
+                for c in p)
+        if x in q_lines["v"] or y in q_lines["h"]:  # a Q line through p
             return Fraction(0)
-        g_e, g_w = _gaps([(c - x) % (2 * s) for c in vs], s)
-        g_n, g_s = _gaps([(c - y) % (2 * s) for c in hs], s)
+        g_e, g_w = _gaps([(c - x) % (2 * s) for c in lines["v"]], s)
+        g_n, g_s = _gaps([(c - y) % (2 * s) for c in lines["h"]], s)
         caps.append(4 * min(g_e * g_n, g_e * g_s, g_w * g_n, g_w * g_s))
     return Fraction(min(caps), s * s)

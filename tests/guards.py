@@ -181,19 +181,33 @@ def end_count_cap(ix):
 # keeps one strand table per object and reads it in _set_bound alone, a
 # table never changes its frame, and the strand lines are read off the
 # curves' kept strands; no width memo, second bound path, lazy rescale or
-# keep-in box comes back
+# keep-in box comes back.  The strands, their lines and the table stay on
+# integers (no Fraction), and the search adds integer shadows: its heap
+# loop reads no move's .shadow
 def width_frame(ix):
     space = ix.top("fragmetric.py")["MetricSpace"]
-    table = ix.top("surface/widths.py")["StrandTable"]
+    widths = ix.top("surface/widths.py")
+    table = widths["StrandTable"]
+    curve = ix.top("surface/curves.py")["TorusCurve"]
     bad = [f"{cls.name} defines {n.name}" for cls, banned in (
         (space, ("prune_lower_bound", "carrier_curves", "cover_curves")),
-        (ix.top("surface/curves.py")["TorusCurve"], ("strand_lines",)))
+        (curve, ("strand_lines",)))
         for n in defined(cls, *banned)]
     bad += [f"MetricSpace sets _widths on line {i}"
             for i in stores(space, "_widths")]
     bad += [f"StrandTable.{name} sets self.scale on line {i}"
             for name, m in members(table).items() if name != "__init__"
             for i in stores(m, "scale")]
+    bad += [f"{name} builds a Fraction on line {n.lineno}"
+            for name, node in (("StrandTable", table),
+                               ("_lines", widths["_lines"]),
+                               ("TorusCurve._strand_runs",
+                                members(curve)["_strand_runs"]))
+            for n in calls(node, "Fraction")]
+    bad += [f"_search reads .shadow in its heap loop on line {n.lineno}"
+            for loop in ast.walk(members(space)["_search"])
+            if isinstance(loop, ast.While) for n in ast.walk(loop)
+            if isinstance(n, ast.Attribute) and n.attr == "shadow"]
     return bad + [f"widths.py defines Box on line {n.lineno}"
                   for n in defined(ix.trees[SRC / "surface/widths.py"], "Box")]
 

@@ -47,10 +47,9 @@ WFAINF, CLI = "filtcones/wfainf.py", "filtcones/cli.py"
 FRAG, WIDTHS = "filtcones/fragmetric.py", "filtcones/surface/widths.py"
 CURVES, SHADOW = "filtcones/surface/curves.py", "filtcones/surface/shadow.py"
 
-REFUSAL = '''        for c in curves:
-            if q % c.scale:
-                raise GeometryError(f"{c!r} at scale {c.scale} does not fit "
-                                    f"the frame {q}")
+REFUSAL = '''    if frame % curve.scale:
+        raise GeometryError(f"{curve!r} at scale {curve.scale} does not fit "
+                            f"the frame {frame}")
 '''
 LOWER_BOUNDS = "tests/test_fragmetric.py::" \
     "test_lower_bounds_match_every_multiset_bounded_alone"
@@ -77,6 +76,16 @@ CERT_CACHED = '''                if key not in sets:
                 val, cert_of_set = sets[key]
                 if val < lower:
                     lower, cert = val, cert_of_set
+'''
+CERT_FIRST = '''                if key not in sets:
+                    sets[key] = (*self._set_bound(lp, l, key), ends)
+                val, why, first = sets[key]
+                # bending makes the choice of positive end irrelevant
+                for p in probes.get(tuple(sorted((lp, l, *ends))), ()):
+                    if p.claimed_sup > val and self._probe_verified(p):
+                        val, why = p.claimed_sup, p
+                if val < lower:
+                    lower, cert = val, self._certify(first, why)
 '''
 
 MUTANTS = [
@@ -107,6 +116,12 @@ MUTANTS = [
            (LOWER_BOUNDS + "[trace-pattern0]",
             LOWER_BOUNDS + "[trace-S1-pattern0]",
             "tests/test_golden.py::test_metric_outputs_match_golden_files")),
+    Mutant("a certificate naming the first multiset of its end set (each "
+           "multiset's bound kept)",
+           ((FRAG, CERT_WALK, CERT_FIRST),),
+           ("tests/test_fragmetric.py::"
+            "test_certificate_names_the_multiset_that_reached_the_bound",
+            LOWER_BOUNDS + "[trace-S2-probe-pattern0]")),
     # one sum per algebraic type
     Mutant("chain_sum keeps a generator whose sum is zero",
            ((FILTCX, '''        if s:
@@ -170,13 +185,15 @@ MUTANTS = [
             "test_table_sum_adds_entrywise_and_drops_what_cancels",)),
     # the width frame
     Mutant("the monotone cap dropped from _set_bound",
-           ((FRAG, '''            if self.monotone_min_area is not None:
-                val = min(val, self.monotone_min_area)
+           ((FRAG, '''        if cap is not None:
+            top = 2 * cap.numerator * den
+            widths = [min(w * cap.denominator, top) for w in widths]
+            den *= cap.denominator
 ''', ''),),
            ("tests/test_fragmetric.py::test_monotone_mode_caps_bound",)),
     Mutant("the cover read from the carrier",
-           ((FRAG, "for c in self.objects[n].cover]) / 2",
-             "for c in self.objects[n].carrier]) / 2"),),
+           ((FRAG, "for c in self.objects[n].cover]))",
+             "for c in self.objects[n].carrier]))"),),
            (LOWER_BOUNDS,)),
     Mutant("the divisibility refusal removed while the space's frame halves",
            ((WIDTHS, REFUSAL, ''),
@@ -201,6 +218,22 @@ MUTANTS = [
             "test_strand_table_refuses_a_curve_off_its_frame",
             "tests/test_widths.py::"
             "test_strand_table_matches_reference_on_random_pools")),
+    # integer strands, set bounds and search
+    Mutant("the strand coordinate left unwrapped",
+           ((CURVES, "runs.append([ax, (a[c] + q) % (2 * q) - q,",
+             "runs.append([ax, a[c],"),),
+           ("tests/test_surface.py::test_strands",
+            "tests/test_widths.py::test_strand_table_edge_cases")),
+    Mutant("the search frame taken as the max of the shadow denominators",
+           ((FRAG, "frame = lcm(*(mv.shadow.denominator for mv in "
+             "self.moves))", "frame = max((mv.shadow.denominator for mv in "
+             "self.moves), default=1)"),),
+           ("tests/test_fragmetric.py::"
+            "test_search_adds_shadows_of_unlike_denominators",)),
+    Mutant("a _set_bound tie given to the second pair",
+           ((FRAG, "(lp, l) if widths[0] == best else (l, lp)",
+             "(l, lp) if widths[1] == best else (lp, l)"),),
+           (LOWER_BOUNDS + "[lem-pattern0]",)),
 ]
 
 

@@ -1281,11 +1281,39 @@ def ref_metric_uppers(moves, lp, l, family, top_end=False):
 # relative widths and metric lower bounds, one strand and one multiset at a time
 # ---------------------------------------------------------------------------
 
+def ref_strands(curve):
+    """The strands of ``curve`` in Fractions, from its vertices: the
+    closed vertex path split into maximal runs of edges on one axis,
+    joined across the closure, each as (axis, wrapped coordinate,
+    length capped at SIDE)."""
+    path = list(curve.vertices) + [curve.closure]
+    edges = []
+    for a, b in zip(path, path[1:]):
+        if a[0] == b[0]:
+            edges.append(["v", a[0], abs(b[1] - a[1])])
+        elif a[1] == b[1]:
+            edges.append(["h", a[1], abs(b[0] - a[0])])
+        else:
+            raise GeometryError("widths require axis-parallel curves")
+    runs = []
+    for axis, coord, length in edges:
+        if runs and runs[-1][0] == axis:
+            runs[-1][2] += length
+        else:
+            runs.append([axis, coord, length])
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        # the first and last runs meet at the closure, on one line
+        axis, coord, length = runs.pop()
+        runs[0] = [axis, coord, length + runs[0][2]]
+    return [(axis, (coord + 1) % SIDE - 1, min(length, SIDE))
+            for axis, coord, length in runs]
+
+
 def _ref_strand_lines(curves):
     """(vertical_line_coords, horizontal_line_coords), wrapped."""
     vs, hs = set(), set()
     for c in curves:
-        for axis, coord, _ in c.strands():
+        for axis, coord, _ in ref_strands(c):
             if axis == "v":
                 vs.add(coord)
             else:
@@ -1307,13 +1335,10 @@ def ref_gromov_width_rel(carrier, q):
     """delta(L; Q) strand by strand: every strand's obstacles (the other
     carrier strands and the Q lines of its axis) gathered afresh, each
     gap a Fraction subtract-and-mod over them."""
-    for c in list(carrier) + list(q):
-        if not c.axis_parallel():
-            raise GeometryError("widths require axis-parallel curves")
     qv, qh = _ref_strand_lines(q)
     all_strands = []
     for c in carrier:
-        all_strands.extend(c.strands())
+        all_strands.extend(ref_strands(c))
     best = Fraction(0)
     usable = 0
     for idx, (axis, coord, length) in enumerate(all_strands):

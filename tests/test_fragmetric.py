@@ -513,6 +513,30 @@ def _trace_space_s1_only():
     return space
 
 
+def _trace_space_s2_probe():
+    # the corner family relabelled to certify the end multiset (S2) at
+    # 1/2 + delta (its verification reads only the source and the system
+    # curves): it raises that multiset above the width bound 1/2 of its
+    # set {S2}, which the multiset (S2, S2) reaches at k = 2
+    import copy
+    space = trace_surgery_space(EPS, DELTA)
+    probe = copy.copy(space.probes[0])
+    probe.name, probe.ends = "s2", ("L", "S2")
+    probe.claimed_sup = F(1, 2) + DELTA
+    space.probes.append(probe)
+    space.families["F"] = ["S2"]
+    return space
+
+
+def test_certificate_names_the_multiset_that_reached_the_bound():
+    space = _trace_space_s2_probe()
+    for lp, l in (("L''", "L"), ("L", "L''")):
+        assert [(r.lower, r.certificate) for r in (
+            space.d_k(lp, l, "F", k) for k in range(3))] == [
+            (2, "width(L'';L+none)/2"), (F(1, 2) + DELTA, "probe s2"),
+            (F(1, 2), "width(L'';L+S2+S2)/2")]
+
+
 # a parsed scenario whose curves sit on thirds and sevenths: each width
 # table is read at the frame 21 that none of its own strands needs
 UNEQUAL_SCALES = """
@@ -538,10 +562,12 @@ def _unequal_scale_space():
     (lambda: trace_surgery_space(EPS, DELTA),
      [("L''", "L"), ("L", "L''"), ("S2", "S3")]),
     (_trace_space_s1_only, [("L''", "L"), ("L", "L''")]),
+    (_trace_space_s2_probe, [("L''", "L"), ("L", "L''")]),
     (lambda: disjoint_union_space(EPS), [("S1", "S2"), ("S2", "S1")]),
     (_unequal_scale_space, [("S1", "S2"), ("S2", "S4"), ("S3", "S1"),
                             ("K", "L"), ("L", "K"), ("K", "S2")]),
-], ids=["lem", "trace", "trace-S1", "disjoint", "thirds-sevenths"])
+], ids=["lem", "trace", "trace-S1", "trace-S2-probe", "disjoint",
+        "thirds-sevenths"])
 def test_lower_bounds_match_every_multiset_bounded_alone(build, pairs,
                                                          pattern):
     for min_area in (None, F(1, 64)):  # weakly exact, then monotone
@@ -583,6 +609,20 @@ def test_search_has_no_depth_cap():
     assert (r.lower, r.upper) == (0, 7)
     assert r.witness == "+".join(f"s{i}" for i in range(7))
     assert sp.d_f("A0", "A7", "F").upper == 7
+
+
+def test_search_adds_shadows_of_unlike_denominators():
+    # shadows 1/2, 1/3 and 1/5 are added at their lcm frame 30: the direct
+    # move beats the two-move chain, 1/2 < 8/15
+    moves = [suspension_move("half", "A", "B", F(1, 2)),
+             suspension_move("third", "A", "C", F(1, 3)),
+             suspension_move("fifth", "C", "B", F(1, 5))]
+    sp = MetricSpace(base_curves(EPS), [LagObject(n, ["L"]) for n in "ABC"],
+                     {"F": ["C"]}, moves)
+    for k in range(3):
+        r = sp.d_k("A", "B", "F", k)
+        assert (r.upper, r.witness) == (F(1, 2), "half")
+    assert sp.d_f("A", "C", "F").upper == F(1, 3)
 
 
 def _spaces_with_their_moves():

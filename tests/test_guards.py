@@ -22,6 +22,7 @@ FILTCX, CLI = "filtcones/filtcx.py", "filtcones/cli.py"
 WFAINF = "filtcones/wfainf.py"
 FRAG, FLOER = "filtcones/fragmetric.py", "filtcones/surface/floer.py"
 CURVES, SHADOW = "filtcones/surface/curves.py", "filtcones/surface/shadow.py"
+WIDTHS = "filtcones/surface/widths.py"
 HF_RANK = "def hf_rank(n_curve: TorusCurve, l_curve: TorusCurve) -> int:"
 MU2_RETURN = "    return {key: chain for key, t in terms.items() " \
     "if (chain := chain_sum(t))}\n"
@@ -58,6 +59,26 @@ FIXTURES = [
      "        self._tables: Dict[str, StrandTable] = {}\n",
      "        self._tables: Dict[str, StrandTable] = {}\n"
      "        self._widths = {}\n", "MetricSpace sets _widths on line N"),
+    # the strands, their lines and the table on integers; the search's
+    # heap loop on integer shadows
+    (guards.width_frame, WIDTHS,
+     "        return max((min(caps) for caps in zip(self.base, *cols)\n"
+     "                    if None not in caps), default=0)\n",
+     "        return Fraction(max((min(caps) for caps in zip(self.base, "
+     "*cols)\n                    if None not in caps), default=0), "
+     "self.scale ** 2)\n",
+     "StrandTable builds a Fraction on line N"),
+    (guards.width_frame, WIDTHS, "            lines[axis].add(coord * m)\n",
+     "            lines[axis].add(Fraction(coord, c.scale))\n",
+     "_lines builds a Fraction on line N"),
+    (guards.width_frame, CURVES,
+     "                runs.append([ax, (a[c] + q) % (2 * q) - q,\n",
+     "                runs.append([ax, Fraction((a[c] + q) % (2 * q) - q, q),"
+     "\n", "TorusCurve._strand_runs builds a Fraction on line N"),
+    (guards.width_frame, FRAG,
+     "                                shadow + step,",
+     "                                shadow + self.moves[i].shadow,",
+     "_search reads .shadow in its heap loop on line N"),
     (guards.one_sum, FILTCX,
      "        return chain_sum((h, s * t) for g, s in x.items()\n"
      "                         for h, t in self.diff.get(g, {}).items())\n",

@@ -18,7 +18,7 @@ from filtcones.surface.widths import gromov_width_double_points, \
     gromov_width_rel
 
 from support import ref_double_point_width, ref_rect_union_area, \
-    shear_diagram
+    ref_strands, shear_diagram
 
 F = Fraction
 
@@ -66,15 +66,24 @@ def test_intersections_examples():
 
 
 def test_strands():
+    # strands are integers at the curve's scale: coordinate and length
+    # times the scale
     l = horizontal(0)
-    assert l.strands() == [("h", 0, 2)]
+    assert (l.scale, l.strands()) == (1, [("h", 0, 2)])
     m = jogged_horizontal(F(1, 2), F(-1, 4), F(1, 4), F(1, 4))
     runs = m.strands()
     axes = sorted(r[0] for r in runs)
     # the two top pieces merge across the wrap into one horizontal run
     assert axes == ["h", "h", "v", "v"]
-    tops = [r for r in runs if r[0] == "h" and r[1] == F(1, 2)]
-    assert tops == [("h", F(1, 2), F(3, 2))]
+    assert m.scale == 4
+    tops = [r for r in runs if r[0] == "h" and r[1] == 2]
+    assert tops == [("h", 2, 6)]
+    # a line drawn at x = 1 wraps to x = -1, as the oracle's does
+    edge = vertical(1)
+    assert edge.strands() == [("v", -1, 2)]
+    for c in (l, m, edge):
+        assert sorted((a, F(x, c.scale), F(n, c.scale))
+                      for a, x, n in c.strands()) == sorted(ref_strands(c))
 
 
 def test_parse_curve():

@@ -48,8 +48,9 @@ def axis_curves(draw):
 def _agree(carrier, pool):
     """The table of ``carrier`` at the lcm frame of the curves' scales and
     at six times that frame, each queried for every subset of ``pool`` in
-    turn (its columns kept between queries), and a fresh table per query
-    all give the reference width; returns the widths."""
+    turn (its columns kept between queries, its integer width divided by
+    the frame squared), and a fresh table per query all give the
+    reference width; returns the widths."""
     frame = lcm(*(c.scale for c in (*carrier, *pool)))
     tables = [StrandTable(carrier, frame), StrandTable(carrier, 6 * frame)]
     out = []
@@ -57,7 +58,8 @@ def _agree(carrier, pool):
         for q in itertools.combinations(pool, r):
             want = ref_gromov_width_rel(carrier, q)
             for table in tables:
-                assert table.width(q) == want, (carrier, q, table.scale)
+                assert F(table.width(q), table.scale ** 2) == want, \
+                    (carrier, q, table.scale)
             assert gromov_width_rel(carrier, list(q) + list(q[:1])) == want
             out.append(want)
     return out
@@ -109,5 +111,5 @@ def test_strand_table_refuses_a_curve_off_its_frame():
     with pytest.raises(GeometryError, match="does not fit the frame 4"):
         table.width([third])
     assert table.width([quarter]) == 0
-    assert StrandTable([quarter], 12).width([third]) == \
+    assert F(StrandTable([quarter], 12).width([third]), 12 ** 2) == \
         ref_gromov_width_rel([quarter], [third]) == F(1, 3)
