@@ -6,11 +6,14 @@ to chains with Novikov coefficients, with one multilinear evaluation and
 one measure of how far each entry overshoots the summed input actions.
 One insertion walk, ``_insertions``, composes them over their nonzero
 entries alone: the A-infinity and module relation checks, ``mu1_mod``
-and ``mu2_mod`` are each one call of it.  Values add through
+and ``mu2_mod`` are each one call of it; the pull-backs along a functor
+and the lambda map read nonzero entries too.  Values add through
 ``filtcx.chain_sum`` and whole tables entrywise through ``table_sum``
-(the sum of pre-module maps, the parts of a cone).  The checks cover
-every composable tuple up to the arity where the relations become
-vacuous; only tuples that some nonzero entry reaches can fail.
+(the sum of pre-module maps, the parts of a cone, the lambda map).  The
+checks cover every composable tuple through the arity cap, or up to the
+arity where the relations become vacuous if that is lower; only tuples
+that some nonzero entry reaches can fail.  Tuples come arity first, then
+by the registration index of each slot.
 Discrepancy sequences track by how much each mu_d may overshoot the
 additive action bound; the calculus on them (pointwise max, the star
 product, Assumption E) is implemented verbatim.
@@ -23,7 +26,6 @@ cones without relabeling.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .novikov import DEFAULT_CUTOFF, INF, content_lines, name_tuple, \
@@ -194,43 +196,24 @@ class _Table:
     source module and writes its target.  Categories and modules take
     mu_1 from the differentials of their complexes; the arity-1 entries of
     a map are table entries.  ``_entries`` lists the nonzero ones, mu_1
-    included, for the insertion walk.  The composable tuples come arity
-    first, then by the registration index of each slot (``tuples``); the
-    walk returns its sums in that order.
+    included, for the insertion walk, which returns its sums arity first,
+    then by the registration index of each slot.
     """
 
     _name = "mu"
     _mu1_is_diff = True
 
-    def _register(self, complexes, source, reused: str) -> Dict[str, object]:
-        """generator -> key of its complex; also fills ``_home`` (generator
-        -> complex) and ``_starts`` (object -> generators leaving it)."""
+    def _register(self, complexes, reused: str) -> Dict[str, object]:
+        """generator -> key of its complex; fills ``_home`` (-> complex)."""
         keys: Dict[str, object] = {}
         self._home: Dict[str, FilteredComplex] = {}
-        self._starts: Dict[str, List[str]] = {}
         for key, cx in complexes.items():
             for g in cx.generators:
                 if g in keys:
                     raise WfError(reused.format(g))
                 keys[g] = key
                 self._home[g] = cx
-                self._starts.setdefault(source(key), []).append(g)
         return keys
-
-    def tuples(self, n: int, base=None, obj_map=None):
-        """Composable n-tuples: n - 1 generators of ``base`` (``self.base``
-        unless given), then one of ours leaving the object where they end,
-        read through ``obj_map`` when given."""
-        if n == 1:
-            yield from ((g,) for g in self._home)
-            return
-        base = self.base if base is None else base
-        for head in base.tuples(n - 1):
-            y = base.gen_hom[head[-1]][1]
-            if obj_map is not None:
-                y = obj_map.get(y)
-            for g in self._starts.get(y, ()):
-                yield head + (g,)
 
     def _entries(self, top: int):
         """(tuple, value) of each nonzero entry of arity at most ``top``,
@@ -285,15 +268,18 @@ class _Table:
         return self._measured(Fraction(0))
 
     def _check_relations(self, base, failed: str):
-        """The A-infinity (or module) relations on tuples up to cap - 1:
-        one ``_insertions`` walk with this table as inner and outer, and
-        ``base`` in the earlier slots.  The walk's first nonzero sum, in
-        the order ``tuples`` walks, is the failure named.
+        """The A-infinity (or module) relations on tuples through the
+        arity cap: one ``_insertions`` walk with this table as inner and
+        outer, and ``base`` in the earlier slots.  The walk's first nonzero
+        sum (arity first, then the registration index of each slot) is the
+        failure named.
 
-        Relations at arity n are vacuous once n exceeds twice the top
-        nonzero operation arity minus one, so the check stops there.
+        An A_n structure satisfies its relations through arity n, and the
+        relation at arity n reads mu_i for i <= n alone.  Relations at
+        arity n are vacuous once n exceeds twice the top nonzero operation
+        arity minus one, so the check stops there if that is lower.
         """
-        top = min(self.cap - 1, 2 * self.max_op_arity() - 1)
+        top = min(self.cap, 2 * self.max_op_arity() - 1)
         for table in _insertions(top, (self, self, base)).values():
             raise WfError(failed.format(next(iter(table))))
 
@@ -311,8 +297,7 @@ def _insertions(top: int, *triples) -> MuTable:
     and each base entry into an earlier one where its value's generators
     sit, and sums each spliced tuple with one ``chain_sum``.  The tuples
     come arity first, then by the registration index of each slot (first
-    inner's base for the earlier slots, its source for the last), the
-    order ``tuples`` walks them in.
+    inner's base for the earlier slots, its source for the last).
     """
     terms: Dict[Tuple[str, ...], list] = {}
     for inner, outer, base in triples:
@@ -341,16 +326,6 @@ def _insertions(top: int, *triples) -> MuTable:
     for t in sorted(sums, key=lambda t: (len(t), [rank[g] for g in t[:-1]],
                                          end_rank[t[-1]])):
         out.setdefault(len(t), {})[t] = sums[t]
-    return out
-
-
-def _tabulate(walk, arities, value) -> MuTable:
-    """{d: {t: value(t)}} over the tuples ``walk(d)``, nonzero values only."""
-    out: MuTable = {}
-    for d in arities:
-        table = {t: v for t in walk(d) if (v := value(t))}
-        if table:
-            out[d] = table
     return out
 
 
@@ -407,7 +382,7 @@ class WFCategory(_Table):
         self.units = dict(units) if units else None
         self.unit_bound = rat(unit_bound)
         self.base = self._ins = self._outs = self
-        self.gen_hom = self._register(self.homs, lambda key: key[0],
+        self.gen_hom = self._register(self.homs,
                                       "generator name {} reused across homs")
         if check:
             self.check_ainf_relations()
@@ -469,7 +444,7 @@ class WFModule(_Table):
         self.disc = disc
         self._ins = self._outs = self
         self.gen_value = self._register(
-            self.values, lambda x: x, "module generator {} reused across values")
+            self.values, "module generator {} reused across values")
         if check:
             self.check_module_relations()
 
@@ -755,34 +730,23 @@ class WFFunctor:
         self.components = {d: dict(t) for d, t in components.items()}
         self.disc = disc
 
-    def higher_vanish(self) -> bool:
-        return all(d == 1 or not t for d, t in self.components.items())
 
+def pullback_disc(F: WFFunctor, inner_disc: Discrepancy) -> Discrepancy:
+    """inner_1, then max{eps^F_{s_1}+...+eps^F_{s_k} + inner_{k+1} :
+    s_1+...+s_k = d-1}, eps^F = ``F.disc``; a module's inner_1 is 0.
 
-def pullback_disc(f_disc: Discrepancy, inner_disc: Discrepancy,
-                  first_free: bool = False,
-                  higher_vanish: bool = True) -> Discrepancy:
-    """max{eps^F_{s_1}+...+eps^F_{s_k} + inner_{k+1} : s_1+...+s_k = d-1}.
-
-    When the higher functor terms vanish only the all-singleton partition
-    contributes, giving (d-1) eps^F_1 + inner_d exactly.
+    When the higher components of F vanish only the all-singleton
+    partition contributes, giving (d-1) eps^F_1 + inner_d exactly.
     """
-    cap = inner_disc.cap
-    out = [inner_disc[1] if first_free else Fraction(0)]
-    for d in range(2, cap + 1):
-        if higher_vanish:
-            best = (d - 1) * f_disc[1] + inner_disc[d]
-        else:
-            best = Fraction(0)
-            for k in range(1, d):
-                for split in _compositions(d - 1, k):
-                    tot = sum(f_disc[s] for s in split) + inner_disc[k + 1]
-                    best = max(best, tot)
-        out.append(best)
-    kind = "hom" if first_free else "module"
-    if not first_free:
-        out[0] = Fraction(0)
-    return Discrepancy(out, kind)
+    higher = any(t for d, t in F.components.items() if d != 1)
+    out = [inner_disc[1]]
+    for d in range(2, inner_disc.cap + 1):
+        splits = [split for k in range(1, d)
+                  for split in _compositions(d - 1, k)] if higher \
+            else [(1,) * (d - 1)]
+        out.append(max(sum(F.disc[s] for s in split)
+                       + inner_disc[len(split) + 1] for split in splits))
+    return Discrepancy(out, "hom")
 
 
 def _compositions(n: int, k: int):
@@ -794,61 +758,62 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
+def _pullback(F: WFFunctor, table: _Table) -> MuTable:
+    """The table pulled back along F: at (a_1..a_{d-1}, b), the sum over
+    the splittings of the a's into consecutive blocks of the table at
+    (F(block_1), ..., F(block_k), b); a map's arity-1 entries as they are.
+
+    The walk reads nonzero entries alone: it indexes F's entries by the
+    generators of their values, splices one into each earlier slot of
+    each table entry, and keeps a spliced tuple when it composes in
+    ``F.source``, ends at an object that F sends to b's, and fits the cap.
+    """
+    blocks: Dict[str, list] = {}
+    for entries in F.components.values():
+        for key, val in entries.items():
+            for c, s in val.items():
+                blocks.setdefault(c, []).append((key, s))
+    hom, home = F.source.gen_hom, table._ins.gen_value
+    pulled = []
+    for entries in table.mu_tables.values():
+        for key, val in entries.items():
+            spliced = [((), val)]
+            for c in key[:-1]:
+                spliced = [(head + k, {h: s * t for h, t in v.items()})
+                           for head, v in spliced
+                           for k, s in blocks.get(c, ())]
+            for head, v in spliced:
+                ends = [hom[g] for g in head]
+                if not head or (
+                        len(head) < table.cap
+                        and all(x[1] == y[0] for x, y in zip(ends, ends[1:]))
+                        and F.obj_map.get(ends[-1][1]) == home[key[-1]]):
+                    pulled.append({len(head) + 1: {head + key[-1:]: v}})
+    return table_sum(pulled)
+
+
 def pullback_module(F: WFFunctor, m: WFModule) -> WFModule:
     values = {x: m.value(F.obj_map[x]) for x in F.source.objects
               if F.obj_map.get(x) in m.values}
-    mu = _tabulate(lambda d: m.tuples(d, F.source, F.obj_map),
-                   range(2, m.cap + 1), lambda t: _pullback_value(F, m, t))
-    disc = pullback_disc(F.disc, m.disc, higher_vanish=F.higher_vanish())
-    return WFModule(F.source, values, mu, disc, check=False)
-
-
-def _pullback_value(F: WFFunctor, table: _Table,
-                    gens: Tuple[str, ...]) -> Chain:
-    """The pulled-back entry at (a_1..a_{d-1}, b): the table at
-    (F(block_1), ..., F(block_k), b) summed over the splittings of the a's
-    into consecutive blocks."""
-    d = len(gens)
-    b = gens[-1]
-    if d == 1:
-        return table.mu_gens((b,))
-    b_chain = table._ins._home[b].basis_chain(b)
-    terms = []
-    for k in range(1, d):
-        for split in _compositions(d - 1, k):
-            ends = list(accumulate(split, initial=0))
-            terms += table._mu([F.components.get(e - s, {}).get(gens[s:e], {})
-                                for s, e in zip(ends, ends[1:])]
-                               + [b_chain]).items()
-    return chain_sum(terms)
+    return WFModule(F.source, values, _pullback(F, m),
+                    pullback_disc(F, m.disc), check=False)
 
 
 def pullback_hom(F: WFFunctor, f: PreModHom, pm0: WFModule,
                  pm1: WFModule) -> PreModHom:
-    comps = _tabulate(lambda d: f.source.tuples(d, F.source, F.obj_map),
-                      range(1, f.cap + 1), lambda t: _pullback_value(F, f, t))
-    disc = pullback_disc(F.disc, f.disc, first_free=True,
-                         higher_vanish=F.higher_vanish())
-    return PreModHom(pm0, pm1, comps, f.shift, disc)
+    return PreModHom(pm0, pm1, _pullback(F, f), f.shift,
+                     pullback_disc(F, f.disc))
 
 
 def pullback_cone(F: WFFunctor, f: PreModHom, pm0: WFModule, pm1: WFModule):
     """F*(Cone(f; rho, eps)) and Cone(F*f; rho, eps^{F*f}), (rho, eps)
-    f's own.
+    f's own, and F*f at its own shift and discrepancy.
 
     The two agree as filtration tables (the first pull-back discrepancy
     entry equals eps^f_1, so the bottom shift matches); returns the pair
     for table comparison.
     """
-    rho, epsf = f.shift, f.disc
-    c = cone(f, rho, epsf)
-    pulled_cone = pullback_module(F, c)
-    pf = pullback_hom(F, f, pm0, pm1)
-    pf_eps = pullback_disc(F.disc, epsf, first_free=True,
-                           higher_vanish=F.higher_vanish())
-    cone_of_pulled = cone(PreModHom(pm0, pm1, pf.components, rho, pf_eps),
-                          rho, pf_eps)
-    return pulled_cone, cone_of_pulled
+    return pullback_module(F, cone(f)), cone(pullback_hom(F, f, pm0, pm1))
 
 
 # ---------------------------------------------------------------------------
@@ -857,26 +822,22 @@ def pullback_cone(F: WFFunctor, f: PreModHom, pm0: WFModule, pm1: WFModule):
 
 def lambda_map(m: WFModule, y: str, c: Chain,
                eps_h: Optional[Discrepancy] = None) -> PreModHom:
-    """lambda(c)_d(a_1..a_{d-1}, b) = mu^M_{d+1}(a_1..a_{d-1}, b, c).
+    """lambda(c)_d(a_1..a_{d-1}, b) = mu^M_{d+1}(a_1..a_{d-1}, b, c): one
+    ``table_sum`` over the entries of M whose last generator lies in c.
 
     Requires eps^h_d >= eps^M_{d+1} when a target filtration eps_h is
     supplied; lands in hom^{<= A(c); eps_h}.
     """
-    cat = m.cat
-    yon = yoneda_module(cat, y)
     if eps_h is not None:
         for d in range(1, m.cap):
             if eps_h[d] < m.disc[d + 1]:
                 raise WfError("eps^h_d >= eps^M_{d+1} violated")
-
-    comps = _tabulate(yon.tuples, range(1, m.cap), lambda gens: chain_sum(
-        (h, s * t) for g_c, s in c.items()
-        for h, t in m.mu_gens(gens + (g_c,)).items()))
-    if c:
-        shift = action_level(c, m.value(y))
-    else:
-        shift = Fraction(0)
-    return PreModHom(yon, m, comps, shift,
+    comps = table_sum(
+        {d - 1: {key[:-1]: {h: c[key[-1]] * t for h, t in v.items()}}}
+        for d, table in m.mu_tables.items()
+        for key, v in table.items() if key[-1] in c)
+    shift = action_level(c, m.value(y)) if c else Fraction(0)
+    return PreModHom(yoneda_module(m.cat, y), m, comps, shift,
                      eps_h if eps_h is not None else
                      Discrepancy([m.disc[min(d + 1, m.cap)]
                                   for d in range(1, m.cap + 1)], "hom"))

@@ -237,17 +237,20 @@ def one_sum(ix):
 
 
 # the relation checks and the module maps compose operation tables in one
-# walk over their nonzero entries, wfainf._insertions: _check_relations,
-# mu1_mod and mu2_mod call neither the tuple walk nor _tabulate, and no
-# per-tuple insertion sum _insert comes back
+# walk over their nonzero entries, wfainf._insertions, and the pull-backs
+# and the lambda map read nonzero entries too: _check_relations, mu1_mod
+# and mu2_mod call neither a tuple walk nor _tabulate, and no src/
+# definition named _insert (a per-tuple insertion sum), tuples (the
+# exhaustive tuple walk) or _tabulate comes back
 def insertion_walk(ix):
     wf = ix.top("wfainf.py")
     users = {"_check_relations": members(wf["_Table"])["_check_relations"],
              "mu1_mod": wf["mu1_mod"], "mu2_mod": wf["mu2_mod"]}
     bad = [f"{name} calls {banned}" for name, node in users.items()
            for banned in ("tuples", "_tabulate") if calls(node, banned)]
-    return bad + [f"{SRC / 'wfainf.py'}:{n.lineno}: defines _insert"
-                  for n in defined(ix.trees[SRC / "wfainf.py"], "_insert")]
+    return bad + [f"{f}:{n.lineno}: defines {n.name}"
+                  for f, tree in ix.src.items()
+                  for n in defined(tree, "_insert", "tuples", "_tabulate")]
 
 
 # the paper-lemma checks, and what only they use, that only tests reach
@@ -263,11 +266,10 @@ ONLY_TESTS = {
     # reached only through the code of the names above
     "FilteredComplex.shift_actions", "FilteredMap.apply",
     "FilteredMap.is_chain_map", "PreModHom.apply", "WFFunctor",
-    "WFFunctor.higher_vanish", "_compositions", "_endomorphism",
-    "_homotopic_to_identity", "_pullback_value", "_unit_action_map",
-    "cycle_basis", "disc_star", "homotopical_boundary_level", "map_to_chain",
-    "mu2_mod", "pullback_disc", "pullback_hom", "pullback_module",
-    "shift_module", "_Table.tuples", "_tabulate",
+    "_compositions", "_endomorphism", "_homotopic_to_identity", "_pullback",
+    "_unit_action_map", "cycle_basis", "disc_star",
+    "homotopical_boundary_level", "map_to_chain", "mu2_mod", "pullback_disc",
+    "pullback_hom", "pullback_module", "shift_module",
 }
 
 

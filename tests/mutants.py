@@ -46,6 +46,7 @@ FILTCX, NOVIKOV = "filtcones/filtcx.py", "filtcones/novikov.py"
 WFAINF, CLI = "filtcones/wfainf.py", "filtcones/cli.py"
 FRAG, WIDTHS = "filtcones/fragmetric.py", "filtcones/surface/widths.py"
 CURVES, SHADOW = "filtcones/surface/curves.py", "filtcones/surface/shadow.py"
+FLOER = "filtcones/surface/floer.py"
 
 REFUSAL = '''    if frame % curve.scale:
         raise GeometryError(f"{curve!r} at scale {curve.scale} does not fit "
@@ -55,6 +56,12 @@ LOWER_BOUNDS = "tests/test_fragmetric.py::" \
     "test_lower_bounds_match_every_multiset_bounded_alone"
 GOLDEN_TOWERS = "tests/test_wfainf.py::" \
     "test_relation_check_matches_the_oracle_on_the_golden_towers"
+PULLBACKS = "tests/test_wfainf.py::" \
+    "test_pullbacks_and_lambda_match_the_oracles"
+SPLICED = "tests/test_wfainf.py::" \
+    "test_pullback_keeps_spliced_tuples_that_compose_and_end_where_F_sends_b"
+HALF_TORUS = "tests/test_floer_walk.py::" \
+    "test_parallel_lines_apart_by_half_the_torus_have_rank_0"
 EVERY_CONTACT = "tests/test_segment_pairs.py::" \
     "test_segment_pairs_yields_every_contact"
 CERT_WALK = '''                if key not in sets:
@@ -175,6 +182,28 @@ MUTANTS = [
            ("tests/test_twisted.py::"
             "test_retract_energy_identity_and_monomials",
             "tests/test_golden.py::test_retract_energy_matches_golden_table")),
+    Mutant("the relation check stopped below the arity cap",
+           ((WFAINF, "top = min(self.cap, 2 * self.max_op_arity() - 1)",
+             "top = min(self.cap - 1, 2 * self.max_op_arity() - 1)"),),
+           ("tests/test_wfainf.py::"
+            "test_relation_check_runs_through_the_arity_cap",
+            "tests/test_cli.py::"
+            "test_cli_twisted_check_refuses_a_relation_at_the_arity_cap")),
+    # the pull-backs and the lambda map over nonzero entries
+    Mutant("a pulled-back tuple kept though it does not compose",
+           ((WFAINF, "                        and all(x[1] == y[0] for x, y "
+             "in zip(ends, ends[1:]))\n", ""),),
+           (SPLICED, PULLBACKS)),
+    Mutant("a pulled-back tuple kept though F sends its end elsewhere",
+           ((WFAINF, "\n                        and F.obj_map.get(ends[-1][1])"
+             " == home[key[-1]])", ")"),),
+           (SPLICED, PULLBACKS)),
+    Mutant("the lambda map keyed on the first slot",
+           ((WFAINF, "{key[:-1]: {h: c[key[-1]]", "{key[1:]: {h: c[key[0]]"),
+            (WFAINF, "if key[-1] in c)", "if key[0] in c)")),
+           ("tests/test_wfainf.py::test_lambda_map_properties",
+            PULLBACKS,
+            "tests/test_golden.py::test_twisted_outputs_match_golden_files")),
     Mutant("table_sum keeps zero entries",
            ((WFAINF, '''    sums = {d: {gens: v for gens, items in entries.items()
                 if (v := chain_sum(items))} for d, entries in terms.items()}
@@ -218,6 +247,16 @@ MUTANTS = [
             "test_strand_table_refuses_a_curve_off_its_frame",
             "tests/test_widths.py::"
             "test_strand_table_matches_reference_on_random_pools")),
+    # Floer ranks from the classes and the flux
+    Mutant("the flux test dropped: one class always has rank 2",
+           ((FLOER, "return 0 if diff % (8 * q * q * (h[0] ** 2 + h[1] ** 2))"
+             " else 2", "return 2"),),
+           (HALF_TORUS, "tests/test_floer_walk.py::"
+            "test_zero_flux_class_11_pair_has_rank_2")),
+    Mutant("the flux read modulo the torus area 4, not 4|h|^2",
+           ((FLOER, "diff % (8 * q * q * (h[0] ** 2 + h[1] ** 2))",
+             "diff % (8 * q * q)"),),
+           (HALF_TORUS,)),
     # integer strands, set bounds and search
     Mutant("the strand coordinate left unwrapped",
            ((CURVES, "runs.append([ax, (a[c] + q) % (2 * q) - q,",

@@ -672,8 +672,9 @@ def strict_right_mult_hom(cat, m_src, m_tgt, c):
 
 
 # ---------------------------------------------------------------------------
-# A-infinity relation oracles: one explicit loop per relation, reading only
-# the hom complexes, values and tables (no library tuple walk or evaluation)
+# A-infinity relation, module map, pull-back and lambda oracles: one
+# explicit loop per relation or tuple, reading only the hom complexes,
+# values and tables (no library walk or evaluation)
 # ---------------------------------------------------------------------------
 
 def _ref_home(complexes):
@@ -730,7 +731,7 @@ def ref_check_ainf_relations(cat):
     """The first generator tuple at which the A-infinity relations of
     ``cat`` fail, in the library's tuple order, or None."""
     home = _ref_home(cat.homs)
-    top = min(cat.cap - 1, 2 * _ref_top(cat.mu_tables) - 1)
+    top = min(cat.cap, 2 * _ref_top(cat.mu_tables) - 1)
     for n in range(1, top + 1):
         for gens in _ref_cat_tuples(cat, home, n):
             acc = {}
@@ -750,7 +751,7 @@ def ref_check_module_relations(m):
     """The first tuple at which the module relations of ``m`` fail, or
     None."""
     chome, mhome = _ref_home(m.cat.homs), _ref_home(m.values)
-    top = min(m.cat.cap - 1, 2 * max(_ref_top(m.cat.mu_tables),
+    top = min(m.cat.cap, 2 * max(_ref_top(m.cat.mu_tables),
                                      _ref_top(m.mu_tables)) - 1)
     for n in range(1, top + 1):
         for gens in _ref_mod_tuples(m, n):
@@ -827,6 +828,72 @@ def ref_mu2_mod(f, g):
         if table:
             comps[n] = table
     return comps
+
+
+def ref_pullback(F, table):
+    """The tables of a module or pre-module map pulled back along the
+    functor data F, one explicit loop per tuple: at each composable
+    (a_1..a_{d-1}, b) of F's source whose last a ends where F sends b's
+    object, the sum over the cuts of the a's into consecutive blocks of
+    the table at (F(block_1), ..., F(block_k), b); a map's arity-1
+    entries as they are."""
+    from filtcones.wfainf import PreModHom
+    is_map = isinstance(table, PreModHom)
+    module = table.source if is_map else table
+    chome, mhome = _ref_home(F.source.homs), _ref_home(module.values)
+    tables = table.components if is_map else table.mu_tables
+    out = {}
+    if is_map:
+        ones = {(b,): v for b in mhome if (v := _ref_hom_op(table, (b,)))}
+        if ones:
+            out[1] = ones
+    for n in range(2, module.cat.cap + 1):
+        entries = {}
+        for head in _ref_cat_tuples(F.source, chome, n - 1):
+            for b, x in mhome.items():
+                if F.obj_map.get(chome[head[-1]][1]) != x:
+                    continue
+                acc = {}
+                for cuts in itertools.product((0, 1), repeat=n - 2):
+                    ends = [0] + [i + 1 for i, c in enumerate(cuts) if c]
+                    ends.append(n - 1)
+                    images = [F.components.get(e - s, {}).get(head[s:e], {})
+                              for s, e in zip(ends, ends[1:])]
+                    for combo in itertools.product(
+                            *(img.items() for img in images)):
+                        coeff = combo[0][1]
+                        for _, s in combo[1:]:
+                            coeff = coeff * s
+                        key = tuple(g for g, _ in combo) + (b,)
+                        value = tables.get(len(key), {}).get(key, {})
+                        acc = chain_add(acc, chain_scale(coeff, value))
+                if acc:
+                    entries[head + (b,)] = acc
+        if entries:
+            out[n] = entries
+    return out
+
+
+def ref_lambda_map(m, y, c):
+    """The component tables of ``lambda_map(m, y, c)``: at each composable
+    (a_1..a_{d-1}, b) of the category with b ending at y and d < cap, the
+    sum over the generators g of c of c[g] mu^M_{d+1}(a_1..a_{d-1}, b, g)."""
+    home, mhome = _ref_home(m.cat.homs), _ref_home(m.values)
+    out = {}
+    for d in range(1, m.cat.cap):
+        entries = {}
+        for gens in _ref_cat_tuples(m.cat, home, d):
+            if home[gens[-1]][1] != y:
+                continue
+            acc = {}
+            for g, s in c.items():
+                acc = chain_add(acc, chain_scale(
+                    s, _ref_mod_op(m, mhome, gens + (g,))))
+            if acc:
+                entries[gens] = acc
+        if entries:
+            out[d] = entries
+    return out
 
 
 # ---------------------------------------------------------------------------

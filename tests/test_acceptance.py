@@ -16,7 +16,7 @@ from filtcones.filtcx import (
 from filtcones.wfainf import (
     Discrepancy, PreModHom, check_assumption_E, choose_eps, cone,
     cone_boundary_correction, cone_compose, disc_star, mu1_mod,
-    mu2_mod, pullback_disc, shift_module, yoneda_module,
+    WFFunctor, mu2_mod, pullback_disc, shift_module, yoneda_module,
 )
 from filtcones.twisted import (
     TwistedData, TwistedEntry, assemble_twisted_mu1, audit_structure_theorem,
@@ -372,7 +372,8 @@ def test_criterion_9_discrepancy_calculus():
         fd = Discrepancy([c1] + [0] * (cap - 1), "hom")
         md = Discrepancy([0] + [F(rng.randint(0, 6), 2)
                                 for _ in range(cap - 1)], "module")
-        out = pullback_disc(fd, md)
+        ident = WFFunctor(cat, {o: o for o in cat.objects}, {}, fd)
+        out = pullback_disc(ident, md)
         ok &= all(out[d] == (d - 1) * c1 + md[d] for d in range(2, cap + 1))
     criterion(9, "disc_star closes Assumption E on 500 triples; cone "
                  "filtration and shift identities hold as tables; pull-back "

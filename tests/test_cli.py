@@ -336,6 +336,19 @@ def test_cli_twisted_check_refuses_an_arity_cap_below_the_tower(capsys):
                                 "arity cap 2 too small for r = 2"]
 
 
+@pytest.mark.parametrize("cap", ["3", "4"])
+def test_cli_twisted_check_refuses_a_relation_at_the_arity_cap(tmp_path,
+                                                               capsys, cap):
+    """mu_2 fails associativity at (e, a, a), a relation of arity 3."""
+    f = tmp_path / "tw.txt"
+    f.write_text("objects X\nobject X\nhom X X: gen e action 0 ; gen a "
+                 "action 0\nmu 2 (a,a) -> T^0*e\nmu 2 (e,a) -> T^0*e\n")
+    code = main(["--arity-cap", cap, "twisted-check", "--spec", str(f)])
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert got.err == f"error: {f}: A-infinity relation fails at " \
+        "('e', 'a', 'a')\n"
+
 def test_cli_twisted_check_refuses_a_pair_with_no_hom_complex(tmp_path,
                                                                capsys):
     f = tmp_path / "tw.txt"

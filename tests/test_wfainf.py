@@ -18,12 +18,14 @@ from filtcones.wfainf import (
     cone_compose, disc_max, disc_star, lambda_map, mu1_mod, mu2_mod,
     pullback_disc, pullback_module, shift_module, unit_square_homotopy,
     parse_category, table_sum, verify_hom_filtration, yoneda_module,
+    _pullback,
 )
 
 from support import (
     _ref_cat_tuples, _ref_home, _ref_mod_tuples, chain_category,
-    perturbed_unit_category, random_complex, ref_check_ainf_relations,
-    ref_check_module_relations, ref_mu1_mod, ref_mu2_mod, unital_dg_category,
+    perturbed_unit_category, random_chain, random_complex,
+    ref_check_ainf_relations, ref_check_module_relations, ref_lambda_map,
+    ref_mu1_mod, ref_mu2_mod, ref_pullback, unital_dg_category,
 )
 from test_twisted import build_random_tower
 
@@ -239,7 +241,7 @@ def _random_prehom(rng, m0, m1, max_arity=3, qden=2):
     comps = {}
     for d in range(1, max_arity + 1):
         table = {}
-        for gens in m0.tuples(d):
+        for gens in _ref_mod_tuples(m0, d):
             if rng.random() < 0.5:
                 x = m0.cat.gen_hom[gens[0]][0] if d > 1 else \
                     m0.gen_value[gens[0]]
@@ -483,9 +485,19 @@ def test_pullback_disc_formula():
     c = Fraction(1, 2)
     fd = Discrepancy([c, 0, 0, 0, 0], "hom")
     md = Discrepancy([0, 1, 1, 2, 2], "module")
-    out = pullback_disc(fd, md)
+    cat = chain_category(cap=cap)
+    out = pullback_disc(WFFunctor(cat, {o: o for o in cat.objects}, {}, fd),
+                        md)
     for d in range(2, cap + 1):
         assert out[d] == (d - 1) * c + md[d]
+    # a map's eps_1 stays; with an F_2 entry every splitting of d - 1
+    # counts: (2) at d = 3, (1, 2) at d = 4 and (2, 2) at d = 5 win
+    fd = Discrepancy([c, 3, 0, 0, 0], "hom")
+    hd = Discrepancy([1, 1, 1, 2, 2], "hom")
+    F = WFFunctor(cat, {o: o for o in cat.objects},
+                  {2: {("m21", "m10"): {"m20": nov(0)}}}, fd)
+    assert pullback_disc(F, hd).values == (1, c + 1, 3 + 1, c + 3 + 1,
+                                           3 + 3 + 1)
 
 
 def test_pullback_shifted_category():
@@ -528,6 +540,24 @@ def test_pullback_reads_a_higher_functor_component():
     assert pm.mu_tables[2] == m.mu_tables[2]
 
 
+def test_pullback_keeps_spliced_tuples_that_compose_and_end_where_F_sends_b():
+    """F_1(x2) = x1 and F_2(x1, m21) = x1 splice into the entry (x1, m10)
+    of the Yoneda module of L0.  Neither (x2, m10) nor (x1, m21, m10) is
+    pulled back: x2 ends at L2, which F sends to L2 and not to m10's L1,
+    and x1 ends at L1 where m21 starts at L2.  Once F swaps L1 and L2,
+    (x2, m10) is."""
+    cat = chain_category()
+    m = yoneda_module(cat, "L0")
+    F = WFFunctor(cat, {o: o for o in cat.objects},
+                  {1: {("x2",): {"x1": nov(0)}},
+                   2: {("x1", "m21"): {"x1": nov(0)}}},
+                  Discrepancy.zero(cat.cap, "hom"))
+    assert pullback_module(F, m).mu_tables == ref_pullback(F, m) == {}
+    F.obj_map.update(L1="L2", L2="L1")
+    assert pullback_module(F, m).mu_tables == ref_pullback(F, m) == \
+        {2: {("x2", "m10"): m.mu_gens(("x1", "m10"))}}
+
+
 # -- the lambda map -------------------------------------------------------------
 
 def test_lambda_map_properties():
@@ -541,6 +571,11 @@ def test_lambda_map_properties():
     # lambda(0) = 0
     lz = lambda_map(m, y, {}, eps_h)
     assert lz.is_zero()
+    # lambda(T^1 m10)_1(b) = mu_2(b, T^1 m10) for b = x1, m21 ending at L1;
+    # the module has no mu_3, so no higher component
+    assert lambda_map(m, y, {"m10": nov(1)}).components == {1: {
+        (b,): {h: s.shift(1) for h, s in m.mu_gens((b, "m10")).items()}
+        for b in ("x1", "m21")}}
     for _ in range(10):
         exps = {Fraction(rng.randint(0, 4), 2)}
         c = {rng.choice(cval.generators): NovikovScalar(exps, cval.cutoff)}
@@ -558,6 +593,53 @@ def test_lambda_map_properties():
     m2.disc = big_disc
     with pytest.raises(WfError):
         lambda_map(m2, y, {cval.generators[0]: nov(0)}, bad)
+
+
+# -- the pull-backs and the lambda map against their oracles ------------------
+
+# chain_category's weights, and decreasing ones whose mu_2 overshoots
+WEIGHTINGS = {"i/2": None,
+              "-i^2/2": {i: Fraction(-i * i, 2) for i in range(4)}}
+
+
+def _random_functor(rng, cat):
+    """Functor data on ``cat`` into itself: a random object map that may
+    merge or drop objects, and F_1, F_2 and F_3 entries on keys that
+    compose or not, each a random chain of one or two generators."""
+    gens, objs = list(cat.gen_hom), list(cat.objects)
+    home = _ref_home(cat.homs)
+    obj_map = {x: rng.choice(objs) for x in objs if rng.random() < 0.9}
+    comps = {}
+    for d, rate in ((1, 0.7), (2, 0.3), (3, 0.3)):
+        keys = list(_ref_cat_tuples(cat, home, d))
+        keys += [tuple(rng.choice(gens) for _ in range(d)) for _ in range(3)]
+        for key in keys:
+            if rng.random() < rate:
+                comps.setdefault(d, {})[key] = {
+                    g: nov(Fraction(rng.randint(0, 4), 2))
+                    for g in rng.sample(gens, rng.randint(1, 2))}
+    return WFFunctor(cat, obj_map, comps, rand_disc(rng, cat.cap))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from(sorted(WEIGHTINGS)))
+def test_pullbacks_and_lambda_match_the_oracles(seed, weighting):
+    """Each Yoneda module of ``chain_category`` and a random pre-module map
+    between two of them, pulled back along random functor data; and the
+    lambda map of a random chain in every value of each Yoneda module.
+    At arity cap 3 some spliced tuples compose but do not fit."""
+    rng = random.Random(seed)
+    cat = chain_category(WEIGHTINGS[weighting], cap=rng.choice([3, 5]))
+    mods = [yoneda_module(cat, f"L{i}") for i in (2, 1, 0)]
+    i = rng.randrange(2)
+    f = _any_prehom(rng, mods[i], mods[i + 1])
+    F = _random_functor(rng, cat)
+    for table in (*mods, f):
+        assert _pullback(F, table) == ref_pullback(F, table)
+    for m in mods:
+        for y, cx in m.values.items():
+            c = random_chain(rng, cx)
+            assert lambda_map(m, y, c).components == ref_lambda_map(m, y, c)
 
 
 # -- the relation checks and module maps against their oracles ----------------
@@ -670,12 +752,25 @@ def test_parse_category_refuses_an_entry_beyond_the_arity_cap():
         parse_category(text, cap=2)
 
 
+# mu_2 fails associativity at (e, a, a): mu_2(mu_2(e, a), a) = e and
+# mu_2(e, mu_2(a, a)) = 0, a relation of arity 3
+NOT_ASSOCIATIVE = "object X\nhom X X: gen e action 0 ; gen a action 0\n" \
+    "mu 2 (a,a) -> T^0*e\nmu 2 (e,a) -> T^0*e\n"
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+def test_relation_check_runs_through_the_arity_cap(cap):
+    with pytest.raises(WfError, match=r"^A-infinity relation fails at "
+                       r"\('e', 'a', 'a'\)$"):
+        parse_category(NOT_ASSOCIATIVE, cap=cap)
+
+
 def _any_prehom(rng, m0, m1, max_arity=3):
     """Random components on the module tuples of m0 that land where m1
     has a value."""
     comps = {}
     for d in range(1, max_arity + 1):
-        for gens in m0.tuples(d):
+        for gens in _ref_mod_tuples(m0, d):
             x = m0.cat.gen_hom[gens[0]][0] if d > 1 else m0.gen_value[gens[0]]
             if x in m1.values and rng.random() < 0.5:
                 g = rng.choice(m1.value(x).generators)
