@@ -13,17 +13,14 @@ of every action and exponent denominator, the queries' included (Usher
 and Zhang, *Persistent homology and Floer-Novikov theory*, 2016).  In
 the basis f_j = T^(A_j) e_j of action 0, d'_ij = d_ij T^(A_j - A_i);
 each entry is an int bitmask (bit k for t^k) after one common shift by
-the least exponent.  The elimination runs modulo t^N, N = (n+1)*D + 1
-with D the largest degree among the matrix and the query columns; as a
-nonzero j-minor has valuation at most j*D, every rank and valuation read
-off is exact (see ``_Smith``).  It reads the stored polynomials and no
-cutoff.  The brute-force oracles of the test suite check it.
+the least exponent.  The elimination runs exactly over F2[t] (see
+``_Smith``).  It reads the stored polynomials and no cutoff.  The
+brute-force oracles of the test suite check it.
 
 The elimination layer is one loop, and none of it solves on a window of
-exponents.  ``_echelon`` is a least-valuation echelon on int bitmask
-polynomials, over F2[[t]] modulo t^N for ``_Smith`` and exactly over
-F2[t] for the field layer; ``_vectors`` puts every Novikov matrix on its
-lattice.  The field layer reads one exact run, the inputs' bookkeeping
+exponents.  ``_echelon`` is an exact least-valuation echelon on int
+bitmask polynomials over F2[t]; ``_vectors`` puts every Novikov matrix
+on its lattice.  The field layer reads one run, the inputs' bookkeeping
 riding along as extra coordinates: ``field_rank`` (the retired vectors),
 ``field_kernel`` (the bookkeeping of the dropped ones), ``field_basis``
 and ``field_preimage``, and so ``cycle_basis``, ``image_basis`` and
@@ -300,10 +297,9 @@ def _vectors(chains: Sequence[Chain], coords: Sequence[str], q: int = 0,
     return q, m, vecs
 
 
-def _echelon(cols: List[List[int]], width: int, prec: int = 0):
-    """Column echelon over F2[[t]] modulo t^prec, or exactly over F2[t]
-    when ``prec`` is 0, pivoting on the entry of least valuation among the
-    first ``width`` coordinates of the live columns.
+def _echelon(cols: List[List[int]], width: int):
+    """Column echelon exactly over F2[t], pivoting on the entry of least
+    valuation among the first ``width`` coordinates of the live columns.
 
     With pivot t^k*u (u a unit) each other live column c with entry y
     there becomes u*c + (y/t^k)*pivot, and the pivot column retires.
@@ -312,10 +308,8 @@ def _echelon(cols: List[List[int]], width: int, prec: int = 0):
     retired columns as (k, column), k nondecreasing (the Smith exponents),
     and the columns whose first ``width`` coordinates vanished.
     """
-    mask = (1 << prec) - 1 if prec else -1
     live, dropped, retired = [], [], []
     for c in cols:
-        c[:] = [x & mask for x in c]
         (live if any(c[:width]) else dropped).append(c)
     while live:
         k, i, j = min(((x & -x).bit_length() - 1, i, j)
@@ -326,8 +320,7 @@ def _echelon(cols: List[List[int]], width: int, prec: int = 0):
         for c in live:
             if c[i]:
                 w = c[i] >> k
-                c[:] = [(_mul(u, x) ^ _mul(w, y)) & mask
-                        for x, y in zip(c, piv)]
+                c[:] = [_mul(u, x) ^ _mul(w, y) for x, y in zip(c, piv)]
             (rest if any(c[:width]) else dropped).append(c)
         live = rest
         retired.append((k, piv))
@@ -358,16 +351,9 @@ class _Smith:
     keep valuations, so B(c) = (m - s + max_i (k_i - v(nu_i))) / q over
     the pivot rows, and c is no boundary iff nu is nonzero off them.
 
-    Precision N = (n + 1) * D + 1, D the largest degree in D0 and the
-    query columns: a nonzero j-minor of [D0 | mu0] has valuation at most
-    j*D.  The k_i are the Smith exponents of D0 (each least-valuation
-    pivot is the next invariant factor), so each is at most their sum,
-    the least valuation of a nonzero r-minor, r*D < N, and modulo t^N
-    the computation is the exact one.  A nonzero nu_j off the pivot rows
-    times t^(sum k_i) is an (r+1)-minor of the reduced matrix, so v(nu_j)
-    <= (r+1)*D < N.  As d b = c forces v(b) <= v(mu0) = 0, the maximum is
-    attained where v(nu_i) <= k_i < N, and an entry lost modulo t^N has
-    v(nu_i) - k_i > 0.  No cutoff is read.
+    The read is exact: each step multiplies a column by u = pivot/t^k, a
+    unit of F2[[t]], so the untruncated run over F2[t] is an elimination
+    over F2[[t]].  No cutoff is read.
     """
 
     def __init__(self, cx: FilteredComplex, q: int):
@@ -390,19 +376,16 @@ class _Smith:
                                 self.action)
         return s, col
 
-    def _reduce(self, cols: List[List[int]], extra: int = 0):
-        """Eliminate D0 with the query columns appended, modulo t^N."""
-        n = len(self.rows)
-        deg = max(x.bit_length() for row in self.rows + cols for x in row) - 1
-        prec = (n + 1 + extra) * deg + 1
-        return (prec, *_echelon([row + [c[i] for c in cols]
-                                 for i, row in enumerate(self.rows)], n, prec))
+    def _reduce(self, cols: List[List[int]]):
+        """Eliminate D0 with the query columns appended: (pivots, rest)."""
+        return _echelon([row + [c[i] for c in cols]
+                         for i, row in enumerate(self.rows)], len(self.rows))
 
     def boundary_level(self, x: Chain) -> Fraction:
         if not x:
             return NEG_INF
         s, col = self._column(x)
-        _, pivots, rest = self._reduce([col])
+        pivots, rest = self._reduce([col])
         return _preimage_level(pivots, rest, self.shift - s, self.q)
 
     def min_beta_over_span(self, vectors: List[Chain]) -> Fraction:
@@ -417,26 +400,20 @@ class _Smith:
         -max sigma_j over the Smith exponents of K^-1 Z, which a second
         ``_echelon`` reads off H = t^kmax K^-1 Z (exponents kmax + sigma_j
         in [0, kmax], as beta >= m/q).
-
-        Precision: sum k'_b, the least valuation of a nonzero p-minor of
-        the p independent inputs, is at most p*D, and kmax <= r*D.  The
-        second echelon needs N - max k'_b > kmax, which N = (n + 1 +
-        2 len(vectors)) * D + 1 covers.
         """
         vecs = [v for v in vectors if v]
         if not vecs:
             return INF
-        prec, pivots, rest = self._reduce([self._column(v)[1] for v in vecs],
-                                          2 * len(vecs))
+        pivots, rest = self._reduce([self._column(v)[1] for v in vecs])
         n, r = len(self.rows), len(pivots)
         if any(any(row[n:]) for row in rest):
             raise FiltError("min_beta_over_span: vector is not a boundary")
         ortho = _echelon([[row[n + l] for _, row in pivots]
-                          for l in range(len(vecs))], r, prec)[0]
-        top, kmax = ortho[-1][0], pivots[-1][0]
+                          for l in range(len(vecs))], r)[0]
+        kmax = pivots[-1][0]
         sigma = _echelon([[(z[i] >> kb) << kmax - pivots[i][0]
                            for i in range(r)]
-                          for kb, z in ortho], r, prec - top)[0][-1][0]
+                          for kb, z in ortho], r)[0][-1][0]
         return Fraction(self.shift + kmax - sigma, self.q)
 
 
@@ -775,15 +752,13 @@ def chain_left_inverse_action(f: FilteredMap) -> Fraction:
     live in hom(C, C) + hom(D, C), on the coordinates (c, x) and E[c<-d]
     at their actions (any row scaling reads the same level; these keep
     the degrees low).  One ``_vectors`` call puts images and target on
-    one lattice, and exact ``_echelon`` runs of the rows read the level
-    as ``_Smith.boundary_level`` does, over F2[t]: the divisions by t^k
-    of a run modulo t^N can leave spurious entries off the pivot rows.
-    Rows linked through the unknowns they touch form a block, one run
-    each: no elimination step crosses blocks, so each run makes the
-    pivots one run of all rows would, and the level is the max over the
-    blocks (+infinity if one is inconsistent).  Under zero differentials
-    the rows split by the generator of C they belong to; a coupled map
-    is one block.
+    one lattice, and ``_echelon`` runs of the rows read the level as
+    ``_Smith.boundary_level`` does.  Rows linked through the unknowns
+    they touch form a block, one run each: no elimination step crosses
+    blocks, so each run makes the pivots one run of all rows would, and
+    the level is the max over the blocks (+infinity if one is
+    inconsistent).  Under zero differentials the rows split by the
+    generator of C they belong to; a coupled map is one block.
 
     For a chain isomorphism f the inverse is the only left inverse, and
     it is a chain map, so this is also the least action of any left

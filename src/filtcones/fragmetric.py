@@ -249,14 +249,14 @@ class MetricSpace:
 
     # -- upper bounds (search) ----------------------------------------------
 
-    def _search(self, lp: str, l: str, family: Sequence[str],
-                top_end: bool) -> Dict[int, Tuple[Fraction, str]]:
+    def _search(self, lp: str, l: str, family: Sequence[str]
+                ) -> Dict[int, Tuple[Fraction, str]]:
         """Best-first search over move expressions from ``lp`` to ``l``.
 
         A state is the tuple of ends plus the set of moves used, each at
         most once (declare copies to repeat a piece), forward or reversed
         on one end (bending the positive end is shadow neutral).  A goal
-        holds ``l`` (first, with ``top_end``) plus ``c`` extra ends in
+        holds ``l``, at any position (bending), plus ``c`` extra ends in
         ``family``.  States leave the heap by (shadow, #moves, sorted
         names), the shadow an integer at the lcm of the moves' shadow
         denominators; shadows are nonnegative and add up, so the first
@@ -282,7 +282,7 @@ class MetricSpace:
         goals: Dict[int, Tuple[Fraction, str]] = {}
         while heap:
             shadow, n, names, state, used = heapq.heappop(heap)
-            if l in state and (not top_end or state[0] == l):
+            if l in state:
                 rest = list(state)
                 rest.remove(l)
                 c = len(rest)
@@ -342,8 +342,7 @@ class MetricSpace:
 
     # -- public metric queries -----------------------------------------------
 
-    def d_k(self, lp: str, l: str, family_name: str, k: int,
-            top_end: bool = False) -> MetricResult:
+    def d_k(self, lp: str, l: str, family_name: str, k: int) -> MetricResult:
         """d_k(lp, l) from one search: the least recorded goal with at
         most k extra ends (the one with the most, found first) above, and
         lower_k of ``_lowers`` below, read at min(k, K) for K = |F| +
@@ -353,7 +352,7 @@ class MetricSpace:
         if k < 0:
             raise FragError(f"d_k needs an end count k >= 0, got {k}")
         family = self.families[family_name]
-        goals = self._search(lp, l, family, top_end)
+        goals = self._search(lp, l, family)
         last = len(set(family)) + len(self.probes)
         for j, (lower, cert) in zip([*range(min(k, last)), k],
                                     self._lowers(lp, l, family)):
@@ -377,7 +376,7 @@ class MetricSpace:
         ``d_k`` to report.
         """
         family = self.families[family_name]
-        goals = self._search(lp, l, family, False)
+        goals = self._search(lp, l, family)
         if a is None:
             k = min(goals, default=None)
             return MetricResult(0, INF, None, "exhausted") if k is None \
@@ -421,7 +420,7 @@ class MetricSpace:
         family = sorted(set(self.families[family_name]))
         if not family:
             return self.d_k(lp, l, family_name, 0)
-        goals = self._search(lp, l, family, False)
+        goals = self._search(lp, l, family)
         upper, witness = next(iter(goals.values()), (INF, None))
         lower, pair = (Fraction(0), None) if lp == l else \
             self._set_bound(lp, l, family)

@@ -50,24 +50,34 @@ def four_surgery_curve(curves, eps, delta) -> Tuple[TorusCurve, list]:
     return cur, dims
 
 
+def _regime(eps, delta) -> Tuple[Fraction, Fraction]:
+    """(eps, delta) as Fractions, refused outside the handle regime
+    0 < eps <= 1/8, 0 < delta < eps^2 / 2."""
+    eps, delta = rat(eps), rat(delta)
+    if not 0 < eps <= F(1, 8):
+        raise FragError("requires 0 < eps <= 1/8")
+    if not 0 < delta < eps * eps / 2:
+        raise FragError("requires 0 < delta < eps^2/2")
+    return eps, delta
+
+
+def _base_objects():
+    """L and S1 to S4, each on its own curve."""
+    return [LagObject(n, [n]) for n in ("L", "S1", "S2", "S3", "S4")]
+
+
 def lem_ex1_space(eps, delta) -> MetricSpace:
     """The torus configuration with its move set and bounds machinery.
 
     Requires 0 < delta < eps^2 / 2 (the handle regime where every stated
     number is exact).
     """
-    eps, delta = rat(eps), rat(delta)
-    if not 0 < eps <= F(1, 8):
-        raise FragError("requires 0 < eps <= 1/8")
-    if not 0 < delta < eps * eps / 2:
-        raise FragError("requires 0 < delta < eps^2/2")
+    eps, delta = _regime(eps, delta)
     curves = base_curves(eps)
     lp, _ = four_surgery_curve(curves, eps, delta)
     curves["L'"] = lp
     objects = [
-        LagObject("L", ["L"]),
-        LagObject("S1", ["S1"]), LagObject("S2", ["S2"]),
-        LagObject("S3", ["S3"]), LagObject("S4", ["S4"]),
+        *_base_objects(),
         LagObject("N", ["N"]),
         LagObject("L'", carrier=["S1", "S2", "S3", "S4"],
                   cover=["L", "S1", "S2", "S3", "S4"], geometry="L'"),
@@ -85,11 +95,7 @@ def lem_ex1_space(eps, delta) -> MetricSpace:
 def trace_surgery_space(eps, delta) -> MetricSpace:
     """L'' = L # S1 with the single-trace move and the probe family
     certifying the sharp lower bound d_1(L'', L) = delta."""
-    eps, delta = rat(eps), rat(delta)
-    if not 0 < eps <= F(1, 8):
-        raise FragError("requires 0 < eps <= 1/8")
-    if not 0 < delta < eps * eps / 2:
-        raise FragError("requires 0 < delta < eps^2/2")
+    eps, delta = _regime(eps, delta)
     curves = base_curves(eps)
     half = F(1, 2)
     ox = -half - eps
@@ -98,9 +104,7 @@ def trace_surgery_space(eps, delta) -> MetricSpace:
     lpp.name = "L''"
     curves["L''"] = lpp
     objects = [
-        LagObject("L", ["L"]),
-        LagObject("S1", ["S1"]), LagObject("S2", ["S2"]),
-        LagObject("S3", ["S3"]), LagObject("S4", ["S4"]),
+        *_base_objects(),
         LagObject("L''", carrier=["S1"], cover=["L", "S1"], geometry="L''"),
     ]
     moves = [
@@ -134,11 +138,7 @@ def disjoint_union_space(eps) -> MetricSpace:
     shadowless disjoint union of product cobordisms."""
     eps = rat(eps)
     curves = base_curves(eps)
-    objects = [
-        LagObject("L", ["L"]),
-        LagObject("S1", ["S1"]), LagObject("S2", ["S2"]),
-        LagObject("S3", ["S3"]), LagObject("S4", ["S4"]),
-    ]
+    objects = _base_objects()
     # footprint: one full horizontal line (gamma_0 x S1) plus a curve with
     # two left ends (gamma_1 x S2); no bounded faces
     d = PlanarDiagram(rays=[((0, 1), -1), ((0, 1), 1),

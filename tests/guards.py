@@ -253,6 +253,23 @@ def insertion_walk(ix):
                   for n in defined(tree, "_insert", "tuples", "_tabulate")]
 
 
+# the elimination runs exactly over F2[t]: _echelon takes the columns and
+# the width alone, and no src/ call passes it a third argument (a modulus
+# t^N, a precision or a mask)
+def exact_elimination(ix):
+    bad = []
+    for f, tree in ix.src.items():
+        bad += [f"{f}:{n.lineno}: _echelon takes a third parameter"
+                for n in defined(tree, "_echelon")
+                if len(n.args.posonlyargs + n.args.args + n.args.kwonlyargs)
+                > 2 or n.args.vararg or n.args.kwarg]
+        bad += [f"{f}:{n.lineno}: _echelon called with "
+                f"{len(n.args) + len(n.keywords)} arguments"
+                for n in calls(tree, "_echelon")
+                if len(n.args) + len(n.keywords) > 2]
+    return bad
+
+
 # the paper-lemma checks, and what only they use, that only tests reach
 ONLY_TESTS = {
     "rho_upper_from_witness", "check_assumption_E", "choose_eps",
@@ -341,7 +358,7 @@ def parameters(ix):
 
 GUARDS = [inverse_series, line_reader, floer_ranks, contact_scan,
           shadow_integers, end_count_cap, width_frame, one_sum,
-          insertion_walk, reachability, parameters]
+          insertion_walk, exact_elimination, reachability, parameters]
 
 
 def main() -> int:

@@ -46,7 +46,9 @@ FILTCX, NOVIKOV = "filtcones/filtcx.py", "filtcones/novikov.py"
 WFAINF, CLI = "filtcones/wfainf.py", "filtcones/cli.py"
 FRAG, WIDTHS = "filtcones/fragmetric.py", "filtcones/surface/widths.py"
 CURVES, SHADOW = "filtcones/surface/curves.py", "filtcones/surface/shadow.py"
-FLOER = "filtcones/surface/floer.py"
+FLOER, TWISTED = "filtcones/surface/floer.py", "filtcones/twisted.py"
+SIGMA1_INVERSE = \
+    'report["sigma1_inverse_shift"] = chain_left_inverse_action(sigma1)'
 
 REFUSAL = '''    if frame % curve.scale:
         raise GeometryError(f"{curve!r} at scale {curve.scale} does not fit "
@@ -189,6 +191,31 @@ MUTANTS = [
             "test_relation_check_runs_through_the_arity_cap",
             "tests/test_cli.py::"
             "test_cli_twisted_check_refuses_a_relation_at_the_arity_cap")),
+    # the exact elimination and the left-inverse reads
+    Mutant("_echelon pivoting on the first nonzero entry, not the least "
+           "valuation",
+           ((FILTCX, "k, i, j = min(((x & -x)", "k, i, j = next(((x & -x)"),),
+           ("tests/test_filtcx.py::test_boundary_level_matches_oracle_random",
+            "tests/test_filtcx.py::test_min_beta_subspace_two_bars")),
+    Mutant("_echelon's update without the pivot's unit",
+           ((FILTCX, "c[:] = [_mul(u, x) ^ _mul(w, y)",
+             "c[:] = [x ^ _mul(w, y)"),),
+           ("tests/test_filtcx.py::"
+            "test_boundary_depth_map_bounds_every_sampled_drop",
+            "tests/test_elimination.py::test_echelon_rank_plus_nullity")),
+    Mutant("the injectivity lemma without its left-inverse test",
+           ((FILTCX, '''    if chain_left_inverse_action(g) > 0:
+        return False
+''', ''),),
+           ("tests/test_filtcx.py::test_check_injectivity_lemma",)),
+    Mutant("sigma_1's inverse shift read as 0",
+           ((TWISTED, SIGMA1_INVERSE,
+             'report["sigma1_inverse_shift"] = Fraction(0)'),),
+           ("tests/test_twisted.py::test_audit_trivial_tower",)),
+    Mutant("sigma_1's inverse shift read as minus its own shift",
+           ((TWISTED, SIGMA1_INVERSE,
+             'report["sigma1_inverse_shift"] = -sigma1.measured_shift()'),),
+           ("tests/test_twisted.py::test_audit_trivial_tower",)),
     # the pull-backs and the lambda map over nonzero entries
     Mutant("a pulled-back tuple kept though it does not compose",
            ((WFAINF, "                        and all(x[1] == y[0] for x, y "

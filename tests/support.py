@@ -1309,7 +1309,7 @@ def ref_mu2_triangles(c0, c1, c2, cutoff=64):
 # metric search: every sequence of distinct moves
 # ---------------------------------------------------------------------------
 
-def ref_metric_uppers(moves, lp, l, family, top_end=False):
+def ref_metric_uppers(moves, lp, l, family):
     """(sum of shadows, extra-end count) at every goal that some sequence
     of distinct moves reaches from ``(lp,)``.
 
@@ -1317,14 +1317,14 @@ def ref_metric_uppers(moves, lp, l, family, top_end=False):
     pruning.  A move replaces the first occurrence of its source by its
     ends (forward), or the first occurrence of one of its ends by its
     source followed by its other ends (end reversal), tried at every end
-    position.  A goal holds ``l`` (first, with ``top_end``) plus extra
-    ends that all lie in ``family``.
+    position.  A goal holds ``l`` plus extra ends that all lie in
+    ``family``.
     """
     fam = set(family)
     found = set()
 
     def walk(state, left, shadow):
-        if l in state and (not top_end or state[0] == l):
+        if l in state:
             rest = list(state)
             rest.remove(l)
             if all(r in fam for r in rest):

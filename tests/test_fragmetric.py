@@ -201,13 +201,6 @@ def test_monotone_mode_caps_bound(space):
     assert capped.d_k("L'", "L", "F", 0).lower == F(1, 100)
 
 
-def test_top_end_mode(space):
-    # restricting L to the top negative end can only increase the value
-    r_any = space.d_k("L'", "L", "F", 4)
-    r_top = space.d_k("L'", "L", "F", 4, top_end=True)
-    assert r_top.upper >= r_any.upper
-
-
 def check_triangle(space, family, triples, ks) -> bool:
     """d_{k+k'}(L,L'') <= d_k(L,L') + d_{k'}(L',L'') on computed uppers."""
     for (a, b, c) in triples:
@@ -699,15 +692,13 @@ def test_search_agrees_with_every_sequence_of_moves(case):
     space, lp, l = case
     shadows = {mv.name: mv.shadow for mv in space.moves}
     family = space.families["F"]
-    for top_end in (False, True):
-        found = ref_metric_uppers(space.moves, lp, l, family, top_end)
-        for k in range(5):
-            r = space.d_k(lp, l, "F", k, top_end=top_end)
-            assert r.upper == _least(found, k), (top_end, k)
-            if r.upper < INF:
-                used = [] if r.witness == "identity" else r.witness.split("+")
-                assert sum((shadows[n] for n in used), F(0)) == r.upper
     found = ref_metric_uppers(space.moves, lp, l, family)
+    for k in range(5):
+        r = space.d_k(lp, l, "F", k)
+        assert r.upper == _least(found, k), k
+        if r.upper < INF:
+            used = [] if r.witness == "identity" else r.witness.split("+")
+            assert sum((shadows[n] for n in used), F(0)) == r.upper
     r = space.d_f(lp, l, "F")
     assert r.upper == min((s for s, _ in found), default=INF)
     assert r.lower == ref_least_lower_bound(space, lp, l, "F")[0]

@@ -158,12 +158,6 @@ def metric_table():
     """(lower, upper, witness, certificate) of fixed metric queries."""
     groups = [("lem", lem_ex1_space(EPS, DELTA), LEM_QUERIES),
               ("trace", trace_surgery_space(EPS, DELTA), TRACE_QUERIES)]
-    for kind, build, lp in (("lem", lem_ex1_space, "L'"),
-                            ("trace", trace_surgery_space, "L''")):
-        groups.append((f"{kind} top_end", build(EPS, DELTA),
-                       [("d_k", (lp, "L", "F", k, True)) for k in range(7)]
-                       + [("d_k", ("L", lp, "F", k, True))
-                          for k in range(7)]))
     for kind, patterns in (("lem", LEM_PATTERNS), ("trace", TRACE_PATTERNS)):
         for pattern in patterns:
             label = f"{kind}+" + ",".join(a + b for a, b in pattern)

@@ -99,6 +99,11 @@ FIXTURES = [
      "    def tuples(self, n: int):\n        yield from ()\n\n"
      "    def _entries(self, top: int):",
      "src/filtcones/wfainf.py:N: defines tuples"),
+    # the t^N modulus put back
+    (guards.exact_elimination, FILTCX,
+     "def _echelon(cols: List[List[int]], width: int):",
+     "def _echelon(cols: List[List[int]], width: int, prec: int = 0):",
+     "src/filtcones/filtcx.py:N: _echelon takes a third parameter"),
     # a helper that only a listed lemma check calls is reached from tests
     # alone, though src/ calls it
     (guards.reachability, FLOER, MU2_RETURN,
